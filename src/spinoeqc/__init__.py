@@ -33,7 +33,6 @@ from .spinoe import (
 from .labeling import (
     EffectivePureResult,
     LabelingPlan,
-    Normalization,
     SingularLabelingSystem,
     assemble_effective_pure,
     choose_ground,

@@ -12,7 +12,7 @@ runs are byte-identical except for the single timestamp field in each
 JSON report.
 
 Exit codes: 0 ok, 2 weight-solver failure, 3 decoded answer mismatch,
-64 usage error.
+4 readout failure (inconsistent probe peaks), 64 usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
+    GROVER_TARGETS,
     DecodeError,
     DetectionSettings,
     GroverCase,
@@ -39,7 +40,14 @@ from .experiments import (
     run_id,
 )
 from .labeling import SingularLabelingSystem
-from .readout import calibrate, integrate_peaks, probe, reconstruct_diagonal, spectrum_to_csv
+from .readout import (
+    ReadoutError,
+    calibrate,
+    integrate_peaks,
+    probe,
+    reconstruct_diagonal,
+    spectrum_to_csv,
+)
 from .spinoe import ScheduleMode, SpinoeParams, enhancement_at
 from .spins import SpinSystemConfig, enhanced_state, thermal_state
 from .svg import line_chart
@@ -47,6 +55,7 @@ from .svg import line_chart
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_DECODE = 3
+EXIT_READOUT = 4
 EXIT_USAGE = 64
 
 
@@ -220,20 +229,22 @@ def cmd_effpure(cfg: RunConfig, args) -> int:
 
 def cmd_grover(cfg: RunConfig, args) -> int:
     if args.all:
-        targets = ["00", "01", "10", "11"]
+        cases = [GroverCase(t) for t in GROVER_TARGETS]
+    elif args.target is None:
+        raise UsageError("grover needs --target or --all")
     else:
-        if args.target is None:
-            raise UsageError("grover needs --target or --all")
-        if args.target not in ("00", "01", "10", "11"):
-            raise UsageError(f"invalid target {args.target!r} (choose 00, 01, 10 or 11)")
-        targets = [args.target]
+        try:
+            cases = [GroverCase(args.target)]
+        except ValueError as exc:
+            raise UsageError(f"invalid target {args.target!r}: {exc}") from exc
     out = _out_dir(args)
     mismatch = False
-    for target in targets:
+    for case in cases:
+        target = case.target
         run = run_grover_pipeline(
             cfg.spinoe(),
             cfg.spin_system(),
-            GroverCase(target),
+            case,
             cfg.schedule_mode(),
             r1=cfg.r1_s,
             recovery=cfg.recovery_s,
@@ -331,6 +342,9 @@ def main(argv=None) -> int:
     except DecodeError as exc:
         print(f"decode failed: {exc}", file=sys.stderr)
         return EXIT_DECODE
+    except ReadoutError as exc:
+        print(f"readout failed: {exc}", file=sys.stderr)
+        return EXIT_READOUT
 
 
 if __name__ == "__main__":

@@ -11,6 +11,11 @@ of per-experiment results is the effective pure state, and because
 spectra are linear in the state, the same weights applied to the readout
 spectra yield the spectrum of the effective pure state directly.
 
+The enhancement scores the labeled state against labeled thermal input.
+With both enhancements equal to 1 at every time, the three thermal inputs
+are one known diagonal, so that reference is classic temporal averaging
+computed in closed form; only the enhanced experiments are measured.
+
 The search circuit is the standard one-query amplitude amplification on
 two qubits: U = D O (H⊗H) with O the phase oracle flipping the marked
 element and D = (H⊗H)(2|00><00| - I)(H⊗H). Applied to |00> it outputs the
@@ -37,7 +42,7 @@ from .labeling import (
     enhancement_factor,
     solve_weights,
 )
-from .quantum import DensityMatrix, Unitary, apply_unitary, compose
+from .quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from .readout import (
     PROBE_TIP_MAX,
     PeakLine,
@@ -57,12 +62,14 @@ from .spins import (
     SpinSystemConfig,
     permutation_pulse_sequence,
     pulse_unitary,
+    thermal_state,
 )
 
 HADAMARD_1Q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 HADAMARD_2Q = np.kron(HADAMARD_1Q, HADAMARD_1Q)
 
 DECODE_DOMINANCE = 3.0  # dominant line must beat its partner by this factor
+GROVER_TARGETS = ("00", "01", "10", "11")
 
 
 class DecodeError(RuntimeError):
@@ -76,8 +83,8 @@ class GroverCase:
     target: str
 
     def __post_init__(self):
-        if self.target not in ("00", "01", "10", "11"):
-            raise ValueError("target must be one of 00, 01, 10, 11")
+        if self.target not in GROVER_TARGETS:
+            raise ValueError(f"target must be one of {', '.join(GROVER_TARGETS)}")
 
     @property
     def index(self) -> int:
@@ -94,7 +101,6 @@ class ExperimentRecord:
     perm_id: PermutationId
     readout_h: Spectrum
     readout_c: Spectrum
-    weights_used: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -129,17 +135,11 @@ class EffectivePureRun:
 
 
 @dataclass(frozen=True)
-class GroverRun:
-    """One search case: decoded answer, enhancement and raw records."""
+class GroverRun(EffectivePureRun):
+    """One search case: the labeled run plus its decoded answer."""
 
     case: GroverCase
     decoded: str
-    enhancement: float
-    result: EffectivePureResult
-    records: list[ExperimentRecord]
-    schedule: ExperimentSchedule
-    sum_readout_h: Spectrum
-    sum_readout_c: Spectrum
     peaks_h: PeakTable = field(repr=False)
     peaks_c: PeakTable = field(repr=False)
 
@@ -193,8 +193,8 @@ def _run_labeled_experiments(
     detection: DetectionSettings,
     perms: tuple[PermutationId, ...],
     compute_after_perm,
-) -> tuple[EffectivePureResult, list[ExperimentRecord], Spectrum, Spectrum]:
-    """Shared probe/permute/compute/readout loop plus weight solving.
+) -> EffectivePureRun:
+    """Shared probe/permute/compute/readout loop, weight solving and scoring.
 
     compute_after_perm(ground) returns the unitary applied after each
     permutation (identity for plain state preparation, relabel+circuit for
@@ -253,27 +253,33 @@ def _run_labeled_experiments(
                 perm_id=perms[i],
                 readout_h=spec_h,
                 readout_c=spec_c,
-                weights_used=weights.copy(),
             )
         )
 
-    sum_h = _weighted_spectrum([r.readout_h for r in records], weights)
-    sum_c = _weighted_spectrum([r.readout_c for r in records], weights)
-    return result, records, sum_h, sum_c
+    thermal = _thermal_reference(cfg, perms)
+    return EffectivePureRun(
+        result=result,
+        records=records,
+        thermal_result=thermal,
+        enhancement=enhancement_factor(result, thermal),
+        schedule=schedule,
+        sum_readout_h=_weighted_spectrum([r.readout_h for r in records], weights),
+        sum_readout_c=_weighted_spectrum([r.readout_c for r in records], weights),
+    )
 
 
 def _thermal_reference(
-    cfg: SpinSystemConfig,
-    schedule: ExperimentSchedule,
-    detection: DetectionSettings,
-    perms: tuple[PermutationId, ...],
+    cfg: SpinSystemConfig, perms: tuple[PermutationId, ...]
 ) -> EffectivePureResult:
-    """Effective pure state from the identical pipeline at eps = 1."""
-    thermal = SpinoeParams(eps0_h=1.0, eps0_c=1.0, reproducibility_jitter=0.0)
-    result, _, _, _ = _run_labeled_experiments(
-        thermal, cfg, schedule, detection, perms, lambda ground: Unitary(np.eye(4))
-    )
-    return result
+    """Labeled thermal-equilibrium input, exact and noise-free.
+
+    Three copies of the thermal deviation diagonal: classic temporal
+    averaging, the same for every schedule, seed and detection setting.
+    """
+    diags = [populations(thermal_state(cfg)) - 0.25] * 3
+    plan = LabelingPlan(ground=choose_ground(diags, perms), perms=perms)
+    weights, _ = solve_weights(diags, plan)
+    return assemble_effective_pure(diags, plan, weights)
 
 
 def run_effective_pure_pipeline(
@@ -290,22 +296,12 @@ def run_effective_pure_pipeline(
 
     Runs the three permutation experiments on the schedule implied by
     `mode`, solves the weights from the probed diagonals, assembles the
-    effective pure state and reports its enhancement over the identical
-    pipeline fed with thermal-equilibrium states.
+    effective pure state and reports its enhancement over the same
+    labeling applied to thermal-equilibrium input.
     """
     schedule = make_schedule(p, mode, 3, r1, recovery, start_delay)
-    result, records, sum_h, sum_c = _run_labeled_experiments(
+    return _run_labeled_experiments(
         p, cfg, schedule, detection, perms, lambda ground: Unitary(np.eye(4))
-    )
-    thermal = _thermal_reference(cfg, schedule, detection, perms)
-    return EffectivePureRun(
-        result=result,
-        records=records,
-        thermal_result=thermal,
-        enhancement=enhancement_factor(result, thermal),
-        schedule=schedule,
-        sum_readout_h=sum_h,
-        sum_readout_c=sum_c,
     )
 
 
@@ -368,35 +364,23 @@ def run_grover_pipeline(
     mixing): search runs late in a sample's life show the moderate
     enhancements characteristic of this experiment series. The decoded
     answer comes from the sign pattern of the weighted spectral sum, and
-    the enhancement compares the labeled input state against the thermal
-    twin pipeline.
+    the enhancement compares the labeled input state against the closed-form
+    labeling of thermal input.
     """
     schedule = make_schedule(p, mode, 3, r1, recovery, sample_age)
 
     def computation(ground: int) -> Unitary:
         return compose(relabel_unitary(ground), grover_circuit(case))
 
-    result, records, sum_h, sum_c = _run_labeled_experiments(
-        p, cfg, schedule, detection, perms, computation
-    )
-    peaks_h = integrate_peaks(sum_h, cfg)
-    peaks_c = integrate_peaks(sum_c, cfg)
+    run = _run_labeled_experiments(p, cfg, schedule, detection, perms, computation)
+    peaks_h = integrate_peaks(run.sum_readout_h, cfg)
+    peaks_c = integrate_peaks(run.sum_readout_c, cfg)
     # an inverted preparation (q2 < 0) flips every peak; its sign is known
     # from the weight solve, so fold it into the decode
-    sign = 1.0 if result.q2 >= 0 else -1.0
+    sign = 1.0 if run.result.q2 >= 0 else -1.0
     decoded = decode_answer(_scale_peaks(peaks_h, sign), _scale_peaks(peaks_c, sign))
-    thermal = _thermal_reference(cfg, schedule, detection, perms)
     return GroverRun(
-        case=case,
-        decoded=decoded,
-        enhancement=enhancement_factor(result, thermal),
-        result=result,
-        records=records,
-        schedule=schedule,
-        sum_readout_h=sum_h,
-        sum_readout_c=sum_c,
-        peaks_h=peaks_h,
-        peaks_c=peaks_c,
+        **vars(run), case=case, decoded=decoded, peaks_h=peaks_h, peaks_c=peaks_c
     )
 
 
@@ -409,11 +393,9 @@ def _record_payload(rec: ExperimentRecord) -> dict:
     }
 
 
-def effective_pure_report(run: EffectivePureRun, config_echo: dict) -> dict:
-    """JSON-ready description of a preparation run (deterministic layout)."""
+def _labeled_report(run: EffectivePureRun) -> dict:
+    """Report block shared by both pipelines: schedule, experiments, labeling."""
     return {
-        "run_id": run_id(config_echo),
-        "config": config_echo,
         "schedule": {
             "times_s": list(run.schedule.times),
             "probe_lead_s": run.schedule.probe_lead,
@@ -425,9 +407,18 @@ def effective_pure_report(run: EffectivePureRun, config_echo: dict) -> dict:
         "q1": run.result.q1,
         "q2": run.result.q2,
         "equalization_residual": run.result.residual,
-        "effective_diagonal": [float(x) for x in run.result.diagonal],
         "thermal_q2": run.thermal_result.q2,
         "enhancement": run.enhancement,
+    }
+
+
+def effective_pure_report(run: EffectivePureRun, config_echo: dict) -> dict:
+    """JSON-ready description of a preparation run (deterministic layout)."""
+    return {
+        "run_id": run_id(config_echo),
+        "config": config_echo,
+        **_labeled_report(run),
+        "effective_diagonal": [float(x) for x in run.result.diagonal],
     }
 
 
@@ -438,17 +429,7 @@ def grover_report(run: GroverRun, config_echo: dict) -> dict:
         "config": config_echo,
         "target": run.case.target,
         "decoded": run.decoded,
-        "schedule": {
-            "times_s": list(run.schedule.times),
-            "probe_lead_s": run.schedule.probe_lead,
-            "fresh_sample": run.schedule.fresh_sample,
-        },
-        "experiments": [_record_payload(r) for r in run.records],
-        "weights": [float(w) for w in run.result.weights],
-        "ground_state": run.result.ground,
-        "q1": run.result.q1,
-        "q2": run.result.q2,
-        "enhancement": run.enhancement,
+        **_labeled_report(run),
         "peak_integrals": {
             "h": {str(line.partner_state): line.integral for line in run.peaks_h.lines},
             "c": {str(line.partner_state): line.integral for line in run.peaks_c.lines},

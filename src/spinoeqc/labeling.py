@@ -11,8 +11,8 @@ a weighted sum
     rho_eff = sum_i w_i * P_i rho_init_i P_i†
 
 still can: requiring the three non-ground populations of the sum to be
-equal gives two linear equations in the weights, and one normalization
-row (w_1 = 1, or sum w_i = 3) closes the 3x3 system. The result has the
+equal gives two linear equations in the weights, and the normalization
+row w_1 = 1 closes the 3x3 system. The result has the
 form q1*I + q2*|ground><ground| where q2 = ground population minus the
 common non-ground population; q2 is the signal-bearing coefficient, and
 ratios of q2 (at a common weight normalization) measure how much
@@ -24,7 +24,6 @@ they flag pathological schedules rather than being hidden.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,22 +45,16 @@ SINGULARITY_RTOL = 1e-12
 GROUND_TIE_RTOL = 1e-3
 
 
-class Normalization(enum.Enum):
-    FIRST_WEIGHT_ONE = "first_weight_one"
-    SUM_EQUALS_COUNT = "sum_equals_count"
-
-
 class SingularLabelingSystem(ValueError):
     """The weight system has no usable solution (degenerate inputs)."""
 
 
 @dataclass(frozen=True)
 class LabelingPlan:
-    """Ground-state choice, permutation order and weight normalization."""
+    """Ground-state choice and permutation order."""
 
     ground: int
     perms: tuple[PermutationId, ...] = DEFAULT_PERM_ORDER
-    normalization: Normalization = Normalization.FIRST_WEIGHT_ONE
 
     def __post_init__(self):
         if self.ground not in (0, 1, 2, 3):
@@ -129,12 +122,8 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     for col, v in enumerate(permuted):
         a[0, col] = v[j1] - v[j2]
         a[1, col] = v[j2] - v[j3]
-    if plan.normalization is Normalization.FIRST_WEIGHT_ONE:
-        a[2] = (1.0, 0.0, 0.0)
-        b[2] = 1.0
-    else:
-        a[2] = (1.0, 1.0, 1.0)
-        b[2] = 3.0
+    a[2] = (1.0, 0.0, 0.0)
+    b[2] = 1.0
     scale = np.abs(a).max()
     if scale == 0 or 1.0 / np.linalg.cond(a) < SINGULARITY_RTOL:
         raise SingularLabelingSystem(

@@ -123,6 +123,14 @@ class TestGrover:
     def test_missing_target_usage_error(self, tmp_path):
         assert cli.main(["--out", str(tmp_path), "grover"]) == 64
 
+    def test_readout_failure_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"noise_amp": 1.0}))
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"),
+                       "grover", "--target", "10"])
+        assert rc == 4
+        assert "readout failed: inconsistent peak data" in capsys.readouterr().err
+
     def test_decode_mismatch_exit_code(self, tmp_path, monkeypatch):
         real = cli.run_grover_pipeline
 

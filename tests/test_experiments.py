@@ -146,7 +146,6 @@ class TestEffectivePurePipeline:
         assert [r.probe_time for r in run.records] == [0.0, 120.0, 240.0]
         for rec in run.records:
             assert abs(rec.probed_diagonal.sum()) < 1e-9
-            assert rec.weights_used is not None
             assert rec.readout_h.values.size == 4096
 
     def test_weighted_sum_spectrum_shows_pure_signature(self):
@@ -170,6 +169,17 @@ class TestEffectivePurePipeline:
             assert np.array_equal(ra.readout_h.values, rb.readout_h.values)
         assert a.enhancement == b.enhancement
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_thermal_reference_is_exact_under_noise(self, seed):
+        # the reference is the closed-form labeling of thermal input, so
+        # detection noise and the seed move only the enhanced side
+        p = SpinoeParams(seed=seed)
+        run = run_effective_pure_pipeline(
+            p, CFG, ScheduleMode.SINGLE_SAMPLE, detection=DetectionSettings(noise_amp=0.01)
+        )
+        assert run.thermal_result.q2 == pytest.approx(10.0, rel=1e-12)
+        assert run.thermal_result.ground == 0
+
     def test_jitter_varies_across_samples(self):
         p = SpinoeParams(reproducibility_jitter=0.05, seed=5)
         run = run_effective_pure_pipeline(p, CFG, ScheduleMode.MULTI_SAMPLE)
@@ -186,9 +196,19 @@ class TestGroverPipeline:
         assert run.peaks_c.integral(0) > 0
         assert run.enhancement == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.target)
-    def test_all_cases_decode_with_enhanced_single_sample(self, case):
-        run = run_grover_pipeline(SpinoeParams(), CFG, case)
+    @pytest.mark.parametrize(
+        "case,noise_amp,seed",
+        [pytest.param(c, 0.0, 0, id=c.target) for c in ALL_CASES]
+        + [
+            pytest.param(c, 0.05, seed, id=f"{c.target}-noise0.05-seed{seed}")
+            for seed in (0, 1, 2)
+            for c in ALL_CASES
+        ],
+    )
+    def test_all_cases_decode_with_enhanced_single_sample(self, case, noise_amp, seed):
+        run = run_grover_pipeline(
+            SpinoeParams(seed=seed), CFG, case, detection=DetectionSettings(noise_amp=noise_amp)
+        )
         assert run.decoded == case.target
         assert 2.0 <= run.enhancement <= 7.0
 
@@ -229,6 +249,8 @@ class TestReports:
         assert report["target"] == "01"
         assert report["decoded"] == "01"
         assert set(report["peak_integrals"]) == {"h", "c"}
+        assert report["thermal_q2"] == run.thermal_result.q2
+        assert report["equalization_residual"] == run.result.residual
 
     def test_run_id_deterministic_and_config_sensitive(self):
         assert run_id({"a": 1}) == run_id({"a": 1})

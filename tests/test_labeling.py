@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from spinoeqc.labeling import (
     DEFAULT_PERM_ORDER,
     LabelingPlan,
-    Normalization,
     SingularLabelingSystem,
     assemble_effective_pure,
     choose_ground,
@@ -120,15 +119,6 @@ class TestSolveWeights:
         for lam in (0.37, 3.0, 120.0):
             w, _ = solve_weights([lam * d for d in DECAYING], plan)
             assert_allclose(w, w_ref, atol=1e-10)
-
-    def test_sum_equals_count_normalization(self):
-        plan = LabelingPlan(ground=0, normalization=Normalization.SUM_EQUALS_COUNT)
-        w, residual = solve_weights(DECAYING, plan)
-        assert np.sum(w) == pytest.approx(3.0, abs=1e-12)
-        assert residual < 1e-10
-        # same ray as the first-weight-one solution
-        w1, _ = solve_weights(DECAYING, LabelingPlan(ground=0))
-        assert_allclose(w / w[0], w1, atol=1e-10)
 
     def test_negative_weights_are_reported_not_rejected(self):
         diags = [
