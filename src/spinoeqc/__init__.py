@@ -42,6 +42,7 @@ from .labeling import (
 )
 from .readout import (
     Channel,
+    Detector,
     Fid,
     PeakTable,
     ReadoutError,

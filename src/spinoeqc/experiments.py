@@ -8,8 +8,11 @@ deviation populations), the permutation P_i is applied a lead time r1
 later, optionally followed by the search circuit, and both channels are
 read out. The probed diagonals feed the weight solver; the weighted sum
 of per-experiment results is the effective pure state, and because
-spectra are linear in the state, the same weights applied to the readout
-spectra yield the spectrum of the effective pure state directly.
+detection is linear in the state, the same weights applied to the readout
+line integrals (or spectra) give those of the effective pure state
+directly. Every line integral comes from one `Detector` built per
+pipeline call; readout spectra are synthesized only when a caller reads
+them.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -45,13 +48,13 @@ from .labeling import (
 from .quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from .readout import (
     PROBE_TIP_MAX,
-    PeakLine,
+    Acquisition,
+    Channel,
+    Detector,
     PeakTable,
+    ReadoutError,
     Spectrum,
-    calibrate,
-    integrate_peaks,
-    probe,
-    readout_spectra,
+    peak_table,
     reconstruct_diagonal,
 )
 from .spinoe import ExperimentSchedule, ScheduleMode, SpinoeParams, make_schedule, sample_initial_state
@@ -99,8 +102,15 @@ class ExperimentRecord:
     probe_time: float
     probed_diagonal: np.ndarray
     perm_id: PermutationId
-    readout_h: Spectrum
-    readout_c: Spectrum
+    readout: tuple[Acquisition, Acquisition] = field(repr=False)
+
+    @property
+    def readout_h(self) -> Spectrum:
+        return self.readout[0].spectrum
+
+    @property
+    def readout_c(self) -> Spectrum:
+        return self.readout[1].spectrum
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,16 @@ class EffectivePureRun:
     thermal_result: EffectivePureResult
     enhancement: float
     schedule: ExperimentSchedule
-    sum_readout_h: Spectrum
-    sum_readout_c: Spectrum
+
+    @property
+    def sum_readout_h(self) -> Spectrum:
+        """Weighted sum of the H readout spectra, built on each access."""
+        return _weighted_spectrum([r.readout_h for r in self.records], self.result.weights)
+
+    @property
+    def sum_readout_c(self) -> Spectrum:
+        """Weighted sum of the C readout spectra, built on each access."""
+        return _weighted_spectrum([r.readout_c for r in self.records], self.result.weights)
 
 
 @dataclass(frozen=True)
@@ -201,29 +219,21 @@ def _run_labeled_experiments(
     a search case).
     """
     rng = np.random.default_rng(p.seed)
-    k = calibrate(cfg, detection.probe_tip_deg, detection.n_points, detection.dwell)
+    detector = Detector(cfg, detection.n_points, detection.dwell)
+    tip, noise_amp = detection.probe_tip_deg, detection.noise_amp
+    k = detector.calibration(tip)
 
     states: list[DensityMatrix] = []
     probed: list[np.ndarray] = []
-    for probe_time in schedule.probe_times:
+    for i, probe_time in enumerate(schedule.probe_times, start=1):
         rho = sample_initial_state(
             p, cfg, probe_time, fresh_sample=schedule.fresh_sample, rng=rng
         )
-        spec_h, spec_c = probe(
-            rho,
-            cfg,
-            detection.probe_tip_deg,
-            detection.n_points,
-            detection.dwell,
-            detection.noise_amp,
-            rng,
-        )
-        diag = reconstruct_diagonal(
-            integrate_peaks(spec_h, cfg),
-            integrate_peaks(spec_c, cfg),
-            detection.probe_tip_deg,
-            k,
-        )
+        acq_h, acq_c = detector.probe(rho, tip, noise_amp, rng)
+        try:
+            diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, tip, k)
+        except ReadoutError as exc:
+            raise ReadoutError(f"experiment {i} (probe at {probe_time:.1f} s): {exc}") from exc
         states.append(rho)
         probed.append(diag)
 
@@ -237,22 +247,13 @@ def _run_labeled_experiments(
     for i, (rho, diag) in enumerate(zip(states, probed)):
         step = compose(permutation_pulse_sequence(perms[i], ground), post)
         final = apply_unitary(rho, step)
-        spec_h, spec_c = readout_spectra(
-            final,
-            cfg,
-            n_samples=detection.n_points,
-            dt=detection.dwell,
-            noise_amp=detection.noise_amp,
-            rng=rng,
-        )
         records.append(
             ExperimentRecord(
                 schedule_time=schedule.times[i],
                 probe_time=schedule.probe_times[i],
                 probed_diagonal=diag,
                 perm_id=perms[i],
-                readout_h=spec_h,
-                readout_c=spec_c,
+                readout=detector.readout(final, noise_amp, rng),
             )
         )
 
@@ -263,8 +264,6 @@ def _run_labeled_experiments(
         thermal_result=thermal,
         enhancement=enhancement_factor(result, thermal),
         schedule=schedule,
-        sum_readout_h=_weighted_spectrum([r.readout_h for r in records], weights),
-        sum_readout_c=_weighted_spectrum([r.readout_c for r in records], weights),
     )
 
 
@@ -302,18 +301,6 @@ def run_effective_pure_pipeline(
     schedule = make_schedule(p, mode, 3, r1, recovery, start_delay)
     return _run_labeled_experiments(
         p, cfg, schedule, detection, perms, lambda ground: Unitary(np.eye(4))
-    )
-
-
-def _scale_peaks(peaks: PeakTable, factor: float) -> PeakTable:
-    if factor == 1.0:
-        return peaks
-    return PeakTable(
-        channel=peaks.channel,
-        lines=tuple(
-            PeakLine(line.frequency, factor * line.integral, line.partner_state)
-            for line in peaks.lines
-        ),
     )
 
 
@@ -358,14 +345,14 @@ def run_grover_pipeline(
     detection: DetectionSettings = DetectionSettings(),
     perms: tuple[PermutationId, ...] = DEFAULT_PERM_ORDER,
 ) -> GroverRun:
-    """One search case end to end, with weighted spectral readout.
+    """One search case end to end, with weighted readout.
 
     The default schedule starts on an aged sample (sample_age after
     mixing): search runs late in a sample's life show the moderate
     enhancements characteristic of this experiment series. The decoded
-    answer comes from the sign pattern of the weighted spectral sum, and
-    the enhancement compares the labeled input state against the closed-form
-    labeling of thermal input.
+    answer comes from the sign pattern of the weighted sum of the readout
+    line integrals, and the enhancement compares the labeled input state
+    against the closed-form labeling of thermal input.
     """
     schedule = make_schedule(p, mode, 3, r1, recovery, sample_age)
 
@@ -373,12 +360,13 @@ def run_grover_pipeline(
         return compose(relabel_unitary(ground), grover_circuit(case))
 
     run = _run_labeled_experiments(p, cfg, schedule, detection, perms, computation)
-    peaks_h = integrate_peaks(run.sum_readout_h, cfg)
-    peaks_c = integrate_peaks(run.sum_readout_c, cfg)
+    weights = run.result.weights
+    sums = [sum(w * r.readout[i].integrals for w, r in zip(weights, run.records)) for i in (0, 1)]
+    peaks_h, peaks_c = (peak_table(ch, y, cfg) for ch, y in zip(Channel, sums))
     # an inverted preparation (q2 < 0) flips every peak; its sign is known
     # from the weight solve, so fold it into the decode
     sign = 1.0 if run.result.q2 >= 0 else -1.0
-    decoded = decode_answer(_scale_peaks(peaks_h, sign), _scale_peaks(peaks_c, sign))
+    decoded = decode_answer(*(peak_table(ch, sign * y, cfg) for ch, y in zip(Channel, sums)))
     return GroverRun(
         **vars(run), case=case, decoded=decoded, peaks_h=peaks_h, peaks_c=peaks_c
     )

@@ -1,4 +1,4 @@
-"""Simulated NMR detection: probing pulses, FID synthesis, spectra and
+"""Simulated NMR detection: probing pulses, line integrals, spectra and
 reconstruction of population differences from peak integrals.
 
 Detection model. In the Zeeman-free rotating frame each nucleus's single-
@@ -30,6 +30,16 @@ reference run.
 Processing fixes: the first FID point is halved before the transform (the
 standard baseline correction for one-sided decays; without it window
 integrals pick up a large flat offset).
+
+Detection as a linear map. FID synthesis, the transform and the window
+sums are all linear, so a line integral is Re(g · x) for the sampled FID
+x and a window vector g that carries the spectral window, the first-point
+halving and the bin width. A `Detector` precomputes g for both lines and
+their 2×2 complex response to unit A_plus and A_minus, once per
+acquisition setting; the pipelines read every probe and readout through
+it, adding the drawn noise as one more dot product. Spectra (FID, FFT,
+`Spectrum`) are built only on request, for export, and stay the reference
+the map is tested against.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +74,13 @@ class ReadoutError(ValueError):
     pass
 
 
+def _check_sampling(n_samples: int, dt: float) -> None:
+    if dt <= 0:
+        raise ValueError("dwell time must be positive")
+    if n_samples < MIN_FID_SAMPLES:
+        raise ValueError(f"FID needs at least {MIN_FID_SAMPLES} samples")
+
+
 @dataclass(frozen=True)
 class Fid:
     """Complex time-domain signal for one channel."""
@@ -72,11 +90,8 @@ class Fid:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dwell time must be positive")
         s = np.array(self.samples, dtype=complex)
-        if s.ndim != 1 or s.size < MIN_FID_SAMPLES:
-            raise ValueError(f"FID needs at least {MIN_FID_SAMPLES} samples")
+        _check_sampling(s.size if s.ndim == 1 else 0, self.dt)
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
@@ -128,6 +143,56 @@ class PeakTable:
         raise KeyError(partner_state)
 
 
+def peak_table(channel: Channel, integrals, cfg: SpinSystemConfig) -> PeakTable:
+    """Peak table from the (partner 0, partner 1) line integrals of a channel."""
+    j = cfg.j_coupling
+    return PeakTable(
+        channel=channel,
+        lines=(
+            PeakLine(frequency=j / 2.0, integral=float(integrals[0]), partner_state=0),
+            PeakLine(frequency=-j / 2.0, integral=float(integrals[1]), partner_state=1),
+        ),
+    )
+
+
+def _line_windows(freqs: np.ndarray, cfg: SpinSystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the windows of width J/2 centered on +J/2 and -J/2.
+
+    `freqs` is an ascending frequency axis; windows that leave it or cover
+    fewer than four bins are rejected.
+    """
+    j = cfg.j_coupling
+    masks = []
+    for center in (j / 2.0, -j / 2.0):
+        lo, hi = center - j / 4.0, center + j / 4.0
+        if lo < freqs[0] or hi > freqs[-1]:
+            raise ReadoutError(
+                "peak window exceeds the spectral width; decrease the dwell time"
+            )
+        mask = (freqs >= lo) & (freqs <= hi)
+        if mask.sum() < 4:
+            raise ReadoutError("spectral resolution too coarse for peak windows")
+        masks.append(mask)
+    return masks[0], masks[1]
+
+
+def _frequency_axis(n_samples: int, dt: float) -> np.ndarray:
+    return np.fft.fftshift(np.fft.fftfreq(n_samples, dt))
+
+
+def _coherences(rho_after_pulse: DensityMatrix, channel: Channel) -> np.ndarray:
+    """(A_plus, A_minus) of one channel."""
+    (rp, cp), (rm, cm) = _COHERENCE_INDEX[channel.value]
+    return np.array([rho_after_pulse.matrix[rp, cp], rho_after_pulse.matrix[rm, cm]])
+
+
+def _line_signals(cfg: SpinSystemConfig, n_samples: int, dt: float):
+    """Undamped unit +J/2 and -J/2 lines and the T2 decay, sampled."""
+    t = np.arange(n_samples) * dt
+    f0 = cfg.j_coupling / 2.0
+    return np.exp(2j * np.pi * f0 * t), np.exp(-2j * np.pi * f0 * t), np.exp(-t / cfg.t2)
+
+
 def synthesize_fid(
     rho_after_pulse: DensityMatrix,
     cfg: SpinSystemConfig,
@@ -136,14 +201,9 @@ def synthesize_fid(
     dt: float = 1e-3,
 ) -> Fid:
     """Quadrature FID of one channel from the state's doublet coherences."""
-    (rp, cp), (rm, cm) = _COHERENCE_INDEX[channel.value]
-    a_plus = rho_after_pulse.matrix[rp, cp]
-    a_minus = rho_after_pulse.matrix[rm, cm]
-    t = np.arange(n_samples) * dt
-    f0 = cfg.j_coupling / 2.0
-    samples = (
-        a_plus * np.exp(2j * np.pi * f0 * t) + a_minus * np.exp(-2j * np.pi * f0 * t)
-    ) * np.exp(-t / cfg.t2)
+    a_plus, a_minus = _coherences(rho_after_pulse, channel)
+    plus, minus, decay = _line_signals(cfg, n_samples, dt)
+    samples = (a_plus * plus + a_minus * minus) * decay
     return Fid(channel=channel, dt=dt, samples=samples)
 
 
@@ -156,37 +216,73 @@ def spectrum(fid: Fid) -> Spectrum:
     x = fid.samples.copy()
     x[0] *= 0.5
     values = np.fft.fftshift(np.fft.fft(x))
-    freqs = np.fft.fftshift(np.fft.fftfreq(x.size, fid.dt))
+    freqs = _frequency_axis(x.size, fid.dt)
     return Spectrum(channel=fid.channel, freqs=freqs, values=values)
 
 
 def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
     """Integrate the real part over windows of width J/2 centered on ±J/2."""
-    j = cfg.j_coupling
-    lines = []
-    for center, partner in ((j / 2.0, 0), (-j / 2.0, 1)):
-        lo, hi = center - j / 4.0, center + j / 4.0
-        if lo < spec.freqs[0] or hi > spec.freqs[-1]:
-            raise ReadoutError(
-                "peak window exceeds the spectral width; decrease the dwell time"
-            )
-        mask = (spec.freqs >= lo) & (spec.freqs <= hi)
-        if mask.sum() < 4:
-            raise ReadoutError("spectral resolution too coarse for peak windows")
-        integral = float(np.sum(spec.values[mask].real) * spec.df)
-        lines.append(PeakLine(frequency=center, integral=integral, partner_state=partner))
-    return PeakTable(channel=spec.channel, lines=(lines[0], lines[1]))
+    integrals = [
+        float(np.sum(spec.values[mask].real) * spec.df)
+        for mask in _line_windows(spec.freqs, cfg)
+    ]
+    return peak_table(spec.channel, integrals, cfg)
 
 
-def _maybe_add_noise(samples: np.ndarray, noise_amp: float, rng) -> np.ndarray:
+def _draw_noise(n_samples: int, noise_amp: float, rng) -> np.ndarray | None:
+    """Complex receiver noise for one FID, or None when noise is off."""
     if noise_amp <= 0:
-        return samples
+        return None
     if rng is None:
-        rng = np.random.default_rng(0)
-    noise = rng.normal(0.0, noise_amp, samples.size) + 1j * rng.normal(
-        0.0, noise_amp, samples.size
+        raise ValueError("detection noise needs a seeded generator (rng)")
+    return rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(
+        0.0, noise_amp, n_samples
     )
-    return samples + noise
+
+
+def _channel_spectrum(
+    rho_after_pulse: DensityMatrix,
+    channel: Channel,
+    cfg: SpinSystemConfig,
+    n_samples: int,
+    dt: float,
+    noise: np.ndarray | None,
+) -> Spectrum:
+    fid = synthesize_fid(rho_after_pulse, cfg, channel, n_samples, dt)
+    if noise is not None:
+        fid = Fid(channel=channel, dt=dt, samples=fid.samples + noise)
+    return spectrum(fid)
+
+
+def _probe_pulsed(rho: DensityMatrix, tip_angle_deg: float) -> tuple[DensityMatrix, DensityMatrix]:
+    """States seen by the H and C receivers after the two-spin probe pulse."""
+    if not 0 < tip_angle_deg <= PROBE_TIP_MAX:
+        raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
+    pulsed = apply_unitary(
+        rho, pulse_unitary(PulseSpec(PulseTarget.BOTH, tip_angle_deg, phase=90.0))
+    )
+    return pulsed, pulsed
+
+
+def _readout_pulsed(
+    rho: DensityMatrix, tip_angle_deg: float = 90.0
+) -> tuple[DensityMatrix, DensityMatrix]:
+    """States seen by the H and C receivers, each after a pulse on its own spin."""
+    h, c = (
+        apply_unitary(rho, pulse_unitary(PulseSpec(target, tip_angle_deg, phase=90.0)))
+        for target in (PulseTarget.H, PulseTarget.C)
+    )
+    return h, c
+
+
+def _spectra(states, cfg, n_samples, dt, noise_amp, rng) -> tuple[Spectrum, Spectrum]:
+    h, c = (
+        _channel_spectrum(
+            state, channel, cfg, n_samples, dt, _draw_noise(n_samples, noise_amp, rng)
+        )
+        for channel, state in zip(Channel, states)
+    )
+    return h, c
 
 
 def probe(
@@ -204,17 +300,7 @@ def probe(
     integrals expose the deviation populations; tips above 25° void the
     linear reconstruction contract and are rejected.
     """
-    if not 0 < tip_angle_deg <= PROBE_TIP_MAX:
-        raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
-    pulsed = apply_unitary(
-        rho, pulse_unitary(PulseSpec(PulseTarget.BOTH, tip_angle_deg, phase=90.0))
-    )
-    spectra = []
-    for channel in (Channel.H, Channel.C):
-        fid = synthesize_fid(pulsed, cfg, channel, n_samples, dt)
-        samples = _maybe_add_noise(fid.samples, noise_amp, rng)
-        spectra.append(spectrum(Fid(channel=channel, dt=dt, samples=samples)))
-    return spectra[0], spectra[1]
+    return _spectra(_probe_pulsed(rho, tip_angle_deg), cfg, n_samples, dt, noise_amp, rng)
 
 
 def readout_spectra(
@@ -234,15 +320,103 @@ def readout_spectra(
     signature for pure-like states. Both channels come from one simulated
     run (detection here is non-destructive).
     """
-    spectra = []
-    for channel, target in ((Channel.H, PulseTarget.H), (Channel.C, PulseTarget.C)):
-        pulsed = apply_unitary(
-            rho, pulse_unitary(PulseSpec(target, tip_angle_deg, phase=90.0))
+    return _spectra(_readout_pulsed(rho, tip_angle_deg), cfg, n_samples, dt, noise_amp, rng)
+
+
+@dataclass(frozen=True)
+class Detector:
+    """Line integrals of one acquisition setting as a precomputed linear map.
+
+    `windows` holds g_+ and g_- (partner 0 and partner 1 lines) such that a
+    line integral of the FID x equals Re(g · x); `response` holds the
+    complex line integrals of unit +J/2 and -J/2 amplitudes, so noise-free
+    integrals are Re(response @ (A_plus, A_minus)).
+    """
+
+    cfg: SpinSystemConfig
+    n_points: int = 4096
+    dwell: float = 1e-3
+    windows: np.ndarray = field(init=False, repr=False)
+    response: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _check_sampling(self.n_points, self.dwell)
+        freqs = _frequency_axis(self.n_points, self.dwell)
+        masks = np.array(_line_windows(freqs, self.cfg), dtype=float)
+        # a window sum over the shifted spectrum is a dot product with the
+        # transform of the unshifted mask; the first FID point is halved
+        windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
+        windows[:, 0] *= 0.5
+        object.__setattr__(self, "windows", windows)
+        plus, minus, decay = _line_signals(self.cfg, self.n_points, self.dwell)
+        object.__setattr__(self, "response", windows @ (np.array([plus, minus]) * decay).T)
+
+    def _acquire(self, states, noise_amp: float, rng) -> tuple[Acquisition, Acquisition]:
+        h, c = (
+            Acquisition(self, channel, state, _draw_noise(self.n_points, noise_amp, rng))
+            for channel, state in zip(Channel, states)
         )
-        fid = synthesize_fid(pulsed, cfg, channel, n_samples, dt)
-        samples = _maybe_add_noise(fid.samples, noise_amp, rng)
-        spectra.append(spectrum(Fid(channel=channel, dt=dt, samples=samples)))
-    return spectra[0], spectra[1]
+        return h, c
+
+    def probe(
+        self,
+        rho: DensityMatrix,
+        tip_angle_deg: float,
+        noise_amp: float = 0.0,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[Acquisition, Acquisition]:
+        """The probing experiment of `probe`, kept in closed form."""
+        return self._acquire(_probe_pulsed(rho, tip_angle_deg), noise_amp, rng)
+
+    def readout(
+        self,
+        rho: DensityMatrix,
+        noise_amp: float = 0.0,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[Acquisition, Acquisition]:
+        """The 90° per-channel readout of `readout_spectra`, kept in closed form."""
+        return self._acquire(_readout_pulsed(rho), noise_amp, rng)
+
+    def calibration(self, tip_angle_deg: float) -> float:
+        """Receiver constant K of `calibrate` for this acquisition setting."""
+        ref = thermal_state(self.cfg)
+        dev = ref.matrix.diagonal().real - 0.25
+        y = np.concatenate([a.integrals for a in self.probe(ref, tip_angle_deg)])
+        m = _probe_response_matrix(tip_angle_deg) @ dev
+        denom = float(m @ m)
+        if denom == 0.0:
+            raise ReadoutError("thermal reference produced no signal")
+        return float(y @ m) / denom
+
+
+@dataclass(frozen=True)
+class Acquisition:
+    """One channel of one detection: the state at its receiver and the noise
+    drawn for it. Line integrals come from the detector's map; the spectrum
+    is synthesized only when asked for, with the arithmetic of `probe` and
+    `readout_spectra`."""
+
+    detector: Detector = field(repr=False)
+    channel: Channel
+    state: DensityMatrix = field(repr=False)
+    noise: np.ndarray | None = field(repr=False)
+
+    @cached_property
+    def integrals(self) -> np.ndarray:
+        """(partner 0, partner 1) line integrals."""
+        y = (self.detector.response @ _coherences(self.state, self.channel)).real
+        if self.noise is not None:
+            y = y + (self.detector.windows @ self.noise).real
+        return y
+
+    @property
+    def peaks(self) -> PeakTable:
+        return peak_table(self.channel, self.integrals, self.detector.cfg)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        d = self.detector
+        return _channel_spectrum(self.state, self.channel, d.cfg, d.n_points, d.dwell, self.noise)
 
 
 def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
@@ -287,15 +461,7 @@ def calibrate(
     response applied to the deviation diagonal. Must be produced with the
     same acquisition settings later used for reconstruction.
     """
-    ref = thermal_state(cfg)
-    dev = ref.matrix.diagonal().real - 0.25
-    spec_h, spec_c = probe(ref, cfg, tip_angle_deg, n_samples, dt)
-    y = _stack_integrals(integrate_peaks(spec_h, cfg), integrate_peaks(spec_c, cfg))
-    m = _probe_response_matrix(tip_angle_deg) @ dev
-    denom = float(m @ m)
-    if denom == 0.0:
-        raise ReadoutError("thermal reference produced no signal")
-    return float(y @ m) / denom
+    return Detector(cfg, n_samples, dt).calibration(tip_angle_deg)
 
 
 def reconstruct_diagonal(
@@ -333,12 +499,3 @@ def spectrum_to_csv(spec: Spectrum, path) -> None:
         writer.writerow(["freq_hz", "real", "imag"])
         for f, v in zip(spec.freqs, spec.values):
             writer.writerow([repr(float(f)), repr(float(v.real)), repr(float(v.imag))])
-
-
-def peak_table_to_csv(peaks: PeakTable, path) -> None:
-    """Write a peak table as CSV with columns freq_hz, integral, partner_state."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "integral", "partner_state"])
-        for line in peaks.lines:
-            writer.writerow([repr(line.frequency), repr(line.integral), line.partner_state])

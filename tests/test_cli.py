@@ -129,7 +129,9 @@ class TestGrover:
         rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"),
                        "grover", "--target", "10"])
         assert rc == 4
-        assert "readout failed: inconsistent peak data" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("readout failed: experiment 1 (probe at 600.0 s): ")
+        assert "inconsistent peak data" in err
 
     def test_decode_mismatch_exit_code(self, tmp_path, monkeypatch):
         real = cli.run_grover_pipeline

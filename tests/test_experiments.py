@@ -19,7 +19,8 @@ from spinoeqc.experiments import (
     run_id,
 )
 from spinoeqc.quantum import DensityMatrix, apply_unitary, compose, populations
-from spinoeqc.readout import Channel, PeakLine, PeakTable
+from spinoeqc import readout
+from spinoeqc.readout import Channel, PeakLine, PeakTable, ReadoutError, integrate_peaks
 from spinoeqc.spinoe import ScheduleMode, SpinoeParams
 from spinoeqc.spins import PulseTarget, SpinSystemConfig, pulse_unitary
 
@@ -149,8 +150,6 @@ class TestEffectivePurePipeline:
             assert rec.readout_h.values.size == 4096
 
     def test_weighted_sum_spectrum_shows_pure_signature(self):
-        from spinoeqc.readout import integrate_peaks
-
         run = run_effective_pure_pipeline(SpinoeParams(), CFG, ScheduleMode.SINGLE_SAMPLE)
         # ground |10>: dominant negative H line at partner 0, positive C line
         ph = integrate_peaks(run.sum_readout_h, CFG)
@@ -179,6 +178,27 @@ class TestEffectivePurePipeline:
         )
         assert run.thermal_result.q2 == pytest.approx(10.0, rel=1e-12)
         assert run.thermal_result.ground == 0
+
+    @pytest.mark.parametrize(
+        "cfg,detection,message",
+        [
+            (CFG, DetectionSettings(n_points=1024, dwell=4e-3), "spectral width"),
+            (SpinSystemConfig(j_coupling=0.5), DetectionSettings(), "resolution"),
+        ],
+        ids=["spectral-width", "resolution"],
+    )
+    def test_window_rules_reject_the_settings(self, cfg, detection, message):
+        with pytest.raises(ReadoutError, match=message):
+            run_effective_pure_pipeline(
+                SpinoeParams(), cfg, ScheduleMode.SINGLE_SAMPLE, detection=detection
+            )
+
+    def test_readout_error_names_the_experiment(self):
+        with pytest.raises(ReadoutError, match=r"^experiment 1 \(probe at 0\.0 s\): inconsistent"):
+            run_effective_pure_pipeline(
+                SpinoeParams(), CFG, ScheduleMode.SINGLE_SAMPLE,
+                detection=DetectionSettings(noise_amp=1.0),
+            )
 
     def test_jitter_varies_across_samples(self):
         p = SpinoeParams(reproducibility_jitter=0.05, seed=5)
@@ -223,6 +243,25 @@ class TestGroverPipeline:
             SpinoeParams(), CFG, GroverCase("11"), ScheduleMode.SINGLE_SAMPLE, sample_age=0.0
         )
         assert run.enhancement > 7.0
+
+    def test_spectra_are_built_only_on_access(self, monkeypatch):
+        def no_spectra(*args, **kwargs):
+            raise AssertionError("spectrum built in the pipeline")
+
+        monkeypatch.setattr(readout, "synthesize_fid", no_spectra)
+        run = run_grover_pipeline(
+            SpinoeParams(seed=3), CFG, GroverCase("01"),
+            detection=DetectionSettings(noise_amp=0.05),
+        )
+        assert run.decoded == "01"
+        monkeypatch.undo()
+        # the decode read the weighted sum of line integrals; the exported
+        # weighted spectrum carries the same integrals
+        for peaks, spec in ((run.peaks_h, run.sum_readout_h), (run.peaks_c, run.sum_readout_c)):
+            ref = integrate_peaks(spec, CFG)
+            scale = max(abs(ref.integral(0)), abs(ref.integral(1)))
+            for partner in (0, 1):
+                assert abs(peaks.integral(partner) - ref.integral(partner)) <= 1e-12 * scale
 
     def test_determinism(self):
         p = SpinoeParams(reproducibility_jitter=0.03, seed=11)

@@ -1,19 +1,23 @@
 import csv
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinoeqc.quantum import DensityMatrix, apply_unitary
 from spinoeqc.readout import (
+    Acquisition,
     Channel,
+    Detector,
     Fid,
     PeakLine,
     PeakTable,
     ReadoutError,
     calibrate,
     integrate_peaks,
-    peak_table_to_csv,
     probe,
     readout_spectra,
     reconstruct_diagonal,
@@ -221,6 +225,85 @@ class TestProbe:
         clean = probe(thermal_state(CFG), CFG, 15.0)[0]
         assert not np.array_equal(a.values, clean.values)
 
+    def test_noise_needs_a_seeded_generator(self):
+        with pytest.raises(ValueError, match="rng"):
+            probe(thermal_state(CFG), CFG, 15.0, noise_amp=0.1)
+        with pytest.raises(ValueError, match="rng"):
+            Detector(CFG).probe(thermal_state(CFG), 15.0, noise_amp=0.1)
+
+
+def coherent_state(amplitudes) -> DensityMatrix:
+    """Hermitian matrix whose H and C doublet coherences are `amplitudes`."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[2, 0], m[3, 1], m[1, 0], m[3, 2] = amplitudes
+    return DensityMatrix(m + m.conj().T)
+
+
+def fft_peaks(rho, cfg, channel, n, dt, noise):
+    """Reference route: FID, added noise, transform, window sums."""
+    fid = synthesize_fid(rho, cfg, channel, n_samples=n, dt=dt)
+    if noise is not None:
+        fid = Fid(channel, dt, fid.samples + noise)
+    return integrate_peaks(spectrum(fid), cfg)
+
+
+class TestDetector:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        amplitudes=st.lists(
+            st.complex_numbers(max_magnitude=10.0, allow_subnormal=False),
+            min_size=4,
+            max_size=4,
+        ),
+        n_points=st.integers(256, 8192),
+        dwell=st.floats(2e-4, 2e-3),
+        j=st.floats(5.0, 400.0),
+        t2=st.floats(0.01, 5.0),
+        noise_amp=st.sampled_from([0.0, 0.01, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integrals_equal_the_fft_path(
+        self, amplitudes, n_points, dwell, j, t2, noise_amp, seed
+    ):
+        cfg = SpinSystemConfig(j_coupling=j, t2=t2)
+        rho = coherent_state(amplitudes)
+        try:
+            det = Detector(cfg, n_points, dwell)
+        except ReadoutError as exc:
+            # one window rule: the FFT path rejects the same settings
+            with pytest.raises(ReadoutError, match=re.escape(str(exc))):
+                fft_peaks(rho, cfg, Channel.H, n_points, dwell, None)
+            return
+        rng = np.random.default_rng(seed)
+        for channel in Channel:
+            noise = None
+            if noise_amp > 0:
+                noise = rng.normal(0.0, noise_amp, n_points) + 1j * rng.normal(
+                    0.0, noise_amp, n_points
+                )
+            got = Acquisition(det, channel, rho, noise).integrals
+            ref = fft_peaks(rho, cfg, channel, n_points, dwell, noise)
+            want = np.array([ref.integral(0), ref.integral(1)])
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_probe_and_readout_match_their_spectra(self):
+        det = Detector(CFG)
+        rho = enhanced_state(CFG, -11.0, 18.0)
+        pairs = [
+            (det.probe(rho, 15.0, 0.05, np.random.default_rng(4)),
+             probe(rho, CFG, 15.0, noise_amp=0.05, rng=np.random.default_rng(4))),
+            (det.readout(rho, 0.05, np.random.default_rng(4)),
+             readout_spectra(rho, CFG, noise_amp=0.05, rng=np.random.default_rng(4))),
+        ]
+        for acquisitions, spectra in pairs:
+            for acq, spec in zip(acquisitions, spectra):
+                # same draws, same arithmetic: the lazy spectrum is the export one
+                assert np.array_equal(acq.spectrum.values, spec.values)
+                assert np.array_equal(acq.spectrum.freqs, spec.freqs)
+                ref = integrate_peaks(spec, CFG)
+                want = np.array([ref.integral(0), ref.integral(1)])
+                assert np.abs(acq.integrals - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestReconstruction:
     def test_calibration_identity_on_thermal(self):
@@ -288,6 +371,15 @@ class TestPerChannelReadout:
         full = integrate_peaks(readout_spectra(rho, CFG, 90.0)[0], CFG).integral(0)
         small = integrate_peaks(readout_spectra(rho, CFG, 10.0)[0], CFG).integral(0)
         assert full / small == pytest.approx(1.0 / np.sin(np.radians(10.0)), rel=1e-9)
+
+
+def peak_table_to_csv(peaks: PeakTable, path) -> None:
+    """Write a peak table as CSV with columns freq_hz, integral, partner_state."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["freq_hz", "integral", "partner_state"])
+        for line in peaks.lines:
+            writer.writerow([repr(line.frequency), repr(line.integral), line.partner_state])
 
 
 class TestCsvExport:
