@@ -4,11 +4,9 @@ a one-query two-qubit search, end to end."""
 
 from .quantum import (
     DensityMatrix,
-    DeviationPart,
     Unitary,
     apply_unitary,
     compose,
-    deviation_decompose,
     populations,
 )
 from .spins import (
@@ -17,7 +15,6 @@ from .spins import (
     PulseTarget,
     SpinSystemConfig,
     enhanced_state,
-    j_evolution,
     permutation_pulse_sequence,
     pulse_unitary,
     thermal_state,
@@ -37,11 +34,13 @@ from .labeling import (
     assemble_effective_pure,
     choose_ground,
     enhancement_factor,
+    label,
     permute_populations,
     solve_weights,
 )
 from .readout import (
     Channel,
+    DetectionSettings,
     Detector,
     Fid,
     PeakTable,
@@ -58,7 +57,6 @@ from .readout import (
 )
 from .experiments import (
     DecodeError,
-    DetectionSettings,
     GroverCase,
     decode_answer,
     grover_circuit,

@@ -31,7 +31,6 @@ import numpy as np
 from .experiments import (
     GROVER_TARGETS,
     DecodeError,
-    DetectionSettings,
     GroverCase,
     effective_pure_report,
     grover_report,
@@ -41,14 +40,19 @@ from .experiments import (
 )
 from .labeling import SingularLabelingSystem
 from .readout import (
+    DetectionSettings,
+    Detector,
     ReadoutError,
-    calibrate,
-    integrate_peaks,
-    probe,
     reconstruct_diagonal,
     spectrum_to_csv,
 )
-from .spinoe import ScheduleMode, SpinoeParams, enhancement_at
+from .spinoe import (
+    DEFAULT_RECOVERY_S,
+    ScheduleMode,
+    SpinoeParams,
+    enhancement_at,
+    make_schedule,
+)
 from .spins import SpinSystemConfig, enhanced_state, thermal_state
 from .svg import line_chart
 
@@ -70,7 +74,7 @@ class RunConfig:
     eps0_h: float = -11.0
     eps0_c: float = 18.0
     t1_xe_s: float = 900.0
-    recovery_s: float = 120.0
+    recovery_s: float = DEFAULT_RECOVERY_S
     r1_s: float = 25.0
     jitter: float = 0.0
     seed: int = 0
@@ -94,7 +98,6 @@ class RunConfig:
             eps0_h=self.eps0_h,
             eps0_c=self.eps0_c,
             t1_xe=self.t1_xe_s,
-            t1_ch=self.recovery_s / 5.0,
             reproducibility_jitter=self.jitter,
             seed=self.seed,
         )
@@ -143,6 +146,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         cfg.spin_system()
         cfg.spinoe()
         cfg.detection()
+        make_schedule(
+            cfg.schedule_mode(), r1=cfg.r1_s, recovery=cfg.recovery_s, start_delay=cfg.sample_age_s
+        )
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from exc
     if cfg.mode not in ("single", "multi"):
@@ -272,15 +278,11 @@ def cmd_probe(cfg: RunConfig, args) -> int:
         rho = thermal_state(system)
     else:
         rho = enhanced_state(system, cfg.eps0_h, cfg.eps0_c)
-    spec_h, spec_c = probe(
-        rho, system, cfg.tip_deg, cfg.n_points, cfg.dwell_s, cfg.noise_amp,
-        np.random.default_rng(cfg.seed),
-    )
-    k = calibrate(system, cfg.tip_deg, cfg.n_points, cfg.dwell_s)
-    diag = reconstruct_diagonal(
-        integrate_peaks(spec_h, system), integrate_peaks(spec_c, system), cfg.tip_deg, k
-    )
-    _dump_spectra(out, f"probe_{args.state}", spec_h, spec_c, args.svg)
+    detector = Detector(system, cfg.detection())
+    acq_h, acq_c = detector.probe(rho, np.random.default_rng(cfg.seed))
+    k = detector.calibration()
+    diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, detector.settings.probe_tip_deg, k)
+    _dump_spectra(out, f"probe_{args.state}", acq_h.spectrum, acq_c.spectrum, args.svg)
     report = {
         "run_id": run_id(cfg.echo(), args.state),
         "config": cfg.echo(),

@@ -36,20 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labeling import (
-    DEFAULT_PERM_ORDER,
-    EffectivePureResult,
-    LabelingPlan,
-    assemble_effective_pure,
-    choose_ground,
-    enhancement_factor,
-    solve_weights,
-)
+from .labeling import DEFAULT_PERM_ORDER, EffectivePureResult, enhancement_factor, label
 from .quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from .readout import (
-    PROBE_TIP_MAX,
     Acquisition,
     Channel,
+    DetectionSettings,
     Detector,
     PeakTable,
     ReadoutError,
@@ -57,7 +49,14 @@ from .readout import (
     peak_table,
     reconstruct_diagonal,
 )
-from .spinoe import ExperimentSchedule, ScheduleMode, SpinoeParams, make_schedule, sample_initial_state
+from .spinoe import (
+    DEFAULT_RECOVERY_S,
+    ExperimentSchedule,
+    ScheduleMode,
+    SpinoeParams,
+    make_schedule,
+    sample_initial_state,
+)
 from .spins import (
     PermutationId,
     PulseSpec,
@@ -114,24 +113,6 @@ class ExperimentRecord:
 
 
 @dataclass(frozen=True)
-class DetectionSettings:
-    """Acquisition constants shared by probing, calibration and readout."""
-
-    n_points: int = 4096
-    dwell: float = 1e-3
-    probe_tip_deg: float = 15.0
-    noise_amp: float = 0.0
-
-    def __post_init__(self):
-        if self.n_points < 256:
-            raise ValueError("n_points must be at least 256")
-        if self.dwell <= 0:
-            raise ValueError("dwell must be positive")
-        if not 0 < self.probe_tip_deg <= PROBE_TIP_MAX:
-            raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
-
-
-@dataclass(frozen=True)
 class EffectivePureRun:
     """Everything produced by one effective-pure-state preparation."""
 
@@ -182,11 +163,6 @@ def grover_circuit(case: GroverCase) -> Unitary:
     return Unitary(u)
 
 
-def hadamard_pulse_sequence(target: PulseTarget) -> tuple[PulseSpec, PulseSpec]:
-    """90°(y) then 180°(x): equals the Hadamard up to a global phase."""
-    return (PulseSpec(target, 90.0, phase=90.0), PulseSpec(target, 180.0, phase=0.0))
-
-
 def relabel_unitary(ground: int) -> Unitary:
     """Bit-flip pulses mapping |ground> to |00> (and back, it is an involution)."""
     steps = []
@@ -209,19 +185,18 @@ def _run_labeled_experiments(
     cfg: SpinSystemConfig,
     schedule: ExperimentSchedule,
     detection: DetectionSettings,
-    perms: tuple[PermutationId, ...],
     compute_after_perm,
 ) -> EffectivePureRun:
     """Shared probe/permute/compute/readout loop, weight solving and scoring.
 
+    The experiments run the permutations of DEFAULT_PERM_ORDER in turn.
     compute_after_perm(ground) returns the unitary applied after each
     permutation (identity for plain state preparation, relabel+circuit for
     a search case).
     """
     rng = np.random.default_rng(p.seed)
-    detector = Detector(cfg, detection.n_points, detection.dwell)
-    tip, noise_amp = detection.probe_tip_deg, detection.noise_amp
-    k = detector.calibration(tip)
+    detector = Detector(cfg, detection)
+    k = detector.calibration()
 
     states: list[DensityMatrix] = []
     probed: list[np.ndarray] = []
@@ -229,35 +204,35 @@ def _run_labeled_experiments(
         rho = sample_initial_state(
             p, cfg, probe_time, fresh_sample=schedule.fresh_sample, rng=rng
         )
-        acq_h, acq_c = detector.probe(rho, tip, noise_amp, rng)
+        acq_h, acq_c = detector.probe(rho, rng)
         try:
-            diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, tip, k)
+            diag = reconstruct_diagonal(
+                acq_h.peaks, acq_c.peaks, detector.settings.probe_tip_deg, k
+            )
         except ReadoutError as exc:
             raise ReadoutError(f"experiment {i} (probe at {probe_time:.1f} s): {exc}") from exc
         states.append(rho)
         probed.append(diag)
 
-    ground = choose_ground(probed, perms)
-    plan = LabelingPlan(ground=ground, perms=perms)
-    weights, _ = solve_weights(probed, plan)
-    result = assemble_effective_pure(probed, plan, weights)
+    result = label(probed)
+    ground = result.ground
 
     post = compute_after_perm(ground)
     records: list[ExperimentRecord] = []
-    for i, (rho, diag) in enumerate(zip(states, probed)):
-        step = compose(permutation_pulse_sequence(perms[i], ground), post)
+    for i, (rho, diag, perm) in enumerate(zip(states, probed, DEFAULT_PERM_ORDER)):
+        step = compose(permutation_pulse_sequence(perm, ground), post)
         final = apply_unitary(rho, step)
         records.append(
             ExperimentRecord(
                 schedule_time=schedule.times[i],
                 probe_time=schedule.probe_times[i],
                 probed_diagonal=diag,
-                perm_id=perms[i],
-                readout=detector.readout(final, noise_amp, rng),
+                perm_id=perm,
+                readout=detector.readout(final, rng),
             )
         )
 
-    thermal = _thermal_reference(cfg, perms)
+    thermal = _thermal_reference(cfg)
     return EffectivePureRun(
         result=result,
         records=records,
@@ -267,18 +242,13 @@ def _run_labeled_experiments(
     )
 
 
-def _thermal_reference(
-    cfg: SpinSystemConfig, perms: tuple[PermutationId, ...]
-) -> EffectivePureResult:
+def _thermal_reference(cfg: SpinSystemConfig) -> EffectivePureResult:
     """Labeled thermal-equilibrium input, exact and noise-free.
 
     Three copies of the thermal deviation diagonal: classic temporal
     averaging, the same for every schedule, seed and detection setting.
     """
-    diags = [populations(thermal_state(cfg)) - 0.25] * 3
-    plan = LabelingPlan(ground=choose_ground(diags, perms), perms=perms)
-    weights, _ = solve_weights(diags, plan)
-    return assemble_effective_pure(diags, plan, weights)
+    return label([populations(thermal_state(cfg)) - 0.25] * 3)
 
 
 def run_effective_pure_pipeline(
@@ -286,10 +256,8 @@ def run_effective_pure_pipeline(
     cfg: SpinSystemConfig,
     mode: ScheduleMode,
     r1: float = 25.0,
-    recovery: float | None = None,
-    start_delay: float = 0.0,
+    recovery: float = DEFAULT_RECOVERY_S,
     detection: DetectionSettings = DetectionSettings(),
-    perms: tuple[PermutationId, ...] = DEFAULT_PERM_ORDER,
 ) -> EffectivePureRun:
     """Prepare an effective pure state and score it against thermal input.
 
@@ -298,9 +266,9 @@ def run_effective_pure_pipeline(
     effective pure state and reports its enhancement over the same
     labeling applied to thermal-equilibrium input.
     """
-    schedule = make_schedule(p, mode, 3, r1, recovery, start_delay)
+    schedule = make_schedule(mode, 3, r1, recovery)
     return _run_labeled_experiments(
-        p, cfg, schedule, detection, perms, lambda ground: Unitary(np.eye(4))
+        p, cfg, schedule, detection, lambda ground: Unitary(np.eye(4))
     )
 
 
@@ -340,10 +308,9 @@ def run_grover_pipeline(
     case: GroverCase,
     mode: ScheduleMode = ScheduleMode.SINGLE_SAMPLE,
     r1: float = 25.0,
-    recovery: float | None = None,
+    recovery: float = DEFAULT_RECOVERY_S,
     sample_age: float = 600.0,
     detection: DetectionSettings = DetectionSettings(),
-    perms: tuple[PermutationId, ...] = DEFAULT_PERM_ORDER,
 ) -> GroverRun:
     """One search case end to end, with weighted readout.
 
@@ -354,12 +321,12 @@ def run_grover_pipeline(
     line integrals, and the enhancement compares the labeled input state
     against the closed-form labeling of thermal input.
     """
-    schedule = make_schedule(p, mode, 3, r1, recovery, sample_age)
+    schedule = make_schedule(mode, 3, r1, recovery, sample_age)
 
     def computation(ground: int) -> Unitary:
         return compose(relabel_unitary(ground), grover_circuit(case))
 
-    run = _run_labeled_experiments(p, cfg, schedule, detection, perms, computation)
+    run = _run_labeled_experiments(p, cfg, schedule, detection, computation)
     weights = run.result.weights
     sums = [sum(w * r.readout[i].integrals for w, r in zip(weights, run.records)) for i in (0, 1)]
     peaks_h, peaks_c = (peak_table(ch, y, cfg) for ch, y in zip(Channel, sums))

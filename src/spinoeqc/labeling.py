@@ -162,8 +162,9 @@ def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePure
     )
 
 
-def choose_ground(diags, perms=DEFAULT_PERM_ORDER) -> int:
-    """Pick the ground state giving the largest |q2| at fixed experiment count.
+def label(diags) -> EffectivePureResult:
+    """Label the diagonals on the ground giving the largest |q2| at fixed
+    experiment count, and return that ground's result.
 
     Every candidate ground is scored by solving its weight system and
     rescaling the weights to sum to 3, which models constant per-experiment
@@ -172,21 +173,26 @@ def choose_ground(diags, perms=DEFAULT_PERM_ORDER) -> int:
     state), then the lowest index.
     """
     ds = _as_diags(diags)
-    scores: list[tuple[int, float]] = []
+    scores: list[tuple[EffectivePureResult, float]] = []
     for ground in range(4):
-        plan = LabelingPlan(ground=ground, perms=tuple(perms))
+        plan = LabelingPlan(ground, DEFAULT_PERM_ORDER)
         try:
             weights, _ = solve_weights(ds, plan)
             result = assemble_effective_pure(ds, plan, weights)
-            scores.append((ground, result.normalized_q2()))
+            scores.append((result, result.normalized_q2()))
         except SingularLabelingSystem:
             continue
     best_abs = max((abs(q2) for _, q2 in scores), default=0.0)
     if best_abs == 0.0:
         raise SingularLabelingSystem("every candidate ground yields q2 = 0")
-    tied = [(g, q2) for g, q2 in scores if abs(q2) >= best_abs * (1 - GROUND_TIE_RTOL)]
-    tied.sort(key=lambda item: (item[1] <= 0, item[0]))
+    tied = [(r, q2) for r, q2 in scores if abs(q2) >= best_abs * (1 - GROUND_TIE_RTOL)]
+    tied.sort(key=lambda item: (item[1] <= 0, item[0].ground))
     return tied[0][0]
+
+
+def choose_ground(diags) -> int:
+    """Ground state that `label` picks for these diagonals."""
+    return label(diags).ground
 
 
 def enhancement_factor(

@@ -2,12 +2,7 @@
 
 Everything here is sized for a handful of qubits (the rest of the package
 uses n=2 exclusively), so states and operators are plain dense complex
-matrices. The one structural idea is the deviation decomposition
-
-    rho = q*I + dev,   q = Tr(rho)/dim,  Tr(dev) = 0,
-
-which separates the unobservable identity background from the traceless
-part that carries every NMR-detectable quantity.
+matrices.
 
 Basis convention for two spins (used throughout the package): product
 states are ordered |H C>, index = 2*H + C, i.e. |00>, |01>, |10>, |11>,
@@ -70,32 +65,6 @@ class DensityMatrix:
         m[index, index] = 1.0
         return cls(m)
 
-    @classmethod
-    def maximally_mixed(cls, dim: int = 4) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-
-@dataclass(frozen=True)
-class DeviationPart:
-    """Result of the deviation decomposition: rho = q*I + dev."""
-
-    q: float
-    dev: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dev", _frozen_complex(self.dev))
-
-    @property
-    def dim(self) -> int:
-        return self.dev.shape[0]
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.dev.diagonal().real.copy()
-
-    def reconstruct(self) -> DensityMatrix:
-        return DensityMatrix(self.q * np.eye(self.dim) + self.dev)
-
 
 @dataclass(frozen=True)
 class Unitary:
@@ -116,10 +85,6 @@ class Unitary:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def dagger(self) -> "Unitary":
-        return Unitary(self.matrix.conj().T)
-
 
 def compose(*steps: Unitary) -> Unitary:
     """Product of unitaries in time order: compose(A, B) applies A first."""
@@ -129,17 +94,6 @@ def compose(*steps: Unitary) -> Unitary:
     for u in steps[1:]:
         total = u.matrix @ total
     return Unitary(total)
-
-
-def deviation_decompose(rho: DensityMatrix) -> DeviationPart:
-    """Split rho into the identity background and the traceless deviation.
-
-    q = Tr(rho)/dim and dev = rho - q*I, so q*I + dev rebuilds the input to
-    machine precision and Tr(dev) = 0 up to rounding.
-    """
-    q = rho.trace / rho.dim
-    dev = rho.matrix - q * np.eye(rho.dim)
-    return DeviationPart(q=q, dev=dev)
 
 
 def apply_unitary(rho: DensityMatrix, u: Unitary) -> DensityMatrix:

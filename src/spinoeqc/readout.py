@@ -36,10 +36,10 @@ sums are all linear, so a line integral is Re(g · x) for the sampled FID
 x and a window vector g that carries the spectral window, the first-point
 halving and the bin width. A `Detector` precomputes g for both lines and
 their 2×2 complex response to unit A_plus and A_minus, once per
-acquisition setting; the pipelines read every probe and readout through
-it, adding the drawn noise as one more dot product. Spectra (FID, FFT,
-`Spectrum`) are built only on request, for export, and stay the reference
-the map is tested against.
+acquisition setting (`DetectionSettings`); the pipelines and the CLI probe
+read every probe and readout through it, adding the drawn noise as one
+more dot product. Spectra (FID, FFT, `Spectrum`) are built only on
+request, for export, and stay the reference the map is tested against.
 """
 
 from __future__ import annotations
@@ -79,6 +79,27 @@ def _check_sampling(n_samples: int, dt: float) -> None:
         raise ValueError("dwell time must be positive")
     if n_samples < MIN_FID_SAMPLES:
         raise ValueError(f"FID needs at least {MIN_FID_SAMPLES} samples")
+
+
+def _check_probe_tip(tip_angle_deg: float) -> None:
+    if not 0 < tip_angle_deg <= PROBE_TIP_MAX:
+        raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
+
+
+@dataclass(frozen=True)
+class DetectionSettings:
+    """Acquisition constants shared by probing, calibration and readout."""
+
+    n_points: int = 4096
+    dwell: float = 1e-3
+    probe_tip_deg: float = 15.0
+    noise_amp: float = 0.0
+
+    def __post_init__(self):
+        _check_sampling(self.n_points, self.dwell)
+        _check_probe_tip(self.probe_tip_deg)
+        if self.noise_amp < 0:
+            raise ValueError("noise_amp must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -256,8 +277,6 @@ def _channel_spectrum(
 
 def _probe_pulsed(rho: DensityMatrix, tip_angle_deg: float) -> tuple[DensityMatrix, DensityMatrix]:
     """States seen by the H and C receivers after the two-spin probe pulse."""
-    if not 0 < tip_angle_deg <= PROBE_TIP_MAX:
-        raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
     pulsed = apply_unitary(
         rho, pulse_unitary(PulseSpec(PulseTarget.BOTH, tip_angle_deg, phase=90.0))
     )
@@ -300,6 +319,7 @@ def probe(
     integrals expose the deviation populations; tips above 25° void the
     linear reconstruction contract and are rejected.
     """
+    _check_probe_tip(tip_angle_deg)
     return _spectra(_probe_pulsed(rho, tip_angle_deg), cfg, n_samples, dt, noise_amp, rng)
 
 
@@ -330,59 +350,57 @@ class Detector:
     `windows` holds g_+ and g_- (partner 0 and partner 1 lines) such that a
     line integral of the FID x equals Re(g · x); `response` holds the
     complex line integrals of unit +J/2 and -J/2 amplitudes, so noise-free
-    integrals are Re(response @ (A_plus, A_minus)).
+    integrals are Re(response @ (A_plus, A_minus)). Probe tip and noise
+    level come from `settings`, the same for every detection.
     """
 
     cfg: SpinSystemConfig
-    n_points: int = 4096
-    dwell: float = 1e-3
+    settings: DetectionSettings
     windows: np.ndarray = field(init=False, repr=False)
     response: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_sampling(self.n_points, self.dwell)
-        freqs = _frequency_axis(self.n_points, self.dwell)
+        n_points, dwell = self.settings.n_points, self.settings.dwell
+        freqs = _frequency_axis(n_points, dwell)
         masks = np.array(_line_windows(freqs, self.cfg), dtype=float)
         # a window sum over the shifted spectrum is a dot product with the
         # transform of the unshifted mask; the first FID point is halved
         windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
         windows[:, 0] *= 0.5
         object.__setattr__(self, "windows", windows)
-        plus, minus, decay = _line_signals(self.cfg, self.n_points, self.dwell)
+        plus, minus, decay = _line_signals(self.cfg, n_points, dwell)
         object.__setattr__(self, "response", windows @ (np.array([plus, minus]) * decay).T)
 
     def _acquire(self, states, noise_amp: float, rng) -> tuple[Acquisition, Acquisition]:
+        n_points = self.settings.n_points
         h, c = (
-            Acquisition(self, channel, state, _draw_noise(self.n_points, noise_amp, rng))
+            Acquisition(self, channel, state, _draw_noise(n_points, noise_amp, rng))
             for channel, state in zip(Channel, states)
         )
         return h, c
 
     def probe(
-        self,
-        rho: DensityMatrix,
-        tip_angle_deg: float,
-        noise_amp: float = 0.0,
-        rng: np.random.Generator | None = None,
+        self, rho: DensityMatrix, rng: np.random.Generator | None = None
     ) -> tuple[Acquisition, Acquisition]:
         """The probing experiment of `probe`, kept in closed form."""
-        return self._acquire(_probe_pulsed(rho, tip_angle_deg), noise_amp, rng)
+        s = self.settings
+        return self._acquire(_probe_pulsed(rho, s.probe_tip_deg), s.noise_amp, rng)
 
     def readout(
-        self,
-        rho: DensityMatrix,
-        noise_amp: float = 0.0,
-        rng: np.random.Generator | None = None,
+        self, rho: DensityMatrix, rng: np.random.Generator | None = None
     ) -> tuple[Acquisition, Acquisition]:
         """The 90° per-channel readout of `readout_spectra`, kept in closed form."""
-        return self._acquire(_readout_pulsed(rho), noise_amp, rng)
+        return self._acquire(_readout_pulsed(rho), self.settings.noise_amp, rng)
 
-    def calibration(self, tip_angle_deg: float) -> float:
-        """Receiver constant K of `calibrate` for this acquisition setting."""
+    def calibration(self) -> float:
+        """Receiver constant K of `calibrate` for this acquisition setting,
+        from a noise-free probe of the thermal state."""
+        tip = self.settings.probe_tip_deg
         ref = thermal_state(self.cfg)
         dev = ref.matrix.diagonal().real - 0.25
-        y = np.concatenate([a.integrals for a in self.probe(ref, tip_angle_deg)])
-        m = _probe_response_matrix(tip_angle_deg) @ dev
+        acquisitions = self._acquire(_probe_pulsed(ref, tip), 0.0, None)
+        y = np.concatenate([a.integrals for a in acquisitions])
+        m = _probe_response_matrix(tip) @ dev
         denom = float(m @ m)
         if denom == 0.0:
             raise ReadoutError("thermal reference produced no signal")
@@ -416,7 +434,9 @@ class Acquisition:
     @cached_property
     def spectrum(self) -> Spectrum:
         d = self.detector
-        return _channel_spectrum(self.state, self.channel, d.cfg, d.n_points, d.dwell, self.noise)
+        return _channel_spectrum(
+            self.state, self.channel, d.cfg, d.settings.n_points, d.settings.dwell, self.noise
+        )
 
 
 def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
@@ -461,7 +481,7 @@ def calibrate(
     response applied to the deviation diagonal. Must be produced with the
     same acquisition settings later used for reconstruction.
     """
-    return Detector(cfg, n_samples, dt).calibration(tip_angle_deg)
+    return Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg)).calibration()
 
 
 def reconstruct_diagonal(

@@ -24,6 +24,10 @@ import numpy as np
 from .quantum import DensityMatrix
 from .spins import SpinSystemConfig, enhanced_state
 
+# gap between single-sample experiments: 5 x the 24 s solute T1, after
+# which the solute is taken as fully recovered
+DEFAULT_RECOVERY_S = 120.0
+
 
 class ScheduleMode(enum.Enum):
     MULTI_SAMPLE = "multi"
@@ -35,26 +39,22 @@ class SpinoeParams:
     """Enhancement trajectory constants.
 
     Defaults are the demonstrated operating point: initial enhancements
-    -11 (1H) and +18 (13C), xenon T1 of 15 min, solute T1 of 24 s (so the
-    5*T1 recovery gap is 2 min).
+    -11 (1H) and +18 (13C) and a xenon T1 of 15 min.
     """
 
     eps0_h: float = -11.0
     eps0_c: float = 18.0
     t1_xe: float = 900.0
-    t1_ch: float = 24.0
     reproducibility_jitter: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.t1_xe <= 0 or self.t1_ch <= 0:
-            raise ValueError("relaxation times must be positive")
+        if self.t1_xe <= 0:
+            raise ValueError("t1_xe must be positive")
         if self.reproducibility_jitter < 0:
             raise ValueError("jitter must be non-negative")
-
-    @property
-    def recovery_time(self) -> float:
-        return 5.0 * self.t1_ch
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -122,30 +122,28 @@ def sample_initial_state(
 
 
 def make_schedule(
-    p: SpinoeParams,
     mode: ScheduleMode,
     k: int = 3,
     r1: float = 25.0,
-    recovery: float | None = None,
+    recovery: float = DEFAULT_RECOVERY_S,
     start_delay: float = 0.0,
 ) -> ExperimentSchedule:
     """Schedule k permutation experiments.
 
     MULTI_SAMPLE puts every experiment on a fresh sample at its own time
     r1 (probe at the sample's t = 0). SINGLE_SAMPLE spaces experiments by
-    the recovery gap (default 5*t1_ch) on one decaying sample, the first
-    at r1. start_delay shifts the whole schedule to model an aged sample.
+    the recovery gap on one decaying sample, the first at r1. start_delay
+    shifts the whole schedule to model an aged sample. The recovery gap
+    must be positive in either mode.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if start_delay < 0:
         raise ValueError("start_delay must be non-negative")
+    if recovery <= 0:
+        raise ValueError("recovery must be positive")
     if mode is ScheduleMode.MULTI_SAMPLE:
         times = tuple(start_delay + r1 for _ in range(k))
         return ExperimentSchedule(times=times, probe_lead=r1, fresh_sample=True)
-    if recovery is None:
-        recovery = p.recovery_time
-    if recovery <= 0:
-        raise ValueError("recovery must be positive in single-sample mode")
     times = tuple(start_delay + r1 + i * recovery for i in range(k))
     return ExperimentSchedule(times=times, probe_lead=r1, fresh_sample=False)

@@ -35,9 +35,6 @@ from .quantum import DensityMatrix, Unitary
 Z_H = np.array([1.0, 1.0, -1.0, -1.0])
 Z_C = np.array([1.0, -1.0, 1.0, -1.0])
 
-# spin-1/2 Iz x Iz diagonal, the J-coupling generator
-IZIZ_DIAG = np.array([0.25, -0.25, -0.25, 0.25])
-
 
 class PulseTarget(enum.Enum):
     H = "H"
@@ -131,18 +128,6 @@ def pulse_unitary(p: PulseSpec) -> Unitary:
     return Unitary(np.kron(r, r))
 
 
-def j_evolution(cfg: SpinSystemConfig, duration: float) -> Unitary:
-    """Free evolution exp(-i 2π J t Iz⊗Iz) for `duration` seconds.
-
-    Diagonal with phases ±π J t / 2; duration 2/J is the identity up to a
-    global phase.
-    """
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
-    phases = -2j * np.pi * cfg.j_coupling * duration * IZIZ_DIAG
-    return Unitary(np.diag(np.exp(phases)))
-
-
 def cycle_source_indices(perm_id: PermutationId, ground: int) -> tuple[int, ...]:
     """Index map of a population permutation: new[j] = old[src[j]].
 
@@ -172,18 +157,3 @@ def permutation_pulse_sequence(perm_id: PermutationId, ground: int) -> Unitary:
     p[np.arange(4), list(src)] = 1.0
     return Unitary(p)
 
-
-def cnot_unitary(control: PulseTarget, target: PulseTarget) -> Unitary:
-    """Controlled-NOT between the two spins (control fires on |1>)."""
-    if {control, target} != {PulseTarget.H, PulseTarget.C}:
-        raise ValueError("control and target must be H and C in some order")
-    m = np.zeros((4, 4))
-    for h in (0, 1):
-        for c in (0, 1):
-            hh, cc = h, c
-            if control is PulseTarget.H and h == 1:
-                cc ^= 1
-            if control is PulseTarget.C and c == 1:
-                hh ^= 1
-            m[2 * hh + cc, 2 * h + c] = 1.0
-    return Unitary(m)

@@ -1,5 +1,8 @@
 import csv
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +179,38 @@ class TestConfigHandling:
         config.write_text(json.dumps({"t1_xe_s": -5}))
         rc = cli.main(["--config", str(config), "--out", str(tmp_path), "effpure"])
         assert rc == 64
+
+    @pytest.mark.parametrize(
+        "values,command",
+        [
+            ({"r1_s": 0}, ["grover", "--target", "10"]),
+            ({"r1_s": 0}, ["effpure", "--mode", "single"]),
+            ({"sample_age_s": -5}, ["grover", "--target", "10"]),
+            ({"noise_amp": -1}, ["probe"]),
+            ({"recovery_s": 0}, ["effpure", "--mode", "single"]),
+            ({"recovery_s": 0}, ["effpure", "--mode", "multi"]),
+            ({"seed": -1}, ["effpure", "--mode", "multi"]),
+        ],
+        ids=["r1-grover", "r1-effpure", "sample-age", "noise", "recovery-single",
+             "recovery-multi", "seed"],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, values, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"), *command])
+        assert rc == 64
+        assert capsys.readouterr().err.startswith("usage error: bad configuration: ")
+
+    def test_readme_documents_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Configuration file", 1)[1].split("\n#", 1)[0]
+        keys = {
+            key
+            for row in table.splitlines()
+            if row.startswith("| `")
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])
+        }
+        assert keys == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
     def test_missing_file_rejected(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path), "effpure"])

@@ -12,20 +12,25 @@ from spinoeqc.experiments import (
     grover_diffusion,
     grover_oracle,
     grover_report,
-    hadamard_pulse_sequence,
     relabel_unitary,
     run_effective_pure_pipeline,
     run_grover_pipeline,
     run_id,
 )
 from spinoeqc.quantum import DensityMatrix, apply_unitary, compose, populations
+import spinoeqc
 from spinoeqc import readout
 from spinoeqc.readout import Channel, PeakLine, PeakTable, ReadoutError, integrate_peaks
 from spinoeqc.spinoe import ScheduleMode, SpinoeParams
-from spinoeqc.spins import PulseTarget, SpinSystemConfig, pulse_unitary
+from spinoeqc.spins import PulseSpec, PulseTarget, SpinSystemConfig, pulse_unitary
 
 CFG = SpinSystemConfig()
 ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
+
+
+def hadamard_pulse_sequence(target: PulseTarget) -> tuple[PulseSpec, PulseSpec]:
+    """90°(y) then 180°(x): equals the Hadamard up to a global phase."""
+    return (PulseSpec(target, 90.0, phase=90.0), PulseSpec(target, 180.0, phase=0.0))
 
 
 def peaks(h0, h1, c0, c1):
@@ -56,7 +61,7 @@ class TestGroverUnitaries:
         assert_allclose(populations(out), expected, atol=1e-12)
 
     def test_mixed_state_is_invariant(self):
-        out = apply_unitary(DensityMatrix.maximally_mixed(), grover_circuit(GroverCase("01")))
+        out = apply_unitary(DensityMatrix(np.eye(4) / 4), grover_circuit(GroverCase("01")))
         assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-14)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.target)
@@ -298,8 +303,23 @@ class TestReports:
 
 
 class TestDetectionSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DetectionSettings(n_points=100)
-        with pytest.raises(ValueError):
-            DetectionSettings(dwell=0.0)
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"n_points": 100}, "256"),
+            ({"dwell": 0.0}, "dwell"),
+            ({"probe_tip_deg": 0.0}, "probe tip"),
+            ({"probe_tip_deg": 25.5}, "probe tip"),
+            ({"noise_amp": -1.0}, "noise_amp"),
+        ],
+        ids=["n_points", "dwell", "tip-zero", "tip-above-max", "noise"],
+    )
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DetectionSettings(**kwargs)
+
+    def test_edges_accepted(self):
+        DetectionSettings(n_points=256, probe_tip_deg=25.0, noise_amp=0.0)
+
+    def test_one_class_behind_every_import_path(self):
+        assert spinoeqc.DetectionSettings is DetectionSettings is readout.DetectionSettings

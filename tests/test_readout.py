@@ -11,6 +11,7 @@ from spinoeqc.quantum import DensityMatrix, apply_unitary
 from spinoeqc.readout import (
     Acquisition,
     Channel,
+    DetectionSettings,
     Detector,
     Fid,
     PeakLine,
@@ -30,12 +31,12 @@ from spinoeqc.spins import (
     PulseTarget,
     SpinSystemConfig,
     enhanced_state,
-    j_evolution,
     pulse_unitary,
     thermal_state,
 )
-
 CFG = SpinSystemConfig()  # J = 215 Hz, T2 = 0.5 s
+# spin-1/2 Iz x Iz diagonal, the J-coupling generator
+IZIZ_DIAG = np.array([0.25, -0.25, -0.25, 0.25])
 
 
 def probed(rho, tip=15.0):
@@ -55,7 +56,7 @@ def detection_oracle(rho_after_pulse, cfg, channel, n, dt):
     out = np.empty(n, dtype=complex)
     for k in range(n):
         t = k * dt
-        u = j_evolution(cfg, t).matrix
+        u = np.diag(np.exp(-2j * np.pi * cfg.j_coupling * t * IZIZ_DIAG))
         rho_t = u @ rho_after_pulse.matrix @ u.conj().T
         out[k] = np.trace(rho_t @ e) * np.exp(-t / cfg.t2)
     return out
@@ -150,7 +151,7 @@ class TestIntegratePeaks:
         assert ph.integral(0) / pc.integral(0) == pytest.approx(4.0, rel=1e-6)
 
     def test_probed_mixed_state_is_silent(self):
-        spec_h, _ = probe(DensityMatrix.maximally_mixed(), CFG, 15.0)
+        spec_h, _ = probe(DensityMatrix(np.eye(4) / 4), CFG, 15.0)
         peaks = integrate_peaks(spec_h, CFG)
         assert abs(peaks.integral(0)) < 1e-12
         assert abs(peaks.integral(1)) < 1e-12
@@ -229,7 +230,7 @@ class TestProbe:
         with pytest.raises(ValueError, match="rng"):
             probe(thermal_state(CFG), CFG, 15.0, noise_amp=0.1)
         with pytest.raises(ValueError, match="rng"):
-            Detector(CFG).probe(thermal_state(CFG), 15.0, noise_amp=0.1)
+            Detector(CFG, DetectionSettings(noise_amp=0.1)).probe(thermal_state(CFG))
 
 
 def coherent_state(amplitudes) -> DensityMatrix:
@@ -268,7 +269,7 @@ class TestDetector:
         cfg = SpinSystemConfig(j_coupling=j, t2=t2)
         rho = coherent_state(amplitudes)
         try:
-            det = Detector(cfg, n_points, dwell)
+            det = Detector(cfg, DetectionSettings(n_points, dwell))
         except ReadoutError as exc:
             # one window rule: the FFT path rejects the same settings
             with pytest.raises(ReadoutError, match=re.escape(str(exc))):
@@ -287,12 +288,12 @@ class TestDetector:
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_probe_and_readout_match_their_spectra(self):
-        det = Detector(CFG)
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
         pairs = [
-            (det.probe(rho, 15.0, 0.05, np.random.default_rng(4)),
+            (det.probe(rho, np.random.default_rng(4)),
              probe(rho, CFG, 15.0, noise_amp=0.05, rng=np.random.default_rng(4))),
-            (det.readout(rho, 0.05, np.random.default_rng(4)),
+            (det.readout(rho, np.random.default_rng(4)),
              readout_spectra(rho, CFG, noise_amp=0.05, rng=np.random.default_rng(4))),
         ]
         for acquisitions, spectra in pairs:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from spinoeqc.quantum import populations
 from spinoeqc.spinoe import (
+    DEFAULT_RECOVERY_S,
     ExperimentSchedule,
     ScheduleMode,
     SpinoeParams,
@@ -88,45 +89,42 @@ class TestSampleInitialState:
 
 class TestSchedules:
     def test_single_sample_times(self):
-        sched = make_schedule(
-            SpinoeParams(), ScheduleMode.SINGLE_SAMPLE, k=3, r1=25.0, recovery=120.0
-        )
+        sched = make_schedule(ScheduleMode.SINGLE_SAMPLE, k=3, r1=25.0, recovery=120.0)
         assert sched.times == (25.0, 145.0, 265.0)
         assert sched.probe_times == (0.0, 120.0, 240.0)
         assert sched.probe_lead == 25.0
         assert not sched.fresh_sample
 
     def test_multi_sample_times(self):
-        sched = make_schedule(SpinoeParams(), ScheduleMode.MULTI_SAMPLE, k=3, r1=25.0)
+        sched = make_schedule(ScheduleMode.MULTI_SAMPLE, k=3, r1=25.0)
         assert sched.times == (25.0, 25.0, 25.0)
         assert sched.fresh_sample
 
     def test_single_experiment(self):
-        sched = make_schedule(SpinoeParams(), ScheduleMode.SINGLE_SAMPLE, k=1, r1=25.0)
+        sched = make_schedule(ScheduleMode.SINGLE_SAMPLE, k=1, r1=25.0)
         assert sched.times == (25.0,)
 
     def test_default_recovery_is_five_t1(self):
-        p = SpinoeParams(t1_ch=24.0)
-        sched = make_schedule(p, ScheduleMode.SINGLE_SAMPLE, k=2, r1=10.0)
-        assert sched.times == (10.0, 130.0)
+        # 5 x the 24 s solute T1
+        assert DEFAULT_RECOVERY_S == 5 * 24.0
+        sched = make_schedule(ScheduleMode.SINGLE_SAMPLE, k=2, r1=10.0)
+        assert sched.times == (10.0, 10.0 + DEFAULT_RECOVERY_S)
 
     def test_start_delay_shifts_everything(self):
         sched = make_schedule(
-            SpinoeParams(), ScheduleMode.SINGLE_SAMPLE, k=2, r1=25.0,
-            recovery=120.0, start_delay=600.0,
+            ScheduleMode.SINGLE_SAMPLE, k=2, r1=25.0, recovery=120.0, start_delay=600.0
         )
         assert sched.times == (625.0, 745.0)
         assert sched.probe_times == (600.0, 720.0)
 
-    def test_bad_recovery_rejected(self):
-        with pytest.raises(ValueError):
-            make_schedule(
-                SpinoeParams(), ScheduleMode.SINGLE_SAMPLE, k=3, r1=25.0, recovery=0.0
-            )
+    @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
+    def test_bad_recovery_rejected(self, mode):
+        with pytest.raises(ValueError, match="recovery"):
+            make_schedule(mode, k=3, r1=25.0, recovery=0.0)
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
-            make_schedule(SpinoeParams(), ScheduleMode.MULTI_SAMPLE, k=0)
+            make_schedule(ScheduleMode.MULTI_SAMPLE, k=0)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -143,6 +141,3 @@ class TestParams:
             SpinoeParams(t1_xe=0.0)
         with pytest.raises(ValueError):
             SpinoeParams(reproducibility_jitter=-0.1)
-
-    def test_recovery_time(self):
-        assert SpinoeParams(t1_ch=24.0).recovery_time == 120.0

@@ -2,20 +2,49 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinoeqc.quantum import DensityMatrix, apply_unitary, compose, populations
+from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from spinoeqc.spins import (
     PermutationId,
     PulseSpec,
     PulseTarget,
     SpinSystemConfig,
-    cnot_unitary,
     cycle_source_indices,
     enhanced_state,
-    j_evolution,
     permutation_pulse_sequence,
     pulse_unitary,
     thermal_state,
 )
+
+# spin-1/2 Iz x Iz diagonal, the J-coupling generator
+IZIZ_DIAG = np.array([0.25, -0.25, -0.25, 0.25])
+
+
+def j_evolution(cfg: SpinSystemConfig, duration: float) -> Unitary:
+    """Free evolution exp(-i 2π J t Iz⊗Iz) for `duration` seconds.
+
+    Diagonal with phases ±π J t / 2; duration 2/J is the identity up to a
+    global phase.
+    """
+    if duration < 0:
+        raise ValueError("duration must be non-negative")
+    phases = -2j * np.pi * cfg.j_coupling * duration * IZIZ_DIAG
+    return Unitary(np.diag(np.exp(phases)))
+
+
+def cnot_unitary(control: PulseTarget, target: PulseTarget) -> Unitary:
+    """Controlled-NOT between the two spins (control fires on |1>)."""
+    if {control, target} != {PulseTarget.H, PulseTarget.C}:
+        raise ValueError("control and target must be H and C in some order")
+    m = np.zeros((4, 4))
+    for h in (0, 1):
+        for c in (0, 1):
+            hh, cc = h, c
+            if control is PulseTarget.H and h == 1:
+                cc ^= 1
+            if control is PulseTarget.C and c == 1:
+                hh ^= 1
+            m[2 * hh + cc, 2 * h + c] = 1.0
+    return Unitary(m)
 
 
 def expm_oracle(generator):
