@@ -126,6 +126,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_ranges(cfg: RunConfig) -> None:
+    """Build every library object the configuration feeds; their
+    constructors hold the range rules."""
+    cfg.spin_system()
+    cfg.spinoe()
+    cfg.detection()
+    make_schedule(
+        cfg.schedule_mode(), r1=cfg.r1_s, recovery=cfg.recovery_s, start_delay=cfg.sample_age_s
+    )
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path is not None:
@@ -141,14 +152,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     values.update({k: v for k, v in overrides.items() if v is not None})
+    # each key alone on the defaults first, so an error names the key and
+    # not the library parameter whose rule it broke
+    for key, value in values.items():
+        try:
+            _check_ranges(RunConfig(**{key: value}))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad configuration: {key} = {value!r} ({exc})") from exc
+    cfg = RunConfig(**values)
     try:
-        cfg = RunConfig(**values)
-        cfg.spin_system()
-        cfg.spinoe()
-        cfg.detection()
-        make_schedule(
-            cfg.schedule_mode(), r1=cfg.r1_s, recovery=cfg.recovery_s, start_delay=cfg.sample_age_s
-        )
+        _check_ranges(cfg)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from exc
     if cfg.mode not in ("single", "multi"):

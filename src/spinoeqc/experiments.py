@@ -11,8 +11,20 @@ of per-experiment results is the effective pure state, and because
 detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
 directly. Every line integral comes from one `Detector` built per
-pipeline call; readout spectra are synthesized only when a caller reads
+preparation; readout spectra are synthesized only when a caller reads
 them.
+
+Prepare once, compute many. Everything before the first permutation (the
+detector and its calibration, the sampled initial states, their probed
+diagonals and the labeling) is a `Preparation`, kept for the last
+(SpinoeParams, SpinSystemConfig, ExperimentSchedule, DetectionSettings)
+seen, compared by value. The four search cases of one configuration
+therefore probe once and compute four times. Reuse is exact: the generator
+is seeded from the params' seed, the jitter and probe noise are its first
+draws, and the preparation stores the generator state after them, so every
+computation draws its readout noise from the same point of the same stream
+as a fresh run does. Shared arrays are read-only; a failed preparation is
+not kept and fails again on the next call.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -30,6 +42,7 @@ its nominal input.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -180,20 +193,37 @@ def _weighted_spectrum(spectra: list[Spectrum], weights: np.ndarray) -> Spectrum
     return Spectrum(channel=spectra[0].channel, freqs=spectra[0].freqs, values=values)
 
 
-def _run_labeled_experiments(
+@dataclass(frozen=True, eq=False)
+class Preparation:
+    """The probed half of a labeled run, shared by every computation on it.
+
+    `probed` holds the reconstructed diagonals (read-only) of `states`,
+    `result` their labeling, and `rng_state` the generator state after the
+    last probe or jitter draw, from which the readout noise continues.
+    """
+
+    detector: Detector
+    states: tuple[DensityMatrix, ...]
+    probed: tuple[np.ndarray, ...] = field(repr=False)
+    result: EffectivePureResult
+    rng_state: dict = field(repr=False)
+
+    def generator(self) -> np.random.Generator:
+        """A generator positioned where the preparation left the seeded one."""
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self.rng_state
+        return rng
+
+
+@functools.lru_cache(maxsize=1)
+def _prepare(
     p: SpinoeParams,
     cfg: SpinSystemConfig,
     schedule: ExperimentSchedule,
     detection: DetectionSettings,
-    compute_after_perm,
-) -> EffectivePureRun:
-    """Shared probe/permute/compute/readout loop, weight solving and scoring.
-
-    The experiments run the permutations of DEFAULT_PERM_ORDER in turn.
-    compute_after_perm(ground) returns the unitary applied after each
-    permutation (identity for plain state preparation, relabel+circuit for
-    a search case).
-    """
+) -> Preparation:
+    """Calibrate, sample and probe every scheduled state, then label; kept
+    for the next call with equal arguments (see the module docstring)."""
     rng = np.random.default_rng(p.seed)
     detector = Detector(cfg, detection)
     k = detector.calibration()
@@ -211,15 +241,40 @@ def _run_labeled_experiments(
             )
         except ReadoutError as exc:
             raise ReadoutError(f"experiment {i} (probe at {probe_time:.1f} s): {exc}") from exc
+        diag.flags.writeable = False
         states.append(rho)
         probed.append(diag)
 
-    result = label(probed)
-    ground = result.ground
+    return Preparation(
+        detector=detector,
+        states=tuple(states),
+        probed=tuple(probed),
+        result=label(probed),
+        rng_state=rng.bit_generator.state,
+    )
+
+
+def _run_labeled_experiments(
+    p: SpinoeParams,
+    cfg: SpinSystemConfig,
+    schedule: ExperimentSchedule,
+    detection: DetectionSettings,
+    compute_after_perm,
+) -> EffectivePureRun:
+    """Shared probe/permute/compute/readout loop, weight solving and scoring.
+
+    The experiments run the permutations of DEFAULT_PERM_ORDER in turn on
+    the prepared states. compute_after_perm(ground) returns the unitary
+    applied after each permutation (identity for plain state preparation,
+    relabel+circuit for a search case).
+    """
+    prep = _prepare(p, cfg, schedule, detection)
+    rng = prep.generator()
+    ground = prep.result.ground
 
     post = compute_after_perm(ground)
     records: list[ExperimentRecord] = []
-    for i, (rho, diag, perm) in enumerate(zip(states, probed, DEFAULT_PERM_ORDER)):
+    for i, (rho, diag, perm) in enumerate(zip(prep.states, prep.probed, DEFAULT_PERM_ORDER)):
         step = compose(permutation_pulse_sequence(perm, ground), post)
         final = apply_unitary(rho, step)
         records.append(
@@ -228,20 +283,21 @@ def _run_labeled_experiments(
                 probe_time=schedule.probe_times[i],
                 probed_diagonal=diag,
                 perm_id=perm,
-                readout=detector.readout(final, rng),
+                readout=prep.detector.readout(final, rng),
             )
         )
 
     thermal = _thermal_reference(cfg)
     return EffectivePureRun(
-        result=result,
+        result=prep.result,
         records=records,
         thermal_result=thermal,
-        enhancement=enhancement_factor(result, thermal),
+        enhancement=enhancement_factor(prep.result, thermal),
         schedule=schedule,
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _thermal_reference(cfg: SpinSystemConfig) -> EffectivePureResult:
     """Labeled thermal-equilibrium input, exact and noise-free.
 

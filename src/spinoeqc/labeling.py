@@ -84,6 +84,13 @@ class EffectivePureResult:
     q2: float
     residual: float
 
+    def __post_init__(self):
+        # read-only: one result is shared by every run on a preparation
+        for name in ("diagonal", "weights"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
     def normalized_q2(self) -> float:
         """q2 rescaled so the weights sum to 3 (one unit per experiment)."""
         total = float(np.sum(self.weights))
@@ -154,7 +161,7 @@ def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePure
         )
     return EffectivePureResult(
         diagonal=diagonal,
-        weights=w.copy(),
+        weights=w,
         ground=plan.ground,
         q1=q1,
         q2=q2,

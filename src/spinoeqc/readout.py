@@ -44,7 +44,6 @@ request, for export, and stay the reference the map is tested against.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -367,9 +366,12 @@ class Detector:
         # transform of the unshifted mask; the first FID point is halved
         windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
         windows[:, 0] *= 0.5
-        object.__setattr__(self, "windows", windows)
         plus, minus, decay = _line_signals(self.cfg, n_points, dwell)
-        object.__setattr__(self, "response", windows @ (np.array([plus, minus]) * decay).T)
+        response = windows @ (np.array([plus, minus]) * decay).T
+        # a detector is shared by every run on one preparation
+        windows.flags.writeable = response.flags.writeable = False
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "response", response)
 
     def _acquire(self, states, noise_amp: float, rng) -> tuple[Acquisition, Acquisition]:
         n_points = self.settings.n_points
@@ -513,9 +515,11 @@ def reconstruct_diagonal(
 
 
 def spectrum_to_csv(spec: Spectrum, path) -> None:
-    """Write a spectrum as CSV with columns freq_hz, real, imag."""
+    """Write a spectrum as CSV with columns freq_hz, real, imag.
+
+    The layout is that of `csv.writer`: CRLF line ends and no quoting (a
+    float's repr needs none)."""
+    columns = (spec.freqs.tolist(), spec.values.real.tolist(), spec.values.imag.tolist())
+    rows = [f"{f!r},{real!r},{imag!r}" for f, real, imag in zip(*columns)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "real", "imag"])
-        for f, v in zip(spec.freqs, spec.values):
-            writer.writerow([repr(float(f)), repr(float(v.real)), repr(float(v.imag))])
+        fh.write("\r\n".join(["freq_hz,real,imag", *rows, ""]))

@@ -26,6 +26,7 @@ second versus minutes-scale T1).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,13 @@ def _rotation_2x2(tip_angle_deg: float, phase_deg: float) -> np.ndarray:
     )
 
 
+# bounded: a pipeline uses five pulses, and a scan over probe tips evicts
+# its own stale ones
+@functools.lru_cache(maxsize=16)
 def pulse_unitary(p: PulseSpec) -> Unitary:
-    """Rotation on the targeted spin(s), identity on the rest."""
+    """Rotation on the targeted spin(s), identity on the rest.
+
+    Cached per pulse: `PulseSpec` is frozen and `Unitary` immutable."""
     r = _rotation_2x2(p.tip_angle, p.phase)
     eye = np.eye(2)
     if p.target is PulseTarget.H:

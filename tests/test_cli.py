@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import spinoeqc.cli as cli
-from spinoeqc.experiments import run_effective_pure_pipeline
+from spinoeqc.experiments import _prepare, run_effective_pure_pipeline
 from spinoeqc.labeling import SingularLabelingSystem
 from spinoeqc.spinoe import ScheduleMode, SpinoeParams
 from spinoeqc.spins import SpinSystemConfig
@@ -199,7 +199,8 @@ class TestConfigHandling:
         config.write_text(json.dumps(values))
         rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"), *command])
         assert rc == 64
-        assert capsys.readouterr().err.startswith("usage error: bad configuration: ")
+        (key,) = values
+        assert capsys.readouterr().err.startswith(f"usage error: bad configuration: {key} = ")
 
     def test_readme_documents_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -231,16 +232,36 @@ class TestConfigHandling:
         assert ra["weights"] != rb["weights"]
 
 
+def assert_same_files_outside_timestamp(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        fa, fb = dir_a / name, dir_b / name
+        if name.endswith(".json"):
+            ja, jb = read_report(fa), read_report(fb)
+            ja.pop("timestamp"), jb.pop("timestamp")
+            assert ja == jb, name
+        else:
+            assert fa.read_bytes() == fb.read_bytes(), name
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical_outside_timestamp(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             assert cli.main(["--out", str(out), "--svg", "effpure", "--mode", "single"]) == 0
-        for name in sorted(p.name for p in out_a.iterdir()):
-            fa, fb = out_a / name, out_b / name
-            if name.endswith(".json"):
-                ja, jb = read_report(fa), read_report(fb)
-                ja.pop("timestamp"), jb.pop("timestamp")
-                assert ja == jb, name
-            else:
-                assert fa.read_bytes() == fb.read_bytes(), name
+        assert_same_files_outside_timestamp(out_a, out_b)
+
+    def test_all_targets_match_separate_cold_runs(self, tmp_path):
+        # --all shares one preparation across its four cases; each separate
+        # run starts on an empty cache and prepares for itself
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"noise_amp": 0.01, "seed": 3}))
+        common = ["--config", str(config)]
+        _prepare.cache_clear()
+        assert cli.main([*common, "--out", str(tmp_path / "all"), "grover", "--all"]) == 0
+        for target in ("00", "01", "10", "11"):
+            _prepare.cache_clear()
+            argv = [*common, "--out", str(tmp_path / "one"), "grover", "--target", target]
+            assert cli.main(argv) == 0
+        assert_same_files_outside_timestamp(tmp_path / "all", tmp_path / "one")

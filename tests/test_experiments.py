@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinoeqc.experiments import (
+    GROVER_TARGETS,
     DecodeError,
     DetectionSettings,
     GroverCase,
+    _prepare,
     decode_answer,
     effective_pure_report,
     grover_circuit,
@@ -275,6 +277,120 @@ class TestGroverPipeline:
         assert a.decoded == b.decoded
         assert a.enhancement == b.enhancement
         assert np.array_equal(a.sum_readout_h.values, b.sum_readout_h.values)
+
+
+NOISY_PARAMS = SpinoeParams(reproducibility_jitter=0.05, seed=3)
+NOISY_DETECTION = DetectionSettings(noise_amp=0.01)
+
+
+def noisy_run(mode, target=None, params=NOISY_PARAMS, detection=NOISY_DETECTION):
+    """Effective-pure run (target None) or search case, with jitter and noise."""
+    if target is None:
+        return run_effective_pure_pipeline(params, CFG, mode, detection=detection)
+    return run_grover_pipeline(params, CFG, GroverCase(target), mode, detection=detection)
+
+
+def run_arrays(run):
+    """Weights, then per record the probed diagonal and both channels'
+    readout integrals and spectra."""
+    arrays = [run.result.weights]
+    for rec in run.records:
+        arrays.append(rec.probed_diagonal)
+        for acq in rec.readout:
+            arrays += [acq.integrals, acq.spectrum.values]
+    return arrays
+
+
+def assert_same_run(a, b):
+    for x, y in zip(run_arrays(a), run_arrays(b), strict=True):
+        assert np.array_equal(x, y)
+    assert a.enhancement == b.enhancement
+    assert getattr(a, "decoded", None) == getattr(b, "decoded", None)
+
+
+class TestPreparationCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        _prepare.cache_clear()
+
+    @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("target", [None, *GROVER_TARGETS], ids=lambda t: t or "effpure")
+    def test_warm_run_equals_cold_run(self, mode, target):
+        cold = noisy_run(mode, target)
+        warm = noisy_run(mode, target)
+        info = _prepare.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert_same_run(cold, warm)
+
+    @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
+    def test_shared_preparation_is_order_independent(self, mode):
+        noisy_run(mode, "11")
+        after_11 = noisy_run(mode, "00")
+        assert _prepare.cache_info().hits == 1
+        _prepare.cache_clear()
+        assert_same_run(after_11, noisy_run(mode, "00"))
+
+    def test_readout_noise_continues_the_probe_stream(self):
+        # replay the seeded stream: per probe the two jitter draws, then the
+        # real and imaginary noise of both channels; the readouts come next
+        noisy_run(ScheduleMode.MULTI_SAMPLE, "11")
+        run = noisy_run(ScheduleMode.MULTI_SAMPLE, "10")
+        n, amp = NOISY_DETECTION.n_points, NOISY_DETECTION.noise_amp
+        rng = np.random.default_rng(NOISY_PARAMS.seed)
+        for _ in run.records:
+            rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
+            rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
+            for _ in range(4):
+                rng.normal(0.0, amp, n)
+        for rec in run.records:
+            for acq in rec.readout:
+                expected = rng.normal(0.0, amp, n) + 1j * rng.normal(0.0, amp, n)
+                assert np.array_equal(acq.noise, expected)
+
+    def test_shared_arrays_are_read_only(self):
+        run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
+        for array in (
+            run.records[0].probed_diagonal,
+            run.result.weights,
+            run.result.diagonal,
+            run.thermal_result.weights,
+            run.thermal_result.diagonal,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_equal_arguments_hit(self):
+        noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
+        noisy_run(
+            ScheduleMode.SINGLE_SAMPLE, "01",
+            params=SpinoeParams(reproducibility_jitter=0.05, seed=3),
+            detection=DetectionSettings(noise_amp=0.01),
+        )
+        assert _prepare.cache_info().hits == 1
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"p": SpinoeParams(seed=1)},
+            {"detection": DetectionSettings(noise_amp=0.02)},
+            {"detection": DetectionSettings(n_points=2048, noise_amp=0.01)},
+            {"sample_age": 300.0},
+        ],
+        ids=["seed", "noise_amp", "n_points", "sample_age"],
+    )
+    def test_changed_setting_misses(self, changed):
+        base = {"p": SpinoeParams(), "detection": NOISY_DETECTION}
+        run_grover_pipeline(cfg=CFG, case=GroverCase("10"), **base)
+        run_grover_pipeline(cfg=CFG, case=GroverCase("10"), **{**base, **changed})
+        info = _prepare.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+
+    def test_preparation_error_is_raised_on_every_call(self):
+        detection = DetectionSettings(noise_amp=1.0)
+        for _ in range(2):
+            with pytest.raises(ReadoutError, match=r"^experiment 1 "):
+                run_grover_pipeline(SpinoeParams(), CFG, GroverCase("10"), detection=detection)
+        assert _prepare.cache_info().currsize == 0
 
 
 class TestReports:

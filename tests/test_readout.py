@@ -17,6 +17,7 @@ from spinoeqc.readout import (
     PeakLine,
     PeakTable,
     ReadoutError,
+    Spectrum,
     calibrate,
     integrate_peaks,
     probe,
@@ -395,6 +396,20 @@ class TestCsvExport:
         back = np.array([[float(v) for v in row] for row in rows[1:]])
         assert_allclose(back[:, 0], spec.freqs)
         assert_allclose(back[:, 1] + 1j * back[:, 2], spec.values)
+
+    def test_spectrum_csv_bytes_match_csv_writer(self, tmp_path):
+        # the exported files are byte-identical to those of csv.writer
+        spec = Spectrum(
+            Channel.H, np.arange(4) - 2.0, np.array([-0.0, 1e-300 - 2.5j, np.nan, 1 / 3 + 1e17j])
+        )
+        path, ref = tmp_path / "spectrum.csv", tmp_path / "ref.csv"
+        spectrum_to_csv(spec, path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["freq_hz", "real", "imag"])
+            for f, v in zip(spec.freqs, spec.values):
+                writer.writerow([repr(float(f)), repr(float(v.real)), repr(float(v.imag))])
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_peak_table_csv(self, tmp_path):
         peaks = integrate_peaks(probe(thermal_state(CFG), CFG, 15.0)[0], CFG)
