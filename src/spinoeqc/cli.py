@@ -48,6 +48,7 @@ from .readout import (
 )
 from .spinoe import (
     DEFAULT_RECOVERY_S,
+    ExperimentSchedule,
     ScheduleMode,
     SpinoeParams,
     enhancement_at,
@@ -113,6 +114,14 @@ class RunConfig:
     def schedule_mode(self) -> ScheduleMode:
         return ScheduleMode.SINGLE_SAMPLE if self.mode == "single" else ScheduleMode.MULTI_SAMPLE
 
+    def schedule(self) -> ExperimentSchedule:
+        return make_schedule(
+            self.schedule_mode(),
+            r1=self.r1_s,
+            recovery=self.recovery_s,
+            start_delay=self.sample_age_s,
+        )
+
     def echo(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -126,15 +135,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_ranges(cfg: RunConfig) -> None:
-    """Build every library object the configuration feeds; their
-    constructors hold the range rules."""
-    cfg.spin_system()
-    cfg.spinoe()
-    cfg.detection()
-    make_schedule(
-        cfg.schedule_mode(), r1=cfg.r1_s, recovery=cfg.recovery_s, start_delay=cfg.sample_age_s
-    )
+# every library object the configuration feeds, with the keys its builder
+# reads; the objects' constructors hold the range rules
+_BUILDERS = (
+    (("gamma_ratio", "j_hz", "t2_s", "polarization_unit"), RunConfig.spin_system),
+    (("eps0_h", "eps0_c", "t1_xe_s", "jitter", "seed"), RunConfig.spinoe),
+    (("n_points", "dwell_s", "tip_deg", "noise_amp"), RunConfig.detection),
+    (("mode", "r1_s", "recovery_s", "sample_age_s"), RunConfig.schedule),
+)
+
+
+def _check_ranges(cfg: RunConfig, keys: tuple[str, ...] | None = None) -> None:
+    """Build every library object of `cfg`. A broken rule is reported with
+    the values of `keys`, by default the keys its builder reads."""
+    for reads, build in _BUILDERS:
+        try:
+            build(cfg)
+        except (TypeError, ValueError) as exc:
+            named = ", ".join(f"{key} = {getattr(cfg, key)!r}" for key in keys or reads)
+            raise UsageError(f"bad configuration: {named} ({exc})") from exc
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -152,18 +171,12 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     values.update({k: v for k, v in overrides.items() if v is not None})
-    # each key alone on the defaults first, so an error names the key and
-    # not the library parameter whose rule it broke
-    for key, value in values.items():
-        try:
-            _check_ranges(RunConfig(**{key: value}))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad configuration: {key} = {value!r} ({exc})") from exc
+    # each key alone on the defaults first, so an error names that key
+    # alone; then the whole configuration, for rules that read several keys
+    for key in values:
+        _check_ranges(RunConfig(**{key: values[key]}), (key,))
     cfg = RunConfig(**values)
-    try:
-        _check_ranges(cfg)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad configuration: {exc}") from exc
+    _check_ranges(cfg)
     if cfg.mode not in ("single", "multi"):
         raise UsageError("mode must be 'single' or 'multi'")
     return cfg
@@ -292,7 +305,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     else:
         rho = enhanced_state(system, cfg.eps0_h, cfg.eps0_c)
     detector = Detector(system, cfg.detection())
-    acq_h, acq_c = detector.probe(rho, np.random.default_rng(cfg.seed))
+    acq_h, acq_c = detector.probe(rho, detector.draw(np.random.default_rng(cfg.seed)))
     k = detector.calibration()
     diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, detector.settings.probe_tip_deg, k)
     _dump_spectra(out, f"probe_{args.state}", acq_h.spectrum, acq_c.spectrum, args.svg)

@@ -11,20 +11,20 @@ of per-experiment results is the effective pure state, and because
 detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
 directly. Every line integral comes from one `Detector` built per
-preparation; readout spectra are synthesized only when a caller reads
-them.
+preparation on the map of its grid; readout spectra are synthesized only
+when a caller reads them.
 
-Prepare once, compute many. Everything before the first permutation (the
-detector and its calibration, the sampled initial states, their probed
-diagonals and the labeling) is a `Preparation`, kept for the last
-(SpinoeParams, SpinSystemConfig, ExperimentSchedule, DetectionSettings)
-seen, compared by value. The four search cases of one configuration
-therefore probe once and compute four times. Reuse is exact: the generator
-is seeded from the params' seed, the jitter and probe noise are its first
-draws, and the preparation stores the generator state after them, so every
-computation draws its readout noise from the same point of the same stream
-as a fresh run does. Shared arrays are read-only; a failed preparation is
-not kept and fails again on the next call.
+Prepare once, compute many. Everything that does not depend on the
+computation (the detector and its calibration, the sampled initial
+states, their probed diagonals, the labeling and the readout noise) is a
+`Preparation`, kept for the last (SpinoeParams, SpinSystemConfig,
+ExperimentSchedule, DetectionSettings) seen, compared by value. The four
+search cases of one configuration therefore probe and draw once and
+compute four times. The generator is seeded from the params' seed; the
+jitter and probe noise are its first draws, the readout noise of every
+experiment its next, and the generator is not used after that. Shared
+arrays are read-only; a failed preparation is not kept and fails again on
+the next call.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -54,6 +54,7 @@ from .quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from .readout import (
     Acquisition,
     Channel,
+    DetectionNoise,
     DetectionSettings,
     Detector,
     PeakTable,
@@ -195,24 +196,20 @@ def _weighted_spectrum(spectra: list[Spectrum], weights: np.ndarray) -> Spectrum
 
 @dataclass(frozen=True, eq=False)
 class Preparation:
-    """The probed half of a labeled run, shared by every computation on it.
+    """What a labeled run does before and apart from its computation,
+    shared by every computation on it.
 
     `probed` holds the reconstructed diagonals (read-only) of `states`,
-    `result` their labeling, and `rng_state` the generator state after the
-    last probe or jitter draw, from which the readout noise continues.
+    `result` their labeling, and `readout_noise` the receiver noise of
+    each state's readout, drawn after the last probe (read-only, with its
+    line integrals).
     """
 
     detector: Detector
     states: tuple[DensityMatrix, ...]
     probed: tuple[np.ndarray, ...] = field(repr=False)
     result: EffectivePureResult
-    rng_state: dict = field(repr=False)
-
-    def generator(self) -> np.random.Generator:
-        """A generator positioned where the preparation left the seeded one."""
-        rng = np.random.default_rng()
-        rng.bit_generator.state = self.rng_state
-        return rng
+    readout_noise: tuple[DetectionNoise, ...] = field(repr=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -222,8 +219,9 @@ def _prepare(
     schedule: ExperimentSchedule,
     detection: DetectionSettings,
 ) -> Preparation:
-    """Calibrate, sample and probe every scheduled state, then label; kept
-    for the next call with equal arguments (see the module docstring)."""
+    """Calibrate, sample and probe every scheduled state, label, and draw
+    the readout noise; kept for the next call with equal arguments (see
+    the module docstring)."""
     rng = np.random.default_rng(p.seed)
     detector = Detector(cfg, detection)
     k = detector.calibration()
@@ -234,7 +232,7 @@ def _prepare(
         rho = sample_initial_state(
             p, cfg, probe_time, fresh_sample=schedule.fresh_sample, rng=rng
         )
-        acq_h, acq_c = detector.probe(rho, rng)
+        acq_h, acq_c = detector.probe(rho, detector.draw(rng))
         try:
             diag = reconstruct_diagonal(
                 acq_h.peaks, acq_c.peaks, detector.settings.probe_tip_deg, k
@@ -250,7 +248,7 @@ def _prepare(
         states=tuple(states),
         probed=tuple(probed),
         result=label(probed),
-        rng_state=rng.bit_generator.state,
+        readout_noise=tuple(detector.draw(rng) for _ in states),
     )
 
 
@@ -264,17 +262,18 @@ def _run_labeled_experiments(
     """Shared probe/permute/compute/readout loop, weight solving and scoring.
 
     The experiments run the permutations of DEFAULT_PERM_ORDER in turn on
-    the prepared states. compute_after_perm(ground) returns the unitary
-    applied after each permutation (identity for plain state preparation,
-    relabel+circuit for a search case).
+    the prepared states and read out against the prepared noise.
+    compute_after_perm(ground) returns the unitary applied after each
+    permutation (identity for plain state preparation, relabel+circuit for
+    a search case).
     """
     prep = _prepare(p, cfg, schedule, detection)
-    rng = prep.generator()
     ground = prep.result.ground
 
     post = compute_after_perm(ground)
     records: list[ExperimentRecord] = []
-    for i, (rho, diag, perm) in enumerate(zip(prep.states, prep.probed, DEFAULT_PERM_ORDER)):
+    experiments = zip(prep.states, prep.probed, prep.readout_noise, DEFAULT_PERM_ORDER)
+    for i, (rho, diag, noise, perm) in enumerate(experiments):
         step = compose(permutation_pulse_sequence(perm, ground), post)
         final = apply_unitary(rho, step)
         records.append(
@@ -283,7 +282,7 @@ def _run_labeled_experiments(
                 probe_time=schedule.probe_times[i],
                 probed_diagonal=diag,
                 perm_id=perm,
-                readout=prep.detector.readout(final, rng),
+                readout=prep.detector.readout(final, noise),
             )
         )
 

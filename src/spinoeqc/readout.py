@@ -34,19 +34,23 @@ integrals pick up a large flat offset).
 Detection as a linear map. FID synthesis, the transform and the window
 sums are all linear, so a line integral is Re(g · x) for the sampled FID
 x and a window vector g that carries the spectral window, the first-point
-halving and the bin width. A `Detector` precomputes g for both lines and
-their 2×2 complex response to unit A_plus and A_minus, once per
-acquisition setting (`DetectionSettings`); the pipelines and the CLI probe
-read every probe and readout through it, adding the drawn noise as one
-more dot product. Spectra (FID, FFT, `Spectrum`) are built only on
-request, for export, and stay the reference the map is tested against.
+halving and the bin width. The vectors g of both lines and their 2×2
+complex response to unit A_plus and A_minus depend only on the grid
+(spin system, `n_points`, `dwell`), so they are built once per grid and
+shared by every `Detector` on it, whatever its probe tip and noise level.
+The pipelines and the CLI probe read every probe and readout through a
+detector. Drawing the receiver noise (`Detector.draw`) is a step of its
+own: it keeps each noise vector with its line integrals Re(g · n), so
+noise drawn once can be read out any number of times. Spectra (FID, FFT,
+`Spectrum`) are built only on request, for export, and stay the reference
+the map is tested against.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -342,6 +346,30 @@ def readout_spectra(
     return _spectra(_readout_pulsed(rho, tip_angle_deg), cfg, n_samples, dt, noise_amp, rng)
 
 
+# the receiver noise of one channel and its (partner 0, partner 1) line
+# integrals, both read-only; (None, None) when noise is off
+ChannelNoise = tuple[np.ndarray | None, np.ndarray | None]
+DetectionNoise = tuple[ChannelNoise, ChannelNoise]  # H, then C
+_NOISE_FREE: DetectionNoise = ((None, None), (None, None))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Window vectors and line response of one grid, read-only and kept for
+    the last few grids (see `Detector`)."""
+    freqs = _frequency_axis(n_points, dwell)
+    masks = np.array(_line_windows(freqs, cfg), dtype=float)
+    # a window sum over the shifted spectrum is a dot product with the
+    # transform of the unshifted mask; the first FID point is halved
+    windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
+    windows[:, 0] *= 0.5
+    plus, minus, decay = _line_signals(cfg, n_points, dwell)
+    response = windows @ (np.array([plus, minus]) * decay).T
+    # a map is shared by every detector on its grid
+    windows.flags.writeable = response.flags.writeable = False
+    return windows, response
+
+
 @dataclass(frozen=True)
 class Detector:
     """Line integrals of one acquisition setting as a precomputed linear map.
@@ -349,8 +377,9 @@ class Detector:
     `windows` holds g_+ and g_- (partner 0 and partner 1 lines) such that a
     line integral of the FID x equals Re(g · x); `response` holds the
     complex line integrals of unit +J/2 and -J/2 amplitudes, so noise-free
-    integrals are Re(response @ (A_plus, A_minus)). Probe tip and noise
-    level come from `settings`, the same for every detection.
+    integrals are Re(response @ (A_plus, A_minus)). Both belong to the grid
+    and are shared by the detectors on it. Probe tip and noise level come
+    from `settings`, the same for every detection.
     """
 
     cfg: SpinSystemConfig
@@ -359,40 +388,48 @@ class Detector:
     response: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n_points, dwell = self.settings.n_points, self.settings.dwell
-        freqs = _frequency_axis(n_points, dwell)
-        masks = np.array(_line_windows(freqs, self.cfg), dtype=float)
-        # a window sum over the shifted spectrum is a dot product with the
-        # transform of the unshifted mask; the first FID point is halved
-        windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
-        windows[:, 0] *= 0.5
-        plus, minus, decay = _line_signals(self.cfg, n_points, dwell)
-        response = windows @ (np.array([plus, minus]) * decay).T
-        # a detector is shared by every run on one preparation
-        windows.flags.writeable = response.flags.writeable = False
+        windows, response = _grid_map(self.cfg, self.settings.n_points, self.settings.dwell)
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "response", response)
 
-    def _acquire(self, states, noise_amp: float, rng) -> tuple[Acquisition, Acquisition]:
-        n_points = self.settings.n_points
+    def draw(self, rng: np.random.Generator | None = None) -> DetectionNoise:
+        """Receiver noise of one detection at the settings' level, H then C.
+
+        Noise needs a seeded generator; with noise off nothing is drawn."""
+        n_points, noise_amp = self.settings.n_points, self.settings.noise_amp
+        h, c = (self._channel_noise(_draw_noise(n_points, noise_amp, rng)) for _ in Channel)
+        return h, c
+
+    def _channel_noise(self, noise: np.ndarray | None) -> ChannelNoise:
+        if noise is None:
+            return None, None
+        integrals = (self.windows @ noise).real
+        noise.flags.writeable = integrals.flags.writeable = False
+        return noise, integrals
+
+    def _acquire(self, states, noise: DetectionNoise | None) -> tuple[Acquisition, Acquisition]:
+        if noise is None:
+            noise = self.draw()
         h, c = (
-            Acquisition(self, channel, state, _draw_noise(n_points, noise_amp, rng))
-            for channel, state in zip(Channel, states)
+            Acquisition(self, channel, state, *channel_noise)
+            for channel, state, channel_noise in zip(Channel, states, noise)
         )
         return h, c
 
     def probe(
-        self, rho: DensityMatrix, rng: np.random.Generator | None = None
+        self, rho: DensityMatrix, noise: DetectionNoise | None = None
     ) -> tuple[Acquisition, Acquisition]:
-        """The probing experiment of `probe`, kept in closed form."""
-        s = self.settings
-        return self._acquire(_probe_pulsed(rho, s.probe_tip_deg), s.noise_amp, rng)
+        """The probing experiment of `probe`, kept in closed form, against
+        noise from `draw` (drawn here by default, which works only with
+        noise off)."""
+        return self._acquire(_probe_pulsed(rho, self.settings.probe_tip_deg), noise)
 
     def readout(
-        self, rho: DensityMatrix, rng: np.random.Generator | None = None
+        self, rho: DensityMatrix, noise: DetectionNoise | None = None
     ) -> tuple[Acquisition, Acquisition]:
-        """The 90° per-channel readout of `readout_spectra`, kept in closed form."""
-        return self._acquire(_readout_pulsed(rho), self.settings.noise_amp, rng)
+        """The 90° per-channel readout of `readout_spectra`, kept in closed
+        form, against noise as in `probe`."""
+        return self._acquire(_readout_pulsed(rho), noise)
 
     def calibration(self) -> float:
         """Receiver constant K of `calibrate` for this acquisition setting,
@@ -400,7 +437,7 @@ class Detector:
         tip = self.settings.probe_tip_deg
         ref = thermal_state(self.cfg)
         dev = ref.matrix.diagonal().real - 0.25
-        acquisitions = self._acquire(_probe_pulsed(ref, tip), 0.0, None)
+        acquisitions = self._acquire(_probe_pulsed(ref, tip), _NOISE_FREE)
         y = np.concatenate([a.integrals for a in acquisitions])
         m = _probe_response_matrix(tip) @ dev
         denom = float(m @ m)
@@ -412,28 +449,29 @@ class Detector:
 @dataclass(frozen=True)
 class Acquisition:
     """One channel of one detection: the state at its receiver and the noise
-    drawn for it. Line integrals come from the detector's map; the spectrum
-    is synthesized only when asked for, with the arithmetic of `probe` and
-    `readout_spectra`."""
+    drawn for it, with that noise's line integrals. Line integrals come from
+    the detector's map; the spectrum is synthesized only when asked for,
+    with the arithmetic of `probe` and `readout_spectra`."""
 
     detector: Detector = field(repr=False)
     channel: Channel
     state: DensityMatrix = field(repr=False)
     noise: np.ndarray | None = field(repr=False)
+    noise_integrals: np.ndarray | None = field(repr=False)
 
-    @cached_property
+    @functools.cached_property
     def integrals(self) -> np.ndarray:
         """(partner 0, partner 1) line integrals."""
         y = (self.detector.response @ _coherences(self.state, self.channel)).real
-        if self.noise is not None:
-            y = y + (self.detector.windows @ self.noise).real
+        if self.noise_integrals is not None:
+            y = y + self.noise_integrals
         return y
 
     @property
     def peaks(self) -> PeakTable:
         return peak_table(self.channel, self.integrals, self.detector.cfg)
 
-    @cached_property
+    @functools.cached_property
     def spectrum(self) -> Spectrum:
         d = self.detector
         return _channel_spectrum(
@@ -514,12 +552,20 @@ def reconstruct_diagonal(
     return diag
 
 
+@functools.lru_cache(maxsize=4)
+def _frequency_cells(freqs: bytes) -> tuple[str, ...]:
+    """The formatted freq_hz cells of a frequency axis (given as its bytes),
+    the same in every spectrum of one grid."""
+    return tuple(f"{f!r}," for f in np.frombuffer(freqs).tolist())
+
+
 def spectrum_to_csv(spec: Spectrum, path) -> None:
     """Write a spectrum as CSV with columns freq_hz, real, imag.
 
     The layout is that of `csv.writer`: CRLF line ends and no quoting (a
     float's repr needs none)."""
-    columns = (spec.freqs.tolist(), spec.values.real.tolist(), spec.values.imag.tolist())
-    rows = [f"{f!r},{real!r},{imag!r}" for f, real, imag in zip(*columns)]
+    cells = _frequency_cells(spec.freqs.tobytes())
+    columns = (cells, spec.values.real.tolist(), spec.values.imag.tolist())
+    rows = [f"{f}{real!r},{imag!r}" for f, real, imag in zip(*columns)]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(["freq_hz,real,imag", *rows, ""]))

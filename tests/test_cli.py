@@ -8,6 +8,7 @@ import pytest
 
 import spinoeqc.cli as cli
 from spinoeqc.experiments import _prepare, run_effective_pure_pipeline
+from spinoeqc.readout import _grid_map
 from spinoeqc.labeling import SingularLabelingSystem
 from spinoeqc.spinoe import ScheduleMode, SpinoeParams
 from spinoeqc.spins import SpinSystemConfig
@@ -202,6 +203,34 @@ class TestConfigHandling:
         (key,) = values
         assert capsys.readouterr().err.startswith(f"usage error: bad configuration: {key} = ")
 
+    def test_rule_of_several_keys_names_them(self, tmp_path, capsys):
+        # each key alone passes; together the 1 s gap is below the float
+        # resolution at 1e17 s, so the schedule times coincide
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sample_age_s": 1e17, "recovery_s": 1}))
+        argv = ["--config", str(config), "--out", str(tmp_path / "o"), "grover", "--target", "10"]
+        assert cli.main(argv) == 64
+        assert capsys.readouterr().err == (
+            "usage error: bad configuration: mode = 'single', r1_s = 25.0, recovery_s = 1, "
+            "sample_age_s = 1e+17 (single-sample times must be strictly increasing)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "keys,build", cli._BUILDERS, ids=[build.__name__ for _, build in cli._BUILDERS]
+    )
+    def test_builder_keys_are_the_keys_it_reads(self, keys, build):
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        read = set()
+
+        class Recording(cli.RunConfig):
+            def __getattribute__(self, name):
+                if name in fields:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        build(Recording())
+        assert set(keys) == read
+
     def test_readme_documents_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("### Configuration file", 1)[1].split("\n#", 1)[0]
@@ -254,14 +283,16 @@ class TestDeterminism:
 
     def test_all_targets_match_separate_cold_runs(self, tmp_path):
         # --all shares one preparation across its four cases; each separate
-        # run starts on an empty cache and prepares for itself
+        # run starts on empty caches and prepares and maps for itself
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"noise_amp": 0.01, "seed": 3}))
         common = ["--config", str(config)]
         _prepare.cache_clear()
+        _grid_map.cache_clear()
         assert cli.main([*common, "--out", str(tmp_path / "all"), "grover", "--all"]) == 0
         for target in ("00", "01", "10", "11"):
             _prepare.cache_clear()
+            _grid_map.cache_clear()
             argv = [*common, "--out", str(tmp_path / "one"), "grover", "--target", target]
             assert cli.main(argv) == 0
         assert_same_files_outside_timestamp(tmp_path / "all", tmp_path / "one")

@@ -347,6 +347,29 @@ class TestPreparationCache:
                 expected = rng.normal(0.0, amp, n) + 1j * rng.normal(0.0, amp, n)
                 assert np.array_equal(acq.noise, expected)
 
+    def test_noise_is_drawn_once_per_preparation(self, monkeypatch):
+        draw_noise, drawn = readout._draw_noise, []
+
+        def counting_draw(*args):
+            noise = draw_noise(*args)
+            drawn.append(noise)
+            return noise
+
+        monkeypatch.setattr(readout, "_draw_noise", counting_draw)
+        runs = [noisy_run(ScheduleMode.SINGLE_SAMPLE, t) for t in GROVER_TARGETS]
+        # per record one probe and one readout, each H and C
+        assert len(drawn) == 12
+        assert all(noise is not None for noise in drawn)
+        readout_noise = drawn[6:]
+        for run in runs:
+            acquisitions = [acq for rec in run.records for acq in rec.readout]
+            assert len(acquisitions) == len(readout_noise)
+            for acq, noise in zip(acquisitions, readout_noise):
+                assert acq.noise is noise
+                for array in (acq.noise, acq.noise_integrals):
+                    with pytest.raises(ValueError):
+                        array[0] = 1.0
+
     def test_shared_arrays_are_read_only(self):
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
         for array in (

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spinoeqc import readout
 from spinoeqc.quantum import DensityMatrix, apply_unitary
 from spinoeqc.readout import (
     Acquisition,
@@ -270,31 +271,49 @@ class TestDetector:
         cfg = SpinSystemConfig(j_coupling=j, t2=t2)
         rho = coherent_state(amplitudes)
         try:
-            det = Detector(cfg, DetectionSettings(n_points, dwell))
+            det = Detector(cfg, DetectionSettings(n_points, dwell, noise_amp=noise_amp))
         except ReadoutError as exc:
             # one window rule: the FFT path rejects the same settings
             with pytest.raises(ReadoutError, match=re.escape(str(exc))):
                 fft_peaks(rho, cfg, Channel.H, n_points, dwell, None)
             return
-        rng = np.random.default_rng(seed)
-        for channel in Channel:
-            noise = None
-            if noise_amp > 0:
-                noise = rng.normal(0.0, noise_amp, n_points) + 1j * rng.normal(
-                    0.0, noise_amp, n_points
-                )
-            got = Acquisition(det, channel, rho, noise).integrals
+        drawn = det.draw(np.random.default_rng(seed))
+        for channel, (noise, noise_integrals) in zip(Channel, drawn):
+            got = Acquisition(det, channel, rho, noise, noise_integrals).integrals
             ref = fft_peaks(rho, cfg, channel, n_points, dwell, noise)
             want = np.array([ref.integral(0), ref.integral(1)])
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_detectors_on_one_grid_share_its_map(self):
+        base = Detector(CFG, DetectionSettings())
+        for settings_ in (DetectionSettings(probe_tip_deg=10.0), DetectionSettings(noise_amp=0.1)):
+            det = Detector(CFG, settings_)
+            assert det.windows is base.windows and det.response is base.response
+        for other in (
+            Detector(CFG, DetectionSettings(n_points=2048)),
+            Detector(CFG, DetectionSettings(dwell=5e-4)),
+            Detector(SpinSystemConfig(j_coupling=200.0), DetectionSettings()),
+        ):
+            assert other.windows is not base.windows and other.response is not base.response
+            assert not np.array_equal(other.response, base.response)
+        for array in (base.windows, base.response):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_grid_map_cache_is_bounded(self):
+        maxsize = readout._grid_map.cache_info().maxsize
+        assert maxsize is not None
+        for n_points in range(1024, 1024 + 2 * maxsize):
+            Detector(CFG, DetectionSettings(n_points=n_points))
+        assert readout._grid_map.cache_info().currsize == maxsize
 
     def test_probe_and_readout_match_their_spectra(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
         pairs = [
-            (det.probe(rho, np.random.default_rng(4)),
+            (det.probe(rho, det.draw(np.random.default_rng(4))),
              probe(rho, CFG, 15.0, noise_amp=0.05, rng=np.random.default_rng(4))),
-            (det.readout(rho, np.random.default_rng(4)),
+            (det.readout(rho, det.draw(np.random.default_rng(4))),
              readout_spectra(rho, CFG, noise_amp=0.05, rng=np.random.default_rng(4))),
         ]
         for acquisitions, spectra in pairs:
