@@ -49,7 +49,6 @@ from .readout import (
     calibrate,
     integrate_peaks,
     probe,
-    readout_spectra,
     reconstruct_diagonal,
     spectrum,
     spectrum_to_csv,

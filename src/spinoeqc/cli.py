@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -112,7 +113,7 @@ class RunConfig:
         )
 
     def schedule_mode(self) -> ScheduleMode:
-        return ScheduleMode.SINGLE_SAMPLE if self.mode == "single" else ScheduleMode.MULTI_SAMPLE
+        return ScheduleMode(self.mode)
 
     def schedule(self) -> ExperimentSchedule:
         return make_schedule(
@@ -173,12 +174,13 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     values.update({k: v for k, v in overrides.items() if v is not None})
     # each key alone on the defaults first, so an error names that key
     # alone; then the whole configuration, for rules that read several keys
-    for key in values:
-        _check_ranges(RunConfig(**{key: values[key]}), (key,))
+    for key, value in values.items():
+        # JSON admits NaN, Infinity and overflowing literals such as 1e400
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"bad configuration: {key} = {value!r} (not a finite number)")
+        _check_ranges(RunConfig(**{key: value}), (key,))
     cfg = RunConfig(**values)
     _check_ranges(cfg)
-    if cfg.mode not in ("single", "multi"):
-        raise UsageError("mode must be 'single' or 'multi'")
     return cfg
 
 

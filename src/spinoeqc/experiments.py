@@ -60,7 +60,6 @@ from .readout import (
     PeakTable,
     ReadoutError,
     Spectrum,
-    peak_table,
     reconstruct_diagonal,
 )
 from .spinoe import (
@@ -253,24 +252,19 @@ def _prepare(
 
 
 def _run_labeled_experiments(
-    p: SpinoeParams,
+    prep: Preparation,
     cfg: SpinSystemConfig,
     schedule: ExperimentSchedule,
-    detection: DetectionSettings,
-    compute_after_perm,
+    post: Unitary,
 ) -> EffectivePureRun:
-    """Shared probe/permute/compute/readout loop, weight solving and scoring.
+    """Shared permute/compute/readout loop on a preparation, and scoring.
 
     The experiments run the permutations of DEFAULT_PERM_ORDER in turn on
-    the prepared states and read out against the prepared noise.
-    compute_after_perm(ground) returns the unitary applied after each
-    permutation (identity for plain state preparation, relabel+circuit for
-    a search case).
+    the prepared states, each followed by the computation `post` (identity
+    for plain state preparation, relabel+circuit for a search case), and
+    read out against the prepared noise.
     """
-    prep = _prepare(p, cfg, schedule, detection)
     ground = prep.result.ground
-
-    post = compute_after_perm(ground)
     records: list[ExperimentRecord] = []
     experiments = zip(prep.states, prep.probed, prep.readout_noise, DEFAULT_PERM_ORDER)
     for i, (rho, diag, noise, perm) in enumerate(experiments):
@@ -322,9 +316,8 @@ def run_effective_pure_pipeline(
     labeling applied to thermal-equilibrium input.
     """
     schedule = make_schedule(mode, 3, r1, recovery)
-    return _run_labeled_experiments(
-        p, cfg, schedule, detection, lambda ground: Unitary(np.eye(4))
-    )
+    prep = _prepare(p, cfg, schedule, detection)
+    return _run_labeled_experiments(prep, cfg, schedule, Unitary(np.eye(4)))
 
 
 def decode_answer(peaks_h: PeakTable, peaks_c: PeakTable) -> str:
@@ -377,18 +370,16 @@ def run_grover_pipeline(
     against the closed-form labeling of thermal input.
     """
     schedule = make_schedule(mode, 3, r1, recovery, sample_age)
-
-    def computation(ground: int) -> Unitary:
-        return compose(relabel_unitary(ground), grover_circuit(case))
-
-    run = _run_labeled_experiments(p, cfg, schedule, detection, computation)
+    prep = _prepare(p, cfg, schedule, detection)
+    post = compose(relabel_unitary(prep.result.ground), grover_circuit(case))
+    run = _run_labeled_experiments(prep, cfg, schedule, post)
     weights = run.result.weights
     sums = [sum(w * r.readout[i].integrals for w, r in zip(weights, run.records)) for i in (0, 1)]
-    peaks_h, peaks_c = (peak_table(ch, y, cfg) for ch, y in zip(Channel, sums))
+    peaks_h, peaks_c = (PeakTable(ch, y) for ch, y in zip(Channel, sums))
     # an inverted preparation (q2 < 0) flips every peak; its sign is known
     # from the weight solve, so fold it into the decode
     sign = 1.0 if run.result.q2 >= 0 else -1.0
-    decoded = decode_answer(*(peak_table(ch, sign * y, cfg) for ch, y in zip(Channel, sums)))
+    decoded = decode_answer(*(PeakTable(ch, sign * y) for ch, y in zip(Channel, sums)))
     return GroverRun(
         **vars(run), case=case, decoded=decoded, peaks_h=peaks_h, peaks_c=peaks_c
     )
@@ -441,8 +432,8 @@ def grover_report(run: GroverRun, config_echo: dict) -> dict:
         "decoded": run.decoded,
         **_labeled_report(run),
         "peak_integrals": {
-            "h": {str(line.partner_state): line.integral for line in run.peaks_h.lines},
-            "c": {str(line.partner_state): line.integral for line in run.peaks_c.lines},
+            ch: {str(partner): peaks.integral(partner) for partner in (0, 1)}
+            for ch, peaks in (("h", run.peaks_h), ("c", run.peaks_c))
         },
     }
 

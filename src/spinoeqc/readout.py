@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,8 @@ class ReadoutError(ValueError):
 
 
 def _check_sampling(n_samples: int, dt: float) -> None:
+    if not isinstance(n_samples, numbers.Integral):
+        raise ValueError("the number of FID samples must be an integer")
     if dt <= 0:
         raise ValueError("dwell time must be positive")
     if n_samples < MIN_FID_SAMPLES:
@@ -146,37 +149,26 @@ class Spectrum:
         return float(self.freqs[1] - self.freqs[0])
 
 
-@dataclass(frozen=True)
-class PeakLine:
-    frequency: float
-    integral: float
-    partner_state: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeakTable:
-    """The two doublet line integrals of one channel (partner 0 entry first)."""
+    """The two doublet line integrals of one channel as a read-only pair:
+    partner 0 (the +J/2 line) first, then partner 1 (the -J/2 line)."""
 
     channel: Channel
-    lines: tuple[PeakLine, PeakLine]
+    integrals: np.ndarray
+
+    def __post_init__(self):
+        y = np.array(self.integrals, dtype=float)
+        if y.shape != (2,):
+            raise ValueError("a peak table holds exactly two line integrals")
+        y.flags.writeable = False
+        object.__setattr__(self, "integrals", y)
 
     def integral(self, partner_state: int) -> float:
-        for line in self.lines:
-            if line.partner_state == partner_state:
-                return line.integral
-        raise KeyError(partner_state)
-
-
-def peak_table(channel: Channel, integrals, cfg: SpinSystemConfig) -> PeakTable:
-    """Peak table from the (partner 0, partner 1) line integrals of a channel."""
-    j = cfg.j_coupling
-    return PeakTable(
-        channel=channel,
-        lines=(
-            PeakLine(frequency=j / 2.0, integral=float(integrals[0]), partner_state=0),
-            PeakLine(frequency=-j / 2.0, integral=float(integrals[1]), partner_state=1),
-        ),
-    )
+        # a bare index would read partner 1 for -1
+        if partner_state not in (0, 1):
+            raise KeyError(partner_state)
+        return float(self.integrals[partner_state])
 
 
 def _line_windows(freqs: np.ndarray, cfg: SpinSystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -247,10 +239,9 @@ def spectrum(fid: Fid) -> Spectrum:
 def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
     """Integrate the real part over windows of width J/2 centered on ±J/2."""
     integrals = [
-        float(np.sum(spec.values[mask].real) * spec.df)
-        for mask in _line_windows(spec.freqs, cfg)
+        np.sum(spec.values[mask].real) * spec.df for mask in _line_windows(spec.freqs, cfg)
     ]
-    return peak_table(spec.channel, integrals, cfg)
+    return PeakTable(spec.channel, integrals)
 
 
 def _draw_noise(n_samples: int, noise_amp: float, rng) -> np.ndarray | None:
@@ -286,23 +277,11 @@ def _probe_pulsed(rho: DensityMatrix, tip_angle_deg: float) -> tuple[DensityMatr
     return pulsed, pulsed
 
 
-def _readout_pulsed(
-    rho: DensityMatrix, tip_angle_deg: float = 90.0
-) -> tuple[DensityMatrix, DensityMatrix]:
-    """States seen by the H and C receivers, each after a pulse on its own spin."""
+def _readout_pulsed(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
+    """States seen by the H and C receivers, each after a 90° y-pulse on its own spin."""
     h, c = (
-        apply_unitary(rho, pulse_unitary(PulseSpec(target, tip_angle_deg, phase=90.0)))
+        apply_unitary(rho, pulse_unitary(PulseSpec(target, 90.0, phase=90.0)))
         for target in (PulseTarget.H, PulseTarget.C)
-    )
-    return h, c
-
-
-def _spectra(states, cfg, n_samples, dt, noise_amp, rng) -> tuple[Spectrum, Spectrum]:
-    h, c = (
-        _channel_spectrum(
-            state, channel, cfg, n_samples, dt, _draw_noise(n_samples, noise_amp, rng)
-        )
-        for channel, state in zip(Channel, states)
     )
     return h, c
 
@@ -323,27 +302,13 @@ def probe(
     linear reconstruction contract and are rejected.
     """
     _check_probe_tip(tip_angle_deg)
-    return _spectra(_probe_pulsed(rho, tip_angle_deg), cfg, n_samples, dt, noise_amp, rng)
-
-
-def readout_spectra(
-    rho: DensityMatrix,
-    cfg: SpinSystemConfig,
-    tip_angle_deg: float = 90.0,
-    n_samples: int = 4096,
-    dt: float = 1e-3,
-    noise_amp: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[Spectrum, Spectrum]:
-    """Per-channel readout: a y-pulse on one spin at a time, that spin observed.
-
-    Used after a computation. Unlike the two-spin probe, a single-spin
-    pulse maps populations to line amplitudes with no cross-partner mixing
-    at any tip angle, so 90° gives maximum signal and a clean one-line
-    signature for pure-like states. Both channels come from one simulated
-    run (detection here is non-destructive).
-    """
-    return _spectra(_readout_pulsed(rho, tip_angle_deg), cfg, n_samples, dt, noise_amp, rng)
+    h, c = (
+        _channel_spectrum(
+            state, channel, cfg, n_samples, dt, _draw_noise(n_samples, noise_amp, rng)
+        )
+        for channel, state in zip(Channel, _probe_pulsed(rho, tip_angle_deg))
+    )
+    return h, c
 
 
 # the receiver noise of one channel and its (partner 0, partner 1) line
@@ -384,8 +349,9 @@ class Detector:
 
     cfg: SpinSystemConfig
     settings: DetectionSettings
-    windows: np.ndarray = field(init=False, repr=False)
-    response: np.ndarray = field(init=False, repr=False)
+    # the map follows from (cfg, settings), which alone compare and hash
+    windows: np.ndarray = field(init=False, repr=False, compare=False)
+    response: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         windows, response = _grid_map(self.cfg, self.settings.n_points, self.settings.dwell)
@@ -407,28 +373,28 @@ class Detector:
         noise.flags.writeable = integrals.flags.writeable = False
         return noise, integrals
 
-    def _acquire(self, states, noise: DetectionNoise | None) -> tuple[Acquisition, Acquisition]:
-        if noise is None:
-            noise = self.draw()
+    def _acquire(self, states, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
         h, c = (
             Acquisition(self, channel, state, *channel_noise)
             for channel, state, channel_noise in zip(Channel, states, noise)
         )
         return h, c
 
-    def probe(
-        self, rho: DensityMatrix, noise: DetectionNoise | None = None
-    ) -> tuple[Acquisition, Acquisition]:
+    def probe(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
         """The probing experiment of `probe`, kept in closed form, against
-        noise from `draw` (drawn here by default, which works only with
-        noise off)."""
+        noise from `draw`."""
         return self._acquire(_probe_pulsed(rho, self.settings.probe_tip_deg), noise)
 
-    def readout(
-        self, rho: DensityMatrix, noise: DetectionNoise | None = None
-    ) -> tuple[Acquisition, Acquisition]:
-        """The 90° per-channel readout of `readout_spectra`, kept in closed
-        form, against noise as in `probe`."""
+    def readout(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
+        """Per-channel readout after a computation, against noise from `draw`:
+        a 90° y-pulse on one spin at a time, that spin observed.
+
+        Unlike the two-spin probe, a single-spin pulse maps populations to
+        line amplitudes with no cross-partner mixing at any tip angle, so
+        90° gives maximum signal and a clean one-line signature for
+        pure-like states. Both channels come from one simulated run
+        (detection here is non-destructive).
+        """
         return self._acquire(_readout_pulsed(rho), noise)
 
     def calibration(self) -> float:
@@ -451,7 +417,7 @@ class Acquisition:
     """One channel of one detection: the state at its receiver and the noise
     drawn for it, with that noise's line integrals. Line integrals come from
     the detector's map; the spectrum is synthesized only when asked for,
-    with the arithmetic of `probe` and `readout_spectra`."""
+    with the arithmetic of `probe`."""
 
     detector: Detector = field(repr=False)
     channel: Channel
@@ -469,7 +435,7 @@ class Acquisition:
 
     @property
     def peaks(self) -> PeakTable:
-        return peak_table(self.channel, self.integrals, self.detector.cfg)
+        return PeakTable(self.channel, self.integrals)
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
@@ -494,17 +460,6 @@ def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
             [b, a, -b, -a],
             [a, -a, b, -b],
             [b, -b, a, -a],
-        ]
-    )
-
-
-def _stack_integrals(peaks_h: PeakTable, peaks_c: PeakTable) -> np.ndarray:
-    return np.array(
-        [
-            peaks_h.integral(0),
-            peaks_h.integral(1),
-            peaks_c.integral(0),
-            peaks_c.integral(1),
         ]
     )
 
@@ -537,7 +492,7 @@ def reconstruct_diagonal(
     redundancy, so inconsistent peak data shows up as a residual; residuals
     above 5% of the largest integral are rejected.
     """
-    y = _stack_integrals(peaks_h, peaks_c)
+    y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
     a = calibration * _probe_response_matrix(tip_angle_deg)
     row_scale = np.abs(a).max()
     design = np.vstack([a, np.full(4, row_scale)])

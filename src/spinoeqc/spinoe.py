@@ -17,6 +17,7 @@ drawn from an explicit seeded generator.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class SpinoeParams:
             raise ValueError("t1_xe must be positive")
         if self.reproducibility_jitter < 0:
             raise ValueError("jitter must be non-negative")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -191,9 +191,12 @@ class TestConfigHandling:
             ({"recovery_s": 0}, ["effpure", "--mode", "single"]),
             ({"recovery_s": 0}, ["effpure", "--mode", "multi"]),
             ({"seed": -1}, ["effpure", "--mode", "multi"]),
+            ({"seed": 1.5}, ["grover", "--target", "10"]),
+            ({"n_points": 4096.0}, ["probe"]),
+            ({"mode": "bogus"}, ["grover", "--target", "10"]),
         ],
         ids=["r1-grover", "r1-effpure", "sample-age", "noise", "recovery-single",
-             "recovery-multi", "seed"],
+             "recovery-multi", "seed", "seed-fraction", "n-points-float", "mode"],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, values, command):
         config = tmp_path / "cfg.json"
@@ -202,6 +205,26 @@ class TestConfigHandling:
         assert rc == 64
         (key,) = values
         assert capsys.readouterr().err.startswith(f"usage error: bad configuration: {key} = ")
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ('{"r1_s": NaN}', "r1_s = nan"),
+            ('{"noise_amp": Infinity}', "noise_amp = inf"),
+            ('{"jitter": NaN, "mode": "multi"}', "jitter = nan"),
+            ('{"eps0_h": -Infinity}', "eps0_h = -inf"),
+            ('{"t2_s": 1e400}', "t2_s = inf"),
+        ],
+        ids=["nan", "infinity", "nan-jitter-multi", "minus-infinity", "overflow"],
+    )
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, text, named):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"), "effpure"])
+        assert rc == 64
+        assert capsys.readouterr().err == (
+            f"usage error: bad configuration: {named} (not a finite number)\n"
+        )
 
     def test_rule_of_several_keys_names_them(self, tmp_path, capsys):
         # each key alone passes; together the 1 s gap is below the float

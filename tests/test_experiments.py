@@ -22,7 +22,7 @@ from spinoeqc.experiments import (
 from spinoeqc.quantum import DensityMatrix, apply_unitary, compose, populations
 import spinoeqc
 from spinoeqc import readout
-from spinoeqc.readout import Channel, PeakLine, PeakTable, ReadoutError, integrate_peaks
+from spinoeqc.readout import Channel, PeakTable, ReadoutError, integrate_peaks
 from spinoeqc.spinoe import ScheduleMode, SpinoeParams
 from spinoeqc.spins import PulseSpec, PulseTarget, SpinSystemConfig, pulse_unitary
 
@@ -36,11 +36,7 @@ def hadamard_pulse_sequence(target: PulseTarget) -> tuple[PulseSpec, PulseSpec]:
 
 
 def peaks(h0, h1, c0, c1):
-    j2 = CFG.j_coupling / 2
-    return (
-        PeakTable(Channel.H, (PeakLine(j2, h0, 0), PeakLine(-j2, h1, 1))),
-        PeakTable(Channel.C, (PeakLine(j2, c0, 0), PeakLine(-j2, c1, 1))),
-    )
+    return PeakTable(Channel.H, [h0, h1]), PeakTable(Channel.C, [c0, c1])
 
 
 class TestGroverUnitaries:
@@ -446,12 +442,13 @@ class TestDetectionSettings:
         "kwargs,message",
         [
             ({"n_points": 100}, "256"),
+            ({"n_points": 4096.0}, "integer"),
             ({"dwell": 0.0}, "dwell"),
             ({"probe_tip_deg": 0.0}, "probe tip"),
             ({"probe_tip_deg": 25.5}, "probe tip"),
             ({"noise_amp": -1.0}, "noise_amp"),
         ],
-        ids=["n_points", "dwell", "tip-zero", "tip-above-max", "noise"],
+        ids=["n_points", "n_points-float", "dwell", "tip-zero", "tip-above-max", "noise"],
     )
     def test_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

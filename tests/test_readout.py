@@ -15,14 +15,12 @@ from spinoeqc.readout import (
     DetectionSettings,
     Detector,
     Fid,
-    PeakLine,
     PeakTable,
     ReadoutError,
     Spectrum,
     calibrate,
     integrate_peaks,
     probe,
-    readout_spectra,
     reconstruct_diagonal,
     spectrum,
     spectrum_to_csv,
@@ -180,6 +178,27 @@ class TestIntegratePeaks:
             integrate_peaks(spec_h, cfg)
 
 
+class TestPeakTable:
+    def test_integrals_are_a_read_only_copy(self):
+        given = np.array([1.5, -2.0])
+        peaks = PeakTable(Channel.H, given)
+        given[0] = 0.0
+        assert (peaks.integral(0), peaks.integral(1)) == (1.5, -2.0)
+        with pytest.raises(ValueError):
+            peaks.integrals[0] = 0.0
+        assert peaks == peaks and hash(peaks) == hash(peaks)
+
+    @pytest.mark.parametrize("integrals", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
+    def test_wrong_shape_rejected(self, integrals):
+        with pytest.raises(ValueError, match="two line integrals"):
+            PeakTable(Channel.H, integrals)
+
+    @pytest.mark.parametrize("partner", [2, -1])
+    def test_partner_outside_the_doublet_raises_key_error(self, partner):
+        with pytest.raises(KeyError):
+            PeakTable(Channel.C, [1.0, 2.0]).integral(partner)
+
+
 class TestProbe:
     @pytest.mark.parametrize("tip", [0.0, -5.0, 25.1, 90.0])
     def test_tip_bounds(self, tip):
@@ -232,7 +251,7 @@ class TestProbe:
         with pytest.raises(ValueError, match="rng"):
             probe(thermal_state(CFG), CFG, 15.0, noise_amp=0.1)
         with pytest.raises(ValueError, match="rng"):
-            Detector(CFG, DetectionSettings(noise_amp=0.1)).probe(thermal_state(CFG))
+            Detector(CFG, DetectionSettings(noise_amp=0.1)).draw()
 
 
 def coherent_state(amplitudes) -> DensityMatrix:
@@ -242,12 +261,34 @@ def coherent_state(amplitudes) -> DensityMatrix:
     return DensityMatrix(m + m.conj().T)
 
 
-def fft_peaks(rho, cfg, channel, n, dt, noise):
-    """Reference route: FID, added noise, transform, window sums."""
+def fft_spectrum(rho, cfg, channel, n, dt, noise):
+    """Reference route: FID, added noise, transform."""
     fid = synthesize_fid(rho, cfg, channel, n_samples=n, dt=dt)
     if noise is not None:
         fid = Fid(channel, dt, fid.samples + noise)
-    return integrate_peaks(spectrum(fid), cfg)
+    return spectrum(fid)
+
+
+def fft_peaks(rho, cfg, channel, n, dt, noise):
+    """Reference route with the window sums."""
+    return integrate_peaks(fft_spectrum(rho, cfg, channel, n, dt, noise), cfg)
+
+
+def readout_spectra(rho, cfg, tip_angle_deg=90.0, n_samples=4096, dt=1e-3, noise_amp=0.0,
+                    rng=None):
+    """FFT reference of the per-channel readout: a y-pulse of any tip on one
+    spin at a time, that spin observed, with the H noise drawn before the C
+    noise as `Detector.draw` does."""
+    spectra = []
+    for channel, target in zip(Channel, (PulseTarget.H, PulseTarget.C)):
+        state = apply_unitary(rho, pulse_unitary(PulseSpec(target, tip_angle_deg, phase=90.0)))
+        noise = None
+        if noise_amp > 0:
+            noise = rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(
+                0.0, noise_amp, n_samples
+            )
+        spectra.append(fft_spectrum(state, cfg, channel, n_samples, dt, noise))
+    return tuple(spectra)
 
 
 class TestDetector:
@@ -299,6 +340,15 @@ class TestDetector:
         for array in (base.windows, base.response):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+
+    def test_hash_and_equality_follow_the_settings(self):
+        a = Detector(CFG, DetectionSettings())
+        readout._grid_map.cache_clear()
+        b = Detector(CFG, DetectionSettings())
+        assert a.windows is not b.windows
+        assert a == b and hash(a) == hash(b)
+        assert a != Detector(CFG, DetectionSettings(noise_amp=0.1))
+        assert a != Detector(SpinSystemConfig(j_coupling=200.0), DetectionSettings())
 
     def test_grid_map_cache_is_bounded(self):
         maxsize = readout._grid_map.cache_info().maxsize
@@ -359,15 +409,15 @@ class TestReconstruction:
 
     def test_zero_peaks_give_zero_diagonal(self):
         k = calibrate(CFG, 15.0)
-        zero_h = PeakTable(Channel.H, (PeakLine(107.5, 0.0, 0), PeakLine(-107.5, 0.0, 1)))
-        zero_c = PeakTable(Channel.C, (PeakLine(107.5, 0.0, 0), PeakLine(-107.5, 0.0, 1)))
+        zero_h = PeakTable(Channel.H, [0.0, 0.0])
+        zero_c = PeakTable(Channel.C, [0.0, 0.0])
         assert_allclose(reconstruct_diagonal(zero_h, zero_c, 15.0, k), np.zeros(4), atol=1e-15)
 
     def test_inconsistent_peaks_flagged(self):
         k = calibrate(CFG, 15.0)
         # violates the internal redundancy of the four relations
-        bad_h = PeakTable(Channel.H, (PeakLine(107.5, 50.0, 0), PeakLine(-107.5, 0.0, 1)))
-        bad_c = PeakTable(Channel.C, (PeakLine(107.5, 0.0, 0), PeakLine(-107.5, 0.0, 1)))
+        bad_h = PeakTable(Channel.H, [50.0, 0.0])
+        bad_c = PeakTable(Channel.C, [0.0, 0.0])
         with pytest.raises(ReadoutError, match="inconsistent"):
             reconstruct_diagonal(bad_h, bad_c, 15.0, k)
 
@@ -392,15 +442,6 @@ class TestPerChannelReadout:
         full = integrate_peaks(readout_spectra(rho, CFG, 90.0)[0], CFG).integral(0)
         small = integrate_peaks(readout_spectra(rho, CFG, 10.0)[0], CFG).integral(0)
         assert full / small == pytest.approx(1.0 / np.sin(np.radians(10.0)), rel=1e-9)
-
-
-def peak_table_to_csv(peaks: PeakTable, path) -> None:
-    """Write a peak table as CSV with columns freq_hz, integral, partner_state."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "integral", "partner_state"])
-        for line in peaks.lines:
-            writer.writerow([repr(line.frequency), repr(line.integral), line.partner_state])
 
 
 class TestCsvExport:
@@ -429,14 +470,3 @@ class TestCsvExport:
             for f, v in zip(spec.freqs, spec.values):
                 writer.writerow([repr(float(f)), repr(float(v.real)), repr(float(v.imag))])
         assert path.read_bytes() == ref.read_bytes()
-
-    def test_peak_table_csv(self, tmp_path):
-        peaks = integrate_peaks(probe(thermal_state(CFG), CFG, 15.0)[0], CFG)
-        path = tmp_path / "peaks.csv"
-        peak_table_to_csv(peaks, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["freq_hz", "integral", "partner_state"]
-        assert len(rows) == 3
-        assert float(rows[1][0]) == CFG.j_coupling / 2
-        assert int(rows[1][2]) == 0

@@ -141,3 +141,5 @@ class TestParams:
             SpinoeParams(t1_xe=0.0)
         with pytest.raises(ValueError):
             SpinoeParams(reproducibility_jitter=-0.1)
+        with pytest.raises(ValueError, match="integer"):
+            SpinoeParams(seed=1.5)
