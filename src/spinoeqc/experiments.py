@@ -53,7 +53,6 @@ from .labeling import DEFAULT_PERM_ORDER, EffectivePureResult, enhancement_facto
 from .quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from .readout import (
     Acquisition,
-    Channel,
     DetectionNoise,
     DetectionSettings,
     Detector,
@@ -315,7 +314,7 @@ def run_effective_pure_pipeline(
     effective pure state and reports its enhancement over the same
     labeling applied to thermal-equilibrium input.
     """
-    schedule = make_schedule(mode, 3, r1, recovery)
+    schedule = make_schedule(mode, r1, recovery)
     prep = _prepare(p, cfg, schedule, detection)
     return _run_labeled_experiments(prep, cfg, schedule, Unitary(np.eye(4)))
 
@@ -369,17 +368,17 @@ def run_grover_pipeline(
     line integrals, and the enhancement compares the labeled input state
     against the closed-form labeling of thermal input.
     """
-    schedule = make_schedule(mode, 3, r1, recovery, sample_age)
+    schedule = make_schedule(mode, r1, recovery, sample_age)
     prep = _prepare(p, cfg, schedule, detection)
     post = compose(relabel_unitary(prep.result.ground), grover_circuit(case))
     run = _run_labeled_experiments(prep, cfg, schedule, post)
     weights = run.result.weights
     sums = [sum(w * r.readout[i].integrals for w, r in zip(weights, run.records)) for i in (0, 1)]
-    peaks_h, peaks_c = (PeakTable(ch, y) for ch, y in zip(Channel, sums))
+    peaks_h, peaks_c = (PeakTable(y) for y in sums)
     # an inverted preparation (q2 < 0) flips every peak; its sign is known
     # from the weight solve, so fold it into the decode
     sign = 1.0 if run.result.q2 >= 0 else -1.0
-    decoded = decode_answer(*(PeakTable(ch, sign * y) for ch, y in zip(Channel, sums)))
+    decoded = decode_answer(*(PeakTable(sign * y) for y in sums))
     return GroverRun(
         **vars(run), case=case, decoded=decoded, peaks_h=peaks_h, peaks_c=peaks_c
     )

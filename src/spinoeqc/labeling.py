@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,16 +52,14 @@ class SingularLabelingSystem(ValueError):
 
 @dataclass(frozen=True)
 class LabelingPlan:
-    """Ground-state choice and permutation order."""
+    """Ground-state choice; the permutation order is the method's."""
 
     ground: int
-    perms: tuple[PermutationId, ...] = DEFAULT_PERM_ORDER
+    perms: ClassVar[tuple[PermutationId, ...]] = DEFAULT_PERM_ORDER
 
     def __post_init__(self):
         if self.ground not in (0, 1, 2, 3):
             raise ValueError("ground must be a state index 0..3")
-        if len(self.perms) != 3 or len(set(self.perms)) != 3:
-            raise ValueError("plan needs the 3 distinct permutations")
 
     @property
     def nonground(self) -> tuple[int, int, int]:
@@ -113,6 +112,44 @@ def _as_diags(diags) -> list[np.ndarray]:
     return out
 
 
+def _labeled(diags, plan: LabelingPlan, weights=None) -> EffectivePureResult:
+    """Permute the diagonals once, solve the weights unless they are given,
+    and score the weighted sum: the one step behind the functions below."""
+    ds = _as_diags(diags)
+    permuted = [permute_populations(d, p, plan.ground) for d, p in zip(ds, plan.perms)]
+    j1, j2, j3 = plan.nonground
+    if weights is None:
+        a = np.zeros((3, 3))
+        for col, v in enumerate(permuted):
+            a[0, col] = v[j1] - v[j2]
+            a[1, col] = v[j2] - v[j3]
+        a[2] = (1.0, 0.0, 0.0)
+        if np.abs(a).max() == 0 or 1.0 / np.linalg.cond(a) < SINGULARITY_RTOL:
+            raise SingularLabelingSystem(
+                f"weight system is singular for ground {plan.ground}: a={a.tolist()}"
+            )
+        weights = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
+    w = np.asarray(weights, dtype=float)
+    diagonal = sum(wi * v for wi, v in zip(w, permuted))
+    ng = diagonal[[j1, j2, j3]]
+    q1 = float(ng.mean())
+    q2 = float(diagonal[plan.ground] - q1)
+    residual = float(ng.max() - ng.min())
+    return EffectivePureResult(
+        diagonal=diagonal, weights=w, ground=plan.ground, q1=q1, q2=q2, residual=residual
+    )
+
+
+def _warn_unless_equalized(result: EffectivePureResult) -> None:
+    """Warn, at the caller of the public function, about a non-ground spread."""
+    tol = EQUALIZATION_TOL * max(np.abs(result.diagonal).max(), 1e-300)
+    if result.residual > tol:
+        warnings.warn(
+            f"non-ground populations not equalized (spread {result.residual:.3e})",
+            stacklevel=3,
+        )
+
+
 def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     """Solve for the weights that equalize the non-ground populations.
 
@@ -121,52 +158,15 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     inputs cannot be equalized (e.g. all-zero diagonals or linearly
     dependent columns), with the offending system in the message.
     """
-    ds = _as_diags(diags)
-    permuted = [permute_populations(d, p, plan.ground) for d, p in zip(ds, plan.perms)]
-    j1, j2, j3 = plan.nonground
-    a = np.zeros((3, 3))
-    b = np.zeros(3)
-    for col, v in enumerate(permuted):
-        a[0, col] = v[j1] - v[j2]
-        a[1, col] = v[j2] - v[j3]
-    a[2] = (1.0, 0.0, 0.0)
-    b[2] = 1.0
-    scale = np.abs(a).max()
-    if scale == 0 or 1.0 / np.linalg.cond(a) < SINGULARITY_RTOL:
-        raise SingularLabelingSystem(
-            f"weight system is singular for ground {plan.ground}: a={a.tolist()}"
-        )
-    weights = np.linalg.solve(a, b)
-    assembled = sum(w * v for w, v in zip(weights, permuted))
-    ng = assembled[[j1, j2, j3]]
-    residual = float(ng.max() - ng.min())
-    return weights, residual
+    result = _labeled(diags, plan)
+    return result.weights, result.residual
 
 
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
-    ds = _as_diags(diags)
-    w = np.asarray(weights, dtype=float)
-    permuted = [permute_populations(d, p, plan.ground) for d, p in zip(ds, plan.perms)]
-    diagonal = sum(wi * v for wi, v in zip(w, permuted))
-    ng = diagonal[list(plan.nonground)]
-    q1 = float(ng.mean())
-    q2 = float(diagonal[plan.ground] - q1)
-    residual = float(ng.max() - ng.min())
-    tol = EQUALIZATION_TOL * max(np.abs(diagonal).max(), 1e-300)
-    if residual > tol:
-        warnings.warn(
-            f"non-ground populations not equalized (spread {residual:.3e})",
-            stacklevel=2,
-        )
-    return EffectivePureResult(
-        diagonal=diagonal,
-        weights=w,
-        ground=plan.ground,
-        q1=q1,
-        q2=q2,
-        residual=residual,
-    )
+    result = _labeled(diags, plan, weights)
+    _warn_unless_equalized(result)
+    return result
 
 
 def label(diags) -> EffectivePureResult:
@@ -182,10 +182,9 @@ def label(diags) -> EffectivePureResult:
     ds = _as_diags(diags)
     scores: list[tuple[EffectivePureResult, float]] = []
     for ground in range(4):
-        plan = LabelingPlan(ground, DEFAULT_PERM_ORDER)
         try:
-            weights, _ = solve_weights(ds, plan)
-            result = assemble_effective_pure(ds, plan, weights)
+            result = _labeled(ds, LabelingPlan(ground))
+            _warn_unless_equalized(result)
             scores.append((result, result.normalized_q2()))
         except SingularLabelingSystem:
             continue

@@ -38,10 +38,10 @@ halving and the bin width. The vectors g of both lines and their 2×2
 complex response to unit A_plus and A_minus depend only on the grid
 (spin system, `n_points`, `dwell`), so they are built once per grid and
 shared by every `Detector` on it, whatever its probe tip and noise level.
-The pipelines and the CLI probe read every probe and readout through a
-detector. Drawing the receiver noise (`Detector.draw`) is a step of its
-own: it keeps each noise vector with its line integrals Re(g · n), so
-noise drawn once can be read out any number of times. Spectra (FID, FFT,
+Every probe and readout, `probe` included, goes through a detector.
+Drawing the receiver noise (`Detector.draw`) is a step of its own: it
+keeps each noise vector with its line integrals Re(g · n), so noise drawn
+once can be read out any number of times. Spectra (FID, FFT,
 `Spectrum`) are built only on request, for export, and stay the reference
 the map is tested against.
 """
@@ -79,17 +79,13 @@ class ReadoutError(ValueError):
 
 
 def _check_sampling(n_samples: int, dt: float) -> None:
-    if not isinstance(n_samples, numbers.Integral):
+    # bool is an Integral, but a JSON true is no sample count
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
         raise ValueError("the number of FID samples must be an integer")
     if dt <= 0:
         raise ValueError("dwell time must be positive")
     if n_samples < MIN_FID_SAMPLES:
         raise ValueError(f"FID needs at least {MIN_FID_SAMPLES} samples")
-
-
-def _check_probe_tip(tip_angle_deg: float) -> None:
-    if not 0 < tip_angle_deg <= PROBE_TIP_MAX:
-        raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,9 @@ class DetectionSettings:
 
     def __post_init__(self):
         _check_sampling(self.n_points, self.dwell)
-        _check_probe_tip(self.probe_tip_deg)
+        # tips above 25° void the linear reconstruction contract
+        if not 0 < self.probe_tip_deg <= PROBE_TIP_MAX:
+            raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
         if self.noise_amp < 0:
             raise ValueError("noise_amp must be non-negative")
 
@@ -154,7 +152,6 @@ class PeakTable:
     """The two doublet line integrals of one channel as a read-only pair:
     partner 0 (the +J/2 line) first, then partner 1 (the -J/2 line)."""
 
-    channel: Channel
     integrals: np.ndarray
 
     def __post_init__(self):
@@ -241,7 +238,7 @@ def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
     integrals = [
         np.sum(spec.values[mask].real) * spec.df for mask in _line_windows(spec.freqs, cfg)
     ]
-    return PeakTable(spec.channel, integrals)
+    return PeakTable(integrals)
 
 
 def _draw_noise(n_samples: int, noise_amp: float, rng) -> np.ndarray | None:
@@ -253,20 +250,6 @@ def _draw_noise(n_samples: int, noise_amp: float, rng) -> np.ndarray | None:
     return rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(
         0.0, noise_amp, n_samples
     )
-
-
-def _channel_spectrum(
-    rho_after_pulse: DensityMatrix,
-    channel: Channel,
-    cfg: SpinSystemConfig,
-    n_samples: int,
-    dt: float,
-    noise: np.ndarray | None,
-) -> Spectrum:
-    fid = synthesize_fid(rho_after_pulse, cfg, channel, n_samples, dt)
-    if noise is not None:
-        fid = Fid(channel=channel, dt=dt, samples=fid.samples + noise)
-    return spectrum(fid)
 
 
 def _probe_pulsed(rho: DensityMatrix, tip_angle_deg: float) -> tuple[DensityMatrix, DensityMatrix]:
@@ -282,31 +265,6 @@ def _readout_pulsed(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
     h, c = (
         apply_unitary(rho, pulse_unitary(PulseSpec(target, 90.0, phase=90.0)))
         for target in (PulseTarget.H, PulseTarget.C)
-    )
-    return h, c
-
-
-def probe(
-    rho: DensityMatrix,
-    cfg: SpinSystemConfig,
-    tip_angle_deg: float,
-    n_samples: int = 4096,
-    dt: float = 1e-3,
-    noise_amp: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[Spectrum, Spectrum]:
-    """Probing experiment: simultaneous small-tip y-pulses, both spectra.
-
-    Small tips leave the state essentially intact while the doublet
-    integrals expose the deviation populations; tips above 25° void the
-    linear reconstruction contract and are rejected.
-    """
-    _check_probe_tip(tip_angle_deg)
-    h, c = (
-        _channel_spectrum(
-            state, channel, cfg, n_samples, dt, _draw_noise(n_samples, noise_amp, rng)
-        )
-        for channel, state in zip(Channel, _probe_pulsed(rho, tip_angle_deg))
     )
     return h, c
 
@@ -381,8 +339,8 @@ class Detector:
         return h, c
 
     def probe(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
-        """The probing experiment of `probe`, kept in closed form, against
-        noise from `draw`."""
+        """The probing experiment: simultaneous small-tip y-pulses at the
+        settings' tip, against noise from `draw`."""
         return self._acquire(_probe_pulsed(rho, self.settings.probe_tip_deg), noise)
 
     def readout(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
@@ -412,12 +370,12 @@ class Detector:
         return float(y @ m) / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Acquisition:
     """One channel of one detection: the state at its receiver and the noise
     drawn for it, with that noise's line integrals. Line integrals come from
-    the detector's map; the spectrum is synthesized only when asked for,
-    with the arithmetic of `probe`."""
+    the detector's map; the spectrum is synthesized only when asked for, by
+    the reference route: FID, added noise, transform."""
 
     detector: Detector = field(repr=False)
     channel: Channel
@@ -435,14 +393,15 @@ class Acquisition:
 
     @property
     def peaks(self) -> PeakTable:
-        return PeakTable(self.channel, self.integrals)
+        return PeakTable(self.integrals)
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
-        d = self.detector
-        return _channel_spectrum(
-            self.state, self.channel, d.cfg, d.settings.n_points, d.settings.dwell, self.noise
-        )
+        n_points, dwell = self.detector.settings.n_points, self.detector.settings.dwell
+        fid = synthesize_fid(self.state, self.detector.cfg, self.channel, n_points, dwell)
+        if self.noise is not None:
+            fid = Fid(channel=self.channel, dt=dwell, samples=fid.samples + self.noise)
+        return spectrum(fid)
 
 
 def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
@@ -477,6 +436,26 @@ def calibrate(
     same acquisition settings later used for reconstruction.
     """
     return Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg)).calibration()
+
+
+def probe(
+    rho: DensityMatrix,
+    cfg: SpinSystemConfig,
+    tip_angle_deg: float,
+    n_samples: int = 4096,
+    dt: float = 1e-3,
+) -> tuple[Spectrum, Spectrum]:
+    """Probing experiment: simultaneous small-tip y-pulses, both noise-free
+    spectra, H then C.
+
+    Small tips leave the state essentially intact while the doublet
+    integrals expose the deviation populations; the tip rule and the
+    window rules are those of `DetectionSettings` and `Detector`. Noisy
+    probes take their noise from `Detector.draw`.
+    """
+    detector = Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg))
+    h, c = (a.spectrum for a in detector.probe(rho, _NOISE_FREE))
+    return h, c
 
 
 def reconstruct_diagonal(

@@ -11,7 +11,7 @@ assumed complete once the scheduled recovery gap has elapsed, so no
 recovery dynamics are integrated, and experiments do not deplete the
 xenon reservoir. Sample-to-sample irreproducibility is modeled as an
 optional multiplicative Gaussian jitter on each nucleus's enhancement,
-drawn from an explicit seeded generator.
+drawn from the seeded generator the caller passes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .labeling import DEFAULT_PERM_ORDER
 from .quantum import DensityMatrix
 from .spins import SpinSystemConfig, enhanced_state
 
@@ -54,7 +55,8 @@ class SpinoeParams:
             raise ValueError("t1_xe must be positive")
         if self.reproducibility_jitter < 0:
             raise ValueError("jitter must be non-negative")
-        if not isinstance(self.seed, numbers.Integral):
+        # bool is an Integral, but a JSON true is no seed
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -111,14 +113,14 @@ def sample_initial_state(
 
     With jitter disabled this is a pure function of (p, cfg, t). For a
     fresh sample the enhancements are additionally scaled per nucleus by
-    (1 + jitter draw); the draw comes from `rng`, or from a generator
-    seeded with p.seed when none is passed, so fixed seeds reproduce runs
-    bit-exactly.
+    (1 + jitter draw), drawn from `rng`, which jitter requires: the
+    pipelines pass the one generator seeded with p.seed, so fixed seeds
+    reproduce runs bit-exactly.
     """
     eps_h, eps_c = enhancement_at(p, t)
     if fresh_sample and p.reproducibility_jitter > 0:
         if rng is None:
-            rng = np.random.default_rng(p.seed)
+            raise ValueError("sample jitter needs a seeded generator (rng)")
         eps_h *= 1.0 + rng.normal(0.0, p.reproducibility_jitter)
         eps_c *= 1.0 + rng.normal(0.0, p.reproducibility_jitter)
     return enhanced_state(cfg, eps_h, eps_c)
@@ -126,12 +128,11 @@ def sample_initial_state(
 
 def make_schedule(
     mode: ScheduleMode,
-    k: int = 3,
     r1: float = 25.0,
     recovery: float = DEFAULT_RECOVERY_S,
     start_delay: float = 0.0,
 ) -> ExperimentSchedule:
-    """Schedule k permutation experiments.
+    """Schedule the three permutation experiments of DEFAULT_PERM_ORDER.
 
     MULTI_SAMPLE puts every experiment on a fresh sample at its own time
     r1 (probe at the sample's t = 0). SINGLE_SAMPLE spaces experiments by
@@ -139,14 +140,13 @@ def make_schedule(
     shifts the whole schedule to model an aged sample. The recovery gap
     must be positive in either mode.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if start_delay < 0:
         raise ValueError("start_delay must be non-negative")
     if recovery <= 0:
         raise ValueError("recovery must be positive")
+    experiments = range(len(DEFAULT_PERM_ORDER))
     if mode is ScheduleMode.MULTI_SAMPLE:
-        times = tuple(start_delay + r1 for _ in range(k))
+        times = tuple(start_delay + r1 for _ in experiments)
         return ExperimentSchedule(times=times, probe_lead=r1, fresh_sample=True)
-    times = tuple(start_delay + r1 + i * recovery for i in range(k))
+    times = tuple(start_delay + r1 + i * recovery for i in experiments)
     return ExperimentSchedule(times=times, probe_lead=r1, fresh_sample=False)

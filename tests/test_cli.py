@@ -194,9 +194,12 @@ class TestConfigHandling:
             ({"seed": 1.5}, ["grover", "--target", "10"]),
             ({"n_points": 4096.0}, ["probe"]),
             ({"mode": "bogus"}, ["grover", "--target", "10"]),
+            ({"seed": True}, ["grover", "--target", "10"]),
+            ({"n_points": True}, ["probe"]),
         ],
         ids=["r1-grover", "r1-effpure", "sample-age", "noise", "recovery-single",
-             "recovery-multi", "seed", "seed-fraction", "n-points-float", "mode"],
+             "recovery-multi", "seed", "seed-fraction", "n-points-float", "mode",
+             "seed-bool", "n-points-bool"],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, values, command):
         config = tmp_path / "cfg.json"
@@ -205,6 +208,19 @@ class TestConfigHandling:
         assert rc == 64
         (key,) = values
         assert capsys.readouterr().err.startswith(f"usage error: bad configuration: {key} = ")
+
+    @pytest.mark.parametrize(
+        "key,reason",
+        [("seed", "seed must be an integer"),
+         ("n_points", "the number of FID samples must be an integer")],
+    )
+    def test_json_true_is_not_an_integer(self, tmp_path, capsys, key, reason):
+        # bool is an int subclass in Python; a JSON true must still be refused
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: True}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / "o"), "probe"]) == 64
+        err = capsys.readouterr().err
+        assert err == f"usage error: bad configuration: {key} = True ({reason})\n"
 
     @pytest.mark.parametrize(
         "text,named",

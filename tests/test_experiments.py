@@ -22,7 +22,7 @@ from spinoeqc.experiments import (
 from spinoeqc.quantum import DensityMatrix, apply_unitary, compose, populations
 import spinoeqc
 from spinoeqc import readout
-from spinoeqc.readout import Channel, PeakTable, ReadoutError, integrate_peaks
+from spinoeqc.readout import PeakTable, ReadoutError, integrate_peaks
 from spinoeqc.spinoe import ScheduleMode, SpinoeParams
 from spinoeqc.spins import PulseSpec, PulseTarget, SpinSystemConfig, pulse_unitary
 
@@ -36,7 +36,7 @@ def hadamard_pulse_sequence(target: PulseTarget) -> tuple[PulseSpec, PulseSpec]:
 
 
 def peaks(h0, h1, c0, c1):
-    return PeakTable(Channel.H, [h0, h1]), PeakTable(Channel.C, [c0, c1])
+    return PeakTable([h0, h1]), PeakTable([c0, c1])
 
 
 class TestGroverUnitaries:

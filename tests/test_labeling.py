@@ -165,8 +165,10 @@ class TestAssemble:
         assert res.q2 == 0.0
 
     def test_unequalized_weights_warn(self):
-        with pytest.warns(UserWarning, match="not equalized"):
+        with pytest.warns(UserWarning, match="not equalized") as caught:
             assemble_effective_pure(DECAYING, LabelingPlan(ground=0), [1.0, 1.0, 1.0])
+        # the warning points at the caller
+        assert caught[0].filename == __file__
 
     def test_identical_inputs_reduce_to_plain_averaging(self):
         rng = np.random.default_rng(4)
@@ -233,6 +235,7 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             LabelingPlan(ground=4)
 
-    def test_perm_set_must_be_complete(self):
-        with pytest.raises(ValueError):
+    def test_perm_order_is_the_methods(self):
+        with pytest.raises(TypeError):
             LabelingPlan(ground=0, perms=(PermutationId.CYCLE, PermutationId.CYCLE))
+        assert LabelingPlan(ground=1).perms == DEFAULT_PERM_ORDER

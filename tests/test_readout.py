@@ -167,21 +167,25 @@ class TestIntegratePeaks:
         assert peaks.integral(0) == pytest.approx(analytic, rel=0.02)
 
     def test_window_outside_spectral_width_rejected(self):
-        spec_h, _ = probe(thermal_state(CFG), CFG, 15.0, n_samples=1024, dt=4e-3)
+        fid = synthesize_fid(probed(thermal_state(CFG)), CFG, Channel.H, n_samples=1024, dt=4e-3)
         with pytest.raises(ReadoutError, match="spectral width"):
-            integrate_peaks(spec_h, CFG)
+            integrate_peaks(spectrum(fid), CFG)
+        with pytest.raises(ReadoutError, match="spectral width"):
+            probe(thermal_state(CFG), CFG, 15.0, n_samples=1024, dt=4e-3)
 
     def test_too_few_bins_rejected(self):
         cfg = SpinSystemConfig(j_coupling=0.5)
-        spec_h, _ = probe(thermal_state(cfg), cfg, 15.0)
+        fid = synthesize_fid(probed(thermal_state(cfg)), cfg, Channel.H)
         with pytest.raises(ReadoutError, match="resolution"):
-            integrate_peaks(spec_h, cfg)
+            integrate_peaks(spectrum(fid), cfg)
+        with pytest.raises(ReadoutError, match="resolution"):
+            probe(thermal_state(cfg), cfg, 15.0)
 
 
 class TestPeakTable:
     def test_integrals_are_a_read_only_copy(self):
         given = np.array([1.5, -2.0])
-        peaks = PeakTable(Channel.H, given)
+        peaks = PeakTable(given)
         given[0] = 0.0
         assert (peaks.integral(0), peaks.integral(1)) == (1.5, -2.0)
         with pytest.raises(ValueError):
@@ -191,12 +195,12 @@ class TestPeakTable:
     @pytest.mark.parametrize("integrals", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
     def test_wrong_shape_rejected(self, integrals):
         with pytest.raises(ValueError, match="two line integrals"):
-            PeakTable(Channel.H, integrals)
+            PeakTable(integrals)
 
     @pytest.mark.parametrize("partner", [2, -1])
     def test_partner_outside_the_doublet_raises_key_error(self, partner):
         with pytest.raises(KeyError):
-            PeakTable(Channel.C, [1.0, 2.0]).integral(partner)
+            PeakTable([1.0, 2.0]).integral(partner)
 
 
 class TestProbe:
@@ -239,17 +243,16 @@ class TestProbe:
             )
 
     def test_noise_reproducible_under_seed(self):
-        a = probe(thermal_state(CFG), CFG, 15.0, noise_amp=0.1,
-                  rng=np.random.default_rng(3))[0]
-        b = probe(thermal_state(CFG), CFG, 15.0, noise_amp=0.1,
-                  rng=np.random.default_rng(3))[0]
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.1))
+        a, b = (
+            det.probe(thermal_state(CFG), det.draw(np.random.default_rng(3)))[0].spectrum
+            for _ in range(2)
+        )
         assert np.array_equal(a.values, b.values)
         clean = probe(thermal_state(CFG), CFG, 15.0)[0]
         assert not np.array_equal(a.values, clean.values)
 
     def test_noise_needs_a_seeded_generator(self):
-        with pytest.raises(ValueError, match="rng"):
-            probe(thermal_state(CFG), CFG, 15.0, noise_amp=0.1)
         with pytest.raises(ValueError, match="rng"):
             Detector(CFG, DetectionSettings(noise_amp=0.1)).draw()
 
@@ -350,6 +353,12 @@ class TestDetector:
         assert a != Detector(CFG, DetectionSettings(noise_amp=0.1))
         assert a != Detector(SpinSystemConfig(j_coupling=200.0), DetectionSettings())
 
+    def test_acquisitions_hash_and_compare_by_identity(self):
+        det = Detector(CFG, DetectionSettings())
+        a, b = (det.probe(thermal_state(CFG), det.draw())[0] for _ in range(2))
+        assert a == a and hash(a) == hash(a)
+        assert a != b and len({a, b}) == 2
+
     def test_grid_map_cache_is_bounded(self):
         maxsize = readout._grid_map.cache_info().maxsize
         assert maxsize is not None
@@ -360,9 +369,11 @@ class TestDetector:
     def test_probe_and_readout_match_their_spectra(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
+        noise = det.draw(np.random.default_rng(4))
         pairs = [
-            (det.probe(rho, det.draw(np.random.default_rng(4))),
-             probe(rho, CFG, 15.0, noise_amp=0.05, rng=np.random.default_rng(4))),
+            (det.probe(rho, noise),
+             [fft_spectrum(probed(rho, 15.0), CFG, channel, 4096, 1e-3, channel_noise)
+              for channel, (channel_noise, _) in zip(Channel, noise)]),
             (det.readout(rho, det.draw(np.random.default_rng(4))),
              readout_spectra(rho, CFG, noise_amp=0.05, rng=np.random.default_rng(4))),
         ]
@@ -409,15 +420,15 @@ class TestReconstruction:
 
     def test_zero_peaks_give_zero_diagonal(self):
         k = calibrate(CFG, 15.0)
-        zero_h = PeakTable(Channel.H, [0.0, 0.0])
-        zero_c = PeakTable(Channel.C, [0.0, 0.0])
+        zero_h = PeakTable([0.0, 0.0])
+        zero_c = PeakTable([0.0, 0.0])
         assert_allclose(reconstruct_diagonal(zero_h, zero_c, 15.0, k), np.zeros(4), atol=1e-15)
 
     def test_inconsistent_peaks_flagged(self):
         k = calibrate(CFG, 15.0)
         # violates the internal redundancy of the four relations
-        bad_h = PeakTable(Channel.H, [50.0, 0.0])
-        bad_c = PeakTable(Channel.C, [0.0, 0.0])
+        bad_h = PeakTable([50.0, 0.0])
+        bad_c = PeakTable([0.0, 0.0])
         with pytest.raises(ReadoutError, match="inconsistent"):
             reconstruct_diagonal(bad_h, bad_c, 15.0, k)
 

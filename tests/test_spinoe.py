@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinoeqc.labeling import DEFAULT_PERM_ORDER
 from spinoeqc.quantum import populations
 from spinoeqc.spinoe import (
     DEFAULT_RECOVERY_S,
@@ -62,11 +63,18 @@ class TestSampleInitialState:
 
     def test_jitter_reproducible_under_fixed_seed(self):
         p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
-        a = sample_initial_state(p, CFG, 0.0, fresh_sample=True)
-        b = sample_initial_state(p, CFG, 0.0, fresh_sample=True)
+        a, b = (
+            sample_initial_state(p, CFG, 0.0, fresh_sample=True, rng=np.random.default_rng(42))
+            for _ in range(2)
+        )
         assert np.array_equal(a.matrix, b.matrix)
         # and differs from the unjittered state
         assert not np.array_equal(a.matrix, enhanced_state(CFG, -11.0, 18.0).matrix)
+
+    def test_jitter_needs_a_seeded_generator(self):
+        p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
+        with pytest.raises(ValueError, match="rng"):
+            sample_initial_state(p, CFG, 0.0, fresh_sample=True)
 
     def test_jitter_ignored_without_fresh_sample(self):
         p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
@@ -89,42 +97,38 @@ class TestSampleInitialState:
 
 class TestSchedules:
     def test_single_sample_times(self):
-        sched = make_schedule(ScheduleMode.SINGLE_SAMPLE, k=3, r1=25.0, recovery=120.0)
+        sched = make_schedule(ScheduleMode.SINGLE_SAMPLE, r1=25.0, recovery=120.0)
         assert sched.times == (25.0, 145.0, 265.0)
         assert sched.probe_times == (0.0, 120.0, 240.0)
         assert sched.probe_lead == 25.0
         assert not sched.fresh_sample
 
     def test_multi_sample_times(self):
-        sched = make_schedule(ScheduleMode.MULTI_SAMPLE, k=3, r1=25.0)
+        sched = make_schedule(ScheduleMode.MULTI_SAMPLE, r1=25.0)
         assert sched.times == (25.0, 25.0, 25.0)
         assert sched.fresh_sample
 
-    def test_single_experiment(self):
-        sched = make_schedule(ScheduleMode.SINGLE_SAMPLE, k=1, r1=25.0)
-        assert sched.times == (25.0,)
+    @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
+    def test_one_experiment_per_permutation(self, mode):
+        assert len(make_schedule(mode).times) == len(DEFAULT_PERM_ORDER)
 
     def test_default_recovery_is_five_t1(self):
         # 5 x the 24 s solute T1
         assert DEFAULT_RECOVERY_S == 5 * 24.0
-        sched = make_schedule(ScheduleMode.SINGLE_SAMPLE, k=2, r1=10.0)
-        assert sched.times == (10.0, 10.0 + DEFAULT_RECOVERY_S)
+        sched = make_schedule(ScheduleMode.SINGLE_SAMPLE, r1=10.0)
+        assert sched.times == (10.0, 10.0 + DEFAULT_RECOVERY_S, 10.0 + 2 * DEFAULT_RECOVERY_S)
 
     def test_start_delay_shifts_everything(self):
         sched = make_schedule(
-            ScheduleMode.SINGLE_SAMPLE, k=2, r1=25.0, recovery=120.0, start_delay=600.0
+            ScheduleMode.SINGLE_SAMPLE, r1=25.0, recovery=120.0, start_delay=600.0
         )
-        assert sched.times == (625.0, 745.0)
-        assert sched.probe_times == (600.0, 720.0)
+        assert sched.times == (625.0, 745.0, 865.0)
+        assert sched.probe_times == (600.0, 720.0, 840.0)
 
     @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
     def test_bad_recovery_rejected(self, mode):
         with pytest.raises(ValueError, match="recovery"):
-            make_schedule(mode, k=3, r1=25.0, recovery=0.0)
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            make_schedule(ScheduleMode.MULTI_SAMPLE, k=0)
+            make_schedule(mode, r1=25.0, recovery=0.0)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
