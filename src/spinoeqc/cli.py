@@ -199,9 +199,12 @@ def _write_report(path: Path, payload: dict) -> None:
 
 
 def cmd_enhance_trace(cfg: RunConfig, args) -> int:
+    # a non-finite value passes both comparisons and fails the row count
+    if not (math.isfinite(args.duration) and args.duration >= 0):
+        raise UsageError(f"--duration must be a finite number >= 0, not {args.duration!r}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise UsageError(f"--step must be a finite number > 0, not {args.step!r}")
     out = _out_dir(args)
-    if args.duration < 0 or args.step <= 0:
-        raise UsageError("duration must be >= 0 and step > 0")
     p = cfg.spinoe()
     times = [i * args.step for i in range(int(args.duration / args.step) + 1)]
     rows = [(t, *enhancement_at(p, t)) for t in times]

@@ -20,9 +20,13 @@ states, their probed diagonals, the labeling and the readout noise) is a
 `Preparation`, kept for the last (SpinoeParams, SpinSystemConfig,
 ExperimentSchedule, DetectionSettings) seen, compared by value. The four
 search cases of one configuration therefore probe and draw once and
-compute four times. The generator is seeded from the params' seed; the
-jitter and probe noise are its first draws, the readout noise of every
-experiment its next, and the generator is not used after that. Shared
+compute four times. The generator is seeded from the params' seed; per
+probe the jitter and then the probe noise (two normals per channel, the
+line integrals of that channel's noise) are its first draws, the readout
+noise of every experiment its next, and the generator is not used after
+that. Each detection also spawns a child seed per channel from the
+generator's seed sequence, without drawing from it; a noise vector is
+built from its child seed only when a readout spectrum is read. Shared
 arrays are read-only; a failed preparation is not kept and fails again on
 the next call.
 
@@ -199,8 +203,8 @@ class Preparation:
 
     `probed` holds the reconstructed diagonals (read-only) of `states`,
     `result` their labeling, and `readout_noise` the receiver noise of
-    each state's readout, drawn after the last probe (read-only, with its
-    line integrals).
+    each state's readout, drawn after the last probe (per channel a child
+    seed and the read-only line integrals, see `Detector.draw`).
     """
 
     detector: Detector

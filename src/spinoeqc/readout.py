@@ -39,9 +39,14 @@ complex response to unit A_plus and A_minus depend only on the grid
 (spin system, `n_points`, `dwell`), so they are built once per grid and
 shared by every `Detector` on it, whatever its probe tip and noise level.
 Every probe and readout, `probe` included, goes through a detector.
-Drawing the receiver noise (`Detector.draw`) is a step of its own: it
-keeps each noise vector with its line integrals Re(g · n), so noise drawn
-once can be read out any number of times. Spectra (FID, FFT,
+
+Receiver noise. The pipeline reads a noise vector n only through its two
+line integrals Re(g · n), which for white noise of amplitude σ are
+Gaussian with covariance σ² Re(G Gᴴ). Drawing the noise (`Detector.draw`)
+is a step of its own and takes just those, 2 normals per channel, with a
+child seed per channel. The full vector is built from that seed only when
+a spectrum is read, conditioned on the drawn integrals, so an exported
+spectrum integrates to the integrals the pipeline used. Spectra (FID, FFT,
 `Spectrum`) are built only on request, for export, and stay the reference
 the map is tested against.
 """
@@ -61,6 +66,10 @@ from .spins import PulseSpec, PulseTarget, SpinSystemConfig, pulse_unitary, ther
 PROBE_TIP_MAX = 25.0
 MIN_FID_SAMPLES = 256
 RECONSTRUCTION_RESIDUAL_FRAC = 0.05
+# probe integrals up to this many machine epsilons of the largest
+# calibrated response are round-off; a state with no deviation probes at
+# 0.06-0.13 of them for tips of 0.01-25°
+ROUNDOFF_MULTIPLE = 16.0
 
 # channel -> ((row, col) of the +J/2 and -J/2 coherences in |HC> indexing)
 _COHERENCE_INDEX = {
@@ -241,12 +250,8 @@ def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
     return PeakTable(integrals)
 
 
-def _draw_noise(n_samples: int, noise_amp: float, rng) -> np.ndarray | None:
-    """Complex receiver noise for one FID, or None when noise is off."""
-    if noise_amp <= 0:
-        return None
-    if rng is None:
-        raise ValueError("detection noise needs a seeded generator (rng)")
+def _draw_noise(n_samples: int, noise_amp: float, rng: np.random.Generator) -> np.ndarray:
+    """Complex white receiver noise for one FID."""
     return rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(
         0.0, noise_amp, n_samples
     )
@@ -269,17 +274,20 @@ def _readout_pulsed(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
     return h, c
 
 
-# the receiver noise of one channel and its (partner 0, partner 1) line
-# integrals, both read-only; (None, None) when noise is off
-ChannelNoise = tuple[np.ndarray | None, np.ndarray | None]
+# the child seed of one channel's noise vector and the (partner 0,
+# partner 1) line integrals of that noise, read-only; (None, None) when
+# noise is off
+ChannelNoise = tuple[np.random.SeedSequence | None, np.ndarray | None]
 DetectionNoise = tuple[ChannelNoise, ChannelNoise]  # H, then C
 _NOISE_FREE: DetectionNoise = ((None, None), (None, None))
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, np.ndarray]:
-    """Window vectors and line response of one grid, read-only and kept for
-    the last few grids (see `Detector`)."""
+def _grid_map(
+    cfg: SpinSystemConfig, n_points: int, dwell: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window vectors, line response and noise factor of one grid, read-only
+    and kept for the last few grids (see `Detector`)."""
     freqs = _frequency_axis(n_points, dwell)
     masks = np.array(_line_windows(freqs, cfg), dtype=float)
     # a window sum over the shifted spectrum is a dot product with the
@@ -288,9 +296,11 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     windows[:, 0] *= 0.5
     plus, minus, decay = _line_signals(cfg, n_points, dwell)
     response = windows @ (np.array([plus, minus]) * decay).T
+    noise_factor = np.linalg.cholesky((windows @ windows.conj().T).real)
     # a map is shared by every detector on its grid
-    windows.flags.writeable = response.flags.writeable = False
-    return windows, response
+    for array in (windows, response, noise_factor):
+        array.flags.writeable = False
+    return windows, response, noise_factor
 
 
 @dataclass(frozen=True)
@@ -300,9 +310,11 @@ class Detector:
     `windows` holds g_+ and g_- (partner 0 and partner 1 lines) such that a
     line integral of the FID x equals Re(g · x); `response` holds the
     complex line integrals of unit +J/2 and -J/2 amplitudes, so noise-free
-    integrals are Re(response @ (A_plus, A_minus)). Both belong to the grid
-    and are shared by the detectors on it. Probe tip and noise level come
-    from `settings`, the same for every detection.
+    integrals are Re(response @ (A_plus, A_minus)); `noise_factor` is the
+    lower Cholesky factor L of C = Re(G Gᴴ), so the line integrals of white
+    noise of amplitude σ are σ L z for standard normal z. All three belong
+    to the grid and are shared by the detectors on it. Probe tip and noise
+    level come from `settings`, the same for every detection.
     """
 
     cfg: SpinSystemConfig
@@ -310,26 +322,32 @@ class Detector:
     # the map follows from (cfg, settings), which alone compare and hash
     windows: np.ndarray = field(init=False, repr=False, compare=False)
     response: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        windows, response = _grid_map(self.cfg, self.settings.n_points, self.settings.dwell)
-        object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "response", response)
+        grid_map = _grid_map(self.cfg, self.settings.n_points, self.settings.dwell)
+        for name, array in zip(("windows", "response", "noise_factor"), grid_map):
+            object.__setattr__(self, name, array)
 
     def draw(self, rng: np.random.Generator | None = None) -> DetectionNoise:
         """Receiver noise of one detection at the settings' level, H then C.
 
+        Takes 2 standard normals per channel from `rng`, H first, and keeps
+        noise_amp · L z as the channel's read-only line integrals, the exact
+        joint law of the two line integrals of white noise. Beside them it
+        keeps a child seed per channel, spawned from the seed sequence of
+        `rng` (which consumes none of its stream), from which
+        `Acquisition.noise` builds the full vector when a spectrum is read.
         Noise needs a seeded generator; with noise off nothing is drawn."""
-        n_points, noise_amp = self.settings.n_points, self.settings.noise_amp
-        h, c = (self._channel_noise(_draw_noise(n_points, noise_amp, rng)) for _ in Channel)
-        return h, c
-
-    def _channel_noise(self, noise: np.ndarray | None) -> ChannelNoise:
-        if noise is None:
-            return None, None
-        integrals = (self.windows @ noise).real
-        noise.flags.writeable = integrals.flags.writeable = False
-        return noise, integrals
+        noise_amp = self.settings.noise_amp
+        if noise_amp <= 0:
+            return _NOISE_FREE
+        if rng is None:
+            raise ValueError("detection noise needs a seeded generator (rng)")
+        integrals = noise_amp * rng.standard_normal((2, 2)) @ self.noise_factor.T
+        integrals.flags.writeable = False
+        h_seed, c_seed = rng.bit_generator.seed_seq.spawn(2)
+        return (h_seed, integrals[0]), (c_seed, integrals[1])
 
     def _acquire(self, states, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
         h, c = (
@@ -373,14 +391,15 @@ class Detector:
 @dataclass(frozen=True, eq=False)
 class Acquisition:
     """One channel of one detection: the state at its receiver and the noise
-    drawn for it, with that noise's line integrals. Line integrals come from
-    the detector's map; the spectrum is synthesized only when asked for, by
+    drawn for it (`Detector.draw`), as a child seed and that noise's line
+    integrals. Line integrals come from the detector's map; the noise
+    vector and the spectrum are built only when asked for, the spectrum by
     the reference route: FID, added noise, transform."""
 
     detector: Detector = field(repr=False)
     channel: Channel
     state: DensityMatrix = field(repr=False)
-    noise: np.ndarray | None = field(repr=False)
+    noise_seed: np.random.SeedSequence | None = field(repr=False)
     noise_integrals: np.ndarray | None = field(repr=False)
 
     @functools.cached_property
@@ -394,6 +413,25 @@ class Acquisition:
     @property
     def peaks(self) -> PeakTable:
         return PeakTable(self.integrals)
+
+    @functools.cached_property
+    def noise(self) -> np.ndarray | None:
+        """The receiver noise vector, read-only, or None when noise is off.
+
+        White noise m drawn from the child seed, conditioned on the drawn
+        line integrals y: n = m - Σₖ conj(gₖ) [C⁻¹ (Re(G m) - y)]ₖ. Its law
+        is still that of white noise, and Re(G n) = y."""
+        if self.noise_seed is None:
+            return None
+        det = self.detector
+        m = _draw_noise(
+            det.settings.n_points, det.settings.noise_amp, np.random.default_rng(self.noise_seed)
+        )
+        cov = det.noise_factor @ det.noise_factor.T
+        excess = np.linalg.solve(cov, (det.windows @ m).real - self.noise_integrals)
+        noise = m - excess @ det.windows.conj()
+        noise.flags.writeable = False
+        return noise
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
@@ -469,17 +507,20 @@ def reconstruct_diagonal(
     Least-squares solve of the four probe-response relations plus the
     traceless constraint. The four relations are rank 3 with one internal
     redundancy, so inconsistent peak data shows up as a residual; residuals
-    above 5% of the largest integral are rejected.
+    above 5% of the largest integral are rejected. Integrals within
+    round-off of zero are the zero they are and give the zero diagonal.
     """
     y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
     a = calibration * _probe_response_matrix(tip_angle_deg)
     row_scale = np.abs(a).max()
+    ymax = float(np.abs(y).max())
+    if ymax <= ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale:
+        return np.zeros(4)
     design = np.vstack([a, np.full(4, row_scale)])
     target = np.concatenate([y, [0.0]])
     diag, *_ = np.linalg.lstsq(design, target, rcond=None)
     residual = float(np.linalg.norm(a @ diag - y))
-    ymax = float(np.abs(y).max())
-    if ymax > 0 and residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax:
+    if residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax:
         raise ReadoutError(
             f"inconsistent peak data (residual {residual:.3e} vs max integral {ymax:.3e})"
         )

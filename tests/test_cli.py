@@ -62,6 +62,16 @@ class TestEnhanceTrace:
         rc = cli.main(["--out", str(tmp_path), "enhance-trace", "--step", "0"])
         assert rc == 64
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--duration", "nan"), ("--duration", "inf"), ("--step", "nan"), ("--step", "inf")],
+    )
+    def test_non_finite_duration_or_step_is_usage_error(self, tmp_path, capsys, flag, value):
+        rc = cli.main(["--out", str(tmp_path / "o"), "enhance-trace", flag, value])
+        assert rc == 64
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} must be a finite number")
+        assert not (tmp_path / "o").exists()
+
 
 class TestEffpure:
     def test_thermal_config_reports_unit_enhancement(self, tmp_path):
@@ -104,6 +114,16 @@ class TestEffpure:
         rc = cli.main(["--out", str(tmp_path), "effpure", "--mode", "multi"])
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_state_without_deviation_fails_the_solver(self, tmp_path, capsys, mode):
+        # its probes read round-off, which is no deviation, not bad peaks
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eps0_h": 0, "eps0_c": 0}))
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"),
+                       "effpure", "--mode", mode])
+        assert rc == 2
+        assert "every candidate ground yields q2 = 0" in capsys.readouterr().err
+
 
 class TestGrover:
     def test_single_target(self, tmp_path):
@@ -134,8 +154,10 @@ class TestGrover:
                        "grover", "--target", "10"])
         assert rc == 4
         err = capsys.readouterr().err
-        assert err.startswith("readout failed: experiment 1 (probe at 600.0 s): ")
-        assert "inconsistent peak data" in err
+        # which probe fails first is up to the draw; the message names it
+        # with its probe time
+        named = r"readout failed: experiment (1 \(probe at 600|2 \(probe at 720|3 \(probe at 840)"
+        assert re.match(named + r"\.0 s\): inconsistent peak data", err)
 
     def test_decode_mismatch_exit_code(self, tmp_path, monkeypatch):
         real = cli.run_grover_pipeline
@@ -166,6 +188,15 @@ class TestProbeCommand:
         assert report["reconstructed_deviation_diagonal"] == pytest.approx(
             [-13.0, -31.0, 31.0, 13.0], rel=1e-6
         )
+
+    def test_state_without_deviation_reconstructs_zero(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eps0_h": 0, "eps0_c": 0}))
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"),
+                       "probe", "--state", "enhanced"])
+        assert rc == 0
+        report = read_report(tmp_path / "o" / "probe_enhanced_report.json")
+        assert report["reconstructed_deviation_diagonal"] == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestConfigHandling:

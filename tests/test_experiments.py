@@ -197,7 +197,10 @@ class TestEffectivePurePipeline:
             )
 
     def test_readout_error_names_the_experiment(self):
-        with pytest.raises(ReadoutError, match=r"^experiment 1 \(probe at 0\.0 s\): inconsistent"):
+        # which probe fails first is up to the draw; the message names it
+        # with its probe time
+        named = r"^experiment (1 \(probe at 0|2 \(probe at 120|3 \(probe at 240)\.0 s\): "
+        with pytest.raises(ReadoutError, match=named + "inconsistent"):
             run_effective_pure_pipeline(
                 SpinoeParams(), CFG, ScheduleMode.SINGLE_SAMPLE,
                 detection=DetectionSettings(noise_amp=1.0),
@@ -327,44 +330,67 @@ class TestPreparationCache:
         assert_same_run(after_11, noisy_run(mode, "00"))
 
     def test_readout_noise_continues_the_probe_stream(self):
-        # replay the seeded stream: per probe the two jitter draws, then the
-        # real and imaginary noise of both channels; the readouts come next
+        # replay the seeded stream: per probe the two jitter draws, then two
+        # normals per channel; the readouts come next. Each detection spawns
+        # the child seeds of its two channels, H first.
         noisy_run(ScheduleMode.MULTI_SAMPLE, "11")
         run = noisy_run(ScheduleMode.MULTI_SAMPLE, "10")
-        n, amp = NOISY_DETECTION.n_points, NOISY_DETECTION.noise_amp
+        amp = NOISY_DETECTION.noise_amp
+        factor = run.records[0].readout[0].detector.noise_factor
         rng = np.random.default_rng(NOISY_PARAMS.seed)
         for _ in run.records:
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
-            for _ in range(4):
-                rng.normal(0.0, amp, n)
-        for rec in run.records:
-            for acq in rec.readout:
-                expected = rng.normal(0.0, amp, n) + 1j * rng.normal(0.0, amp, n)
-                assert np.array_equal(acq.noise, expected)
+            rng.standard_normal(4)
+        for i, rec in enumerate(run.records, start=len(run.records)):
+            expected = amp * rng.standard_normal(4).reshape(2, 2) @ factor.T
+            for channel, acq in enumerate(rec.readout):
+                assert np.array_equal(acq.noise_integrals, expected[channel])
+                assert acq.noise_seed.entropy == NOISY_PARAMS.seed
+                assert acq.noise_seed.spawn_key == (2 * i + channel,)
 
     def test_noise_is_drawn_once_per_preparation(self, monkeypatch):
-        draw_noise, drawn = readout._draw_noise, []
+        draw, drawn = readout.Detector.draw, []
 
-        def counting_draw(*args):
-            noise = draw_noise(*args)
+        def counting_draw(self, rng=None):
+            noise = draw(self, rng)
             drawn.append(noise)
             return noise
 
-        monkeypatch.setattr(readout, "_draw_noise", counting_draw)
+        monkeypatch.setattr(readout.Detector, "draw", counting_draw)
         runs = [noisy_run(ScheduleMode.SINGLE_SAMPLE, t) for t in GROVER_TARGETS]
-        # per record one probe and one readout, each H and C
-        assert len(drawn) == 12
-        assert all(noise is not None for noise in drawn)
-        readout_noise = drawn[6:]
+        # per record one probe and one readout
+        assert len(drawn) == 6
+        readout_noise = [channel for noise in drawn[3:] for channel in noise]
         for run in runs:
             acquisitions = [acq for rec in run.records for acq in rec.readout]
             assert len(acquisitions) == len(readout_noise)
-            for acq, noise in zip(acquisitions, readout_noise):
-                assert acq.noise is noise
-                for array in (acq.noise, acq.noise_integrals):
-                    with pytest.raises(ValueError):
-                        array[0] = 1.0
+            for acq, (seed, integrals) in zip(acquisitions, readout_noise):
+                assert acq.noise_seed is seed and acq.noise_integrals is integrals
+                with pytest.raises(ValueError):
+                    acq.noise_integrals[0] = 1.0
+
+    def test_noise_vector_is_built_only_for_a_spectrum(self, monkeypatch):
+        draw_noise, built = readout._draw_noise, []
+
+        def counting_draw(*args):
+            built.append(args)
+            return draw_noise(*args)
+
+        monkeypatch.setattr(readout, "_draw_noise", counting_draw)
+        run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
+        assert built == []
+        acq = run.records[0].readout[0]
+        spec = run.records[0].readout_h
+        assert len(built) == 1
+        assert acq.noise is acq.noise and run.records[0].readout_h is spec
+        assert len(built) == 1
+        with pytest.raises(ValueError):
+            acq.noise[0] = 1.0
+        _prepare.cache_clear()
+        again = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10").records[0].readout[0]
+        assert again.noise is not acq.noise
+        assert np.array_equal(again.noise, acq.noise)
 
     def test_shared_arrays_are_read_only(self):
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
@@ -407,7 +433,7 @@ class TestPreparationCache:
     def test_preparation_error_is_raised_on_every_call(self):
         detection = DetectionSettings(noise_amp=1.0)
         for _ in range(2):
-            with pytest.raises(ReadoutError, match=r"^experiment 1 "):
+            with pytest.raises(ReadoutError, match=r"^experiment [123] \(probe at "):
                 run_grover_pipeline(SpinoeParams(), CFG, GroverCase("10"), detection=detection)
         assert _prepare.cache_info().currsize == 0
 

@@ -256,6 +256,27 @@ class TestProbe:
         with pytest.raises(ValueError, match="rng"):
             Detector(CFG, DetectionSettings(noise_amp=0.1)).draw()
 
+    def test_noise_free_draw_takes_nothing(self):
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        (h, c) = Detector(CFG, DetectionSettings()).draw(rng)
+        assert h == c == (None, None)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    def test_draw_takes_two_normals_per_channel(self):
+        det = Detector(CFG, DetectionSettings(noise_amp=0.1))
+        rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+        (h_seed, h_y), (c_seed, c_y) = det.draw(rng)
+        z = replay.standard_normal(4).reshape(2, 2)
+        assert np.array_equal(np.array([h_y, c_y]), 0.1 * z @ det.noise_factor.T)
+        # the children are spawned, so the stream goes on where the normals left it
+        assert rng.normal() == replay.normal()
+        assert (h_seed.spawn_key, c_seed.spawn_key) == ((0,), (1,))
+        for y in (h_y, c_y):
+            with pytest.raises(ValueError):
+                y[0] = 1.0
+
 
 def coherent_state(amplitudes) -> DensityMatrix:
     """Hermitian matrix whose H and C doublet coherences are `amplitudes`."""
@@ -277,21 +298,18 @@ def fft_peaks(rho, cfg, channel, n, dt, noise):
     return integrate_peaks(fft_spectrum(rho, cfg, channel, n, dt, noise), cfg)
 
 
-def readout_spectra(rho, cfg, tip_angle_deg=90.0, n_samples=4096, dt=1e-3, noise_amp=0.0,
-                    rng=None):
+def readout_spectra(rho, cfg, tip_angle_deg=90.0, n_samples=4096, dt=1e-3, noise=(None, None)):
     """FFT reference of the per-channel readout: a y-pulse of any tip on one
-    spin at a time, that spin observed, with the H noise drawn before the C
-    noise as `Detector.draw` does."""
+    spin at a time, that spin observed, with the H and C noise vectors added."""
     spectra = []
-    for channel, target in zip(Channel, (PulseTarget.H, PulseTarget.C)):
+    for channel, target, channel_noise in zip(Channel, (PulseTarget.H, PulseTarget.C), noise):
         state = apply_unitary(rho, pulse_unitary(PulseSpec(target, tip_angle_deg, phase=90.0)))
-        noise = None
-        if noise_amp > 0:
-            noise = rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(
-                0.0, noise_amp, n_samples
-            )
-        spectra.append(fft_spectrum(state, cfg, channel, n_samples, dt, noise))
+        spectra.append(fft_spectrum(state, cfg, channel, n_samples, dt, channel_noise))
     return tuple(spectra)
+
+
+def relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 class TestDetector:
@@ -322,17 +340,21 @@ class TestDetector:
                 fft_peaks(rho, cfg, Channel.H, n_points, dwell, None)
             return
         drawn = det.draw(np.random.default_rng(seed))
-        for channel, (noise, noise_integrals) in zip(Channel, drawn):
-            got = Acquisition(det, channel, rho, noise, noise_integrals).integrals
-            ref = fft_peaks(rho, cfg, channel, n_points, dwell, noise)
-            want = np.array([ref.integral(0), ref.integral(1)])
-            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        for channel, channel_noise in zip(Channel, drawn):
+            acq = Acquisition(det, channel, rho, *channel_noise)
+            ref = fft_peaks(rho, cfg, channel, n_points, dwell, acq.noise)
+            assert relative_gap(acq.integrals, ref.integrals) <= 1e-9
+            if noise_amp > 0:
+                # the conditioned vector sums to the drawn line integrals
+                noise_peaks = integrate_peaks(spectrum(Fid(channel, dwell, acq.noise)), cfg)
+                assert relative_gap(noise_peaks.integrals, acq.noise_integrals) <= 1e-9
 
     def test_detectors_on_one_grid_share_its_map(self):
         base = Detector(CFG, DetectionSettings())
         for settings_ in (DetectionSettings(probe_tip_deg=10.0), DetectionSettings(noise_amp=0.1)):
             det = Detector(CFG, settings_)
             assert det.windows is base.windows and det.response is base.response
+            assert det.noise_factor is base.noise_factor
         for other in (
             Detector(CFG, DetectionSettings(n_points=2048)),
             Detector(CFG, DetectionSettings(dwell=5e-4)),
@@ -340,7 +362,7 @@ class TestDetector:
         ):
             assert other.windows is not base.windows and other.response is not base.response
             assert not np.array_equal(other.response, base.response)
-        for array in (base.windows, base.response):
+        for array in (base.windows, base.response, base.noise_factor):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
@@ -369,22 +391,58 @@ class TestDetector:
     def test_probe_and_readout_match_their_spectra(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
-        noise = det.draw(np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        probed_acqs, readout_acqs = det.probe(rho, det.draw(rng)), det.readout(rho, det.draw(rng))
         pairs = [
-            (det.probe(rho, noise),
-             [fft_spectrum(probed(rho, 15.0), CFG, channel, 4096, 1e-3, channel_noise)
-              for channel, (channel_noise, _) in zip(Channel, noise)]),
-            (det.readout(rho, det.draw(np.random.default_rng(4))),
-             readout_spectra(rho, CFG, noise_amp=0.05, rng=np.random.default_rng(4))),
+            (probed_acqs,
+             [fft_spectrum(probed(rho, 15.0), CFG, acq.channel, 4096, 1e-3, acq.noise)
+              for acq in probed_acqs]),
+            (readout_acqs, readout_spectra(rho, CFG, noise=[acq.noise for acq in readout_acqs])),
         ]
         for acquisitions, spectra in pairs:
             for acq, spec in zip(acquisitions, spectra):
-                # same draws, same arithmetic: the lazy spectrum is the export one
+                # same noise vector, same arithmetic: the lazy spectrum is the export one
                 assert np.array_equal(acq.spectrum.values, spec.values)
                 assert np.array_equal(acq.spectrum.freqs, spec.freqs)
-                ref = integrate_peaks(spec, CFG)
-                want = np.array([ref.integral(0), ref.integral(1)])
-                assert np.abs(acq.integrals - want).max() <= 1e-12 * np.abs(want).max()
+                assert relative_gap(acq.integrals, integrate_peaks(spec, CFG).integrals) <= 1e-12
+
+    def test_projected_draw_has_the_law_of_white_noise(self):
+        # both routes to the line integrals of white noise, 10^4 detections
+        # each on a 256-point grid, agree in covariance within sampling error
+        amp, n_draws = 0.3, 10_000
+        det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=amp))
+        rng = np.random.default_rng(2027)
+        drawn = [det.draw(rng) for _ in range(n_draws)]
+        projected = np.array([y for h, c in drawn for _, y in (h, c)])
+        full = np.concatenate([
+            (readout._draw_noise(256 * 1000, amp, rng).reshape(-1, 256) @ det.windows.T).real
+            for _ in range(2 * n_draws // 1000)
+        ])
+        want = amp**2 * (det.noise_factor @ det.noise_factor.T)
+        assert_allclose(want, amp**2 * (det.windows @ det.windows.conj().T).real, rtol=1e-12)
+        # standard errors of a sample mean and covariance entry of Gaussian data
+        mean_err = np.sqrt(np.diag(want) / (2 * n_draws))
+        stderr = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / (2 * n_draws))
+        for sample in (projected, full):
+            assert (np.abs(sample.mean(axis=0)) <= 5 * mean_err).all()
+            assert (np.abs(np.cov(sample.T) - want) <= 5 * stderr).all()
+        assert (np.abs(np.cov(projected.T) - np.cov(full.T)) <= 5 * np.sqrt(2) * stderr).all()
+
+    def test_conditioned_vector_keeps_the_white_law(self):
+        # conditioning on the drawn integrals leaves each vector white: along
+        # a direction that mixes both windows with the rest, Re(h · n) has
+        # variance amp² |h|²
+        amp, n_draws = 0.3, 4_000
+        det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=amp))
+        rng = np.random.default_rng(2028)
+        h = det.windows.sum(axis=0) / np.linalg.norm(det.windows[0])
+        h = h + (rng.normal(size=256) + 1j * rng.normal(size=256)) / 16
+        values = [
+            (h @ Acquisition(det, Channel.H, thermal_state(CFG), *det.draw(rng)[0]).noise).real
+            for _ in range(n_draws)
+        ]
+        want = amp**2 * np.vdot(h, h).real
+        assert abs(np.var(values) / want - 1) <= 5 * np.sqrt(2 / n_draws)
 
 
 class TestReconstruction:
@@ -423,6 +481,23 @@ class TestReconstruction:
         zero_h = PeakTable([0.0, 0.0])
         zero_c = PeakTable([0.0, 0.0])
         assert_allclose(reconstruct_diagonal(zero_h, zero_c, 15.0, k), np.zeros(4), atol=1e-15)
+
+    @pytest.mark.parametrize("tip", [0.1, 15.0, 25.0])
+    def test_round_off_peaks_give_the_exact_zero_diagonal(self, tip):
+        # a state with no deviation probes at round-off, and those integrals
+        # fit no diagonal: they are the zero they stand for
+        k = calibrate(CFG, tip)
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
+        acq_h, acq_c = det.probe(DensityMatrix.from_diagonal(np.full(4, 0.25)), det.draw())
+        assert np.abs(np.concatenate([acq_h.integrals, acq_c.integrals])).max() > 0
+        diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, tip, k)
+        assert np.array_equal(diag, np.zeros(4))
+
+    def test_inconsistent_peaks_above_round_off_flagged(self):
+        # integrals far above round-off are signal, and checked
+        k = calibrate(CFG, 15.0)
+        with pytest.raises(ReadoutError, match="inconsistent"):
+            reconstruct_diagonal(PeakTable([1e-12 * k, 0.0]), PeakTable([0.0, 0.0]), 15.0, k)
 
     def test_inconsistent_peaks_flagged(self):
         k = calibrate(CFG, 15.0)
