@@ -26,8 +26,8 @@ line integrals of that channel's noise) are its first draws, the readout
 noise of every experiment its next, and the generator is not used after
 that. Each detection also spawns a child seed per channel from the
 generator's seed sequence, without drawing from it; a noise vector is
-built from its child seed only when a readout spectrum is read. Shared
-arrays are read-only; a failed preparation is not kept and fails again on
+built from its child seed only when a readout spectrum is read, once per
+preparation, and shared by its search cases. Shared arrays are read-only; a failed preparation is not kept and fails again on
 the next call.
 
 The enhancement scores the labeled state against labeled thermal input.
@@ -203,8 +203,9 @@ class Preparation:
 
     `probed` holds the reconstructed diagonals (read-only) of `states`,
     `result` their labeling, and `readout_noise` the receiver noise of
-    each state's readout, drawn after the last probe (per channel a child
-    seed and the read-only line integrals, see `Detector.draw`).
+    each state's readout, drawn after the last probe (per channel a
+    `ChannelNoise`: a child seed and the read-only line integrals, see
+    `Detector.draw`).
     """
 
     detector: Detector

@@ -274,14 +274,6 @@ def _readout_pulsed(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
     return h, c
 
 
-# the child seed of one channel's noise vector and the (partner 0,
-# partner 1) line integrals of that noise, read-only; (None, None) when
-# noise is off
-ChannelNoise = tuple[np.random.SeedSequence | None, np.ndarray | None]
-DetectionNoise = tuple[ChannelNoise, ChannelNoise]  # H, then C
-_NOISE_FREE: DetectionNoise = ((None, None), (None, None))
-
-
 @functools.lru_cache(maxsize=8)
 def _grid_map(
     cfg: SpinSystemConfig, n_points: int, dwell: float
@@ -336,9 +328,15 @@ class Detector:
         noise_amp · L z as the channel's read-only line integrals, the exact
         joint law of the two line integrals of white noise. Beside them it
         keeps a child seed per channel, spawned from the seed sequence of
-        `rng` (which consumes none of its stream), from which
-        `Acquisition.noise` builds the full vector when a spectrum is read.
-        Noise needs a seeded generator; with noise off nothing is drawn."""
+        `rng`, from which `ChannelNoise.vector` builds the full vector when
+        a spectrum is read. Spawning consumes none of the stream but
+        advances the seed sequence's spawn count, which
+        `rng.bit_generator.state` does not hold: the noise vectors depend on
+        the generator's seed sequence and how many children it has spawned,
+        so two generators of equal state give equal line integrals but may
+        give different vectors, and a generator seeded from OS entropy gives
+        vectors no seed reproduces. Noise needs a seeded generator; with
+        noise off nothing is drawn."""
         noise_amp = self.settings.noise_amp
         if noise_amp <= 0:
             return _NOISE_FREE
@@ -347,11 +345,11 @@ class Detector:
         integrals = noise_amp * rng.standard_normal((2, 2)) @ self.noise_factor.T
         integrals.flags.writeable = False
         h_seed, c_seed = rng.bit_generator.seed_seq.spawn(2)
-        return (h_seed, integrals[0]), (c_seed, integrals[1])
+        return ChannelNoise(self, h_seed, integrals[0]), ChannelNoise(self, c_seed, integrals[1])
 
     def _acquire(self, states, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
         h, c = (
-            Acquisition(self, channel, state, *channel_noise)
+            Acquisition(self, channel, state, channel_noise)
             for channel, state, channel_noise in zip(Channel, states, noise)
         )
         return h, c
@@ -389,49 +387,68 @@ class Detector:
 
 
 @dataclass(frozen=True, eq=False)
+class ChannelNoise:
+    """Receiver noise of one channel of one detection (`Detector.draw`): the
+    read-only (partner 0, partner 1) line integrals of the noise and the
+    child seed of its full vector. Every acquisition against this draw,
+    such as the readouts of the search cases of one preparation, shares
+    one vector, built on first use."""
+
+    detector: Detector = field(repr=False)
+    seed: np.random.SeedSequence
+    integrals: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def vector(self) -> np.ndarray:
+        """The receiver noise vector, read-only.
+
+        White noise m drawn from the child seed, conditioned on the drawn
+        line integrals y: n = m - Σₖ conj(gₖ) [C⁻¹ (Re(G m) - y)]ₖ. Its law
+        is still that of white noise, and Re(G n) = y."""
+        det = self.detector
+        m = _draw_noise(
+            det.settings.n_points, det.settings.noise_amp, np.random.default_rng(self.seed)
+        )
+        cov = det.noise_factor @ det.noise_factor.T
+        excess = np.linalg.solve(cov, (det.windows @ m).real - self.integrals)
+        noise = m - excess @ det.windows.conj()
+        noise.flags.writeable = False
+        return noise
+
+
+DetectionNoise = tuple[ChannelNoise | None, ChannelNoise | None]  # H, then C
+_NOISE_FREE: DetectionNoise = (None, None)  # noise off
+
+
+@dataclass(frozen=True, eq=False)
 class Acquisition:
     """One channel of one detection: the state at its receiver and the noise
-    drawn for it (`Detector.draw`), as a child seed and that noise's line
-    integrals. Line integrals come from the detector's map; the noise
-    vector and the spectrum are built only when asked for, the spectrum by
-    the reference route: FID, added noise, transform."""
+    drawn for it (`Detector.draw`). Line integrals come from the detector's
+    map; the noise vector and the spectrum are built only when asked for,
+    the spectrum by the reference route: FID, added noise, transform."""
 
     detector: Detector = field(repr=False)
     channel: Channel
     state: DensityMatrix = field(repr=False)
-    noise_seed: np.random.SeedSequence | None = field(repr=False)
-    noise_integrals: np.ndarray | None = field(repr=False)
+    channel_noise: ChannelNoise | None = field(repr=False)
 
     @functools.cached_property
     def integrals(self) -> np.ndarray:
         """(partner 0, partner 1) line integrals."""
         y = (self.detector.response @ _coherences(self.state, self.channel)).real
-        if self.noise_integrals is not None:
-            y = y + self.noise_integrals
+        if self.channel_noise is not None:
+            y = y + self.channel_noise.integrals
         return y
 
     @property
     def peaks(self) -> PeakTable:
         return PeakTable(self.integrals)
 
-    @functools.cached_property
+    @property
     def noise(self) -> np.ndarray | None:
-        """The receiver noise vector, read-only, or None when noise is off.
-
-        White noise m drawn from the child seed, conditioned on the drawn
-        line integrals y: n = m - Σₖ conj(gₖ) [C⁻¹ (Re(G m) - y)]ₖ. Its law
-        is still that of white noise, and Re(G n) = y."""
-        if self.noise_seed is None:
-            return None
-        det = self.detector
-        m = _draw_noise(
-            det.settings.n_points, det.settings.noise_amp, np.random.default_rng(self.noise_seed)
-        )
-        cov = det.noise_factor @ det.noise_factor.T
-        excess = np.linalg.solve(cov, (det.windows @ m).real - self.noise_integrals)
-        noise = m - excess @ det.windows.conj()
-        noise.flags.writeable = False
-        return noise
+        """The receiver noise vector (`ChannelNoise.vector`), or None when
+        noise is off."""
+        return None if self.channel_noise is None else self.channel_noise.vector
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:

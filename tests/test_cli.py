@@ -154,10 +154,8 @@ class TestGrover:
                        "grover", "--target", "10"])
         assert rc == 4
         err = capsys.readouterr().err
-        # which probe fails first is up to the draw; the message names it
-        # with its probe time
-        named = r"readout failed: experiment (1 \(probe at 600|2 \(probe at 720|3 \(probe at 840)"
-        assert re.match(named + r"\.0 s\): inconsistent peak data", err)
+        assert err.startswith("readout failed: experiment 2 (probe at 720.0 s): ")
+        assert "inconsistent peak data" in err
 
     def test_decode_mismatch_exit_code(self, tmp_path, monkeypatch):
         real = cli.run_grover_pipeline

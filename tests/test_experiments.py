@@ -197,10 +197,8 @@ class TestEffectivePurePipeline:
             )
 
     def test_readout_error_names_the_experiment(self):
-        # which probe fails first is up to the draw; the message names it
-        # with its probe time
-        named = r"^experiment (1 \(probe at 0|2 \(probe at 120|3 \(probe at 240)\.0 s\): "
-        with pytest.raises(ReadoutError, match=named + "inconsistent"):
+        named = r"^experiment 2 \(probe at 120\.0 s\): inconsistent"
+        with pytest.raises(ReadoutError, match=named):
             run_effective_pure_pipeline(
                 SpinoeParams(), CFG, ScheduleMode.SINGLE_SAMPLE,
                 detection=DetectionSettings(noise_amp=1.0),
@@ -345,9 +343,9 @@ class TestPreparationCache:
         for i, rec in enumerate(run.records, start=len(run.records)):
             expected = amp * rng.standard_normal(4).reshape(2, 2) @ factor.T
             for channel, acq in enumerate(rec.readout):
-                assert np.array_equal(acq.noise_integrals, expected[channel])
-                assert acq.noise_seed.entropy == NOISY_PARAMS.seed
-                assert acq.noise_seed.spawn_key == (2 * i + channel,)
+                assert np.array_equal(acq.channel_noise.integrals, expected[channel])
+                assert acq.channel_noise.seed.entropy == NOISY_PARAMS.seed
+                assert acq.channel_noise.seed.spawn_key == (2 * i + channel,)
 
     def test_noise_is_drawn_once_per_preparation(self, monkeypatch):
         draw, drawn = readout.Detector.draw, []
@@ -365,10 +363,10 @@ class TestPreparationCache:
         for run in runs:
             acquisitions = [acq for rec in run.records for acq in rec.readout]
             assert len(acquisitions) == len(readout_noise)
-            for acq, (seed, integrals) in zip(acquisitions, readout_noise):
-                assert acq.noise_seed is seed and acq.noise_integrals is integrals
+            for acq, channel_noise in zip(acquisitions, readout_noise):
+                assert acq.channel_noise is channel_noise
                 with pytest.raises(ValueError):
-                    acq.noise_integrals[0] = 1.0
+                    acq.channel_noise.integrals[0] = 1.0
 
     def test_noise_vector_is_built_only_for_a_spectrum(self, monkeypatch):
         draw_noise, built = readout._draw_noise, []
@@ -387,6 +385,10 @@ class TestPreparationCache:
         assert len(built) == 1
         with pytest.raises(ValueError):
             acq.noise[0] = 1.0
+        # another search case on the same preparation shares the vector
+        other = noisy_run(ScheduleMode.SINGLE_SAMPLE, "01").records[0]
+        other.readout_h
+        assert other.readout[0].noise is acq.noise and len(built) == 1
         _prepare.cache_clear()
         again = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10").records[0].readout[0]
         assert again.noise is not acq.noise
@@ -433,7 +435,7 @@ class TestPreparationCache:
     def test_preparation_error_is_raised_on_every_call(self):
         detection = DetectionSettings(noise_amp=1.0)
         for _ in range(2):
-            with pytest.raises(ReadoutError, match=r"^experiment [123] \(probe at "):
+            with pytest.raises(ReadoutError, match=r"^experiment 2 \(probe at 720\.0 s\): "):
                 run_grover_pipeline(SpinoeParams(), CFG, GroverCase("10"), detection=detection)
         assert _prepare.cache_info().currsize == 0
 

@@ -260,20 +260,21 @@ class TestProbe:
         rng = np.random.default_rng(8)
         state = rng.bit_generator.state
         (h, c) = Detector(CFG, DetectionSettings()).draw(rng)
-        assert h == c == (None, None)
+        assert h is None and c is None
         assert rng.bit_generator.state == state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     def test_draw_takes_two_normals_per_channel(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
         rng, replay = np.random.default_rng(8), np.random.default_rng(8)
-        (h_seed, h_y), (c_seed, c_y) = det.draw(rng)
+        h, c = det.draw(rng)
         z = replay.standard_normal(4).reshape(2, 2)
-        assert np.array_equal(np.array([h_y, c_y]), 0.1 * z @ det.noise_factor.T)
+        assert np.array_equal(np.array([h.integrals, c.integrals]), 0.1 * z @ det.noise_factor.T)
         # the children are spawned, so the stream goes on where the normals left it
         assert rng.normal() == replay.normal()
-        assert (h_seed.spawn_key, c_seed.spawn_key) == ((0,), (1,))
-        for y in (h_y, c_y):
+        assert (h.seed.spawn_key, c.seed.spawn_key) == ((0,), (1,))
+        assert h.detector is det and c.detector is det
+        for y in (h.integrals, c.integrals):
             with pytest.raises(ValueError):
                 y[0] = 1.0
 
@@ -341,13 +342,13 @@ class TestDetector:
             return
         drawn = det.draw(np.random.default_rng(seed))
         for channel, channel_noise in zip(Channel, drawn):
-            acq = Acquisition(det, channel, rho, *channel_noise)
+            acq = Acquisition(det, channel, rho, channel_noise)
             ref = fft_peaks(rho, cfg, channel, n_points, dwell, acq.noise)
             assert relative_gap(acq.integrals, ref.integrals) <= 1e-9
             if noise_amp > 0:
                 # the conditioned vector sums to the drawn line integrals
                 noise_peaks = integrate_peaks(spectrum(Fid(channel, dwell, acq.noise)), cfg)
-                assert relative_gap(noise_peaks.integrals, acq.noise_integrals) <= 1e-9
+                assert relative_gap(noise_peaks.integrals, channel_noise.integrals) <= 1e-9
 
     def test_detectors_on_one_grid_share_its_map(self):
         base = Detector(CFG, DetectionSettings())
@@ -413,7 +414,7 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=amp))
         rng = np.random.default_rng(2027)
         drawn = [det.draw(rng) for _ in range(n_draws)]
-        projected = np.array([y for h, c in drawn for _, y in (h, c)])
+        projected = np.array([channel.integrals for noise in drawn for channel in noise])
         full = np.concatenate([
             (readout._draw_noise(256 * 1000, amp, rng).reshape(-1, 256) @ det.windows.T).real
             for _ in range(2 * n_draws // 1000)
@@ -438,7 +439,7 @@ class TestDetector:
         h = det.windows.sum(axis=0) / np.linalg.norm(det.windows[0])
         h = h + (rng.normal(size=256) + 1j * rng.normal(size=256)) / 16
         values = [
-            (h @ Acquisition(det, Channel.H, thermal_state(CFG), *det.draw(rng)[0]).noise).real
+            (h @ Acquisition(det, Channel.H, thermal_state(CFG), det.draw(rng)[0]).noise).real
             for _ in range(n_draws)
         ]
         want = amp**2 * np.vdot(h, h).real
