@@ -45,6 +45,7 @@ from .readout import (
     Fid,
     PeakTable,
     ReadoutError,
+    ReadoutMap,
     Spectrum,
     calibrate,
     integrate_peaks,

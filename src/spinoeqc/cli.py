@@ -12,7 +12,8 @@ runs are byte-identical except for the single timestamp field in each
 JSON report.
 
 Exit codes: 0 ok, 2 weight-solver failure, 3 decoded answer mismatch,
-4 readout failure (inconsistent probe peaks), 64 usage error.
+4 readout failure (inconsistent probe peaks), 64 usage error (bad flags
+or configuration, or an --out path that cannot be made a directory).
 """
 
 from __future__ import annotations
@@ -186,7 +187,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # e.g. the path or one of its parents is a file
+        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 

@@ -11,8 +11,12 @@ of per-experiment results is the effective pure state, and because
 detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
 directly. Every line integral comes from one `Detector` built per
-preparation on the map of its grid; readout spectra are synthesized only
-when a caller reads them.
+preparation on the map of its grid. Every initial state is diagonal, so a
+record's line amplitudes are a fixed linear map of its populations: one
+`ReadoutMap` per (permutation, ground, computation), at most 3 x 4 x 5,
+built once through `apply_unitary` on the basis states and cached. A
+record's post-pulse states are built only when a caller reads a readout
+spectrum, by that same route, and the spectra are synthesized from them.
 
 Prepare once, compute many. Everything that does not depend on the
 computation (the detector and its calibration, the sampled initial
@@ -54,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labeling import DEFAULT_PERM_ORDER, EffectivePureResult, enhancement_factor, label
-from .quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
+from .quantum import DensityMatrix, Unitary, compose, populations
 from .readout import (
     Acquisition,
     DetectionNoise,
@@ -62,6 +66,7 @@ from .readout import (
     Detector,
     PeakTable,
     ReadoutError,
+    ReadoutMap,
     Spectrum,
     reconstruct_diagonal,
 )
@@ -109,7 +114,7 @@ class GroverCase:
         return int(self.target, 2)
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentRecord:
     """One probe + compute run of a pipeline."""
 
@@ -128,7 +133,7 @@ class ExperimentRecord:
         return self.readout[1].spectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectivePureRun:
     """Everything produced by one effective-pure-state preparation."""
 
@@ -149,7 +154,7 @@ class EffectivePureRun:
         return _weighted_spectrum([r.readout_c for r in self.records], self.result.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroverRun(EffectivePureRun):
     """One search case: the labeled run plus its decoded answer."""
 
@@ -255,32 +260,51 @@ def _prepare(
     )
 
 
+# bounded by the key space: 4 grounds x (plain preparation + 4 search cases)
+@functools.lru_cache(maxsize=20)
+def _computation(ground: int, case: GroverCase | None) -> Unitary:
+    """What follows the permutation: nothing for plain preparation (`case`
+    None), the relabeling of `ground` and the search circuit for a search
+    case."""
+    if case is None:
+        return Unitary(np.eye(4))
+    return compose(relabel_unitary(ground), grover_circuit(case))
+
+
+# bounded by the key space: 3 permutations x 4 grounds x 5 computations
+@functools.lru_cache(maxsize=60)
+def _readout_map(perm: PermutationId, ground: int, case: GroverCase | None) -> ReadoutMap:
+    """Permutation, computation and readout of one record as the map from
+    its input populations to its line amplitudes (see `ReadoutMap`)."""
+    permutation = permutation_pulse_sequence(perm, ground)
+    return ReadoutMap(compose(permutation, _computation(ground, case)))
+
+
 def _run_labeled_experiments(
     prep: Preparation,
     cfg: SpinSystemConfig,
     schedule: ExperimentSchedule,
-    post: Unitary,
+    case: GroverCase | None,
 ) -> EffectivePureRun:
     """Shared permute/compute/readout loop on a preparation, and scoring.
 
     The experiments run the permutations of DEFAULT_PERM_ORDER in turn on
-    the prepared states, each followed by the computation `post` (identity
-    for plain state preparation, relabel+circuit for a search case), and
-    read out against the prepared noise.
+    the prepared states, each followed by the computation (none for plain
+    state preparation, `case` None; relabel+circuit for a search case), and
+    read out against the prepared noise through the cached map of that
+    (permutation, ground, computation).
     """
     ground = prep.result.ground
     records: list[ExperimentRecord] = []
     experiments = zip(prep.states, prep.probed, prep.readout_noise, DEFAULT_PERM_ORDER)
     for i, (rho, diag, noise, perm) in enumerate(experiments):
-        step = compose(permutation_pulse_sequence(perm, ground), post)
-        final = apply_unitary(rho, step)
         records.append(
             ExperimentRecord(
                 schedule_time=schedule.times[i],
                 probe_time=schedule.probe_times[i],
                 probed_diagonal=diag,
                 perm_id=perm,
-                readout=prep.detector.readout(final, noise),
+                readout=prep.detector.readout(rho, _readout_map(perm, ground, case), noise),
             )
         )
 
@@ -321,7 +345,7 @@ def run_effective_pure_pipeline(
     """
     schedule = make_schedule(mode, r1, recovery)
     prep = _prepare(p, cfg, schedule, detection)
-    return _run_labeled_experiments(prep, cfg, schedule, Unitary(np.eye(4)))
+    return _run_labeled_experiments(prep, cfg, schedule, None)
 
 
 def decode_answer(peaks_h: PeakTable, peaks_c: PeakTable) -> str:
@@ -375,8 +399,7 @@ def run_grover_pipeline(
     """
     schedule = make_schedule(mode, r1, recovery, sample_age)
     prep = _prepare(p, cfg, schedule, detection)
-    post = compose(relabel_unitary(prep.result.ground), grover_circuit(case))
-    run = _run_labeled_experiments(prep, cfg, schedule, post)
+    run = _run_labeled_experiments(prep, cfg, schedule, case)
     weights = run.result.weights
     sums = [sum(w * r.readout[i].integrals for w, r in zip(weights, run.records)) for i in (0, 1)]
     peaks_h, peaks_c = (PeakTable(y) for y in sums)

@@ -66,7 +66,7 @@ class LabelingPlan:
         return tuple(i for i in range(4) if i != self.ground)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectivePureResult:
     """Assembled weighted sum and its pure-state score.
 

@@ -38,7 +38,10 @@ halving and the bin width. The vectors g of both lines and their 2×2
 complex response to unit A_plus and A_minus depend only on the grid
 (spin system, `n_points`, `dwell`), so they are built once per grid and
 shared by every `Detector` on it, whatever its probe tip and noise level.
-Every probe and readout, `probe` included, goes through a detector.
+Every probe and readout, `probe` included, goes through a detector. A
+readout takes a diagonal state and a `ReadoutMap`, the linear map from its
+populations to the line amplitudes after a computation and the readout
+pulses; the state at each receiver is built only for a spectrum.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), which for white noise of amplitude σ are
@@ -56,11 +59,12 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import DensityMatrix, apply_unitary
+from .quantum import DensityMatrix, Unitary, apply_unitary, populations
 from .spins import PulseSpec, PulseTarget, SpinSystemConfig, pulse_unitary, thermal_state
 
 PROBE_TIP_MAX = 25.0
@@ -70,6 +74,8 @@ RECONSTRUCTION_RESIDUAL_FRAC = 0.05
 # calibrated response are round-off; a state with no deviation probes at
 # 0.06-0.13 of them for tips of 0.01-25°
 ROUNDOFF_MULTIPLE = 16.0
+
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 # channel -> ((row, col) of the +J/2 and -J/2 coherences in |HC> indexing)
 _COHERENCE_INDEX = {
@@ -257,21 +263,36 @@ def _draw_noise(n_samples: int, noise_amp: float, rng: np.random.Generator) -> n
     )
 
 
-def _probe_pulsed(rho: DensityMatrix, tip_angle_deg: float) -> tuple[DensityMatrix, DensityMatrix]:
-    """States seen by the H and C receivers after the two-spin probe pulse."""
-    pulsed = apply_unitary(
-        rho, pulse_unitary(PulseSpec(PulseTarget.BOTH, tip_angle_deg, phase=90.0))
-    )
-    return pulsed, pulsed
+def _readout_state(rho: DensityMatrix, step: Unitary, channel: Channel) -> DensityMatrix:
+    """State at one channel's receiver after the computation `step` and a
+    90° y-pulse on the observed spin: the reference route of a readout."""
+    pulse = pulse_unitary(PulseSpec(PulseTarget(channel.value), 90.0, phase=90.0))
+    return apply_unitary(apply_unitary(rho, step), pulse)
 
 
-def _readout_pulsed(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
-    """States seen by the H and C receivers, each after a 90° y-pulse on its own spin."""
-    h, c = (
-        apply_unitary(rho, pulse_unitary(PulseSpec(target, 90.0, phase=90.0)))
-        for target in (PulseTarget.H, PulseTarget.C)
-    )
-    return h, c
+@dataclass(frozen=True, eq=False)
+class ReadoutMap:
+    """A computation `step` followed by the readout, as a linear map.
+
+    The line amplitudes at a receiver are linear in the state, and a
+    diagonal state is fixed by its populations d, so the (A_plus, A_minus)
+    of a channel after `step` and the readout pulse are
+    `amplitudes[channel] @ d`. The read-only (channel, line, population)
+    array is built once through the reference route (`_readout_state`) on
+    the four basis states, so it is exact up to rounding."""
+
+    step: Unitary
+    amplitudes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        basis = [DensityMatrix.basis_state(j) for j in range(4)]
+        columns = [
+            [_coherences(_readout_state(rho, self.step, channel), channel) for channel in Channel]
+            for rho in basis
+        ]
+        amplitudes = np.moveaxis(np.array(columns), 0, -1)
+        amplitudes.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amplitudes)
 
 
 @functools.lru_cache(maxsize=8)
@@ -347,29 +368,46 @@ class Detector:
         h_seed, c_seed = rng.bit_generator.seed_seq.spawn(2)
         return ChannelNoise(self, h_seed, integrals[0]), ChannelNoise(self, c_seed, integrals[1])
 
-    def _acquire(self, states, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
+    def _acquire(
+        self, amplitudes, noise: DetectionNoise, state_at: Callable[[Channel], DensityMatrix]
+    ) -> tuple[Acquisition, Acquisition]:
         h, c = (
-            Acquisition(self, channel, state, channel_noise)
-            for channel, state, channel_noise in zip(Channel, states, noise)
+            Acquisition(self, channel, a, channel_noise, functools.partial(state_at, channel))
+            for channel, a, channel_noise in zip(Channel, amplitudes, noise)
         )
         return h, c
 
     def probe(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
         """The probing experiment: simultaneous small-tip y-pulses at the
-        settings' tip, against noise from `draw`."""
-        return self._acquire(_probe_pulsed(rho, self.settings.probe_tip_deg), noise)
+        settings' tip, against noise from `draw`. The pulsed state is built
+        here and kept by both acquisitions."""
+        tip = self.settings.probe_tip_deg
+        pulsed = apply_unitary(rho, pulse_unitary(PulseSpec(PulseTarget.BOTH, tip, phase=90.0)))
+        amplitudes = [_coherences(pulsed, channel) for channel in Channel]
+        return self._acquire(amplitudes, noise, lambda channel: pulsed)
 
-    def readout(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
-        """Per-channel readout after a computation, against noise from `draw`:
-        a 90° y-pulse on one spin at a time, that spin observed.
+    def readout(
+        self, rho: DensityMatrix, computation: ReadoutMap, noise: DetectionNoise
+    ) -> tuple[Acquisition, Acquisition]:
+        """Per-channel readout of a diagonal state after a computation,
+        against noise from `draw`: a 90° y-pulse on one spin at a time, that
+        spin observed.
 
         Unlike the two-spin probe, a single-spin pulse maps populations to
         line amplitudes with no cross-partner mixing at any tip angle, so
         90° gives maximum signal and a clean one-line signature for
         pure-like states. Both channels come from one simulated run
-        (detection here is non-destructive).
+        (detection here is non-destructive). The line amplitudes are the
+        map `computation` applied to the populations; the state at each
+        receiver is built by the reference route only when a spectrum asks
+        for it.
         """
-        return self._acquire(_readout_pulsed(rho), noise)
+        if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
+            raise ValueError("the readout map takes a diagonal two-spin state")
+        amplitudes = computation.amplitudes @ populations(rho)
+        return self._acquire(
+            amplitudes, noise, functools.partial(_readout_state, rho, computation.step)
+        )
 
     def calibration(self) -> float:
         """Receiver constant K of `calibrate` for this acquisition setting,
@@ -377,8 +415,7 @@ class Detector:
         tip = self.settings.probe_tip_deg
         ref = thermal_state(self.cfg)
         dev = ref.matrix.diagonal().real - 0.25
-        acquisitions = self._acquire(_probe_pulsed(ref, tip), _NOISE_FREE)
-        y = np.concatenate([a.integrals for a in acquisitions])
+        y = np.concatenate([a.integrals for a in self.probe(ref, _NOISE_FREE)])
         m = _probe_response_matrix(tip) @ dev
         denom = float(m @ m)
         if denom == 0.0:
@@ -422,20 +459,28 @@ _NOISE_FREE: DetectionNoise = (None, None)  # noise off
 
 @dataclass(frozen=True, eq=False)
 class Acquisition:
-    """One channel of one detection: the state at its receiver and the noise
-    drawn for it (`Detector.draw`). Line integrals come from the detector's
-    map; the noise vector and the spectrum are built only when asked for,
-    the spectrum by the reference route: FID, added noise, transform."""
+    """One channel of one detection: the line amplitudes at its receiver
+    and the noise drawn for it (`Detector.draw`). Line integrals come from
+    the detector's map. The state at the receiver (`state_at`, kept as built
+    for a probe, built on first use for a readout), the noise vector and the
+    spectrum are built only when asked for, the spectrum by the reference
+    route: FID, added noise, transform."""
 
     detector: Detector = field(repr=False)
     channel: Channel
-    state: DensityMatrix = field(repr=False)
+    amplitudes: np.ndarray = field(repr=False)  # (A_plus, A_minus)
     channel_noise: ChannelNoise | None = field(repr=False)
+    state_at: Callable[[], DensityMatrix] = field(repr=False)
+
+    @functools.cached_property
+    def state(self) -> DensityMatrix:
+        """The state at the receiver."""
+        return self.state_at()
 
     @functools.cached_property
     def integrals(self) -> np.ndarray:
         """(partner 0, partner 1) line integrals."""
-        y = (self.detector.response @ _coherences(self.state, self.channel)).real
+        y = (self.detector.response @ self.amplitudes).real
         if self.channel_noise is not None:
             y = y + self.channel_noise.integrals
         return y

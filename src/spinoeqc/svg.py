@@ -6,6 +6,8 @@ across runs for identical data, which matters more here than looks.
 
 from __future__ import annotations
 
+import numpy as np
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
@@ -24,14 +26,15 @@ def line_chart(
     height: int = 420,
 ) -> None:
     """Write one SVG with a shared x-axis and one polyline per series."""
-    xs = [float(v) for v in x]
-    if not xs or not series:
+    xs = np.array(x, dtype=float)
+    if not xs.size or not series:
         raise ValueError("need x values and at least one series")
     margin = 60
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    ys_all = [float(v) for ys in series.values() for v in ys]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    columns = {name: np.asarray(ys, dtype=float) for name, ys in series.items()}
+    ys_all = np.concatenate(list(columns.values()))
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -39,10 +42,11 @@ def line_chart(
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def px(v: float) -> float:
+    # on a float or elementwise on an array, in the same operation order
+    def px(v):
         return margin + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v):
         return margin + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -57,9 +61,11 @@ def line_chart(
             f'<line x1="{margin}" y1="{y0}" x2="{margin + plot_w}" y2="{y0}" '
             'stroke="#bbb" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    for i, (name, ys) in enumerate(series.items()):
+    x_cells = px(xs).tolist()
+    for i, (name, ys) in enumerate(columns.items()):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px(xv))},{_fmt(py(float(yv)))}" for xv, yv in zip(xs, ys))
+        # map stops at the shorter list, as a zip would
+        pts = " ".join(map("{:.3f},{:.3f}".format, x_cells, py(ys).tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

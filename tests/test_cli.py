@@ -157,6 +157,15 @@ class TestGrover:
         assert err.startswith("readout failed: experiment 2 (probe at 720.0 s): ")
         assert "inconsistent peak data" in err
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_is_usage_error(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / out
+        rc = cli.main(["--out", str(path), "grover", "--target", "10"])
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot create output directory {path}: ")
+
     def test_decode_mismatch_exit_code(self, tmp_path, monkeypatch):
         real = cli.run_grover_pipeline
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinoeqc.experiments import (
@@ -8,6 +10,7 @@ from spinoeqc.experiments import (
     DetectionSettings,
     GroverCase,
     _prepare,
+    _readout_map,
     decode_answer,
     effective_pure_report,
     grover_circuit,
@@ -19,12 +22,28 @@ from spinoeqc.experiments import (
     run_grover_pipeline,
     run_id,
 )
-from spinoeqc.quantum import DensityMatrix, apply_unitary, compose, populations
+from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 import spinoeqc
-from spinoeqc import readout
-from spinoeqc.readout import PeakTable, ReadoutError, integrate_peaks
-from spinoeqc.spinoe import ScheduleMode, SpinoeParams
-from spinoeqc.spins import PulseSpec, PulseTarget, SpinSystemConfig, pulse_unitary
+from spinoeqc import quantum, readout
+from spinoeqc.readout import (
+    Channel,
+    Detector,
+    Fid,
+    PeakTable,
+    ReadoutError,
+    integrate_peaks,
+    spectrum,
+    synthesize_fid,
+)
+from spinoeqc.spinoe import DEFAULT_RECOVERY_S, ScheduleMode, SpinoeParams, make_schedule
+from spinoeqc.spins import (
+    PermutationId,
+    PulseSpec,
+    PulseTarget,
+    SpinSystemConfig,
+    permutation_pulse_sequence,
+    pulse_unitary,
+)
 
 CFG = SpinSystemConfig()
 ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
@@ -33,6 +52,23 @@ ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
 def hadamard_pulse_sequence(target: PulseTarget) -> tuple[PulseSpec, PulseSpec]:
     """90°(y) then 180°(x): equals the Hadamard up to a global phase."""
     return (PulseSpec(target, 90.0, phase=90.0), PulseSpec(target, 180.0, phase=0.0))
+
+
+def step_unitary(perm, ground, case):
+    """Permutation and computation of one record, composed as a pipeline
+    composed them before the readout map."""
+    if case is None:
+        post = Unitary(np.eye(4))
+    else:
+        post = compose(relabel_unitary(ground), grover_circuit(case))
+    return compose(permutation_pulse_sequence(perm, ground), post)
+
+
+def receiver_state(rho, step, channel):
+    """Reference route of a readout: the step, then a 90° y-pulse on the
+    observed spin, each through `apply_unitary`."""
+    pulse = pulse_unitary(PulseSpec(PulseTarget(channel.value), 90.0, phase=90.0))
+    return apply_unitary(apply_unitary(rho, step), pulse)
 
 
 def peaks(h0, h1, c0, c1):
@@ -303,6 +339,93 @@ def assert_same_run(a, b):
         assert np.array_equal(x, y)
     assert a.enhancement == b.enhancement
     assert getattr(a, "decoded", None) == getattr(b, "decoded", None)
+
+
+MAP_KEYS = [
+    (perm, ground, case)
+    for perm in PermutationId
+    for ground in range(4)
+    for case in [None, *ALL_CASES]
+]
+
+
+class TestReadoutMap:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dev=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4))
+    def test_map_equals_the_unitary_route(self, dev):
+        dev = np.array(dev) - np.mean(dev)
+        assume(np.abs(dev).max() >= 0.1)
+        rho = DensityMatrix.from_diagonal(0.25 + dev)
+        det = Detector(CFG, DetectionSettings())
+        for perm, ground, case in MAP_KEYS:
+            step = step_unitary(perm, ground, case)
+            want = np.array([
+                (det.response @ readout._coherences(receiver_state(rho, step, ch), ch)).real
+                for ch in Channel
+            ])
+            acquisitions = det.readout(rho, _readout_map(perm, ground, case), (None, None))
+            got = np.array([acq.integrals for acq in acquisitions])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_map_cache_is_bounded_by_its_keys(self):
+        _readout_map.cache_clear()
+        for _ in range(2):
+            for key in MAP_KEYS:
+                _readout_map(*key)
+        info = _readout_map.cache_info()
+        assert info.maxsize is not None and info.currsize <= 60
+        assert (info.misses, info.hits) == (len(MAP_KEYS), len(MAP_KEYS))
+
+    def test_warm_case_builds_no_state(self, monkeypatch):
+        noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
+        apply, init, built = readout.apply_unitary, quantum.DensityMatrix.__post_init__, []
+
+        def counting_apply(*args):
+            built.append("apply_unitary")
+            return apply(*args)
+
+        def counting_init(self):
+            built.append("DensityMatrix")
+            init(self)
+
+        monkeypatch.setattr(readout, "apply_unitary", counting_apply)
+        monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", counting_init)
+        run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
+        assert built == []
+        acq = run.records[0].readout[0]
+        acq.spectrum
+        assert built.count("apply_unitary") == 2
+        monkeypatch.undo()
+        # the spectrum of the state built on export is the eager route's
+        schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
+        prep = _prepare(NOISY_PARAMS, CFG, schedule, NOISY_DETECTION)
+        for rho, rec in zip(prep.states, run.records, strict=True):
+            step = step_unitary(rec.perm_id, run.result.ground, GroverCase("10"))
+            for acq in rec.readout:
+                fid = synthesize_fid(receiver_state(rho, step, acq.channel), CFG, acq.channel)
+                want = spectrum(Fid(acq.channel, 1e-3, fid.samples + acq.noise))
+                assert np.array_equal(acq.spectrum.values, want.values)
+
+
+class TestRunObjects:
+    @pytest.mark.parametrize(
+        "target,part",
+        [
+            (None, lambda run: run),
+            ("10", lambda run: run),
+            (None, lambda run: run.result),
+            (None, lambda run: run.records[0]),
+        ],
+        ids=["EffectivePureRun", "GroverRun", "EffectivePureResult", "ExperimentRecord"],
+    )
+    def test_hash_and_compare_by_identity(self, target, part):
+        # two equal runs from separate preparations hold equal, distinct arrays
+        _prepare.cache_clear()
+        a = part(noisy_run(ScheduleMode.SINGLE_SAMPLE, target))
+        _prepare.cache_clear()
+        b = part(noisy_run(ScheduleMode.SINGLE_SAMPLE, target))
+        assert a == a and hash(a) == hash(a)
+        assert a != b and len({a, b}) == 2
 
 
 class TestPreparationCache:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinoeqc import readout
-from spinoeqc.quantum import DensityMatrix, apply_unitary
+from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary
 from spinoeqc.readout import (
     Acquisition,
     Channel,
@@ -17,6 +17,7 @@ from spinoeqc.readout import (
     Fid,
     PeakTable,
     ReadoutError,
+    ReadoutMap,
     Spectrum,
     calibrate,
     integrate_peaks,
@@ -309,6 +310,11 @@ def readout_spectra(rho, cfg, tip_angle_deg=90.0, n_samples=4096, dt=1e-3, noise
     return tuple(spectra)
 
 
+def acquisition(det, channel, rho, channel_noise):
+    """Acquisition of one channel with `rho` as the state at its receiver."""
+    return Acquisition(det, channel, readout._coherences(rho, channel), channel_noise, lambda: rho)
+
+
 def relative_gap(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
@@ -342,7 +348,7 @@ class TestDetector:
             return
         drawn = det.draw(np.random.default_rng(seed))
         for channel, channel_noise in zip(Channel, drawn):
-            acq = Acquisition(det, channel, rho, channel_noise)
+            acq = acquisition(det, channel, rho, channel_noise)
             ref = fft_peaks(rho, cfg, channel, n_points, dwell, acq.noise)
             assert relative_gap(acq.integrals, ref.integrals) <= 1e-9
             if noise_amp > 0:
@@ -393,7 +399,8 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
         rng = np.random.default_rng(4)
-        probed_acqs, readout_acqs = det.probe(rho, det.draw(rng)), det.readout(rho, det.draw(rng))
+        probed_acqs = det.probe(rho, det.draw(rng))
+        readout_acqs = det.readout(rho, ReadoutMap(Unitary(np.eye(4))), det.draw(rng))
         pairs = [
             (probed_acqs,
              [fft_spectrum(probed(rho, 15.0), CFG, acq.channel, 4096, 1e-3, acq.noise)
@@ -406,6 +413,14 @@ class TestDetector:
                 assert np.array_equal(acq.spectrum.values, spec.values)
                 assert np.array_equal(acq.spectrum.freqs, spec.freqs)
                 assert relative_gap(acq.integrals, integrate_peaks(spec, CFG).integrals) <= 1e-12
+
+    def test_readout_takes_a_diagonal_state(self):
+        det = Detector(CFG, DetectionSettings())
+        identity = ReadoutMap(Unitary(np.eye(4)))
+        det.readout(thermal_state(CFG), identity, (None, None))
+        for rho in (coherent_state([0.1, 0, 0, 0]), DensityMatrix(np.eye(2) / 2)):
+            with pytest.raises(ValueError, match="diagonal two-spin state"):
+                det.readout(rho, identity, (None, None))
 
     def test_projected_draw_has_the_law_of_white_noise(self):
         # both routes to the line integrals of white noise, 10^4 detections
@@ -439,7 +454,7 @@ class TestDetector:
         h = det.windows.sum(axis=0) / np.linalg.norm(det.windows[0])
         h = h + (rng.normal(size=256) + 1j * rng.normal(size=256)) / 16
         values = [
-            (h @ Acquisition(det, Channel.H, thermal_state(CFG), det.draw(rng)[0]).noise).real
+            (h @ acquisition(det, Channel.H, thermal_state(CFG), det.draw(rng)[0]).noise).real
             for _ in range(n_draws)
         ]
         want = amp**2 * np.vdot(h, h).real
