@@ -42,7 +42,6 @@ from .readout import (
     Channel,
     DetectionSettings,
     Detector,
-    Fid,
     PeakTable,
     ReadoutError,
     ReadoutMap,
@@ -51,9 +50,7 @@ from .readout import (
     integrate_peaks,
     probe,
     reconstruct_diagonal,
-    spectrum,
     spectrum_to_csv,
-    synthesize_fid,
 )
 from .experiments import (
     DecodeError,

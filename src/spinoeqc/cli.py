@@ -13,7 +13,8 @@ JSON report.
 
 Exit codes: 0 ok, 2 weight-solver failure, 3 decoded answer mismatch,
 4 readout failure (inconsistent probe peaks), 64 usage error (bad flags
-or configuration, or an --out path that cannot be made a directory).
+or configuration, an --out path that cannot be made a directory, or an
+output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -370,7 +371,11 @@ def main(argv=None) -> int:
             "grover": cmd_grover,
             "probe": cmd_probe,
         }[args.command]
-        return handler(cfg, args)
+        try:
+            return handler(cfg, args)
+        except OSError as exc:
+            # the handlers read no file, so this is an output write
+            raise UsageError(f"cannot write {exc.filename or 'an output file'}: {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

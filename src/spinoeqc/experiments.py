@@ -15,8 +15,8 @@ preparation on the map of its grid. Every initial state is diagonal, so a
 record's line amplitudes are a fixed linear map of its populations: one
 `ReadoutMap` per (permutation, ground, computation), at most 3 x 4 x 5,
 built once through `apply_unitary` on the basis states and cached. A
-record's post-pulse states are built only when a caller reads a readout
-spectrum, by that same route, and the spectra are synthesized from them.
+record's readout spectra come from the same amplitudes through the grid
+map, built only when a caller reads them; no post-pulse state is built.
 
 Prepare once, compute many. Everything that does not depend on the
 computation (the detector and its calibration, the sampled initial
@@ -31,7 +31,8 @@ noise of every experiment its next, and the generator is not used after
 that. Each detection also spawns a child seed per channel from the
 generator's seed sequence, without drawing from it; a noise vector is
 built from its child seed only when a readout spectrum is read, once per
-preparation, and shared by its search cases. Shared arrays are read-only; a failed preparation is not kept and fails again on
+preparation, and shared by its search cases with its transform. Shared
+arrays are read-only; a failed preparation is not kept and fails again on
 the next call.
 
 The enhancement scores the labeled state against labeled thermal input.

@@ -32,26 +32,29 @@ standard baseline correction for one-sided decays; without it window
 integrals pick up a large flat offset).
 
 Detection as a linear map. FID synthesis, the transform and the window
-sums are all linear, so a line integral is Re(g · x) for the sampled FID
-x and a window vector g that carries the spectral window, the first-point
-halving and the bin width. The vectors g of both lines and their 2×2
-complex response to unit A_plus and A_minus depend only on the grid
-(spin system, `n_points`, `dwell`), so they are built once per grid and
-shared by every `Detector` on it, whatever its probe tip and noise level.
-Every probe and readout, `probe` included, goes through a detector. A
-readout takes a diagonal state and a `ReadoutMap`, the linear map from its
-populations to the line amplitudes after a computation and the readout
-pulses; the state at each receiver is built only for a spectrum.
+sums are all linear in the line amplitudes (A_plus, A_minus) and in the
+receiver noise, so detection needs no FID. A line integral is Re(g · x)
+for the sampled FID x and a window vector g that carries the spectral
+window, the first-point halving and the bin width; a spectrum is the two
+unit line spectra (the transform of a unit ±J/2 line under the T2 decay)
+weighted by the amplitudes. The window vectors, their 2×2 complex
+response to unit amplitudes and the unit line spectra depend only on the
+grid (spin system, `n_points`, `dwell`), so they are built once per grid
+and shared by every `Detector` on it, whatever its probe tip and noise
+level. Every probe and readout, `probe` included, goes through a
+detector. A readout takes a diagonal state and a `ReadoutMap`, the linear
+map from its populations to the line amplitudes after a computation and
+the readout pulses, and builds no state.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), which for white noise of amplitude σ are
 Gaussian with covariance σ² Re(G Gᴴ). Drawing the noise (`Detector.draw`)
 is a step of its own and takes just those, 2 normals per channel, with a
 child seed per channel. The full vector is built from that seed only when
-a spectrum is read, conditioned on the drawn integrals, so an exported
-spectrum integrates to the integrals the pipeline used. Spectra (FID, FFT,
-`Spectrum`) are built only on request, for export, and stay the reference
-the map is tested against.
+a spectrum is read, conditioned on the drawn integrals, and a spectrum
+adds its transform, so an exported spectrum integrates to the integrals
+the pipeline used. Vector and transform are built once per draw and
+shared by every acquisition against it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,16 +95,6 @@ class ReadoutError(ValueError):
     pass
 
 
-def _check_sampling(n_samples: int, dt: float) -> None:
-    # bool is an Integral, but a JSON true is no sample count
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
-        raise ValueError("the number of FID samples must be an integer")
-    if dt <= 0:
-        raise ValueError("dwell time must be positive")
-    if n_samples < MIN_FID_SAMPLES:
-        raise ValueError(f"FID needs at least {MIN_FID_SAMPLES} samples")
-
-
 @dataclass(frozen=True)
 class DetectionSettings:
     """Acquisition constants shared by probing, calibration and readout."""
@@ -113,27 +105,18 @@ class DetectionSettings:
     noise_amp: float = 0.0
 
     def __post_init__(self):
-        _check_sampling(self.n_points, self.dwell)
+        # bool is an Integral, but a JSON true is no sample count
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
+            raise ValueError("the number of FID samples must be an integer")
+        if self.dwell <= 0:
+            raise ValueError("dwell time must be positive")
+        if self.n_points < MIN_FID_SAMPLES:
+            raise ValueError(f"FID needs at least {MIN_FID_SAMPLES} samples")
         # tips above 25° void the linear reconstruction contract
         if not 0 < self.probe_tip_deg <= PROBE_TIP_MAX:
             raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
         if self.noise_amp < 0:
             raise ValueError("noise_amp must be non-negative")
-
-
-@dataclass(frozen=True)
-class Fid:
-    """Complex time-domain signal for one channel."""
-
-    channel: Channel
-    dt: float
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        s = np.array(self.samples, dtype=complex)
-        _check_sampling(s.size if s.ndim == 1 else 0, self.dt)
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
 
 
 @dataclass(frozen=True)
@@ -214,40 +197,6 @@ def _coherences(rho_after_pulse: DensityMatrix, channel: Channel) -> np.ndarray:
     return np.array([rho_after_pulse.matrix[rp, cp], rho_after_pulse.matrix[rm, cm]])
 
 
-def _line_signals(cfg: SpinSystemConfig, n_samples: int, dt: float):
-    """Undamped unit +J/2 and -J/2 lines and the T2 decay, sampled."""
-    t = np.arange(n_samples) * dt
-    f0 = cfg.j_coupling / 2.0
-    return np.exp(2j * np.pi * f0 * t), np.exp(-2j * np.pi * f0 * t), np.exp(-t / cfg.t2)
-
-
-def synthesize_fid(
-    rho_after_pulse: DensityMatrix,
-    cfg: SpinSystemConfig,
-    channel: Channel,
-    n_samples: int = 4096,
-    dt: float = 1e-3,
-) -> Fid:
-    """Quadrature FID of one channel from the state's doublet coherences."""
-    a_plus, a_minus = _coherences(rho_after_pulse, channel)
-    plus, minus, decay = _line_signals(cfg, n_samples, dt)
-    samples = (a_plus * plus + a_minus * minus) * decay
-    return Fid(channel=channel, dt=dt, samples=samples)
-
-
-def spectrum(fid: Fid) -> Spectrum:
-    """Discrete Fourier transform with absorption phasing.
-
-    Linear in the input; the first point is halved (one-sided decay
-    baseline correction) so peaks sit on a flat baseline.
-    """
-    x = fid.samples.copy()
-    x[0] *= 0.5
-    values = np.fft.fftshift(np.fft.fft(x))
-    freqs = _frequency_axis(x.size, fid.dt)
-    return Spectrum(channel=fid.channel, freqs=freqs, values=values)
-
-
 def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
     """Integrate the real part over windows of width J/2 centered on ±J/2."""
     integrals = [
@@ -263,13 +212,6 @@ def _draw_noise(n_samples: int, noise_amp: float, rng: np.random.Generator) -> n
     )
 
 
-def _readout_state(rho: DensityMatrix, step: Unitary, channel: Channel) -> DensityMatrix:
-    """State at one channel's receiver after the computation `step` and a
-    90° y-pulse on the observed spin: the reference route of a readout."""
-    pulse = pulse_unitary(PulseSpec(PulseTarget(channel.value), 90.0, phase=90.0))
-    return apply_unitary(apply_unitary(rho, step), pulse)
-
-
 @dataclass(frozen=True, eq=False)
 class ReadoutMap:
     """A computation `step` followed by the readout, as a linear map.
@@ -278,56 +220,76 @@ class ReadoutMap:
     diagonal state is fixed by its populations d, so the (A_plus, A_minus)
     of a channel after `step` and the readout pulse are
     `amplitudes[channel] @ d`. The read-only (channel, line, population)
-    array is built once through the reference route (`_readout_state`) on
-    the four basis states, so it is exact up to rounding."""
+    array is built once from the four basis states, each through `step`
+    and then a 90° y-pulse on the observed spin, so it is exact up to
+    rounding."""
 
     step: Unitary
     amplitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        basis = [DensityMatrix.basis_state(j) for j in range(4)]
+        pulses = [
+            pulse_unitary(PulseSpec(PulseTarget(ch.value), 90.0, phase=90.0)) for ch in Channel
+        ]
+        stepped = [apply_unitary(DensityMatrix.basis_state(j), self.step) for j in range(4)]
         columns = [
-            [_coherences(_readout_state(rho, self.step, channel), channel) for channel in Channel]
-            for rho in basis
+            [_coherences(apply_unitary(rho, pulse), ch) for ch, pulse in zip(Channel, pulses)]
+            for rho in stepped
         ]
         amplitudes = np.moveaxis(np.array(columns), 0, -1)
         amplitudes.flags.writeable = False
         object.__setattr__(self, "amplitudes", amplitudes)
 
 
+def _transform(signals: np.ndarray) -> np.ndarray:
+    """Spectrum values of signals sampled along the last axis, with the
+    first point halved, on the ascending frequency axis."""
+    x = signals.copy()
+    x[..., 0] *= 0.5
+    return np.fft.fftshift(np.fft.fft(x), axes=-1)
+
+
 @functools.lru_cache(maxsize=8)
 def _grid_map(
     cfg: SpinSystemConfig, n_points: int, dwell: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window vectors, line response and noise factor of one grid, read-only
-    and kept for the last few grids (see `Detector`)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Window vectors, line response, noise factor and unit line spectra of
+    one grid, read-only and kept for the last few grids (see `Detector`)."""
     freqs = _frequency_axis(n_points, dwell)
     masks = np.array(_line_windows(freqs, cfg), dtype=float)
     # a window sum over the shifted spectrum is a dot product with the
     # transform of the unshifted mask; the first FID point is halved
     windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
     windows[:, 0] *= 0.5
-    plus, minus, decay = _line_signals(cfg, n_points, dwell)
-    response = windows @ (np.array([plus, minus]) * decay).T
+    # unit +J/2 and -J/2 lines under the T2 decay, sampled
+    t = np.arange(n_points) * dwell
+    f0 = cfg.j_coupling / 2.0
+    plus, minus = np.exp(2j * np.pi * f0 * t), np.exp(-2j * np.pi * f0 * t)
+    lines = np.array([plus, minus]) * np.exp(-t / cfg.t2)
+    response = windows @ lines.T
     noise_factor = np.linalg.cholesky((windows @ windows.conj().T).real)
+    line_spectra = _transform(lines)
     # a map is shared by every detector on its grid
-    for array in (windows, response, noise_factor):
+    for array in (windows, response, noise_factor, line_spectra):
         array.flags.writeable = False
-    return windows, response, noise_factor
+    return windows, response, noise_factor, line_spectra
 
 
 @dataclass(frozen=True)
 class Detector:
-    """Line integrals of one acquisition setting as a precomputed linear map.
+    """Line integrals and spectra of one acquisition setting as a
+    precomputed linear map.
 
     `windows` holds g_+ and g_- (partner 0 and partner 1 lines) such that a
     line integral of the FID x equals Re(g · x); `response` holds the
     complex line integrals of unit +J/2 and -J/2 amplitudes, so noise-free
     integrals are Re(response @ (A_plus, A_minus)); `noise_factor` is the
     lower Cholesky factor L of C = Re(G Gᴴ), so the line integrals of white
-    noise of amplitude σ are σ L z for standard normal z. All three belong
-    to the grid and are shared by the detectors on it. Probe tip and noise
-    level come from `settings`, the same for every detection.
+    noise of amplitude σ are σ L z for standard normal z; `line_spectra`
+    holds the spectra of unit +J/2 and -J/2 amplitudes, so a noise-free
+    spectrum is line_spectra.T @ (A_plus, A_minus). All four belong to the
+    grid and are shared by the detectors on it. Probe tip and noise level
+    come from `settings`, the same for every detection.
     """
 
     cfg: SpinSystemConfig
@@ -336,10 +298,11 @@ class Detector:
     windows: np.ndarray = field(init=False, repr=False, compare=False)
     response: np.ndarray = field(init=False, repr=False, compare=False)
     noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    line_spectra: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid_map = _grid_map(self.cfg, self.settings.n_points, self.settings.dwell)
-        for name, array in zip(("windows", "response", "noise_factor"), grid_map):
+        for name, array in zip(("windows", "response", "noise_factor", "line_spectra"), grid_map):
             object.__setattr__(self, name, array)
 
     def draw(self, rng: np.random.Generator | None = None) -> DetectionNoise:
@@ -368,23 +331,19 @@ class Detector:
         h_seed, c_seed = rng.bit_generator.seed_seq.spawn(2)
         return ChannelNoise(self, h_seed, integrals[0]), ChannelNoise(self, c_seed, integrals[1])
 
-    def _acquire(
-        self, amplitudes, noise: DetectionNoise, state_at: Callable[[Channel], DensityMatrix]
-    ) -> tuple[Acquisition, Acquisition]:
+    def _acquire(self, amplitudes, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
         h, c = (
-            Acquisition(self, channel, a, channel_noise, functools.partial(state_at, channel))
+            Acquisition(self, channel, a, channel_noise)
             for channel, a, channel_noise in zip(Channel, amplitudes, noise)
         )
         return h, c
 
     def probe(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
         """The probing experiment: simultaneous small-tip y-pulses at the
-        settings' tip, against noise from `draw`. The pulsed state is built
-        here and kept by both acquisitions."""
+        settings' tip, against noise from `draw`."""
         tip = self.settings.probe_tip_deg
         pulsed = apply_unitary(rho, pulse_unitary(PulseSpec(PulseTarget.BOTH, tip, phase=90.0)))
-        amplitudes = [_coherences(pulsed, channel) for channel in Channel]
-        return self._acquire(amplitudes, noise, lambda channel: pulsed)
+        return self._acquire([_coherences(pulsed, channel) for channel in Channel], noise)
 
     def readout(
         self, rho: DensityMatrix, computation: ReadoutMap, noise: DetectionNoise
@@ -398,16 +357,11 @@ class Detector:
         90° gives maximum signal and a clean one-line signature for
         pure-like states. Both channels come from one simulated run
         (detection here is non-destructive). The line amplitudes are the
-        map `computation` applied to the populations; the state at each
-        receiver is built by the reference route only when a spectrum asks
-        for it.
+        map `computation` applied to the populations; no state is built.
         """
         if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
             raise ValueError("the readout map takes a diagonal two-spin state")
-        amplitudes = computation.amplitudes @ populations(rho)
-        return self._acquire(
-            amplitudes, noise, functools.partial(_readout_state, rho, computation.step)
-        )
+        return self._acquire(computation.amplitudes @ populations(rho), noise)
 
     def calibration(self) -> float:
         """Receiver constant K of `calibrate` for this acquisition setting,
@@ -452,6 +406,14 @@ class ChannelNoise:
         noise.flags.writeable = False
         return noise
 
+    @functools.cached_property
+    def transform(self) -> np.ndarray:
+        """What the noise vector adds to a spectrum, read-only: its transform
+        with the first point halved, as for the lines of the grid map."""
+        values = _transform(self.vector)
+        values.flags.writeable = False
+        return values
+
 
 DetectionNoise = tuple[ChannelNoise | None, ChannelNoise | None]  # H, then C
 _NOISE_FREE: DetectionNoise = (None, None)  # noise off
@@ -460,22 +422,14 @@ _NOISE_FREE: DetectionNoise = (None, None)  # noise off
 @dataclass(frozen=True, eq=False)
 class Acquisition:
     """One channel of one detection: the line amplitudes at its receiver
-    and the noise drawn for it (`Detector.draw`). Line integrals come from
-    the detector's map. The state at the receiver (`state_at`, kept as built
-    for a probe, built on first use for a readout), the noise vector and the
-    spectrum are built only when asked for, the spectrum by the reference
-    route: FID, added noise, transform."""
+    and the noise drawn for it (`Detector.draw`). Line integrals and the
+    spectrum both come from the detector's map; the noise vector and the
+    spectrum are built only when asked for."""
 
     detector: Detector = field(repr=False)
     channel: Channel
     amplitudes: np.ndarray = field(repr=False)  # (A_plus, A_minus)
     channel_noise: ChannelNoise | None = field(repr=False)
-    state_at: Callable[[], DensityMatrix] = field(repr=False)
-
-    @functools.cached_property
-    def state(self) -> DensityMatrix:
-        """The state at the receiver."""
-        return self.state_at()
 
     @functools.cached_property
     def integrals(self) -> np.ndarray:
@@ -497,11 +451,13 @@ class Acquisition:
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
-        n_points, dwell = self.detector.settings.n_points, self.detector.settings.dwell
-        fid = synthesize_fid(self.state, self.detector.cfg, self.channel, n_points, dwell)
-        if self.noise is not None:
-            fid = Fid(channel=self.channel, dt=dwell, samples=fid.samples + self.noise)
-        return spectrum(fid)
+        """The unit line spectra weighted by the amplitudes, plus the
+        transform of the noise vector when noise is on."""
+        values = self.detector.line_spectra.T @ self.amplitudes
+        if self.channel_noise is not None:
+            values += self.channel_noise.transform
+        freqs = _frequency_axis(self.detector.settings.n_points, self.detector.settings.dwell)
+        return Spectrum(channel=self.channel, freqs=freqs, values=values)
 
 
 def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:

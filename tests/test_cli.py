@@ -166,6 +166,16 @@ class TestGrover:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: cannot create output directory {path}: ")
 
+    @pytest.mark.parametrize("name", ["grover_10_report.json", "grover_10_exp1_h.csv"],
+                             ids=["report", "csv"])
+    def test_output_file_that_cannot_be_written_is_usage_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.mkdir()
+        rc = cli.main(["--out", str(tmp_path), "grover", "--target", "10"])
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {path}: ")
+
     def test_decode_mismatch_exit_code(self, tmp_path, monkeypatch):
         real = cli.run_grover_pipeline
 
@@ -318,6 +328,14 @@ class TestConfigHandling:
             for key in re.findall(r"`(\w+)`", row.split("|")[1])
         }
         assert keys == {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+    def test_documented_exit_codes_are_the_exit_constants(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        want = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+        for text in (readme, cli.__doc__):
+            paragraph = text.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+            codes = re.findall(r"(?:^|,)\s+`?(\d+)`?\s", paragraph)
+            assert sorted(int(code) for code in codes) == want
 
     def test_missing_file_rejected(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path), "effpure"])

@@ -28,12 +28,9 @@ from spinoeqc import quantum, readout
 from spinoeqc.readout import (
     Channel,
     Detector,
-    Fid,
     PeakTable,
     ReadoutError,
     integrate_peaks,
-    spectrum,
-    synthesize_fid,
 )
 from spinoeqc.spinoe import DEFAULT_RECOVERY_S, ScheduleMode, SpinoeParams, make_schedule
 from spinoeqc.spins import (
@@ -44,6 +41,7 @@ from spinoeqc.spins import (
     permutation_pulse_sequence,
     pulse_unitary,
 )
+from test_readout import fft_spectrum, relative_gap
 
 CFG = SpinSystemConfig()
 ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
@@ -69,6 +67,22 @@ def receiver_state(rho, step, channel):
     observed spin, each through `apply_unitary`."""
     pulse = pulse_unitary(PulseSpec(PulseTarget(channel.value), 90.0, phase=90.0))
     return apply_unitary(apply_unitary(rho, step), pulse)
+
+
+def assert_readout_spectra_match_the_oracle(run, params, detection, case):
+    """Each record's exported readout spectra are its acquisitions' own, and
+    within 1e-14 of the FFT oracle on the state the eager route builds."""
+    schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
+    prep = _prepare(params, CFG, schedule, detection)
+    for rho, rec in zip(prep.states, run.records, strict=True):
+        assert rec.readout_h is rec.readout[0].spectrum
+        assert rec.readout_c is rec.readout[1].spectrum
+        step = step_unitary(rec.perm_id, run.result.ground, case)
+        for acq in rec.readout:
+            state = receiver_state(rho, step, acq.channel)
+            want = fft_spectrum(state, CFG, acq.channel, 4096, 1e-3, acq.noise)
+            assert np.array_equal(acq.spectrum.freqs, want.freqs)
+            assert relative_gap(acq.spectrum.values, want.values) <= 1e-14
 
 
 def peaks(h0, h1, c0, c1):
@@ -288,13 +302,12 @@ class TestGroverPipeline:
         def no_spectra(*args, **kwargs):
             raise AssertionError("spectrum built in the pipeline")
 
-        monkeypatch.setattr(readout, "synthesize_fid", no_spectra)
-        run = run_grover_pipeline(
-            SpinoeParams(seed=3), CFG, GroverCase("01"),
-            detection=DetectionSettings(noise_amp=0.05),
-        )
+        monkeypatch.setattr(readout.Acquisition, "spectrum", property(no_spectra))
+        params, detection = SpinoeParams(seed=3), DetectionSettings(noise_amp=0.05)
+        run = run_grover_pipeline(params, CFG, GroverCase("01"), detection=detection)
         assert run.decoded == "01"
         monkeypatch.undo()
+        assert_readout_spectra_match_the_oracle(run, params, detection, GroverCase("01"))
         # the decode read the weighted sum of line integrals; the exported
         # weighted spectrum carries the same integrals
         for peaks, spec in ((run.peaks_h, run.sum_readout_h), (run.peaks_c, run.sum_readout_c)):
@@ -392,19 +405,14 @@ class TestReadoutMap:
         monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", counting_init)
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
         assert built == []
-        acq = run.records[0].readout[0]
-        acq.spectrum
-        assert built.count("apply_unitary") == 2
+        # reading the spectra builds no state either
+        for rec in run.records:
+            rec.readout_h, rec.readout_c
+        run.sum_readout_h, run.sum_readout_c
+        assert built == []
         monkeypatch.undo()
-        # the spectrum of the state built on export is the eager route's
-        schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
-        prep = _prepare(NOISY_PARAMS, CFG, schedule, NOISY_DETECTION)
-        for rho, rec in zip(prep.states, run.records, strict=True):
-            step = step_unitary(rec.perm_id, run.result.ground, GroverCase("10"))
-            for acq in rec.readout:
-                fid = synthesize_fid(receiver_state(rho, step, acq.channel), CFG, acq.channel)
-                want = spectrum(Fid(acq.channel, 1e-3, fid.samples + acq.noise))
-                assert np.array_equal(acq.spectrum.values, want.values)
+        case = GroverCase("10")
+        assert_readout_spectra_match_the_oracle(run, NOISY_PARAMS, NOISY_DETECTION, case)
 
 
 class TestRunObjects:
