@@ -15,20 +15,27 @@ preparation on the map of its grid. Every initial state is diagonal, so a
 record's line amplitudes are a fixed linear map of its populations: one
 `ReadoutMap` per (permutation, ground, computation), at most 3 x 4 x 5,
 built once through `apply_unitary` on the basis states and cached. A
-record's readout spectra come from the same amplitudes through the grid
-map, built only when a caller reads them; no post-pulse state is built.
+record's readout spectra come from the same amplitudes through the unit
+line spectra of the grid, both built only when a caller reads a spectrum;
+no post-pulse state is built.
 
 Prepare once, compute many. Everything that does not depend on the
-computation (the detector and its calibration, the sampled initial
-states, their probed diagonals, the labeling and the readout noise) is a
-`Preparation`, kept for the last (SpinoeParams, SpinSystemConfig,
-ExperimentSchedule, DetectionSettings) seen, compared by value. The four
-search cases of one configuration therefore probe and draw once and
-compute four times. The generator is seeded from the params' seed; per
-probe the jitter and then the probe noise (two normals per channel, the
-line integrals of that channel's noise) are its first draws, the readout
-noise of every experiment its next, and the generator is not used after
-that. Each detection also spawns a child seed per channel from the
+computation (the detector, the sampled initial states, their probed
+diagonals, the labeling and the readout noise) is a `Preparation`, kept
+for the last (SpinoeParams, SpinSystemConfig, ExperimentSchedule,
+DetectionSettings) seen, compared by value. The four search cases of one
+configuration therefore probe and draw once and compute four times. What
+a preparation shares with every other on the same settings is cached
+apart from it, so a preparation for a new seed rebuilds none of it: the
+calibration (per spin system and detection settings), the probe map (per
+tip) and the reconstruction's solve (per tip and calibration). A probe is
+then a map product and a 4×4 solve, and the labeling solves its four
+candidate grounds as one batch. The generator is seeded from the params'
+seed; per probe the jitter and then the probe noise (two normals per
+channel, the line integrals of that channel's noise) are its first draws,
+the readout noise of every experiment its next, and the generator is not
+used after that. Probes spawn no seeds: nothing reads a probe's noise
+vector. Each readout detection spawns a child seed per channel from the
 generator's seed sequence, without drawing from it; a noise vector is
 built from its child seed only when a readout spectrum is read, once per
 preparation, and shared by its search cases with its transform. Shared
@@ -69,7 +76,6 @@ from .readout import (
     ReadoutError,
     ReadoutMap,
     Spectrum,
-    reconstruct_diagonal,
 )
 from .spinoe import (
     DEFAULT_RECOVERY_S,
@@ -228,12 +234,12 @@ def _prepare(
     schedule: ExperimentSchedule,
     detection: DetectionSettings,
 ) -> Preparation:
-    """Calibrate, sample and probe every scheduled state, label, and draw
-    the readout noise; kept for the next call with equal arguments (see
-    the module docstring)."""
+    """Sample and probe every scheduled state, label, and draw the readout
+    noise; kept for the next call with equal arguments (see the module
+    docstring)."""
     rng = np.random.default_rng(p.seed)
     detector = Detector(cfg, detection)
-    k = detector.calibration()
+    detector.calibration()  # a reference with no signal fails before any probe
 
     states: list[DensityMatrix] = []
     probed: list[np.ndarray] = []
@@ -241,11 +247,8 @@ def _prepare(
         rho = sample_initial_state(
             p, cfg, probe_time, fresh_sample=schedule.fresh_sample, rng=rng
         )
-        acq_h, acq_c = detector.probe(rho, detector.draw(rng))
         try:
-            diag = reconstruct_diagonal(
-                acq_h.peaks, acq_c.peaks, detector.settings.probe_tip_deg, k
-            )
+            diag = detector.probe_diagonal(rho, rng)
         except ReadoutError as exc:
             raise ReadoutError(f"experiment {i} (probe at {probe_time:.1f} s): {exc}") from exc
         diag.flags.writeable = False

@@ -61,10 +61,6 @@ class LabelingPlan:
         if self.ground not in (0, 1, 2, 3):
             raise ValueError("ground must be a state index 0..3")
 
-    @property
-    def nonground(self) -> tuple[int, int, int]:
-        return tuple(i for i in range(4) if i != self.ground)
-
 
 @dataclass(frozen=True, eq=False)
 class EffectivePureResult:
@@ -105,39 +101,64 @@ def permute_populations(diag, perm_id: PermutationId, ground: int) -> np.ndarray
     return d[list(src)]
 
 
-def _as_diags(diags) -> list[np.ndarray]:
+def _as_diags(diags) -> np.ndarray:
     out = [np.asarray(d, dtype=float) for d in diags]
     if len(out) != 3 or any(d.shape != (4,) for d in out):
         raise ValueError("expected three population vectors of length 4")
-    return out
+    return np.array(out)
 
 
-def _labeled(diags, plan: LabelingPlan, weights=None) -> EffectivePureResult:
-    """Permute the diagonals once, solve the weights unless they are given,
-    and score the weighted sum: the one step behind the functions below."""
+# per ground: the non-ground states, and the source index of every
+# population (and of the non-ground ones) under each permutation of
+# DEFAULT_PERM_ORDER
+_NONGROUND = np.array([[i for i in range(4) if i != g] for g in range(4)])
+_SOURCES = np.array([[cycle_source_indices(p, g) for p in DEFAULT_PERM_ORDER] for g in range(4)])
+_NONGROUND_SOURCES = np.take_along_axis(_SOURCES, _NONGROUND[:, None, :], axis=2)
+_EXPERIMENTS = np.arange(3)[:, None]
+
+
+def _labeled(diags, grounds, weights=None) -> list[EffectivePureResult | SingularLabelingSystem]:
+    """Permute the diagonals once per ground, solve the weight systems of
+    all `grounds` as one batch unless the weights are given, and score each
+    weighted sum: the one step behind the functions below. A ground whose
+    weight system is singular gets the error in place of its result."""
     ds = _as_diags(diags)
-    permuted = [permute_populations(d, p, plan.ground) for d, p in zip(ds, plan.perms)]
-    j1, j2, j3 = plan.nonground
+    g = np.array(grounds, dtype=int)
+    permuted = ds[_EXPERIMENTS, _SOURCES[g]]  # (ground, experiment, state)
+    singular = np.zeros(g.size, dtype=bool)
     if weights is None:
-        a = np.zeros((3, 3))
-        for col, v in enumerate(permuted):
-            a[0, col] = v[j1] - v[j2]
-            a[1, col] = v[j2] - v[j3]
-        a[2] = (1.0, 0.0, 0.0)
-        if np.abs(a).max() == 0 or 1.0 / np.linalg.cond(a) < SINGULARITY_RTOL:
-            raise SingularLabelingSystem(
-                f"weight system is singular for ground {plan.ground}: a={a.tolist()}"
-            )
-        weights = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-    w = np.asarray(weights, dtype=float)
-    diagonal = sum(wi * v for wi, v in zip(w, permuted))
-    ng = diagonal[[j1, j2, j3]]
-    q1 = float(ng.mean())
-    q2 = float(diagonal[plan.ground] - q1)
-    residual = float(ng.max() - ng.min())
-    return EffectivePureResult(
-        diagonal=diagonal, weights=w, ground=plan.ground, q1=q1, q2=q2, residual=residual
-    )
+        v = ds[_EXPERIMENTS, _NONGROUND_SOURCES[g]]  # (ground, experiment, non-ground)
+        a = np.zeros((g.size, 3, 3))
+        a[:, :2] = (v[..., :2] - v[..., 1:]).transpose(0, 2, 1)
+        a[:, 2, 0] = 1.0
+        # 1/cond(a), the smallest over the largest singular value
+        s = np.linalg.svd(a, compute_uv=False)
+        singular = s[:, -1] < SINGULARITY_RTOL * s[:, 0]
+        w = np.zeros((g.size, 3))
+        # right-hand sides as (ground, 3, 1) stacks: one meaning in every numpy
+        rhs = np.zeros((int((~singular).sum()), 3, 1))
+        rhs[:, 2] = 1.0
+        w[~singular] = np.linalg.solve(a[~singular], rhs)[..., 0]
+    else:
+        w = np.broadcast_to(np.asarray(weights, dtype=float), (g.size, 3))
+    diagonal = sum(w[:, i, None] * permuted[:, i] for i in range(3))
+    ng = diagonal[np.arange(g.size)[:, None], _NONGROUND[g]]
+    q1 = ng.mean(axis=1)
+    q2 = diagonal[np.arange(g.size), g] - q1
+    residual = ng.max(axis=1) - ng.min(axis=1)
+    return [
+        SingularLabelingSystem(f"weight system is singular for ground {ground}: a={a[k].tolist()}")
+        if singular[k]
+        else EffectivePureResult(
+            diagonal=diagonal[k],
+            weights=w[k],
+            ground=int(ground),
+            q1=float(q1[k]),
+            q2=float(q2[k]),
+            residual=float(residual[k]),
+        )
+        for k, ground in enumerate(g)
+    ]
 
 
 def _warn_unless_equalized(result: EffectivePureResult) -> None:
@@ -158,13 +179,15 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     inputs cannot be equalized (e.g. all-zero diagonals or linearly
     dependent columns), with the offending system in the message.
     """
-    result = _labeled(diags, plan)
+    (result,) = _labeled(diags, (plan.ground,))
+    if isinstance(result, SingularLabelingSystem):
+        raise result
     return result.weights, result.residual
 
 
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
-    result = _labeled(diags, plan, weights)
+    (result,) = _labeled(diags, (plan.ground,), weights)
     _warn_unless_equalized(result)
     return result
 
@@ -173,18 +196,18 @@ def label(diags) -> EffectivePureResult:
     """Label the diagonals on the ground giving the largest |q2| at fixed
     experiment count, and return that ground's result.
 
-    Every candidate ground is scored by solving its weight system and
-    rescaling the weights to sum to 3, which models constant per-experiment
-    noise. Exact sign-mirror ties are structural for enhancement-scaled
+    Every candidate ground is scored by solving its weight system (all
+    four as one batch) and rescaling the weights to sum to 3, which models
+    constant per-experiment noise. Exact sign-mirror ties are structural for enhancement-scaled
     diagonals, so ties in |q2| prefer positive q2 (an upright pseudo-pure
     state), then the lowest index.
     """
-    ds = _as_diags(diags)
     scores: list[tuple[EffectivePureResult, float]] = []
-    for ground in range(4):
+    for result in _labeled(diags, range(4)):
+        if isinstance(result, SingularLabelingSystem):
+            continue
+        _warn_unless_equalized(result)
         try:
-            result = _labeled(ds, LabelingPlan(ground))
-            _warn_unless_equalized(result)
             scores.append((result, result.normalized_q2()))
         except SingularLabelingSystem:
             continue

@@ -22,10 +22,12 @@ the deviation populations d into line amplitudes
     A = sin(tip)/2 * (cos²(tip/2) * Δ_same + sin²(tip/2) * Δ_other)
 
 with Δ the population differences of the observed spin for each partner
-state. Those four relations plus tracelessness are linear in d, so a
-least-squares solve recovers the full deviation diagonal from one probe;
-the overall receiver constant is calibrated once against a thermal
-reference run.
+state. Those four relations plus tracelessness are linear in d and rank 3,
+so one probe gives the deviation diagonal as S y for its four integrals y,
+and their inconsistency as |v·y| for the one left-null vector v of the
+relations; S and v are cached per (tip, receiver constant). The receiver
+constant is calibrated once per (spin system, detection settings) against
+a noise-free probe of the thermal state.
 
 Processing fixes: the first FID point is halved before the transform (the
 standard baseline correction for one-sided decays; without it window
@@ -37,20 +39,25 @@ receiver noise, so detection needs no FID. A line integral is Re(g · x)
 for the sampled FID x and a window vector g that carries the spectral
 window, the first-point halving and the bin width; a spectrum is the two
 unit line spectra (the transform of a unit ±J/2 line under the T2 decay)
-weighted by the amplitudes. The window vectors, their 2×2 complex
-response to unit amplitudes and the unit line spectra depend only on the
-grid (spin system, `n_points`, `dwell`), so they are built once per grid
-and shared by every `Detector` on it, whatever its probe tip and noise
-level. Every probe and readout, `probe` included, goes through a
-detector. A readout takes a diagonal state and a `ReadoutMap`, the linear
-map from its populations to the line amplitudes after a computation and
-the readout pulses, and builds no state.
+weighted by the amplitudes. The window vectors and their 2×2 complex
+response to unit amplitudes depend only on the grid (spin system,
+`n_points`, `dwell`), so they are built once per grid and shared by every
+`Detector` on it, whatever its probe tip and noise level; the unit line
+spectra and the frequency axis are too, but only once a spectrum is read
+on the grid. Every probe and readout, `probe` included, goes through a
+detector, takes a diagonal state and builds no state: a probe reads its
+line amplitudes from the probe map of its tip, and a readout from a
+`ReadoutMap`, each the linear map from the populations to the line
+amplitudes after the pulses, built once through `apply_unitary` on the
+basis states.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), which for white noise of amplitude σ are
 Gaussian with covariance σ² Re(G Gᴴ). Drawing the noise (`Detector.draw`)
 is a step of its own and takes just those, 2 normals per channel, with a
-child seed per channel. The full vector is built from that seed only when
+child seed per channel. A pipeline's probe (`Detector.probe_diagonal`)
+takes the same 2 normals per channel but spawns no seed, as nothing reads
+a probe's noise vector. The full vector is built from that seed only when
 a spectrum is read, conditioned on the drawn integrals, and a spectrum
 adds its transform, so an exported spectrum integrates to the integrals
 the pipeline used. Vector and transform are built once per draw and
@@ -232,13 +239,37 @@ class ReadoutMap:
             pulse_unitary(PulseSpec(PulseTarget(ch.value), 90.0, phase=90.0)) for ch in Channel
         ]
         stepped = [apply_unitary(DensityMatrix.basis_state(j), self.step) for j in range(4)]
-        columns = [
-            [_coherences(apply_unitary(rho, pulse), ch) for ch, pulse in zip(Channel, pulses)]
-            for rho in stepped
-        ]
-        amplitudes = np.moveaxis(np.array(columns), 0, -1)
-        amplitudes.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amplitudes)
+        received = [[apply_unitary(rho, pulse) for pulse in pulses] for rho in stepped]
+        object.__setattr__(self, "amplitudes", _line_map(received))
+
+
+def _line_map(received) -> np.ndarray:
+    """The read-only (channel, line, population) array of a map from
+    populations to line amplitudes, from `received[j]`: the states at the H
+    and C receivers for basis state j."""
+    columns = [[_coherences(rho, ch) for ch, rho in zip(Channel, states)] for states in received]
+    amplitudes = np.moveaxis(np.array(columns), 0, -1)
+    amplitudes.flags.writeable = False
+    return amplitudes
+
+
+# bounded: a scan over probe tips evicts its own stale maps
+@functools.lru_cache(maxsize=16)
+def _probe_map(tip_angle_deg: float) -> np.ndarray:
+    """The probe pulse (y-pulses of `tip_angle_deg` on both spins) as a
+    (channel, line, population) map, built once from the basis states. It
+    stays complex: the round-off imaginary parts of the coherences reach
+    the integrals through the imaginary part of the line response."""
+    pulse = pulse_unitary(PulseSpec(PulseTarget.BOTH, tip_angle_deg, phase=90.0))
+    pulsed = [apply_unitary(DensityMatrix.basis_state(j), pulse) for j in range(4)]
+    return _line_map([(rho, rho) for rho in pulsed])
+
+
+def _diagonal_populations(rho: DensityMatrix, what: str) -> np.ndarray:
+    """Populations of a two-spin state that must carry no coherences."""
+    if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
+        raise ValueError(f"the {what} takes a diagonal two-spin state")
+    return populations(rho)
 
 
 def _transform(signals: np.ndarray) -> np.ndarray:
@@ -249,30 +280,46 @@ def _transform(signals: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(x), axes=-1)
 
 
+def _unit_lines(cfg: SpinSystemConfig, n_points: int, dwell: float) -> np.ndarray:
+    """Unit +J/2 and -J/2 lines under the T2 decay, sampled."""
+    t = np.arange(n_points) * dwell
+    f0 = cfg.j_coupling / 2.0
+    plus, minus = np.exp(2j * np.pi * f0 * t), np.exp(-2j * np.pi * f0 * t)
+    return np.array([plus, minus]) * np.exp(-t / cfg.t2)
+
+
 @functools.lru_cache(maxsize=8)
 def _grid_map(
     cfg: SpinSystemConfig, n_points: int, dwell: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Window vectors, line response, noise factor and unit line spectra of
-    one grid, read-only and kept for the last few grids (see `Detector`)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window vectors, line response and noise factor of one grid,
+    read-only and kept for the last few grids (see `Detector`)."""
     freqs = _frequency_axis(n_points, dwell)
     masks = np.array(_line_windows(freqs, cfg), dtype=float)
     # a window sum over the shifted spectrum is a dot product with the
     # transform of the unshifted mask; the first FID point is halved
     windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
     windows[:, 0] *= 0.5
-    # unit +J/2 and -J/2 lines under the T2 decay, sampled
-    t = np.arange(n_points) * dwell
-    f0 = cfg.j_coupling / 2.0
-    plus, minus = np.exp(2j * np.pi * f0 * t), np.exp(-2j * np.pi * f0 * t)
-    lines = np.array([plus, minus]) * np.exp(-t / cfg.t2)
-    response = windows @ lines.T
+    response = windows @ _unit_lines(cfg, n_points, dwell).T
     noise_factor = np.linalg.cholesky((windows @ windows.conj().T).real)
-    line_spectra = _transform(lines)
     # a map is shared by every detector on its grid
-    for array in (windows, response, noise_factor, line_spectra):
+    for array in (windows, response, noise_factor):
         array.flags.writeable = False
-    return windows, response, noise_factor, line_spectra
+    return windows, response, noise_factor
+
+
+# bounded: spectra are read for the grids a caller exports, a few at most
+@functools.lru_cache(maxsize=4)
+def _spectra_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, ...]:
+    """The frequency axis and the two unit line spectra (the spectra of unit
+    +J/2 and -J/2 amplitudes) of one grid, read-only. Built on the first
+    spectrum read on the grid, apart from `_grid_map`, so detection that
+    reads only line integrals never transforms."""
+    freqs = _frequency_axis(n_points, dwell)
+    line_spectra = _transform(_unit_lines(cfg, n_points, dwell))
+    for array in (freqs, line_spectra):
+        array.flags.writeable = False
+    return freqs, line_spectra
 
 
 @dataclass(frozen=True)
@@ -285,11 +332,11 @@ class Detector:
     complex line integrals of unit +J/2 and -J/2 amplitudes, so noise-free
     integrals are Re(response @ (A_plus, A_minus)); `noise_factor` is the
     lower Cholesky factor L of C = Re(G Gᴴ), so the line integrals of white
-    noise of amplitude σ are σ L z for standard normal z; `line_spectra`
-    holds the spectra of unit +J/2 and -J/2 amplitudes, so a noise-free
-    spectrum is line_spectra.T @ (A_plus, A_minus). All four belong to the
-    grid and are shared by the detectors on it. Probe tip and noise level
-    come from `settings`, the same for every detection.
+    noise of amplitude σ are σ L z for standard normal z. All three belong
+    to the grid and are shared by the detectors on it; so do the unit line
+    spectra a spectrum is built from (`_spectra_map`), built on the first
+    spectrum read. Probe tip and noise level come from `settings`, the same
+    for every detection.
     """
 
     cfg: SpinSystemConfig
@@ -298,36 +345,39 @@ class Detector:
     windows: np.ndarray = field(init=False, repr=False, compare=False)
     response: np.ndarray = field(init=False, repr=False, compare=False)
     noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
-    line_spectra: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid_map = _grid_map(self.cfg, self.settings.n_points, self.settings.dwell)
-        for name, array in zip(("windows", "response", "noise_factor", "line_spectra"), grid_map):
+        for name, array in zip(("windows", "response", "noise_factor"), grid_map):
             object.__setattr__(self, name, array)
+
+    def _noise_integrals(self, rng: np.random.Generator | None) -> np.ndarray:
+        """noise_amp · z Lᵀ for 2 standard normals z per channel from `rng`,
+        H first: the read-only (channel, line) integrals of white receiver
+        noise, their exact joint law."""
+        if rng is None:
+            raise ValueError("detection noise needs a seeded generator (rng)")
+        integrals = self.settings.noise_amp * rng.standard_normal((2, 2)) @ self.noise_factor.T
+        integrals.flags.writeable = False
+        return integrals
 
     def draw(self, rng: np.random.Generator | None = None) -> DetectionNoise:
         """Receiver noise of one detection at the settings' level, H then C.
 
-        Takes 2 standard normals per channel from `rng`, H first, and keeps
-        noise_amp · L z as the channel's read-only line integrals, the exact
-        joint law of the two line integrals of white noise. Beside them it
-        keeps a child seed per channel, spawned from the seed sequence of
-        `rng`, from which `ChannelNoise.vector` builds the full vector when
-        a spectrum is read. Spawning consumes none of the stream but
-        advances the seed sequence's spawn count, which
-        `rng.bit_generator.state` does not hold: the noise vectors depend on
-        the generator's seed sequence and how many children it has spawned,
-        so two generators of equal state give equal line integrals but may
-        give different vectors, and a generator seeded from OS entropy gives
-        vectors no seed reproduces. Noise needs a seeded generator; with
-        noise off nothing is drawn."""
-        noise_amp = self.settings.noise_amp
-        if noise_amp <= 0:
+        Keeps the line integrals of `_noise_integrals`, 2 normals per
+        channel from `rng`, and beside them a child seed per channel,
+        spawned from the seed sequence of `rng`, from which
+        `ChannelNoise.vector` builds the full vector when a spectrum is
+        read. Spawning consumes none of the stream but advances the seed
+        sequence's spawn count, which `rng.bit_generator.state` does not
+        hold: the noise vectors depend on the generator's seed sequence and
+        how many children it has spawned, so two generators of equal state
+        give equal line integrals but may give different vectors, and a
+        generator seeded from OS entropy gives vectors no seed reproduces.
+        Noise needs a seeded generator; with noise off nothing is drawn."""
+        if self.settings.noise_amp <= 0:
             return _NOISE_FREE
-        if rng is None:
-            raise ValueError("detection noise needs a seeded generator (rng)")
-        integrals = noise_amp * rng.standard_normal((2, 2)) @ self.noise_factor.T
-        integrals.flags.writeable = False
+        integrals = self._noise_integrals(rng)
         h_seed, c_seed = rng.bit_generator.seed_seq.spawn(2)
         return ChannelNoise(self, h_seed, integrals[0]), ChannelNoise(self, c_seed, integrals[1])
 
@@ -338,12 +388,32 @@ class Detector:
         )
         return h, c
 
+    def _probe_amplitudes(self, rho: DensityMatrix) -> np.ndarray:
+        return _probe_map(self.settings.probe_tip_deg) @ _diagonal_populations(rho, "probe")
+
+    def _probe_integrals(self, rho: DensityMatrix) -> np.ndarray:
+        """Noise-free (channel, line) integrals of a probe of `rho`."""
+        return (self._probe_amplitudes(rho) @ self.response.T).real
+
     def probe(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
-        """The probing experiment: simultaneous small-tip y-pulses at the
-        settings' tip, against noise from `draw`."""
-        tip = self.settings.probe_tip_deg
-        pulsed = apply_unitary(rho, pulse_unitary(PulseSpec(PulseTarget.BOTH, tip, phase=90.0)))
-        return self._acquire([_coherences(pulsed, channel) for channel in Channel], noise)
+        """The probing experiment on a diagonal state: simultaneous small-tip
+        y-pulses at the settings' tip, against noise from `draw`. The line
+        amplitudes are the cached probe map (`_probe_map`) applied to the
+        populations; no state is built."""
+        return self._acquire(self._probe_amplitudes(rho), noise)
+
+    def probe_diagonal(
+        self, rho: DensityMatrix, rng: np.random.Generator | None = None
+    ) -> np.ndarray:
+        """The deviation diagonal that a probe of the diagonal state `rho`
+        reconstructs, by the rule of `reconstruct_diagonal` with this
+        setting's cached calibration. The probe's receiver noise is drawn
+        from `rng` as its line integrals only (`_noise_integrals`): nothing
+        reads a probe's noise vector, so no child seed is spawned."""
+        y = self._probe_integrals(rho)
+        if self.settings.noise_amp > 0:
+            y = y + self._noise_integrals(rng)
+        return _reconstruct(y.ravel(), self.settings.probe_tip_deg, self.calibration())
 
     def readout(
         self, rho: DensityMatrix, computation: ReadoutMap, noise: DetectionNoise
@@ -359,22 +429,28 @@ class Detector:
         (detection here is non-destructive). The line amplitudes are the
         map `computation` applied to the populations; no state is built.
         """
-        if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
-            raise ValueError("the readout map takes a diagonal two-spin state")
-        return self._acquire(computation.amplitudes @ populations(rho), noise)
+        d = _diagonal_populations(rho, "readout map")
+        return self._acquire(computation.amplitudes @ d, noise)
 
     def calibration(self) -> float:
         """Receiver constant K of `calibrate` for this acquisition setting,
-        from a noise-free probe of the thermal state."""
-        tip = self.settings.probe_tip_deg
-        ref = thermal_state(self.cfg)
-        dev = ref.matrix.diagonal().real - 0.25
-        y = np.concatenate([a.integrals for a in self.probe(ref, _NOISE_FREE)])
-        m = _probe_response_matrix(tip) @ dev
-        denom = float(m @ m)
-        if denom == 0.0:
-            raise ReadoutError("thermal reference produced no signal")
-        return float(y @ m) / denom
+        from a noise-free probe of the thermal state; computed once per
+        (cfg, settings) and kept for the last few."""
+        return _calibration(self.cfg, self.settings)
+
+
+# bounded: a scan over detection settings evicts its own stale constants
+@functools.lru_cache(maxsize=16)
+def _calibration(cfg: SpinSystemConfig, settings: DetectionSettings) -> float:
+    """See `Detector.calibration`."""
+    ref = thermal_state(cfg)
+    dev = ref.matrix.diagonal().real - 0.25
+    y = Detector(cfg, settings)._probe_integrals(ref).ravel()
+    m = _probe_response_matrix(settings.probe_tip_deg) @ dev
+    denom = float(m @ m)
+    if denom == 0.0:
+        raise ReadoutError("thermal reference produced no signal")
+    return float(y @ m) / denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,10 +529,11 @@ class Acquisition:
     def spectrum(self) -> Spectrum:
         """The unit line spectra weighted by the amplitudes, plus the
         transform of the noise vector when noise is on."""
-        values = self.detector.line_spectra.T @ self.amplitudes
+        settings = self.detector.settings
+        freqs, line_spectra = _spectra_map(self.detector.cfg, settings.n_points, settings.dwell)
+        values = line_spectra.T @ self.amplitudes
         if self.channel_noise is not None:
             values += self.channel_noise.transform
-        freqs = _frequency_axis(self.detector.settings.n_points, self.detector.settings.dwell)
         return Spectrum(channel=self.channel, freqs=freqs, values=values)
 
 
@@ -501,8 +578,8 @@ def probe(
     n_samples: int = 4096,
     dt: float = 1e-3,
 ) -> tuple[Spectrum, Spectrum]:
-    """Probing experiment: simultaneous small-tip y-pulses, both noise-free
-    spectra, H then C.
+    """Probing experiment on a diagonal state: simultaneous small-tip
+    y-pulses, both noise-free spectra, H then C.
 
     Small tips leave the state essentially intact while the doublet
     integrals expose the deviation populations; the tip rule and the
@@ -522,27 +599,52 @@ def reconstruct_diagonal(
 ) -> np.ndarray:
     """Deviation diagonal from one probe's four line integrals.
 
-    Least-squares solve of the four probe-response relations plus the
-    traceless constraint. The four relations are rank 3 with one internal
-    redundancy, so inconsistent peak data shows up as a residual; residuals
-    above 5% of the largest integral are rejected. Integrals within
-    round-off of zero are the zero they are and give the zero diagonal.
+    The least-squares solution of the four probe-response relations plus
+    the traceless constraint, through the cached solve of `_probe_solve`.
+    The four relations are rank 3 with one internal redundancy, so
+    inconsistent peak data shows up as a residual; residuals above 5% of
+    the largest integral are rejected. Integrals within round-off of zero
+    are the zero they are and give the zero diagonal.
     """
     y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
+    return _reconstruct(y, tip_angle_deg, calibration)
+
+
+# bounded: a scan over probe tips evicts its own stale solves
+@functools.lru_cache(maxsize=16)
+def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The reconstruction of one (tip, calibration) as read-only arrays: the
+    4×4 solve matrix S, the unit left-null vector v of the calibrated probe
+    response K·R, and the round-off level of the integrals.
+
+    S is the pseudo-inverse of the relations stacked on the traceless row,
+    restricted to the integrals, so S y is the least-squares diagonal of the
+    integrals y. R is rank 3 and every row sums to zero, so the traceless
+    row is orthogonal to its row space and the norm of the residual
+    y - K·R S y is the component of y along the left null space, |v·y|."""
+    if calibration == 0 or not np.isfinite(calibration):
+        raise ValueError("the receiver constant must be finite and non-zero")
     a = calibration * _probe_response_matrix(tip_angle_deg)
-    row_scale = np.abs(a).max()
+    row_scale = float(np.abs(a).max())
+    solve = np.linalg.pinv(np.vstack([a, np.full(4, row_scale)]))[:, :4]
+    null = np.linalg.svd(a)[0][:, 3]
+    for array in (solve, null):
+        array.flags.writeable = False
+    return solve, null, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale
+
+
+def _reconstruct(y: np.ndarray, tip_angle_deg: float, calibration: float) -> np.ndarray:
+    """`reconstruct_diagonal` of the integrals y (H partner 0, 1, then C)."""
+    solve, null, roundoff = _probe_solve(tip_angle_deg, calibration)
     ymax = float(np.abs(y).max())
-    if ymax <= ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale:
+    if ymax <= roundoff:
         return np.zeros(4)
-    design = np.vstack([a, np.full(4, row_scale)])
-    target = np.concatenate([y, [0.0]])
-    diag, *_ = np.linalg.lstsq(design, target, rcond=None)
-    residual = float(np.linalg.norm(a @ diag - y))
+    residual = abs(float(null @ y))
     if residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax:
         raise ReadoutError(
             f"inconsistent peak data (residual {residual:.3e} vs max integral {ymax:.3e})"
         )
-    return diag
+    return solve @ y
 
 
 @functools.lru_cache(maxsize=4)

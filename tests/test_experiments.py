@@ -460,8 +460,8 @@ class TestPreparationCache:
 
     def test_readout_noise_continues_the_probe_stream(self):
         # replay the seeded stream: per probe the two jitter draws, then two
-        # normals per channel; the readouts come next. Each detection spawns
-        # the child seeds of its two channels, H first.
+        # normals per channel; the readouts come next. Probes spawn nothing;
+        # each readout spawns the child seeds of its two channels, H first.
         noisy_run(ScheduleMode.MULTI_SAMPLE, "11")
         run = noisy_run(ScheduleMode.MULTI_SAMPLE, "10")
         amp = NOISY_DETECTION.noise_amp
@@ -471,7 +471,7 @@ class TestPreparationCache:
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.standard_normal(4)
-        for i, rec in enumerate(run.records, start=len(run.records)):
+        for i, rec in enumerate(run.records):
             expected = amp * rng.standard_normal(4).reshape(2, 2) @ factor.T
             for channel, acq in enumerate(rec.readout):
                 assert np.array_equal(acq.channel_noise.integrals, expected[channel])
@@ -488,9 +488,9 @@ class TestPreparationCache:
 
         monkeypatch.setattr(readout.Detector, "draw", counting_draw)
         runs = [noisy_run(ScheduleMode.SINGLE_SAMPLE, t) for t in GROVER_TARGETS]
-        # per record one probe and one readout
-        assert len(drawn) == 6
-        readout_noise = [channel for noise in drawn[3:] for channel in noise]
+        # per record one readout; a probe draws its integrals without `draw`
+        assert len(drawn) == 3
+        readout_noise = [channel for noise in drawn for channel in noise]
         for run in runs:
             acquisitions = [acq for rec in run.records for acq in rec.readout]
             assert len(acquisitions) == len(readout_noise)
@@ -524,6 +524,43 @@ class TestPreparationCache:
         again = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10").records[0].readout[0]
         assert again.noise is not acq.noise
         assert np.array_equal(again.noise, acq.noise)
+
+    def test_cold_preparation_applies_no_pulse_and_no_lstsq(self, monkeypatch):
+        # a new seed on a warm probe map and calibration: the probes, their
+        # reconstruction and the labeling are all cached maps and one batch
+        schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
+        _prepare(NOISY_PARAMS, CFG, schedule, NOISY_DETECTION)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        apply = counting("apply_unitary", quantum.apply_unitary)
+        for module in (quantum, readout):
+            monkeypatch.setattr(module, "apply_unitary", apply)
+        for name in ("lstsq", "cond"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        # the calibration's thermal reference
+        reference = counting("thermal_state", readout.thermal_state)
+        monkeypatch.setattr(readout, "thermal_state", reference)
+        caches = (readout._probe_map, readout._calibration, readout._probe_solve)
+        misses = [cache.cache_info().misses for cache in caches]
+        params = SpinoeParams(reproducibility_jitter=0.05, seed=NOISY_PARAMS.seed + 1)
+        prep = _prepare(params, CFG, schedule, NOISY_DETECTION)
+        assert _prepare.cache_info().misses == 2
+        assert calls == []
+        assert [cache.cache_info().misses for cache in caches] == misses
+        monkeypatch.undo()
+        # the same preparation as without the caches' help
+        readout._probe_map.cache_clear()
+        readout._calibration.cache_clear()
+        readout._probe_solve.cache_clear()
+        _prepare.cache_clear()
+        cold = _prepare(params, CFG, schedule, NOISY_DETECTION)
+        assert all(np.array_equal(a, b) for a, b in zip(prep.probed, cold.probed, strict=True))
 
     def test_shared_arrays_are_read_only(self):
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")

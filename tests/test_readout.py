@@ -4,13 +4,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinoeqc import readout
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary
 from spinoeqc.readout import (
+    PROBE_TIP_MAX,
     Acquisition,
     Channel,
     DetectionSettings,
@@ -430,6 +431,38 @@ class TestDetector:
         assert a == a and hash(a) == hash(a)
         assert a != b and len({a, b}) == 2
 
+    def test_spectra_are_built_only_when_read(self):
+        readout._spectra_map.cache_clear()
+        det = Detector(CFG, DetectionSettings())
+        acq_h, acq_c = det.probe(thermal_state(CFG), (None, None))
+        acq_h.integrals, acq_c.integrals
+        assert readout._spectra_map.cache_info().currsize == 0
+        freqs, line_spectra = readout._spectra_map(CFG, 4096, 1e-3)
+        assert np.array_equal(acq_h.spectrum.freqs, freqs)
+        assert np.array_equal(acq_c.spectrum.values, line_spectra.T @ acq_c.amplitudes)
+        info = readout._spectra_map.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
+        for array in (freqs, line_spectra):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "cache,key",
+        [
+            (readout._spectra_map, lambda i: (CFG, 1024 + i, 1e-3)),
+            (readout._probe_map, lambda i: (1.0 + i / 8,)),
+            (readout._calibration, lambda i: (CFG, DetectionSettings(probe_tip_deg=1.0 + i / 8))),
+            (readout._probe_solve, lambda i: (1.0 + i / 8, 100.0)),
+        ],
+        ids=["spectra", "probe", "calibration", "solve"],
+    )
+    def test_caches_are_bounded(self, cache, key):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(2 * maxsize):
+            cache(*key(i))
+        assert cache.cache_info().currsize == maxsize
+
     def test_grid_map_cache_is_bounded(self):
         maxsize = readout._grid_map.cache_info().maxsize
         assert maxsize is not None
@@ -466,6 +499,49 @@ class TestDetector:
         for rho in (coherent_state([0.1, 0, 0, 0]), DensityMatrix(np.eye(2) / 2)):
             with pytest.raises(ValueError, match="diagonal two-spin state"):
                 det.readout(rho, identity, (None, None))
+
+    def test_probe_takes_a_diagonal_state(self):
+        det = Detector(CFG, DetectionSettings(noise_amp=0.1))
+        det.probe(thermal_state(CFG), (None, None))
+        for rho in (coherent_state([0.1, 0, 0, 0]), DensityMatrix(np.eye(2) / 2)):
+            with pytest.raises(ValueError, match="the probe takes a diagonal two-spin state"):
+                det.probe(rho, (None, None))
+            with pytest.raises(ValueError, match="the probe takes a diagonal two-spin state"):
+                det.probe_diagonal(rho, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="the probe takes a diagonal two-spin state"):
+                probe(rho, CFG, 15.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        tip=st.floats(1e-3, PROBE_TIP_MAX),
+        deviation=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_probe_map_equals_the_pulsed_state(self, tip, deviation):
+        d = np.array(deviation) - np.mean(deviation)
+        assume(np.abs(d).max() >= 0.05)
+        rho = DensityMatrix.from_diagonal(0.25 + d)
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
+        got = np.array([acq.integrals for acq in det.probe(rho, (None, None))])
+        # the eager route: the pulse through `apply_unitary`, then the coherences
+        want = np.array([
+            (det.response @ readout._coherences(probed(rho, tip), channel)).real
+            for channel in Channel
+        ])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_probe_diagonal_is_the_probe_reconstructed(self):
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.05))
+        rho = enhanced_state(CFG, -11.0, 18.0)
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        got = det.probe_diagonal(rho, rng)
+        # the probe's noise is the integrals of a draw, and no seed is spawned
+        acq_h, acq_c = det.probe(rho, det.draw(replay))
+        want = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, 12.0, det.calibration())
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert rng.normal() == replay.normal()
+        with pytest.raises(ValueError, match="rng"):
+            det.probe_diagonal(rho)
 
     def test_projected_draw_has_the_law_of_white_noise(self):
         # both routes to the line integrals of white noise, 10^4 detections
@@ -559,6 +635,32 @@ class TestReconstruction:
         k = calibrate(CFG, 15.0)
         with pytest.raises(ReadoutError, match="inconsistent"):
             reconstruct_diagonal(PeakTable([1e-12 * k, 0.0]), PeakTable([0.0, 0.0]), 15.0, k)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        tip=st.floats(1e-3, PROBE_TIP_MAX),
+        calibration=st.floats(1e-3, 1e4) | st.floats(-1e4, -1e-3),
+        y=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+    )
+    def test_cached_solve_is_the_least_squares_solve(self, tip, calibration, y):
+        # the reconstruction as it was: lstsq of the relations plus the
+        # traceless row, and the norm of its residual
+        y = np.array(y)
+        a = calibration * readout._probe_response_matrix(tip)
+        design = np.vstack([a, np.full(4, np.abs(a).max())])
+        want, *_ = np.linalg.lstsq(design, np.concatenate([y, [0.0]]), rcond=None)
+        solve, null, _ = readout._probe_solve(tip, calibration)
+        scale = np.linalg.norm(y) * np.linalg.norm(solve, 2)
+        assert np.abs(solve @ y - want).max() <= 1e-13 * scale
+        residual = np.linalg.norm(a @ want - y)
+        assert abs(abs(null @ y) - residual) <= 1e-13 * np.linalg.norm(y)
+        assert np.linalg.norm(null) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("calibration", [0.0, np.nan, np.inf])
+    def test_receiver_constant_must_be_finite_and_non_zero(self, calibration):
+        peaks = PeakTable([1.0, 1.0])
+        with pytest.raises(ValueError, match="finite and non-zero"):
+            reconstruct_diagonal(peaks, peaks, 15.0, calibration)
 
     def test_inconsistent_peaks_flagged(self):
         k = calibrate(CFG, 15.0)
