@@ -14,6 +14,7 @@ from .spins import (
     PulseSpec,
     PulseTarget,
     SpinSystemConfig,
+    enhanced_populations,
     enhanced_state,
     permutation_pulse_sequence,
     pulse_unitary,
@@ -44,11 +45,11 @@ from .readout import (
     Detector,
     PeakTable,
     ReadoutError,
-    ReadoutMap,
     Spectrum,
     calibrate,
     integrate_peaks,
     probe,
+    readout_map,
     reconstruct_diagonal,
     spectrum_to_csv,
 )

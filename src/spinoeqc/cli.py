@@ -57,7 +57,7 @@ from .spinoe import (
     enhancement_at,
     make_schedule,
 )
-from .spins import SpinSystemConfig, enhanced_state, thermal_state
+from .spins import SpinSystemConfig, enhanced_populations
 from .svg import line_chart
 
 EXIT_OK = 0
@@ -311,12 +311,10 @@ def cmd_grover(cfg: RunConfig, args) -> int:
 def cmd_probe(cfg: RunConfig, args) -> int:
     out = _out_dir(args)
     system = cfg.spin_system()
-    if args.state == "thermal":
-        rho = thermal_state(system)
-    else:
-        rho = enhanced_state(system, cfg.eps0_h, cfg.eps0_c)
+    eps = (1.0, 1.0) if args.state == "thermal" else (cfg.eps0_h, cfg.eps0_c)
     detector = Detector(system, cfg.detection())
-    acq_h, acq_c = detector.probe(rho, detector.draw(np.random.default_rng(cfg.seed)))
+    noise = detector.draw(np.random.default_rng(cfg.seed))
+    acq_h, acq_c = detector.probe(enhanced_populations(system, *eps), noise)
     k = detector.calibration()
     diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, detector.settings.probe_tip_deg, k)
     _dump_spectra(out, f"probe_{args.state}", acq_h.spectrum, acq_c.spectrum, args.svg)

@@ -11,36 +11,36 @@ of per-experiment results is the effective pure state, and because
 detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
 directly. Every line integral comes from one `Detector` built per
-preparation on the map of its grid. Every initial state is diagonal, so a
-record's line amplitudes are a fixed linear map of its populations: one
-`ReadoutMap` per (permutation, ground, computation), at most 3 x 4 x 5,
-built once through `apply_unitary` on the basis states and cached. A
-record's readout spectra come from the same amplitudes through the unit
-line spectra of the grid, both built only when a caller reads a spectrum;
-no post-pulse state is built.
+preparation on the map of its grid. Every initial state is diagonal and
+travels as its four populations, so a record's line amplitudes are a
+fixed linear map of them: one `readout_map` per (permutation, ground,
+computation), at most 3 x 4 x 5, built once through `apply_unitary` on
+the basis states and cached. A record's readout spectra come from the
+same amplitudes through the unit line spectra of the grid, both built
+only when a caller reads a spectrum; no state is built.
 
 Prepare once, compute many. Everything that does not depend on the
 computation (the detector, the sampled initial states, their probed
 diagonals, the labeling and the readout noise) is a `Preparation`, kept
 for the last (SpinoeParams, SpinSystemConfig, ExperimentSchedule,
 DetectionSettings) seen, compared by value. The four search cases of one
-configuration therefore probe and draw once and compute four times. What
-a preparation shares with every other on the same settings is cached
-apart from it, so a preparation for a new seed rebuilds none of it: the
-calibration (per spin system and detection settings), the probe map (per
-tip) and the reconstruction's solve (per tip and calibration). A probe is
-then a map product and a 4×4 solve, and the labeling solves its four
-candidate grounds as one batch. The generator is seeded from the params'
-seed; per probe the jitter and then the probe noise (two normals per
-channel, the line integrals of that channel's noise) are its first draws,
-the readout noise of every experiment its next, and the generator is not
-used after that. Probes spawn no seeds: nothing reads a probe's noise
-vector. Each readout detection spawns a child seed per channel from the
-generator's seed sequence, without drawing from it; a noise vector is
-built from its child seed only when a readout spectrum is read, once per
-preparation, and shared by its search cases with its transform. Shared
-arrays are read-only; a failed preparation is not kept and fails again on
-the next call.
+configuration therefore probe and draw once and compute four times. What a
+preparation shares with every other on the same settings is cached apart
+from it, so a preparation for a new seed rebuilds none of it: the
+calibration (per spin system, tip and grid), the probe map (per tip) and
+the reconstruction's solve (per tip and calibration). A probe is then a
+map product and a 4×4 solve, and the labeling solves its four candidate
+grounds as one batch. The generator is seeded from the params' seed; per
+probe the jitter and then the probe noise (two normals per channel, the
+line integrals of that channel's noise) are its first draws, the readout
+noise of every experiment its next, and the generator is not used after
+that. Probes spawn no seeds: nothing reads a probe's noise vector. Each
+readout detection spawns a child seed per channel from the generator's
+seed sequence, without drawing from it; a noise vector is built from its
+child seed only when a readout spectrum is read, once per preparation, and
+shared by its search cases with its transform. Shared arrays are
+read-only; a failed preparation is not kept and fails again on the next
+call.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labeling import DEFAULT_PERM_ORDER, EffectivePureResult, enhancement_factor, label
-from .quantum import DensityMatrix, Unitary, compose, populations
+from .quantum import Unitary, compose
 from .readout import (
     Acquisition,
     DetectionNoise,
@@ -74,8 +74,8 @@ from .readout import (
     Detector,
     PeakTable,
     ReadoutError,
-    ReadoutMap,
     Spectrum,
+    readout_map,
 )
 from .spinoe import (
     DEFAULT_RECOVERY_S,
@@ -90,9 +90,9 @@ from .spins import (
     PulseSpec,
     PulseTarget,
     SpinSystemConfig,
+    enhanced_populations,
     permutation_pulse_sequence,
     pulse_unitary,
-    thermal_state,
 )
 
 HADAMARD_1Q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -213,15 +213,15 @@ class Preparation:
     """What a labeled run does before and apart from its computation,
     shared by every computation on it.
 
-    `probed` holds the reconstructed diagonals (read-only) of `states`,
-    `result` their labeling, and `readout_noise` the receiver noise of
-    each state's readout, drawn after the last probe (per channel a
-    `ChannelNoise`: a child seed and the read-only line integrals, see
-    `Detector.draw`).
+    `populations` holds the sampled initial states, `probed` their
+    reconstructed diagonals (both read-only), `result` their labeling, and
+    `readout_noise` the receiver noise of each state's readout, drawn after
+    the last probe (per channel a `ChannelNoise`: a child seed and the
+    read-only line integrals, see `Detector.draw`).
     """
 
     detector: Detector
-    states: tuple[DensityMatrix, ...]
+    populations: tuple[np.ndarray, ...] = field(repr=False)
     probed: tuple[np.ndarray, ...] = field(repr=False)
     result: EffectivePureResult
     readout_noise: tuple[DetectionNoise, ...] = field(repr=False)
@@ -241,47 +241,36 @@ def _prepare(
     detector = Detector(cfg, detection)
     detector.calibration()  # a reference with no signal fails before any probe
 
-    states: list[DensityMatrix] = []
+    sampled: list[np.ndarray] = []
     probed: list[np.ndarray] = []
     for i, probe_time in enumerate(schedule.probe_times, start=1):
-        rho = sample_initial_state(
-            p, cfg, probe_time, fresh_sample=schedule.fresh_sample, rng=rng
-        )
+        d = sample_initial_state(p, cfg, probe_time, fresh_sample=schedule.fresh_sample, rng=rng)
         try:
-            diag = detector.probe_diagonal(rho, rng)
+            diag = detector.probe_diagonal(d, rng)
         except ReadoutError as exc:
             raise ReadoutError(f"experiment {i} (probe at {probe_time:.1f} s): {exc}") from exc
         diag.flags.writeable = False
-        states.append(rho)
+        sampled.append(d)
         probed.append(diag)
 
     return Preparation(
         detector=detector,
-        states=tuple(states),
+        populations=tuple(sampled),
         probed=tuple(probed),
         result=label(probed),
-        readout_noise=tuple(detector.draw(rng) for _ in states),
+        readout_noise=tuple(detector.draw(rng) for _ in sampled),
     )
-
-
-# bounded by the key space: 4 grounds x (plain preparation + 4 search cases)
-@functools.lru_cache(maxsize=20)
-def _computation(ground: int, case: GroverCase | None) -> Unitary:
-    """What follows the permutation: nothing for plain preparation (`case`
-    None), the relabeling of `ground` and the search circuit for a search
-    case."""
-    if case is None:
-        return Unitary(np.eye(4))
-    return compose(relabel_unitary(ground), grover_circuit(case))
 
 
 # bounded by the key space: 3 permutations x 4 grounds x 5 computations
 @functools.lru_cache(maxsize=60)
-def _readout_map(perm: PermutationId, ground: int, case: GroverCase | None) -> ReadoutMap:
-    """Permutation, computation and readout of one record as the map from
-    its input populations to its line amplitudes (see `ReadoutMap`)."""
-    permutation = permutation_pulse_sequence(perm, ground)
-    return ReadoutMap(compose(permutation, _computation(ground, case)))
+def _readout_map(perm: PermutationId, ground: int, case: GroverCase | None) -> np.ndarray:
+    """The `readout_map` of one record: its permutation, then for a search
+    case (`case` not None) the relabeling of `ground` and the circuit."""
+    step = permutation_pulse_sequence(perm, ground)
+    if case is not None:
+        step = compose(step, compose(relabel_unitary(ground), grover_circuit(case)))
+    return readout_map(step)
 
 
 def _run_labeled_experiments(
@@ -300,15 +289,15 @@ def _run_labeled_experiments(
     """
     ground = prep.result.ground
     records: list[ExperimentRecord] = []
-    experiments = zip(prep.states, prep.probed, prep.readout_noise, DEFAULT_PERM_ORDER)
-    for i, (rho, diag, noise, perm) in enumerate(experiments):
+    experiments = zip(prep.populations, prep.probed, prep.readout_noise, DEFAULT_PERM_ORDER)
+    for i, (d, diag, noise, perm) in enumerate(experiments):
         records.append(
             ExperimentRecord(
                 schedule_time=schedule.times[i],
                 probe_time=schedule.probe_times[i],
                 probed_diagonal=diag,
                 perm_id=perm,
-                readout=prep.detector.readout(rho, _readout_map(perm, ground, case), noise),
+                readout=prep.detector.readout(d, _readout_map(perm, ground, case), noise),
             )
         )
 
@@ -329,7 +318,7 @@ def _thermal_reference(cfg: SpinSystemConfig) -> EffectivePureResult:
     Three copies of the thermal deviation diagonal: classic temporal
     averaging, the same for every schedule, seed and detection setting.
     """
-    return label([populations(thermal_state(cfg)) - 0.25] * 3)
+    return label([enhanced_populations(cfg, 1.0, 1.0) - 0.25] * 3)
 
 
 def run_effective_pure_pipeline(

@@ -200,13 +200,13 @@ def label(diags) -> EffectivePureResult:
     four as one batch) and rescaling the weights to sum to 3, which models
     constant per-experiment noise. Exact sign-mirror ties are structural for enhancement-scaled
     diagonals, so ties in |q2| prefer positive q2 (an upright pseudo-pure
-    state), then the lowest index.
+    state), then the lowest index. Only the returned result is checked for
+    equalization.
     """
     scores: list[tuple[EffectivePureResult, float]] = []
     for result in _labeled(diags, range(4)):
         if isinstance(result, SingularLabelingSystem):
             continue
-        _warn_unless_equalized(result)
         try:
             scores.append((result, result.normalized_q2()))
         except SingularLabelingSystem:
@@ -215,8 +215,9 @@ def label(diags) -> EffectivePureResult:
     if best_abs == 0.0:
         raise SingularLabelingSystem("every candidate ground yields q2 = 0")
     tied = [(r, q2) for r, q2 in scores if abs(q2) >= best_abs * (1 - GROUND_TIE_RTOL)]
-    tied.sort(key=lambda item: (item[1] <= 0, item[0].ground))
-    return tied[0][0]
+    best = min(tied, key=lambda item: (item[1] <= 0, item[0].ground))[0]
+    _warn_unless_equalized(best)
+    return best
 
 
 def choose_ground(diags) -> int:

@@ -26,8 +26,8 @@ state. Those four relations plus tracelessness are linear in d and rank 3,
 so one probe gives the deviation diagonal as S y for its four integrals y,
 and their inconsistency as |v·y| for the one left-null vector v of the
 relations; S and v are cached per (tip, receiver constant). The receiver
-constant is calibrated once per (spin system, detection settings) against
-a noise-free probe of the thermal state.
+constant is calibrated once per (spin system, tip, grid) against a
+noise-free probe of the thermal state.
 
 Processing fixes: the first FID point is halved before the transform (the
 standard baseline correction for one-sided decays; without it window
@@ -44,12 +44,13 @@ response to unit amplitudes depend only on the grid (spin system,
 `n_points`, `dwell`), so they are built once per grid and shared by every
 `Detector` on it, whatever its probe tip and noise level; the unit line
 spectra and the frequency axis are too, but only once a spectrum is read
-on the grid. Every probe and readout, `probe` included, goes through a
-detector, takes a diagonal state and builds no state: a probe reads its
-line amplitudes from the probe map of its tip, and a readout from a
-`ReadoutMap`, each the linear map from the populations to the line
-amplitudes after the pulses, built once through `apply_unitary` on the
-basis states.
+on the grid. Every probe and readout goes through a detector, which takes
+the four populations of a diagonal state (only `probe` takes a density
+matrix, and rejects coherences) and builds no state: a probe reads its
+line amplitudes from the probe map of its tip, a readout from the
+`readout_map` of its computation, each the (channel, line, population)
+map from the populations to the line amplitudes after the pulses, built
+once through `apply_unitary` on the basis states.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), which for white noise of amplitude σ are
@@ -74,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantum import DensityMatrix, Unitary, apply_unitary, populations
-from .spins import PulseSpec, PulseTarget, SpinSystemConfig, pulse_unitary, thermal_state
+from .spins import PulseSpec, PulseTarget, SpinSystemConfig, enhanced_populations, pulse_unitary
 
 PROBE_TIP_MAX = 25.0
 MIN_FID_SAMPLES = 256
@@ -219,28 +220,19 @@ def _draw_noise(n_samples: int, noise_amp: float, rng: np.random.Generator) -> n
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ReadoutMap:
-    """A computation `step` followed by the readout, as a linear map.
+def readout_map(step: Unitary) -> np.ndarray:
+    """A computation `step` followed by the readout, as the read-only
+    (channel, line, population) array of a linear map.
 
     The line amplitudes at a receiver are linear in the state, and a
     diagonal state is fixed by its populations d, so the (A_plus, A_minus)
-    of a channel after `step` and the readout pulse are
-    `amplitudes[channel] @ d`. The read-only (channel, line, population)
-    array is built once from the four basis states, each through `step`
-    and then a 90° y-pulse on the observed spin, so it is exact up to
-    rounding."""
-
-    step: Unitary
-    amplitudes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        pulses = [
-            pulse_unitary(PulseSpec(PulseTarget(ch.value), 90.0, phase=90.0)) for ch in Channel
-        ]
-        stepped = [apply_unitary(DensityMatrix.basis_state(j), self.step) for j in range(4)]
-        received = [[apply_unitary(rho, pulse) for pulse in pulses] for rho in stepped]
-        object.__setattr__(self, "amplitudes", _line_map(received))
+    of a channel after `step` and the readout pulse are `map[channel] @ d`.
+    The map is built from the four basis states, each through `step` and
+    then a 90° y-pulse on the observed spin, so it is exact up to rounding.
+    """
+    pulses = [pulse_unitary(PulseSpec(PulseTarget(ch.value), 90.0, phase=90.0)) for ch in Channel]
+    stepped = [apply_unitary(DensityMatrix.basis_state(j), step) for j in range(4)]
+    return _line_map([[apply_unitary(rho, pulse) for pulse in pulses] for rho in stepped])
 
 
 def _line_map(received) -> np.ndarray:
@@ -265,11 +257,11 @@ def _probe_map(tip_angle_deg: float) -> np.ndarray:
     return _line_map([(rho, rho) for rho in pulsed])
 
 
-def _diagonal_populations(rho: DensityMatrix, what: str) -> np.ndarray:
-    """Populations of a two-spin state that must carry no coherences."""
-    if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
-        raise ValueError(f"the {what} takes a diagonal two-spin state")
-    return populations(rho)
+def _population_vector(d, what: str) -> np.ndarray:
+    """The populations `d` of a two-spin state, checked for their shape."""
+    if np.shape(d) != (4,):
+        raise ValueError(f"the {what} takes the four populations of a two-spin state")
+    return d
 
 
 def _transform(signals: np.ndarray) -> np.ndarray:
@@ -388,69 +380,51 @@ class Detector:
         )
         return h, c
 
-    def _probe_amplitudes(self, rho: DensityMatrix) -> np.ndarray:
-        return _probe_map(self.settings.probe_tip_deg) @ _diagonal_populations(rho, "probe")
+    def _probe_amplitudes(self, d) -> np.ndarray:
+        return _probe_map(self.settings.probe_tip_deg) @ _population_vector(d, "probe")
 
-    def _probe_integrals(self, rho: DensityMatrix) -> np.ndarray:
-        """Noise-free (channel, line) integrals of a probe of `rho`."""
-        return (self._probe_amplitudes(rho) @ self.response.T).real
+    def _probe_integrals(self, d) -> np.ndarray:
+        """Noise-free (channel, line) integrals of a probe of populations d."""
+        return (self._probe_amplitudes(d) @ self.response.T).real
 
-    def probe(self, rho: DensityMatrix, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
-        """The probing experiment on a diagonal state: simultaneous small-tip
-        y-pulses at the settings' tip, against noise from `draw`. The line
-        amplitudes are the cached probe map (`_probe_map`) applied to the
-        populations; no state is built."""
-        return self._acquire(self._probe_amplitudes(rho), noise)
+    def probe(self, d, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
+        """The probing experiment on the diagonal state of populations d:
+        simultaneous small-tip y-pulses at the settings' tip, against noise
+        from `draw`. The line amplitudes are the cached probe map
+        (`_probe_map`) applied to d."""
+        return self._acquire(self._probe_amplitudes(d), noise)
 
-    def probe_diagonal(
-        self, rho: DensityMatrix, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """The deviation diagonal that a probe of the diagonal state `rho`
+    def probe_diagonal(self, d, rng: np.random.Generator | None = None) -> np.ndarray:
+        """The deviation diagonal that a probe of populations d
         reconstructs, by the rule of `reconstruct_diagonal` with this
         setting's cached calibration. The probe's receiver noise is drawn
         from `rng` as its line integrals only (`_noise_integrals`): nothing
         reads a probe's noise vector, so no child seed is spawned."""
-        y = self._probe_integrals(rho)
+        y = self._probe_integrals(d)
         if self.settings.noise_amp > 0:
             y = y + self._noise_integrals(rng)
         return _reconstruct(y.ravel(), self.settings.probe_tip_deg, self.calibration())
 
     def readout(
-        self, rho: DensityMatrix, computation: ReadoutMap, noise: DetectionNoise
+        self, d, amplitude_map: np.ndarray, noise: DetectionNoise
     ) -> tuple[Acquisition, Acquisition]:
-        """Per-channel readout of a diagonal state after a computation,
-        against noise from `draw`: a 90° y-pulse on one spin at a time, that
-        spin observed.
+        """Per-channel readout of the diagonal state of populations d after
+        a computation, against noise from `draw`: a 90° y-pulse on one spin
+        at a time, that spin observed.
 
         Unlike the two-spin probe, a single-spin pulse maps populations to
         line amplitudes with no cross-partner mixing at any tip angle, so
         90° gives maximum signal and a clean one-line signature for
         pure-like states. Both channels come from one simulated run
-        (detection here is non-destructive). The line amplitudes are the
-        map `computation` applied to the populations; no state is built.
+        (detection here is non-destructive). The line amplitudes are
+        `amplitude_map`, the computation's `readout_map`, applied to d.
         """
-        d = _diagonal_populations(rho, "readout map")
-        return self._acquire(computation.amplitudes @ d, noise)
+        return self._acquire(amplitude_map @ _population_vector(d, "readout"), noise)
 
     def calibration(self) -> float:
-        """Receiver constant K of `calibrate` for this acquisition setting,
-        from a noise-free probe of the thermal state; computed once per
-        (cfg, settings) and kept for the last few."""
-        return _calibration(self.cfg, self.settings)
-
-
-# bounded: a scan over detection settings evicts its own stale constants
-@functools.lru_cache(maxsize=16)
-def _calibration(cfg: SpinSystemConfig, settings: DetectionSettings) -> float:
-    """See `Detector.calibration`."""
-    ref = thermal_state(cfg)
-    dev = ref.matrix.diagonal().real - 0.25
-    y = Detector(cfg, settings)._probe_integrals(ref).ravel()
-    m = _probe_response_matrix(settings.probe_tip_deg) @ dev
-    denom = float(m @ m)
-    if denom == 0.0:
-        raise ReadoutError("thermal reference produced no signal")
-    return float(y @ m) / denom
+        """Receiver constant K of `calibrate` for this acquisition setting."""
+        s = self.settings
+        return calibrate(self.cfg, s.probe_tip_deg, s.n_points, s.dwell)
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,6 +530,8 @@ def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
     )
 
 
+# bounded: a scan over detection settings evicts its own stale constants
+@functools.lru_cache(maxsize=16)
 def calibrate(
     cfg: SpinSystemConfig,
     tip_angle_deg: float,
@@ -566,9 +542,16 @@ def calibrate(
 
     Returns K such that measured integrals equal K times the probe
     response applied to the deviation diagonal. Must be produced with the
-    same acquisition settings later used for reconstruction.
+    same acquisition settings later used for reconstruction. The probe is
+    noise-free, so K is cached per (spin system, tip, grid) alone.
     """
-    return Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg)).calibration()
+    ref = enhanced_populations(cfg, 1.0, 1.0)
+    y = Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg))._probe_integrals(ref)
+    m = _probe_response_matrix(tip_angle_deg) @ (ref - 0.25)
+    denom = float(m @ m)
+    if denom == 0.0:
+        raise ReadoutError("thermal reference produced no signal")
+    return float(y.ravel() @ m) / denom
 
 
 def probe(
@@ -583,11 +566,13 @@ def probe(
 
     Small tips leave the state essentially intact while the doublet
     integrals expose the deviation populations; the tip rule and the
-    window rules are those of `DetectionSettings` and `Detector`. Noisy
-    probes take their noise from `Detector.draw`.
+    window rules are those of `DetectionSettings` and `Detector`. A noisy
+    probe is `Detector.probe` of the populations, with `Detector.draw`.
     """
+    if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
+        raise ValueError("the probe takes a diagonal two-spin state")
     detector = Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg))
-    h, c = (a.spectrum for a in detector.probe(rho, _NOISE_FREE))
+    h, c = (a.spectrum for a in detector.probe(populations(rho), _NOISE_FREE))
     return h, c
 
 

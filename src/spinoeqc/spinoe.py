@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labeling import DEFAULT_PERM_ORDER
-from .quantum import DensityMatrix
-from .spins import SpinSystemConfig, enhanced_state
+from .spins import SpinSystemConfig, enhanced_populations
 
 # gap between single-sample experiments: 5 x the 24 s solute T1, after
 # which the solute is taken as fully recovered
@@ -108,8 +107,9 @@ def sample_initial_state(
     t: float,
     fresh_sample: bool = False,
     rng: np.random.Generator | None = None,
-) -> DensityMatrix:
-    """Initial state for an experiment whose probe fires at time t.
+) -> np.ndarray:
+    """Initial state for an experiment whose probe fires at time t, as its
+    read-only populations (`enhanced_populations`).
 
     With jitter disabled this is a pure function of (p, cfg, t). For a
     fresh sample the enhancements are additionally scaled per nucleus by
@@ -123,7 +123,7 @@ def sample_initial_state(
             raise ValueError("sample jitter needs a seeded generator (rng)")
         eps_h *= 1.0 + rng.normal(0.0, p.reproducibility_jitter)
         eps_c *= 1.0 + rng.normal(0.0, p.reproducibility_jitter)
-    return enhanced_state(cfg, eps_h, eps_c)
+    return enhanced_populations(cfg, eps_h, eps_c)
 
 
 def make_schedule(

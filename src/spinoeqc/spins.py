@@ -88,16 +88,21 @@ class PulseSpec:
             raise ValueError("tip_angle must be in (0, 180] degrees")
 
 
-def enhanced_state(cfg: SpinSystemConfig, eps_h: float, eps_c: float) -> DensityMatrix:
-    """Diagonal state with per-nucleus enhancement factors.
-
-    Cross-relaxation transfer is incoherent, so enhanced states carry no
-    coherences: off-diagonal elements are exactly zero. eps_h = eps_c = 1
-    reproduces thermal equilibrium; eps = 0 gives the fully mixed state.
+def enhanced_populations(cfg: SpinSystemConfig, eps_h: float, eps_c: float) -> np.ndarray:
+    """Read-only populations of the state with per-nucleus enhancement
+    factors. Cross-relaxation transfer is incoherent, so enhanced states
+    carry no coherences and their populations are the whole state. eps_h =
+    eps_c = 1 reproduces thermal equilibrium; eps = 0 the fully mixed state.
     """
     u = cfg.polarization_unit
-    dev = 0.5 * u * (eps_h * cfg.gamma_ratio * Z_H + eps_c * Z_C)
-    return DensityMatrix.from_diagonal(0.25 + dev)
+    d = 0.25 + 0.5 * u * (eps_h * cfg.gamma_ratio * Z_H + eps_c * Z_C)
+    d.flags.writeable = False
+    return d
+
+
+def enhanced_state(cfg: SpinSystemConfig, eps_h: float, eps_c: float) -> DensityMatrix:
+    """`enhanced_populations` as a density matrix, with zero coherences."""
+    return DensityMatrix.from_diagonal(enhanced_populations(cfg, eps_h, eps_c))
 
 
 def thermal_state(cfg: SpinSystemConfig) -> DensityMatrix:

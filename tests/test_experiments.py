@@ -74,7 +74,8 @@ def assert_readout_spectra_match_the_oracle(run, params, detection, case):
     within 1e-14 of the FFT oracle on the state the eager route builds."""
     schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
     prep = _prepare(params, CFG, schedule, detection)
-    for rho, rec in zip(prep.states, run.records, strict=True):
+    for d, rec in zip(prep.populations, run.records, strict=True):
+        rho = DensityMatrix.from_diagonal(d)
         assert rec.readout_h is rec.readout[0].spectrum
         assert rec.readout_c is rec.readout[1].spectrum
         step = step_unitary(rec.perm_id, run.result.ground, case)
@@ -368,7 +369,8 @@ class TestReadoutMap:
     def test_map_equals_the_unitary_route(self, dev):
         dev = np.array(dev) - np.mean(dev)
         assume(np.abs(dev).max() >= 0.1)
-        rho = DensityMatrix.from_diagonal(0.25 + dev)
+        d = 0.25 + dev
+        rho = DensityMatrix.from_diagonal(d)
         det = Detector(CFG, DetectionSettings())
         for perm, ground, case in MAP_KEYS:
             step = step_unitary(perm, ground, case)
@@ -376,7 +378,7 @@ class TestReadoutMap:
                 (det.response @ readout._coherences(receiver_state(rho, step, ch), ch)).real
                 for ch in Channel
             ])
-            acquisitions = det.readout(rho, _readout_map(perm, ground, case), (None, None))
+            acquisitions = det.readout(d, _readout_map(perm, ground, case), (None, None))
             got = np.array([acq.integrals for acq in acquisitions])
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -544,9 +546,14 @@ class TestPreparationCache:
         for name in ("lstsq", "cond"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         # the calibration's thermal reference
-        reference = counting("thermal_state", readout.thermal_state)
-        monkeypatch.setattr(readout, "thermal_state", reference)
-        caches = (readout._probe_map, readout._calibration, readout._probe_solve)
+        reference = counting("enhanced_populations", readout.enhanced_populations)
+        monkeypatch.setattr(readout, "enhanced_populations", reference)
+        # no state is built: the sampled states travel as populations
+        init = quantum.DensityMatrix.__post_init__
+        monkeypatch.setattr(
+            quantum.DensityMatrix, "__post_init__", counting("DensityMatrix", init)
+        )
+        caches = (readout._probe_map, readout.calibrate, readout._probe_solve)
         misses = [cache.cache_info().misses for cache in caches]
         params = SpinoeParams(reproducibility_jitter=0.05, seed=NOISY_PARAMS.seed + 1)
         prep = _prepare(params, CFG, schedule, NOISY_DETECTION)
@@ -556,7 +563,7 @@ class TestPreparationCache:
         monkeypatch.undo()
         # the same preparation as without the caches' help
         readout._probe_map.cache_clear()
-        readout._calibration.cache_clear()
+        readout.calibrate.cache_clear()
         readout._probe_solve.cache_clear()
         _prepare.cache_clear()
         cold = _prepare(params, CFG, schedule, NOISY_DETECTION)

@@ -252,24 +252,25 @@ class TestPlanValidation:
 def label_by_loop(diags):
     """Reference `label`: one `_labeled` call per ground, scored in turn.
     Returns the chosen result (or the SingularLabelingSystem raised) and the
-    number of grounds whose sum is not equalized."""
-    scores, unequalized = [], 0
+    number of equalization warnings due: 1 if the chosen sum is not
+    equalized, else 0."""
+    scores = []
     for ground in range(4):
         (result,) = _labeled(diags, (ground,))
         if isinstance(result, SingularLabelingSystem):
             continue
-        tol = EQUALIZATION_TOL * max(np.abs(result.diagonal).max(), 1e-300)
-        unequalized += result.residual > tol
         try:
             scores.append((result, result.normalized_q2()))
         except SingularLabelingSystem:
             continue
     best_abs = max((abs(q2) for _, q2 in scores), default=0.0)
     if best_abs == 0.0:
-        return SingularLabelingSystem("every candidate ground yields q2 = 0"), unequalized
+        return SingularLabelingSystem("every candidate ground yields q2 = 0"), 0
     tied = [(r, q2) for r, q2 in scores if abs(q2) >= best_abs * (1 - GROUND_TIE_RTOL)]
     tied.sort(key=lambda item: (item[1] <= 0, item[0].ground))
-    return tied[0][0], unequalized
+    best = tied[0][0]
+    tol = EQUALIZATION_TOL * max(np.abs(best.diagonal).max(), 1e-300)
+    return best, int(best.residual > tol)
 
 
 def enhanced_deviation(eps_h, eps_c, gamma_ratio=4.0):
@@ -322,6 +323,16 @@ class TestBatchedLabeling:
                 assert got.ground == want.ground and got.q2 == want.q2
                 assert np.array_equal(got.weights, want.weights)
         assert sum("not equalized" in str(w.message) for w in caught) == unequalized
+
+    def test_label_warns_only_about_the_ground_it_returns(self):
+        # ground 2's near-singular system leaves its sum unequalized, but
+        # label returns ground 0, whose sum is equalized
+        diags = [[-1.0, 1.0, 1.0, -2.0], [1.0, -1.0, 0.0, 0.0], [-2.0, -1.0, 1.0, 1.0]]
+        scored = {r.ground: r for r in _labeled(diags, range(4))}
+        assert scored[2].residual > EQUALIZATION_TOL * np.abs(scored[2].diagonal).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert label(diags).ground == 0
 
     def test_singular_grounds_carry_their_system(self):
         results = _labeled([np.zeros(4)] * 3, range(4))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinoeqc import readout
-from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary
+from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, populations
 from spinoeqc.readout import (
     PROBE_TIP_MAX,
     Acquisition,
@@ -18,11 +18,11 @@ from spinoeqc.readout import (
     Detector,
     PeakTable,
     ReadoutError,
-    ReadoutMap,
     Spectrum,
     calibrate,
     integrate_peaks,
     probe,
+    readout_map,
     reconstruct_diagonal,
     spectrum_to_csv,
 )
@@ -281,9 +281,9 @@ class TestProbe:
 
     def test_noise_reproducible_under_seed(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.1))
+        thermal = populations(thermal_state(CFG))
         a, b = (
-            det.probe(thermal_state(CFG), det.draw(np.random.default_rng(3)))[0].spectrum
-            for _ in range(2)
+            det.probe(thermal, det.draw(np.random.default_rng(3)))[0].spectrum for _ in range(2)
         )
         assert np.array_equal(a.values, b.values)
         clean = probe(thermal_state(CFG), CFG, 15.0)[0]
@@ -427,14 +427,14 @@ class TestDetector:
 
     def test_acquisitions_hash_and_compare_by_identity(self):
         det = Detector(CFG, DetectionSettings())
-        a, b = (det.probe(thermal_state(CFG), det.draw())[0] for _ in range(2))
+        a, b = (det.probe(populations(thermal_state(CFG)), det.draw())[0] for _ in range(2))
         assert a == a and hash(a) == hash(a)
         assert a != b and len({a, b}) == 2
 
     def test_spectra_are_built_only_when_read(self):
         readout._spectra_map.cache_clear()
         det = Detector(CFG, DetectionSettings())
-        acq_h, acq_c = det.probe(thermal_state(CFG), (None, None))
+        acq_h, acq_c = det.probe(populations(thermal_state(CFG)), (None, None))
         acq_h.integrals, acq_c.integrals
         assert readout._spectra_map.cache_info().currsize == 0
         freqs, line_spectra = readout._spectra_map(CFG, 4096, 1e-3)
@@ -451,7 +451,7 @@ class TestDetector:
         [
             (readout._spectra_map, lambda i: (CFG, 1024 + i, 1e-3)),
             (readout._probe_map, lambda i: (1.0 + i / 8,)),
-            (readout._calibration, lambda i: (CFG, DetectionSettings(probe_tip_deg=1.0 + i / 8))),
+            (readout.calibrate, lambda i: (CFG, 1.0 + i / 8)),
             (readout._probe_solve, lambda i: (1.0 + i / 8, 100.0)),
         ],
         ids=["spectra", "probe", "calibration", "solve"],
@@ -462,6 +462,14 @@ class TestDetector:
         for i in range(2 * maxsize):
             cache(*key(i))
         assert cache.cache_info().currsize == maxsize
+
+    def test_settings_that_differ_in_noise_alone_share_one_calibration(self):
+        # K comes from a noise-free probe, so the noise level is no part of its key
+        readout.calibrate.cache_clear()
+        k = [Detector(CFG, DetectionSettings(noise_amp=a)).calibration() for a in (0.0, 0.1)]
+        info = readout.calibrate.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert k[0] == k[1] == calibrate(CFG, 15.0)
 
     def test_grid_map_cache_is_bounded(self):
         maxsize = readout._grid_map.cache_info().maxsize
@@ -474,8 +482,9 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
         rng = np.random.default_rng(4)
-        probed_acqs = det.probe(rho, det.draw(rng))
-        readout_acqs = det.readout(rho, ReadoutMap(Unitary(np.eye(4))), det.draw(rng))
+        probed_acqs = det.probe(populations(rho), det.draw(rng))
+        identity = readout_map(Unitary(np.eye(4)))
+        readout_acqs = det.readout(populations(rho), identity, det.draw(rng))
         pairs = [
             (probed_acqs,
              [fft_spectrum(probed(rho, 15.0), CFG, acq.channel, 4096, 1e-3, acq.noise)
@@ -494,20 +503,23 @@ class TestDetector:
 
     def test_readout_takes_a_diagonal_state(self):
         det = Detector(CFG, DetectionSettings())
-        identity = ReadoutMap(Unitary(np.eye(4)))
-        det.readout(thermal_state(CFG), identity, (None, None))
-        for rho in (coherent_state([0.1, 0, 0, 0]), DensityMatrix(np.eye(2) / 2)):
-            with pytest.raises(ValueError, match="diagonal two-spin state"):
-                det.readout(rho, identity, (None, None))
+        identity = readout_map(Unitary(np.eye(4)))
+        det.readout(populations(thermal_state(CFG)), identity, (None, None))
+        for d in (np.full(2, 0.5), np.eye(4) / 4, np.float64(1.0)):
+            with pytest.raises(ValueError, match="the readout takes the four populations"):
+                det.readout(d, identity, (None, None))
 
     def test_probe_takes_a_diagonal_state(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
-        det.probe(thermal_state(CFG), (None, None))
+        det.probe(populations(thermal_state(CFG)), (None, None))
+        for d in (np.full(2, 0.5), np.eye(4) / 4, np.float64(1.0)):
+            with pytest.raises(ValueError, match="the probe takes the four populations"):
+                det.probe(d, (None, None))
+            with pytest.raises(ValueError, match="the probe takes the four populations"):
+                det.probe_diagonal(d, np.random.default_rng(0))
+        # a density matrix reaches detection only through `probe`, which
+        # rejects coherences
         for rho in (coherent_state([0.1, 0, 0, 0]), DensityMatrix(np.eye(2) / 2)):
-            with pytest.raises(ValueError, match="the probe takes a diagonal two-spin state"):
-                det.probe(rho, (None, None))
-            with pytest.raises(ValueError, match="the probe takes a diagonal two-spin state"):
-                det.probe_diagonal(rho, np.random.default_rng(0))
             with pytest.raises(ValueError, match="the probe takes a diagonal two-spin state"):
                 probe(rho, CFG, 15.0)
 
@@ -521,7 +533,7 @@ class TestDetector:
         assume(np.abs(d).max() >= 0.05)
         rho = DensityMatrix.from_diagonal(0.25 + d)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
-        got = np.array([acq.integrals for acq in det.probe(rho, (None, None))])
+        got = np.array([acq.integrals for acq in det.probe(populations(rho), (None, None))])
         # the eager route: the pulse through `apply_unitary`, then the coherences
         want = np.array([
             (det.response @ readout._coherences(probed(rho, tip), channel)).real
@@ -533,15 +545,15 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
         rng, replay = np.random.default_rng(5), np.random.default_rng(5)
-        got = det.probe_diagonal(rho, rng)
+        got = det.probe_diagonal(populations(rho), rng)
         # the probe's noise is the integrals of a draw, and no seed is spawned
-        acq_h, acq_c = det.probe(rho, det.draw(replay))
+        acq_h, acq_c = det.probe(populations(rho), det.draw(replay))
         want = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, 12.0, det.calibration())
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert rng.normal() == replay.normal()
         with pytest.raises(ValueError, match="rng"):
-            det.probe_diagonal(rho)
+            det.probe_diagonal(populations(rho))
 
     def test_projected_draw_has_the_law_of_white_noise(self):
         # both routes to the line integrals of white noise, 10^4 detections
@@ -625,7 +637,7 @@ class TestReconstruction:
         # fit no diagonal: they are the zero they stand for
         k = calibrate(CFG, tip)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
-        acq_h, acq_c = det.probe(DensityMatrix.from_diagonal(np.full(4, 0.25)), det.draw())
+        acq_h, acq_c = det.probe(np.full(4, 0.25), det.draw())
         assert np.abs(np.concatenate([acq_h.integrals, acq_c.integrals])).max() > 0
         diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, tip, k)
         assert np.array_equal(diag, np.zeros(4))

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinoeqc.labeling import DEFAULT_PERM_ORDER
-from spinoeqc.quantum import populations
 from spinoeqc.spinoe import (
     DEFAULT_RECOVERY_S,
     ExperimentSchedule,
@@ -13,7 +12,7 @@ from spinoeqc.spinoe import (
     make_schedule,
     sample_initial_state,
 )
-from spinoeqc.spins import SpinSystemConfig, enhanced_state, thermal_state
+from spinoeqc.spins import SpinSystemConfig, enhanced_populations
 
 CFG = SpinSystemConfig()
 
@@ -52,14 +51,14 @@ class TestEnhancementAt:
 class TestSampleInitialState:
     def test_no_jitter_matches_enhanced_state(self):
         p = SpinoeParams(reproducibility_jitter=0.0)
-        rho = sample_initial_state(p, CFG, 0.0)
-        assert np.array_equal(rho.matrix, enhanced_state(CFG, -11.0, 18.0).matrix)
+        d = sample_initial_state(p, CFG, 0.0)
+        assert np.array_equal(d, enhanced_populations(CFG, -11.0, 18.0))
 
     def test_no_jitter_is_deterministic_function_of_time(self):
         p = SpinoeParams()
         a = sample_initial_state(p, CFG, 137.0, fresh_sample=True)
         b = sample_initial_state(p, CFG, 137.0, fresh_sample=True)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
     def test_jitter_reproducible_under_fixed_seed(self):
         p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
@@ -67,9 +66,9 @@ class TestSampleInitialState:
             sample_initial_state(p, CFG, 0.0, fresh_sample=True, rng=np.random.default_rng(42))
             for _ in range(2)
         )
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
         # and differs from the unjittered state
-        assert not np.array_equal(a.matrix, enhanced_state(CFG, -11.0, 18.0).matrix)
+        assert not np.array_equal(a, enhanced_populations(CFG, -11.0, 18.0))
 
     def test_jitter_needs_a_seeded_generator(self):
         p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
@@ -78,21 +77,23 @@ class TestSampleInitialState:
 
     def test_jitter_ignored_without_fresh_sample(self):
         p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
-        rho = sample_initial_state(p, CFG, 0.0, fresh_sample=False)
-        assert np.array_equal(rho.matrix, enhanced_state(CFG, -11.0, 18.0).matrix)
+        d = sample_initial_state(p, CFG, 0.0, fresh_sample=False)
+        assert np.array_equal(d, enhanced_populations(CFG, -11.0, 18.0))
 
     def test_long_time_gives_thermal(self):
-        rho = sample_initial_state(SpinoeParams(), CFG, 1e9)
-        assert_allclose(rho.matrix, thermal_state(CFG).matrix, atol=1e-12)
+        d = sample_initial_state(SpinoeParams(), CFG, 1e9)
+        assert_allclose(d, enhanced_populations(CFG, 1.0, 1.0), atol=1e-12)
 
     def test_sampled_states_have_zero_off_diagonals(self):
         p = SpinoeParams(reproducibility_jitter=0.2, seed=9)
         rng = np.random.default_rng(9)
         for t in (0.0, 50.0, 500.0):
-            rho = sample_initial_state(p, CFG, t, fresh_sample=True, rng=rng)
-            off = rho.matrix - np.diag(rho.matrix.diagonal())
-            assert np.abs(off).max() == 0.0
-            assert populations(rho).sum() == pytest.approx(1.0, abs=1e-12)
+            # a sampled state is its four real populations, so it carries
+            # no coherences by construction
+            d = sample_initial_state(p, CFG, t, fresh_sample=True, rng=rng)
+            assert d.shape == (4,) and d.dtype == np.float64
+            assert not d.flags.writeable
+            assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSchedules:
