@@ -11,33 +11,34 @@ of per-experiment results is the effective pure state, and because
 detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
 directly. Every line integral comes from one `Detector` built per
-preparation on the map of its grid. Every initial state is diagonal and
-travels as its four populations, so a record's line amplitudes are a
-fixed linear map of them: one `readout_map` per (permutation, ground,
-computation), at most 3 x 4 x 5, built once through `apply_unitary` on
-the basis states and cached. A record's readout spectra come from the
-same amplitudes through the unit line spectra of the grid, both built
-only when a caller reads a spectrum; no state is built.
+preparation on the maps of its grid and probe setting. Every initial
+state is diagonal and travels as its four populations, so a record's line
+amplitudes are a fixed linear map of them: one `readout_map` per
+(permutation, ground, computation), at most 3 x 4 x 5, built once in
+closed form from its unitary and cached. A record's readout spectra come
+from the same amplitudes through the unit line spectra of the grid, both
+built only when a caller reads a spectrum; no state is built.
 
 Prepare once, compute many. Everything that does not depend on the
 computation (the detector, the sampled initial states, their probed
 diagonals, the labeling and the readout noise) is a `Preparation`, kept
 for the last (SpinoeParams, SpinSystemConfig, ExperimentSchedule,
 DetectionSettings) seen, compared by value. The four search cases of one
-configuration therefore probe and draw once and compute four times. What a
-preparation shares with every other on the same settings is cached apart
-from it, so a preparation for a new seed rebuilds none of it: the
-calibration (per spin system, tip and grid), the probe map (per tip) and
-the reconstruction's solve (per tip and calibration). A probe is then a
-map product and a 4×4 solve, and the labeling solves its four candidate
-grounds as one batch. The generator is seeded from the params' seed; per
-probe the jitter and then the probe noise (two normals per channel, the
-line integrals of that channel's noise) are its first draws, the readout
-noise of every experiment its next, and the generator is not used after
-that. Probes spawn no seeds: nothing reads a probe's noise vector. Each
-readout detection spawns a child seed per channel from the generator's
-seed sequence, without drawing from it; a noise vector is built from its
-child seed only when a readout spectrum is read, once per preparation, and
+configuration therefore probe and draw once and compute four times. What
+a preparation shares with every other on the same settings is cached
+apart from it, so a preparation for a new seed rebuilds none of it: the
+grid map (per spin system and grid) and the probe setting (per spin
+system, grid and tip: the probe map, the calibration and the
+reconstruction's solve). A probe is then a map product and a 4×4 solve,
+and the labeling solves its four candidate grounds as one batch. The
+generator is seeded from the params' seed; per probe the jitter and then
+the probe noise (two normals per channel, the line integrals of that
+channel's noise) are its first draws, the readout noise of every
+experiment its next, and the generator is not used after that. Probes
+spawn no seeds: nothing reads a probe's noise vector. Each readout
+detection spawns a child seed per channel from the generator's seed
+sequence, without drawing from it; a noise vector is built from its child
+seed only when a readout spectrum is read, once per preparation, and
 shared by its search cases with its transform. Shared arrays are
 read-only; a failed preparation is not kept and fails again on the next
 call.
@@ -169,6 +170,7 @@ class GroverRun(EffectivePureRun):
     decoded: str
     peaks_h: PeakTable = field(repr=False)
     peaks_c: PeakTable = field(repr=False)
+    line_amplitudes: np.ndarray = field(repr=False)  # (channel, partner), read-only
 
 
 def grover_oracle(case: GroverCase) -> Unitary:
@@ -239,7 +241,6 @@ def _prepare(
     docstring)."""
     rng = np.random.default_rng(p.seed)
     detector = Detector(cfg, detection)
-    detector.calibration()  # a reference with no signal fails before any probe
 
     sampled: list[np.ndarray] = []
     probed: list[np.ndarray] = []
@@ -385,10 +386,10 @@ def run_grover_pipeline(
 
     The default schedule starts on an aged sample (sample_age after
     mixing): search runs late in a sample's life show the moderate
-    enhancements characteristic of this experiment series. The decoded
-    answer comes from the sign pattern of the weighted sum of the readout
-    line integrals, and the enhancement compares the labeled input state
-    against the closed-form labeling of thermal input.
+    enhancements characteristic of this experiment series. The answer is
+    decoded from the line amplitudes behind the weighted readout integrals,
+    and the enhancement compares the labeled input state against the
+    closed-form labeling of thermal input.
     """
     schedule = make_schedule(mode, r1, recovery, sample_age)
     prep = _prepare(p, cfg, schedule, detection)
@@ -396,12 +397,17 @@ def run_grover_pipeline(
     weights = run.result.weights
     sums = [sum(w * r.readout[i].integrals for w, r in zip(weights, run.records)) for i in (0, 1)]
     peaks_h, peaks_c = (PeakTable(y) for y in sums)
-    # an inverted preparation (q2 < 0) flips every peak; its sign is known
+    # each line leaks into its partner's window; Re(response)⁻¹ takes the
+    # integrals back to the line amplitudes, which are real after a readout
+    amplitudes = np.array(sums) @ prep.detector.amplitude_solve.T
+    amplitudes.flags.writeable = False
+    # an inverted preparation (q2 < 0) flips every line; its sign is known
     # from the weight solve, so fold it into the decode
     sign = 1.0 if run.result.q2 >= 0 else -1.0
-    decoded = decode_answer(*(PeakTable(sign * y) for y in sums))
+    decoded = decode_answer(*(PeakTable(sign * a) for a in amplitudes))
     return GroverRun(
-        **vars(run), case=case, decoded=decoded, peaks_h=peaks_h, peaks_c=peaks_c
+        **vars(run), case=case, decoded=decoded, peaks_h=peaks_h, peaks_c=peaks_c,
+        line_amplitudes=amplitudes,
     )
 
 
@@ -451,11 +457,14 @@ def grover_report(run: GroverRun, config_echo: dict) -> dict:
         "target": run.case.target,
         "decoded": run.decoded,
         **_labeled_report(run),
-        "peak_integrals": {
-            ch: {str(partner): peaks.integral(partner) for partner in (0, 1)}
-            for ch, peaks in (("h", run.peaks_h), ("c", run.peaks_c))
-        },
+        "peak_integrals": _per_line([run.peaks_h.integrals, run.peaks_c.integrals]),
+        "line_amplitudes": _per_line(run.line_amplitudes),
     }
+
+
+def _per_line(values) -> dict:
+    """(channel, partner) values as a report block, H then C."""
+    return {ch: {str(p): float(v[p]) for p in (0, 1)} for ch, v in zip("hc", values)}
 
 
 def run_id(config_echo: dict, *extra: str) -> str:

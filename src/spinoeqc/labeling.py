@@ -88,10 +88,14 @@ class EffectivePureResult:
 
     def normalized_q2(self) -> float:
         """q2 rescaled so the weights sum to 3 (one unit per experiment)."""
-        total = float(np.sum(self.weights))
-        if total == 0.0:
-            raise SingularLabelingSystem("weights sum to zero; cannot normalize")
-        return self.q2 * 3.0 / total
+        return _normalized_q2(self.q2, self.weights)
+
+
+def _normalized_q2(q2: float, weights: np.ndarray) -> float:
+    total = float(np.sum(weights))
+    if total == 0.0:
+        raise SingularLabelingSystem("weights sum to zero; cannot normalize")
+    return q2 * 3.0 / total
 
 
 def permute_populations(diag, perm_id: PermutationId, ground: int) -> np.ndarray:
@@ -117,15 +121,17 @@ _NONGROUND_SOURCES = np.take_along_axis(_SOURCES, _NONGROUND[:, None, :], axis=2
 _EXPERIMENTS = np.arange(3)[:, None]
 
 
-def _labeled(diags, grounds, weights=None) -> list[EffectivePureResult | SingularLabelingSystem]:
+def _labeled(diags, grounds, weights=None) -> tuple[np.ndarray, ...]:
     """Permute the diagonals once per ground, solve the weight systems of
     all `grounds` as one batch unless the weights are given, and score each
-    weighted sum: the one step behind the functions below. A ground whose
-    weight system is singular gets the error in place of its result."""
+    weighted sum: the one step behind the functions below. Returns batched
+    arrays, one row per ground: the weighted diagonals, weights, q1, q2,
+    residuals, weight systems (None when the weights are given) and
+    singular flags (see `_result`)."""
     ds = _as_diags(diags)
     g = np.array(grounds, dtype=int)
     permuted = ds[_EXPERIMENTS, _SOURCES[g]]  # (ground, experiment, state)
-    singular = np.zeros(g.size, dtype=bool)
+    a, singular = None, np.zeros(g.size, dtype=bool)
     if weights is None:
         v = ds[_EXPERIMENTS, _NONGROUND_SOURCES[g]]  # (ground, experiment, non-ground)
         a = np.zeros((g.size, 3, 3))
@@ -146,19 +152,19 @@ def _labeled(diags, grounds, weights=None) -> list[EffectivePureResult | Singula
     q1 = ng.mean(axis=1)
     q2 = diagonal[np.arange(g.size), g] - q1
     residual = ng.max(axis=1) - ng.min(axis=1)
-    return [
-        SingularLabelingSystem(f"weight system is singular for ground {ground}: a={a[k].tolist()}")
-        if singular[k]
-        else EffectivePureResult(
-            diagonal=diagonal[k],
-            weights=w[k],
-            ground=int(ground),
-            q1=float(q1[k]),
-            q2=float(q2[k]),
-            residual=float(residual[k]),
-        )
-        for k, ground in enumerate(g)
-    ]
+    return diagonal, w, q1, q2, residual, a, singular
+
+
+def _result(labeled, k: int, ground: int) -> EffectivePureResult:
+    """The result of row k, for `ground`, of a `_labeled` batch. Raises
+    SingularLabelingSystem, with the system, when that row's is singular."""
+    diagonal, w, q1, q2, residual, a, singular = labeled
+    if singular[k]:
+        system = a[k].tolist()
+        raise SingularLabelingSystem(f"weight system is singular for ground {ground}: a={system}")
+    return EffectivePureResult(
+        diagonal[k], w[k], ground, float(q1[k]), float(q2[k]), float(residual[k])
+    )
 
 
 def _warn_unless_equalized(result: EffectivePureResult) -> None:
@@ -179,15 +185,13 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     inputs cannot be equalized (e.g. all-zero diagonals or linearly
     dependent columns), with the offending system in the message.
     """
-    (result,) = _labeled(diags, (plan.ground,))
-    if isinstance(result, SingularLabelingSystem):
-        raise result
+    result = _result(_labeled(diags, (plan.ground,)), 0, plan.ground)
     return result.weights, result.residual
 
 
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
-    (result,) = _labeled(diags, (plan.ground,), weights)
+    result = _result(_labeled(diags, (plan.ground,), weights), 0, plan.ground)
     _warn_unless_equalized(result)
     return result
 
@@ -198,26 +202,27 @@ def label(diags) -> EffectivePureResult:
 
     Every candidate ground is scored by solving its weight system (all
     four as one batch) and rescaling the weights to sum to 3, which models
-    constant per-experiment noise. Exact sign-mirror ties are structural for enhancement-scaled
-    diagonals, so ties in |q2| prefer positive q2 (an upright pseudo-pure
-    state), then the lowest index. Only the returned result is checked for
-    equalization.
+    constant per-experiment noise. Exact sign-mirror ties are structural
+    for enhancement-scaled diagonals, so ties in |q2| prefer positive q2
+    (an upright pseudo-pure state), then the lowest index. Only the
+    returned result is built and checked for equalization.
     """
-    scores: list[tuple[EffectivePureResult, float]] = []
-    for result in _labeled(diags, range(4)):
-        if isinstance(result, SingularLabelingSystem):
-            continue
+    labeled = _labeled(diags, range(4))
+    _, w, _, q2, _, _, singular = labeled
+    scores: list[tuple[int, float]] = []
+    for ground in np.flatnonzero(~singular).tolist():
         try:
-            scores.append((result, result.normalized_q2()))
+            scores.append((ground, _normalized_q2(float(q2[ground]), w[ground])))
         except SingularLabelingSystem:
             continue
-    best_abs = max((abs(q2) for _, q2 in scores), default=0.0)
+    best_abs = max((abs(score) for _, score in scores), default=0.0)
     if best_abs == 0.0:
         raise SingularLabelingSystem("every candidate ground yields q2 = 0")
-    tied = [(r, q2) for r, q2 in scores if abs(q2) >= best_abs * (1 - GROUND_TIE_RTOL)]
-    best = min(tied, key=lambda item: (item[1] <= 0, item[0].ground))[0]
-    _warn_unless_equalized(best)
-    return best
+    tied = [(g, score) for g, score in scores if abs(score) >= best_abs * (1 - GROUND_TIE_RTOL)]
+    best = min(tied, key=lambda item: (item[1] <= 0, item[0]))[0]
+    result = _result(labeled, best, best)
+    _warn_unless_equalized(result)
+    return result
 
 
 def choose_ground(diags) -> int:

@@ -25,9 +25,7 @@ with Δ the population differences of the observed spin for each partner
 state. Those four relations plus tracelessness are linear in d and rank 3,
 so one probe gives the deviation diagonal as S y for its four integrals y,
 and their inconsistency as |v·y| for the one left-null vector v of the
-relations; S and v are cached per (tip, receiver constant). The receiver
-constant is calibrated once per (spin system, tip, grid) against a
-noise-free probe of the thermal state.
+relations.
 
 Processing fixes: the first FID point is halved before the transform (the
 standard baseline correction for one-sided decays; without it window
@@ -39,18 +37,18 @@ receiver noise, so detection needs no FID. A line integral is Re(g · x)
 for the sampled FID x and a window vector g that carries the spectral
 window, the first-point halving and the bin width; a spectrum is the two
 unit line spectra (the transform of a unit ±J/2 line under the T2 decay)
-weighted by the amplitudes. The window vectors and their 2×2 complex
-response to unit amplitudes depend only on the grid (spin system,
-`n_points`, `dwell`), so they are built once per grid and shared by every
-`Detector` on it, whatever its probe tip and noise level; the unit line
-spectra and the frequency axis are too, but only once a spectrum is read
-on the grid. Every probe and readout goes through a detector, which takes
-the four populations of a diagonal state (only `probe` takes a density
-matrix, and rejects coherences) and builds no state: a probe reads its
-line amplitudes from the probe map of its tip, a readout from the
-`readout_map` of its computation, each the (channel, line, population)
-map from the populations to the line amplitudes after the pulses, built
-once through `apply_unitary` on the basis states.
+weighted by the amplitudes. A `Detector` reads two caches: one per grid
+(spin system, `n_points`, `dwell`) with the window vectors, their 2×2
+complex response to unit amplitudes and the inverse of its real part, and
+one per probe setting (grid and tip) with the probe map, the receiver
+constant K, calibrated against a noise-free probe of the thermal state,
+and S, v and the round-off level. The unit line spectra and the frequency
+axis are cached per grid too, but only once a spectrum is read on it. A
+detector takes the four populations d of a diagonal state (only `probe`
+takes a density matrix, and rejects coherences) and builds no state: the
+line amplitudes are the probe map, or the `readout_map` of a computation,
+applied to d. Both maps are in closed form: after a unitary U the
+coherence (r, c) of U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), which for white noise of amplitude σ are
@@ -74,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import DensityMatrix, Unitary, apply_unitary, populations
+from .quantum import DensityMatrix, Unitary, populations
 from .spins import PulseSpec, PulseTarget, SpinSystemConfig, enhanced_populations, pulse_unitary
 
 PROBE_TIP_MAX = 25.0
@@ -87,16 +85,14 @@ ROUNDOFF_MULTIPLE = 16.0
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
-# channel -> ((row, col) of the +J/2 and -J/2 coherences in |HC> indexing)
-_COHERENCE_INDEX = {
-    "H": ((2, 0), (3, 1)),
-    "C": ((1, 0), (3, 2)),
-}
-
 
 class Channel(enum.Enum):
     H = "H"
     C = "C"
+
+
+# channel -> ((row, col) of the +J/2 and -J/2 coherences in |HC> indexing)
+_COHERENCE_INDEX = {Channel.H: ((2, 0), (3, 1)), Channel.C: ((1, 0), (3, 2))}
 
 
 class ReadoutError(ValueError):
@@ -199,12 +195,6 @@ def _frequency_axis(n_samples: int, dt: float) -> np.ndarray:
     return np.fft.fftshift(np.fft.fftfreq(n_samples, dt))
 
 
-def _coherences(rho_after_pulse: DensityMatrix, channel: Channel) -> np.ndarray:
-    """(A_plus, A_minus) of one channel."""
-    (rp, cp), (rm, cm) = _COHERENCE_INDEX[channel.value]
-    return np.array([rho_after_pulse.matrix[rp, cp], rho_after_pulse.matrix[rm, cm]])
-
-
 def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
     """Integrate the real part over windows of width J/2 centered on ±J/2."""
     integrals = [
@@ -215,9 +205,7 @@ def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
 
 def _draw_noise(n_samples: int, noise_amp: float, rng: np.random.Generator) -> np.ndarray:
     """Complex white receiver noise for one FID."""
-    return rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(
-        0.0, noise_amp, n_samples
-    )
+    return rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(0.0, noise_amp, n_samples)
 
 
 def readout_map(step: Unitary) -> np.ndarray:
@@ -226,35 +214,25 @@ def readout_map(step: Unitary) -> np.ndarray:
 
     The line amplitudes at a receiver are linear in the state, and a
     diagonal state is fixed by its populations d, so the (A_plus, A_minus)
-    of a channel after `step` and the readout pulse are `map[channel] @ d`.
-    The map is built from the four basis states, each through `step` and
-    then a 90° y-pulse on the observed spin, so it is exact up to rounding.
+    of a channel after `step` and the 90° y-pulse on the observed spin are
+    `map[channel] @ d`, exact up to rounding (`_amplitude_map`).
     """
     pulses = [pulse_unitary(PulseSpec(PulseTarget(ch.value), 90.0, phase=90.0)) for ch in Channel]
-    stepped = [apply_unitary(DensityMatrix.basis_state(j), step) for j in range(4)]
-    return _line_map([[apply_unitary(rho, pulse) for pulse in pulses] for rho in stepped])
+    return _amplitude_map([pulse.matrix @ step.matrix for pulse in pulses])
 
 
-def _line_map(received) -> np.ndarray:
-    """The read-only (channel, line, population) array of a map from
-    populations to line amplitudes, from `received[j]`: the states at the H
-    and C receivers for basis state j."""
-    columns = [[_coherences(rho, ch) for ch, rho in zip(Channel, states)] for states in received]
-    amplitudes = np.moveaxis(np.array(columns), 0, -1)
+def _amplitude_map(unitaries) -> np.ndarray:
+    """The read-only (channel, line, population) map from the populations of
+    a diagonal state to the line amplitudes after the unitary U of each
+    receiver, H then C: each row is U[r] * conj(U[c]) for its coherence
+    (r, c). It stays complex, as round-off imaginary parts reach the
+    integrals through the imaginary part of the line response."""
+    amplitudes = np.array([
+        [u[r] * u[c].conj() for r, c in _COHERENCE_INDEX[channel]]
+        for channel, u in zip(Channel, unitaries)
+    ])
     amplitudes.flags.writeable = False
     return amplitudes
-
-
-# bounded: a scan over probe tips evicts its own stale maps
-@functools.lru_cache(maxsize=16)
-def _probe_map(tip_angle_deg: float) -> np.ndarray:
-    """The probe pulse (y-pulses of `tip_angle_deg` on both spins) as a
-    (channel, line, population) map, built once from the basis states. It
-    stays complex: the round-off imaginary parts of the coherences reach
-    the integrals through the imaginary part of the line response."""
-    pulse = pulse_unitary(PulseSpec(PulseTarget.BOTH, tip_angle_deg, phase=90.0))
-    pulsed = [apply_unitary(DensityMatrix.basis_state(j), pulse) for j in range(4)]
-    return _line_map([(rho, rho) for rho in pulsed])
 
 
 def _population_vector(d, what: str) -> np.ndarray:
@@ -281,11 +259,9 @@ def _unit_lines(cfg: SpinSystemConfig, n_points: int, dwell: float) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_map(
-    cfg: SpinSystemConfig, n_points: int, dwell: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window vectors, line response and noise factor of one grid,
-    read-only and kept for the last few grids (see `Detector`)."""
+def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, ...]:
+    """Window vectors, line response, noise factor and amplitude solve of
+    one grid, read-only and kept for the last few grids (see `Detector`)."""
     freqs = _frequency_axis(n_points, dwell)
     masks = np.array(_line_windows(freqs, cfg), dtype=float)
     # a window sum over the shifted spectrum is a dot product with the
@@ -294,10 +270,11 @@ def _grid_map(
     windows[:, 0] *= 0.5
     response = windows @ _unit_lines(cfg, n_points, dwell).T
     noise_factor = np.linalg.cholesky((windows @ windows.conj().T).real)
+    amplitude_solve = np.linalg.inv(response.real)
     # a map is shared by every detector on its grid
-    for array in (windows, response, noise_factor):
+    for array in (windows, response, noise_factor, amplitude_solve):
         array.flags.writeable = False
-    return windows, response, noise_factor
+    return windows, response, noise_factor, amplitude_solve
 
 
 # bounded: spectra are read for the grids a caller exports, a few at most
@@ -314,6 +291,26 @@ def _spectra_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np
     return freqs, line_spectra
 
 
+# bounded: a scan over probe tips evicts its own stale settings
+@functools.lru_cache(maxsize=16)
+def _probe_setting(
+    cfg: SpinSystemConfig, n_points: int, dwell: float, tip_angle_deg: float
+) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, float]]:
+    """The probe pulse's `_amplitude_map`, the receiver constant K of
+    `calibrate` and the reconstruction `_probe_solve(tip, K)` of one probe
+    setting, built once. A thermal reference with no signal raises."""
+    pulse = pulse_unitary(PulseSpec(PulseTarget.BOTH, tip_angle_deg, phase=90.0)).matrix
+    probe_map = _amplitude_map((pulse, pulse))
+    ref = enhanced_populations(cfg, 1.0, 1.0)
+    y = ((probe_map @ ref) @ _grid_map(cfg, n_points, dwell)[1].T).real
+    m = _probe_response_matrix(tip_angle_deg) @ (ref - 0.25)
+    denom = float(m @ m)
+    if denom == 0.0:
+        raise ReadoutError("thermal reference produced no signal")
+    k = float(y.ravel() @ m) / denom
+    return probe_map, k, _probe_solve(tip_angle_deg, k)
+
+
 @dataclass(frozen=True)
 class Detector:
     """Line integrals and spectra of one acquisition setting as a
@@ -322,26 +319,37 @@ class Detector:
     `windows` holds g_+ and g_- (partner 0 and partner 1 lines) such that a
     line integral of the FID x equals Re(g · x); `response` holds the
     complex line integrals of unit +J/2 and -J/2 amplitudes, so noise-free
-    integrals are Re(response @ (A_plus, A_minus)); `noise_factor` is the
-    lower Cholesky factor L of C = Re(G Gᴴ), so the line integrals of white
-    noise of amplitude σ are σ L z for standard normal z. All three belong
-    to the grid and are shared by the detectors on it; so do the unit line
-    spectra a spectrum is built from (`_spectra_map`), built on the first
-    spectrum read. Probe tip and noise level come from `settings`, the same
-    for every detection.
+    integrals are Re(response @ (A_plus, A_minus)), and `amplitude_solve`
+    is Re(response)⁻¹; `noise_factor` is the lower Cholesky factor L of
+    C = Re(G Gᴴ), so the line integrals of white noise of amplitude σ are
+    σ L z for standard normal z. These come from the cache of the grid
+    (`_grid_map`); `probe_map`, `receiver_constant` and `probe_solve` from
+    that of the probe setting (`_probe_setting`), so a setting whose
+    thermal reference has no signal builds no detector. The noise level
+    comes from `settings`.
     """
 
     cfg: SpinSystemConfig
     settings: DetectionSettings
-    # the map follows from (cfg, settings), which alone compare and hash
+    # the maps follow from (cfg, settings), which alone compare and hash
     windows: np.ndarray = field(init=False, repr=False, compare=False)
     response: np.ndarray = field(init=False, repr=False, compare=False)
     noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    amplitude_solve: np.ndarray = field(init=False, repr=False, compare=False)
+    probe_map: np.ndarray = field(init=False, repr=False, compare=False)
+    receiver_constant: float = field(init=False, repr=False, compare=False)
+    probe_solve: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid_map = _grid_map(self.cfg, self.settings.n_points, self.settings.dwell)
-        for name, array in zip(("windows", "response", "noise_factor"), grid_map):
-            object.__setattr__(self, name, array)
+        s = self.settings
+        maps = (
+            *_grid_map(self.cfg, s.n_points, s.dwell),
+            *_probe_setting(self.cfg, s.n_points, s.dwell, s.probe_tip_deg),
+        )
+        names = ("windows", "response", "noise_factor", "amplitude_solve", "probe_map",
+                 "receiver_constant", "probe_solve")
+        for name, value in zip(names, maps, strict=True):
+            object.__setattr__(self, name, value)
 
     def _noise_integrals(self, rng: np.random.Generator | None) -> np.ndarray:
         """noise_amp · z Lᵀ for 2 standard normals z per channel from `rng`,
@@ -380,30 +388,22 @@ class Detector:
         )
         return h, c
 
-    def _probe_amplitudes(self, d) -> np.ndarray:
-        return _probe_map(self.settings.probe_tip_deg) @ _population_vector(d, "probe")
-
-    def _probe_integrals(self, d) -> np.ndarray:
-        """Noise-free (channel, line) integrals of a probe of populations d."""
-        return (self._probe_amplitudes(d) @ self.response.T).real
-
     def probe(self, d, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
         """The probing experiment on the diagonal state of populations d:
         simultaneous small-tip y-pulses at the settings' tip, against noise
-        from `draw`. The line amplitudes are the cached probe map
-        (`_probe_map`) applied to d."""
-        return self._acquire(self._probe_amplitudes(d), noise)
+        from `draw`. The line amplitudes are `probe_map` applied to d."""
+        return self._acquire(self.probe_map @ _population_vector(d, "probe"), noise)
 
     def probe_diagonal(self, d, rng: np.random.Generator | None = None) -> np.ndarray:
         """The deviation diagonal that a probe of populations d
         reconstructs, by the rule of `reconstruct_diagonal` with this
-        setting's cached calibration. The probe's receiver noise is drawn
-        from `rng` as its line integrals only (`_noise_integrals`): nothing
-        reads a probe's noise vector, so no child seed is spawned."""
-        y = self._probe_integrals(d)
+        setting's `probe_solve`. The probe's receiver noise is drawn from
+        `rng` as its line integrals only (`_noise_integrals`): nothing reads
+        a probe's noise vector, so no child seed is spawned."""
+        y = ((self.probe_map @ _population_vector(d, "probe")) @ self.response.T).real
         if self.settings.noise_amp > 0:
             y = y + self._noise_integrals(rng)
-        return _reconstruct(y.ravel(), self.settings.probe_tip_deg, self.calibration())
+        return _reconstruct(y.ravel(), self.probe_solve)
 
     def readout(
         self, d, amplitude_map: np.ndarray, noise: DetectionNoise
@@ -423,8 +423,7 @@ class Detector:
 
     def calibration(self) -> float:
         """Receiver constant K of `calibrate` for this acquisition setting."""
-        s = self.settings
-        return calibrate(self.cfg, s.probe_tip_deg, s.n_points, s.dwell)
+        return self.receiver_constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,28 +529,18 @@ def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
     )
 
 
-# bounded: a scan over detection settings evicts its own stale constants
-@functools.lru_cache(maxsize=16)
 def calibrate(
-    cfg: SpinSystemConfig,
-    tip_angle_deg: float,
-    n_samples: int = 4096,
-    dt: float = 1e-3,
+    cfg: SpinSystemConfig, tip_angle_deg: float, n_samples: int = 4096, dt: float = 1e-3
 ) -> float:
     """Receiver constant from a thermal reference probe.
 
     Returns K such that measured integrals equal K times the probe
     response applied to the deviation diagonal. Must be produced with the
     same acquisition settings later used for reconstruction. The probe is
-    noise-free, so K is cached per (spin system, tip, grid) alone.
+    noise-free, so K is that of the cached probe setting (spin system,
+    grid, tip), shared by every detector on it.
     """
-    ref = enhanced_populations(cfg, 1.0, 1.0)
-    y = Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg))._probe_integrals(ref)
-    m = _probe_response_matrix(tip_angle_deg) @ (ref - 0.25)
-    denom = float(m @ m)
-    if denom == 0.0:
-        raise ReadoutError("thermal reference produced no signal")
-    return float(y.ravel() @ m) / denom
+    return Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg)).calibration()
 
 
 def probe(
@@ -577,26 +566,21 @@ def probe(
 
 
 def reconstruct_diagonal(
-    peaks_h: PeakTable,
-    peaks_c: PeakTable,
-    tip_angle_deg: float,
-    calibration: float,
+    peaks_h: PeakTable, peaks_c: PeakTable, tip_angle_deg: float, calibration: float
 ) -> np.ndarray:
     """Deviation diagonal from one probe's four line integrals.
 
     The least-squares solution of the four probe-response relations plus
-    the traceless constraint, through the cached solve of `_probe_solve`.
-    The four relations are rank 3 with one internal redundancy, so
-    inconsistent peak data shows up as a residual; residuals above 5% of
-    the largest integral are rejected. Integrals within round-off of zero
-    are the zero they are and give the zero diagonal.
+    the traceless constraint, through `_probe_solve` (built per call; a
+    `Detector` holds the one of its setting). The four relations are rank
+    3 with one internal redundancy, so inconsistent peak data shows up as a
+    residual; residuals above 5% of the largest integral are rejected.
+    Integrals within round-off of zero give the zero diagonal.
     """
     y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
-    return _reconstruct(y, tip_angle_deg, calibration)
+    return _reconstruct(y, _probe_solve(tip_angle_deg, calibration))
 
 
-# bounded: a scan over probe tips evicts its own stale solves
-@functools.lru_cache(maxsize=16)
 def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The reconstruction of one (tip, calibration) as read-only arrays: the
     4×4 solve matrix S, the unit left-null vector v of the calibrated probe
@@ -618,9 +602,10 @@ def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, 
     return solve, null, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale
 
 
-def _reconstruct(y: np.ndarray, tip_angle_deg: float, calibration: float) -> np.ndarray:
-    """`reconstruct_diagonal` of the integrals y (H partner 0, 1, then C)."""
-    solve, null, roundoff = _probe_solve(tip_angle_deg, calibration)
+def _reconstruct(y: np.ndarray, probe_solve) -> np.ndarray:
+    """`reconstruct_diagonal` of the integrals y (H partner 0, 1, then C)
+    through a `_probe_solve`."""
+    solve, null, roundoff = probe_solve
     ymax = float(np.abs(y).max())
     if ymax <= roundoff:
         return np.zeros(4)

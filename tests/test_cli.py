@@ -157,6 +157,31 @@ class TestGrover:
         assert err.startswith("readout failed: experiment 2 (probe at 720.0 s): ")
         assert "inconsistent peak data" in err
 
+    def test_overlapping_lines_decode(self, tmp_path, capsys):
+        # each line leaks into its partner's window; the decode reads amplitudes
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"t2_s": 0.0008}))
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"), "grover", "--all"])
+        assert rc == 0, capsys.readouterr().err
+        for target in ("00", "01", "10", "11"):
+            report = read_report(tmp_path / "o" / f"grover_{target}_report.json")
+            assert report["decoded"] == target
+            assert set(report["line_amplitudes"]) == {"h", "c"}
+
+    @pytest.mark.parametrize(
+        "command",
+        [["grover", "--target", "10"], ["effpure"], ["probe"], ["probe", "--state", "enhanced"]],
+        ids=["grover", "effpure", "probe", "probe-enhanced"],
+    )
+    def test_reference_without_signal_is_a_readout_failure(self, tmp_path, capsys, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"polarization_unit": 0.0}))
+        out = tmp_path / "o"
+        rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 4
+        assert capsys.readouterr().err == "readout failed: thermal reference produced no signal\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under-file"])
     def test_out_that_cannot_be_a_directory_is_usage_error(self, tmp_path, capsys, out):
         (tmp_path / "file").write_text("")

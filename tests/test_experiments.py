@@ -41,7 +41,7 @@ from spinoeqc.spins import (
     permutation_pulse_sequence,
     pulse_unitary,
 )
-from test_readout import fft_spectrum, relative_gap
+from test_readout import MODULES, coherences, fft_spectrum, relative_gap
 
 CFG = SpinSystemConfig()
 ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
@@ -287,6 +287,23 @@ class TestGroverPipeline:
         assert run.decoded == case.target
         assert 2.0 <= run.enhancement <= 7.0
 
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.target)
+    def test_overlapping_lines_decode_from_their_amplitudes(self, case):
+        # at T2 = 0.8 ms each line leaks into its partner's window, so the
+        # window integrals alone are ambiguous; their amplitudes are not
+        cfg = SpinSystemConfig(t2=0.0008)
+        run = run_grover_pipeline(SpinoeParams(), cfg, case)
+        assert run.decoded == case.target
+        with pytest.raises(DecodeError, match="comparable magnitude"):
+            decode_answer(run.peaks_h, run.peaks_c)
+        det = Detector(cfg, DetectionSettings())
+        integrals = np.array([run.peaks_h.integrals, run.peaks_c.integrals])
+        real = det.response.real
+        assert np.abs(real[0, 1]) > 0.5 * np.abs(real[0, 0])
+        assert_allclose(run.line_amplitudes @ real.T, integrals, rtol=1e-12)
+        with pytest.raises(ValueError):
+            run.line_amplitudes[0, 0] = 1.0
+
     def test_demonstration_schedule_lands_in_reported_band(self):
         run = run_grover_pipeline(
             SpinoeParams(), CFG, GroverCase("11"), ScheduleMode.SINGLE_SAMPLE
@@ -375,12 +392,19 @@ class TestReadoutMap:
         for perm, ground, case in MAP_KEYS:
             step = step_unitary(perm, ground, case)
             want = np.array([
-                (det.response @ readout._coherences(receiver_state(rho, step, ch), ch)).real
+                (det.response @ coherences(receiver_state(rho, step, ch), ch)).real
                 for ch in Channel
             ])
             acquisitions = det.readout(d, _readout_map(perm, ground, case), (None, None))
             got = np.array([acq.integrals for acq in acquisitions])
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_readout_amplitudes_are_real(self):
+        # why the decode inverts Re(response): after any permutation,
+        # computation and readout pulse the line amplitudes are real
+        for key in MAP_KEYS:
+            amplitude_map = _readout_map(*key)
+            assert np.abs(amplitude_map.imag).max() <= 1e-15 * np.abs(amplitude_map).max()
 
     def test_map_cache_is_bounded_by_its_keys(self):
         _readout_map.cache_clear()
@@ -393,7 +417,7 @@ class TestReadoutMap:
 
     def test_warm_case_builds_no_state(self, monkeypatch):
         noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
-        apply, init, built = readout.apply_unitary, quantum.DensityMatrix.__post_init__, []
+        apply, init, built = quantum.apply_unitary, quantum.DensityMatrix.__post_init__, []
 
         def counting_apply(*args):
             built.append("apply_unitary")
@@ -403,7 +427,9 @@ class TestReadoutMap:
             built.append("DensityMatrix")
             init(self)
 
-        monkeypatch.setattr(readout, "apply_unitary", counting_apply)
+        for module in MODULES:
+            if hasattr(module, "apply_unitary"):
+                monkeypatch.setattr(module, "apply_unitary", counting_apply)
         monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", counting_init)
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
         assert built == []
@@ -528,7 +554,7 @@ class TestPreparationCache:
         assert np.array_equal(again.noise, acq.noise)
 
     def test_cold_preparation_applies_no_pulse_and_no_lstsq(self, monkeypatch):
-        # a new seed on a warm probe map and calibration: the probes, their
+        # a new seed on a warm grid map and probe setting: the probes, their
         # reconstruction and the labeling are all cached maps and one batch
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
         _prepare(NOISY_PARAMS, CFG, schedule, NOISY_DETECTION)
@@ -541,9 +567,10 @@ class TestPreparationCache:
             return wrapper
 
         apply = counting("apply_unitary", quantum.apply_unitary)
-        for module in (quantum, readout):
-            monkeypatch.setattr(module, "apply_unitary", apply)
-        for name in ("lstsq", "cond"):
+        for module in MODULES:
+            if hasattr(module, "apply_unitary"):
+                monkeypatch.setattr(module, "apply_unitary", apply)
+        for name in ("lstsq", "cond", "pinv"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         # the calibration's thermal reference
         reference = counting("enhanced_populations", readout.enhanced_populations)
@@ -553,7 +580,7 @@ class TestPreparationCache:
         monkeypatch.setattr(
             quantum.DensityMatrix, "__post_init__", counting("DensityMatrix", init)
         )
-        caches = (readout._probe_map, readout.calibrate, readout._probe_solve)
+        caches = (readout._grid_map, readout._probe_setting)
         misses = [cache.cache_info().misses for cache in caches]
         params = SpinoeParams(reproducibility_jitter=0.05, seed=NOISY_PARAMS.seed + 1)
         prep = _prepare(params, CFG, schedule, NOISY_DETECTION)
@@ -562,9 +589,8 @@ class TestPreparationCache:
         assert [cache.cache_info().misses for cache in caches] == misses
         monkeypatch.undo()
         # the same preparation as without the caches' help
-        readout._probe_map.cache_clear()
-        readout.calibrate.cache_clear()
-        readout._probe_solve.cache_clear()
+        readout._grid_map.cache_clear()
+        readout._probe_setting.cache_clear()
         _prepare.cache_clear()
         cold = _prepare(params, CFG, schedule, NOISY_DETECTION)
         assert all(np.array_equal(a, b) for a, b in zip(prep.probed, cold.probed, strict=True))
@@ -631,6 +657,9 @@ class TestReports:
         assert report["target"] == "01"
         assert report["decoded"] == "01"
         assert set(report["peak_integrals"]) == {"h", "c"}
+        assert report["line_amplitudes"] == {
+            ch: {"0": float(a[0]), "1": float(a[1])} for ch, a in zip("hc", run.line_amplitudes)
+        }
         assert report["thermal_q2"] == run.thermal_result.q2
         assert report["equalization_residual"] == run.result.residual
 

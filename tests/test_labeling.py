@@ -9,12 +9,14 @@ from numpy.testing import assert_allclose
 from spinoeqc.labeling import (
     DEFAULT_PERM_ORDER,
     EQUALIZATION_TOL,
+    EffectivePureResult,
     GROUND_TIE_RTOL,
     LabelingPlan,
     SingularLabelingSystem,
     assemble_effective_pure,
     choose_ground,
     _labeled,
+    _result,
     enhancement_factor,
     label,
     permute_populations,
@@ -249,6 +251,19 @@ class TestPlanValidation:
         assert LabelingPlan(ground=1).perms == DEFAULT_PERM_ORDER
 
 
+def labeled_results(diags, grounds):
+    """Per ground the result of a `_labeled` batch, or the
+    SingularLabelingSystem that `_result` raises for it."""
+    batch = _labeled(diags, grounds)
+    results = []
+    for k, ground in enumerate(grounds):
+        try:
+            results.append(_result(batch, k, ground))
+        except SingularLabelingSystem as exc:
+            results.append(exc)
+    return results
+
+
 def label_by_loop(diags):
     """Reference `label`: one `_labeled` call per ground, scored in turn.
     Returns the chosen result (or the SingularLabelingSystem raised) and the
@@ -256,7 +271,7 @@ def label_by_loop(diags):
     equalized, else 0."""
     scores = []
     for ground in range(4):
-        (result,) = _labeled(diags, (ground,))
+        (result,) = labeled_results(diags, (ground,))
         if isinstance(result, SingularLabelingSystem):
             continue
         try:
@@ -298,9 +313,9 @@ class TestBatchedLabeling:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(diags=DIAGONALS)
     def test_batch_equals_a_loop_over_grounds(self, diags):
-        batch = _labeled(diags, range(4))
+        batch = labeled_results(diags, range(4))
         for ground, got in enumerate(batch):
-            (want,) = _labeled(diags, (ground,))
+            (want,) = labeled_results(diags, (ground,))
             if isinstance(want, SingularLabelingSystem):
                 assert isinstance(got, SingularLabelingSystem)
                 assert str(got) == str(want)
@@ -328,14 +343,25 @@ class TestBatchedLabeling:
         # ground 2's near-singular system leaves its sum unequalized, but
         # label returns ground 0, whose sum is equalized
         diags = [[-1.0, 1.0, 1.0, -2.0], [1.0, -1.0, 0.0, 0.0], [-2.0, -1.0, 1.0, 1.0]]
-        scored = {r.ground: r for r in _labeled(diags, range(4))}
+        scored = {r.ground: r for r in labeled_results(diags, range(4))}
         assert scored[2].residual > EQUALIZATION_TOL * np.abs(scored[2].diagonal).max()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert label(diags).ground == 0
 
+    def test_label_builds_only_the_result_it_returns(self, monkeypatch):
+        init, built = EffectivePureResult.__post_init__, []
+
+        def counting_init(self):
+            built.append(self.ground)
+            init(self)
+
+        monkeypatch.setattr(EffectivePureResult, "__post_init__", counting_init)
+        result = label(DECAYING)
+        assert built == [result.ground]
+
     def test_singular_grounds_carry_their_system(self):
-        results = _labeled([np.zeros(4)] * 3, range(4))
+        results = labeled_results([np.zeros(4)] * 3, range(4))
         assert all(isinstance(r, SingularLabelingSystem) for r in results)
         assert [str(r).split(":")[0] for r in results] == [
             f"weight system is singular for ground {g}" for g in range(4)
@@ -343,6 +369,6 @@ class TestBatchedLabeling:
 
     def test_sign_mirror_tie_prefers_the_upright_ground(self):
         # ENHANCED ties grounds 1 and 2 in |q2| with opposite signs
-        scores = {r.ground: r.normalized_q2() for r in _labeled([ENHANCED] * 3, range(4))}
+        scores = {r.ground: r.normalized_q2() for r in labeled_results([ENHANCED] * 3, range(4))}
         assert scores[1] == pytest.approx(-scores[2])
         assert label([ENHANCED] * 3).ground == 2

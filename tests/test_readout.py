@@ -1,4 +1,6 @@
 import csv
+import importlib
+import pkgutil
 import re
 from dataclasses import dataclass, field
 
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import spinoeqc
 from spinoeqc import readout
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, populations
 from spinoeqc.readout import (
@@ -35,6 +38,10 @@ from spinoeqc.spins import (
     thermal_state,
 )
 CFG = SpinSystemConfig()  # J = 215 Hz, T2 = 0.5 s
+MODULES = [
+    importlib.import_module(f"spinoeqc.{info.name}")
+    for info in pkgutil.iter_modules(spinoeqc.__path__)
+]
 # spin-1/2 Iz x Iz diagonal, the J-coupling generator
 IZIZ_DIAG = np.array([0.25, -0.25, -0.25, 0.25])
 
@@ -42,6 +49,13 @@ IZIZ_DIAG = np.array([0.25, -0.25, -0.25, 0.25])
 def probed(rho, tip=15.0):
     u = pulse_unitary(PulseSpec(PulseTarget.BOTH, tip, phase=90.0))
     return apply_unitary(rho, u)
+
+
+def coherences(rho_after_pulse: DensityMatrix, channel: Channel) -> np.ndarray:
+    """(A_plus, A_minus) of one channel, read off the state: the oracle of
+    the closed-form population → amplitude maps."""
+    (rp, cp), (rm, cm) = readout._COHERENCE_INDEX[channel]
+    return np.array([rho_after_pulse.matrix[rp, cp], rho_after_pulse.matrix[rm, cm]])
 
 
 @dataclass(frozen=True)
@@ -62,7 +76,7 @@ class Fid:
 def synthesize_fid(rho_after_pulse, cfg, channel, n_samples=4096, dt=1e-3) -> Fid:
     """Quadrature FID of one channel from the state's doublet coherences:
     the FFT oracle's time domain."""
-    a_plus, a_minus = readout._coherences(rho_after_pulse, channel)
+    a_plus, a_minus = coherences(rho_after_pulse, channel)
     t = np.arange(n_samples) * dt
     f0 = cfg.j_coupling / 2.0
     plus, minus = np.exp(2j * np.pi * f0 * t), np.exp(-2j * np.pi * f0 * t)
@@ -348,7 +362,7 @@ def readout_spectra(rho, cfg, tip_angle_deg=90.0, n_samples=4096, dt=1e-3, noise
 
 def acquisition(det, channel, rho, channel_noise):
     """Acquisition of one channel with `rho` as the state at its receiver."""
-    return Acquisition(det, channel, readout._coherences(rho, channel), channel_noise)
+    return Acquisition(det, channel, coherences(rho, channel), channel_noise)
 
 
 def relative_gap(got, want):
@@ -450,11 +464,9 @@ class TestDetector:
         "cache,key",
         [
             (readout._spectra_map, lambda i: (CFG, 1024 + i, 1e-3)),
-            (readout._probe_map, lambda i: (1.0 + i / 8,)),
-            (readout.calibrate, lambda i: (CFG, 1.0 + i / 8)),
-            (readout._probe_solve, lambda i: (1.0 + i / 8, 100.0)),
+            (readout._probe_setting, lambda i: (CFG, 4096, 1e-3, 1.0 + i / 8)),
         ],
-        ids=["spectra", "probe", "calibration", "solve"],
+        ids=["spectra", "probe-setting"],
     )
     def test_caches_are_bounded(self, cache, key):
         maxsize = cache.cache_info().maxsize
@@ -465,11 +477,50 @@ class TestDetector:
 
     def test_settings_that_differ_in_noise_alone_share_one_calibration(self):
         # K comes from a noise-free probe, so the noise level is no part of its key
-        readout.calibrate.cache_clear()
+        readout._probe_setting.cache_clear()
         k = [Detector(CFG, DetectionSettings(noise_amp=a)).calibration() for a in (0.0, 0.1)]
-        info = readout.calibrate.cache_info()
+        info = readout._probe_setting.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         assert k[0] == k[1] == calibrate(CFG, 15.0)
+
+    def test_one_probe_setting_takes_one_entry_however_it_is_named(self):
+        readout._probe_setting.cache_clear()
+        k = {
+            calibrate(CFG, 15.0),
+            calibrate(CFG, 15.0, n_samples=4096),
+            calibrate(CFG, 15.0, 4096, 1e-3),
+            Detector(CFG, DetectionSettings(noise_amp=0.1)).calibration(),
+        }
+        info = readout._probe_setting.cache_info()
+        assert (info.currsize, info.misses, len(k)) == (1, 1, 1)
+
+    def test_detector_holds_its_probe_setting(self):
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.1))
+        probe_map, k, solve = readout._probe_setting(CFG, 4096, 1e-3, 12.0)
+        assert det.probe_map is probe_map and det.probe_solve is solve
+        assert det.calibration() == det.receiver_constant == k
+        for array in (probe_map, *solve[:2], det.amplitude_solve):
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
+
+    def test_reference_without_signal_is_a_readout_error(self):
+        cfg = SpinSystemConfig(polarization_unit=0.0)
+        with pytest.raises(ReadoutError, match="thermal reference produced no signal"):
+            calibrate(cfg, 15.0)
+        with pytest.raises(ReadoutError, match="thermal reference produced no signal"):
+            Detector(cfg, DetectionSettings())
+
+    def test_every_cache_is_bounded(self):
+        # every cache of the package, found by walking its modules
+        caches = [
+            (f"{module.__name__}.{name}", obj)
+            for module in MODULES
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info")
+        ]
+        assert len({id(obj) for _, obj in caches}) >= 8
+        for name, cache in caches:
+            assert cache.cache_info().maxsize is not None, name
 
     def test_grid_map_cache_is_bounded(self):
         maxsize = readout._grid_map.cache_info().maxsize
@@ -536,7 +587,7 @@ class TestDetector:
         got = np.array([acq.integrals for acq in det.probe(populations(rho), (None, None))])
         # the eager route: the pulse through `apply_unitary`, then the coherences
         want = np.array([
-            (det.response @ readout._coherences(probed(rho, tip), channel)).real
+            (det.response @ coherences(probed(rho, tip), channel)).real
             for channel in Channel
         ])
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -634,13 +685,18 @@ class TestReconstruction:
     @pytest.mark.parametrize("tip", [0.1, 15.0, 25.0])
     def test_round_off_peaks_give_the_exact_zero_diagonal(self, tip):
         # a state with no deviation probes at round-off, and those integrals
-        # fit no diagonal: they are the zero they stand for
+        # fit no diagonal: they are the zero they stand for. The pulsed
+        # state gives round-off integrals at every tip; the probe map gives
+        # round-off or the exact zero.
         k = calibrate(CFG, tip)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
-        acq_h, acq_c = det.probe(np.full(4, 0.25), det.draw())
-        assert np.abs(np.concatenate([acq_h.integrals, acq_c.integrals])).max() > 0
-        diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, tip, k)
-        assert np.array_equal(diag, np.zeros(4))
+        mixed = probed(DensityMatrix(np.eye(4) / 4), tip)
+        pulsed = [PeakTable((det.response @ coherences(mixed, ch)).real) for ch in Channel]
+        mapped = [acq.peaks for acq in det.probe(np.full(4, 0.25), det.draw())]
+        assert np.abs(np.concatenate([p.integrals for p in pulsed])).max() > 0
+        for peaks_h, peaks_c in (pulsed, mapped):
+            diag = reconstruct_diagonal(peaks_h, peaks_c, tip, k)
+            assert np.array_equal(diag, np.zeros(4))
 
     def test_inconsistent_peaks_above_round_off_flagged(self):
         # integrals far above round-off are signal, and checked
