@@ -45,6 +45,7 @@ from .labeling import SingularLabelingSystem
 from .readout import (
     DetectionSettings,
     Detector,
+    PeakTable,
     ReadoutError,
     reconstruct_diagonal,
     spectrum_to_csv,
@@ -65,6 +66,10 @@ EXIT_SOLVER = 2
 EXIT_DECODE = 3
 EXIT_READOUT = 4
 EXIT_USAGE = 64
+
+# the default trace has 361 rows; more than a million (~27 MB of CSV) is
+# taken for a typo in --duration or --step
+MAX_TRACE_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -210,9 +215,16 @@ def cmd_enhance_trace(cfg: RunConfig, args) -> int:
         raise UsageError(f"--duration must be a finite number >= 0, not {args.duration!r}")
     if not (math.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be a finite number > 0, not {args.step!r}")
+    # the rows after the first; the quotient of two finite numbers may be inf
+    steps = args.duration / args.step
+    if not steps < MAX_TRACE_ROWS:
+        raise UsageError(
+            f"--duration / --step must give at most {MAX_TRACE_ROWS} rows, "
+            f"not {args.duration!r} / {args.step!r}"
+        )
     out = _out_dir(args)
     p = cfg.spinoe()
-    times = [i * args.step for i in range(int(args.duration / args.step) + 1)]
+    times = [i * args.step for i in range(int(steps) + 1)]
     rows = [(t, *enhancement_at(p, t)) for t in times]
     csv_path = out / "enhancement_trace.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -314,10 +326,10 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     eps = (1.0, 1.0) if args.state == "thermal" else (cfg.eps0_h, cfg.eps0_c)
     detector = Detector(system, cfg.detection())
     noise = detector.draw(np.random.default_rng(cfg.seed))
-    acq_h, acq_c = detector.probe(enhanced_populations(system, *eps), noise)
-    k = detector.calibration()
-    diag = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, detector.settings.probe_tip_deg, k)
-    _dump_spectra(out, f"probe_{args.state}", acq_h.spectrum, acq_c.spectrum, args.svg)
+    detection = detector.probe(enhanced_populations(system, *eps), noise)
+    k = detector.receiver_constant
+    diag = reconstruct_diagonal(*map(PeakTable, detection.integrals), cfg.tip_deg, k)
+    _dump_spectra(out, f"probe_{args.state}", *detection.spectra, args.svg)
     report = {
         "run_id": run_id(cfg.echo(), args.state),
         "config": cfg.echo(),

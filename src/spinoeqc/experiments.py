@@ -35,13 +35,14 @@ generator is seeded from the params' seed; per probe the jitter and then
 the probe noise (two normals per channel, the line integrals of that
 channel's noise) are its first draws, the readout noise of every
 experiment its next, and the generator is not used after that. Probes
-spawn no seeds: nothing reads a probe's noise vector. Each readout
-detection spawns a child seed per channel from the generator's seed
-sequence, without drawing from it; a noise vector is built from its child
-seed only when a readout spectrum is read, once per preparation, and
-shared by its search cases with its transform. Shared arrays are
-read-only; a failed preparation is not kept and fails again on the next
-call.
+spawn no seeds: nothing reads a probe's noise vector. Each readout draw,
+one `Noise` for both channels, spawns a child seed per channel from the
+generator's seed sequence, without drawing from it; its two noise vectors
+are built from those seeds only when a readout spectrum is read, once per
+preparation, and shared by its search cases with their transforms. A
+record's readout is one `Detection` of both channels, against its
+preparation's draw. Shared arrays are read-only; a failed preparation is
+not kept and fails again on the next call.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -69,11 +70,10 @@ import numpy as np
 from .labeling import DEFAULT_PERM_ORDER, EffectivePureResult, enhancement_factor, label
 from .quantum import Unitary, compose
 from .readout import (
-    Acquisition,
-    DetectionNoise,
+    Detection,
     DetectionSettings,
     Detector,
-    PeakTable,
+    Noise,
     ReadoutError,
     Spectrum,
     readout_map,
@@ -130,15 +130,15 @@ class ExperimentRecord:
     probe_time: float
     probed_diagonal: np.ndarray
     perm_id: PermutationId
-    readout: tuple[Acquisition, Acquisition] = field(repr=False)
+    readout: Detection = field(repr=False)
 
     @property
     def readout_h(self) -> Spectrum:
-        return self.readout[0].spectrum
+        return self.readout.spectra[0]
 
     @property
     def readout_c(self) -> Spectrum:
-        return self.readout[1].spectrum
+        return self.readout.spectra[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +168,7 @@ class GroverRun(EffectivePureRun):
 
     case: GroverCase
     decoded: str
-    peaks_h: PeakTable = field(repr=False)
-    peaks_c: PeakTable = field(repr=False)
+    peak_integrals: np.ndarray = field(repr=False)  # (channel, partner), read-only
     line_amplitudes: np.ndarray = field(repr=False)  # (channel, partner), read-only
 
 
@@ -218,15 +217,16 @@ class Preparation:
     `populations` holds the sampled initial states, `probed` their
     reconstructed diagonals (both read-only), `result` their labeling, and
     `readout_noise` the receiver noise of each state's readout, drawn after
-    the last probe (per channel a `ChannelNoise`: a child seed and the
-    read-only line integrals, see `Detector.draw`).
+    the last probe: one `Noise` per readout, holding the two channels'
+    child seeds and read-only line integrals, or None with noise off (see
+    `Detector.draw`).
     """
 
     detector: Detector
     populations: tuple[np.ndarray, ...] = field(repr=False)
     probed: tuple[np.ndarray, ...] = field(repr=False)
     result: EffectivePureResult
-    readout_noise: tuple[DetectionNoise, ...] = field(repr=False)
+    readout_noise: tuple[Noise | None, ...] = field(repr=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -342,16 +342,18 @@ def run_effective_pure_pipeline(
     return _run_labeled_experiments(prep, cfg, schedule, None)
 
 
-def decode_answer(peaks_h: PeakTable, peaks_c: PeakTable) -> str:
-    """Answer bits from the doublet sign pattern of both channels.
+def decode_answer(lines) -> str:
+    """Answer bits from the doublet sign pattern of both channels, given as
+    (channel, partner) line values, H then C.
 
     Each channel shows one dominant line for a pure-like state: its sign
     gives the observed spin's bit (positive means |0>) and its position
     gives the partner's bit. The two channels must agree; anything below
     the dominance threshold or inconsistent raises DecodeError.
     """
-    h0, h1 = peaks_h.integral(0), peaks_h.integral(1)
-    c0, c1 = peaks_c.integral(0), peaks_c.integral(1)
+    if np.shape(lines) != (2, 2):
+        raise ValueError("the decode takes the (channel, partner) lines of both channels")
+    (h0, h1), (c0, c1) = np.asarray(lines, dtype=float).tolist()
     scale = max(abs(v) for v in (h0, h1, c0, c1))
     if scale == 0.0:
         raise DecodeError("no readout signal")
@@ -394,19 +396,18 @@ def run_grover_pipeline(
     schedule = make_schedule(mode, r1, recovery, sample_age)
     prep = _prepare(p, cfg, schedule, detection)
     run = _run_labeled_experiments(prep, cfg, schedule, case)
-    weights = run.result.weights
-    sums = [sum(w * r.readout[i].integrals for w, r in zip(weights, run.records)) for i in (0, 1)]
-    peaks_h, peaks_c = (PeakTable(y) for y in sums)
+    integrals = sum(w * r.readout.integrals for w, r in zip(run.result.weights, run.records))
     # each line leaks into its partner's window; Re(response)⁻¹ takes the
     # integrals back to the line amplitudes, which are real after a readout
-    amplitudes = np.array(sums) @ prep.detector.amplitude_solve.T
-    amplitudes.flags.writeable = False
+    amplitudes = integrals @ prep.detector.amplitude_solve.T
+    for array in (integrals, amplitudes):
+        array.flags.writeable = False
     # an inverted preparation (q2 < 0) flips every line; its sign is known
     # from the weight solve, so fold it into the decode
     sign = 1.0 if run.result.q2 >= 0 else -1.0
-    decoded = decode_answer(*(PeakTable(sign * a) for a in amplitudes))
+    decoded = decode_answer(sign * amplitudes)
     return GroverRun(
-        **vars(run), case=case, decoded=decoded, peaks_h=peaks_h, peaks_c=peaks_c,
+        **vars(run), case=case, decoded=decoded, peak_integrals=integrals,
         line_amplitudes=amplitudes,
     )
 
@@ -457,7 +458,7 @@ def grover_report(run: GroverRun, config_echo: dict) -> dict:
         "target": run.case.target,
         "decoded": run.decoded,
         **_labeled_report(run),
-        "peak_integrals": _per_line([run.peaks_h.integrals, run.peaks_c.integrals]),
+        "peak_integrals": _per_line(run.peak_integrals),
         "line_amplitudes": _per_line(run.line_amplitudes),
     }
 

@@ -54,13 +54,16 @@ Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), which for white noise of amplitude σ are
 Gaussian with covariance σ² Re(G Gᴴ). Drawing the noise (`Detector.draw`)
 is a step of its own and takes just those, 2 normals per channel, with a
-child seed per channel. A pipeline's probe (`Detector.probe_diagonal`)
-takes the same 2 normals per channel but spawns no seed, as nothing reads
-a probe's noise vector. The full vector is built from that seed only when
-a spectrum is read, conditioned on the drawn integrals, and a spectrum
-adds its transform, so an exported spectrum integrates to the integrals
-the pipeline used. Vector and transform are built once per draw and
-shared by every acquisition against it.
+child seed per channel, and keeps them as one `Noise` per draw (None with
+noise off). A pipeline's probe (`Detector.probe_diagonal`) takes the same
+2 normals per channel but spawns no seed, as nothing reads a probe's
+noise vector. The full vectors are built from those seeds only when a
+spectrum is read, conditioned on the drawn integrals, and a spectrum adds
+their transforms, so an exported spectrum integrates to the integrals the
+pipeline used. Vectors and transforms are built once per draw and shared
+by every detection against it. A detection (`Detection`) holds both
+channels: the (channel, line) amplitudes, their (channel, partner) line
+integrals and the H and C spectra.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class ReadoutError(ValueError):
 
 @dataclass(frozen=True)
 class DetectionSettings:
-    """Acquisition constants shared by probing, calibration and readout."""
+    """Detection constants shared by probing, calibration and readout."""
 
     n_points: int = 4096
     dwell: float = 1e-3
@@ -270,7 +273,12 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     windows[:, 0] *= 0.5
     response = windows @ _unit_lines(cfg, n_points, dwell).T
     noise_factor = np.linalg.cholesky((windows @ windows.conj().T).real)
-    amplitude_solve = np.linalg.inv(response.real)
+    try:
+        amplitude_solve = np.linalg.inv(response.real)
+    except np.linalg.LinAlgError:  # e.g. a decay within one dwell: one flat line
+        raise ReadoutError(
+            "peak windows cannot separate the doublet lines; increase t2 or shorten the dwell time"
+        ) from None
     # a map is shared by every detector on its grid
     for array in (windows, response, noise_factor, amplitude_solve):
         array.flags.writeable = False
@@ -361,38 +369,31 @@ class Detector:
         integrals.flags.writeable = False
         return integrals
 
-    def draw(self, rng: np.random.Generator | None = None) -> DetectionNoise:
-        """Receiver noise of one detection at the settings' level, H then C.
+    def _integrals(self, amplitudes: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+        """Re(A Rᵀ) of (channel, line) amplitudes A, plus noise integrals."""
+        y = (amplitudes @ self.response.T).real
+        return y if noise is None else y + noise
 
-        Keeps the line integrals of `_noise_integrals`, 2 normals per
-        channel from `rng`, and beside them a child seed per channel,
-        spawned from the seed sequence of `rng`, from which
-        `ChannelNoise.vector` builds the full vector when a spectrum is
-        read. Spawning consumes none of the stream but advances the seed
-        sequence's spawn count, which `rng.bit_generator.state` does not
-        hold: the noise vectors depend on the generator's seed sequence and
-        how many children it has spawned, so two generators of equal state
-        give equal line integrals but may give different vectors, and a
-        generator seeded from OS entropy gives vectors no seed reproduces.
-        Noise needs a seeded generator; with noise off nothing is drawn."""
+    def draw(self, rng: np.random.Generator | None = None) -> Noise | None:
+        """Receiver noise of one detection at the settings' level, as one
+        `Noise` (None with noise off, when nothing is drawn): the line
+        integrals of `_noise_integrals` and a child seed per channel,
+        spawned from the seed sequence of `rng`, from which `Noise.vectors`
+        builds the full vectors when a spectrum is read. Spawning consumes
+        none of the stream but advances the spawn count, which
+        `rng.bit_generator.state` does not hold: two generators of equal
+        state give equal line integrals but may give different vectors, and
+        a generator seeded from OS entropy gives vectors no seed reproduces."""
         if self.settings.noise_amp <= 0:
-            return _NOISE_FREE
+            return None
         integrals = self._noise_integrals(rng)
-        h_seed, c_seed = rng.bit_generator.seed_seq.spawn(2)
-        return ChannelNoise(self, h_seed, integrals[0]), ChannelNoise(self, c_seed, integrals[1])
+        return Noise(self, tuple(rng.bit_generator.seed_seq.spawn(2)), integrals)
 
-    def _acquire(self, amplitudes, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
-        h, c = (
-            Acquisition(self, channel, a, channel_noise)
-            for channel, a, channel_noise in zip(Channel, amplitudes, noise)
-        )
-        return h, c
-
-    def probe(self, d, noise: DetectionNoise) -> tuple[Acquisition, Acquisition]:
+    def probe(self, d, noise: Noise | None) -> Detection:
         """The probing experiment on the diagonal state of populations d:
         simultaneous small-tip y-pulses at the settings' tip, against noise
         from `draw`. The line amplitudes are `probe_map` applied to d."""
-        return self._acquire(self.probe_map @ _population_vector(d, "probe"), noise)
+        return Detection(self, self.probe_map @ _population_vector(d, "probe"), noise)
 
     def probe_diagonal(self, d, rng: np.random.Generator | None = None) -> np.ndarray:
         """The deviation diagonal that a probe of populations d
@@ -400,14 +401,11 @@ class Detector:
         setting's `probe_solve`. The probe's receiver noise is drawn from
         `rng` as its line integrals only (`_noise_integrals`): nothing reads
         a probe's noise vector, so no child seed is spawned."""
-        y = ((self.probe_map @ _population_vector(d, "probe")) @ self.response.T).real
-        if self.settings.noise_amp > 0:
-            y = y + self._noise_integrals(rng)
-        return _reconstruct(y.ravel(), self.probe_solve)
+        amplitudes = self.probe_map @ _population_vector(d, "probe")
+        noise = self._noise_integrals(rng) if self.settings.noise_amp > 0 else None
+        return _reconstruct(self._integrals(amplitudes, noise).ravel(), self.probe_solve)
 
-    def readout(
-        self, d, amplitude_map: np.ndarray, noise: DetectionNoise
-    ) -> tuple[Acquisition, Acquisition]:
+    def readout(self, d, amplitude_map: np.ndarray, noise: Noise | None) -> Detection:
         """Per-channel readout of the diagonal state of populations d after
         a computation, against noise from `draw`: a 90° y-pulse on one spin
         at a time, that spin observed.
@@ -419,95 +417,82 @@ class Detector:
         (detection here is non-destructive). The line amplitudes are
         `amplitude_map`, the computation's `readout_map`, applied to d.
         """
-        return self._acquire(amplitude_map @ _population_vector(d, "readout"), noise)
-
-    def calibration(self) -> float:
-        """Receiver constant K of `calibrate` for this acquisition setting."""
-        return self.receiver_constant
+        return Detection(self, amplitude_map @ _population_vector(d, "readout"), noise)
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelNoise:
-    """Receiver noise of one channel of one detection (`Detector.draw`): the
-    read-only (partner 0, partner 1) line integrals of the noise and the
-    child seed of its full vector. Every acquisition against this draw,
-    such as the readouts of the search cases of one preparation, shares
-    one vector, built on first use."""
+class Noise:
+    """Receiver noise of one detection (`Detector.draw`): the read-only
+    (channel, line) noise integrals and the child seeds of the full vectors,
+    H then C. The detections against one draw, such as the readouts of one
+    preparation's search cases, share its vectors and transforms."""
 
     detector: Detector = field(repr=False)
-    seed: np.random.SeedSequence
+    seeds: tuple[np.random.SeedSequence, np.random.SeedSequence]
     integrals: np.ndarray = field(repr=False)
 
     @functools.cached_property
-    def vector(self) -> np.ndarray:
-        """The receiver noise vector, read-only.
+    def vectors(self) -> np.ndarray:
+        """The (channel, sample) receiver noise vectors, read-only.
 
-        White noise m drawn from the child seed, conditioned on the drawn
-        line integrals y: n = m - Σₖ conj(gₖ) [C⁻¹ (Re(G m) - y)]ₖ. Its law
-        is still that of white noise, and Re(G n) = y."""
-        det = self.detector
-        m = _draw_noise(
-            det.settings.n_points, det.settings.noise_amp, np.random.default_rng(self.seed)
-        )
+        Per channel, white noise m drawn from its child seed, conditioned on
+        the drawn line integrals y: n = m - Σₖ conj(gₖ) [C⁻¹ (Re(G m) - y)]ₖ.
+        Its law is still that of white noise, and Re(G n) = y."""
+        det, settings = self.detector, self.detector.settings
         cov = det.noise_factor @ det.noise_factor.T
-        excess = np.linalg.solve(cov, (det.windows @ m).real - self.integrals)
-        noise = m - excess @ det.windows.conj()
-        noise.flags.writeable = False
-        return noise
+        vectors = []
+        for seed, y in zip(self.seeds, self.integrals):
+            m = _draw_noise(settings.n_points, settings.noise_amp, np.random.default_rng(seed))
+            excess = np.linalg.solve(cov, (det.windows @ m).real - y)
+            vectors.append(m - excess @ det.windows.conj())
+        vectors = np.array(vectors)
+        vectors.flags.writeable = False
+        return vectors
 
     @functools.cached_property
-    def transform(self) -> np.ndarray:
-        """What the noise vector adds to a spectrum, read-only: its transform
-        with the first point halved, as for the lines of the grid map."""
-        values = _transform(self.vector)
+    def transforms(self) -> np.ndarray:
+        """What the noise vectors add to the two spectra, read-only: their
+        transforms, first point halved as for the lines of the grid map."""
+        values = _transform(self.vectors)
         values.flags.writeable = False
         return values
 
 
-DetectionNoise = tuple[ChannelNoise | None, ChannelNoise | None]  # H, then C
-_NOISE_FREE: DetectionNoise = (None, None)  # noise off
-
-
 @dataclass(frozen=True, eq=False)
-class Acquisition:
-    """One channel of one detection: the line amplitudes at its receiver
-    and the noise drawn for it (`Detector.draw`). Line integrals and the
-    spectrum both come from the detector's map; the noise vector and the
-    spectrum are built only when asked for."""
+class Detection:
+    """One detection of both channels: the read-only (channel, line)
+    amplitudes at the receivers, H then C, and the noise drawn for it
+    (`Detector.draw`; None with noise off). Line integrals and spectra come
+    from the detector's map, and are built only when asked for."""
 
     detector: Detector = field(repr=False)
-    channel: Channel
-    amplitudes: np.ndarray = field(repr=False)  # (A_plus, A_minus)
-    channel_noise: ChannelNoise | None = field(repr=False)
+    amplitudes: np.ndarray = field(repr=False)
+    noise: Noise | None = field(repr=False)
+
+    def __post_init__(self):
+        self.amplitudes.flags.writeable = False
 
     @functools.cached_property
     def integrals(self) -> np.ndarray:
-        """(partner 0, partner 1) line integrals."""
-        y = (self.detector.response @ self.amplitudes).real
-        if self.channel_noise is not None:
-            y = y + self.channel_noise.integrals
+        """The read-only (channel, partner) line integrals."""
+        y = self.detector._integrals(
+            self.amplitudes, None if self.noise is None else self.noise.integrals
+        )
+        y.flags.writeable = False
         return y
 
-    @property
-    def peaks(self) -> PeakTable:
-        return PeakTable(self.integrals)
-
-    @property
-    def noise(self) -> np.ndarray | None:
-        """The receiver noise vector (`ChannelNoise.vector`), or None when
-        noise is off."""
-        return None if self.channel_noise is None else self.channel_noise.vector
-
     @functools.cached_property
-    def spectrum(self) -> Spectrum:
-        """The unit line spectra weighted by the amplitudes, plus the
-        transform of the noise vector when noise is on."""
+    def spectra(self) -> tuple[Spectrum, Spectrum]:
+        """The H and C spectra: the unit line spectra weighted by the
+        amplitudes, plus the transforms of the noise vectors when noise is
+        on."""
         settings = self.detector.settings
         freqs, line_spectra = _spectra_map(self.detector.cfg, settings.n_points, settings.dwell)
-        values = line_spectra.T @ self.amplitudes
-        if self.channel_noise is not None:
-            values += self.channel_noise.transform
-        return Spectrum(channel=self.channel, freqs=freqs, values=values)
+        values = self.amplitudes @ line_spectra
+        if self.noise is not None:
+            values += self.noise.transforms
+        h, c = (Spectrum(channel, freqs, v) for channel, v in zip(Channel, values))
+        return h, c
 
 
 def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
@@ -540,7 +525,7 @@ def calibrate(
     noise-free, so K is that of the cached probe setting (spin system,
     grid, tip), shared by every detector on it.
     """
-    return Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg)).calibration()
+    return Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg)).receiver_constant
 
 
 def probe(
@@ -561,8 +546,7 @@ def probe(
     if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
         raise ValueError("the probe takes a diagonal two-spin state")
     detector = Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg))
-    h, c = (a.spectrum for a in detector.probe(populations(rho), _NOISE_FREE))
-    return h, c
+    return detector.probe(populations(rho), None).spectra
 
 
 def reconstruct_diagonal(

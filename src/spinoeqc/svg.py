@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+WIDTH, HEIGHT = 720, 420  # pixels
 
 
 def _fmt(x: float) -> str:
@@ -22,15 +23,13 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 420,
 ) -> None:
     """Write one SVG with a shared x-axis and one polyline per series."""
     xs = np.array(x, dtype=float)
     if not xs.size or not series:
         raise ValueError("need x values and at least one series")
     margin = 60
-    plot_w, plot_h = width - 2 * margin, height - 2 * margin
+    plot_w, plot_h = WIDTH - 2 * margin, HEIGHT - 2 * margin
     columns = {name: np.asarray(ys, dtype=float) for name, ys in series.items()}
     ys_all = np.concatenate(list(columns.values()))
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -50,8 +49,8 @@ def line_chart(
         return margin + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
@@ -75,27 +74,27 @@ def line_chart(
         )
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
             f'font-family="monospace" font-size="14">{title}</text>'
         )
     if x_label:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
             f'font-family="monospace" font-size="12">{x_label}</text>'
         )
     if y_label:
         parts.append(
-            f'<text x="16" y="{height / 2:.0f}" text-anchor="middle" '
+            f'<text x="16" y="{HEIGHT / 2:.0f}" text-anchor="middle" '
             f'font-family="monospace" font-size="12" '
-            f'transform="rotate(-90 16 {height / 2:.0f})">{y_label}</text>'
+            f'transform="rotate(-90 16 {HEIGHT / 2:.0f})">{y_label}</text>'
         )
     # axis extremes as tick labels
     parts.append(
-        f'<text x="{margin}" y="{height - margin + 16}" text-anchor="middle" '
+        f'<text x="{margin}" y="{HEIGHT - margin + 16}" text-anchor="middle" '
         f'font-family="monospace" font-size="10">{_fmt(x_lo)}</text>'
     )
     parts.append(
-        f'<text x="{margin + plot_w}" y="{height - margin + 16}" text-anchor="middle" '
+        f'<text x="{margin + plot_w}" y="{HEIGHT - margin + 16}" text-anchor="middle" '
         f'font-family="monospace" font-size="10">{_fmt(x_hi)}</text>'
     )
     parts.append(

@@ -72,6 +72,22 @@ class TestEnhanceTrace:
         assert capsys.readouterr().err.startswith(f"usage error: {flag} must be a finite number")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "duration,step",
+        [("1e300", "1e-300"), ("1e300", "1"), ("1000000", "1")],
+        ids=["overflowing", "huge", "one-past-the-limit"],
+    )
+    def test_row_count_above_the_limit_is_usage_error(self, tmp_path, capsys, duration, step):
+        # a quotient that overflows to inf, or a finite one too large to write
+        argv = ["--out", str(tmp_path / "o"), "enhance-trace", "--duration", duration]
+        rc = cli.main([*argv, "--step", step])
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"usage error: --duration / --step must give at most {cli.MAX_TRACE_ROWS} rows"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestEffpure:
     def test_thermal_config_reports_unit_enhancement(self, tmp_path):

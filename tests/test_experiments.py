@@ -28,7 +28,6 @@ from spinoeqc import quantum, readout
 from spinoeqc.readout import (
     Channel,
     Detector,
-    PeakTable,
     ReadoutError,
     integrate_peaks,
 )
@@ -41,7 +40,7 @@ from spinoeqc.spins import (
     permutation_pulse_sequence,
     pulse_unitary,
 )
-from test_readout import MODULES, coherences, fft_spectrum, relative_gap
+from test_readout import MODULES, coherences, fft_spectrum, noise_vectors, relative_gap
 
 CFG = SpinSystemConfig()
 ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
@@ -70,24 +69,24 @@ def receiver_state(rho, step, channel):
 
 
 def assert_readout_spectra_match_the_oracle(run, params, detection, case):
-    """Each record's exported readout spectra are its acquisitions' own, and
+    """Each record's exported readout spectra are its detection's own, and
     within 1e-14 of the FFT oracle on the state the eager route builds."""
     schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
     prep = _prepare(params, CFG, schedule, detection)
     for d, rec in zip(prep.populations, run.records, strict=True):
         rho = DensityMatrix.from_diagonal(d)
-        assert rec.readout_h is rec.readout[0].spectrum
-        assert rec.readout_c is rec.readout[1].spectrum
+        assert rec.readout_h is rec.readout.spectra[0]
+        assert rec.readout_c is rec.readout.spectra[1]
         step = step_unitary(rec.perm_id, run.result.ground, case)
-        for acq in rec.readout:
-            state = receiver_state(rho, step, acq.channel)
-            want = fft_spectrum(state, CFG, acq.channel, 4096, 1e-3, acq.noise)
-            assert np.array_equal(acq.spectrum.freqs, want.freqs)
-            assert relative_gap(acq.spectrum.values, want.values) <= 1e-14
+        for channel, spec, noise in zip(Channel, rec.readout.spectra, noise_vectors(rec.readout)):
+            state = receiver_state(rho, step, channel)
+            want = fft_spectrum(state, CFG, channel, 4096, 1e-3, noise)
+            assert np.array_equal(spec.freqs, want.freqs)
+            assert relative_gap(spec.values, want.values) <= 1e-14
 
 
-def peaks(h0, h1, c0, c1):
-    return PeakTable([h0, h1]), PeakTable([c0, c1])
+def lines(h0, h1, c0, c1):
+    return np.array([[h0, h1], [c0, c1]])
 
 
 class TestGroverUnitaries:
@@ -151,27 +150,36 @@ class TestDecode:
         ],
     )
     def test_clean_patterns(self, table, expected):
-        assert decode_answer(*peaks(*table)) == expected
+        assert decode_answer(lines(*table)) == expected
 
     def test_silence_is_ambiguous(self):
         with pytest.raises(DecodeError, match="no readout signal"):
-            decode_answer(*peaks(0.0, 0.0, 0.0, 0.0))
+            decode_answer(lines(0.0, 0.0, 0.0, 0.0))
 
     def test_comparable_lines_are_ambiguous(self):
         with pytest.raises(DecodeError, match="comparable"):
-            decode_answer(*peaks(10.0, 9.0, 10.0, 0.0))
+            decode_answer(lines(10.0, 9.0, 10.0, 0.0))
 
     def test_channel_disagreement_detected(self):
         # H claims H=0 partner C=0; C claims C=0 partner H=1
         with pytest.raises(DecodeError, match="disagree"):
-            decode_answer(*peaks(10.0, 0.0, 0.0, 10.0))
+            decode_answer(lines(10.0, 0.0, 0.0, 10.0))
 
     def test_scale_invariance(self):
         # dominant negative H line at partner 0, dominant positive C line
         # at partner 1: the answer is |10>
-        a = decode_answer(*peaks(-8.0, 0.4, 0.3, 7.0))
-        b = decode_answer(*peaks(-8e6, 0.4e6, 0.3e6, 7e6))
+        a = decode_answer(lines(-8.0, 0.4, 0.3, 7.0))
+        b = decode_answer(lines(-8e6, 0.4e6, 0.3e6, 7e6))
         assert a == b == "10"
+
+    @pytest.mark.parametrize(
+        "values",
+        [[10.0, 0.0, 10.0, 0.0], [[10.0, 0.0]], [[10.0, 0.0, 0.0], [10.0, 0.0, 0.0]], 10.0],
+        ids=["flat", "one-channel", "three-lines", "scalar"],
+    )
+    def test_lines_of_another_shape_are_rejected(self, values):
+        with pytest.raises(ValueError, match="the decode takes the"):
+            decode_answer(values)
 
 
 class TestEffectivePurePipeline:
@@ -238,8 +246,14 @@ class TestEffectivePurePipeline:
         [
             (CFG, DetectionSettings(n_points=1024, dwell=4e-3), "spectral width"),
             (SpinSystemConfig(j_coupling=0.5), DetectionSettings(), "resolution"),
+            # the FID decays within one dwell, so both lines are one flat line
+            (
+                SpinSystemConfig(j_coupling=4.0, t2=1e-4),
+                DetectionSettings(n_points=256, dwell=0.0078125),
+                "cannot separate the doublet lines",
+            ),
         ],
-        ids=["spectral-width", "resolution"],
+        ids=["spectral-width", "resolution", "unresolved-lines"],
     )
     def test_window_rules_reject_the_settings(self, cfg, detection, message):
         with pytest.raises(ReadoutError, match=message):
@@ -267,8 +281,8 @@ class TestGroverPipeline:
         p = SpinoeParams(eps0_h=1.0, eps0_c=1.0)
         run = run_grover_pipeline(p, CFG, GroverCase("00"))
         assert run.decoded == "00"
-        assert run.peaks_h.integral(0) > 0
-        assert run.peaks_c.integral(0) > 0
+        assert run.peak_integrals[0, 0] > 0
+        assert run.peak_integrals[1, 0] > 0
         assert run.enhancement == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -295,14 +309,14 @@ class TestGroverPipeline:
         run = run_grover_pipeline(SpinoeParams(), cfg, case)
         assert run.decoded == case.target
         with pytest.raises(DecodeError, match="comparable magnitude"):
-            decode_answer(run.peaks_h, run.peaks_c)
+            decode_answer(run.peak_integrals)
         det = Detector(cfg, DetectionSettings())
-        integrals = np.array([run.peaks_h.integrals, run.peaks_c.integrals])
         real = det.response.real
         assert np.abs(real[0, 1]) > 0.5 * np.abs(real[0, 0])
-        assert_allclose(run.line_amplitudes @ real.T, integrals, rtol=1e-12)
-        with pytest.raises(ValueError):
-            run.line_amplitudes[0, 0] = 1.0
+        assert_allclose(run.line_amplitudes @ real.T, run.peak_integrals, rtol=1e-12)
+        for array in (run.peak_integrals, run.line_amplitudes):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
     def test_demonstration_schedule_lands_in_reported_band(self):
         run = run_grover_pipeline(
@@ -320,7 +334,7 @@ class TestGroverPipeline:
         def no_spectra(*args, **kwargs):
             raise AssertionError("spectrum built in the pipeline")
 
-        monkeypatch.setattr(readout.Acquisition, "spectrum", property(no_spectra))
+        monkeypatch.setattr(readout.Detection, "spectra", property(no_spectra))
         params, detection = SpinoeParams(seed=3), DetectionSettings(noise_amp=0.05)
         run = run_grover_pipeline(params, CFG, GroverCase("01"), detection=detection)
         assert run.decoded == "01"
@@ -328,11 +342,9 @@ class TestGroverPipeline:
         assert_readout_spectra_match_the_oracle(run, params, detection, GroverCase("01"))
         # the decode read the weighted sum of line integrals; the exported
         # weighted spectrum carries the same integrals
-        for peaks, spec in ((run.peaks_h, run.sum_readout_h), (run.peaks_c, run.sum_readout_c)):
-            ref = integrate_peaks(spec, CFG)
-            scale = max(abs(ref.integral(0)), abs(ref.integral(1)))
-            for partner in (0, 1):
-                assert abs(peaks.integral(partner) - ref.integral(partner)) <= 1e-12 * scale
+        for integrals, spec in zip(run.peak_integrals, (run.sum_readout_h, run.sum_readout_c)):
+            ref = integrate_peaks(spec, CFG).integrals
+            assert np.abs(integrals - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_determinism(self):
         p = SpinoeParams(reproducibility_jitter=0.03, seed=11)
@@ -359,9 +371,8 @@ def run_arrays(run):
     readout integrals and spectra."""
     arrays = [run.result.weights]
     for rec in run.records:
-        arrays.append(rec.probed_diagonal)
-        for acq in rec.readout:
-            arrays += [acq.integrals, acq.spectrum.values]
+        arrays += [rec.probed_diagonal, rec.readout.integrals]
+        arrays += [spec.values for spec in rec.readout.spectra]
     return arrays
 
 
@@ -395,8 +406,7 @@ class TestReadoutMap:
                 (det.response @ coherences(receiver_state(rho, step, ch), ch)).real
                 for ch in Channel
             ])
-            acquisitions = det.readout(d, _readout_map(perm, ground, case), (None, None))
-            got = np.array([acq.integrals for acq in acquisitions])
+            got = det.readout(d, _readout_map(perm, ground, case), None).integrals
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_readout_amplitudes_are_real(self):
@@ -493,18 +503,18 @@ class TestPreparationCache:
         noisy_run(ScheduleMode.MULTI_SAMPLE, "11")
         run = noisy_run(ScheduleMode.MULTI_SAMPLE, "10")
         amp = NOISY_DETECTION.noise_amp
-        factor = run.records[0].readout[0].detector.noise_factor
+        factor = run.records[0].readout.detector.noise_factor
         rng = np.random.default_rng(NOISY_PARAMS.seed)
         for _ in run.records:
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.standard_normal(4)
         for i, rec in enumerate(run.records):
-            expected = amp * rng.standard_normal(4).reshape(2, 2) @ factor.T
-            for channel, acq in enumerate(rec.readout):
-                assert np.array_equal(acq.channel_noise.integrals, expected[channel])
-                assert acq.channel_noise.seed.entropy == NOISY_PARAMS.seed
-                assert acq.channel_noise.seed.spawn_key == (2 * i + channel,)
+            noise = rec.readout.noise
+            assert np.array_equal(noise.integrals, amp * rng.standard_normal((2, 2)) @ factor.T)
+            for channel, seed in enumerate(noise.seeds):
+                assert seed.entropy == NOISY_PARAMS.seed
+                assert seed.spawn_key == (2 * i + channel,)
 
     def test_noise_is_drawn_once_per_preparation(self, monkeypatch):
         draw, drawn = readout.Detector.draw, []
@@ -518,14 +528,11 @@ class TestPreparationCache:
         runs = [noisy_run(ScheduleMode.SINGLE_SAMPLE, t) for t in GROVER_TARGETS]
         # per record one readout; a probe draws its integrals without `draw`
         assert len(drawn) == 3
-        readout_noise = [channel for noise in drawn for channel in noise]
         for run in runs:
-            acquisitions = [acq for rec in run.records for acq in rec.readout]
-            assert len(acquisitions) == len(readout_noise)
-            for acq, channel_noise in zip(acquisitions, readout_noise):
-                assert acq.channel_noise is channel_noise
+            for rec, noise in zip(run.records, drawn, strict=True):
+                assert rec.readout.noise is noise
                 with pytest.raises(ValueError):
-                    acq.channel_noise.integrals[0] = 1.0
+                    rec.readout.noise.integrals[0, 0] = 1.0
 
     def test_noise_vector_is_built_only_for_a_spectrum(self, monkeypatch):
         draw_noise, built = readout._draw_noise, []
@@ -537,21 +544,28 @@ class TestPreparationCache:
         monkeypatch.setattr(readout, "_draw_noise", counting_draw)
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
         assert built == []
-        acq = run.records[0].readout[0]
+        noise = run.records[0].readout.noise
         spec = run.records[0].readout_h
-        assert len(built) == 1
-        assert acq.noise is acq.noise and run.records[0].readout_h is spec
-        assert len(built) == 1
+        # one vector per channel of the draw, built together
+        assert len(built) == 2
+        vectors, transforms = noise.vectors, noise.transforms
+        assert noise.vectors is vectors and run.records[0].readout_h is spec
+        run.records[0].readout_c
+        assert len(built) == 2
         with pytest.raises(ValueError):
-            acq.noise[0] = 1.0
-        # another search case on the same preparation shares the vector
-        other = noisy_run(ScheduleMode.SINGLE_SAMPLE, "01").records[0]
-        other.readout_h
-        assert other.readout[0].noise is acq.noise and len(built) == 1
+            vectors[0, 0] = 1.0
+        # the search cases of one preparation share each draw's vectors and
+        # transforms: reading every spectrum of all four builds each once
+        for target in GROVER_TARGETS:
+            for rec in noisy_run(ScheduleMode.SINGLE_SAMPLE, target).records:
+                rec.readout_h, rec.readout_c
+        assert len(built) == 2 * len(run.records)
+        other = noisy_run(ScheduleMode.SINGLE_SAMPLE, "01").records[0].readout.noise
+        assert other.vectors is vectors and other.transforms is transforms
         _prepare.cache_clear()
-        again = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10").records[0].readout[0]
-        assert again.noise is not acq.noise
-        assert np.array_equal(again.noise, acq.noise)
+        again = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10").records[0].readout.noise
+        assert again.vectors is not vectors
+        assert np.array_equal(again.vectors, vectors)
 
     def test_cold_preparation_applies_no_pulse_and_no_lstsq(self, monkeypatch):
         # a new seed on a warm grid map and probe setting: the probes, their

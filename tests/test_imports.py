@@ -1,8 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private module-level name is used by the package.
 
-No linter ships with the test dependencies, so this is the unused-import
-check: an imported name must appear as a name somewhere in its module.
-`__init__.py` imports to re-export and is exempt."""
+No linter ships with the test dependencies, so these are the unused-import
+check (an imported name must appear as a name somewhere in its module;
+`__init__.py` imports to re-export and is exempt) and the unused-private
+check: a module-level `_name` must be read somewhere in `src/` outside its
+own definition, so library code that only tests use cannot hide there."""
 
 import ast
 from pathlib import Path
@@ -11,9 +14,8 @@ import pytest
 
 import spinoeqc
 
-MODULES = sorted(
-    path for path in Path(spinoeqc.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(spinoeqc.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +41,63 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level statement binds by definition or assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+        targets = [statement.target]
+    else:
+        return []
+    nodes = [node for target in targets for node in ast.walk(target)]
+    return [node.id for node in nodes if isinstance(node, ast.Name)]
+
+
+def _read_names(statement: ast.stmt) -> set[str]:
+    """The names a statement reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name`s of the modules `sources` (name -> source) that
+    no module reads outside the statement that defines them."""
+    statements = [
+        (module, statement, _read_names(statement))
+        for module, source in sources.items()
+        for statement in ast.parse(source).body
+    ]
+    unused = []
+    for module, defining, _ in statements:
+        for name in _defined_names(defining):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in reads for _, s, reads in statements if s is not defining):
+                unused.append(f"{module}: {name} (line {defining.lineno})")
+    return unused
+
+
+def test_the_check_finds_an_unused_private_name():
+    sources = {
+        "a": "_USED = 1\n_UNUSED: int = 2\ndef _helper():\n    return _helper()\n",
+        "b": "from .a import _USED\nclass _Kept:\n    pass\n",
+        "c": "import b\nb._Kept()\ndef public():\n    return 0\n",
+    }
+    # a function that only calls itself is read by nobody else
+    assert unused_private_names(sources) == ["a: _UNUSED (line 2)", "a: _helper (line 3)"]
+
+
+def test_package_uses_every_private_name():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert unused_private_names(sources) == []

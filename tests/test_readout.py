@@ -15,8 +15,8 @@ from spinoeqc import readout
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, populations
 from spinoeqc.readout import (
     PROBE_TIP_MAX,
-    Acquisition,
     Channel,
+    Detection,
     DetectionSettings,
     Detector,
     PeakTable,
@@ -297,7 +297,7 @@ class TestProbe:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.1))
         thermal = populations(thermal_state(CFG))
         a, b = (
-            det.probe(thermal, det.draw(np.random.default_rng(3)))[0].spectrum for _ in range(2)
+            det.probe(thermal, det.draw(np.random.default_rng(3))).spectra[0] for _ in range(2)
         )
         assert np.array_equal(a.values, b.values)
         clean = probe(thermal_state(CFG), CFG, 15.0)[0]
@@ -310,24 +310,22 @@ class TestProbe:
     def test_noise_free_draw_takes_nothing(self):
         rng = np.random.default_rng(8)
         state = rng.bit_generator.state
-        (h, c) = Detector(CFG, DetectionSettings()).draw(rng)
-        assert h is None and c is None
+        assert Detector(CFG, DetectionSettings()).draw(rng) is None
         assert rng.bit_generator.state == state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     def test_draw_takes_two_normals_per_channel(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
         rng, replay = np.random.default_rng(8), np.random.default_rng(8)
-        h, c = det.draw(rng)
+        noise = det.draw(rng)
         z = replay.standard_normal(4).reshape(2, 2)
-        assert np.array_equal(np.array([h.integrals, c.integrals]), 0.1 * z @ det.noise_factor.T)
+        assert np.array_equal(noise.integrals, 0.1 * z @ det.noise_factor.T)
         # the children are spawned, so the stream goes on where the normals left it
         assert rng.normal() == replay.normal()
-        assert (h.seed.spawn_key, c.seed.spawn_key) == ((0,), (1,))
-        assert h.detector is det and c.detector is det
-        for y in (h.integrals, c.integrals):
-            with pytest.raises(ValueError):
-                y[0] = 1.0
+        assert [seed.spawn_key for seed in noise.seeds] == [(0,), (1,)]
+        assert noise.detector is det
+        with pytest.raises(ValueError):
+            noise.integrals[0, 0] = 1.0
 
 
 def coherent_state(amplitudes) -> DensityMatrix:
@@ -360,9 +358,14 @@ def readout_spectra(rho, cfg, tip_angle_deg=90.0, n_samples=4096, dt=1e-3, noise
     return tuple(spectra)
 
 
-def acquisition(det, channel, rho, channel_noise):
-    """Acquisition of one channel with `rho` as the state at its receiver."""
-    return Acquisition(det, channel, coherences(rho, channel), channel_noise)
+def detection(det, rho, noise):
+    """Detection of both channels with `rho` as the state at their receivers."""
+    return Detection(det, np.array([coherences(rho, channel) for channel in Channel]), noise)
+
+
+def noise_vectors(found: Detection):
+    """The H and C receiver noise vectors of a detection, None when noise is off."""
+    return (None, None) if found.noise is None else found.noise.vectors
 
 
 def relative_gap(got, want):
@@ -396,22 +399,23 @@ class TestDetector:
             with pytest.raises(ReadoutError, match=re.escape(str(exc))):
                 fft_peaks(rho, cfg, Channel.H, n_points, dwell, None)
             return
-        drawn = det.draw(np.random.default_rng(seed))
-        for channel, channel_noise in zip(Channel, drawn):
-            acq = acquisition(det, channel, rho, channel_noise)
-            ref = fft_peaks(rho, cfg, channel, n_points, dwell, acq.noise)
-            assert relative_gap(acq.integrals, ref.integrals) <= 1e-9
+        found = detection(det, rho, det.draw(np.random.default_rng(seed)))
+        lines = zip(Channel, found.integrals, found.spectra, noise_vectors(found), strict=True)
+        for i, (channel, integrals, spec, noise) in enumerate(lines):
+            ref = fft_peaks(rho, cfg, channel, n_points, dwell, noise)
+            assert relative_gap(integrals, ref.integrals) <= 1e-9
             # the map's spectrum is the oracle's, to round-off
-            want = fft_spectrum(rho, cfg, channel, n_points, dwell, acq.noise)
-            assert np.array_equal(acq.spectrum.freqs, want.freqs)
+            want = fft_spectrum(rho, cfg, channel, n_points, dwell, noise)
+            assert spec.channel is channel
+            assert np.array_equal(spec.freqs, want.freqs)
             if np.abs(want.values).max() > 0:
-                assert relative_gap(acq.spectrum.values, want.values) <= 1e-14
+                assert relative_gap(spec.values, want.values) <= 1e-14
             else:
-                assert np.abs(acq.spectrum.values).max() == 0
+                assert np.abs(spec.values).max() == 0
             if noise_amp > 0:
                 # the conditioned vector sums to the drawn line integrals
-                noise_peaks = integrate_peaks(spectrum(Fid(channel, dwell, acq.noise)), cfg)
-                assert relative_gap(noise_peaks.integrals, channel_noise.integrals) <= 1e-9
+                noise_peaks = integrate_peaks(spectrum(Fid(channel, dwell, noise)), cfg)
+                assert relative_gap(noise_peaks.integrals, found.noise.integrals[i]) <= 1e-9
 
     def test_detectors_on_one_grid_share_its_map(self):
         base = Detector(CFG, DetectionSettings())
@@ -439,21 +443,35 @@ class TestDetector:
         assert a != Detector(CFG, DetectionSettings(noise_amp=0.1))
         assert a != Detector(SpinSystemConfig(j_coupling=200.0), DetectionSettings())
 
-    def test_acquisitions_hash_and_compare_by_identity(self):
+    def test_detections_hash_and_compare_by_identity(self):
         det = Detector(CFG, DetectionSettings())
-        a, b = (det.probe(populations(thermal_state(CFG)), det.draw())[0] for _ in range(2))
+        a, b = (det.probe(populations(thermal_state(CFG)), det.draw()) for _ in range(2))
         assert a == a and hash(a) == hash(a)
         assert a != b and len({a, b}) == 2
+
+    def test_detection_holds_both_channels_read_only(self):
+        det = Detector(CFG, DetectionSettings(noise_amp=0.1))
+        noise = det.draw(np.random.default_rng(6))
+        found = det.probe(populations(enhanced_state(CFG, -11.0, 18.0)), noise)
+        assert found.noise is noise and found.detector is det
+        assert found.amplitudes.shape == found.integrals.shape == (2, 2)
+        assert [spec.channel for spec in found.spectra] == list(Channel)
+        assert found.integrals is found.integrals and found.spectra is found.spectra
+        assert noise.vectors.shape == noise.transforms.shape == (2, 4096)
+        for array in (found.amplitudes, found.integrals, noise.vectors, noise.transforms):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
     def test_spectra_are_built_only_when_read(self):
         readout._spectra_map.cache_clear()
         det = Detector(CFG, DetectionSettings())
-        acq_h, acq_c = det.probe(populations(thermal_state(CFG)), (None, None))
-        acq_h.integrals, acq_c.integrals
+        found = det.probe(populations(thermal_state(CFG)), None)
+        found.integrals
         assert readout._spectra_map.cache_info().currsize == 0
         freqs, line_spectra = readout._spectra_map(CFG, 4096, 1e-3)
-        assert np.array_equal(acq_h.spectrum.freqs, freqs)
-        assert np.array_equal(acq_c.spectrum.values, line_spectra.T @ acq_c.amplitudes)
+        spec_h, spec_c = found.spectra
+        assert np.array_equal(spec_h.freqs, freqs)
+        assert np.array_equal(spec_c.values, (found.amplitudes @ line_spectra)[1])
         info = readout._spectra_map.cache_info()
         assert (info.currsize, info.misses) == (1, 1)
         for array in (freqs, line_spectra):
@@ -478,7 +496,7 @@ class TestDetector:
     def test_settings_that_differ_in_noise_alone_share_one_calibration(self):
         # K comes from a noise-free probe, so the noise level is no part of its key
         readout._probe_setting.cache_clear()
-        k = [Detector(CFG, DetectionSettings(noise_amp=a)).calibration() for a in (0.0, 0.1)]
+        k = [Detector(CFG, DetectionSettings(noise_amp=a)).receiver_constant for a in (0.0, 0.1)]
         info = readout._probe_setting.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         assert k[0] == k[1] == calibrate(CFG, 15.0)
@@ -489,7 +507,7 @@ class TestDetector:
             calibrate(CFG, 15.0),
             calibrate(CFG, 15.0, n_samples=4096),
             calibrate(CFG, 15.0, 4096, 1e-3),
-            Detector(CFG, DetectionSettings(noise_amp=0.1)).calibration(),
+            Detector(CFG, DetectionSettings(noise_amp=0.1)).receiver_constant,
         }
         info = readout._probe_setting.cache_info()
         assert (info.currsize, info.misses, len(k)) == (1, 1, 1)
@@ -498,7 +516,7 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.1))
         probe_map, k, solve = readout._probe_setting(CFG, 4096, 1e-3, 12.0)
         assert det.probe_map is probe_map and det.probe_solve is solve
-        assert det.calibration() == det.receiver_constant == k
+        assert det.receiver_constant == k
         for array in (probe_map, *solve[:2], det.amplitude_solve):
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
@@ -533,39 +551,37 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
         rng = np.random.default_rng(4)
-        probed_acqs = det.probe(populations(rho), det.draw(rng))
+        probe_found = det.probe(populations(rho), det.draw(rng))
         identity = readout_map(Unitary(np.eye(4)))
-        readout_acqs = det.readout(populations(rho), identity, det.draw(rng))
+        readout_found = det.readout(populations(rho), identity, det.draw(rng))
         pairs = [
-            (probed_acqs,
-             [fft_spectrum(probed(rho, 15.0), CFG, acq.channel, 4096, 1e-3, acq.noise)
-              for acq in probed_acqs]),
-            (readout_acqs, readout_spectra(rho, CFG, noise=[acq.noise for acq in readout_acqs])),
+            (probe_found,
+             [fft_spectrum(probed(rho, 15.0), CFG, channel, 4096, 1e-3, noise)
+              for channel, noise in zip(Channel, noise_vectors(probe_found))]),
+            (readout_found, readout_spectra(rho, CFG, noise=noise_vectors(readout_found))),
         ]
-        for acquisitions, spectra in pairs:
-            for acq, spec in zip(acquisitions, spectra):
+        for found, spectra in pairs:
+            for integrals, got, want in zip(found.integrals, found.spectra, spectra, strict=True):
                 # same noise vector: the map's spectrum is the oracle's to
-                # round-off, and it integrates to the acquisition's integrals
-                assert acq.spectrum is acq.spectrum
-                assert relative_gap(acq.spectrum.values, spec.values) <= 1e-14
-                assert np.array_equal(acq.spectrum.freqs, spec.freqs)
-                got = integrate_peaks(acq.spectrum, CFG).integrals
-                assert relative_gap(acq.integrals, got) <= 1e-12
+                # round-off, and it integrates to the detection's integrals
+                assert relative_gap(got.values, want.values) <= 1e-14
+                assert np.array_equal(got.freqs, want.freqs)
+                assert relative_gap(integrals, integrate_peaks(got, CFG).integrals) <= 1e-12
 
     def test_readout_takes_a_diagonal_state(self):
         det = Detector(CFG, DetectionSettings())
         identity = readout_map(Unitary(np.eye(4)))
-        det.readout(populations(thermal_state(CFG)), identity, (None, None))
+        det.readout(populations(thermal_state(CFG)), identity, None)
         for d in (np.full(2, 0.5), np.eye(4) / 4, np.float64(1.0)):
             with pytest.raises(ValueError, match="the readout takes the four populations"):
-                det.readout(d, identity, (None, None))
+                det.readout(d, identity, None)
 
     def test_probe_takes_a_diagonal_state(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
-        det.probe(populations(thermal_state(CFG)), (None, None))
+        det.probe(populations(thermal_state(CFG)), None)
         for d in (np.full(2, 0.5), np.eye(4) / 4, np.float64(1.0)):
             with pytest.raises(ValueError, match="the probe takes the four populations"):
-                det.probe(d, (None, None))
+                det.probe(d, None)
             with pytest.raises(ValueError, match="the probe takes the four populations"):
                 det.probe_diagonal(d, np.random.default_rng(0))
         # a density matrix reaches detection only through `probe`, which
@@ -584,7 +600,7 @@ class TestDetector:
         assume(np.abs(d).max() >= 0.05)
         rho = DensityMatrix.from_diagonal(0.25 + d)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
-        got = np.array([acq.integrals for acq in det.probe(populations(rho), (None, None))])
+        got = det.probe(populations(rho), None).integrals
         # the eager route: the pulse through `apply_unitary`, then the coherences
         want = np.array([
             (det.response @ coherences(probed(rho, tip), channel)).real
@@ -598,8 +614,8 @@ class TestDetector:
         rng, replay = np.random.default_rng(5), np.random.default_rng(5)
         got = det.probe_diagonal(populations(rho), rng)
         # the probe's noise is the integrals of a draw, and no seed is spawned
-        acq_h, acq_c = det.probe(populations(rho), det.draw(replay))
-        want = reconstruct_diagonal(acq_h.peaks, acq_c.peaks, 12.0, det.calibration())
+        found = det.probe(populations(rho), det.draw(replay))
+        want = reconstruct_diagonal(*map(PeakTable, found.integrals), 12.0, det.receiver_constant)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert rng.normal() == replay.normal()
@@ -613,7 +629,7 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=amp))
         rng = np.random.default_rng(2027)
         drawn = [det.draw(rng) for _ in range(n_draws)]
-        projected = np.array([channel.integrals for noise in drawn for channel in noise])
+        projected = np.concatenate([noise.integrals for noise in drawn])
         full = np.concatenate([
             (readout._draw_noise(256 * 1000, amp, rng).reshape(-1, 256) @ det.windows.T).real
             for _ in range(2 * n_draws // 1000)
@@ -637,10 +653,7 @@ class TestDetector:
         rng = np.random.default_rng(2028)
         h = det.windows.sum(axis=0) / np.linalg.norm(det.windows[0])
         h = h + (rng.normal(size=256) + 1j * rng.normal(size=256)) / 16
-        values = [
-            (h @ acquisition(det, Channel.H, thermal_state(CFG), det.draw(rng)[0]).noise).real
-            for _ in range(n_draws)
-        ]
+        values = [(h @ det.draw(rng).vectors[0]).real for _ in range(n_draws)]
         want = amp**2 * np.vdot(h, h).real
         assert abs(np.var(values) / want - 1) <= 5 * np.sqrt(2 / n_draws)
 
@@ -692,7 +705,7 @@ class TestReconstruction:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
         mixed = probed(DensityMatrix(np.eye(4) / 4), tip)
         pulsed = [PeakTable((det.response @ coherences(mixed, ch)).real) for ch in Channel]
-        mapped = [acq.peaks for acq in det.probe(np.full(4, 0.25), det.draw())]
+        mapped = [PeakTable(y) for y in det.probe(np.full(4, 0.25), det.draw()).integrals]
         assert np.abs(np.concatenate([p.integrals for p in pulsed])).max() > 0
         for peaks_h, peaks_c in (pulsed, mapped):
             diag = reconstruct_diagonal(peaks_h, peaks_c, tip, k)
