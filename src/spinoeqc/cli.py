@@ -51,12 +51,8 @@ from .readout import (
     spectrum_to_csv,
 )
 from .spinoe import (
-    DEFAULT_RECOVERY_S,
-    ExperimentSchedule,
-    ScheduleMode,
-    SpinoeParams,
-    enhancement_at,
-    make_schedule,
+    DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ExperimentSchedule, ScheduleMode,
+    SpinoeParams, enhancement_at, make_schedule,
 )
 from .spins import SpinSystemConfig, enhanced_populations
 from .svg import line_chart
@@ -84,7 +80,7 @@ class RunConfig:
     eps0_c: float = 18.0
     t1_xe_s: float = 900.0
     recovery_s: float = DEFAULT_RECOVERY_S
-    r1_s: float = 25.0
+    r1_s: float = DEFAULT_R1_S
     jitter: float = 0.0
     seed: int = 0
     n_points: int = 4096
@@ -92,7 +88,7 @@ class RunConfig:
     tip_deg: float = 15.0
     noise_amp: float = 0.0
     mode: str = "single"
-    sample_age_s: float = 600.0
+    sample_age_s: float = DEFAULT_SAMPLE_AGE_S
 
     def spin_system(self) -> SpinSystemConfig:
         return SpinSystemConfig(
@@ -224,8 +220,10 @@ def cmd_enhance_trace(cfg: RunConfig, args) -> int:
         )
     out = _out_dir(args)
     p = cfg.spinoe()
-    times = [i * args.step for i in range(int(steps) + 1)]
-    rows = [(t, *enhancement_at(p, t)) for t in times]
+    times = (i * args.step for i in range(int(steps) + 1))
+    rows = ((t, *enhancement_at(p, t)) for t in times)
+    if args.svg:
+        rows = list(rows)  # the chart needs every point; the CSV alone is streamed
     csv_path = out / "enhancement_trace.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)

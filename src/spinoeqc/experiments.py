@@ -10,39 +10,21 @@ read out. The probed diagonals feed the weight solver; the weighted sum
 of per-experiment results is the effective pure state, and because
 detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
-directly. Every line integral comes from one `Detector` built per
-preparation on the maps of its grid and probe setting. Every initial
-state is diagonal and travels as its four populations, so a record's line
-amplitudes are a fixed linear map of them: one `readout_map` per
-(permutation, ground, computation), at most 3 x 4 x 5, built once in
-closed form from its unitary and cached. A record's readout spectra come
-from the same amplitudes through the unit line spectra of the grid, both
-built only when a caller reads a spectrum; no state is built.
+directly. A case is one product of the experiments' stacked
+`readout_map`s (cached per ground and computation) with the prepared
+populations; its `records` and their spectra are built only when read.
 
-Prepare once, compute many. Everything that does not depend on the
-computation (the detector, the sampled initial states, their probed
-diagonals, the labeling and the readout noise) is a `Preparation`, kept
-for the last (SpinoeParams, SpinSystemConfig, ExperimentSchedule,
-DetectionSettings) seen, compared by value. The four search cases of one
-configuration therefore probe and draw once and compute four times. What
-a preparation shares with every other on the same settings is cached
-apart from it, so a preparation for a new seed rebuilds none of it: the
-grid map (per spin system and grid) and the probe setting (per spin
-system, grid and tip: the probe map, the calibration and the
-reconstruction's solve). A probe is then a map product and a 4×4 solve,
-and the labeling solves its four candidate grounds as one batch. The
-generator is seeded from the params' seed; per probe the jitter and then
-the probe noise (two normals per channel, the line integrals of that
-channel's noise) are its first draws, the readout noise of every
-experiment its next, and the generator is not used after that. Probes
-spawn no seeds: nothing reads a probe's noise vector. Each readout draw,
-one `Noise` for both channels, spawns a child seed per channel from the
-generator's seed sequence, without drawing from it; its two noise vectors
-are built from those seeds only when a readout spectrum is read, once per
-preparation, and shared by its search cases with their transforms. A
-record's readout is one `Detection` of both channels, against its
-preparation's draw. Shared arrays are read-only; a failed preparation is
-not kept and fails again on the next call.
+Prepare once, compute many. What does not depend on the computation is a
+`Preparation`. `prepare_batch` prepares many seeds as one array program,
+with a status per seed (its preparation or its error). Per seed it only
+seeds the generator and takes its draws in stream order: per probe the
+jitter and the probe noise (two normals per channel), then the readout
+noise of every experiment. What all seeds of a setting share is cached.
+A pipeline call prepares a batch of one, kept for the last (SpinoeParams,
+SpinSystemConfig, ExperimentSchedule, DetectionSettings) seen. Nothing is
+spawned: a readout's `Noise` names the child seeds of experiment i's
+channels by the seed and spawn keys 2i and 2i + 1. Shared arrays are
+read-only; a failed preparation is not kept.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -67,33 +49,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labeling import DEFAULT_PERM_ORDER, EffectivePureResult, enhancement_factor, label
+from .labeling import (
+    DEFAULT_PERM_ORDER, EffectivePureResult, SingularLabelingSystem, enhancement_factor, label,
+    label_batch,
+)
 from .quantum import Unitary, compose
 from .readout import (
-    Detection,
-    DetectionSettings,
-    Detector,
-    Noise,
-    ReadoutError,
-    Spectrum,
-    readout_map,
+    Detection, DetectionSettings, Detector, Noise, ReadoutError, Spectrum, readout_map,
 )
 from .spinoe import (
-    DEFAULT_RECOVERY_S,
-    ExperimentSchedule,
-    ScheduleMode,
-    SpinoeParams,
-    make_schedule,
-    sample_initial_state,
+    DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ExperimentSchedule, ScheduleMode,
+    SpinoeParams, check_seed, make_schedule, sample_initial_states,
 )
 from .spins import (
-    PermutationId,
-    PulseSpec,
-    PulseTarget,
-    SpinSystemConfig,
-    enhanced_populations,
-    permutation_pulse_sequence,
-    pulse_unitary,
+    PermutationId, PulseSpec, PulseTarget, SpinSystemConfig, enhanced_populations,
+    permutation_pulse_sequence, pulse_unitary,
 )
 
 HADAMARD_1Q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -143,13 +113,27 @@ class ExperimentRecord:
 
 @dataclass(frozen=True, eq=False)
 class EffectivePureRun:
-    """Everything produced by one effective-pure-state preparation."""
+    """Everything produced by one effective-pure-state preparation; its
+    `records` are built on first read, from `preparation` and the read-only
+    (experiment, channel, line) `receiver_amplitudes`."""
 
     result: EffectivePureResult
-    records: list[ExperimentRecord]
     thermal_result: EffectivePureResult
     enhancement: float
     schedule: ExperimentSchedule
+    preparation: Preparation = field(repr=False)
+    receiver_amplitudes: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def records(self) -> list[ExperimentRecord]:
+        """One record per experiment, each with its readout `Detection`."""
+        prep, s = self.preparation, self.schedule
+        parts = zip(s.times, s.probe_times, prep.probed, DEFAULT_PERM_ORDER,
+                    self.receiver_amplitudes, prep.readout_noise)
+        return [
+            ExperimentRecord(t, probe_time, diag, perm, Detection(prep.detector, a, noise))
+            for t, probe_time, diag, perm, a, noise in parts
+        ]
 
     @property
     def sum_readout_h(self) -> Spectrum:
@@ -211,124 +195,141 @@ def _weighted_spectrum(spectra: list[Spectrum], weights: np.ndarray) -> Spectrum
 
 @dataclass(frozen=True, eq=False)
 class Preparation:
-    """What a labeled run does before and apart from its computation,
-    shared by every computation on it.
-
-    `populations` holds the sampled initial states, `probed` their
-    reconstructed diagonals (both read-only), `result` their labeling, and
-    `readout_noise` the receiver noise of each state's readout, drawn after
-    the last probe: one `Noise` per readout, holding the two channels'
-    child seeds and read-only line integrals, or None with noise off (see
-    `Detector.draw`).
-    """
+    """What a labeled run does apart from its computation: per experiment
+    (a read-only row each) the sampled populations, probed diagonals and
+    readout noise integrals (None with noise off), and the labeling with
+    its enhancement. `readout_noise` builds each readout's `Noise` on first
+    read, its channels seeded by the children 2i and 2i + 1 of `seed`."""
 
     detector: Detector
-    populations: tuple[np.ndarray, ...] = field(repr=False)
-    probed: tuple[np.ndarray, ...] = field(repr=False)
+    seed: int
+    populations: np.ndarray = field(repr=False)
+    probed: np.ndarray = field(repr=False)
     result: EffectivePureResult
-    readout_noise: tuple[Noise | None, ...] = field(repr=False)
+    thermal_result: EffectivePureResult
+    enhancement: float
+    noise_integrals: np.ndarray | None = field(repr=False)
+
+    @functools.cached_property
+    def readout_noise(self) -> tuple[Noise | None, ...]:
+        """The `Noise` of each readout, shared by every run on this preparation."""
+        if self.noise_integrals is None:
+            return (None,) * len(self.probed)
+        return tuple(
+            Noise(self.detector, self.seed, ((2 * i,), (2 * i + 1,)), y)
+            for i, y in enumerate(self.noise_integrals)
+        )
+
+
+def prepare_batch(
+    p: SpinoeParams, cfg: SpinSystemConfig, schedule: ExperimentSchedule,
+    detection: DetectionSettings, seeds,
+) -> list[Preparation | ReadoutError | SingularLabelingSystem]:
+    """Per seed the preparation of `p` with it, or the ReadoutError or
+    SingularLabelingSystem it raises; errors all seeds share are raised."""
+    seeds = [check_seed(seed) for seed in seeds]
+    detector, states, clean = _seed_free(p.eps0_h, p.eps0_c, p.t1_xe, cfg, schedule, detection)
+    n, n_exp = len(seeds), len(states)
+    jitter = 2 if schedule.fresh_sample and p.reproducibility_jitter > 0 else 0
+    noise = 4 if detection.noise_amp > 0 else 0
+    probe_draws = n_exp * (jitter + noise)
+    # a seed's draws in stream order: per probe its jitter and its noise,
+    # then the readout noise of every experiment
+    normals = np.empty((n, probe_draws + n_exp * noise))
+    if normals.size:
+        for row, seed in zip(normals, seeds):
+            np.random.default_rng(seed).standard_normal(out=row)
+    draws = normals[:, :probe_draws].reshape(n, n_exp, jitter + noise)
+    if jitter:
+        jitters = p.reproducibility_jitter * draws[..., :jitter]
+        states = sample_initial_states(p, cfg, schedule.probe_times, jitters)
+        clean = detector.probe_integrals(states)
+    if noise:
+        readout_normals = normals[:, probe_draws:].reshape(n, n_exp, noise)
+        both = np.concatenate((draws[..., jitter:], readout_normals), axis=1)
+        integrals = detector.noise_integrals(both.reshape(n, 2 * n_exp, 2, 2))
+        y, readout_noise = clean + integrals[:, :n_exp], integrals[:, n_exp:]
+    else:
+        y, readout_noise = np.broadcast_to(clean, (n, n_exp, 2, 2)), None
+    probed, errors = detector.reconstruct(y.reshape(n, n_exp, 4))
+    probed.flags.writeable = False
+    outcomes = {}
+    for (k, i), exc in errors.items():  # in row order: a seed's first probe first
+        message = f"experiment {i + 1} (probe at {schedule.probe_times[i]:.1f} s): {exc}"
+        outcomes.setdefault(k, ReadoutError(message))
+    passed = [k for k in range(n) if k not in outcomes]
+    thermal = _thermal_reference(cfg)
+    for k, result in zip(passed, label_batch(probed[passed] if len(passed) < n else probed)):
+        noise_k = None if readout_noise is None else readout_noise[k]
+        outcomes[k] = result if isinstance(result, SingularLabelingSystem) else Preparation(
+            detector, seeds[k], states[k] if jitter else states, probed[k], result, thermal,
+            enhancement_factor(result, thermal), noise_k,
+        )
+    return [outcomes[k] for k in range(n)]
+
+
+# bounded: the preparation settings of the last few batches
+@functools.lru_cache(maxsize=4)
+def _seed_free(
+    eps0_h: float, eps0_c: float, t1_xe: float, cfg: SpinSystemConfig,
+    schedule: ExperimentSchedule, detection: DetectionSettings,
+) -> tuple[Detector, np.ndarray, np.ndarray]:
+    """What every seed of a preparation setting shares: the detector, and
+    the unjittered states and their noise-free probe integrals, read-only."""
+    detector = Detector(cfg, detection)
+    p = SpinoeParams(eps0_h, eps0_c, t1_xe)
+    states = sample_initial_states(p, cfg, schedule.probe_times, np.zeros(2))
+    clean = detector.probe_integrals(states)
+    clean.flags.writeable = False
+    return detector, states, clean
 
 
 @functools.lru_cache(maxsize=1)
 def _prepare(
-    p: SpinoeParams,
-    cfg: SpinSystemConfig,
-    schedule: ExperimentSchedule,
+    p: SpinoeParams, cfg: SpinSystemConfig, schedule: ExperimentSchedule,
     detection: DetectionSettings,
 ) -> Preparation:
-    """Sample and probe every scheduled state, label, and draw the readout
-    noise; kept for the next call with equal arguments (see the module
-    docstring)."""
-    rng = np.random.default_rng(p.seed)
-    detector = Detector(cfg, detection)
-
-    sampled: list[np.ndarray] = []
-    probed: list[np.ndarray] = []
-    for i, probe_time in enumerate(schedule.probe_times, start=1):
-        d = sample_initial_state(p, cfg, probe_time, fresh_sample=schedule.fresh_sample, rng=rng)
-        try:
-            diag = detector.probe_diagonal(d, rng)
-        except ReadoutError as exc:
-            raise ReadoutError(f"experiment {i} (probe at {probe_time:.1f} s): {exc}") from exc
-        diag.flags.writeable = False
-        sampled.append(d)
-        probed.append(diag)
-
-    return Preparation(
-        detector=detector,
-        populations=tuple(sampled),
-        probed=tuple(probed),
-        result=label(probed),
-        readout_noise=tuple(detector.draw(rng) for _ in sampled),
-    )
+    """`prepare_batch` of the params' seed alone, raising its error; kept
+    for the next call with equal arguments (see the module docstring)."""
+    (prep,) = prepare_batch(p, cfg, schedule, detection, (p.seed,))
+    if isinstance(prep, Exception):
+        raise prep
+    return prep
 
 
-# bounded by the key space: 3 permutations x 4 grounds x 5 computations
-@functools.lru_cache(maxsize=60)
-def _readout_map(perm: PermutationId, ground: int, case: GroverCase | None) -> np.ndarray:
-    """The `readout_map` of one record: its permutation, then for a search
-    case (`case` not None) the relabeling of `ground` and the circuit."""
-    step = permutation_pulse_sequence(perm, ground)
+# bounded by the key space: 4 grounds x 5 computations
+@functools.lru_cache(maxsize=20)
+def _readout_maps(ground: int, case: GroverCase | None) -> np.ndarray:
+    """The read-only stack of the `readout_map`s of DEFAULT_PERM_ORDER, each
+    followed, for a search case, by the relabeling of `ground` and the circuit."""
+    steps = [permutation_pulse_sequence(perm, ground) for perm in DEFAULT_PERM_ORDER]
     if case is not None:
-        step = compose(step, compose(relabel_unitary(ground), grover_circuit(case)))
-    return readout_map(step)
+        computation = compose(relabel_unitary(ground), grover_circuit(case))
+        steps = [compose(step, computation) for step in steps]
+    maps = np.array([readout_map(step) for step in steps])
+    maps.flags.writeable = False
+    return maps
 
 
-def _run_labeled_experiments(
-    prep: Preparation,
-    cfg: SpinSystemConfig,
-    schedule: ExperimentSchedule,
-    case: GroverCase | None,
-) -> EffectivePureRun:
-    """Shared permute/compute/readout loop on a preparation, and scoring.
-
-    The experiments run the permutations of DEFAULT_PERM_ORDER in turn on
-    the prepared states, each followed by the computation (none for plain
-    state preparation, `case` None; relabel+circuit for a search case), and
-    read out against the prepared noise through the cached map of that
-    (permutation, ground, computation).
-    """
-    ground = prep.result.ground
-    records: list[ExperimentRecord] = []
-    experiments = zip(prep.populations, prep.probed, prep.readout_noise, DEFAULT_PERM_ORDER)
-    for i, (d, diag, noise, perm) in enumerate(experiments):
-        records.append(
-            ExperimentRecord(
-                schedule_time=schedule.times[i],
-                probe_time=schedule.probe_times[i],
-                probed_diagonal=diag,
-                perm_id=perm,
-                readout=prep.detector.readout(d, _readout_map(perm, ground, case), noise),
-            )
-        )
-
-    thermal = _thermal_reference(cfg)
-    return EffectivePureRun(
-        result=prep.result,
-        records=records,
-        thermal_result=thermal,
-        enhancement=enhancement_factor(prep.result, thermal),
-        schedule=schedule,
-    )
+def _receiver_amplitudes(prep: Preparation, case: GroverCase | None) -> np.ndarray:
+    """The read-only (experiment, channel, line) amplitudes at the receivers
+    after each permutation and the computation (none for `case` None)."""
+    stacked = _readout_maps(prep.result.ground, case)
+    amplitudes = (stacked @ prep.populations[:, None, :, None])[..., 0]
+    amplitudes.flags.writeable = False
+    return amplitudes
 
 
 @functools.lru_cache(maxsize=1)
 def _thermal_reference(cfg: SpinSystemConfig) -> EffectivePureResult:
-    """Labeled thermal-equilibrium input, exact and noise-free.
-
-    Three copies of the thermal deviation diagonal: classic temporal
-    averaging, the same for every schedule, seed and detection setting.
-    """
+    """Labeled thermal-equilibrium input, exact and noise-free: classic
+    temporal averaging, the same for every schedule, seed and detection."""
     return label([enhanced_populations(cfg, 1.0, 1.0) - 0.25] * 3)
 
 
 def run_effective_pure_pipeline(
-    p: SpinoeParams,
-    cfg: SpinSystemConfig,
-    mode: ScheduleMode,
-    r1: float = 25.0,
-    recovery: float = DEFAULT_RECOVERY_S,
-    detection: DetectionSettings = DetectionSettings(),
+    p: SpinoeParams, cfg: SpinSystemConfig, mode: ScheduleMode, r1: float = DEFAULT_R1_S,
+    recovery: float = DEFAULT_RECOVERY_S, detection: DetectionSettings = DetectionSettings(),
 ) -> EffectivePureRun:
     """Prepare an effective pure state and score it against thermal input.
 
@@ -339,7 +340,10 @@ def run_effective_pure_pipeline(
     """
     schedule = make_schedule(mode, r1, recovery)
     prep = _prepare(p, cfg, schedule, detection)
-    return _run_labeled_experiments(prep, cfg, schedule, None)
+    return EffectivePureRun(
+        prep.result, prep.thermal_result, prep.enhancement, schedule, prep,
+        _receiver_amplitudes(prep, None),
+    )
 
 
 def decode_answer(lines) -> str:
@@ -375,13 +379,9 @@ def decode_answer(lines) -> str:
 
 
 def run_grover_pipeline(
-    p: SpinoeParams,
-    cfg: SpinSystemConfig,
-    case: GroverCase,
-    mode: ScheduleMode = ScheduleMode.SINGLE_SAMPLE,
-    r1: float = 25.0,
-    recovery: float = DEFAULT_RECOVERY_S,
-    sample_age: float = 600.0,
+    p: SpinoeParams, cfg: SpinSystemConfig, case: GroverCase,
+    mode: ScheduleMode = ScheduleMode.SINGLE_SAMPLE, r1: float = DEFAULT_R1_S,
+    recovery: float = DEFAULT_RECOVERY_S, sample_age: float = DEFAULT_SAMPLE_AGE_S,
     detection: DetectionSettings = DetectionSettings(),
 ) -> GroverRun:
     """One search case end to end, with weighted readout.
@@ -395,20 +395,22 @@ def run_grover_pipeline(
     """
     schedule = make_schedule(mode, r1, recovery, sample_age)
     prep = _prepare(p, cfg, schedule, detection)
-    run = _run_labeled_experiments(prep, cfg, schedule, case)
-    integrals = sum(w * r.readout.integrals for w, r in zip(run.result.weights, run.records))
+    amplitudes = _receiver_amplitudes(prep, case)
+    weights = prep.result.weights[:, None, None]
+    # the weighted sum of the records' integrals, in experiment order
+    integrals = sum(weights * prep.detector.line_integrals(amplitudes, prep.noise_integrals))
     # each line leaks into its partner's window; Re(response)⁻¹ takes the
     # integrals back to the line amplitudes, which are real after a readout
-    amplitudes = integrals @ prep.detector.amplitude_solve.T
-    for array in (integrals, amplitudes):
+    line_amplitudes = integrals @ prep.detector.amplitude_solve.T
+    for array in (integrals, line_amplitudes):
         array.flags.writeable = False
     # an inverted preparation (q2 < 0) flips every line; its sign is known
     # from the weight solve, so fold it into the decode
-    sign = 1.0 if run.result.q2 >= 0 else -1.0
-    decoded = decode_answer(sign * amplitudes)
+    sign = 1.0 if prep.result.q2 >= 0 else -1.0
     return GroverRun(
-        **vars(run), case=case, decoded=decoded, peak_integrals=integrals,
-        line_amplitudes=amplitudes,
+        prep.result, prep.thermal_result, prep.enhancement, schedule, prep, amplitudes,
+        case=case, decoded=decode_answer(sign * line_amplitudes), peak_integrals=integrals,
+        line_amplitudes=line_amplitudes,
     )
 
 

@@ -24,6 +24,7 @@ they flag pathological schedules rather than being hidden.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -88,14 +89,10 @@ class EffectivePureResult:
 
     def normalized_q2(self) -> float:
         """q2 rescaled so the weights sum to 3 (one unit per experiment)."""
-        return _normalized_q2(self.q2, self.weights)
-
-
-def _normalized_q2(q2: float, weights: np.ndarray) -> float:
-    total = float(np.sum(weights))
-    if total == 0.0:
-        raise SingularLabelingSystem("weights sum to zero; cannot normalize")
-    return q2 * 3.0 / total
+        total = float(self.weights.sum())
+        if total == 0.0:
+            raise SingularLabelingSystem("weights sum to zero; cannot normalize")
+        return self.q2 * 3.0 / total
 
 
 def permute_populations(diag, perm_id: PermutationId, ground: int) -> np.ndarray:
@@ -105,58 +102,70 @@ def permute_populations(diag, perm_id: PermutationId, ground: int) -> np.ndarray
     return d[list(src)]
 
 
-def _as_diags(diags) -> np.ndarray:
-    out = [np.asarray(d, dtype=float) for d in diags]
-    if len(out) != 3 or any(d.shape != (4,) for d in out):
+def _as_diags(diags, batched: bool = False) -> np.ndarray:
+    """Three population vectors of length 4 (per row when `batched`), checked."""
+    ds = np.asarray(diags, dtype=float)
+    if ds.shape[batched:] != (3, 4):
         raise ValueError("expected three population vectors of length 4")
-    return np.array(out)
+    return ds
 
 
-# per ground: the non-ground states, and the source index of every
-# population (and of the non-ground ones) under each permutation of
-# DEFAULT_PERM_ORDER
-_NONGROUND = np.array([[i for i in range(4) if i != g] for g in range(4)])
+# per ground: the source index of every population under each permutation
+# of DEFAULT_PERM_ORDER, and that of its non-ground states
 _SOURCES = np.array([[cycle_source_indices(p, g) for p in DEFAULT_PERM_ORDER] for g in range(4)])
+_NONGROUND = np.array([[i for i in range(4) if i != g] for g in range(4)])
 _NONGROUND_SOURCES = np.take_along_axis(_SOURCES, _NONGROUND[:, None, :], axis=2)
-_EXPERIMENTS = np.arange(3)[:, None]
+_EXPERIMENTS = np.arange(3)
+# a weight system's right-hand side (equal non-ground sums, then w_1 = 1)
+_UNIT_RHS = np.array([[0.0], [0.0], [1.0]])
+_IDENTITY = np.eye(3)
+_GROUNDS = (0, 1, 2, 3)
+
+
+@functools.lru_cache(maxsize=8)
+def _ground_indices(grounds: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per ground: its sources, those of its weight system's two difference
+    rows (non-ground, experiment), its row, and its states, ground first."""
+    g = np.array(grounds, dtype=int)
+    terms = _NONGROUND_SOURCES[g].swapaxes(1, 2)
+    order = np.concatenate((g[:, None], _NONGROUND[g]), axis=1)
+    return _SOURCES[g], terms[:, :2], terms[:, 1:], np.arange(g.size)[:, None], order
 
 
 def _labeled(diags, grounds, weights=None) -> tuple[np.ndarray, ...]:
-    """Permute the diagonals once per ground, solve the weight systems of
-    all `grounds` as one batch unless the weights are given, and score each
-    weighted sum: the one step behind the functions below. Returns batched
-    arrays, one row per ground: the weighted diagonals, weights, q1, q2,
-    residuals, weight systems (None when the weights are given) and
-    singular flags (see `_result`)."""
-    ds = _as_diags(diags)
-    g = np.array(grounds, dtype=int)
-    permuted = ds[_EXPERIMENTS, _SOURCES[g]]  # (ground, experiment, state)
-    a, singular = None, np.zeros(g.size, dtype=bool)
+    """Permute the (..., experiment, state) diagonals once per ground, solve
+    the weight systems of all `grounds` as one batch unless the weights are
+    given, and score each weighted sum. Returns one row per ground after the
+    leading axes: weighted diagonals, weights, q1, q2, residuals, systems
+    (None when the weights are given) and singular flags (see `_result`)."""
+    ds = np.asarray(diags, dtype=float)
+    sources, plus, minus, rows, order = _ground_indices(tuple(grounds))
+    permuted = ds[..., _EXPERIMENTS[:, None], sources]  # (..., ground, experiment, state)
     if weights is None:
-        v = ds[_EXPERIMENTS, _NONGROUND_SOURCES[g]]  # (ground, experiment, non-ground)
-        a = np.zeros((g.size, 3, 3))
-        a[:, :2] = (v[..., :2] - v[..., 1:]).transpose(0, 2, 1)
-        a[:, 2, 0] = 1.0
+        # rows 0 and 1 equalize neighbouring non-ground sums, row 2 fixes w_1
+        a = np.empty(permuted.shape[:-1] + (3,))
+        a[..., :2, :] = ds[..., _EXPERIMENTS, plus] - ds[..., _EXPERIMENTS, minus]
+        a[..., 2, :] = (1.0, 0.0, 0.0)
         # 1/cond(a), the smallest over the largest singular value
         s = np.linalg.svd(a, compute_uv=False)
-        singular = s[:, -1] < SINGULARITY_RTOL * s[:, 0]
-        w = np.zeros((g.size, 3))
-        # right-hand sides as (ground, 3, 1) stacks: one meaning in every numpy
-        rhs = np.zeros((int((~singular).sum()), 3, 1))
-        rhs[:, 2] = 1.0
-        w[~singular] = np.linalg.solve(a[~singular], rhs)[..., 0]
+        singular = s[..., -1] < SINGULARITY_RTOL * s[..., 0]
+        # each system alone, the identity standing in for a singular one
+        w = np.linalg.solve(np.where(singular[..., None, None], _IDENTITY, a), _UNIT_RHS)[..., 0]
+        w[singular] = 0.0
     else:
-        w = np.broadcast_to(np.asarray(weights, dtype=float), (g.size, 3))
-    diagonal = sum(w[:, i, None] * permuted[:, i] for i in range(3))
-    ng = diagonal[np.arange(g.size)[:, None], _NONGROUND[g]]
-    q1 = ng.mean(axis=1)
-    q2 = diagonal[np.arange(g.size), g] - q1
-    residual = ng.max(axis=1) - ng.min(axis=1)
+        a, singular = None, np.zeros(permuted.shape[:-2], dtype=bool)
+        w = np.broadcast_to(np.asarray(weights, dtype=float), singular.shape + (3,))
+    diagonal = (w[..., None] * permuted).sum(axis=-2)
+    ordered = diagonal[..., rows, order]
+    ng = ordered[..., 1:]
+    q1 = ng.sum(axis=-1) / 3
+    q2 = ordered[..., 0] - q1
+    residual = ng.max(axis=-1) - ng.min(axis=-1)
     return diagonal, w, q1, q2, residual, a, singular
 
 
-def _result(labeled, k: int, ground: int) -> EffectivePureResult:
-    """The result of row k, for `ground`, of a `_labeled` batch. Raises
+def _result(labeled, k, ground: int) -> EffectivePureResult:
+    """The result at index k, for `ground`, of a `_labeled` batch. Raises
     SingularLabelingSystem, with the system, when that row's is singular."""
     diagonal, w, q1, q2, residual, a, singular = labeled
     if singular[k]:
@@ -167,13 +176,13 @@ def _result(labeled, k: int, ground: int) -> EffectivePureResult:
     )
 
 
-def _warn_unless_equalized(result: EffectivePureResult) -> None:
-    """Warn, at the caller of the public function, about a non-ground spread."""
-    tol = EQUALIZATION_TOL * max(np.abs(result.diagonal).max(), 1e-300)
-    if result.residual > tol:
+def _warn_unless_equalized(diagonal, residual, stacklevel: int) -> None:
+    """Warn, `stacklevel` frames up, of each unequalized (..., state) diagonal."""
+    tol = EQUALIZATION_TOL * np.maximum(np.abs(diagonal).max(axis=-1), 1e-300)
+    for spread in residual[residual > tol]:
         warnings.warn(
-            f"non-ground populations not equalized (spread {result.residual:.3e})",
-            stacklevel=3,
+            f"non-ground populations not equalized (spread {spread:.3e})",
+            stacklevel=stacklevel,
         )
 
 
@@ -185,14 +194,14 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     inputs cannot be equalized (e.g. all-zero diagonals or linearly
     dependent columns), with the offending system in the message.
     """
-    result = _result(_labeled(diags, (plan.ground,)), 0, plan.ground)
+    result = _result(_labeled(_as_diags(diags), (plan.ground,)), 0, plan.ground)
     return result.weights, result.residual
 
 
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
-    result = _result(_labeled(diags, (plan.ground,), weights), 0, plan.ground)
-    _warn_unless_equalized(result)
+    result = _result(_labeled(_as_diags(diags), (plan.ground,), weights), 0, plan.ground)
+    _warn_unless_equalized(result.diagonal, np.array(result.residual), stacklevel=3)
     return result
 
 
@@ -207,22 +216,33 @@ def label(diags) -> EffectivePureResult:
     (an upright pseudo-pure state), then the lowest index. Only the
     returned result is built and checked for equalization.
     """
-    labeled = _labeled(diags, range(4))
-    _, w, _, q2, _, _, singular = labeled
-    scores: list[tuple[int, float]] = []
-    for ground in np.flatnonzero(~singular).tolist():
-        try:
-            scores.append((ground, _normalized_q2(float(q2[ground]), w[ground])))
-        except SingularLabelingSystem:
-            continue
-    best_abs = max((abs(score) for _, score in scores), default=0.0)
-    if best_abs == 0.0:
-        raise SingularLabelingSystem("every candidate ground yields q2 = 0")
-    tied = [(g, score) for g, score in scores if abs(score) >= best_abs * (1 - GROUND_TIE_RTOL)]
-    best = min(tied, key=lambda item: (item[1] <= 0, item[0]))[0]
-    result = _result(labeled, best, best)
-    _warn_unless_equalized(result)
-    return result
+    (outcome,) = label_batch([diags], stacklevel=4)
+    if isinstance(outcome, SingularLabelingSystem):
+        raise outcome
+    return outcome
+
+
+def label_batch(diags, stacklevel: int = 3) -> list[EffectivePureResult | SingularLabelingSystem]:
+    """`label`, or the SingularLabelingSystem it raises, of every (experiment,
+    state) row of `diags` as one batch; warnings point `stacklevel` frames up."""
+    labeled = _labeled(_as_diags(diags, batched=True), _GROUNDS)
+    diagonal, w, _, q2, residual, _, _ = labeled
+    # `normalized_q2` of every ground that has one (a singular system's weights are 0)
+    total = w.sum(axis=-1)
+    scores = q2 * 3.0 / np.where(total != 0.0, total, np.inf)
+    magnitude = np.abs(scores)
+    best_abs = magnitude.max(axis=-1)
+    tied = magnitude >= best_abs[:, None] * (1 - GROUND_TIE_RTOL)
+    # among the tied grounds: positive q2 first, then the lowest index
+    best = np.where(tied, 4 * (scores <= 0) + _GROUNDS, 8).argmin(axis=-1)
+    rows = best_abs.nonzero()[0]
+    chosen = rows, best[rows]
+    _warn_unless_equalized(diagonal[chosen], residual[chosen], stacklevel)
+    return [
+        _result(labeled, (k, ground), ground) if top != 0.0
+        else SingularLabelingSystem("every candidate ground yields q2 = 0")
+        for k, (ground, top) in enumerate(zip(best.tolist(), best_abs.tolist()))
+    ]
 
 
 def choose_ground(diags) -> int:

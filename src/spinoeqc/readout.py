@@ -37,33 +37,20 @@ receiver noise, so detection needs no FID. A line integral is Re(g · x)
 for the sampled FID x and a window vector g that carries the spectral
 window, the first-point halving and the bin width; a spectrum is the two
 unit line spectra (the transform of a unit ±J/2 line under the T2 decay)
-weighted by the amplitudes. A `Detector` reads two caches: one per grid
-(spin system, `n_points`, `dwell`) with the window vectors, their 2×2
-complex response to unit amplitudes and the inverse of its real part, and
-one per probe setting (grid and tip) with the probe map, the receiver
-constant K, calibrated against a noise-free probe of the thermal state,
-and S, v and the round-off level. The unit line spectra and the frequency
-axis are cached per grid too, but only once a spectrum is read on it. A
-detector takes the four populations d of a diagonal state (only `probe`
-takes a density matrix, and rejects coherences) and builds no state: the
-line amplitudes are the probe map, or the `readout_map` of a computation,
-applied to d. Both maps are in closed form: after a unitary U the
-coherence (r, c) of U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
+weighted by the amplitudes. A `Detector` reads the cached maps of its
+grid and probe setting. It takes the four populations d of a diagonal
+state (only `probe` takes a density matrix, and rejects coherences) and
+builds no state: the line amplitudes are the probe map, or the
+`readout_map` of a computation, applied to d, both in closed form: after
+a unitary U the coherence (r, c) of U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
-line integrals Re(g · n), which for white noise of amplitude σ are
-Gaussian with covariance σ² Re(G Gᴴ). Drawing the noise (`Detector.draw`)
-is a step of its own and takes just those, 2 normals per channel, with a
-child seed per channel, and keeps them as one `Noise` per draw (None with
-noise off). A pipeline's probe (`Detector.probe_diagonal`) takes the same
-2 normals per channel but spawns no seed, as nothing reads a probe's
-noise vector. The full vectors are built from those seeds only when a
-spectrum is read, conditioned on the drawn integrals, and a spectrum adds
-their transforms, so an exported spectrum integrates to the integrals the
-pipeline used. Vectors and transforms are built once per draw and shared
-by every detection against it. A detection (`Detection`) holds both
-channels: the (channel, line) amplitudes, their (channel, partner) line
-integrals and the H and C spectra.
+line integrals Re(g · n), Gaussian with covariance σ² Re(G Gᴴ) for white
+noise of amplitude σ, so it draws just those, 2 normals per channel. A
+`Noise` holds them and the entropy and spawn key of each channel's child
+seed, from which the full vectors are built only when a spectrum is read,
+conditioned on the drawn integrals: an exported spectrum integrates to
+the integrals the pipeline used. A `Detection` holds both channels.
 """
 
 from __future__ import annotations
@@ -218,7 +205,9 @@ def readout_map(step: Unitary) -> np.ndarray:
     The line amplitudes at a receiver are linear in the state, and a
     diagonal state is fixed by its populations d, so the (A_plus, A_minus)
     of a channel after `step` and the 90° y-pulse on the observed spin are
-    `map[channel] @ d`, exact up to rounding (`_amplitude_map`).
+    `map[channel] @ d`, exact up to rounding (`_amplitude_map`). A
+    single-spin pulse mixes no partners, so 90° gives a clean one-line
+    signature for pure-like states.
     """
     pulses = [pulse_unitary(PulseSpec(PulseTarget(ch.value), 90.0, phase=90.0)) for ch in Channel]
     return _amplitude_map([pulse.matrix @ step.matrix for pulse in pulses])
@@ -236,13 +225,6 @@ def _amplitude_map(unitaries) -> np.ndarray:
     ])
     amplitudes.flags.writeable = False
     return amplitudes
-
-
-def _population_vector(d, what: str) -> np.ndarray:
-    """The populations `d` of a two-spin state, checked for their shape."""
-    if np.shape(d) != (4,):
-        raise ValueError(f"the {what} takes the four populations of a two-spin state")
-    return d
 
 
 def _transform(signals: np.ndarray) -> np.ndarray:
@@ -359,77 +341,65 @@ class Detector:
         for name, value in zip(names, maps, strict=True):
             object.__setattr__(self, name, value)
 
-    def _noise_integrals(self, rng: np.random.Generator | None) -> np.ndarray:
-        """noise_amp · z Lᵀ for 2 standard normals z per channel from `rng`,
-        H first: the read-only (channel, line) integrals of white receiver
-        noise, their exact joint law."""
-        if rng is None:
-            raise ValueError("detection noise needs a seeded generator (rng)")
-        integrals = self.settings.noise_amp * rng.standard_normal((2, 2)) @ self.noise_factor.T
+    def noise_integrals(self, normals: np.ndarray) -> np.ndarray:
+        """noise_amp · z Lᵀ for standard normals z (..., channel, 2), H first: the
+        read-only (..., channel, line) integrals of white noise, their exact law."""
+        integrals = self.settings.noise_amp * normals @ self.noise_factor.T
         integrals.flags.writeable = False
         return integrals
 
-    def _integrals(self, amplitudes: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-        """Re(A Rᵀ) of (channel, line) amplitudes A, plus noise integrals."""
+    def line_integrals(self, amplitudes: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+        """Re(A Rᵀ) of (..., channel, line) amplitudes A, plus noise integrals."""
         y = (amplitudes @ self.response.T).real
         return y if noise is None else y + noise
 
     def draw(self, rng: np.random.Generator | None = None) -> Noise | None:
         """Receiver noise of one detection at the settings' level, as one
-        `Noise` (None with noise off, when nothing is drawn): the line
-        integrals of `_noise_integrals` and a child seed per channel,
-        spawned from the seed sequence of `rng`, from which `Noise.vectors`
-        builds the full vectors when a spectrum is read. Spawning consumes
-        none of the stream but advances the spawn count, which
-        `rng.bit_generator.state` does not hold: two generators of equal
-        state give equal line integrals but may give different vectors, and
-        a generator seeded from OS entropy gives vectors no seed reproduces."""
+        `Noise` (None with noise off): its `noise_integrals` and a child seed
+        per channel spawned from `rng`'s seed sequence. Spawning draws
+        nothing but advances the spawn count, which the generator's state
+        does not hold, so equal states may give different vectors."""
         if self.settings.noise_amp <= 0:
             return None
-        integrals = self._noise_integrals(rng)
-        return Noise(self, tuple(rng.bit_generator.seed_seq.spawn(2)), integrals)
+        if rng is None:
+            raise ValueError("detection noise needs a seeded generator (rng)")
+        integrals = self.noise_integrals(rng.standard_normal((2, 2)))
+        seq = rng.bit_generator.seed_seq
+        keys = tuple(child.spawn_key for child in seq.spawn(2))
+        return Noise(self, seq.entropy, keys, integrals)
 
     def probe(self, d, noise: Noise | None) -> Detection:
         """The probing experiment on the diagonal state of populations d:
         simultaneous small-tip y-pulses at the settings' tip, against noise
         from `draw`. The line amplitudes are `probe_map` applied to d."""
-        return Detection(self, self.probe_map @ _population_vector(d, "probe"), noise)
+        if np.shape(d) != (4,):
+            raise ValueError("the probe takes the four populations of a two-spin state")
+        return Detection(self, self.probe_map @ d, noise)
 
-    def probe_diagonal(self, d, rng: np.random.Generator | None = None) -> np.ndarray:
-        """The deviation diagonal that a probe of populations d
-        reconstructs, by the rule of `reconstruct_diagonal` with this
-        setting's `probe_solve`. The probe's receiver noise is drawn from
-        `rng` as its line integrals only (`_noise_integrals`): nothing reads
-        a probe's noise vector, so no child seed is spawned."""
-        amplitudes = self.probe_map @ _population_vector(d, "probe")
-        noise = self._noise_integrals(rng) if self.settings.noise_amp > 0 else None
-        return _reconstruct(self._integrals(amplitudes, noise).ravel(), self.probe_solve)
+    def probe_integrals(self, d) -> np.ndarray:
+        """The noise-free (..., channel, partner) probe integrals of populations d."""
+        return self.line_integrals((self.probe_map @ d[..., None, :, None])[..., 0], None)
 
-    def readout(self, d, amplitude_map: np.ndarray, noise: Noise | None) -> Detection:
-        """Per-channel readout of the diagonal state of populations d after
-        a computation, against noise from `draw`: a 90° y-pulse on one spin
-        at a time, that spin observed.
-
-        Unlike the two-spin probe, a single-spin pulse maps populations to
-        line amplitudes with no cross-partner mixing at any tip angle, so
-        90° gives maximum signal and a clean one-line signature for
-        pure-like states. Both channels come from one simulated run
-        (detection here is non-destructive). The line amplitudes are
-        `amplitude_map`, the computation's `readout_map`, applied to d.
-        """
-        return Detection(self, amplitude_map @ _population_vector(d, "readout"), noise)
+    def reconstruct(self, y) -> tuple[np.ndarray, dict]:
+        """`_reconstruct` of the (..., 4) probe integrals y at this setting."""
+        return _reconstruct(y, self.probe_solve)
 
 
 @dataclass(frozen=True, eq=False)
 class Noise:
-    """Receiver noise of one detection (`Detector.draw`): the read-only
-    (channel, line) noise integrals and the child seeds of the full vectors,
-    H then C. The detections against one draw, such as the readouts of one
-    preparation's search cases, share its vectors and transforms."""
+    """Receiver noise of one detection: the read-only (channel, line) noise
+    integrals and the entropy and spawn key of each channel's child seed, H
+    then C. The detections against one `Noise` share its vectors."""
 
     detector: Detector = field(repr=False)
-    seeds: tuple[np.random.SeedSequence, np.random.SeedSequence]
+    entropy: int
+    spawn_keys: tuple[tuple[int, ...], tuple[int, ...]]
     integrals: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def seeds(self) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
+        """Each channel's child seed, as `spawn` gives it (default pool size)."""
+        return tuple(np.random.SeedSequence(self.entropy, spawn_key=k) for k in self.spawn_keys)
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
@@ -475,7 +445,7 @@ class Detection:
     @functools.cached_property
     def integrals(self) -> np.ndarray:
         """The read-only (channel, partner) line integrals."""
-        y = self.detector._integrals(
+        y = self.detector.line_integrals(
             self.amplitudes, None if self.noise is None else self.noise.integrals
         )
         y.flags.writeable = False
@@ -529,10 +499,7 @@ def calibrate(
 
 
 def probe(
-    rho: DensityMatrix,
-    cfg: SpinSystemConfig,
-    tip_angle_deg: float,
-    n_samples: int = 4096,
+    rho: DensityMatrix, cfg: SpinSystemConfig, tip_angle_deg: float, n_samples: int = 4096,
     dt: float = 1e-3,
 ) -> tuple[Spectrum, Spectrum]:
     """Probing experiment on a diagonal state: simultaneous small-tip
@@ -562,7 +529,10 @@ def reconstruct_diagonal(
     Integrals within round-off of zero give the zero diagonal.
     """
     y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
-    return _reconstruct(y, _probe_solve(tip_angle_deg, calibration))
+    diag, errors = _reconstruct(y, _probe_solve(tip_angle_deg, calibration))
+    if errors:
+        raise errors[()]
+    return diag
 
 
 def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -586,19 +556,19 @@ def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, 
     return solve, null, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale
 
 
-def _reconstruct(y: np.ndarray, probe_solve) -> np.ndarray:
-    """`reconstruct_diagonal` of the integrals y (H partner 0, 1, then C)
-    through a `_probe_solve`."""
+def _reconstruct(y: np.ndarray, probe_solve) -> tuple[np.ndarray, dict]:
+    """`reconstruct_diagonal` of the (..., 4) integrals y (H partner 0, 1, then
+    C) through a `_probe_solve`: the (..., 4) diagonals and, by index, the
+    `ReadoutError` of each row that fails the residual gate."""
     solve, null, roundoff = probe_solve
-    ymax = float(np.abs(y).max())
-    if ymax <= roundoff:
-        return np.zeros(4)
-    residual = abs(float(null @ y))
-    if residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax:
-        raise ReadoutError(
-            f"inconsistent peak data (residual {residual:.3e} vs max integral {ymax:.3e})"
-        )
-    return solve @ y
+    ymax = np.abs(y).max(axis=-1)
+    residual = np.abs(y[..., None, :] @ null[:, None])[..., 0, 0]
+    signal = ymax > roundoff
+    diag = np.where(signal[..., None], (solve @ y[..., None])[..., 0], 0.0)
+    rejected = signal & (residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax)
+    message = "inconsistent peak data (residual {:.3e} vs max integral {:.3e})"
+    rows = map(tuple, np.argwhere(rejected) if rejected.any() else ())
+    return diag, {i: ReadoutError(message.format(residual[i], ymax[i])) for i in rows}
 
 
 @functools.lru_cache(maxsize=4)

@@ -17,6 +17,7 @@ drawn from the seeded generator the caller passes.
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -28,6 +29,9 @@ from .spins import SpinSystemConfig, enhanced_populations
 # gap between single-sample experiments: 5 x the 24 s solute T1, after
 # which the solute is taken as fully recovered
 DEFAULT_RECOVERY_S = 120.0
+# probe lead, and the sample's age when a search starts (`run_grover_pipeline`)
+DEFAULT_R1_S = 25.0
+DEFAULT_SAMPLE_AGE_S = 600.0
 
 
 class ScheduleMode(enum.Enum):
@@ -54,11 +58,16 @@ class SpinoeParams:
             raise ValueError("t1_xe must be positive")
         if self.reproducibility_jitter < 0:
             raise ValueError("jitter must be non-negative")
-        # bool is an Integral, but a JSON true is no seed
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError("seed must be an integer")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_seed(self.seed)
+
+
+def check_seed(seed) -> int:
+    """A generator seed is a non-negative integer (a JSON true is no seed)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError("seed must be an integer")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -102,34 +111,35 @@ def enhancement_at(p: SpinoeParams, t: float) -> tuple[float, float]:
 
 
 def sample_initial_state(
-    p: SpinoeParams,
-    cfg: SpinSystemConfig,
-    t: float,
-    fresh_sample: bool = False,
+    p: SpinoeParams, cfg: SpinSystemConfig, t: float, fresh_sample: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Initial state for an experiment whose probe fires at time t, as its
     read-only populations (`enhanced_populations`).
 
     With jitter disabled this is a pure function of (p, cfg, t). For a
-    fresh sample the enhancements are additionally scaled per nucleus by
-    (1 + jitter draw), drawn from `rng`, which jitter requires: the
-    pipelines pass the one generator seeded with p.seed, so fixed seeds
-    reproduce runs bit-exactly.
+    fresh sample each enhancement is scaled by (1 + jitter draw), drawn
+    from `rng`, which jitter requires; the pipelines seed it with p.seed.
     """
-    eps_h, eps_c = enhancement_at(p, t)
+    draws = np.zeros(2)
     if fresh_sample and p.reproducibility_jitter > 0:
         if rng is None:
             raise ValueError("sample jitter needs a seeded generator (rng)")
-        eps_h *= 1.0 + rng.normal(0.0, p.reproducibility_jitter)
-        eps_c *= 1.0 + rng.normal(0.0, p.reproducibility_jitter)
-    return enhanced_populations(cfg, eps_h, eps_c)
+        draws = p.reproducibility_jitter * rng.standard_normal(2)
+    return sample_initial_states(p, cfg, (t,), draws)[0]
 
 
+def sample_initial_states(p: SpinoeParams, cfg: SpinSystemConfig, times, draws) -> np.ndarray:
+    """`sample_initial_state` at each of `times` as read-only (..., time, 4)
+    populations, each enhancement scaled by 1 + its (..., time, nucleus) draw."""
+    eps = np.array([enhancement_at(p, t) for t in times]) * (1.0 + draws)
+    return enhanced_populations(cfg, eps[..., :1], eps[..., 1:])
+
+
+# bounded: a pipeline call makes one; typed, so an int r1 keeps int times
+@functools.lru_cache(maxsize=16, typed=True)
 def make_schedule(
-    mode: ScheduleMode,
-    r1: float = 25.0,
-    recovery: float = DEFAULT_RECOVERY_S,
+    mode: ScheduleMode, r1: float = DEFAULT_R1_S, recovery: float = DEFAULT_RECOVERY_S,
     start_delay: float = 0.0,
 ) -> ExperimentSchedule:
     """Schedule the three permutation experiments of DEFAULT_PERM_ORDER.

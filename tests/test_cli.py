@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,19 @@ class TestEnhanceTrace:
         assert all(a < b for a, b in zip(eps_h, eps_h[1:]))
         assert all(a > b for a, b in zip(eps_c, eps_c[1:]))
         assert abs(eps_h[-1] - 1.0) < 1.0 and abs(eps_c[-1] - 1.0) < 1.0
+
+    def test_rows_are_written_as_computed(self, tmp_path):
+        # without --svg, which needs every point, memory does not grow with
+        # the row count: 10,000 rows peak no higher than 100 do
+        def peak(rows):
+            tracemalloc.start()
+            argv = ["--out", str(tmp_path), "enhance-trace", "--duration", str(rows - 1)]
+            assert cli.main([*argv, "--step", "1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+
+        assert peak(10_000) < peak(100) + 256 * 1024
 
     def test_svg_artifact(self, tmp_path):
         rc = cli.main(

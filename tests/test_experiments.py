@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,22 +11,26 @@ from spinoeqc.experiments import (
     DecodeError,
     DetectionSettings,
     GroverCase,
+    ExperimentRecord,
+    Preparation,
     _prepare,
-    _readout_map,
+    _readout_maps,
     decode_answer,
     effective_pure_report,
     grover_circuit,
     grover_diffusion,
     grover_oracle,
     grover_report,
+    prepare_batch,
     relabel_unitary,
     run_effective_pure_pipeline,
     run_grover_pipeline,
     run_id,
 )
+from spinoeqc.labeling import DEFAULT_PERM_ORDER
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 import spinoeqc
-from spinoeqc import quantum, readout
+from spinoeqc import experiments, quantum, readout
 from spinoeqc.readout import (
     Channel,
     Detector,
@@ -389,6 +395,12 @@ MAP_KEYS = [
     for ground in range(4)
     for case in [None, *ALL_CASES]
 ]
+CASE_KEYS = [(ground, case) for ground in range(4) for case in [None, *ALL_CASES]]
+
+
+def record_map(perm, ground, case):
+    """The readout map of `perm`'s experiment in the stack of (ground, case)."""
+    return _readout_maps(ground, case)[DEFAULT_PERM_ORDER.index(perm)]
 
 
 class TestReadoutMap:
@@ -406,24 +418,24 @@ class TestReadoutMap:
                 (det.response @ coherences(receiver_state(rho, step, ch), ch)).real
                 for ch in Channel
             ])
-            got = det.readout(d, _readout_map(perm, ground, case), None).integrals
+            got = readout.Detection(det, record_map(perm, ground, case) @ d, None).integrals
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_readout_amplitudes_are_real(self):
         # why the decode inverts Re(response): after any permutation,
         # computation and readout pulse the line amplitudes are real
         for key in MAP_KEYS:
-            amplitude_map = _readout_map(*key)
+            amplitude_map = record_map(*key)
             assert np.abs(amplitude_map.imag).max() <= 1e-15 * np.abs(amplitude_map).max()
 
     def test_map_cache_is_bounded_by_its_keys(self):
-        _readout_map.cache_clear()
+        _readout_maps.cache_clear()
         for _ in range(2):
-            for key in MAP_KEYS:
-                _readout_map(*key)
-        info = _readout_map.cache_info()
-        assert info.maxsize is not None and info.currsize <= 60
-        assert (info.misses, info.hits) == (len(MAP_KEYS), len(MAP_KEYS))
+            for key in CASE_KEYS:
+                _readout_maps(*key)
+        info = _readout_maps.cache_info()
+        assert info.maxsize is not None and info.currsize <= 20
+        assert (info.misses, info.hits) == (len(CASE_KEYS), len(CASE_KEYS))
 
     def test_warm_case_builds_no_state(self, monkeypatch):
         noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
@@ -517,19 +529,20 @@ class TestPreparationCache:
                 assert seed.spawn_key == (2 * i + channel,)
 
     def test_noise_is_drawn_once_per_preparation(self, monkeypatch):
-        draw, drawn = readout.Detector.draw, []
+        integrals, drawn = readout.Detector.noise_integrals, []
 
-        def counting_draw(self, rng=None):
-            noise = draw(self, rng)
-            drawn.append(noise)
-            return noise
+        def counting_integrals(self, normals):
+            drawn.append(normals.shape)
+            return integrals(self, normals)
 
-        monkeypatch.setattr(readout.Detector, "draw", counting_draw)
+        monkeypatch.setattr(readout.Detector, "noise_integrals", counting_integrals)
         runs = [noisy_run(ScheduleMode.SINGLE_SAMPLE, t) for t in GROVER_TARGETS]
-        # per record one readout; a probe draws its integrals without `draw`
-        assert len(drawn) == 3
+        # one batch per preparation: the three probes' noise, then the readouts'
+        assert drawn == [(1, 6, 2, 2)]
+        noises = runs[0].preparation.readout_noise
+        assert len(noises) == len(set(map(id, noises))) == 3
         for run in runs:
-            for rec, noise in zip(run.records, drawn, strict=True):
+            for rec, noise in zip(run.records, noises, strict=True):
                 assert rec.readout.noise is noise
                 with pytest.raises(ValueError):
                     rec.readout.noise.integrals[0, 0] = 1.0
@@ -605,6 +618,7 @@ class TestPreparationCache:
         # the same preparation as without the caches' help
         readout._grid_map.cache_clear()
         readout._probe_setting.cache_clear()
+        experiments._seed_free.cache_clear()
         _prepare.cache_clear()
         cold = _prepare(params, CFG, schedule, NOISY_DETECTION)
         assert all(np.array_equal(a, b) for a, b in zip(prep.probed, cold.probed, strict=True))
@@ -653,6 +667,109 @@ class TestPreparationCache:
             with pytest.raises(ReadoutError, match=r"^experiment 2 \(probe at 720\.0 s\): "):
                 run_grover_pipeline(SpinoeParams(), CFG, GroverCase("10"), detection=detection)
         assert _prepare.cache_info().currsize == 0
+
+
+def assert_same_preparation(a, b):
+    for name in ("populations", "probed", "noise_integrals"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y)
+    for name in ("diagonal", "weights"):
+        assert np.array_equal(getattr(a.result, name), getattr(b.result, name))
+    assert (a.result.ground, a.result.q1, a.result.q2, a.result.residual) == (
+        b.result.ground, b.result.q1, b.result.q2, b.result.residual
+    )
+    assert (a.seed, a.enhancement) == (b.seed, b.enhancement)
+    for x, y in zip(a.readout_noise, b.readout_noise, strict=True):
+        assert (x is None and y is None) or [s.spawn_key for s in x.seeds] == [
+            s.spawn_key for s in y.seeds
+        ]
+
+
+class TestPrepareBatch:
+    @pytest.mark.parametrize(
+        "mode,jitter,noise_amp",
+        [
+            (ScheduleMode.MULTI_SAMPLE, 0.05, 0.01),
+            (ScheduleMode.SINGLE_SAMPLE, 0.05, 0.01),
+            (ScheduleMode.MULTI_SAMPLE, 0.05, 0.0),
+            (ScheduleMode.SINGLE_SAMPLE, 0.0, 0.0),
+        ],
+        ids=["multi-jitter-noise", "single-noise", "multi-jitter", "noise-free"],
+    )
+    def test_batch_equals_single_calls(self, mode, jitter, noise_amp):
+        params = SpinoeParams(reproducibility_jitter=jitter)
+        detection = DetectionSettings(noise_amp=noise_amp)
+        schedule = make_schedule(mode, 25.0, DEFAULT_RECOVERY_S)
+        seeds = np.random.default_rng(8).permutation(12).tolist()
+        batch = prepare_batch(params, CFG, schedule, detection, seeds)
+        for seed, got in zip(seeds, batch, strict=True):
+            _prepare.cache_clear()
+            want = _prepare(SpinoeParams(reproducibility_jitter=jitter, seed=seed), CFG,
+                            schedule, detection)
+            assert_same_preparation(got, want)
+
+    def test_failed_seed_keeps_its_own_status(self):
+        # at noise_amp 0.2 seeds 1 and 3 fail the residual gate, 0, 4, 7 and 8 pass
+        detection = DetectionSettings(noise_amp=0.2)
+        schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
+        seeds = [0, 4, 3, 1, 7, 8]
+        batch = prepare_batch(SpinoeParams(), CFG, schedule, detection, seeds)
+        for seed, got in zip(seeds, batch, strict=True):
+            _prepare.cache_clear()
+            if seed in (1, 3):
+                with pytest.raises(ReadoutError) as single:
+                    run_grover_pipeline(SpinoeParams(seed=seed), CFG, GroverCase("10"),
+                                        detection=detection)
+                assert type(got) is ReadoutError and str(got) == str(single.value)
+                assert re.match(r"experiment \d \(probe at \d+\.0 s\): inconsistent", str(got))
+            else:
+                want = _prepare(SpinoeParams(seed=seed), CFG, schedule, detection)
+                assert_same_preparation(got, want)
+
+    def test_seeds_follow_the_params_rule(self):
+        schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="seed"):
+                prepare_batch(SpinoeParams(), CFG, schedule, NOISY_DETECTION, [0, seed])
+
+    def test_cold_preparation_spawns_no_seed(self, monkeypatch):
+        default_rng, generators = np.random.default_rng, []
+
+        def recording_rng(*args, **kwargs):
+            generators.append(default_rng(*args, **kwargs))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        _prepare.cache_clear()
+        run = noisy_run(ScheduleMode.MULTI_SAMPLE, "01")
+        assert len(generators) == 1
+        assert generators[0].bit_generator.seed_seq.n_children_spawned == 0
+        monkeypatch.undo()
+        for i, rec in enumerate(run.records):
+            for channel, seed in enumerate(rec.readout.noise.seeds):
+                assert seed.entropy == NOISY_PARAMS.seed
+                assert seed.spawn_key == (2 * i + channel,)
+
+    def test_warm_case_builds_no_record_until_read(self, monkeypatch):
+        noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
+        built = []
+        record_init, detection_init = ExperimentRecord.__init__, readout.Detection.__post_init__
+
+        def counting_record(self, *args, **kwargs):
+            built.append("ExperimentRecord")
+            record_init(self, *args, **kwargs)
+
+        def counting_detection(self):
+            built.append("Detection")
+            detection_init(self)
+
+        monkeypatch.setattr(ExperimentRecord, "__init__", counting_record)
+        monkeypatch.setattr(readout.Detection, "__post_init__", counting_detection)
+        run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "01")
+        assert run.decoded == "01" and built == []
+        records = run.records
+        assert sorted(built) == ["Detection"] * 3 + ["ExperimentRecord"] * 3
+        assert run.records is records
 
 
 class TestReports:

@@ -553,7 +553,7 @@ class TestDetector:
         rng = np.random.default_rng(4)
         probe_found = det.probe(populations(rho), det.draw(rng))
         identity = readout_map(Unitary(np.eye(4)))
-        readout_found = det.readout(populations(rho), identity, det.draw(rng))
+        readout_found = Detection(det, identity @ populations(rho), det.draw(rng))
         pairs = [
             (probe_found,
              [fft_spectrum(probed(rho, 15.0), CFG, channel, 4096, 1e-3, noise)
@@ -568,22 +568,12 @@ class TestDetector:
                 assert np.array_equal(got.freqs, want.freqs)
                 assert relative_gap(integrals, integrate_peaks(got, CFG).integrals) <= 1e-12
 
-    def test_readout_takes_a_diagonal_state(self):
-        det = Detector(CFG, DetectionSettings())
-        identity = readout_map(Unitary(np.eye(4)))
-        det.readout(populations(thermal_state(CFG)), identity, None)
-        for d in (np.full(2, 0.5), np.eye(4) / 4, np.float64(1.0)):
-            with pytest.raises(ValueError, match="the readout takes the four populations"):
-                det.readout(d, identity, None)
-
     def test_probe_takes_a_diagonal_state(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
         det.probe(populations(thermal_state(CFG)), None)
         for d in (np.full(2, 0.5), np.eye(4) / 4, np.float64(1.0)):
             with pytest.raises(ValueError, match="the probe takes the four populations"):
                 det.probe(d, None)
-            with pytest.raises(ValueError, match="the probe takes the four populations"):
-                det.probe_diagonal(d, np.random.default_rng(0))
         # a density matrix reaches detection only through `probe`, which
         # rejects coherences
         for rho in (coherent_state([0.1, 0, 0, 0]), DensityMatrix(np.eye(2) / 2)):
@@ -608,19 +598,22 @@ class TestDetector:
         ])
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_probe_diagonal_is_the_probe_reconstructed(self):
+    def test_batched_probe_is_the_probe_reconstructed(self):
+        # a pipeline's probes: noise-free integrals plus the integrals of the
+        # normals a draw takes, then the batched reconstruction
         det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.05))
-        rho = enhanced_state(CFG, -11.0, 18.0)
+        d = populations(enhanced_state(CFG, -11.0, 18.0))
         rng, replay = np.random.default_rng(5), np.random.default_rng(5)
-        got = det.probe_diagonal(populations(rho), rng)
-        # the probe's noise is the integrals of a draw, and no seed is spawned
-        found = det.probe(populations(rho), det.draw(replay))
-        want = reconstruct_diagonal(*map(PeakTable, found.integrals), 12.0, det.receiver_constant)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        noise = det.noise_integrals(rng.standard_normal((3, 2, 2)))
+        got, errors = det.reconstruct((det.probe_integrals(d) + noise).reshape(3, 4))
+        assert errors == {}
+        for row in got:
+            found = det.probe(d, det.draw(replay))
+            want = reconstruct_diagonal(*map(PeakTable, found.integrals), 12.0,
+                                        det.receiver_constant)
+            assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert rng.normal() == replay.normal()
-        with pytest.raises(ValueError, match="rng"):
-            det.probe_diagonal(populations(rho))
 
     def test_projected_draw_has_the_law_of_white_noise(self):
         # both routes to the line integrals of white noise, 10^4 detections
