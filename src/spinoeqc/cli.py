@@ -22,12 +22,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -68,66 +69,73 @@ EXIT_USAGE = 64
 MAX_TRACE_ROWS = 1_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat bag of every tunable, mirroring the JSON config file keys."""
+def _schedule(
+    mode: str = ScheduleMode.SINGLE_SAMPLE.value, r1: float = DEFAULT_R1_S,
+    recovery: float = DEFAULT_RECOVERY_S, sample_age: float = DEFAULT_SAMPLE_AGE_S,
+) -> ExperimentSchedule:
+    """`run_grover_pipeline`'s schedule, with its defaults, from a mode name."""
+    return make_schedule(ScheduleMode(mode), r1, recovery, sample_age)
 
-    gamma_ratio: float = 4.0
-    j_hz: float = 215.0
-    t2_s: float = 0.5
-    polarization_unit: float = 1.0
-    eps0_h: float = -11.0
-    eps0_c: float = 18.0
-    t1_xe_s: float = 900.0
-    recovery_s: float = DEFAULT_RECOVERY_S
-    r1_s: float = DEFAULT_R1_S
-    jitter: float = 0.0
-    seed: int = 0
-    n_points: int = 4096
-    dwell_s: float = 0.001
-    tip_deg: float = 15.0
-    noise_amp: float = 0.0
-    mode: str = "single"
-    sample_age_s: float = DEFAULT_SAMPLE_AGE_S
 
-    def spin_system(self) -> SpinSystemConfig:
-        return SpinSystemConfig(
-            gamma_ratio=self.gamma_ratio,
-            j_coupling=self.j_hz,
-            t2=self.t2_s,
-            polarization_unit=self.polarization_unit,
-        )
+# every configuration key in echo order, with the library object it feeds
+# and that object's parameter; the objects' signatures hold the defaults
+# and their constructors the range rules
+_KEYS = (
+    ("gamma_ratio", SpinSystemConfig, "gamma_ratio"),
+    ("j_hz", SpinSystemConfig, "j_coupling"),
+    ("t2_s", SpinSystemConfig, "t2"),
+    ("polarization_unit", SpinSystemConfig, "polarization_unit"),
+    ("eps0_h", SpinoeParams, "eps0_h"),
+    ("eps0_c", SpinoeParams, "eps0_c"),
+    ("t1_xe_s", SpinoeParams, "t1_xe"),
+    ("recovery_s", _schedule, "recovery"),
+    ("r1_s", _schedule, "r1"),
+    ("jitter", SpinoeParams, "reproducibility_jitter"),
+    ("seed", SpinoeParams, "seed"),
+    ("n_points", DetectionSettings, "n_points"),
+    ("dwell_s", DetectionSettings, "dwell"),
+    ("tip_deg", DetectionSettings, "probe_tip_deg"),
+    ("noise_amp", DetectionSettings, "noise_amp"),
+    ("mode", _schedule, "mode"),
+    ("sample_age_s", _schedule, "sample_age"),
+)
+# RunConfig's builders, each named for the object it returns
+_OWNERS = {
+    "spin_system": SpinSystemConfig, "spinoe": SpinoeParams,
+    "detection": DetectionSettings, "schedule": _schedule,
+}
+_PARAMETERS = {owner: inspect.signature(owner).parameters for owner in _OWNERS.values()}
+_DEFAULTS = {key: _PARAMETERS[owner][param].default for key, owner, param in _KEYS}
 
-    def spinoe(self) -> SpinoeParams:
-        return SpinoeParams(
-            eps0_h=self.eps0_h,
-            eps0_c=self.eps0_c,
-            t1_xe=self.t1_xe_s,
-            reproducibility_jitter=self.jitter,
-            seed=self.seed,
-        )
 
-    def detection(self) -> DetectionSettings:
-        return DetectionSettings(
-            n_points=self.n_points,
-            dwell=self.dwell_s,
-            probe_tip_deg=self.tip_deg,
-            noise_amp=self.noise_amp,
-        )
+def _builder(name: str, owner) -> tuple[tuple[str, ...], Callable]:
+    """RunConfig's method `name`, which builds `owner` from the keys that
+    feed it, with those keys in the order of the owner's parameters."""
+    key_of = {param: key for key, fed, param in _KEYS if fed is owner}
+    feeds = [(key_of[param], param) for param in _PARAMETERS[owner] if param in key_of]
 
-    def schedule_mode(self) -> ScheduleMode:
-        return ScheduleMode(self.mode)
+    def build(cfg):
+        return owner(**{param: getattr(cfg, key) for key, param in feeds})
 
-    def schedule(self) -> ExperimentSchedule:
-        return make_schedule(
-            self.schedule_mode(),
-            r1=self.r1_s,
-            recovery=self.recovery_s,
-            start_delay=self.sample_age_s,
-        )
+    build.__name__ = build.__qualname__ = name
+    return tuple(key for key, _ in feeds), build
 
-    def echo(self) -> dict:
-        return dataclasses.asdict(self)
+
+# every library object the configuration feeds, with the keys its builder reads
+_BUILDERS = tuple(_builder(name, owner) for name, owner in _OWNERS.items())
+_BUILDER_OF = {key: build for keys, build in _BUILDERS for key in keys}
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(key, type(default), default) for key, default in _DEFAULTS.items()],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Flat bag of every tunable, mirroring the JSON config file keys.",
+        **{build.__name__: build for _, build in _BUILDERS},
+        "schedule_mode": lambda cfg: ScheduleMode(cfg.mode),
+        "echo": dataclasses.asdict,
+    },
+    frozen=True,
+)
 
 
 class UsageError(Exception):
@@ -139,25 +147,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# every library object the configuration feeds, with the keys its builder
-# reads; the objects' constructors hold the range rules
-_BUILDERS = (
-    (("gamma_ratio", "j_hz", "t2_s", "polarization_unit"), RunConfig.spin_system),
-    (("eps0_h", "eps0_c", "t1_xe_s", "jitter", "seed"), RunConfig.spinoe),
-    (("n_points", "dwell_s", "tip_deg", "noise_amp"), RunConfig.detection),
-    (("mode", "r1_s", "recovery_s", "sample_age_s"), RunConfig.schedule),
-)
-
-
-def _check_ranges(cfg: RunConfig, keys: tuple[str, ...] | None = None) -> None:
-    """Build every library object of `cfg`. A broken rule is reported with
-    the values of `keys`, by default the keys its builder reads."""
-    for reads, build in _BUILDERS:
-        try:
-            build(cfg)
-        except (TypeError, ValueError) as exc:
-            named = ", ".join(f"{key} = {getattr(cfg, key)!r}" for key in keys or reads)
-            raise UsageError(f"bad configuration: {named} ({exc})") from exc
+def _check(cfg: RunConfig, keys: tuple[str, ...], build) -> None:
+    """Run `build(cfg)`; a broken rule is reported with the values of `keys`."""
+    try:
+        build(cfg)
+    except (TypeError, ValueError) as exc:
+        named = ", ".join(f"{key} = {getattr(cfg, key)!r}" for key in keys)
+        raise UsageError(f"bad configuration: {named} ({exc})") from exc
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -166,24 +162,32 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         try:
             with open(path) as fh:
                 values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # a ValueError is malformed JSON, text that is not UTF-8, or an
+        # integer literal longer than Python converts
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise UsageError("config file must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = sorted(set(values) - known)
+        unknown = sorted(set(values) - set(_DEFAULTS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     values.update({k: v for k, v in overrides.items() if v is not None})
     # each key alone on the defaults first, so an error names that key
     # alone; then the whole configuration, for rules that read several keys
     for key, value in values.items():
-        # JSON admits NaN, Infinity and overflowing literals such as 1e400
-        if isinstance(value, float) and not math.isfinite(value):
+        floating = isinstance(_DEFAULTS[key], float)
+        # a float key takes a JSON number; the exact type, as a JSON true
+        # is a Python int
+        if floating and type(value) not in (int, float):
+            raise UsageError(f"bad configuration: {key} = {value!r} (not a number)")
+        # JSON admits NaN, Infinity and literals too large for a float: 1e400
+        # reads as inf, and a 400-digit integer overflows the float it feeds
+        if (floating or isinstance(value, float)) and not abs(value) <= sys.float_info.max:
             raise UsageError(f"bad configuration: {key} = {value!r} (not a finite number)")
-        _check_ranges(RunConfig(**{key: value}), (key,))
+        _check(RunConfig(**{key: value}), (key,), _BUILDER_OF[key])
     cfg = RunConfig(**values)
-    _check_ranges(cfg)
+    for keys, build in _BUILDERS:
+        _check(cfg, keys, build)
     return cfg
 
 
@@ -243,11 +247,11 @@ def cmd_enhance_trace(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _dump_spectra(out: Path, stem: str, spec_h, spec_c, svg: bool) -> None:
-    spectrum_to_csv(spec_h, out / f"{stem}_h.csv")
-    spectrum_to_csv(spec_c, out / f"{stem}_c.csv")
-    if svg:
-        for spec, ch in ((spec_h, "h"), (spec_c, "c")):
+def _dump_spectra(out: Path, stem: str, spectra, svg: bool) -> None:
+    """Write the (H, C) pair `spectra` as CSV, and as SVG if asked."""
+    for spec, ch in zip(spectra, "hc"):
+        spectrum_to_csv(spec, out / f"{stem}_{ch}.csv")
+        if svg:
             line_chart(
                 out / f"{stem}_{ch}.svg",
                 spec.freqs,
@@ -258,21 +262,22 @@ def _dump_spectra(out: Path, stem: str, spec_h, spec_c, svg: bool) -> None:
             )
 
 
+def _write_run(out: Path, stem: str, sum_stem: str, run, report: dict, svg: bool) -> None:
+    """A labeled run's report, each experiment's spectra and the weighted sum's."""
+    _write_report(out / f"{stem}_report.json", report)
+    for i, rec in enumerate(run.records, start=1):
+        _dump_spectra(out, f"{stem}_exp{i}", (rec.readout_h, rec.readout_c), svg)
+    _dump_spectra(out, f"{stem}_{sum_stem}", (run.sum_readout_h, run.sum_readout_c), svg)
+
+
 def cmd_effpure(cfg: RunConfig, args) -> int:
     out = _out_dir(args)
     run = run_effective_pure_pipeline(
-        cfg.spinoe(),
-        cfg.spin_system(),
-        cfg.schedule_mode(),
-        r1=cfg.r1_s,
-        recovery=cfg.recovery_s,
-        detection=cfg.detection(),
+        cfg.spinoe(), cfg.spin_system(), cfg.schedule_mode(), r1=cfg.r1_s,
+        recovery=cfg.recovery_s, detection=cfg.detection(),
     )
     report = effective_pure_report(run, cfg.echo())
-    _write_report(out / "effpure_report.json", report)
-    for i, rec in enumerate(run.records, start=1):
-        _dump_spectra(out, f"effpure_exp{i}", rec.readout_h, rec.readout_c, args.svg)
-    _dump_spectra(out, "effpure_weighted_sum", run.sum_readout_h, run.sum_readout_c, args.svg)
+    _write_run(out, "effpure", "weighted_sum", run, report, args.svg)
     print(
         f"effective pure state: ground |{run.result.ground:02b}>, "
         f"q2 = {run.result.q2:.4f}, enhancement = {run.enhancement:.4f}"
@@ -295,20 +300,10 @@ def cmd_grover(cfg: RunConfig, args) -> int:
     for case in cases:
         target = case.target
         run = run_grover_pipeline(
-            cfg.spinoe(),
-            cfg.spin_system(),
-            case,
-            cfg.schedule_mode(),
-            r1=cfg.r1_s,
-            recovery=cfg.recovery_s,
-            sample_age=cfg.sample_age_s,
-            detection=cfg.detection(),
+            cfg.spinoe(), cfg.spin_system(), case, cfg.schedule_mode(), r1=cfg.r1_s,
+            recovery=cfg.recovery_s, sample_age=cfg.sample_age_s, detection=cfg.detection(),
         )
-        report = grover_report(run, cfg.echo())
-        _write_report(out / f"grover_{target}_report.json", report)
-        for i, rec in enumerate(run.records, start=1):
-            _dump_spectra(out, f"grover_{target}_exp{i}", rec.readout_h, rec.readout_c, args.svg)
-        _dump_spectra(out, f"grover_{target}_sum", run.sum_readout_h, run.sum_readout_c, args.svg)
+        _write_run(out, f"grover_{target}", "sum", run, grover_report(run, cfg.echo()), args.svg)
         ok = run.decoded == target
         mismatch |= not ok
         print(
@@ -327,7 +322,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     detection = detector.probe(enhanced_populations(system, *eps), noise)
     k = detector.receiver_constant
     diag = reconstruct_diagonal(*map(PeakTable, detection.integrals), cfg.tip_deg, k)
-    _dump_spectra(out, f"probe_{args.state}", *detection.spectra, args.svg)
+    _dump_spectra(out, f"probe_{args.state}", detection.spectra, args.svg)
     report = {
         "run_id": run_id(cfg.echo(), args.state),
         "config": cfg.echo(),
@@ -369,10 +364,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {"seed": args.seed}
-        if getattr(args, "mode", None) is not None:
-            overrides["mode"] = args.mode
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, {"seed": args.seed, "mode": getattr(args, "mode", None)})
         handler = {
             "enhance-trace": cmd_enhance_trace,
             "effpure": cmd_effpure,

@@ -1,5 +1,7 @@
+import collections
 import csv
 import dataclasses
+import inspect
 import json
 import re
 import tracemalloc
@@ -8,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import spinoeqc.cli as cli
-from spinoeqc.experiments import _prepare, run_effective_pure_pipeline
-from spinoeqc.readout import _grid_map
+from spinoeqc.experiments import _prepare, run_effective_pure_pipeline, run_grover_pipeline
+from spinoeqc.readout import DetectionSettings, _grid_map
 from spinoeqc.labeling import SingularLabelingSystem
 from spinoeqc.spinoe import ScheduleMode, SpinoeParams
 from spinoeqc.spins import SpinSystemConfig
@@ -345,6 +347,48 @@ class TestConfigHandling:
             f"usage error: bad configuration: {named} (not a finite number)\n"
         )
 
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ('{"eps0_h": "abc"}', "eps0_h = 'abc'"),
+            ('{"polarization_unit": null}', "polarization_unit = None"),
+            ('{"tip_deg": true}', "tip_deg = True"),
+            ('{"eps0_c": true}', "eps0_c = True"),
+            ('{"j_hz": "215"}', "j_hz = '215'"),
+        ],
+        ids=["string", "null", "true-tip", "true-enhancement", "numeric-string"],
+    )
+    def test_float_key_takes_a_json_number(self, tmp_path, capsys, text, named):
+        # in-process, so a traceback would be an exception escaping `main`
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        argv = ["--config", str(config), "--out", str(tmp_path / "o"), "probe"]
+        assert cli.main([*argv, "--state", "enhanced"]) == 64
+        assert capsys.readouterr().err == (
+            f"usage error: bad configuration: {named} (not a number)\n"
+        )
+
+    def test_integer_too_large_for_a_float_key_is_usage_error(self, tmp_path, capsys):
+        huge = 10**400
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eps0_h": huge}))
+        argv = ["--config", str(config), "--out", str(tmp_path / "o"), "probe"]
+        assert cli.main([*argv, "--state", "enhanced"]) == 64
+        assert capsys.readouterr().err == (
+            f"usage error: bad configuration: eps0_h = {huge} (not a finite number)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"seed": 1' + b"0" * 5000 + b"}", b'{"seed": 1, "\xff": 2}'],
+        ids=["integer-past-the-digit-limit", "not-utf-8"],
+    )
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, content):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(content)
+        assert cli.main(["--config", str(config), "--out", str(tmp_path / "o"), "probe"]) == 64
+        assert capsys.readouterr().err.startswith(f"usage error: cannot read config {config}: ")
+
     def test_rule_of_several_keys_names_them(self, tmp_path, capsys):
         # each key alone passes; together the 1 s gap is below the float
         # resolution at 1e17 s, so the schedule times coincide
@@ -384,6 +428,18 @@ class TestConfigHandling:
         }
         assert keys == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
+    def test_readme_lists_the_keys_in_echo_order(self):
+        # reports echo the configuration in field order; the table documents it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Configuration file", 1)[1].split("\n#", 1)[0]
+        keys = [
+            key
+            for row in table.splitlines()
+            if row.startswith("| `")
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])
+        ]
+        assert keys == list(cli.RunConfig().echo())
+
     def test_documented_exit_codes_are_the_exit_constants(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         want = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
@@ -409,6 +465,38 @@ class TestConfigHandling:
         assert ra["config"]["seed"] == 9
         assert rb["config"]["seed"] == 7
         assert ra["weights"] != rb["weights"]
+
+
+class TestConfigTable:
+    """The key table covers the library: every field a configuration can
+    set has one key, and every default is the library's."""
+
+    def test_every_library_field_is_fed_by_one_key(self):
+        fed = collections.Counter((owner, param) for _, owner, param in cli._KEYS)
+        for owner in (SpinSystemConfig, SpinoeParams, DetectionSettings):
+            for f in dataclasses.fields(owner):
+                assert fed[owner, f.name] == 1, (owner.__name__, f.name)
+
+    def test_every_schedule_parameter_of_a_search_is_fed_by_one_key(self):
+        # a search's other parameters are the spin system, the enhancement
+        # trajectory, the detection settings and the case
+        search = inspect.signature(run_grover_pipeline).parameters
+        schedule = [name for name in search if name not in ("p", "cfg", "case", "detection")]
+        assert list(inspect.signature(cli._schedule).parameters) == schedule
+        fed = collections.Counter(param for _, owner, param in cli._KEYS if owner is cli._schedule)
+        assert fed == collections.Counter(schedule)
+
+    def test_defaults_are_the_library_defaults(self):
+        search = inspect.signature(run_grover_pipeline).parameters
+        cfg = cli.RunConfig()
+        for key, owner, param in cli._KEYS:
+            if owner is cli._schedule:
+                want = search[param].default
+                want = getattr(want, "value", want)  # the mode by its name
+            else:
+                want = {f.name: f.default for f in dataclasses.fields(owner)}[param]
+            got = getattr(cfg, key)
+            assert (got, type(got)) == (want, type(want)), key
 
 
 def assert_same_files_outside_timestamp(dir_a, dir_b):

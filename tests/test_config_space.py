@@ -65,6 +65,31 @@ def test_every_command_ends_in_a_documented_exit_code(config):
             assert "Traceback" not in err.getvalue()
 
 
+# the keys whose default is a float, which take a JSON number
+FLOAT_KEYS = [key for key, value in cli.RunConfig().echo().items() if isinstance(value, float)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    config=CONFIGURATIONS,
+    key=st.sampled_from(FLOAT_KEYS),
+    value=st.one_of(st.text(max_size=8), st.none(), st.booleans()),
+)
+def test_a_float_key_that_is_no_number_is_a_usage_error(config, key, value):
+    # every other key is in its range, so this key's message is the one given
+    config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path), "--out", str(Path(tmp) / "out"), "probe"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = cli.main(argv)
+        assert not (Path(tmp) / "out").exists()  # refused before any output
+    assert rc == cli.EXIT_USAGE
+    assert err.getvalue() == f"usage error: bad configuration: {key} = {value!r} (not a number)\n"
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(config=CONFIGURATIONS)
 def test_a_search_with_signal_decodes_every_target(config):
