@@ -348,7 +348,7 @@ def build_parser() -> _Parser:
     trace.add_argument("--step", type=float, default=10.0, help="row spacing in seconds")
 
     eff = sub.add_parser("effpure", help="effective pure state preparation")
-    eff.add_argument("--mode", choices=("multi", "single"), help="scheduling mode")
+    eff.add_argument("--mode", choices=[m.value for m in ScheduleMode], help="scheduling mode")
 
     gro = sub.add_parser("grover", help="two-qubit search experiment")
     gro.add_argument("--target", help="marked element: 00, 01, 10 or 11")

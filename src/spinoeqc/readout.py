@@ -22,10 +22,14 @@ the deviation populations d into line amplitudes
     A = sin(tip)/2 * (cos²(tip/2) * Δ_same + sin²(tip/2) * Δ_other)
 
 with Δ the population differences of the observed spin for each partner
-state. Those four relations plus tracelessness are linear in d and rank 3,
-so one probe gives the deviation diagonal as S y for its four integrals y,
-and their inconsistency as |v·y| for the one left-null vector v of the
-relations.
+state. These four relations R are linear in d and rank 3, and they are the
+probe map itself, so a new tip builds no pulse. R maps the orthonormal
+deviation patterns e = (1,1,-1,-1)/2, f = (1,-1,1,-1)/2 and
+g = (1,-1,-1,1)/2 to p·(1,1,0,0), p·(0,0,1,1) and q·(1,-1,1,-1), with
+p = sin(tip)/2 and q = sin(2 tip)/4, so one probe gives the deviation
+diagonal as S y = R⁺y/K for its four integrals y and receiver constant K,
+in closed form, and their inconsistency as |v·y| for the one left-null
+vector v = (1,-1,-1,1)/2 of the relations, the same at every tip.
 
 Processing fixes: the first FID point is halved before the transform (the
 standard baseline correction for one-sided decays; without it window
@@ -41,8 +45,9 @@ weighted by the amplitudes. A `Detector` reads the cached maps of its
 grid and probe setting. It takes the four populations d of a diagonal
 state (only `probe` takes a density matrix, and rejects coherences) and
 builds no state: the line amplitudes are the probe map, or the
-`readout_map` of a computation, applied to d, both in closed form: after
-a unitary U the coherence (r, c) of U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
+`readout_map` of a computation, applied to d, both in closed form: the
+probe map is R, and after a readout's unitary U the coherence (r, c) of
+U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), Gaussian with covariance σ² Re(G Gᴴ) for white
@@ -58,6 +63,7 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +117,11 @@ class DetectionSettings:
             raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
         if self.noise_amp < 0:
             raise ValueError("noise_amp must be non-negative")
+        # NaN passes every comparison above, and inf (or an integer past the
+        # float range) leaves no usable grid or draw
+        for name, value in (("dwell time", self.dwell), ("noise_amp", self.noise_amp)):
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -217,8 +228,9 @@ def _amplitude_map(unitaries) -> np.ndarray:
     """The read-only (channel, line, population) map from the populations of
     a diagonal state to the line amplitudes after the unitary U of each
     receiver, H then C: each row is U[r] * conj(U[c]) for its coherence
-    (r, c). It stays complex, as round-off imaginary parts reach the
-    integrals through the imaginary part of the line response."""
+    (r, c). Only the readout maps are built this way (the probe map is the
+    real relations R), and they stay complex, as round-off imaginary parts
+    reach the integrals through the imaginary part of the line response."""
     amplitudes = np.array([
         [u[r] * u[c].conj() for r, c in _COHERENCE_INDEX[channel]]
         for channel, u in zip(Channel, unitaries)
@@ -286,14 +298,18 @@ def _spectra_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np
 def _probe_setting(
     cfg: SpinSystemConfig, n_points: int, dwell: float, tip_angle_deg: float
 ) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, float]]:
-    """The probe pulse's `_amplitude_map`, the receiver constant K of
-    `calibrate` and the reconstruction `_probe_solve(tip, K)` of one probe
-    setting, built once. A thermal reference with no signal raises."""
-    pulse = pulse_unitary(PulseSpec(PulseTarget.BOTH, tip_angle_deg, phase=90.0)).matrix
-    probe_map = _amplitude_map((pulse, pulse))
+    """The probe map, the receiver constant K of `calibrate` and the
+    reconstruction `_probe_solve(tip, K)` of one probe setting, built once
+    in closed form. The probe map is the (channel, line, population) view
+    of the real relations `_probe_response_matrix(tip)`, which are what the
+    pulse's `_amplitude_map` gives up to rounding. A thermal reference with
+    no signal raises."""
+    relations = _probe_response_matrix(tip_angle_deg)
+    relations.flags.writeable = False
+    probe_map = relations.reshape(2, 2, 4)
     ref = enhanced_populations(cfg, 1.0, 1.0)
     y = ((probe_map @ ref) @ _grid_map(cfg, n_points, dwell)[1].T).real
-    m = _probe_response_matrix(tip_angle_deg) @ (ref - 0.25)
+    m = relations @ (ref - 0.25)
     denom = float(m @ m)
     if denom == 0.0:
         raise ReadoutError("thermal reference produced no signal")
@@ -535,6 +551,13 @@ def reconstruct_diagonal(
     return diag
 
 
+# the deviation patterns e, f, g and the two tip-free parts of R⁺ (`_probe_solve`)
+_E, _F, _G = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+_PINV_P = np.outer(_E, [1, 1, 0, 0]) + np.outer(_F, [0, 0, 1, 1])
+_PINV_Q = np.outer(_G, [1, -1, 1, -1])
+_G.flags.writeable = False
+
+
 def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The reconstruction of one (tip, calibration) as read-only arrays: the
     4×4 solve matrix S, the unit left-null vector v of the calibrated probe
@@ -543,17 +566,22 @@ def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, 
     S is the pseudo-inverse of the relations stacked on the traceless row,
     restricted to the integrals, so S y is the least-squares diagonal of the
     integrals y. R is rank 3 and every row sums to zero, so the traceless
-    row is orthogonal to its row space and the norm of the residual
-    y - K·R S y is the component of y along the left null space, |v·y|."""
+    row is orthogonal to its row space and S = R⁺/K, in closed form:
+    R⁺ = [e⊗(1,1,0,0) + f⊗(0,0,1,1)]/(2p) + g⊗(1,-1,1,-1)/(4q) for the
+    deviation patterns e, f, g of the module docstring, with p = a + b =
+    sin(tip)/2 and q = a - b = sin(2 tip)/4 for R's entries a = R[0,0] and
+    b = R[0,1]. The left null space is spanned by v = (1,-1,-1,1)/2 at
+    every tip, so the norm of the residual y - K·R S y is
+    |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2."""
     if calibration == 0 or not np.isfinite(calibration):
         raise ValueError("the receiver constant must be finite and non-zero")
-    a = calibration * _probe_response_matrix(tip_angle_deg)
-    row_scale = float(np.abs(a).max())
-    solve = np.linalg.pinv(np.vstack([a, np.full(4, row_scale)]))[:, :4]
-    null = np.linalg.svd(a)[0][:, 3]
-    for array in (solve, null):
-        array.flags.writeable = False
-    return solve, null, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale
+    relations = _probe_response_matrix(tip_angle_deg)
+    a, b = relations[0, :2].tolist()
+    solve = _PINV_P / (2 * (a + b) * calibration) + _PINV_Q / (4 * (a - b) * calibration)
+    solve.flags.writeable = False
+    # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd
+    row_scale = abs(calibration) * float(np.abs(relations).max())
+    return solve, _G, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale
 
 
 def _reconstruct(y: np.ndarray, probe_solve) -> tuple[np.ndarray, dict]:

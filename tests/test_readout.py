@@ -260,6 +260,24 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe(thermal_state(CFG), CFG, tip)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("dwell", np.nan, "dwell time must be finite"),
+            ("dwell", np.inf, "dwell time must be finite"),
+            ("dwell", -np.inf, "dwell time must be positive"),
+            ("noise_amp", np.nan, "noise_amp must be finite"),
+            ("noise_amp", np.inf, "noise_amp must be finite"),
+            ("noise_amp", -np.inf, "noise_amp must be non-negative"),
+            ("noise_amp", 10**400, "noise_amp must be finite"),
+        ],
+    )
+    def test_non_finite_settings_rejected(self, field, value, message):
+        # NaN noise ran noise-free, inf noise ended in a labeling error and
+        # a NaN dwell in a peak-window error
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DetectionSettings(**{field: value})
+
     def test_effective_pure_signature(self):
         # deviation proportional to (7.5,-2.5,-2.5,-2.5): dominant positive
         # partner-0 line per channel; the partner-1 line carries only the
@@ -521,6 +539,23 @@ class TestDetector:
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
 
+    def test_new_tip_builds_no_pulse_and_no_decomposition(self, monkeypatch):
+        # the probe setting of a tip not seen before, on a cached grid, is
+        # built from the closed-form relations alone
+        readout._probe_setting.cache_clear()
+        Detector(CFG, DetectionSettings())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a new probe setting built a pulse or decomposed a matrix")
+
+        for module in (*MODULES, np.linalg):
+            for name in ("pulse_unitary", "apply_unitary", "pinv", "svd"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        Detector(CFG, DetectionSettings(probe_tip_deg=7.3))
+        info = readout._probe_setting.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)
+
     def test_reference_without_signal_is_a_readout_error(self):
         cfg = SpinSystemConfig(polarization_unit=0.0)
         with pytest.raises(ReadoutError, match="thermal reference produced no signal"):
@@ -729,6 +764,20 @@ class TestReconstruction:
         residual = np.linalg.norm(a @ want - y)
         assert abs(abs(null @ y) - residual) <= 1e-13 * np.linalg.norm(y)
         assert np.linalg.norm(null) == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        tip=st.floats(1e-3, PROBE_TIP_MAX, exclude_min=True),
+        y=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+    )
+    def test_null_vector_is_one_pattern_at_every_tip(self, tip, y):
+        # the residual gate reads |y_H0 - y_H1 - y_C0 + y_C1|/2 at every tip
+        y = np.array(y)
+        _, null, _ = Detector(CFG, DetectionSettings(probe_tip_deg=tip)).probe_solve
+        pattern = np.array([1.0, -1.0, -1.0, 1.0]) / 2
+        assert np.array_equal(null, pattern) or np.array_equal(null, -pattern)
+        want = abs(y[0] - y[1] - y[2] + y[3]) / 2
+        assert abs(abs(null @ y) - want) <= 4 * np.finfo(float).eps * np.abs(y).sum()
 
     @pytest.mark.parametrize("calibration", [0.0, np.nan, np.inf])
     def test_receiver_constant_must_be_finite_and_non_zero(self, calibration):
