@@ -26,7 +26,7 @@ from .spinoe import (
     SpinoeParams,
     enhancement_at,
     make_schedule,
-    sample_initial_state,
+    sample_initial_states,
 )
 from .labeling import (
     EffectivePureResult,

@@ -30,8 +30,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .experiments import (
     GROVER_TARGETS,
     DecodeError,
@@ -318,7 +316,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     system = cfg.spin_system()
     eps = (1.0, 1.0) if args.state == "thermal" else (cfg.eps0_h, cfg.eps0_c)
     detector = Detector(system, cfg.detection())
-    noise = detector.draw(np.random.default_rng(cfg.seed))
+    noise = detector.draw(cfg.seed)
     detection = detector.probe(enhanced_populations(system, *eps), noise)
     k = detector.receiver_constant
     diag = reconstruct_diagonal(*map(PeakTable, detection.integrals), cfg.tip_deg, k)

@@ -16,15 +16,18 @@ populations; its `records` and their spectra are built only when read.
 
 Prepare once, compute many. What does not depend on the computation is a
 `Preparation`. `prepare_batch` prepares many seeds as one array program,
-with a status per seed (its preparation or its error). Per seed it only
-seeds the generator and takes its draws in stream order: per probe the
-jitter and the probe noise (two normals per channel), then the readout
-noise of every experiment. What all seeds of a setting share is cached.
-A pipeline call prepares a batch of one, kept for the last (SpinoeParams,
-SpinSystemConfig, ExperimentSchedule, DetectionSettings) seen. Nothing is
-spawned: a readout's `Noise` names the child seeds of experiment i's
-channels by the seed and spawn keys 2i and 2i + 1. Shared arrays are
-read-only; a failed preparation is not kept.
+with a status per seed (its preparation or its error). What all seeds of
+a setting share is cached. A pipeline call prepares a batch of one, kept
+for the last (SpinoeParams, SpinSystemConfig, ExperimentSchedule,
+DetectionSettings) seen. Shared arrays are read-only; a failed
+preparation is not kept.
+
+The seed names every random draw. Its normals, in stream order, are per
+probe the sample jitter (two, only for fresh samples and only with
+`reproducibility_jitter` > 0) and the probe noise (two per channel), then
+the readout noise of every experiment. Readout i is detection i of the
+seed (`readout.Noise`), so its spectra draw their noise vectors from the
+seed's children 2i and 2i + 1; a probe's vectors are never read.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -199,7 +202,7 @@ class Preparation:
     (a read-only row each) the sampled populations, probed diagonals and
     readout noise integrals (None with noise off), and the labeling with
     its enhancement. `readout_noise` builds each readout's `Noise` on first
-    read, its channels seeded by the children 2i and 2i + 1 of `seed`."""
+    read, readout i as detection i of `seed`."""
 
     detector: Detector
     seed: int
@@ -213,12 +216,10 @@ class Preparation:
     @functools.cached_property
     def readout_noise(self) -> tuple[Noise | None, ...]:
         """The `Noise` of each readout, shared by every run on this preparation."""
-        if self.noise_integrals is None:
+        noise = self.noise_integrals
+        if noise is None:
             return (None,) * len(self.probed)
-        return tuple(
-            Noise(self.detector, self.seed, ((2 * i,), (2 * i + 1,)), y)
-            for i, y in enumerate(self.noise_integrals)
-        )
+        return tuple(Noise(self.detector, self.seed, i, y) for i, y in enumerate(noise))
 
 
 def prepare_batch(

@@ -51,25 +51,32 @@ U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), Gaussian with covariance σ² Re(G Gᴴ) for white
-noise of amplitude σ, so it draws just those, 2 normals per channel. A
-`Noise` holds them and the entropy and spawn key of each channel's child
-seed, from which the full vectors are built only when a spectrum is read,
-conditioned on the drawn integrals: an exported spectrum integrates to
-the integrals the pipeline used. A `Detection` holds both channels.
+noise of amplitude σ, so it draws just those, 2 normals per channel. One
+rule names every draw: detection i of a seed draws its full vectors from
+the child seeds `SeedSequence(seed, spawn_key=(2i + c,))` of its channels
+c (H = 0, C = 1). A `Noise` holds the seed, the index and the drawn
+integrals; its vectors are built only when a spectrum is read,
+conditioned on those integrals, so an exported spectrum integrates to
+the integrals the pipeline used. A lone detection (`Detector.draw`) is
+index 0 with its integrals from the first four normals of the seed. A
+`Detection` holds both channels.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quantum import DensityMatrix, Unitary, populations
-from .spins import PulseSpec, PulseTarget, SpinSystemConfig, enhanced_populations, pulse_unitary
+from .spinoe import check_seed
+from .spins import (
+    PulseSpec, PulseTarget, SpinSystemConfig, check_finite, enhanced_populations, pulse_unitary,
+)
 
 PROBE_TIP_MAX = 25.0
 MIN_FID_SAMPLES = 256
@@ -117,11 +124,7 @@ class DetectionSettings:
             raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
         if self.noise_amp < 0:
             raise ValueError("noise_amp must be non-negative")
-        # NaN passes every comparison above, and inf (or an integer past the
-        # float range) leaves no usable grid or draw
-        for name, value in (("dwell time", self.dwell), ("noise_amp", self.noise_amp)):
-            if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite")
+        check_finite(**{"dwell time": self.dwell}, noise_amp=self.noise_amp)
 
 
 @dataclass(frozen=True)
@@ -204,8 +207,9 @@ def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
     return PeakTable(integrals)
 
 
-def _draw_noise(n_samples: int, noise_amp: float, rng: np.random.Generator) -> np.ndarray:
-    """Complex white receiver noise for one FID."""
+def _draw_noise(n_samples: int, noise_amp: float, seed: np.random.SeedSequence) -> np.ndarray:
+    """Complex white receiver noise for one FID, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
     return rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(0.0, noise_amp, n_samples)
 
 
@@ -303,17 +307,22 @@ def _probe_setting(
     in closed form. The probe map is the (channel, line, population) view
     of the real relations `_probe_response_matrix(tip)`, which are what the
     pulse's `_amplitude_map` gives up to rounding. A thermal reference with
-    no signal raises."""
+    no signal, or one whose K leaves the float range, raises."""
     relations = _probe_response_matrix(tip_angle_deg)
     relations.flags.writeable = False
     probe_map = relations.reshape(2, 2, 4)
     ref = enhanced_populations(cfg, 1.0, 1.0)
     y = ((probe_map @ ref) @ _grid_map(cfg, n_points, dwell)[1].T).real
     m = relations @ (ref - 0.25)
-    denom = float(m @ m)
+    # a reference near the float range (polarization_unit 1e153 at the
+    # default gamma_ratio) overflows these products, and K is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom, fit = float(m @ m), float(y.ravel() @ m)
     if denom == 0.0:
         raise ReadoutError("thermal reference produced no signal")
-    k = float(y.ravel() @ m) / denom
+    k = fit / denom
+    if not math.isfinite(k):
+        raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
     return probe_map, k, _probe_solve(tip_angle_deg, k)
 
 
@@ -369,20 +378,15 @@ class Detector:
         y = (amplitudes @ self.response.T).real
         return y if noise is None else y + noise
 
-    def draw(self, rng: np.random.Generator | None = None) -> Noise | None:
-        """Receiver noise of one detection at the settings' level, as one
-        `Noise` (None with noise off): its `noise_integrals` and a child seed
-        per channel spawned from `rng`'s seed sequence. Spawning draws
-        nothing but advances the spawn count, which the generator's state
-        does not hold, so equal states may give different vectors."""
+    def draw(self, seed: int) -> Noise | None:
+        """Receiver noise of a lone detection at the settings' level (None
+        with noise off): the `Noise` of index 0 of `seed`, its integrals
+        from the first four normals of `default_rng(seed)`."""
+        check_seed(seed)
         if self.settings.noise_amp <= 0:
             return None
-        if rng is None:
-            raise ValueError("detection noise needs a seeded generator (rng)")
-        integrals = self.noise_integrals(rng.standard_normal((2, 2)))
-        seq = rng.bit_generator.seed_seq
-        keys = tuple(child.spawn_key for child in seq.spawn(2))
-        return Noise(self, seq.entropy, keys, integrals)
+        normals = np.random.default_rng(seed).standard_normal((2, 2))
+        return Noise(self, seed, 0, self.noise_integrals(normals))
 
     def probe(self, d, noise: Noise | None) -> Detection:
         """The probing experiment on the diagonal state of populations d:
@@ -403,19 +407,20 @@ class Detector:
 
 @dataclass(frozen=True, eq=False)
 class Noise:
-    """Receiver noise of one detection: the read-only (channel, line) noise
-    integrals and the entropy and spawn key of each channel's child seed, H
-    then C. The detections against one `Noise` share its vectors."""
+    """Receiver noise of detection `index` of `seed`: the read-only
+    (channel, line) noise integrals drawn for it, H then C. The detections
+    against one `Noise` share its vectors."""
 
     detector: Detector = field(repr=False)
-    entropy: int
-    spawn_keys: tuple[tuple[int, ...], tuple[int, ...]]
+    seed: int
+    index: int
     integrals: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def seeds(self) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-        """Each channel's child seed, as `spawn` gives it (default pool size)."""
-        return tuple(np.random.SeedSequence(self.entropy, spawn_key=k) for k in self.spawn_keys)
+        """The child seeds of the H and C channels, 2·index and 2·index + 1."""
+        first = 2 * self.index
+        return tuple(np.random.SeedSequence(self.seed, spawn_key=(k,)) for k in (first, first + 1))
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
@@ -428,7 +433,7 @@ class Noise:
         cov = det.noise_factor @ det.noise_factor.T
         vectors = []
         for seed, y in zip(self.seeds, self.integrals):
-            m = _draw_noise(settings.n_points, settings.noise_amp, np.random.default_rng(seed))
+            m = _draw_noise(settings.n_points, settings.noise_amp, seed)
             excess = np.linalg.solve(cov, (det.windows @ m).real - y)
             vectors.append(m - excess @ det.windows.conj())
         vectors = np.array(vectors)
@@ -501,7 +506,8 @@ def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
 
 
 def calibrate(
-    cfg: SpinSystemConfig, tip_angle_deg: float, n_samples: int = 4096, dt: float = 1e-3
+    cfg: SpinSystemConfig, tip_angle_deg: float, n_samples: int = DetectionSettings.n_points,
+    dt: float = DetectionSettings.dwell,
 ) -> float:
     """Receiver constant from a thermal reference probe.
 
@@ -515,8 +521,8 @@ def calibrate(
 
 
 def probe(
-    rho: DensityMatrix, cfg: SpinSystemConfig, tip_angle_deg: float, n_samples: int = 4096,
-    dt: float = 1e-3,
+    rho: DensityMatrix, cfg: SpinSystemConfig, tip_angle_deg: float,
+    n_samples: int = DetectionSettings.n_points, dt: float = DetectionSettings.dwell,
 ) -> tuple[Spectrum, Spectrum]:
     """Probing experiment on a diagonal state: simultaneous small-tip
     y-pulses, both noise-free spectra, H then C.

@@ -10,8 +10,11 @@ independently per nucleus. Recovery of the solute after an experiment is
 assumed complete once the scheduled recovery gap has elapsed, so no
 recovery dynamics are integrated, and experiments do not deplete the
 xenon reservoir. Sample-to-sample irreproducibility is modeled as an
-optional multiplicative Gaussian jitter on each nucleus's enhancement,
-drawn from the seeded generator the caller passes.
+optional multiplicative Gaussian jitter on each nucleus's enhancement:
+`sample_initial_states` scales each enhancement by 1 + its draw. The draws
+are the caller's; the pipelines take them from the normals of the params'
+seed (`check_seed` is the one rule for a seed), and only for fresh
+samples (see `experiments.prepare_batch`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labeling import DEFAULT_PERM_ORDER
-from .spins import SpinSystemConfig, enhanced_populations
+from .spins import SpinSystemConfig, check_finite, enhanced_populations
 
 # gap between single-sample experiments: 5 x the 24 s solute T1, after
 # which the solute is taken as fully recovered
@@ -58,6 +61,8 @@ class SpinoeParams:
             raise ValueError("t1_xe must be positive")
         if self.reproducibility_jitter < 0:
             raise ValueError("jitter must be non-negative")
+        check_finite(eps0_h=self.eps0_h, eps0_c=self.eps0_c, t1_xe=self.t1_xe,
+                     reproducibility_jitter=self.reproducibility_jitter)
         check_seed(self.seed)
 
 
@@ -110,28 +115,11 @@ def enhancement_at(p: SpinoeParams, t: float) -> tuple[float, float]:
     )
 
 
-def sample_initial_state(
-    p: SpinoeParams, cfg: SpinSystemConfig, t: float, fresh_sample: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Initial state for an experiment whose probe fires at time t, as its
-    read-only populations (`enhanced_populations`).
-
-    With jitter disabled this is a pure function of (p, cfg, t). For a
-    fresh sample each enhancement is scaled by (1 + jitter draw), drawn
-    from `rng`, which jitter requires; the pipelines seed it with p.seed.
-    """
-    draws = np.zeros(2)
-    if fresh_sample and p.reproducibility_jitter > 0:
-        if rng is None:
-            raise ValueError("sample jitter needs a seeded generator (rng)")
-        draws = p.reproducibility_jitter * rng.standard_normal(2)
-    return sample_initial_states(p, cfg, (t,), draws)[0]
-
-
 def sample_initial_states(p: SpinoeParams, cfg: SpinSystemConfig, times, draws) -> np.ndarray:
-    """`sample_initial_state` at each of `times` as read-only (..., time, 4)
-    populations, each enhancement scaled by 1 + its (..., time, nucleus) draw."""
+    """Initial states for experiments whose probes fire at `times`, as
+    read-only (..., time, 4) populations (`enhanced_populations`): each
+    enhancement at its time scaled by 1 + its (..., time, nucleus) jitter
+    draw. Zero draws give a pure function of (p, cfg, times)."""
     eps = np.array([enhancement_at(p, t) for t in times]) * (1.0 + draws)
     return enhanced_populations(cfg, eps[..., :1], eps[..., 1:])
 
@@ -154,6 +142,7 @@ def make_schedule(
         raise ValueError("start_delay must be non-negative")
     if recovery <= 0:
         raise ValueError("recovery must be positive")
+    check_finite(r1=r1, recovery=recovery, start_delay=start_delay)
     experiments = range(len(DEFAULT_PERM_ORDER))
     if mode is ScheduleMode.MULTI_SAMPLE:
         times = tuple(start_delay + r1 for _ in experiments)

@@ -26,7 +26,7 @@ second versus minutes-scale T1).
 from __future__ import annotations
 
 import enum
-import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +70,17 @@ class SpinSystemConfig:
             raise ValueError("j_coupling must be positive")
         if self.t2 <= 0:
             raise ValueError("t2 must be positive")
+        check_finite(gamma_ratio=self.gamma_ratio, j_coupling=self.j_coupling, t2=self.t2,
+                     polarization_unit=self.polarization_unit)
+
+
+def check_finite(**values) -> None:
+    """Reject a value that is NaN, infinite or an integer past the float
+    range, as `<name> must be finite`: NaN passes every comparison of a
+    range rule, and such a value leaves no usable state, grid or draw."""
+    for name, value in values.items():
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -123,13 +134,8 @@ def _rotation_2x2(tip_angle_deg: float, phase_deg: float) -> np.ndarray:
     )
 
 
-# bounded: a pipeline uses five pulses, and a scan over probe tips evicts
-# its own stale ones
-@functools.lru_cache(maxsize=16)
 def pulse_unitary(p: PulseSpec) -> Unitary:
-    """Rotation on the targeted spin(s), identity on the rest.
-
-    Cached per pulse: `PulseSpec` is frozen and `Unitary` immutable."""
+    """Rotation on the targeted spin(s), identity on the rest."""
     r = _rotation_2x2(p.tip_angle, p.phase)
     eye = np.eye(2)
     if p.target is PulseTarget.H:

@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,28 @@ class TestGrover:
         rc = cli.main(["--config", str(config), "--out", str(out), *command])
         assert rc == 4
         assert capsys.readouterr().err == "readout failed: thermal reference produced no signal\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", [["grover", "--all"], ["effpure"], ["probe"]], ids=["grover", "effpure", "probe"]
+    )
+    @pytest.mark.parametrize(
+        "values", [{"polarization_unit": 1e153}, {"gamma_ratio": 1e154}], ids=["unit", "gamma"]
+    )
+    def test_overflowing_receiver_constant_is_a_readout_failure(
+        self, tmp_path, capsys, command, values
+    ):
+        # in the documented range, but the thermal reference overflows
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "readout failed: receiver constant overflows; lower polarization_unit or gamma_ratio\n"
+        )
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "under-file"])

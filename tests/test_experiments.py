@@ -510,8 +510,8 @@ class TestPreparationCache:
 
     def test_readout_noise_continues_the_probe_stream(self):
         # replay the seeded stream: per probe the two jitter draws, then two
-        # normals per channel; the readouts come next. Probes spawn nothing;
-        # each readout spawns the child seeds of its two channels, H first.
+        # normals per channel; the readouts come next. Readout i is
+        # detection i of the seed: its channels' children 2i and 2i + 1.
         noisy_run(ScheduleMode.MULTI_SAMPLE, "11")
         run = noisy_run(ScheduleMode.MULTI_SAMPLE, "10")
         amp = NOISY_DETECTION.noise_amp

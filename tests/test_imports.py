@@ -1,11 +1,15 @@
-"""Every module of the package uses each name it imports, and every
-private module-level name is used by the package.
+"""Every module of the package uses each name it imports, every private
+module-level name is used by the package, and no random draw goes around
+the seed.
 
 No linter ships with the test dependencies, so these are the unused-import
 check (an imported name must appear as a name somewhere in its module;
-`__init__.py` imports to re-export and is exempt) and the unused-private
-check: a module-level `_name` must be read somewhere in `src/` outside its
-own definition, so library code that only tests use cannot hide there."""
+`__init__.py` imports to re-export and is exempt), the unused-private
+check (a module-level `_name` must be read somewhere in `src/` outside its
+own definition, so library code that only tests use cannot hide there)
+and the seeding check: every draw is named by a seed and a detection
+index, so no function takes a generator, and nothing spawns child seeds
+or reads a generator's seed sequence."""
 
 import ast
 from pathlib import Path
@@ -101,3 +105,49 @@ def test_the_check_finds_an_unused_private_name():
 def test_package_uses_every_private_name():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert unused_private_names(sources) == []
+
+
+def generator_routes(source: str) -> list[str]:
+    """Where `source` takes a generator (a parameter named `rng` or annotated
+    with `Generator`), calls `.spawn(` or reads `seed_seq`, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in filter(None, (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)):
+                annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                if arg.arg == "rng" or "Generator" in annotation:
+                    name = getattr(node, "name", "lambda")
+                    found.append((arg.lineno, f"{name} takes a generator ({arg.arg})"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "spawn":
+                found.append((node.lineno, "spawns child seeds"))
+        if isinstance(node, ast.Attribute) and node.attr == "seed_seq":
+            found.append((node.lineno, "reads seed_seq"))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+def test_the_check_finds_a_generator_route():
+    source = (
+        "def lone(seed):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    return rng.normal()\n"
+        "def draw(n, rng):\n"
+        "    return rng.normal(size=n)\n"
+        "def drawn(g: np.random.Generator | None = None):\n"
+        "    return g\n"
+        "def children(g):\n"
+        "    return g.bit_generator.seed_seq.spawn(2)\n"
+    )
+    # a generator the function seeds itself is no route around the seed
+    assert generator_routes(source) == [
+        "draw takes a generator (rng) (line 4)",
+        "drawn takes a generator (g) (line 6)",
+        "reads seed_seq (line 9)",
+        "spawns child seeds (line 9)",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_draws_only_through_seeds(path):
+    assert generator_routes(path.read_text()) == []

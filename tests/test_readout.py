@@ -1,7 +1,10 @@
 import csv
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,36 +317,74 @@ class TestProbe:
     def test_noise_reproducible_under_seed(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.1))
         thermal = populations(thermal_state(CFG))
-        a, b = (
-            det.probe(thermal, det.draw(np.random.default_rng(3))).spectra[0] for _ in range(2)
-        )
+        a, b = (det.probe(thermal, det.draw(3)).spectra[0] for _ in range(2))
         assert np.array_equal(a.values, b.values)
         clean = probe(thermal_state(CFG), CFG, 15.0)[0]
         assert not np.array_equal(a.values, clean.values)
 
-    def test_noise_needs_a_seeded_generator(self):
-        with pytest.raises(ValueError, match="rng"):
-            Detector(CFG, DetectionSettings(noise_amp=0.1)).draw()
+    @pytest.mark.parametrize("noise_amp", [0.0, 0.1])
+    def test_draw_takes_a_seed_by_the_seed_rule(self, noise_amp):
+        det = Detector(CFG, DetectionSettings(noise_amp=noise_amp))
+        for seed in (-1, 1.5, True, np.random.default_rng(8)):
+            with pytest.raises(ValueError, match="seed must be"):
+                det.draw(seed)
 
-    def test_noise_free_draw_takes_nothing(self):
-        rng = np.random.default_rng(8)
-        state = rng.bit_generator.state
-        assert Detector(CFG, DetectionSettings()).draw(rng) is None
-        assert rng.bit_generator.state == state
-        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    def test_noise_free_draw_takes_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a noise-free draw seeded a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        assert Detector(CFG, DetectionSettings()).draw(8) is None
 
     def test_draw_takes_two_normals_per_channel(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
-        rng, replay = np.random.default_rng(8), np.random.default_rng(8)
-        noise = det.draw(rng)
-        z = replay.standard_normal(4).reshape(2, 2)
+        noise = det.draw(8)
+        z = np.random.default_rng(8).standard_normal(4).reshape(2, 2)
         assert np.array_equal(noise.integrals, 0.1 * z @ det.noise_factor.T)
-        # the children are spawned, so the stream goes on where the normals left it
-        assert rng.normal() == replay.normal()
+        # a lone detection is detection 0 of its seed: children 0 and 1
+        assert (noise.seed, noise.index) == (8, 0)
         assert [seed.spawn_key for seed in noise.seeds] == [(0,), (1,)]
         assert noise.detector is det
         with pytest.raises(ValueError):
             noise.integrals[0, 0] = 1.0
+
+    @pytest.mark.parametrize("seed", [0, 8, 2**32 - 1, 2**70])
+    def test_draw_names_the_children_a_spawn_of_its_seed_gives(self, seed):
+        # the noise of a seed's lone detection is that of a generator seeded
+        # with it whose two channels spawn their child seeds
+        det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=0.1))
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((2, 2))
+        children = rng.bit_generator.seed_seq.spawn(2)
+        noise = det.draw(seed)
+        assert np.array_equal(noise.integrals, det.noise_integrals(z))
+        for got, want in zip(noise.seeds, children, strict=True):
+            assert np.array_equal(got.generate_state(8), want.generate_state(8))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SpinSystemConfig(polarization_unit=1e153),
+            SpinSystemConfig(gamma_ratio=1e154),
+            SpinSystemConfig(polarization_unit=-1e200),
+        ],
+        ids=["unit", "gamma", "negative-unit"],
+    )
+    def test_overflowing_receiver_constant_is_a_readout_error(self, cfg):
+        # valid constants whose thermal reference overflows the float range
+        # end in a typed error, without a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: Detector(cfg, DetectionSettings()), lambda: calibrate(cfg, 15.0)):
+                with pytest.raises(ReadoutError, match="receiver constant overflows"):
+                    build()
+
+    @pytest.mark.parametrize("function", [calibrate, probe])
+    def test_grid_defaults_are_the_detection_settings(self, function):
+        defaults = {f.name: f.default for f in dataclasses.fields(DetectionSettings)}
+        parameters = inspect.signature(function).parameters
+        assert parameters["n_samples"].default == defaults["n_points"]
+        assert parameters["dt"].default == defaults["dwell"]
 
 
 def coherent_state(amplitudes) -> DensityMatrix:
@@ -417,7 +458,7 @@ class TestDetector:
             with pytest.raises(ReadoutError, match=re.escape(str(exc))):
                 fft_peaks(rho, cfg, Channel.H, n_points, dwell, None)
             return
-        found = detection(det, rho, det.draw(np.random.default_rng(seed)))
+        found = detection(det, rho, det.draw(seed))
         lines = zip(Channel, found.integrals, found.spectra, noise_vectors(found), strict=True)
         for i, (channel, integrals, spec, noise) in enumerate(lines):
             ref = fft_peaks(rho, cfg, channel, n_points, dwell, noise)
@@ -463,13 +504,13 @@ class TestDetector:
 
     def test_detections_hash_and_compare_by_identity(self):
         det = Detector(CFG, DetectionSettings())
-        a, b = (det.probe(populations(thermal_state(CFG)), det.draw()) for _ in range(2))
+        a, b = (det.probe(populations(thermal_state(CFG)), det.draw(0)) for _ in range(2))
         assert a == a and hash(a) == hash(a)
         assert a != b and len({a, b}) == 2
 
     def test_detection_holds_both_channels_read_only(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
-        noise = det.draw(np.random.default_rng(6))
+        noise = det.draw(6)
         found = det.probe(populations(enhanced_state(CFG, -11.0, 18.0)), noise)
         assert found.noise is noise and found.detector is det
         assert found.amplitudes.shape == found.integrals.shape == (2, 2)
@@ -585,10 +626,9 @@ class TestDetector:
     def test_probe_and_readout_match_their_spectra(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
-        rng = np.random.default_rng(4)
-        probe_found = det.probe(populations(rho), det.draw(rng))
+        probe_found = det.probe(populations(rho), det.draw(4))
         identity = readout_map(Unitary(np.eye(4)))
-        readout_found = Detection(det, identity @ populations(rho), det.draw(rng))
+        readout_found = Detection(det, identity @ populations(rho), det.draw(5))
         pairs = [
             (probe_found,
              [fft_spectrum(probed(rho, 15.0), CFG, channel, 4096, 1e-3, noise)
@@ -638,30 +678,29 @@ class TestDetector:
         # normals a draw takes, then the batched reconstruction
         det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.05))
         d = populations(enhanced_state(CFG, -11.0, 18.0))
-        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
-        noise = det.noise_integrals(rng.standard_normal((3, 2, 2)))
+        seeds = (5, 6, 7)
+        normals = np.array([np.random.default_rng(seed).standard_normal((2, 2)) for seed in seeds])
+        noise = det.noise_integrals(normals)
         got, errors = det.reconstruct((det.probe_integrals(d) + noise).reshape(3, 4))
         assert errors == {}
-        for row in got:
-            found = det.probe(d, det.draw(replay))
+        for row, seed in zip(got, seeds):
+            found = det.probe(d, det.draw(seed))
             want = reconstruct_diagonal(*map(PeakTable, found.integrals), 12.0,
                                         det.receiver_constant)
             assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
-        assert rng.bit_generator.seed_seq.n_children_spawned == 0
-        assert rng.normal() == replay.normal()
 
     def test_projected_draw_has_the_law_of_white_noise(self):
         # both routes to the line integrals of white noise, 10^4 detections
         # each on a 256-point grid, agree in covariance within sampling error
         amp, n_draws = 0.3, 10_000
         det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=amp))
-        rng = np.random.default_rng(2027)
-        drawn = [det.draw(rng) for _ in range(n_draws)]
+        drawn = [det.draw(seed) for seed in range(n_draws)]
         projected = np.concatenate([noise.integrals for noise in drawn])
-        full = np.concatenate([
-            (readout._draw_noise(256 * 1000, amp, rng).reshape(-1, 256) @ det.windows.T).real
-            for _ in range(2 * n_draws // 1000)
-        ])
+        rng, full = np.random.default_rng(2027), []
+        for _ in range(2 * n_draws // 1000):
+            real, imag = rng.normal(0.0, amp, (2, 1000, 256))
+            full.append(((real + 1j * imag) @ det.windows.T).real)
+        full = np.concatenate(full)
         want = amp**2 * (det.noise_factor @ det.noise_factor.T)
         assert_allclose(want, amp**2 * (det.windows @ det.windows.conj().T).real, rtol=1e-12)
         # standard errors of a sample mean and covariance entry of Gaussian data
@@ -681,7 +720,7 @@ class TestDetector:
         rng = np.random.default_rng(2028)
         h = det.windows.sum(axis=0) / np.linalg.norm(det.windows[0])
         h = h + (rng.normal(size=256) + 1j * rng.normal(size=256)) / 16
-        values = [(h @ det.draw(rng).vectors[0]).real for _ in range(n_draws)]
+        values = [(h @ det.draw(seed).vectors[0]).real for seed in range(n_draws)]
         want = amp**2 * np.vdot(h, h).real
         assert abs(np.var(values) / want - 1) <= 5 * np.sqrt(2 / n_draws)
 
@@ -733,7 +772,7 @@ class TestReconstruction:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
         mixed = probed(DensityMatrix(np.eye(4) / 4), tip)
         pulsed = [PeakTable((det.response @ coherences(mixed, ch)).real) for ch in Channel]
-        mapped = [PeakTable(y) for y in det.probe(np.full(4, 0.25), det.draw()).integrals]
+        mapped = [PeakTable(y) for y in det.probe(np.full(4, 0.25), det.draw(0)).integrals]
         assert np.abs(np.concatenate([p.integrals for p in pulsed])).max() > 0
         for peaks_h, peaks_c in (pulsed, mapped):
             diag = reconstruct_diagonal(peaks_h, peaks_c, tip, k)

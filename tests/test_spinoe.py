@@ -1,8 +1,13 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinoeqc.experiments import prepare_batch
 from spinoeqc.labeling import DEFAULT_PERM_ORDER
+from spinoeqc.readout import DetectionSettings
 from spinoeqc.spinoe import (
     DEFAULT_RECOVERY_S,
     ExperimentSchedule,
@@ -10,7 +15,7 @@ from spinoeqc.spinoe import (
     SpinoeParams,
     enhancement_at,
     make_schedule,
-    sample_initial_state,
+    sample_initial_states,
 )
 from spinoeqc.spins import SpinSystemConfig, enhanced_populations
 
@@ -48,52 +53,67 @@ class TestEnhancementAt:
             enhancement_at(SpinoeParams(), -0.1)
 
 
+UNJITTERED = enhanced_populations(CFG, -11.0, 18.0)
+
+
+def prepared_states(jitter: float, mode: ScheduleMode, seeds) -> np.ndarray:
+    """The (seed, experiment, 4) populations `prepare_batch` samples."""
+    p = SpinoeParams(reproducibility_jitter=jitter)
+    schedule = make_schedule(mode, 25.0, DEFAULT_RECOVERY_S)
+    batch = prepare_batch(p, CFG, schedule, DetectionSettings(), seeds)
+    return np.array([prep.populations for prep in batch])
+
+
 class TestSampleInitialState:
     def test_no_jitter_matches_enhanced_state(self):
-        p = SpinoeParams(reproducibility_jitter=0.0)
-        d = sample_initial_state(p, CFG, 0.0)
-        assert np.array_equal(d, enhanced_populations(CFG, -11.0, 18.0))
+        d = sample_initial_states(SpinoeParams(), CFG, (0.0,), np.zeros(2))
+        assert d.shape == (1, 4)
+        assert np.array_equal(d[0], UNJITTERED)
 
     def test_no_jitter_is_deterministic_function_of_time(self):
+        # without jitter a fresh sample is the same state whatever its seed
+        states = prepared_states(0.0, ScheduleMode.MULTI_SAMPLE, range(4))
+        want = sample_initial_states(SpinoeParams(), CFG, (0.0,), np.zeros(2))
+        assert np.array_equal(states, np.broadcast_to(want, states.shape))
+
+    def test_jitter_scales_each_enhancement(self):
         p = SpinoeParams()
-        a = sample_initial_state(p, CFG, 137.0, fresh_sample=True)
-        b = sample_initial_state(p, CFG, 137.0, fresh_sample=True)
-        assert np.array_equal(a, b)
+        draws = np.array([[0.1, -0.2], [0.0, 0.3]])
+        d = sample_initial_states(p, CFG, (0.0, 137.0), draws)
+        (h0, c0), (h1, c1) = enhancement_at(p, 0.0), enhancement_at(p, 137.0)
+        assert_allclose(d[0], enhanced_populations(CFG, 1.1 * h0, 0.8 * c0), rtol=1e-15)
+        assert_allclose(d[1], enhanced_populations(CFG, h1, 1.3 * c1), rtol=1e-15)
 
     def test_jitter_reproducible_under_fixed_seed(self):
-        p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
-        a, b = (
-            sample_initial_state(p, CFG, 0.0, fresh_sample=True, rng=np.random.default_rng(42))
-            for _ in range(2)
-        )
+        a, b = (prepared_states(0.05, ScheduleMode.MULTI_SAMPLE, [42]) for _ in range(2))
         assert np.array_equal(a, b)
-        # and differs from the unjittered state
-        assert not np.array_equal(a, enhanced_populations(CFG, -11.0, 18.0))
-
-    def test_jitter_needs_a_seeded_generator(self):
-        p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
-        with pytest.raises(ValueError, match="rng"):
-            sample_initial_state(p, CFG, 0.0, fresh_sample=True)
+        # and differs from the unjittered state, sample by sample
+        assert not (a == UNJITTERED).all(axis=-1).any()
+        # the seed's first two normals jitter the first sample
+        draws = 0.05 * np.random.default_rng(42).standard_normal(2)
+        want = sample_initial_states(SpinoeParams(), CFG, (0.0,), draws)
+        assert np.array_equal(a[0, 0], want[0])
 
     def test_jitter_ignored_without_fresh_sample(self):
-        p = SpinoeParams(reproducibility_jitter=0.05, seed=42)
-        d = sample_initial_state(p, CFG, 0.0, fresh_sample=False)
-        assert np.array_equal(d, enhanced_populations(CFG, -11.0, 18.0))
+        # one decaying sample is not resampled, so its states take no jitter
+        states = prepared_states(0.05, ScheduleMode.SINGLE_SAMPLE, [42, 7])
+        times = make_schedule(ScheduleMode.SINGLE_SAMPLE).probe_times
+        want = sample_initial_states(SpinoeParams(), CFG, times, np.zeros(2))
+        assert np.array_equal(states, np.broadcast_to(want, states.shape))
 
     def test_long_time_gives_thermal(self):
-        d = sample_initial_state(SpinoeParams(), CFG, 1e9)
-        assert_allclose(d, enhanced_populations(CFG, 1.0, 1.0), atol=1e-12)
+        d = sample_initial_states(SpinoeParams(), CFG, (1e9,), np.zeros(2))
+        assert_allclose(d[0], enhanced_populations(CFG, 1.0, 1.0), atol=1e-12)
 
     def test_sampled_states_have_zero_off_diagonals(self):
-        p = SpinoeParams(reproducibility_jitter=0.2, seed=9)
-        rng = np.random.default_rng(9)
-        for t in (0.0, 50.0, 500.0):
-            # a sampled state is its four real populations, so it carries
-            # no coherences by construction
-            d = sample_initial_state(p, CFG, t, fresh_sample=True, rng=rng)
-            assert d.shape == (4,) and d.dtype == np.float64
-            assert not d.flags.writeable
-            assert d.sum() == pytest.approx(1.0, abs=1e-12)
+        p = SpinoeParams(reproducibility_jitter=0.2)
+        draws = 0.2 * np.random.default_rng(9).standard_normal((3, 2))
+        # a sampled state is its four real populations, so it carries no
+        # coherences by construction
+        d = sample_initial_states(p, CFG, (0.0, 50.0, 500.0), draws)
+        assert d.shape == (3, 4) and d.dtype == np.float64
+        assert not d.flags.writeable
+        assert_allclose(d.sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestSchedules:
@@ -148,3 +168,46 @@ class TestParams:
             SpinoeParams(reproducibility_jitter=-0.1)
         with pytest.raises(ValueError, match="integer"):
             SpinoeParams(seed=1.5)
+
+
+# every float a spin system, an enhancement trajectory or a schedule takes,
+# with the range rule a negative infinity breaks first (None: none)
+FIELDS = [
+    (SpinSystemConfig, "gamma_ratio", "gamma_ratio must be positive"),
+    (SpinSystemConfig, "j_coupling", "j_coupling must be positive"),
+    (SpinSystemConfig, "t2", "t2 must be positive"),
+    (SpinSystemConfig, "polarization_unit", None),
+    (SpinoeParams, "eps0_h", None),
+    (SpinoeParams, "eps0_c", None),
+    (SpinoeParams, "t1_xe", "t1_xe must be positive"),
+    (SpinoeParams, "reproducibility_jitter", "jitter must be non-negative"),
+]
+SCHEDULE_ARGUMENTS = [
+    ("r1", None),
+    ("recovery", "recovery must be positive"),
+    ("start_delay", "start_delay must be non-negative"),
+]
+FLOAT_INPUTS = [
+    pytest.param(owner, name, rule, id=f"{owner.__name__}.{name}") for owner, name, rule in FIELDS
+] + [
+    pytest.param(functools.partial(make_schedule, mode), name, rule, id=f"{mode.value}.{name}")
+    for mode in ScheduleMode
+    for name, rule in SCHEDULE_ARGUMENTS
+]
+
+
+def test_the_table_holds_every_float_field():
+    for owner in (SpinSystemConfig, SpinoeParams):
+        floats = {f.name for f in dataclasses.fields(owner) if f.type == "float"}
+        assert floats == {name for fed, name, _ in FIELDS if fed is owner}
+
+
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
+@pytest.mark.parametrize("owner,name,negative_rule", FLOAT_INPUTS)
+def test_non_finite_values_are_rejected(owner, name, negative_rule, value):
+    # NaN passed every range rule and failed far downstream, if at all
+    message = negative_rule if value == -np.inf and negative_rule else f"{name} must be finite"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        owner(**{name: value})

@@ -152,12 +152,6 @@ class TestPulses:
         got = pulse_unitary(PulseSpec(target, tip, phase)).matrix
         assert_allclose(got, expected, atol=1e-12)
 
-    def test_cached_pulse_is_bit_identical_to_a_fresh_build(self):
-        spec = PulseSpec(PulseTarget.BOTH, 15.0, phase=90.0)
-        cached = pulse_unitary(spec)
-        assert pulse_unitary(PulseSpec(PulseTarget.BOTH, 15.0, phase=90.0)) is cached
-        assert np.array_equal(cached.matrix, pulse_unitary.__wrapped__(spec).matrix)
-
 
 class TestJEvolution:
     def test_zero_duration_is_identity(self):
