@@ -41,14 +41,7 @@ from .experiments import (
     run_id,
 )
 from .labeling import SingularLabelingSystem
-from .readout import (
-    DetectionSettings,
-    Detector,
-    PeakTable,
-    ReadoutError,
-    reconstruct_diagonal,
-    spectrum_to_csv,
-)
+from .readout import DetectionSettings, Detector, ReadoutError, spectrum_to_csv
 from .spinoe import (
     DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ExperimentSchedule, ScheduleMode,
     SpinoeParams, enhancement_at, make_schedule,
@@ -319,7 +312,9 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     noise = detector.draw(cfg.seed)
     detection = detector.probe(enhanced_populations(system, *eps), noise)
     k = detector.receiver_constant
-    diag = reconstruct_diagonal(*map(PeakTable, detection.integrals), cfg.tip_deg, k)
+    diag, errors = detector.reconstruct(detection.integrals.reshape(4))
+    if errors:
+        raise errors[()]
     _dump_spectra(out, f"probe_{args.state}", detection.spectra, args.svg)
     report = {
         "run_id": run_id(cfg.echo(), args.state),

@@ -11,8 +11,13 @@ a weighted sum
     rho_eff = sum_i w_i * P_i rho_init_i P_i†
 
 still can: requiring the three non-ground populations of the sum to be
-equal gives two linear equations in the weights, and the normalization
-row w_1 = 1 closes the 3x3 system. The result has the
+equal gives two linear equations r0·w = 0 and r1·w = 0 in the weights, and
+the normalization w_1 = 1 fixes their null vector. So the weights are, in
+closed form, the cross product c = r0 × r1 over its first entry c_0, the
+determinant of the 2x2 system M that w_2 and w_3 solve once w_1 = 1. A
+system is singular when |c_0| <= SINGULARITY_RTOL·||M||_F^2, to first
+order s_min < SINGULARITY_RTOL·s_max of M: both sides scale alike with the
+diagonals, so the polarization scale does not decide it. The result has the
 form q1*I + q2*|ground><ground| where q2 = ground population minus the
 common non-ground population; q2 is the signal-bearing coefficient, and
 ratios of q2 (at a common weight normalization) measure how much
@@ -24,7 +29,6 @@ they flag pathological schedules rather than being hidden.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -111,52 +115,48 @@ def _as_diags(diags, batched: bool = False) -> np.ndarray:
 
 
 # per ground: the source index of every population under each permutation
-# of DEFAULT_PERM_ORDER, and that of its non-ground states
+# of DEFAULT_PERM_ORDER, and its non-ground states
 _SOURCES = np.array([[cycle_source_indices(p, g) for p in DEFAULT_PERM_ORDER] for g in range(4)])
 _NONGROUND = np.array([[i for i in range(4) if i != g] for g in range(4)])
-_NONGROUND_SOURCES = np.take_along_axis(_SOURCES, _NONGROUND[:, None, :], axis=2)
 _EXPERIMENTS = np.arange(3)
-# a weight system's right-hand side (equal non-ground sums, then w_1 = 1)
-_UNIT_RHS = np.array([[0.0], [0.0], [1.0]])
-_IDENTITY = np.eye(3)
 _GROUNDS = (0, 1, 2, 3)
+# per ground: the sources of its two equalization rows (non-ground,
+# experiment), its row, and its states, ground first
+_TERMS = np.take_along_axis(_SOURCES, _NONGROUND[:, None, :], axis=2).swapaxes(1, 2)
+_PLUS, _MINUS = _TERMS[:, :2], _TERMS[:, 1:]
+_ROWS = np.arange(4)[:, None]
+_ORDER = np.concatenate((_ROWS, _NONGROUND), axis=1)
+# each weight's two neighbours, cyclically
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-@functools.lru_cache(maxsize=8)
-def _ground_indices(grounds: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Per ground: its sources, those of its weight system's two difference
-    rows (non-ground, experiment), its row, and its states, ground first."""
-    g = np.array(grounds, dtype=int)
-    terms = _NONGROUND_SOURCES[g].swapaxes(1, 2)
-    order = np.concatenate((g[:, None], _NONGROUND[g]), axis=1)
-    return _SOURCES[g], terms[:, :2], terms[:, 1:], np.arange(g.size)[:, None], order
-
-
-def _labeled(diags, grounds, weights=None) -> tuple[np.ndarray, ...]:
+def _labeled(diags, weights=None) -> tuple[np.ndarray, ...]:
     """Permute the (..., experiment, state) diagonals once per ground, solve
-    the weight systems of all `grounds` as one batch unless the weights are
-    given, and score each weighted sum. Returns one row per ground after the
-    leading axes: weighted diagonals, weights, q1, q2, residuals, systems
-    (None when the weights are given) and singular flags (see `_result`)."""
+    the weights of all four grounds in closed form (see the module
+    docstring) unless they are given, and score each weighted sum. Returns
+    one row per ground after the leading axes: weighted diagonals, weights,
+    q1, q2, residuals, equalization rows r0 and r1 (None when the weights
+    are given) and singular flags (see `_result`)."""
     ds = np.asarray(diags, dtype=float)
-    sources, plus, minus, rows, order = _ground_indices(tuple(grounds))
-    permuted = ds[..., _EXPERIMENTS[:, None], sources]  # (..., ground, experiment, state)
+    permuted = ds[..., _EXPERIMENTS[:, None], _SOURCES]  # (..., ground, experiment, state)
     if weights is None:
-        # rows 0 and 1 equalize neighbouring non-ground sums, row 2 fixes w_1
-        a = np.empty(permuted.shape[:-1] + (3,))
-        a[..., :2, :] = ds[..., _EXPERIMENTS, plus] - ds[..., _EXPERIMENTS, minus]
-        a[..., 2, :] = (1.0, 0.0, 0.0)
-        # 1/cond(a), the smallest over the largest singular value
-        s = np.linalg.svd(a, compute_uv=False)
-        singular = s[..., -1] < SINGULARITY_RTOL * s[..., 0]
-        # each system alone, the identity standing in for a singular one
-        w = np.linalg.solve(np.where(singular[..., None, None], _IDENTITY, a), _UNIT_RHS)[..., 0]
+        # r0 and r1 equalize neighbouring non-ground sums; M is a[..., 1:]
+        a = ds[..., _EXPERIMENTS, _PLUS] - ds[..., _EXPERIMENTS, _MINUS]
+        # c = r0 × r1 written out (np.cross costs more than the arithmetic):
+        # c_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1]
+        nxt, prv = a[..., _NEXT], a[..., _PREV]
+        # a zero, overflowing or NaN c_0 fails the bound and is zeroed below
+        with np.errstate(all="ignore"):
+            c = nxt[..., 0, :] * prv[..., 1, :] - prv[..., 0, :] * nxt[..., 1, :]
+            m = a[..., 1:]
+            singular = ~(np.abs(c[..., 0]) > SINGULARITY_RTOL * (m * m).sum(axis=(-2, -1)))
+            w = c / c[..., :1]
         w[singular] = 0.0
     else:
         a, singular = None, np.zeros(permuted.shape[:-2], dtype=bool)
         w = np.broadcast_to(np.asarray(weights, dtype=float), singular.shape + (3,))
     diagonal = (w[..., None] * permuted).sum(axis=-2)
-    ordered = diagonal[..., rows, order]
+    ordered = diagonal[..., _ROWS, _ORDER]
     ng = ordered[..., 1:]
     q1 = ng.sum(axis=-1) / 3
     q2 = ordered[..., 0] - q1
@@ -166,10 +166,11 @@ def _labeled(diags, grounds, weights=None) -> tuple[np.ndarray, ...]:
 
 def _result(labeled, k, ground: int) -> EffectivePureResult:
     """The result at index k, for `ground`, of a `_labeled` batch. Raises
-    SingularLabelingSystem, with the system, when that row's is singular."""
+    SingularLabelingSystem, with the 3x3 system (the equalization rows, then
+    w_1 = 1), when that row's is singular."""
     diagonal, w, q1, q2, residual, a, singular = labeled
     if singular[k]:
-        system = a[k].tolist()
+        system = [*a[k].tolist(), [1.0, 0.0, 0.0]]
         raise SingularLabelingSystem(f"weight system is singular for ground {ground}: a={system}")
     return EffectivePureResult(
         diagonal[k], w[k], ground, float(q1[k]), float(q2[k]), float(residual[k])
@@ -194,13 +195,13 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     inputs cannot be equalized (e.g. all-zero diagonals or linearly
     dependent columns), with the offending system in the message.
     """
-    result = _result(_labeled(_as_diags(diags), (plan.ground,)), 0, plan.ground)
+    result = _result(_labeled(_as_diags(diags)), plan.ground, plan.ground)
     return result.weights, result.residual
 
 
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
-    result = _result(_labeled(_as_diags(diags), (plan.ground,), weights), 0, plan.ground)
+    result = _result(_labeled(_as_diags(diags), weights), plan.ground, plan.ground)
     _warn_unless_equalized(result.diagonal, np.array(result.residual), stacklevel=3)
     return result
 
@@ -210,8 +211,8 @@ def label(diags) -> EffectivePureResult:
     experiment count, and return that ground's result.
 
     Every candidate ground is scored by solving its weight system (all
-    four as one batch) and rescaling the weights to sum to 3, which models
-    constant per-experiment noise. Exact sign-mirror ties are structural
+    four at once, in closed form) and rescaling the weights to sum to 3,
+    which models constant per-experiment noise. Exact sign-mirror ties are structural
     for enhancement-scaled diagonals, so ties in |q2| prefer positive q2
     (an upright pseudo-pure state), then the lowest index. Only the
     returned result is built and checked for equalization.
@@ -225,7 +226,7 @@ def label(diags) -> EffectivePureResult:
 def label_batch(diags, stacklevel: int = 3) -> list[EffectivePureResult | SingularLabelingSystem]:
     """`label`, or the SingularLabelingSystem it raises, of every (experiment,
     state) row of `diags` as one batch; warnings point `stacklevel` frames up."""
-    labeled = _labeled(_as_diags(diags, batched=True), _GROUNDS)
+    labeled = _labeled(_as_diags(diags, batched=True))
     diagonal, w, _, q2, residual, _, _ = labeled
     # `normalized_q2` of every ground that has one (a singular system's weights are 0)
     total = w.sum(axis=-1)

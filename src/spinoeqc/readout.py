@@ -80,6 +80,8 @@ from .spins import (
 
 PROBE_TIP_MAX = 25.0
 MIN_FID_SAMPLES = 256
+# 2**20 samples already take ~1 GiB at peak for one search with noise on
+MAX_FID_SAMPLES = 2**20
 RECONSTRUCTION_RESIDUAL_FRAC = 0.05
 # probe integrals up to this many machine epsilons of the largest
 # calibrated response are round-off; a state with no deviation probes at
@@ -102,6 +104,13 @@ class ReadoutError(ValueError):
     pass
 
 
+def check_probe_tip(tip_angle_deg: float) -> None:
+    """The probe tip rule: a tip in (0, 25] degrees. Tips above 25° void
+    the linear reconstruction contract, and a tip of 0 probes nothing."""
+    if not 0 < tip_angle_deg <= PROBE_TIP_MAX:
+        raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
+
+
 @dataclass(frozen=True)
 class DetectionSettings:
     """Detection constants shared by probing, calibration and readout."""
@@ -119,9 +128,9 @@ class DetectionSettings:
             raise ValueError("dwell time must be positive")
         if self.n_points < MIN_FID_SAMPLES:
             raise ValueError(f"FID needs at least {MIN_FID_SAMPLES} samples")
-        # tips above 25° void the linear reconstruction contract
-        if not 0 < self.probe_tip_deg <= PROBE_TIP_MAX:
-            raise ValueError(f"probe tip must be in (0, {PROBE_TIP_MAX}] degrees")
+        if self.n_points > MAX_FID_SAMPLES:
+            raise ValueError(f"FID takes at most {MAX_FID_SAMPLES} samples")
+        check_probe_tip(self.probe_tip_deg)
         if self.noise_amp < 0:
             raise ValueError("noise_amp must be non-negative")
         check_finite(**{"dwell time": self.dwell}, noise_amp=self.noise_amp)
@@ -548,7 +557,8 @@ def reconstruct_diagonal(
     `Detector` holds the one of its setting). The four relations are rank
     3 with one internal redundancy, so inconsistent peak data shows up as a
     residual; residuals above 5% of the largest integral are rejected.
-    Integrals within round-off of zero give the zero diagonal.
+    Integrals within round-off of zero give the zero diagonal. The tip
+    must pass `check_probe_tip`, the rule of `DetectionSettings`.
     """
     y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
     diag, errors = _reconstruct(y, _probe_solve(tip_angle_deg, calibration))
@@ -579,6 +589,7 @@ def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, 
     b = R[0,1]. The left null space is spanned by v = (1,-1,-1,1)/2 at
     every tip, so the norm of the residual y - K·R S y is
     |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2."""
+    check_probe_tip(tip_angle_deg)
     if calibration == 0 or not np.isfinite(calibration):
         raise ValueError("the receiver constant must be finite and non-zero")
     relations = _probe_response_matrix(tip_angle_deg)

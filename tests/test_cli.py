@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import spinoeqc.cli as cli
+from spinoeqc import readout
 from spinoeqc.experiments import _prepare, run_effective_pure_pipeline, run_grover_pipeline
 from spinoeqc.readout import DetectionSettings, _grid_map
 from spinoeqc.labeling import SingularLabelingSystem
@@ -146,6 +147,15 @@ class TestEffpure:
         monkeypatch.setattr(cli, "run_effective_pure_pipeline", boom)
         rc = cli.main(["--out", str(tmp_path), "effpure", "--mode", "multi"])
         assert rc == 2
+
+    @pytest.mark.parametrize("unit", [1e10, 1e30])
+    def test_large_polarization_unit_labels_as_at_one(self, tmp_path, capsys, unit):
+        # the weights' singularity test does not depend on the diagonals' scale
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"polarization_unit": unit}))
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"), "effpure"])
+        assert rc == 0
+        assert "enhancement = 10.6950" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode", ["single", "multi"])
     def test_state_without_deviation_fails_the_solver(self, tmp_path, capsys, mode):
@@ -336,6 +346,22 @@ class TestConfigHandling:
         assert rc == 64
         (key,) = values
         assert capsys.readouterr().err.startswith(f"usage error: bad configuration: {key} = ")
+
+    def test_sample_count_past_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # rejected with the settings, before any grid array is allocated
+        def refuse(*args):
+            raise AssertionError("a grid map was built")
+
+        monkeypatch.setattr(readout, "_grid_map", refuse)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_points": 2**40}))
+        rc = cli.main(["--config", str(config), "--out", str(tmp_path / "o"),
+                       "grover", "--target", "10"])
+        assert rc == 64
+        assert capsys.readouterr().err == (
+            "usage error: bad configuration: n_points = 1099511627776 "
+            "(FID takes at most 1048576 samples)\n"
+        )
 
     @pytest.mark.parametrize(
         "key,reason",

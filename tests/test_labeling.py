@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from spinoeqc.labeling import (
     _result,
     enhancement_factor,
     label,
+    label_batch,
     permute_populations,
     solve_weights,
 )
@@ -126,7 +128,7 @@ class TestSolveWeights:
     def test_scale_invariance_first_weight_one(self):
         plan = LabelingPlan(ground=0)
         w_ref, _ = solve_weights(DECAYING, plan)
-        for lam in (0.37, 3.0, 120.0):
+        for lam in (1e-100, 0.37, 3.0, 120.0, 1e12, 1e150):
             w, _ = solve_weights([lam * d for d in DECAYING], plan)
             assert_allclose(w, w_ref, atol=1e-10)
 
@@ -251,27 +253,26 @@ class TestPlanValidation:
         assert LabelingPlan(ground=1).perms == DEFAULT_PERM_ORDER
 
 
-def labeled_results(diags, grounds):
-    """Per ground the result of a `_labeled` batch, or the
-    SingularLabelingSystem that `_result` raises for it."""
-    batch = _labeled(diags, grounds)
+def labeled_results(diags):
+    """Per ground the result of `_labeled`, or the SingularLabelingSystem
+    that `_result` raises for it."""
+    batch = _labeled(diags)
     results = []
-    for k, ground in enumerate(grounds):
+    for ground in range(4):
         try:
-            results.append(_result(batch, k, ground))
+            results.append(_result(batch, ground, ground))
         except SingularLabelingSystem as exc:
             results.append(exc)
     return results
 
 
 def label_by_loop(diags):
-    """Reference `label`: one `_labeled` call per ground, scored in turn.
+    """Reference `label`: every ground of `_labeled` scored in turn.
     Returns the chosen result (or the SingularLabelingSystem raised) and the
     number of equalization warnings due: 1 if the chosen sum is not
     equalized, else 0."""
     scores = []
-    for ground in range(4):
-        (result,) = labeled_results(diags, (ground,))
+    for result in labeled_results(diags):
         if isinstance(result, SingularLabelingSystem):
             continue
         try:
@@ -313,18 +314,17 @@ class TestBatchedLabeling:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(diags=DIAGONALS)
     def test_batch_equals_a_loop_over_grounds(self, diags):
-        batch = labeled_results(diags, range(4))
-        for ground, got in enumerate(batch):
-            (want,) = labeled_results(diags, (ground,))
-            if isinstance(want, SingularLabelingSystem):
-                assert isinstance(got, SingularLabelingSystem)
-                assert str(got) == str(want)
+        for ground, got in enumerate(labeled_results(diags)):
+            if isinstance(got, SingularLabelingSystem):
+                assert str(got).startswith(f"weight system is singular for ground {ground}: ")
+                with pytest.raises(SingularLabelingSystem, match=re.escape(str(got))):
+                    solve_weights(diags, LabelingPlan(ground))
                 continue
-            assert got.ground == want.ground == ground
-            assert np.array_equal(got.weights, want.weights)
-            assert np.array_equal(got.diagonal, want.diagonal)
-            assert (got.q1, got.q2, got.residual) == (want.q1, want.q2, want.residual)
-            # the batched solve is the 3x3 system of that ground
+            assert got.ground == ground
+            # solve_weights reads the row of its plan's ground
+            w, residual = solve_weights(diags, LabelingPlan(ground))
+            assert np.array_equal(got.weights, w) and got.residual == residual
+            # the null vector solves the 3x3 system of that ground
             assert_allclose(got.weights, solve_weights_oracle(diags, ground), rtol=1e-6, atol=1e-9)
 
         want, unequalized = label_by_loop(diags)
@@ -340,14 +340,26 @@ class TestBatchedLabeling:
         assert sum("not equalized" in str(w.message) for w in caught) == unequalized
 
     def test_label_warns_only_about_the_ground_it_returns(self):
-        # ground 2's near-singular system leaves its sum unequalized, but
-        # label returns ground 0, whose sum is equalized
-        diags = [[-1.0, 1.0, 1.0, -2.0], [1.0, -1.0, 0.0, 0.0], [-2.0, -1.0, 1.0, 1.0]]
-        scored = {r.ground: r for r in labeled_results(diags, range(4))}
-        assert scored[2].residual > EQUALIZATION_TOL * np.abs(scored[2].diagonal).max()
+        # ground 1's near-singular system leaves its sum unequalized, but
+        # label returns ground 2, whose sum is equalized; grounds 0 and 3
+        # are singular
+        diags = [[1e-9, 2.0, -3.0, -3.0], [0.0, -3.0, 2.0, 0.0], [3.0, -2.0, 0.0, 3.0]]
+        results = labeled_results(diags)
+        assert isinstance(results[0], SingularLabelingSystem)
+        assert isinstance(results[3], SingularLabelingSystem)
+        assert results[1].residual > EQUALIZATION_TOL * np.abs(results[1].diagonal).max()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert label(diags).ground == 0
+            assert label(diags).ground == 2
+
+    def test_label_batch_runs_no_linear_algebra_routine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weights have a closed form")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        (result,) = label_batch([DECAYING])
+        assert_allclose(result.weights, solve_weights_oracle(DECAYING, result.ground), rtol=1e-12)
 
     def test_label_builds_only_the_result_it_returns(self, monkeypatch):
         init, built = EffectivePureResult.__post_init__, []
@@ -361,7 +373,7 @@ class TestBatchedLabeling:
         assert built == [result.ground]
 
     def test_singular_grounds_carry_their_system(self):
-        results = labeled_results([np.zeros(4)] * 3, range(4))
+        results = labeled_results([np.zeros(4)] * 3)
         assert all(isinstance(r, SingularLabelingSystem) for r in results)
         assert [str(r).split(":")[0] for r in results] == [
             f"weight system is singular for ground {g}" for g in range(4)
@@ -369,6 +381,6 @@ class TestBatchedLabeling:
 
     def test_sign_mirror_tie_prefers_the_upright_ground(self):
         # ENHANCED ties grounds 1 and 2 in |q2| with opposite signs
-        scores = {r.ground: r.normalized_q2() for r in labeled_results([ENHANCED] * 3, range(4))}
+        scores = {r.ground: r.normalized_q2() for r in labeled_results([ENHANCED] * 3)}
         assert scores[1] == pytest.approx(-scores[2])
         assert label([ENHANCED] * 3).ground == 2

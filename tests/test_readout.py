@@ -17,6 +17,7 @@ import spinoeqc
 from spinoeqc import readout
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, populations
 from spinoeqc.readout import (
+    MAX_FID_SAMPLES,
     PROBE_TIP_MAX,
     Channel,
     Detection,
@@ -280,6 +281,12 @@ class TestProbe:
         # a NaN dwell in a peak-window error
         with pytest.raises(ValueError, match=f"^{message}$"):
             DetectionSettings(**{field: value})
+
+    def test_sample_count_is_capped(self):
+        # settings alone allocate nothing, so the cap is checked cheaply
+        assert DetectionSettings(n_points=MAX_FID_SAMPLES).n_points == MAX_FID_SAMPLES
+        with pytest.raises(ValueError, match=f"^FID takes at most {MAX_FID_SAMPLES} samples$"):
+            DetectionSettings(n_points=MAX_FID_SAMPLES + 1)
 
     def test_effective_pure_signature(self):
         # deviation proportional to (7.5,-2.5,-2.5,-2.5): dominant positive
@@ -817,6 +824,17 @@ class TestReconstruction:
         assert np.array_equal(null, pattern) or np.array_equal(null, -pattern)
         want = abs(y[0] - y[1] - y[2] + y[3]) / 2
         assert abs(abs(null @ y) - want) <= 4 * np.finfo(float).eps * np.abs(y).sum()
+
+    @pytest.mark.parametrize("tip", [0.0, 90.0, 180.0, -15.0, np.nan])
+    def test_reconstruction_takes_a_tip_in_range(self, tip):
+        # the rule of DetectionSettings: out of range, a tip divided by
+        # zero (0), blew up (90), gave a wrong diagonal (-15) or zeros (NaN)
+        k = calibrate(CFG, 15.0)
+        peaks = PeakTable([1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^probe tip must be in \(0, 25\.0\] degrees$"):
+            reconstruct_diagonal(peaks, peaks, tip, k)
+        with pytest.raises(ValueError, match=r"^probe tip must be in \(0, 25\.0\] degrees$"):
+            DetectionSettings(probe_tip_deg=tip)
 
     @pytest.mark.parametrize("calibration", [0.0, np.nan, np.inf])
     def test_receiver_constant_must_be_finite_and_non_zero(self, calibration):
