@@ -17,10 +17,13 @@ populations; its `records` and their spectra are built only when read.
 Prepare once, compute many. What does not depend on the computation is a
 `Preparation`. `prepare_batch` prepares many seeds as one array program,
 with a status per seed (its preparation or its error). What all seeds of
-a setting share is cached. A pipeline call prepares a batch of one, kept
-for the last (SpinoeParams, SpinSystemConfig, ExperimentSchedule,
-DetectionSettings) seen. Shared arrays are read-only; a failed
-preparation is not kept.
+a setting share is cached: the unjittered states per (eps0_h, eps0_c,
+t1_xe, spin system, probe times), so a new detection setting samples no
+state, and the detector and those states' noise-free probe integrals per
+(params apart from the seed, spin system, schedule, detection settings).
+A pipeline call prepares a batch of one, kept for the last (SpinoeParams,
+SpinSystemConfig, ExperimentSchedule, DetectionSettings) seen. Shared
+arrays are read-only; a failed preparation is not kept.
 
 The seed names every random draw. Its normals, in stream order, are per
 probe the sample jitter (two, only for fresh samples and only with
@@ -276,13 +279,23 @@ def _seed_free(
     schedule: ExperimentSchedule, detection: DetectionSettings,
 ) -> tuple[Detector, np.ndarray, np.ndarray]:
     """What every seed of a preparation setting shares: the detector, and
-    the unjittered states and their noise-free probe integrals, read-only."""
+    the unjittered states (`_unjittered_states`) and their noise-free probe
+    integrals, read-only."""
     detector = Detector(cfg, detection)
-    p = SpinoeParams(eps0_h, eps0_c, t1_xe)
-    states = sample_initial_states(p, cfg, schedule.probe_times, np.zeros(2))
+    states = _unjittered_states(eps0_h, eps0_c, t1_xe, cfg, schedule.probe_times)
     clean = detector.probe_integrals(states)
     clean.flags.writeable = False
     return detector, states, clean
+
+
+# bounded: the trajectories and probe times of the last few batches; a new
+# detection setting alone (a scan over tips or grids) hits
+@functools.lru_cache(maxsize=4)
+def _unjittered_states(
+    eps0_h: float, eps0_c: float, t1_xe: float, cfg: SpinSystemConfig, probe_times: tuple,
+) -> np.ndarray:
+    """The read-only unjittered states of the probes at `probe_times`."""
+    return sample_initial_states(SpinoeParams(eps0_h, eps0_c, t1_xe), cfg, probe_times, np.zeros(2))
 
 
 @functools.lru_cache(maxsize=1)

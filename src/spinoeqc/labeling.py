@@ -118,16 +118,18 @@ def _as_diags(diags, batched: bool = False) -> np.ndarray:
 # of DEFAULT_PERM_ORDER, and its non-ground states
 _SOURCES = np.array([[cycle_source_indices(p, g) for p in DEFAULT_PERM_ORDER] for g in range(4)])
 _NONGROUND = np.array([[i for i in range(4) if i != g] for g in range(4)])
-_EXPERIMENTS = np.arange(3)
-_GROUNDS = (0, 1, 2, 3)
-# per ground: the sources of its two equalization rows (non-ground,
-# experiment), its row, and its states, ground first
-_TERMS = np.take_along_axis(_SOURCES, _NONGROUND[:, None, :], axis=2).swapaxes(1, 2)
-_PLUS, _MINUS = _TERMS[:, :2], _TERMS[:, 1:]
-_ROWS = np.arange(4)[:, None]
-_ORDER = np.concatenate((_ROWS, _NONGROUND), axis=1)
-# each weight's two neighbours, cyclically
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# the diagonals are gathered flat, as (..., experiment * 4 + state): per
+# ground the (experiment, state) populations it weights
+_PERMUTED = 4 * np.arange(3)[:, None] + _SOURCES
+# per ground the flat source of each (non-ground state, experiment); an
+# equalization row a is plus - minus of neighbouring non-ground states, and
+# _PLUS/_MINUS gather it at experiment shifts 0, 1 and 2 (a, and each
+# weight's cyclic neighbours a[i+1] and a[i+2]): (ground, shift, row, experiment)
+_TERMS = np.take_along_axis(_PERMUTED, _NONGROUND[:, None, :], axis=2).swapaxes(1, 2)
+_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+_PLUS, _MINUS = (terms[:, :, _SHIFTS].swapaxes(1, 2) for terms in (_TERMS[:, :2], _TERMS[:, 1:]))
+# per ground the flat (ground, state) index of its states, ground first
+_ORDER = 4 * np.arange(4)[:, None] + np.concatenate((np.arange(4)[:, None], _NONGROUND), axis=1)
 
 
 def _labeled(diags, weights=None) -> tuple[np.ndarray, ...]:
@@ -138,29 +140,34 @@ def _labeled(diags, weights=None) -> tuple[np.ndarray, ...]:
     q1, q2, residuals, equalization rows r0 and r1 (None when the weights
     are given) and singular flags (see `_result`)."""
     ds = np.asarray(diags, dtype=float)
-    permuted = ds[..., _EXPERIMENTS[:, None], _SOURCES]  # (..., ground, experiment, state)
+    flat = ds.reshape(ds.shape[:-2] + (12,))
+    permuted = flat.take(_PERMUTED, axis=-1)  # (..., ground, experiment, state)
     if weights is None:
+        shifted = flat.take(_PLUS, axis=-1) - flat.take(_MINUS, axis=-1)
         # r0 and r1 equalize neighbouring non-ground sums; M is a[..., 1:]
-        a = ds[..., _EXPERIMENTS, _PLUS] - ds[..., _EXPERIMENTS, _MINUS]
+        a = shifted[..., 0, :, :]
         # c = r0 × r1 written out (np.cross costs more than the arithmetic):
-        # c_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1]
-        nxt, prv = a[..., _NEXT], a[..., _PREV]
+        # c_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], shifts 1 and 2 of r0 times
+        # shifts 2 and 1 of r1 in one product
         # a zero, overflowing or NaN c_0 fails the bound and is zeroed below
         with np.errstate(all="ignore"):
-            c = nxt[..., 0, :] * prv[..., 1, :] - prv[..., 0, :] * nxt[..., 1, :]
+            products = shifted[..., 1:, 0, :] * shifted[..., :0:-1, 1, :]
+            c = products[..., 0, :] - products[..., 1, :]
             m = a[..., 1:]
-            singular = ~(np.abs(c[..., 0]) > SINGULARITY_RTOL * (m * m).sum(axis=(-2, -1)))
+            bound = SINGULARITY_RTOL * np.add.reduce(m * m, axis=(-2, -1))
+            singular = ~(np.abs(c[..., 0]) > bound)
             w = c / c[..., :1]
-        w[singular] = 0.0
+        np.copyto(w, 0.0, where=singular[..., None])
     else:
         a, singular = None, np.zeros(permuted.shape[:-2], dtype=bool)
         w = np.broadcast_to(np.asarray(weights, dtype=float), singular.shape + (3,))
-    diagonal = (w[..., None] * permuted).sum(axis=-2)
-    ordered = diagonal[..., _ROWS, _ORDER]
+    # ufunc reductions: each ndarray method adds a Python call
+    diagonal = np.add.reduce(w[..., None] * permuted, axis=-2)
+    ordered = diagonal.reshape(diagonal.shape[:-2] + (16,)).take(_ORDER, axis=-1)
     ng = ordered[..., 1:]
-    q1 = ng.sum(axis=-1) / 3
+    q1 = np.add.reduce(ng, axis=-1) / 3
     q2 = ordered[..., 0] - q1
-    residual = ng.max(axis=-1) - ng.min(axis=-1)
+    residual = np.maximum.reduce(ng, axis=-1) - np.minimum.reduce(ng, axis=-1)
     return diagonal, w, q1, q2, residual, a, singular
 
 
@@ -177,14 +184,17 @@ def _result(labeled, k, ground: int) -> EffectivePureResult:
     )
 
 
-def _warn_unless_equalized(diagonal, residual, stacklevel: int) -> None:
-    """Warn, `stacklevel` frames up, of each unequalized (..., state) diagonal."""
-    tol = EQUALIZATION_TOL * np.maximum(np.abs(diagonal).max(axis=-1), 1e-300)
-    for spread in residual[residual > tol]:
-        warnings.warn(
-            f"non-ground populations not equalized (spread {spread:.3e})",
-            stacklevel=stacklevel,
-        )
+def _unequalized(diagonal, residual):
+    """Whether each (..., state) diagonal, of non-ground spread `residual`,
+    is not equalized."""
+    return residual > EQUALIZATION_TOL * np.abs(diagonal).max(axis=-1, initial=1e-300)
+
+
+def _warn_unequalized(spread: float, stacklevel: int) -> None:
+    """Warn, `stacklevel` frames up, of a non-ground spread not equalized."""
+    warnings.warn(
+        f"non-ground populations not equalized (spread {spread:.3e})", stacklevel=stacklevel
+    )
 
 
 def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
@@ -202,7 +212,8 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
     result = _result(_labeled(_as_diags(diags), weights), plan.ground, plan.ground)
-    _warn_unless_equalized(result.diagonal, np.array(result.residual), stacklevel=3)
+    if _unequalized(result.diagonal, result.residual):
+        _warn_unequalized(result.residual, stacklevel=3)
     return result
 
 
@@ -229,20 +240,22 @@ def label_batch(diags, stacklevel: int = 3) -> list[EffectivePureResult | Singul
     labeled = _labeled(_as_diags(diags, batched=True))
     diagonal, w, _, q2, residual, _, _ = labeled
     # `normalized_q2` of every ground that has one (a singular system's weights are 0)
-    total = w.sum(axis=-1)
+    total = np.add.reduce(w, axis=-1)
     scores = q2 * 3.0 / np.where(total != 0.0, total, np.inf)
     magnitude = np.abs(scores)
-    best_abs = magnitude.max(axis=-1)
+    best_abs = np.maximum.reduce(magnitude, axis=-1)
     tied = magnitude >= best_abs[:, None] * (1 - GROUND_TIE_RTOL)
-    # among the tied grounds: positive q2 first, then the lowest index
-    best = np.where(tied, 4 * (scores <= 0) + _GROUNDS, 8).argmin(axis=-1)
-    rows = best_abs.nonzero()[0]
-    chosen = rows, best[rows]
-    _warn_unless_equalized(diagonal[chosen], residual[chosen], stacklevel)
+    # the first tied ground with positive q2, else the first tied one
+    best = np.where(tied, scores <= 0, 2).argmin(axis=-1)
+    picks = list(zip(best.tolist(), best_abs.tolist()))
+    unequalized, spreads = _unequalized(diagonal, residual).tolist(), residual.tolist()
+    for k, (ground, top) in enumerate(picks):
+        if top != 0.0 and unequalized[k][ground]:
+            _warn_unequalized(spreads[k][ground], stacklevel)
     return [
         _result(labeled, (k, ground), ground) if top != 0.0
         else SingularLabelingSystem("every candidate ground yields q2 = 0")
-        for k, (ground, top) in enumerate(zip(best.tolist(), best_abs.tolist()))
+        for k, (ground, top) in enumerate(picks)
     ]
 
 

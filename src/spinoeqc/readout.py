@@ -42,12 +42,13 @@ for the sampled FID x and a window vector g that carries the spectral
 window, the first-point halving and the bin width; a spectrum is the two
 unit line spectra (the transform of a unit ±J/2 line under the T2 decay)
 weighted by the amplitudes. A `Detector` reads the cached maps of its
-grid and probe setting. It takes the four populations d of a diagonal
-state (only `probe` takes a density matrix, and rejects coherences) and
-builds no state: the line amplitudes are the probe map, or the
-`readout_map` of a computation, applied to d, both in closed form: the
-probe map is R, and after a readout's unitary U the coherence (r, c) of
-U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
+grid, per (spin system, n_points, dwell), and of its probe setting, per
+(spin system, n_points, dwell, tip). It takes the four populations d of
+a diagonal state (only `probe` takes a density matrix, and rejects
+coherences) and builds no state: the line amplitudes are the probe map,
+or the `readout_map` of a computation, applied to d, both in closed
+form: the probe map is R, and after a readout's unitary U the coherence
+(r, c) of U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), Gaussian with covariance σ² Re(G Gᴴ) for white
@@ -312,8 +313,8 @@ def _probe_setting(
     cfg: SpinSystemConfig, n_points: int, dwell: float, tip_angle_deg: float
 ) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, float]]:
     """The probe map, the receiver constant K of `calibrate` and the
-    reconstruction `_probe_solve(tip, K)` of one probe setting, built once
-    in closed form. The probe map is the (channel, line, population) view
+    reconstruction `_probe_solve` of one probe setting, built once in
+    closed form. The probe map is the (channel, line, population) view
     of the real relations `_probe_response_matrix(tip)`, which are what the
     pulse's `_amplitude_map` gives up to rounding. A thermal reference with
     no signal, or one whose K leaves the float range, raises."""
@@ -332,7 +333,7 @@ def _probe_setting(
     k = fit / denom
     if not math.isfinite(k):
         raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
-    return probe_map, k, _probe_solve(tip_angle_deg, k)
+    return probe_map, k, _probe_solve(relations, k)
 
 
 @dataclass(frozen=True)
@@ -561,7 +562,9 @@ def reconstruct_diagonal(
     must pass `check_probe_tip`, the rule of `DetectionSettings`.
     """
     y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
-    diag, errors = _reconstruct(y, _probe_solve(tip_angle_deg, calibration))
+    check_probe_tip(tip_angle_deg)
+    solve = _probe_solve(_probe_response_matrix(tip_angle_deg), calibration)
+    diag, errors = _reconstruct(y, solve)
     if errors:
         raise errors[()]
     return diag
@@ -574,8 +577,9 @@ _PINV_Q = np.outer(_G, [1, -1, 1, -1])
 _G.flags.writeable = False
 
 
-def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The reconstruction of one (tip, calibration) as read-only arrays: the
+def _probe_solve(relations: np.ndarray, calibration: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The reconstruction of the probe relations R of one tip
+    (`_probe_response_matrix`) at one calibration, as read-only arrays: the
     4×4 solve matrix S, the unit left-null vector v of the calibrated probe
     response K·R, and the round-off level of the integrals.
 
@@ -589,15 +593,14 @@ def _probe_solve(tip_angle_deg: float, calibration: float) -> tuple[np.ndarray, 
     b = R[0,1]. The left null space is spanned by v = (1,-1,-1,1)/2 at
     every tip, so the norm of the residual y - K·R S y is
     |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2."""
-    check_probe_tip(tip_angle_deg)
     if calibration == 0 or not np.isfinite(calibration):
         raise ValueError("the receiver constant must be finite and non-zero")
-    relations = _probe_response_matrix(tip_angle_deg)
     a, b = relations[0, :2].tolist()
     solve = _PINV_P / (2 * (a + b) * calibration) + _PINV_Q / (4 * (a - b) * calibration)
     solve.flags.writeable = False
-    # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd
-    row_scale = abs(calibration) * float(np.abs(relations).max())
+    # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd; R
+    # holds ±a and ±b
+    row_scale = abs(calibration) * max(abs(a), abs(b))
     return solve, _G, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale
 
 

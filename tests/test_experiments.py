@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from spinoeqc.experiments import (
 from spinoeqc.labeling import DEFAULT_PERM_ORDER
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 import spinoeqc
-from spinoeqc import experiments, quantum, readout
+from spinoeqc import experiments, quantum, readout, spinoe
 from spinoeqc.readout import (
     Channel,
     Detector,
@@ -486,6 +487,16 @@ class TestRunObjects:
         assert a != b and len({a, b}) == 2
 
 
+def clear_preparation_caches():
+    """Empty every cache a preparation reads."""
+    for cache in (
+        readout._grid_map, readout._probe_setting,
+        experiments._seed_free, experiments._unjittered_states, experiments._thermal_reference,
+        _prepare,
+    ):
+        cache.cache_clear()
+
+
 class TestPreparationCache:
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -616,12 +627,45 @@ class TestPreparationCache:
         assert [cache.cache_info().misses for cache in caches] == misses
         monkeypatch.undo()
         # the same preparation as without the caches' help
-        readout._grid_map.cache_clear()
-        readout._probe_setting.cache_clear()
-        experiments._seed_free.cache_clear()
-        _prepare.cache_clear()
+        clear_preparation_caches()
         cold = _prepare(params, CFG, schedule, NOISY_DETECTION)
         assert all(np.array_equal(a, b) for a, b in zip(prep.probed, cold.probed, strict=True))
+
+    def test_fresh_tip_preparation_samples_no_state(self, monkeypatch):
+        # with the params, spin system and schedule cached, a new tip builds
+        # its probe relations and its calibration's thermal reference once,
+        # and samples no state
+        schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)
+        _prepare(SpinoeParams(), CFG, schedule, DetectionSettings())
+        readout._probe_setting.cache_clear()
+        calls = []
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(experiments, "sample_initial_states")
+        count(readout, "_probe_response_matrix")
+        for module in (readout, spinoe, experiments):
+            count(module, "enhanced_populations")
+        fresh = DetectionSettings(probe_tip_deg=13.579)
+        prep = _prepare(SpinoeParams(), CFG, schedule, fresh)
+        assert calls == ["_probe_response_matrix", "enhanced_populations"]
+        monkeypatch.undo()
+        clear_preparation_caches()
+        cold = _prepare(SpinoeParams(), CFG, schedule, fresh)
+        for name in ("populations", "probed"):
+            assert np.array_equal(getattr(prep, name), getattr(cold, name))
+        for result in ("result", "thermal_result"):
+            a, b = getattr(prep, result), getattr(cold, result)
+            assert np.array_equal(a.diagonal, b.diagonal) and np.array_equal(a.weights, b.weights)
+            assert (a.ground, a.q1, a.q2, a.residual) == (b.ground, b.q1, b.q2, b.residual)
+        assert prep.enhancement == cold.enhancement
+        assert prep.noise_integrals is cold.noise_integrals is None
 
     def test_shared_arrays_are_read_only(self):
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
@@ -725,6 +769,25 @@ class TestPrepareBatch:
             else:
                 want = _prepare(SpinoeParams(seed=seed), CFG, schedule, detection)
                 assert_same_preparation(got, want)
+
+    @pytest.mark.parametrize("jitter,noise_amp", [(0.0, 0.0), (0.05, 0.01)])
+    def test_no_seeds_prepare_nothing(self, monkeypatch, jitter, noise_amp):
+        # an empty batch reconstructs and labels no row
+        rows = []
+        for module, name in ((experiments, "label_batch"), (Detector, "reconstruct")):
+            fn = getattr(module, name)
+
+            def counting(*args, fn=fn):
+                rows.append(len(args[-1]))
+                return fn(*args)
+            monkeypatch.setattr(module, name, counting)
+        schedule = make_schedule(ScheduleMode.MULTI_SAMPLE)
+        detection = DetectionSettings(noise_amp=noise_amp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prepare_batch(SpinoeParams(reproducibility_jitter=jitter), CFG, schedule,
+                                 detection, []) == []
+        assert rows == [0, 0]
 
     def test_seeds_follow_the_params_rule(self):
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)

@@ -13,6 +13,7 @@ from spinoeqc.labeling import (
     EffectivePureResult,
     GROUND_TIE_RTOL,
     LabelingPlan,
+    SINGULARITY_RTOL,
     SingularLabelingSystem,
     assemble_effective_pure,
     choose_ground,
@@ -24,7 +25,7 @@ from spinoeqc.labeling import (
     permute_populations,
     solve_weights,
 )
-from spinoeqc.spins import PermutationId
+from spinoeqc.spins import PermutationId, cycle_source_indices
 
 THERMAL = np.array([2.5, 1.5, -1.5, -2.5])
 ENHANCED = np.array([-13.0, -31.0, 31.0, 13.0])
@@ -310,6 +311,73 @@ DIAGONALS = st.one_of(
 )
 
 
+# the tables of the gather form of `_labeled` below
+GATHER_SOURCES = np.array(
+    [[cycle_source_indices(p, g) for p in DEFAULT_PERM_ORDER] for g in range(4)]
+)
+GATHER_NONGROUND = np.array([[i for i in range(4) if i != g] for g in range(4)])
+GATHER_EXPERIMENTS = np.arange(3)
+GATHER_TERMS = np.take_along_axis(
+    GATHER_SOURCES, GATHER_NONGROUND[:, None, :], axis=2
+).swapaxes(1, 2)
+GATHER_ROWS = np.arange(4)[:, None]
+GATHER_ORDER = np.concatenate((GATHER_ROWS, GATHER_NONGROUND), axis=1)
+
+
+def labeled_by_gathers(diags, weights=None):
+    """Reference `_labeled`: the same arithmetic, with every permutation a
+    two-array gather over (experiment, state) and the cross product's
+    cyclic neighbours gathered from the equalization rows."""
+    ds = np.asarray(diags, dtype=float)
+    e = GATHER_EXPERIMENTS
+    permuted = ds[..., e[:, None], GATHER_SOURCES]
+    if weights is None:
+        a = ds[..., e, GATHER_TERMS[:, :2]] - ds[..., e, GATHER_TERMS[:, 1:]]
+        nxt, prv = a[..., [1, 2, 0]], a[..., [2, 0, 1]]
+        with np.errstate(all="ignore"):
+            c = nxt[..., 0, :] * prv[..., 1, :] - prv[..., 0, :] * nxt[..., 1, :]
+            m = a[..., 1:]
+            singular = ~(np.abs(c[..., 0]) > SINGULARITY_RTOL * (m * m).sum(axis=(-2, -1)))
+            w = c / c[..., :1]
+        w[singular] = 0.0
+    else:
+        a, singular = None, np.zeros(permuted.shape[:-2], dtype=bool)
+        w = np.broadcast_to(np.asarray(weights, dtype=float), singular.shape + (3,))
+    diagonal = (w[..., None] * permuted).sum(axis=-2)
+    ordered = diagonal[..., GATHER_ROWS, GATHER_ORDER]
+    ng = ordered[..., 1:]
+    q1 = ng.sum(axis=-1) / 3
+    q2 = ordered[..., 0] - q1
+    residual = ng.max(axis=-1) - ng.min(axis=-1)
+    return diagonal, w, q1, q2, residual, a, singular
+
+
+def assert_labeled_like_the_gathers(diags, weights=None):
+    """All seven outputs of `_labeled` equal the reference's bit for bit (NaN
+    equal to NaN)."""
+    with np.errstate(all="ignore"):
+        got, want = _labeled(diags, weights), labeled_by_gathers(diags, weights)
+    for name, x, y in zip(LABELED_OUTPUTS, got, want, strict=True):
+        if y is None:
+            assert x is None, name
+        else:
+            assert x.shape == y.shape and np.array_equal(x, y, equal_nan=True), name
+
+
+LABELED_OUTPUTS = ("diagonal", "weights", "q1", "q2", "residual", "rows", "singular")
+
+
+def generated_rows(n, seed):
+    """n (experiment, state) rows: normals at scales from 1e-300 to 1e200,
+    small integers (rank-deficient and tied rows) and sign-mirror rows."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.integers(-300, 201, n)
+    rows = rng.standard_normal((n, 3, 4)) * scales[:, None, None]
+    rows[::3] = rng.integers(-2, 3, (len(rows[::3]), 3, 4))
+    rows[1::5] = enhanced_deviation(*rng.uniform(-20.0, 20.0, 2))
+    return rows
+
+
 class TestBatchedLabeling:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(diags=DIAGONALS)
@@ -338,6 +406,34 @@ class TestBatchedLabeling:
                 assert got.ground == want.ground and got.q2 == want.q2
                 assert np.array_equal(got.weights, want.weights)
         assert sum("not equalized" in str(w.message) for w in caught) == unequalized
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(diags=DIAGONALS)
+    def test_flat_gathers_keep_the_bits(self, diags):
+        assert_labeled_like_the_gathers(diags)
+        assert_labeled_like_the_gathers(diags, [1.0, 0.5, -0.25])
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_flat_gathers_keep_the_bits_of_a_batch(self, n):
+        assert_labeled_like_the_gathers(generated_rows(n, seed=n))
+
+    @pytest.mark.parametrize(
+        "diags",
+        [
+            [[0.0] * 4] * 3,
+            [[2.0] * 4] * 3,
+            [[1e200, -1e200, 3e199, 0.0], [0.0, 1e200, -2e200, 5e199], [1e200, 0.0, 1e199, -1e200]],
+            [[1e308, -1e308, 0.0, 1.0], [-1e308, 1e308, 1.0, 0.0], [1e308, 0.0, -1e308, 2.0]],
+            [[np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 2.0, 0.0]],
+            [[np.inf, 1.0, -1.0, 0.0], [1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 2.0, 0.0]],
+        ],
+        ids=["zero", "constant", "overflowing", "overflowing-rows", "nan", "inf"],
+    )
+    def test_flat_gathers_keep_the_bits_of_a_degenerate_c0(self, diags):
+        # c_0 zero, overflowing or NaN: the bound fails and the weights are 0
+        with np.errstate(all="ignore"):
+            assert labeled_by_gathers(diags)[-1].any()
+        assert_labeled_like_the_gathers(diags)
 
     def test_label_warns_only_about_the_ground_it_returns(self):
         # ground 1's near-singular system leaves its sum unequalized, but

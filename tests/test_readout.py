@@ -804,7 +804,7 @@ class TestReconstruction:
         a = calibration * readout._probe_response_matrix(tip)
         design = np.vstack([a, np.full(4, np.abs(a).max())])
         want, *_ = np.linalg.lstsq(design, np.concatenate([y, [0.0]]), rcond=None)
-        solve, null, _ = readout._probe_solve(tip, calibration)
+        solve, null, _ = readout._probe_solve(readout._probe_response_matrix(tip), calibration)
         scale = np.linalg.norm(y) * np.linalg.norm(solve, 2)
         assert np.abs(solve @ y - want).max() <= 1e-13 * scale
         residual = np.linalg.norm(a @ want - y)
