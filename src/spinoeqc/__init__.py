@@ -14,7 +14,7 @@ from .spins import (
     PulseSpec,
     PulseTarget,
     SpinSystemConfig,
-    enhanced_populations,
+    enhanced_deviations,
     enhanced_state,
     permutation_pulse_sequence,
     pulse_unitary,

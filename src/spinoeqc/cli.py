@@ -46,7 +46,7 @@ from .spinoe import (
     DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ExperimentSchedule, ScheduleMode,
     SpinoeParams, enhancement_at, make_schedule,
 )
-from .spins import SpinSystemConfig, enhanced_populations
+from .spins import SpinSystemConfig, enhanced_deviations
 from .svg import line_chart
 
 EXIT_OK = 0
@@ -309,9 +309,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     system = cfg.spin_system()
     eps = (1.0, 1.0) if args.state == "thermal" else (cfg.eps0_h, cfg.eps0_c)
     detector = Detector(system, cfg.detection())
-    noise = detector.draw(cfg.seed)
-    detection = detector.probe(enhanced_populations(system, *eps), noise)
-    k = detector.receiver_constant
+    detection = detector.probe(enhanced_deviations(system, *eps), detector.draw(cfg.seed))
     diag, errors = detector.reconstruct(detection.integrals.reshape(4))
     if errors:
         raise errors[()]
@@ -320,7 +318,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
         "run_id": run_id(cfg.echo(), args.state),
         "config": cfg.echo(),
         "state": args.state,
-        "calibration": k,
+        "calibration": detector.receiver_constant,
         "reconstructed_deviation_diagonal": [float(x) for x in diag],
     }
     _write_report(out / f"probe_{args.state}_report.json", report)

@@ -12,7 +12,9 @@ detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
 directly. A case is one product of the experiments' stacked
 `readout_map`s (cached per ground and computation) with the prepared
-populations; its `records` and their spectra are built only when read.
+deviation diagonals; its `records` and their spectra are built only when
+read. A state travels as its deviation diagonal throughout: the readout
+of I/4 is zero, so the trace part carries nothing.
 
 Prepare once, compute many. What does not depend on the computation is a
 `Preparation`. `prepare_batch` prepares many seeds as one array program,
@@ -51,6 +53,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +71,7 @@ from .spinoe import (
     SpinoeParams, check_seed, make_schedule, sample_initial_states,
 )
 from .spins import (
-    PermutationId, PulseSpec, PulseTarget, SpinSystemConfig, enhanced_populations,
+    PermutationId, PulseSpec, PulseTarget, SpinSystemConfig, enhanced_deviations,
     permutation_pulse_sequence, pulse_unitary,
 )
 
@@ -202,14 +205,15 @@ def _weighted_spectrum(spectra: list[Spectrum], weights: np.ndarray) -> Spectrum
 @dataclass(frozen=True, eq=False)
 class Preparation:
     """What a labeled run does apart from its computation: per experiment
-    (a read-only row each) the sampled populations, probed diagonals and
-    readout noise integrals (None with noise off), and the labeling with
-    its enhancement. `readout_noise` builds each readout's `Noise` on first
-    read, readout i as detection i of `seed`."""
+    (a read-only row each) the sampled deviation diagonals
+    (`sample_initial_states`), probed diagonals and readout noise integrals
+    (None with noise off), and the labeling with its enhancement.
+    `readout_noise` builds each readout's `Noise` on first read, readout i
+    as detection i of `seed`."""
 
     detector: Detector
     seed: int
-    populations: np.ndarray = field(repr=False)
+    deviations: np.ndarray = field(repr=False)
     probed: np.ndarray = field(repr=False)
     result: EffectivePureResult
     thermal_result: EffectivePureResult
@@ -329,7 +333,7 @@ def _receiver_amplitudes(prep: Preparation, case: GroverCase | None) -> np.ndarr
     """The read-only (experiment, channel, line) amplitudes at the receivers
     after each permutation and the computation (none for `case` None)."""
     stacked = _readout_maps(prep.result.ground, case)
-    amplitudes = (stacked @ prep.populations[:, None, :, None])[..., 0]
+    amplitudes = (stacked @ prep.deviations[:, None, :, None])[..., 0]
     amplitudes.flags.writeable = False
     return amplitudes
 
@@ -338,7 +342,7 @@ def _receiver_amplitudes(prep: Preparation, case: GroverCase | None) -> np.ndarr
 def _thermal_reference(cfg: SpinSystemConfig) -> EffectivePureResult:
     """Labeled thermal-equilibrium input, exact and noise-free: classic
     temporal averaging, the same for every schedule, seed and detection."""
-    return label([enhanced_populations(cfg, 1.0, 1.0) - 0.25] * 3)
+    return label([enhanced_deviations(cfg, 1.0, 1.0)] * 3)
 
 
 def run_effective_pure_pipeline(
@@ -367,13 +371,16 @@ def decode_answer(lines) -> str:
     Each channel shows one dominant line for a pure-like state: its sign
     gives the observed spin's bit (positive means |0>) and its position
     gives the partner's bit. The two channels must agree; anything below
-    the dominance threshold or inconsistent raises DecodeError.
+    the dominance threshold, inconsistent or not finite raises DecodeError.
     """
     if np.shape(lines) != (2, 2):
         raise ValueError("the decode takes the (channel, partner) lines of both channels")
     (h0, h1), (c0, c1) = np.asarray(lines, dtype=float).tolist()
-    scale = max(abs(v) for v in (h0, h1, c0, c1))
-    if scale == 0.0:
+    # a NaN passes the dominance test (every comparison is false), and an
+    # inf beats any partner
+    if not all(map(math.isfinite, (h0, h1, c0, c1))):
+        raise DecodeError("readout lines are not finite")
+    if not (h0 or h1 or c0 or c1):
         raise DecodeError("no readout signal")
 
     def dominant(a: float, b: float) -> tuple[int, float]:

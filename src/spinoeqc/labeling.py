@@ -107,10 +107,13 @@ def permute_populations(diag, perm_id: PermutationId, ground: int) -> np.ndarray
 
 
 def _as_diags(diags, batched: bool = False) -> np.ndarray:
-    """Three population vectors of length 4 (per row when `batched`), checked."""
+    """Three finite diagonals of length 4 (per row when `batched`), checked:
+    the one validation point of the labeling's inputs."""
     ds = np.asarray(diags, dtype=float)
     if ds.shape[batched:] != (3, 4):
         raise ValueError("expected three population vectors of length 4")
+    if not np.isfinite(ds).all():
+        raise ValueError("diagonals must be finite")
     return ds
 
 

@@ -43,12 +43,14 @@ window, the first-point halving and the bin width; a spectrum is the two
 unit line spectra (the transform of a unit ±J/2 line under the T2 decay)
 weighted by the amplitudes. A `Detector` reads the cached maps of its
 grid, per (spin system, n_points, dwell), and of its probe setting, per
-(spin system, n_points, dwell, tip). It takes the four populations d of
-a diagonal state (only `probe` takes a density matrix, and rejects
-coherences) and builds no state: the line amplitudes are the probe map,
-or the `readout_map` of a computation, applied to d, both in closed
-form: the probe map is R, and after a readout's unitary U the coherence
-(r, c) of U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ.
+(spin system, n_points, dwell, tip). It takes the deviation diagonal d
+of a diagonal state, its populations less I/4 (`enhanced_deviations`),
+and builds no state: the line amplitudes are the probe map, or the
+`readout_map` of a computation, applied to d, both in closed form: the
+probe map is R, and after a readout's unitary U the coherence (r, c) of
+U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ. Neither sees I/4, so only
+`probe` takes a density matrix: it rejects coherences and probes the
+populations, whose I/4 part gives round-off.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), Gaussian with covariance σ² Re(G Gᴴ) for white
@@ -76,7 +78,7 @@ import numpy as np
 from .quantum import DensityMatrix, Unitary, populations
 from .spinoe import check_seed
 from .spins import (
-    PulseSpec, PulseTarget, SpinSystemConfig, check_finite, enhanced_populations, pulse_unitary,
+    PulseSpec, PulseTarget, SpinSystemConfig, check_finite, enhanced_deviations, pulse_unitary,
 )
 
 PROBE_TIP_MAX = 25.0
@@ -85,8 +87,8 @@ MIN_FID_SAMPLES = 256
 MAX_FID_SAMPLES = 2**20
 RECONSTRUCTION_RESIDUAL_FRAC = 0.05
 # probe integrals up to this many machine epsilons of the largest
-# calibrated response are round-off; a state with no deviation probes at
-# 0.06-0.13 of them for tips of 0.01-25°
+# calibrated response to the state's scale are round-off; the I/4 of a
+# unit-trace state probes at 0.06-0.13 of them for tips of 0.01-25°
 ROUNDOFF_MULTIPLE = 16.0
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
@@ -227,20 +229,20 @@ def readout_map(step: Unitary) -> np.ndarray:
     """A computation `step` followed by the readout, as the read-only
     (channel, line, population) array of a linear map.
 
-    The line amplitudes at a receiver are linear in the state, and a
-    diagonal state is fixed by its populations d, so the (A_plus, A_minus)
-    of a channel after `step` and the 90° y-pulse on the observed spin are
-    `map[channel] @ d`, exact up to rounding (`_amplitude_map`). A
-    single-spin pulse mixes no partners, so 90° gives a clean one-line
-    signature for pure-like states.
+    The line amplitudes at a receiver are linear in the state and blind to
+    its I/4 part, and a diagonal state is fixed by its deviation diagonal
+    d, so the (A_plus, A_minus) of a channel after `step` and the 90°
+    y-pulse on the observed spin are `map[channel] @ d`, exact up to
+    rounding (`_amplitude_map`). A single-spin pulse mixes no partners, so
+    90° gives a clean one-line signature for pure-like states.
     """
     pulses = [pulse_unitary(PulseSpec(PulseTarget(ch.value), 90.0, phase=90.0)) for ch in Channel]
     return _amplitude_map([pulse.matrix @ step.matrix for pulse in pulses])
 
 
 def _amplitude_map(unitaries) -> np.ndarray:
-    """The read-only (channel, line, population) map from the populations of
-    a diagonal state to the line amplitudes after the unitary U of each
+    """The read-only (channel, line, population) map from the diagonal of a
+    diagonal state to the line amplitudes after the unitary U of each
     receiver, H then C: each row is U[r] * conj(U[c]) for its coherence
     (r, c). Only the readout maps are built this way (the probe map is the
     real relations R), and they stay complex, as round-off imaginary parts
@@ -321,19 +323,22 @@ def _probe_setting(
     relations = _probe_response_matrix(tip_angle_deg)
     relations.flags.writeable = False
     probe_map = relations.reshape(2, 2, 4)
-    ref = enhanced_populations(cfg, 1.0, 1.0)
+    ref = enhanced_deviations(cfg, 1.0, 1.0)
     y = ((probe_map @ ref) @ _grid_map(cfg, n_points, dwell)[1].T).real
-    m = relations @ (ref - 0.25)
+    m = relations @ ref
     # a reference near the float range (polarization_unit 1e153 at the
-    # default gamma_ratio) overflows these products, and K is not finite
+    # default gamma_ratio) overflows these products, and K is not finite;
+    # one whose square is subnormal (polarization_unit below ~2e-154 at the
+    # defaults) has lost digits, and K with them
     with np.errstate(over="ignore", invalid="ignore"):
         denom, fit = float(m @ m), float(y.ravel() @ m)
-    if denom == 0.0:
+    if denom < np.finfo(float).tiny:
         raise ReadoutError("thermal reference produced no signal")
     k = fit / denom
     if not math.isfinite(k):
         raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
-    return probe_map, k, _probe_solve(relations, k)
+    # the probed states' scale is the thermal reference's, whatever u is
+    return probe_map, k, _probe_solve(relations, k, float(np.abs(ref).max()))
 
 
 @dataclass(frozen=True)
@@ -399,15 +404,16 @@ class Detector:
         return Noise(self, seed, 0, self.noise_integrals(normals))
 
     def probe(self, d, noise: Noise | None) -> Detection:
-        """The probing experiment on the diagonal state of populations d:
-        simultaneous small-tip y-pulses at the settings' tip, against noise
-        from `draw`. The line amplitudes are `probe_map` applied to d."""
+        """The probing experiment on the diagonal state of deviation diagonal
+        d: simultaneous small-tip y-pulses at the settings' tip, against
+        noise from `draw`. The line amplitudes are `probe_map` applied to d."""
         if np.shape(d) != (4,):
-            raise ValueError("the probe takes the four populations of a two-spin state")
+            raise ValueError("the probe takes the deviation diagonal of a two-spin state")
         return Detection(self, self.probe_map @ d, noise)
 
     def probe_integrals(self, d) -> np.ndarray:
-        """The noise-free (..., channel, partner) probe integrals of populations d."""
+        """The noise-free (..., channel, partner) probe integrals of the
+        (..., 4) deviation diagonals d."""
         return self.line_integrals((self.probe_map @ d[..., None, :, None])[..., 0], None)
 
     def reconstruct(self, y) -> tuple[np.ndarray, dict]:
@@ -539,8 +545,10 @@ def probe(
 
     Small tips leave the state essentially intact while the doublet
     integrals expose the deviation populations; the tip rule and the
-    window rules are those of `DetectionSettings` and `Detector`. A noisy
-    probe is `Detector.probe` of the populations, with `Detector.draw`.
+    window rules are those of `DetectionSettings` and `Detector`. The
+    populations go to `Detector.probe` as they are: R's rows sum to zero,
+    so their I/4 part probes to round-off. A noisy probe is
+    `Detector.probe` of the deviation diagonal, with `Detector.draw`.
     """
     if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
         raise ValueError("the probe takes a diagonal two-spin state")
@@ -557,9 +565,10 @@ def reconstruct_diagonal(
     the traceless constraint, through `_probe_solve` (built per call; a
     `Detector` holds the one of its setting). The four relations are rank
     3 with one internal redundancy, so inconsistent peak data shows up as a
-    residual; residuals above 5% of the largest integral are rejected.
-    Integrals within round-off of zero give the zero diagonal. The tip
-    must pass `check_probe_tip`, the rule of `DetectionSettings`.
+    residual; residuals above 5% of the largest integral are rejected, as
+    are integrals that are not finite. Integrals within the round-off of a
+    unit-trace state give the zero diagonal. The tip must pass
+    `check_probe_tip`, the rule of `DetectionSettings`.
     """
     y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
     check_probe_tip(tip_angle_deg)
@@ -577,11 +586,13 @@ _PINV_Q = np.outer(_G, [1, -1, 1, -1])
 _G.flags.writeable = False
 
 
-def _probe_solve(relations: np.ndarray, calibration: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[np.ndarray, ...]:
     """The reconstruction of the probe relations R of one tip
-    (`_probe_response_matrix`) at one calibration, as read-only arrays: the
-    4×4 solve matrix S, the unit left-null vector v of the calibrated probe
-    response K·R, and the round-off level of the integrals.
+    (`_probe_response_matrix`) at one receiver constant k = K, as read-only
+    arrays: the 4×4 solve matrix S, the unit left-null vector v of the
+    calibrated probe response K·R, and the round-off level of the integrals
+    of states whose largest entry is `scale` (1 for the unit-trace states
+    `reconstruct_diagonal` serves).
 
     S is the pseudo-inverse of the relations stacked on the traceless row,
     restricted to the integrals, so S y is the least-squares diagonal of the
@@ -593,27 +604,28 @@ def _probe_solve(relations: np.ndarray, calibration: float) -> tuple[np.ndarray,
     b = R[0,1]. The left null space is spanned by v = (1,-1,-1,1)/2 at
     every tip, so the norm of the residual y - K·R S y is
     |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2."""
-    if calibration == 0 or not np.isfinite(calibration):
+    if k == 0 or not np.isfinite(k):
         raise ValueError("the receiver constant must be finite and non-zero")
     a, b = relations[0, :2].tolist()
-    solve = _PINV_P / (2 * (a + b) * calibration) + _PINV_Q / (4 * (a - b) * calibration)
+    solve = _PINV_P / (2 * (a + b) * k) + _PINV_Q / (4 * (a - b) * k)
     solve.flags.writeable = False
     # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd; R
     # holds ±a and ±b
-    row_scale = abs(calibration) * max(abs(a), abs(b))
-    return solve, _G, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale
+    row_scale = abs(k) * max(abs(a), abs(b))
+    return solve, _G, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale * scale
 
 
 def _reconstruct(y: np.ndarray, probe_solve) -> tuple[np.ndarray, dict]:
     """`reconstruct_diagonal` of the (..., 4) integrals y (H partner 0, 1, then
     C) through a `_probe_solve`: the (..., 4) diagonals and, by index, the
-    `ReadoutError` of each row that fails the residual gate."""
+    `ReadoutError` of each row that fails the residual gate, or whose
+    integrals left the float range (a NaN or ±inf fits no diagonal)."""
     solve, null, roundoff = probe_solve
     ymax = np.abs(y).max(axis=-1)
     residual = np.abs(y[..., None, :] @ null[:, None])[..., 0, 0]
     signal = ymax > roundoff
     diag = np.where(signal[..., None], (solve @ y[..., None])[..., 0], 0.0)
-    rejected = signal & (residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax)
+    rejected = ~np.isfinite(ymax) | signal & (residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax)
     message = "inconsistent peak data (residual {:.3e} vs max integral {:.3e})"
     rows = map(tuple, np.argwhere(rejected) if rejected.any() else ())
     return diag, {i: ReadoutError(message.format(residual[i], ymax[i])) for i in rows}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labeling import DEFAULT_PERM_ORDER
-from .spins import SpinSystemConfig, check_finite, enhanced_populations
+from .spins import SpinSystemConfig, check_finite, enhanced_deviations
 
 # gap between single-sample experiments: 5 x the 24 s solute T1, after
 # which the solute is taken as fully recovered
@@ -117,11 +117,11 @@ def enhancement_at(p: SpinoeParams, t: float) -> tuple[float, float]:
 
 def sample_initial_states(p: SpinoeParams, cfg: SpinSystemConfig, times, draws) -> np.ndarray:
     """Initial states for experiments whose probes fire at `times`, as
-    read-only (..., time, 4) populations (`enhanced_populations`): each
-    enhancement at its time scaled by 1 + its (..., time, nucleus) jitter
-    draw. Zero draws give a pure function of (p, cfg, times)."""
+    read-only (..., time, 4) deviation diagonals (`enhanced_deviations`):
+    each enhancement at its time scaled by 1 + its (..., time, nucleus)
+    jitter draw. Zero draws give a pure function of (p, cfg, times)."""
     eps = np.array([enhancement_at(p, t) for t in times]) * (1.0 + draws)
-    return enhanced_populations(cfg, eps[..., :1], eps[..., 1:])
+    return enhanced_deviations(cfg, eps[..., :1], eps[..., 1:])
 
 
 # bounded: a pipeline call makes one; typed, so an int r1 keeps int times
@@ -143,9 +143,7 @@ def make_schedule(
     if recovery <= 0:
         raise ValueError("recovery must be positive")
     check_finite(r1=r1, recovery=recovery, start_delay=start_delay)
-    experiments = range(len(DEFAULT_PERM_ORDER))
-    if mode is ScheduleMode.MULTI_SAMPLE:
-        times = tuple(start_delay + r1 for _ in experiments)
-        return ExperimentSchedule(times=times, probe_lead=r1, fresh_sample=True)
-    times = tuple(start_delay + r1 + i * recovery for i in experiments)
-    return ExperimentSchedule(times=times, probe_lead=r1, fresh_sample=False)
+    fresh = mode is ScheduleMode.MULTI_SAMPLE
+    gaps = (0 if fresh else i * recovery for i in range(len(DEFAULT_PERM_ORDER)))
+    times = tuple(start_delay + r1 + gap for gap in gaps)
+    return ExperimentSchedule(times=times, probe_lead=r1, fresh_sample=fresh)

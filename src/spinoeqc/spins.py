@@ -12,6 +12,10 @@ Conventions fixed here and relied on everywhere else:
   with Z_H = diag(1,1,-1,-1), Z_C = diag(1,-1,1,-1), gr the gyromagnetic
   ratio gamma_H/gamma_C and u the overall polarization unit. eps = 1 is
   thermal equilibrium; negative eps means inverted polarization.
+  NMR sees only the deviation part, so outside the density-matrix
+  constructors (`enhanced_state`, `thermal_state`) a state is its deviation
+  diagonal (`enhanced_deviations`), without the I/4: that keeps its digits
+  at any u.
 * Population permutations fix a chosen ground state and cycle the other
   three populations. CYCLE moves the content of the non-ground states
   along increasing index order (for ground |00>: 01 -> 10 -> 11 -> 01);
@@ -99,21 +103,23 @@ class PulseSpec:
             raise ValueError("tip_angle must be in (0, 180] degrees")
 
 
-def enhanced_populations(cfg: SpinSystemConfig, eps_h: float, eps_c: float) -> np.ndarray:
-    """Read-only populations of the state with per-nucleus enhancement
-    factors. Cross-relaxation transfer is incoherent, so enhanced states
-    carry no coherences and their populations are the whole state. eps_h =
-    eps_c = 1 reproduces thermal equilibrium; eps = 0 the fully mixed state.
+def enhanced_deviations(cfg: SpinSystemConfig, eps_h: float, eps_c: float) -> np.ndarray:
+    """Read-only deviation diagonal of the state with per-nucleus
+    enhancement factors: its populations less the I/4 part. Cross-relaxation
+    transfer is incoherent, so enhanced states carry no coherences and this
+    diagonal is all NMR sees of them. eps_h = eps_c = 1 reproduces thermal
+    equilibrium; eps = 0 the fully mixed state, the zero diagonal.
     """
     u = cfg.polarization_unit
-    d = 0.25 + 0.5 * u * (eps_h * cfg.gamma_ratio * Z_H + eps_c * Z_C)
+    d = 0.5 * u * (eps_h * cfg.gamma_ratio * Z_H + eps_c * Z_C)
     d.flags.writeable = False
     return d
 
 
 def enhanced_state(cfg: SpinSystemConfig, eps_h: float, eps_c: float) -> DensityMatrix:
-    """`enhanced_populations` as a density matrix, with zero coherences."""
-    return DensityMatrix.from_diagonal(enhanced_populations(cfg, eps_h, eps_c))
+    """`enhanced_deviations` plus I/4: the unit-trace density matrix, with
+    zero coherences."""
+    return DensityMatrix.from_diagonal(0.25 + enhanced_deviations(cfg, eps_h, eps_c))
 
 
 def thermal_state(cfg: SpinSystemConfig) -> DensityMatrix:

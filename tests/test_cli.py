@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinoeqc.cli as cli
@@ -224,6 +225,40 @@ class TestGrover:
         assert rc == 4
         assert capsys.readouterr().err == "readout failed: thermal reference produced no signal\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", [["grover", "--target", "01"], ["effpure"], ["probe"]],
+        ids=["grover", "effpure", "probe"],
+    )
+    def test_reference_squaring_below_the_normal_floats_is_a_readout_failure(
+        self, tmp_path, capsys, command
+    ):
+        # deviations keep their digits at any scale, but the calibration's
+        # square of a thermal reference at 1e-154 is subnormal
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"polarization_unit": 1e-154}))
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(config), "--out", str(out), *command]) == 4
+        assert capsys.readouterr().err == "readout failed: thermal reference produced no signal\n"
+        config.write_text(json.dumps({"polarization_unit": 1e-153}))
+        assert cli.main(["--config", str(config), "--out", str(out), *command]) == 0
+
+    @pytest.mark.parametrize(
+        "command", [["grover", "--target", "01"], ["effpure"], ["probe", "--state", "enhanced"]],
+        ids=["grover", "effpure", "probe"],
+    )
+    def test_states_past_the_float_range_are_a_readout_failure(self, tmp_path, capsys, command):
+        # probe integrals of inf or NaN once passed as no signal (a zero
+        # diagonal, exit 0) or as a singular labeling; numpy's reports of the
+        # overflow itself are not what this checks
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eps0_h": 1e307, "eps0_c": 1e307}))
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("readout failed: ") and "max integral nan" in err
 
     @pytest.mark.parametrize(
         "command", [["grover", "--all"], ["effpure"], ["probe"]], ids=["grover", "effpure", "probe"]

@@ -80,8 +80,9 @@ def assert_readout_spectra_match_the_oracle(run, params, detection, case):
     within 1e-14 of the FFT oracle on the state the eager route builds."""
     schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
     prep = _prepare(params, CFG, schedule, detection)
-    for d, rec in zip(prep.populations, run.records, strict=True):
-        rho = DensityMatrix.from_diagonal(d)
+    for d, rec in zip(prep.deviations, run.records, strict=True):
+        # the unit-trace state: its I/4 part reads out as nothing
+        rho = DensityMatrix.from_diagonal(0.25 + d)
         assert rec.readout_h is rec.readout.spectra[0]
         assert rec.readout_c is rec.readout.spectra[1]
         step = step_unitary(rec.perm_id, run.result.ground, case)
@@ -178,6 +179,17 @@ class TestDecode:
         a = decode_answer(lines(-8.0, 0.4, 0.3, 7.0))
         b = decode_answer(lines(-8e6, 0.4e6, 0.3e6, 7e6))
         assert a == b == "10"
+
+    @pytest.mark.parametrize(
+        "table",
+        [(np.nan,) * 4, (np.inf, 0.0, np.inf, 0.0), (-np.inf, 0.0, 0.0, np.inf),
+         (10.0, 0.0, np.nan, 10.0), (np.inf, 1.0, -np.inf, 1.0)],
+    )
+    def test_lines_that_are_not_finite_decode_nothing(self, table):
+        # a NaN passes the dominance test (every comparison is false), and an
+        # inf beats any partner, so these once read as answers
+        with pytest.raises(DecodeError, match="readout lines are not finite"):
+            decode_answer(lines(*table))
 
     @pytest.mark.parametrize(
         "values",
@@ -611,9 +623,9 @@ class TestPreparationCache:
         for name in ("lstsq", "cond", "pinv"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         # the calibration's thermal reference
-        reference = counting("enhanced_populations", readout.enhanced_populations)
-        monkeypatch.setattr(readout, "enhanced_populations", reference)
-        # no state is built: the sampled states travel as populations
+        reference = counting("enhanced_deviations", readout.enhanced_deviations)
+        monkeypatch.setattr(readout, "enhanced_deviations", reference)
+        # no state is built: the sampled states travel as deviation diagonals
         init = quantum.DensityMatrix.__post_init__
         monkeypatch.setattr(
             quantum.DensityMatrix, "__post_init__", counting("DensityMatrix", init)
@@ -651,14 +663,14 @@ class TestPreparationCache:
         count(experiments, "sample_initial_states")
         count(readout, "_probe_response_matrix")
         for module in (readout, spinoe, experiments):
-            count(module, "enhanced_populations")
+            count(module, "enhanced_deviations")
         fresh = DetectionSettings(probe_tip_deg=13.579)
         prep = _prepare(SpinoeParams(), CFG, schedule, fresh)
-        assert calls == ["_probe_response_matrix", "enhanced_populations"]
+        assert calls == ["_probe_response_matrix", "enhanced_deviations"]
         monkeypatch.undo()
         clear_preparation_caches()
         cold = _prepare(SpinoeParams(), CFG, schedule, fresh)
-        for name in ("populations", "probed"):
+        for name in ("deviations", "probed"):
             assert np.array_equal(getattr(prep, name), getattr(cold, name))
         for result in ("result", "thermal_result"):
             a, b = getattr(prep, result), getattr(cold, result)
@@ -714,7 +726,7 @@ class TestPreparationCache:
 
 
 def assert_same_preparation(a, b):
-    for name in ("populations", "probed", "noise_integrals"):
+    for name in ("deviations", "probed", "noise_integrals"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None and y is None) or np.array_equal(x, y)
     for name in ("diagonal", "weights"):
@@ -769,6 +781,26 @@ class TestPrepareBatch:
             else:
                 want = _prepare(SpinoeParams(seed=seed), CFG, schedule, detection)
                 assert_same_preparation(got, want)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(exponent=st.floats(-150.0, 150.0))
+    def test_preparation_is_invariant_to_the_polarization_scale(self, exponent):
+        # states travel as deviations, so their digits do not depend on u:
+        # a scaled preparation labels the same ground, with the same weights
+        # and enhancement, at every u from 1e-150 to 1e150 (log-uniform)
+        params, seeds = SpinoeParams(reproducibility_jitter=0.05), [0, 1, 2]
+        scaled = SpinSystemConfig(polarization_unit=10.0 ** exponent)
+        for mode in ScheduleMode:
+            schedule = make_schedule(mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = prepare_batch(params, scaled, schedule, DetectionSettings(), seeds)
+            want = prepare_batch(params, CFG, schedule, DetectionSettings(), seeds)
+            for a, b in zip(got, want, strict=True):
+                assert a.result.ground == b.result.ground
+                assert abs(a.enhancement - b.enhancement) <= 1e-12
+                gap = np.abs(a.result.weights - b.result.weights).max()
+                assert gap <= 1e-12 * np.abs(b.result.weights).max()
 
     @pytest.mark.parametrize("jitter,noise_amp", [(0.0, 0.0), (0.05, 0.01)])
     def test_no_seeds_prepare_nothing(self, monkeypatch, jitter, noise_amp):

@@ -155,6 +155,28 @@ class TestSolveWeights:
             solve_weights([THERMAL] * 2, LabelingPlan(ground=0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 3)])
+def test_non_finite_diagonals_are_rejected_everywhere(bad, entry):
+    # a NaN outside a ground's 2x2 system once passed its singularity bound,
+    # so `label` blamed a finite system and `solve_weights` returned NaN
+    # weights; every entry point now refuses it, with no warning
+    diags = np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 2.0, 0.0]])
+    diags[entry] = bad
+    calls = (
+        lambda: label(diags),
+        lambda: label_batch([DECAYING, diags]),
+        lambda: solve_weights(diags, LabelingPlan(ground=1)),
+        lambda: assemble_effective_pure(diags, LabelingPlan(ground=1), [1.0, 1.0, 1.0]),
+        lambda: choose_ground(diags),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="diagonals must be finite"):
+                call()
+
+
 class TestAssemble:
     def test_thermal_triple_closed_form(self):
         plan = LabelingPlan(ground=0)

@@ -37,6 +37,7 @@ from spinoeqc.spins import (
     PulseSpec,
     PulseTarget,
     SpinSystemConfig,
+    enhanced_deviations,
     enhanced_state,
     pulse_unitary,
     thermal_state,
@@ -654,7 +655,7 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
         det.probe(populations(thermal_state(CFG)), None)
         for d in (np.full(2, 0.5), np.eye(4) / 4, np.float64(1.0)):
-            with pytest.raises(ValueError, match="the probe takes the four populations"):
+            with pytest.raises(ValueError, match="the probe takes the deviation diagonal"):
                 det.probe(d, None)
         # a density matrix reaches detection only through `probe`, which
         # rejects coherences
@@ -790,6 +791,23 @@ class TestReconstruction:
         k = calibrate(CFG, 15.0)
         with pytest.raises(ReadoutError, match="inconsistent"):
             reconstruct_diagonal(PeakTable([1e-12 * k, 0.0]), PeakTable([0.0, 0.0]), 15.0, k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_peaks_past_the_float_range_fit_no_diagonal(self, bad):
+        # a NaN integral once read as no signal, the zero diagonal, and an
+        # inf one passed the residual gate with an inf or NaN diagonal
+        det = Detector(CFG, DetectionSettings())
+        clean = det.probe_integrals(enhanced_deviations(CFG, -11.0, 18.0)).reshape(4)
+        rows = np.array([clean, clean, clean, clean])
+        rows[1, 0], rows[2, 3], rows[3] = bad, bad, bad
+        # numpy reports the arithmetic on them; the gate makes it an error
+        with np.errstate(invalid="ignore"):
+            _, errors = det.reconstruct(rows)
+            assert sorted(errors) == [(1,), (2,), (3,)]
+            with pytest.raises(ReadoutError):
+                reconstruct_diagonal(
+                    PeakTable([bad, 0.0]), PeakTable([0.0, 0.0]), 15.0, det.receiver_constant
+                )
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(

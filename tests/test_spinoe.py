@@ -17,7 +17,8 @@ from spinoeqc.spinoe import (
     make_schedule,
     sample_initial_states,
 )
-from spinoeqc.spins import SpinSystemConfig, enhanced_populations
+from spinoeqc.quantum import populations
+from spinoeqc.spins import SpinSystemConfig, enhanced_deviations, enhanced_state
 
 CFG = SpinSystemConfig()
 
@@ -53,15 +54,15 @@ class TestEnhancementAt:
             enhancement_at(SpinoeParams(), -0.1)
 
 
-UNJITTERED = enhanced_populations(CFG, -11.0, 18.0)
+UNJITTERED = enhanced_deviations(CFG, -11.0, 18.0)
 
 
 def prepared_states(jitter: float, mode: ScheduleMode, seeds) -> np.ndarray:
-    """The (seed, experiment, 4) populations `prepare_batch` samples."""
+    """The (seed, experiment, 4) deviation diagonals `prepare_batch` samples."""
     p = SpinoeParams(reproducibility_jitter=jitter)
     schedule = make_schedule(mode, 25.0, DEFAULT_RECOVERY_S)
     batch = prepare_batch(p, CFG, schedule, DetectionSettings(), seeds)
-    return np.array([prep.populations for prep in batch])
+    return np.array([prep.deviations for prep in batch])
 
 
 class TestSampleInitialState:
@@ -69,6 +70,8 @@ class TestSampleInitialState:
         d = sample_initial_states(SpinoeParams(), CFG, (0.0,), np.zeros(2))
         assert d.shape == (1, 4)
         assert np.array_equal(d[0], UNJITTERED)
+        # the deviation diagonal of the enhanced state: its populations less I/4
+        assert np.array_equal(0.25 + d[0], populations(enhanced_state(CFG, -11.0, 18.0)))
 
     def test_no_jitter_is_deterministic_function_of_time(self):
         # without jitter a fresh sample is the same state whatever its seed
@@ -81,8 +84,8 @@ class TestSampleInitialState:
         draws = np.array([[0.1, -0.2], [0.0, 0.3]])
         d = sample_initial_states(p, CFG, (0.0, 137.0), draws)
         (h0, c0), (h1, c1) = enhancement_at(p, 0.0), enhancement_at(p, 137.0)
-        assert_allclose(d[0], enhanced_populations(CFG, 1.1 * h0, 0.8 * c0), rtol=1e-15)
-        assert_allclose(d[1], enhanced_populations(CFG, h1, 1.3 * c1), rtol=1e-15)
+        assert_allclose(d[0], enhanced_deviations(CFG, 1.1 * h0, 0.8 * c0), rtol=1e-15)
+        assert_allclose(d[1], enhanced_deviations(CFG, h1, 1.3 * c1), rtol=1e-15)
 
     def test_jitter_reproducible_under_fixed_seed(self):
         a, b = (prepared_states(0.05, ScheduleMode.MULTI_SAMPLE, [42]) for _ in range(2))
@@ -103,17 +106,17 @@ class TestSampleInitialState:
 
     def test_long_time_gives_thermal(self):
         d = sample_initial_states(SpinoeParams(), CFG, (1e9,), np.zeros(2))
-        assert_allclose(d[0], enhanced_populations(CFG, 1.0, 1.0), atol=1e-12)
+        assert_allclose(d[0], enhanced_deviations(CFG, 1.0, 1.0), atol=1e-12)
 
     def test_sampled_states_have_zero_off_diagonals(self):
         p = SpinoeParams(reproducibility_jitter=0.2)
         draws = 0.2 * np.random.default_rng(9).standard_normal((3, 2))
-        # a sampled state is its four real populations, so it carries no
-        # coherences by construction
+        # a sampled state is its real deviation diagonal, so it carries no
+        # coherences by construction, and no trace
         d = sample_initial_states(p, CFG, (0.0, 50.0, 500.0), draws)
         assert d.shape == (3, 4) and d.dtype == np.float64
         assert not d.flags.writeable
-        assert_allclose(d.sum(axis=-1), 1.0, atol=1e-12)
+        assert_allclose(d.sum(axis=-1), 0.0, atol=1e-12)
 
 
 class TestSchedules:

@@ -9,7 +9,7 @@ from spinoeqc.spins import (
     PulseTarget,
     SpinSystemConfig,
     cycle_source_indices,
-    enhanced_populations,
+    enhanced_deviations,
     enhanced_state,
     permutation_pulse_sequence,
     pulse_unitary,
@@ -100,10 +100,11 @@ class TestInitialStates:
         dev = populations(enhanced_state(SpinSystemConfig(), -11.0, 18.0)) - 0.25
         assert_allclose(dev, [-13.0, -31.0, 31.0, 13.0])
 
-    def test_enhanced_state_wraps_the_read_only_populations(self):
+    def test_enhanced_state_wraps_the_read_only_deviations(self):
+        # the density matrix is the one place that adds the I/4 part
         cfg = SpinSystemConfig(gamma_ratio=3.976, polarization_unit=0.73)
-        d = enhanced_populations(cfg, -11.0, 18.0)
-        assert np.array_equal(populations(enhanced_state(cfg, -11.0, 18.0)), d)
+        d = enhanced_deviations(cfg, -11.0, 18.0)
+        assert np.array_equal(populations(enhanced_state(cfg, -11.0, 18.0)), 0.25 + d)
         with pytest.raises(ValueError):
             d[0] = 1.0
 
