@@ -309,11 +309,14 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     system = cfg.spin_system()
     eps = (1.0, 1.0) if args.state == "thermal" else (cfg.eps0_h, cfg.eps0_c)
     detector = Detector(system, cfg.detection())
-    detection = detector.probe(enhanced_deviations(system, *eps), detector.draw(cfg.seed))
-    diag, errors = detector.reconstruct(detection.integrals.reshape(4))
+    d, noise = enhanced_deviations(system, *eps), detector.draw(cfg.seed)
+    y = detector.probe_integrals(d)
+    diag, errors = detector.reconstruct((y if noise is None else y + noise[0]).reshape(4))
     if errors:
         raise errors[()]
-    _dump_spectra(out, f"probe_{args.state}", detection.spectra, args.svg)
+    noise_spectra = None if noise is None else detector.noise_spectra(cfg.seed, noise)[0]
+    spectra = detector.spectra(detector.probe_map @ d, noise_spectra)
+    _dump_spectra(out, f"probe_{args.state}", spectra, args.svg)
     report = {
         "run_id": run_id(cfg.echo(), args.state),
         "config": cfg.echo(),

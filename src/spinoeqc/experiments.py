@@ -31,8 +31,9 @@ The seed names every random draw. Its normals, in stream order, are per
 probe the sample jitter (two, only for fresh samples and only with
 `reproducibility_jitter` > 0) and the probe noise (two per channel), then
 the readout noise of every experiment. Readout i is detection i of the
-seed (`readout.Noise`), so its spectra draw their noise vectors from the
-seed's children 2i and 2i + 1; a probe's vectors are never read.
+seed, so its spectra draw their noise vectors from the seed's children
+2i and 2i + 1 (`Detector.noise_spectra`, built once per preparation on
+the first spectrum read); a probe's vectors are never read.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -63,9 +64,7 @@ from .labeling import (
     label_batch,
 )
 from .quantum import Unitary, compose
-from .readout import (
-    Detection, DetectionSettings, Detector, Noise, ReadoutError, Spectrum, readout_map,
-)
+from .readout import DetectionSettings, Detector, ReadoutError, Spectrum, readout_map
 from .spinoe import (
     DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ExperimentSchedule, ScheduleMode,
     SpinoeParams, check_seed, make_schedule, sample_initial_states,
@@ -103,21 +102,32 @@ class GroverCase:
 
 @dataclass(eq=False)
 class ExperimentRecord:
-    """One probe + compute run of a pipeline."""
+    """One probe + compute run of a pipeline: experiment `index` of
+    `preparation`, with the read-only (channel, line) line `amplitudes` at
+    its receivers. Its spectra are built on first read."""
 
     schedule_time: float
     probe_time: float
     probed_diagonal: np.ndarray
     perm_id: PermutationId
-    readout: Detection = field(repr=False)
+    amplitudes: np.ndarray = field(repr=False)
+    preparation: Preparation = field(repr=False)
+    index: int = field(repr=False)
+
+    @functools.cached_property
+    def spectra(self) -> tuple[Spectrum, Spectrum]:
+        """The H and C readout spectra, with this experiment's row of the
+        preparation's `noise_spectra`."""
+        prep, noise = self.preparation, self.preparation.noise_spectra
+        return prep.detector.spectra(self.amplitudes, None if noise is None else noise[self.index])
 
     @property
     def readout_h(self) -> Spectrum:
-        return self.readout.spectra[0]
+        return self.spectra[0]
 
     @property
     def readout_c(self) -> Spectrum:
-        return self.readout.spectra[1]
+        return self.spectra[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +145,11 @@ class EffectivePureRun:
 
     @functools.cached_property
     def records(self) -> list[ExperimentRecord]:
-        """One record per experiment, each with its readout `Detection`."""
+        """One record per experiment, in schedule order."""
         prep, s = self.preparation, self.schedule
         parts = zip(s.times, s.probe_times, prep.probed, DEFAULT_PERM_ORDER,
-                    self.receiver_amplitudes, prep.readout_noise)
-        return [
-            ExperimentRecord(t, probe_time, diag, perm, Detection(prep.detector, a, noise))
-            for t, probe_time, diag, perm, a, noise in parts
-        ]
+                    self.receiver_amplitudes)
+        return [ExperimentRecord(*part, prep, i) for i, part in enumerate(parts)]
 
     @property
     def sum_readout_h(self) -> Spectrum:
@@ -206,10 +213,9 @@ def _weighted_spectrum(spectra: list[Spectrum], weights: np.ndarray) -> Spectrum
 class Preparation:
     """What a labeled run does apart from its computation: per experiment
     (a read-only row each) the sampled deviation diagonals
-    (`sample_initial_states`), probed diagonals and readout noise integrals
-    (None with noise off), and the labeling with its enhancement.
-    `readout_noise` builds each readout's `Noise` on first read, readout i
-    as detection i of `seed`."""
+    (`sample_initial_states`), probed diagonals and (channel, line) readout
+    noise integrals (None with noise off), and the labeling with its
+    enhancement. Readout i is detection i of `seed`."""
 
     detector: Detector
     seed: int
@@ -221,12 +227,13 @@ class Preparation:
     noise_integrals: np.ndarray | None = field(repr=False)
 
     @functools.cached_property
-    def readout_noise(self) -> tuple[Noise | None, ...]:
-        """The `Noise` of each readout, shared by every run on this preparation."""
-        noise = self.noise_integrals
-        if noise is None:
-            return (None,) * len(self.probed)
-        return tuple(Noise(self.detector, self.seed, i, y) for i, y in enumerate(noise))
+    def noise_spectra(self) -> np.ndarray | None:
+        """The read-only (experiment, channel, sample) `Detector.noise_spectra`
+        of the readouts (None with noise off), built on the first spectrum
+        read and shared by every run on this preparation."""
+        if self.noise_integrals is None:
+            return None
+        return self.detector.noise_spectra(self.seed, self.noise_integrals)
 
 
 def prepare_batch(
@@ -256,9 +263,9 @@ def prepare_batch(
         readout_normals = normals[:, probe_draws:].reshape(n, n_exp, noise)
         both = np.concatenate((draws[..., jitter:], readout_normals), axis=1)
         integrals = detector.noise_integrals(both.reshape(n, 2 * n_exp, 2, 2))
-        y, readout_noise = clean + integrals[:, :n_exp], integrals[:, n_exp:]
+        y, readout_integrals = clean + integrals[:, :n_exp], integrals[:, n_exp:]
     else:
-        y, readout_noise = np.broadcast_to(clean, (n, n_exp, 2, 2)), None
+        y, readout_integrals = np.broadcast_to(clean, (n, n_exp, 2, 2)), None
     probed, errors = detector.reconstruct(y.reshape(n, n_exp, 4))
     probed.flags.writeable = False
     outcomes = {}
@@ -268,7 +275,7 @@ def prepare_batch(
     passed = [k for k in range(n) if k not in outcomes]
     thermal = _thermal_reference(cfg)
     for k, result in zip(passed, label_batch(probed[passed] if len(passed) < n else probed)):
-        noise_k = None if readout_noise is None else readout_noise[k]
+        noise_k = None if readout_integrals is None else readout_integrals[k]
         outcomes[k] = result if isinstance(result, SingularLabelingSystem) else Preparation(
             detector, seeds[k], states[k] if jitter else states, probed[k], result, thermal,
             enhancement_factor(result, thermal), noise_k,

@@ -48,21 +48,24 @@ of a diagonal state, its populations less I/4 (`enhanced_deviations`),
 and builds no state: the line amplitudes are the probe map, or the
 `readout_map` of a computation, applied to d, both in closed form: the
 probe map is R, and after a readout's unitary U the coherence (r, c) of
-U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ. Neither sees I/4, so only
-`probe` takes a density matrix: it rejects coherences and probes the
+U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ. `Detector.spectra` weights
+the unit line spectra by them. Neither map sees I/4, so only `probe`
+takes a density matrix: it rejects coherences and probes the
 populations, whose I/4 part gives round-off.
 
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), Gaussian with covariance σ² Re(G Gᴴ) for white
-noise of amplitude σ, so it draws just those, 2 normals per channel. One
-rule names every draw: detection i of a seed draws its full vectors from
-the child seeds `SeedSequence(seed, spawn_key=(2i + c,))` of its channels
-c (H = 0, C = 1). A `Noise` holds the seed, the index and the drawn
-integrals; its vectors are built only when a spectrum is read,
-conditioned on those integrals, so an exported spectrum integrates to
-the integrals the pipeline used. A lone detection (`Detector.draw`) is
-index 0 with its integrals from the first four normals of the seed. A
-`Detection` holds both channels.
+noise of amplitude σ, so it draws just those, 2 normals per channel
+(`Detector.noise_integrals`). One rule names every draw: detection i of
+a seed draws its full vectors from the child seeds
+`SeedSequence(seed, spawn_key=(2i + c,))` of its channels c (H = 0,
+C = 1), conditioned on its drawn integrals, so an exported spectrum
+integrates to the integrals the pipeline used. `Detector.noise_spectra`
+builds them for a (detection, channel, line) array of integrals, only
+when a spectrum is read, and their owner keeps them: a `Preparation` for
+its readouts, the `probe` command for its lone detection
+(`Detector.draw`, index 0, its integrals from the first four normals of
+the seed).
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ RECONSTRUCTION_RESIDUAL_FRAC = 0.05
 ROUNDOFF_MULTIPLE = 16.0
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+_PAST_FLOAT_RANGE = "probe integrals are not finite; the probed state leaves the float range"
 
 
 class Channel(enum.Enum):
@@ -217,12 +221,6 @@ def integrate_peaks(spec: Spectrum, cfg: SpinSystemConfig) -> PeakTable:
         np.sum(spec.values[mask].real) * spec.df for mask in _line_windows(spec.freqs, cfg)
     ]
     return PeakTable(integrals)
-
-
-def _draw_noise(n_samples: int, noise_amp: float, seed: np.random.SeedSequence) -> np.ndarray:
-    """Complex white receiver noise for one FID, drawn from `seed`."""
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, noise_amp, n_samples) + 1j * rng.normal(0.0, noise_amp, n_samples)
 
 
 def readout_map(step: Unitary) -> np.ndarray:
@@ -393,113 +391,67 @@ class Detector:
         y = (amplitudes @ self.response.T).real
         return y if noise is None else y + noise
 
-    def draw(self, seed: int) -> Noise | None:
-        """Receiver noise of a lone detection at the settings' level (None
-        with noise off): the `Noise` of index 0 of `seed`, its integrals
-        from the first four normals of `default_rng(seed)`."""
+    def draw(self, seed: int) -> np.ndarray | None:
+        """The read-only (1, channel, line) noise integrals of a lone
+        detection at the settings' level (None with noise off): detection 0
+        of `seed`, from the first four normals of `default_rng(seed)`."""
         check_seed(seed)
         if self.settings.noise_amp <= 0:
             return None
-        normals = np.random.default_rng(seed).standard_normal((2, 2))
-        return Noise(self, seed, 0, self.noise_integrals(normals))
+        return self.noise_integrals(np.random.default_rng(seed).standard_normal((1, 2, 2)))
 
-    def probe(self, d, noise: Noise | None) -> Detection:
-        """The probing experiment on the diagonal state of deviation diagonal
-        d: simultaneous small-tip y-pulses at the settings' tip, against
-        noise from `draw`. The line amplitudes are `probe_map` applied to d."""
-        if np.shape(d) != (4,):
-            raise ValueError("the probe takes the deviation diagonal of a two-spin state")
-        return Detection(self, self.probe_map @ d, noise)
+    def noise_vectors(self, seed: int, integrals: np.ndarray) -> np.ndarray:
+        """The read-only (detection, channel, sample) receiver noise vectors
+        of detections 0, 1, … of `seed`, given their (detection, channel,
+        line) noise `integrals`.
+
+        Detection i draws the white noise m of channel c from the child seed
+        `SeedSequence(seed, spawn_key=(2i + c,))` and conditions it on its
+        line integrals y: n = m - Σₖ conj(gₖ) [C⁻¹ (Re(G m) - y)]ₖ. Its law is
+        still that of white noise, and Re(G n) = y."""
+        n, amp = self.settings.n_points, self.settings.noise_amp
+        cov = self.noise_factor @ self.noise_factor.T
+        vectors = np.empty((*integrals.shape[:2], n), dtype=complex)
+        for i, c in np.ndindex(integrals.shape[:2]):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2 * i + c,)))
+            m = rng.normal(0.0, amp, n) + 1j * rng.normal(0.0, amp, n)
+            excess = np.linalg.solve(cov, (self.windows @ m).real - integrals[i, c])
+            vectors[i, c] = m - excess @ self.windows.conj()
+        vectors.flags.writeable = False
+        return vectors
+
+    def noise_spectra(self, seed: int, integrals: np.ndarray) -> np.ndarray:
+        """What the `noise_vectors` add to the spectra, read-only: their
+        transforms, first point halved as for the unit lines."""
+        values = _transform(self.noise_vectors(seed, integrals))
+        values.flags.writeable = False
+        return values
+
+    def spectra(self, amplitudes, noise: np.ndarray | None = None) -> tuple[Spectrum, Spectrum]:
+        """The H and C spectra of (channel, line) amplitudes: the grid's unit
+        line spectra weighted by them, plus a (channel, sample) row of
+        `noise_spectra` when one is given."""
+        freqs, line_spectra = _spectra_map(self.cfg, self.settings.n_points, self.settings.dwell)
+        values = amplitudes @ line_spectra
+        if noise is not None:
+            values += noise
+        h, c = (Spectrum(channel, freqs, v) for channel, v in zip(Channel, values))
+        return h, c
 
     def probe_integrals(self, d) -> np.ndarray:
         """The noise-free (..., channel, partner) probe integrals of the
-        (..., 4) deviation diagonals d."""
-        return self.line_integrals((self.probe_map @ d[..., None, :, None])[..., 0], None)
+        (..., 4) deviation diagonals d: simultaneous small-tip y-pulses at
+        the settings' tip, whose line amplitudes are `probe_map` applied to
+        d. Integrals past the float range are left to `reconstruct`."""
+        d = np.asarray(d)
+        if d.shape[-1:] != (4,):
+            raise ValueError("the probe takes the deviation diagonal of a two-spin state")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.line_integrals((self.probe_map @ d[..., None, :, None])[..., 0], None)
 
     def reconstruct(self, y) -> tuple[np.ndarray, dict]:
         """`_reconstruct` of the (..., 4) probe integrals y at this setting."""
         return _reconstruct(y, self.probe_solve)
-
-
-@dataclass(frozen=True, eq=False)
-class Noise:
-    """Receiver noise of detection `index` of `seed`: the read-only
-    (channel, line) noise integrals drawn for it, H then C. The detections
-    against one `Noise` share its vectors."""
-
-    detector: Detector = field(repr=False)
-    seed: int
-    index: int
-    integrals: np.ndarray = field(repr=False)
-
-    @functools.cached_property
-    def seeds(self) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-        """The child seeds of the H and C channels, 2·index and 2·index + 1."""
-        first = 2 * self.index
-        return tuple(np.random.SeedSequence(self.seed, spawn_key=(k,)) for k in (first, first + 1))
-
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """The (channel, sample) receiver noise vectors, read-only.
-
-        Per channel, white noise m drawn from its child seed, conditioned on
-        the drawn line integrals y: n = m - Σₖ conj(gₖ) [C⁻¹ (Re(G m) - y)]ₖ.
-        Its law is still that of white noise, and Re(G n) = y."""
-        det, settings = self.detector, self.detector.settings
-        cov = det.noise_factor @ det.noise_factor.T
-        vectors = []
-        for seed, y in zip(self.seeds, self.integrals):
-            m = _draw_noise(settings.n_points, settings.noise_amp, seed)
-            excess = np.linalg.solve(cov, (det.windows @ m).real - y)
-            vectors.append(m - excess @ det.windows.conj())
-        vectors = np.array(vectors)
-        vectors.flags.writeable = False
-        return vectors
-
-    @functools.cached_property
-    def transforms(self) -> np.ndarray:
-        """What the noise vectors add to the two spectra, read-only: their
-        transforms, first point halved as for the lines of the grid map."""
-        values = _transform(self.vectors)
-        values.flags.writeable = False
-        return values
-
-
-@dataclass(frozen=True, eq=False)
-class Detection:
-    """One detection of both channels: the read-only (channel, line)
-    amplitudes at the receivers, H then C, and the noise drawn for it
-    (`Detector.draw`; None with noise off). Line integrals and spectra come
-    from the detector's map, and are built only when asked for."""
-
-    detector: Detector = field(repr=False)
-    amplitudes: np.ndarray = field(repr=False)
-    noise: Noise | None = field(repr=False)
-
-    def __post_init__(self):
-        self.amplitudes.flags.writeable = False
-
-    @functools.cached_property
-    def integrals(self) -> np.ndarray:
-        """The read-only (channel, partner) line integrals."""
-        y = self.detector.line_integrals(
-            self.amplitudes, None if self.noise is None else self.noise.integrals
-        )
-        y.flags.writeable = False
-        return y
-
-    @functools.cached_property
-    def spectra(self) -> tuple[Spectrum, Spectrum]:
-        """The H and C spectra: the unit line spectra weighted by the
-        amplitudes, plus the transforms of the noise vectors when noise is
-        on."""
-        settings = self.detector.settings
-        freqs, line_spectra = _spectra_map(self.detector.cfg, settings.n_points, settings.dwell)
-        values = self.amplitudes @ line_spectra
-        if self.noise is not None:
-            values += self.noise.transforms
-        h, c = (Spectrum(channel, freqs, v) for channel, v in zip(Channel, values))
-        return h, c
 
 
 def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
@@ -546,14 +498,15 @@ def probe(
     Small tips leave the state essentially intact while the doublet
     integrals expose the deviation populations; the tip rule and the
     window rules are those of `DetectionSettings` and `Detector`. The
-    populations go to `Detector.probe` as they are: R's rows sum to zero,
-    so their I/4 part probes to round-off. A noisy probe is
-    `Detector.probe` of the deviation diagonal, with `Detector.draw`.
+    populations go to the probe map as they are: R's rows sum to zero, so
+    their I/4 part probes to round-off. A noisy probe adds a row of
+    `Detector.noise_spectra` of a `Detector.draw`, as the `probe` command
+    does.
     """
     if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
         raise ValueError("the probe takes a diagonal two-spin state")
     detector = Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg))
-    return detector.probe(populations(rho), None).spectra
+    return detector.spectra(detector.probe_map @ populations(rho))
 
 
 def reconstruct_diagonal(
@@ -621,14 +574,20 @@ def _reconstruct(y: np.ndarray, probe_solve) -> tuple[np.ndarray, dict]:
     `ReadoutError` of each row that fails the residual gate, or whose
     integrals left the float range (a NaN or ±inf fits no diagonal)."""
     solve, null, roundoff = probe_solve
-    ymax = np.abs(y).max(axis=-1)
-    residual = np.abs(y[..., None, :] @ null[:, None])[..., 0, 0]
-    signal = ymax > roundoff
-    diag = np.where(signal[..., None], (solve @ y[..., None])[..., 0], 0.0)
-    rejected = ~np.isfinite(ymax) | signal & (residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax)
+    # a row past the float range turns to NaN here, and is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ymax = np.abs(y).max(axis=-1)
+        residual = np.abs(y[..., None, :] @ null[:, None])[..., 0, 0]
+        signal = ymax > roundoff
+        diag = np.where(signal[..., None], (solve @ y[..., None])[..., 0], 0.0)
+    finite = np.isfinite(ymax)
+    rejected = ~finite | signal & (residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax)
     message = "inconsistent peak data (residual {:.3e} vs max integral {:.3e})"
     rows = map(tuple, np.argwhere(rejected) if rejected.any() else ())
-    return diag, {i: ReadoutError(message.format(residual[i], ymax[i])) for i in rows}
+    return diag, {
+        i: ReadoutError(message.format(residual[i], ymax[i]) if finite[i] else _PAST_FLOAT_RANGE)
+        for i in rows
+    }
 
 
 @functools.lru_cache(maxsize=4)

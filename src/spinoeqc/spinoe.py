@@ -136,8 +136,10 @@ def make_schedule(
     r1 (probe at the sample's t = 0). SINGLE_SAMPLE spaces experiments by
     the recovery gap on one decaying sample, the first at r1. start_delay
     shifts the whole schedule to model an aged sample. The recovery gap
-    must be positive in either mode.
+    must be positive in either mode; any other mode raises ValueError.
     """
+    if not isinstance(mode, ScheduleMode):
+        raise ValueError(f"mode must be ScheduleMode.MULTI_SAMPLE or SINGLE_SAMPLE, not {mode!r}")
     if start_delay < 0:
         raise ValueError("start_delay must be non-negative")
     if recovery <= 0:

@@ -248,17 +248,19 @@ class TestGrover:
         ids=["grover", "effpure", "probe"],
     )
     def test_states_past_the_float_range_are_a_readout_failure(self, tmp_path, capsys, command):
-        # probe integrals of inf or NaN once passed as no signal (a zero
-        # diagonal, exit 0) or as a singular labeling; numpy's reports of the
-        # overflow itself are not what this checks
+        # probe integrals of inf or NaN are a readout failure that names the
+        # float range, not the peaks, with no numpy warning on the way
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"eps0_h": 1e307, "eps0_c": 1e307}))
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = cli.main(["--config", str(config), "--out", str(out), *command])
         assert rc == 4
-        err = capsys.readouterr().err
-        assert err.startswith("readout failed: ") and "max integral nan" in err
+        message = "probe integrals are not finite; the probed state leaves the float range"
+        experiment = "" if command[0] == "probe" else r"experiment 1 \(probe at \d+\.0 s\): "
+        assert re.fullmatch(f"readout failed: {experiment}{message}\n", capsys.readouterr().err)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command", [["grover", "--all"], ["effpure"], ["probe"]], ids=["grover", "effpure", "probe"]

@@ -47,7 +47,7 @@ from spinoeqc.spins import (
     permutation_pulse_sequence,
     pulse_unitary,
 )
-from test_readout import MODULES, coherences, fft_spectrum, noise_vectors, relative_gap
+from test_readout import MODULES, coherences, conditioned_noise, fft_spectrum, relative_gap
 
 CFG = SpinSystemConfig()
 ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
@@ -75,6 +75,15 @@ def receiver_state(rho, step, channel):
     return apply_unitary(apply_unitary(rho, step), pulse)
 
 
+def record_noise_vectors(rec):
+    """The (channel, sample) readout noise vectors of a record, None when
+    noise is off."""
+    prep = rec.preparation
+    if prep.noise_integrals is None:
+        return (None, None)
+    return prep.detector.noise_vectors(prep.seed, prep.noise_integrals)[rec.index]
+
+
 def assert_readout_spectra_match_the_oracle(run, params, detection, case):
     """Each record's exported readout spectra are its detection's own, and
     within 1e-14 of the FFT oracle on the state the eager route builds."""
@@ -83,10 +92,10 @@ def assert_readout_spectra_match_the_oracle(run, params, detection, case):
     for d, rec in zip(prep.deviations, run.records, strict=True):
         # the unit-trace state: its I/4 part reads out as nothing
         rho = DensityMatrix.from_diagonal(0.25 + d)
-        assert rec.readout_h is rec.readout.spectra[0]
-        assert rec.readout_c is rec.readout.spectra[1]
+        assert rec.readout_h is rec.spectra[0]
+        assert rec.readout_c is rec.spectra[1]
         step = step_unitary(rec.perm_id, run.result.ground, case)
-        for channel, spec, noise in zip(Channel, rec.readout.spectra, noise_vectors(rec.readout)):
+        for channel, spec, noise in zip(Channel, rec.spectra, record_noise_vectors(rec)):
             state = receiver_state(rho, step, channel)
             want = fft_spectrum(state, CFG, channel, 4096, 1e-3, noise)
             assert np.array_equal(spec.freqs, want.freqs)
@@ -353,7 +362,8 @@ class TestGroverPipeline:
         def no_spectra(*args, **kwargs):
             raise AssertionError("spectrum built in the pipeline")
 
-        monkeypatch.setattr(readout.Detection, "spectra", property(no_spectra))
+        monkeypatch.setattr(readout.Detector, "spectra", no_spectra)
+        monkeypatch.setattr(readout.Detector, "noise_spectra", no_spectra)
         params, detection = SpinoeParams(seed=3), DetectionSettings(noise_amp=0.05)
         run = run_grover_pipeline(params, CFG, GroverCase("01"), detection=detection)
         assert run.decoded == "01"
@@ -386,12 +396,13 @@ def noisy_run(mode, target=None, params=NOISY_PARAMS, detection=NOISY_DETECTION)
 
 
 def run_arrays(run):
-    """Weights, then per record the probed diagonal and both channels'
-    readout integrals and spectra."""
-    arrays = [run.result.weights]
+    """Weights and readout noise integrals, then per record the probed
+    diagonal, the line amplitudes of both channels and their spectra."""
+    noise = run.preparation.noise_integrals
+    arrays = [run.result.weights, *([] if noise is None else [noise])]
     for rec in run.records:
-        arrays += [rec.probed_diagonal, rec.readout.integrals]
-        arrays += [spec.values for spec in rec.readout.spectra]
+        arrays += [rec.probed_diagonal, rec.amplitudes]
+        arrays += [spec.values for spec in rec.spectra]
     return arrays
 
 
@@ -431,7 +442,7 @@ class TestReadoutMap:
                 (det.response @ coherences(receiver_state(rho, step, ch), ch)).real
                 for ch in Channel
             ])
-            got = readout.Detection(det, record_map(perm, ground, case) @ d, None).integrals
+            got = det.line_integrals(record_map(perm, ground, case) @ d, None)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_readout_amplitudes_are_real(self):
@@ -538,18 +549,22 @@ class TestPreparationCache:
         noisy_run(ScheduleMode.MULTI_SAMPLE, "11")
         run = noisy_run(ScheduleMode.MULTI_SAMPLE, "10")
         amp = NOISY_DETECTION.noise_amp
-        factor = run.records[0].readout.detector.noise_factor
+        prep = run.preparation
+        factor = prep.detector.noise_factor
         rng = np.random.default_rng(NOISY_PARAMS.seed)
         for _ in run.records:
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.standard_normal(4)
+        vectors = prep.detector.noise_vectors(prep.seed, prep.noise_integrals)
         for i, rec in enumerate(run.records):
-            noise = rec.readout.noise
-            assert np.array_equal(noise.integrals, amp * rng.standard_normal((2, 2)) @ factor.T)
-            for channel, seed in enumerate(noise.seeds):
-                assert seed.entropy == NOISY_PARAMS.seed
-                assert seed.spawn_key == (2 * i + channel,)
+            noise = prep.noise_integrals[rec.index]
+            assert rec.index == i
+            assert np.array_equal(noise, amp * rng.standard_normal((2, 2)) @ factor.T)
+            for channel, y in enumerate(noise):
+                child = np.random.SeedSequence(NOISY_PARAMS.seed, spawn_key=(2 * i + channel,))
+                want = conditioned_noise(prep.detector, child, y)
+                assert np.array_equal(vectors[i, channel], want)
 
     def test_noise_is_drawn_once_per_preparation(self, monkeypatch):
         integrals, drawn = readout.Detector.noise_integrals, []
@@ -562,46 +577,50 @@ class TestPreparationCache:
         runs = [noisy_run(ScheduleMode.SINGLE_SAMPLE, t) for t in GROVER_TARGETS]
         # one batch per preparation: the three probes' noise, then the readouts'
         assert drawn == [(1, 6, 2, 2)]
-        noises = runs[0].preparation.readout_noise
-        assert len(noises) == len(set(map(id, noises))) == 3
+        noise = runs[0].preparation.noise_integrals
+        assert noise.shape == (3, 2, 2)
         for run in runs:
-            for rec, noise in zip(run.records, noises, strict=True):
-                assert rec.readout.noise is noise
-                with pytest.raises(ValueError):
-                    rec.readout.noise.integrals[0, 0] = 1.0
+            assert run.preparation.noise_integrals is noise
+            for i, rec in enumerate(run.records):
+                assert rec.preparation is run.preparation and rec.index == i
+        with pytest.raises(ValueError):
+            noise[0, 0, 0] = 1.0
 
     def test_noise_vector_is_built_only_for_a_spectrum(self, monkeypatch):
-        draw_noise, built = readout._draw_noise, []
+        noise_vectors, built = readout.Detector.noise_vectors, []
 
-        def counting_draw(*args):
-            built.append(args)
-            return draw_noise(*args)
+        def counting_vectors(self, seed, integrals):
+            built.append(integrals.shape)
+            return noise_vectors(self, seed, integrals)
 
-        monkeypatch.setattr(readout, "_draw_noise", counting_draw)
-        run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
+        monkeypatch.setattr(readout.Detector, "noise_vectors", counting_vectors)
+        runs = {target: noisy_run(ScheduleMode.SINGLE_SAMPLE, target) for target in GROVER_TARGETS}
+        run = runs["10"]
+        for case in runs.values():
+            [rec.probed_diagonal for rec in case.records]
         assert built == []
-        noise = run.records[0].readout.noise
         spec = run.records[0].readout_h
-        # one vector per channel of the draw, built together
-        assert len(built) == 2
-        vectors, transforms = noise.vectors, noise.transforms
-        assert noise.vectors is vectors and run.records[0].readout_h is spec
-        run.records[0].readout_c
-        assert len(built) == 2
+        # every readout's vectors, both channels, built together
+        assert built == [(3, 2, 2)]
+        transforms = run.preparation.noise_spectra
+        assert transforms.shape == (3, 2, 4096)
+        assert run.preparation.noise_spectra is transforms and run.records[0].readout_h is spec
         with pytest.raises(ValueError):
-            vectors[0, 0] = 1.0
-        # the search cases of one preparation share each draw's vectors and
-        # transforms: reading every spectrum of all four builds each once
-        for target in GROVER_TARGETS:
-            for rec in noisy_run(ScheduleMode.SINGLE_SAMPLE, target).records:
+            transforms[0, 0, 0] = 1.0
+        # the search cases of one preparation share them: exporting every
+        # spectrum of all four builds them once
+        for case in runs.values():
+            for rec in case.records:
                 rec.readout_h, rec.readout_c
-        assert len(built) == 2 * len(run.records)
-        other = noisy_run(ScheduleMode.SINGLE_SAMPLE, "01").records[0].readout.noise
-        assert other.vectors is vectors and other.transforms is transforms
+            case.sum_readout_h, case.sum_readout_c
+            assert case.preparation.noise_spectra is transforms
+        assert built == [(3, 2, 2)]
         _prepare.cache_clear()
-        again = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10").records[0].readout.noise
-        assert again.vectors is not vectors
-        assert np.array_equal(again.vectors, vectors)
+        again = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
+        again.records[0].readout_h
+        assert again.preparation.noise_spectra is not transforms
+        assert np.array_equal(again.preparation.noise_spectra, transforms)
+        assert len(built) == 2
 
     def test_cold_preparation_applies_no_pulse_and_no_lstsq(self, monkeypatch):
         # a new seed on a warm grid map and probe setting: the probes, their
@@ -735,10 +754,8 @@ def assert_same_preparation(a, b):
         b.result.ground, b.result.q1, b.result.q2, b.result.residual
     )
     assert (a.seed, a.enhancement) == (b.seed, b.enhancement)
-    for x, y in zip(a.readout_noise, b.readout_noise, strict=True):
-        assert (x is None and y is None) or [s.spawn_key for s in x.seeds] == [
-            s.spawn_key for s in y.seeds
-        ]
+    x, y = a.noise_spectra, b.noise_spectra
+    assert (x is None and y is None) or np.array_equal(x, y)
 
 
 class TestPrepareBatch:
@@ -840,30 +857,34 @@ class TestPrepareBatch:
         assert len(generators) == 1
         assert generators[0].bit_generator.seed_seq.n_children_spawned == 0
         monkeypatch.undo()
+        prep = run.preparation
+        vectors = prep.detector.noise_vectors(prep.seed, prep.noise_integrals)
         for i, rec in enumerate(run.records):
-            for channel, seed in enumerate(rec.readout.noise.seeds):
-                assert seed.entropy == NOISY_PARAMS.seed
-                assert seed.spawn_key == (2 * i + channel,)
+            for channel, y in enumerate(prep.noise_integrals[i]):
+                child = np.random.SeedSequence(NOISY_PARAMS.seed, spawn_key=(2 * i + channel,))
+                want = conditioned_noise(prep.detector, child, y)
+                assert np.array_equal(vectors[i, channel], want)
 
     def test_warm_case_builds_no_record_until_read(self, monkeypatch):
         noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
         built = []
-        record_init, detection_init = ExperimentRecord.__init__, readout.Detection.__post_init__
+        record_init, spectra = ExperimentRecord.__init__, readout.Detector.spectra
 
         def counting_record(self, *args, **kwargs):
             built.append("ExperimentRecord")
             record_init(self, *args, **kwargs)
 
-        def counting_detection(self):
-            built.append("Detection")
-            detection_init(self)
+        def counting_spectra(self, *args):
+            built.append("spectra")
+            return spectra(self, *args)
 
         monkeypatch.setattr(ExperimentRecord, "__init__", counting_record)
-        monkeypatch.setattr(readout.Detection, "__post_init__", counting_detection)
+        monkeypatch.setattr(readout.Detector, "spectra", counting_spectra)
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "01")
         assert run.decoded == "01" and built == []
         records = run.records
-        assert sorted(built) == ["Detection"] * 3 + ["ExperimentRecord"] * 3
+        [rec.probed_diagonal for rec in records]
+        assert built == ["ExperimentRecord"] * 3
         assert run.records is records
 
 

@@ -6,6 +6,7 @@ import pkgutil
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from spinoeqc.readout import (
     MAX_FID_SAMPLES,
     PROBE_TIP_MAX,
     Channel,
-    Detection,
     DetectionSettings,
     Detector,
     PeakTable,
@@ -325,7 +325,7 @@ class TestProbe:
     def test_noise_reproducible_under_seed(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.1))
         thermal = populations(thermal_state(CFG))
-        a, b = (det.probe(thermal, det.draw(3)).spectra[0] for _ in range(2))
+        a, b = (detect(det, det.probe_map @ thermal, 3).spectra[0] for _ in range(2))
         assert np.array_equal(a.values, b.values)
         clean = probe(thermal_state(CFG), CFG, 15.0)[0]
         assert not np.array_equal(a.values, clean.values)
@@ -347,14 +347,16 @@ class TestProbe:
     def test_draw_takes_two_normals_per_channel(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
         noise = det.draw(8)
-        z = np.random.default_rng(8).standard_normal(4).reshape(2, 2)
-        assert np.array_equal(noise.integrals, 0.1 * z @ det.noise_factor.T)
+        z = np.random.default_rng(8).standard_normal(4).reshape(1, 2, 2)
+        assert noise.shape == (1, 2, 2)
+        assert np.array_equal(noise, 0.1 * z @ det.noise_factor.T)
         # a lone detection is detection 0 of its seed: children 0 and 1
-        assert (noise.seed, noise.index) == (8, 0)
-        assert [seed.spawn_key for seed in noise.seeds] == [(0,), (1,)]
-        assert noise.detector is det
+        vectors = det.noise_vectors(8, noise)
+        for c, y in enumerate(noise[0]):
+            child = np.random.SeedSequence(8, spawn_key=(c,))
+            assert np.array_equal(vectors[0, c], conditioned_noise(det, child, y))
         with pytest.raises(ValueError):
-            noise.integrals[0, 0] = 1.0
+            noise[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("seed", [0, 8, 2**32 - 1, 2**70])
     def test_draw_names_the_children_a_spawn_of_its_seed_gives(self, seed):
@@ -365,9 +367,10 @@ class TestProbe:
         z = rng.standard_normal((2, 2))
         children = rng.bit_generator.seed_seq.spawn(2)
         noise = det.draw(seed)
-        assert np.array_equal(noise.integrals, det.noise_integrals(z))
-        for got, want in zip(noise.seeds, children, strict=True):
-            assert np.array_equal(got.generate_state(8), want.generate_state(8))
+        assert np.array_equal(noise[0], det.noise_integrals(z))
+        vectors = det.noise_vectors(seed, noise)[0]
+        for got, child, y in zip(vectors, children, noise[0], strict=True):
+            assert np.array_equal(got, conditioned_noise(det, child, y))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -425,14 +428,49 @@ def readout_spectra(rho, cfg, tip_angle_deg=90.0, n_samples=4096, dt=1e-3, noise
     return tuple(spectra)
 
 
-def detection(det, rho, noise):
+def conditioned_noise(det, child, y):
+    """Reference draw of one channel's noise vector: white noise from the
+    child seed `child`, conditioned on its line integrals y."""
+    amp, n = det.settings.noise_amp, det.settings.n_points
+    rng = np.random.default_rng(child)
+    m = rng.normal(0.0, amp, n) + 1j * rng.normal(0.0, amp, n)
+    cov = det.noise_factor @ det.noise_factor.T
+    return m - np.linalg.solve(cov, (det.windows @ m).real - y) @ det.windows.conj()
+
+
+class Found(NamedTuple):
+    """One detection of both channels: the (channel, partner) integrals, the
+    H and C spectra, and the drawn (channel, line) noise integrals and
+    (channel, sample) noise vectors, both None with noise off."""
+
+    integrals: np.ndarray
+    spectra: tuple
+    noise: np.ndarray | None
+    vectors: np.ndarray | None
+
+
+def detect(det, amplitudes, seed=None) -> Found:
+    """Detection of (channel, line) amplitudes against the noise of
+    `det.draw(seed)`, through the detector's one spectra route."""
+    noise = None if seed is None else det.draw(seed)
+    if noise is None:
+        return Found(det.line_integrals(amplitudes, None), det.spectra(amplitudes), None, None)
+    return Found(
+        det.line_integrals(amplitudes, noise[0]),
+        det.spectra(amplitudes, det.noise_spectra(seed, noise)[0]),
+        noise[0],
+        det.noise_vectors(seed, noise)[0],
+    )
+
+
+def detection(det, rho, seed=None) -> Found:
     """Detection of both channels with `rho` as the state at their receivers."""
-    return Detection(det, np.array([coherences(rho, channel) for channel in Channel]), noise)
+    return detect(det, np.array([coherences(rho, channel) for channel in Channel]), seed)
 
 
-def noise_vectors(found: Detection):
+def noise_vectors(found: Found):
     """The H and C receiver noise vectors of a detection, None when noise is off."""
-    return (None, None) if found.noise is None else found.noise.vectors
+    return (None, None) if found.vectors is None else found.vectors
 
 
 def relative_gap(got, want):
@@ -466,7 +504,7 @@ class TestDetector:
             with pytest.raises(ReadoutError, match=re.escape(str(exc))):
                 fft_peaks(rho, cfg, Channel.H, n_points, dwell, None)
             return
-        found = detection(det, rho, det.draw(seed))
+        found = detection(det, rho, seed)
         lines = zip(Channel, found.integrals, found.spectra, noise_vectors(found), strict=True)
         for i, (channel, integrals, spec, noise) in enumerate(lines):
             ref = fft_peaks(rho, cfg, channel, n_points, dwell, noise)
@@ -482,7 +520,7 @@ class TestDetector:
             if noise_amp > 0:
                 # the conditioned vector sums to the drawn line integrals
                 noise_peaks = integrate_peaks(spectrum(Fid(channel, dwell, noise)), cfg)
-                assert relative_gap(noise_peaks.integrals, found.noise.integrals[i]) <= 1e-9
+                assert relative_gap(noise_peaks.integrals, found.noise[i]) <= 1e-9
 
     def test_detectors_on_one_grid_share_its_map(self):
         base = Detector(CFG, DetectionSettings())
@@ -510,35 +548,31 @@ class TestDetector:
         assert a != Detector(CFG, DetectionSettings(noise_amp=0.1))
         assert a != Detector(SpinSystemConfig(j_coupling=200.0), DetectionSettings())
 
-    def test_detections_hash_and_compare_by_identity(self):
-        det = Detector(CFG, DetectionSettings())
-        a, b = (det.probe(populations(thermal_state(CFG)), det.draw(0)) for _ in range(2))
-        assert a == a and hash(a) == hash(a)
-        assert a != b and len({a, b}) == 2
-
     def test_detection_holds_both_channels_read_only(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
+        d = enhanced_deviations(CFG, -11.0, 18.0)
         noise = det.draw(6)
-        found = det.probe(populations(enhanced_state(CFG, -11.0, 18.0)), noise)
-        assert found.noise is noise and found.detector is det
-        assert found.amplitudes.shape == found.integrals.shape == (2, 2)
-        assert [spec.channel for spec in found.spectra] == list(Channel)
-        assert found.integrals is found.integrals and found.spectra is found.spectra
-        assert noise.vectors.shape == noise.transforms.shape == (2, 4096)
-        for array in (found.amplitudes, found.integrals, noise.vectors, noise.transforms):
+        vectors, transforms = det.noise_vectors(6, noise), det.noise_spectra(6, noise)
+        assert vectors.shape == transforms.shape == (1, 2, 4096)
+        assert np.array_equal(transforms, readout._transform(vectors))
+        spectra = det.spectra(det.probe_map @ d, transforms[0])
+        assert det.probe_integrals(d).shape == (2, 2)
+        assert [spec.channel for spec in spectra] == list(Channel)
+        values = [spec.values[None] for spec in spectra]
+        for array in (noise[0], vectors[0], transforms[0], *values):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
     def test_spectra_are_built_only_when_read(self):
         readout._spectra_map.cache_clear()
         det = Detector(CFG, DetectionSettings())
-        found = det.probe(populations(thermal_state(CFG)), None)
-        found.integrals
+        amplitudes = det.probe_map @ populations(thermal_state(CFG))
+        det.line_integrals(amplitudes, None)
         assert readout._spectra_map.cache_info().currsize == 0
         freqs, line_spectra = readout._spectra_map(CFG, 4096, 1e-3)
-        spec_h, spec_c = found.spectra
+        spec_h, spec_c = det.spectra(amplitudes)
         assert np.array_equal(spec_h.freqs, freqs)
-        assert np.array_equal(spec_c.values, (found.amplitudes @ line_spectra)[1])
+        assert np.array_equal(spec_c.values, (amplitudes @ line_spectra)[1])
         info = readout._spectra_map.cache_info()
         assert (info.currsize, info.misses) == (1, 1)
         for array in (freqs, line_spectra):
@@ -634,9 +668,9 @@ class TestDetector:
     def test_probe_and_readout_match_their_spectra(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
-        probe_found = det.probe(populations(rho), det.draw(4))
+        probe_found = detect(det, det.probe_map @ populations(rho), 4)
         identity = readout_map(Unitary(np.eye(4)))
-        readout_found = Detection(det, identity @ populations(rho), det.draw(5))
+        readout_found = detect(det, identity @ populations(rho), 5)
         pairs = [
             (probe_found,
              [fft_spectrum(probed(rho, 15.0), CFG, channel, 4096, 1e-3, noise)
@@ -653,10 +687,12 @@ class TestDetector:
 
     def test_probe_takes_a_diagonal_state(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
-        det.probe(populations(thermal_state(CFG)), None)
-        for d in (np.full(2, 0.5), np.eye(4) / 4, np.float64(1.0)):
+        det.probe_integrals(populations(thermal_state(CFG)))
+        # a (4, 4) array is a batch of four diagonals
+        assert det.probe_integrals(np.eye(4) / 4).shape == (4, 2, 2)
+        for d in (np.full(2, 0.5), np.ones((4, 3)), np.float64(1.0)):
             with pytest.raises(ValueError, match="the probe takes the deviation diagonal"):
-                det.probe(d, None)
+                det.probe_integrals(d)
         # a density matrix reaches detection only through `probe`, which
         # rejects coherences
         for rho in (coherent_state([0.1, 0, 0, 0]), DensityMatrix(np.eye(2) / 2)):
@@ -673,7 +709,7 @@ class TestDetector:
         assume(np.abs(d).max() >= 0.05)
         rho = DensityMatrix.from_diagonal(0.25 + d)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
-        got = det.probe(populations(rho), None).integrals
+        got = det.probe_integrals(populations(rho))
         # the eager route: the pulse through `apply_unitary`, then the coherences
         want = np.array([
             (det.response @ coherences(probed(rho, tip), channel)).real
@@ -692,7 +728,7 @@ class TestDetector:
         got, errors = det.reconstruct((det.probe_integrals(d) + noise).reshape(3, 4))
         assert errors == {}
         for row, seed in zip(got, seeds):
-            found = det.probe(d, det.draw(seed))
+            found = detect(det, det.probe_map @ d, seed)
             want = reconstruct_diagonal(*map(PeakTable, found.integrals), 12.0,
                                         det.receiver_constant)
             assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
@@ -702,8 +738,7 @@ class TestDetector:
         # each on a 256-point grid, agree in covariance within sampling error
         amp, n_draws = 0.3, 10_000
         det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=amp))
-        drawn = [det.draw(seed) for seed in range(n_draws)]
-        projected = np.concatenate([noise.integrals for noise in drawn])
+        projected = np.concatenate([det.draw(seed)[0] for seed in range(n_draws)])
         rng, full = np.random.default_rng(2027), []
         for _ in range(2 * n_draws // 1000):
             real, imag = rng.normal(0.0, amp, (2, 1000, 256))
@@ -719,6 +754,37 @@ class TestDetector:
             assert (np.abs(np.cov(sample.T) - want) <= 5 * stderr).all()
         assert (np.abs(np.cov(projected.T) - np.cov(full.T)) <= 5 * np.sqrt(2) * stderr).all()
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64),
+        n=st.integers(1, 4),
+        normals=st.lists(st.floats(-5.0, 5.0), min_size=32, max_size=32),
+        amplitudes=st.lists(
+            st.complex_numbers(max_magnitude=10.0, allow_subnormal=False), min_size=4, max_size=4
+        ),
+    )
+    def test_noise_rows_are_named_by_seed_and_index(self, seed, n, normals, amplitudes):
+        # row i of a seed's noise is detection i of that seed, whatever the
+        # batch holds besides, and it adds its own integrals to the lines
+        det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=0.1))
+        drawn = det.noise_integrals(np.reshape(normals, (8, 2, 2)))
+        y, other = drawn[:n], drawn[4:4 + n]
+        rows = det.noise_spectra(seed, y)
+        assert rows.shape == (n, 2, 256)
+        for k in range(1, n + 1):
+            assert np.array_equal(det.noise_spectra(seed, y[:k]), rows[:k])
+        for i in range(n):
+            mixed = other.copy()
+            mixed[i] = y[i]
+            assert np.array_equal(det.noise_spectra(seed, mixed)[i], rows[i])
+        a = np.reshape(amplitudes, (2, 2))
+        clean = [integrate_peaks(spec, CFG).integrals for spec in det.spectra(a)]
+        for i in range(n):
+            noisy = [integrate_peaks(spec, CFG).integrals for spec in det.spectra(a, rows[i])]
+            # the vectors' own round-off: a noise integral is ~ noise_amp |L|
+            scale = np.abs(clean).max() + np.abs(y[i]).max() + 0.1 * np.abs(det.noise_factor).max()
+            assert np.abs(np.subtract(noisy, clean) - y[i]).max() <= 1e-12 * scale
+
     def test_conditioned_vector_keeps_the_white_law(self):
         # conditioning on the drawn integrals leaves each vector white: along
         # a direction that mixes both windows with the rest, Re(h · n) has
@@ -728,7 +794,8 @@ class TestDetector:
         rng = np.random.default_rng(2028)
         h = det.windows.sum(axis=0) / np.linalg.norm(det.windows[0])
         h = h + (rng.normal(size=256) + 1j * rng.normal(size=256)) / 16
-        values = [(h @ det.draw(seed).vectors[0]).real for seed in range(n_draws)]
+        values = [(h @ det.noise_vectors(seed, det.draw(seed))[0, 0]).real
+                  for seed in range(n_draws)]
         want = amp**2 * np.vdot(h, h).real
         assert abs(np.var(values) / want - 1) <= 5 * np.sqrt(2 / n_draws)
 
@@ -780,7 +847,7 @@ class TestReconstruction:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
         mixed = probed(DensityMatrix(np.eye(4) / 4), tip)
         pulsed = [PeakTable((det.response @ coherences(mixed, ch)).real) for ch in Channel]
-        mapped = [PeakTable(y) for y in det.probe(np.full(4, 0.25), det.draw(0)).integrals]
+        mapped = [PeakTable(y) for y in det.probe_integrals(np.full(4, 0.25))]
         assert np.abs(np.concatenate([p.integrals for p in pulsed])).max() > 0
         for peaks_h, peaks_c in (pulsed, mapped):
             diag = reconstruct_diagonal(peaks_h, peaks_c, tip, k)
@@ -800,14 +867,21 @@ class TestReconstruction:
         clean = det.probe_integrals(enhanced_deviations(CFG, -11.0, 18.0)).reshape(4)
         rows = np.array([clean, clean, clean, clean])
         rows[1, 0], rows[2, 3], rows[3] = bad, bad, bad
-        # numpy reports the arithmetic on them; the gate makes it an error
-        with np.errstate(invalid="ignore"):
+        # the reconstruction names the range, not the peaks, and numpy
+        # reports nothing of the arithmetic on them
+        message = "probe integrals are not finite; the probed state leaves the float range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             _, errors = det.reconstruct(rows)
             assert sorted(errors) == [(1,), (2,), (3,)]
-            with pytest.raises(ReadoutError):
+            assert {str(error) for error in errors.values()} == {message}
+            with pytest.raises(ReadoutError, match=f"^{message}$"):
                 reconstruct_diagonal(
                     PeakTable([bad, 0.0]), PeakTable([0.0, 0.0]), 15.0, det.receiver_constant
                 )
+            # a state past the float range probes to such integrals
+            huge = det.probe_integrals(enhanced_deviations(CFG, 1e307, 1e307))
+            assert not np.isfinite(huge).all()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(

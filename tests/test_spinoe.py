@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinoeqc.experiments import prepare_batch
+from spinoeqc.experiments import (
+    GroverCase, prepare_batch, run_effective_pure_pipeline, run_grover_pipeline,
+)
 from spinoeqc.labeling import DEFAULT_PERM_ORDER
 from spinoeqc.readout import DetectionSettings
 from spinoeqc.spinoe import (
@@ -148,6 +150,18 @@ class TestSchedules:
         )
         assert sched.times == (625.0, 745.0, 865.0)
         assert sched.probe_times == (600.0, 720.0, 840.0)
+
+    @pytest.mark.parametrize("mode", ["multi", "single", None, 0], ids=repr)
+    def test_mode_must_be_a_schedule_mode(self, mode):
+        # a mode name or None once ran as single-sample without a word:
+        # "multi" gave the single-sample enhancement, 10.695 instead of 12.4
+        message = r"^mode must be ScheduleMode\.MULTI_SAMPLE or SINGLE_SAMPLE, not "
+        with pytest.raises(ValueError, match=message):
+            make_schedule(mode)
+        with pytest.raises(ValueError, match=message):
+            run_effective_pure_pipeline(SpinoeParams(), CFG, mode)
+        with pytest.raises(ValueError, match=message):
+            run_grover_pipeline(SpinoeParams(), CFG, GroverCase("01"), mode)
 
     @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
     def test_bad_recovery_rejected(self, mode):
