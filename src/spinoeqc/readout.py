@@ -41,9 +41,10 @@ receiver noise, so detection needs no FID. A line integral is Re(g · x)
 for the sampled FID x and a window vector g that carries the spectral
 window, the first-point halving and the bin width; a spectrum is the two
 unit line spectra (the transform of a unit ±J/2 line under the T2 decay)
-weighted by the amplitudes. A `Detector` reads the cached maps of its
-grid, per (spin system, n_points, dwell), and of its probe setting, per
-(spin system, n_points, dwell, tip). It takes the deviation diagonal d
+weighted by the amplitudes. A `Detector` reads the cached map of its
+grid, per (spin system, n_points, dwell), and builds its probe setting
+(probe map, receiver constant, solve) from it and the tip in closed form,
+with no cache of its own. It takes the deviation diagonal d
 of a diagonal state, its populations less I/4 (`enhanced_deviations`),
 and builds no state: the line amplitudes are the probe map, or the
 `readout_map` of a computation, applied to d, both in closed form: the
@@ -96,6 +97,7 @@ ROUNDOFF_MULTIPLE = 16.0
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 _PAST_FLOAT_RANGE = "probe integrals are not finite; the probed state leaves the float range"
+_TOO_COARSE = "spectral resolution too coarse for peak windows"
 
 
 class Channel(enum.Enum):
@@ -206,7 +208,7 @@ def _line_windows(freqs: np.ndarray, cfg: SpinSystemConfig) -> tuple[np.ndarray,
             )
         mask = (freqs >= lo) & (freqs <= hi)
         if mask.sum() < 4:
-            raise ReadoutError("spectral resolution too coarse for peak windows")
+            raise ReadoutError(_TOO_COARSE)
         masks.append(mask)
     return masks[0], masks[1]
 
@@ -273,6 +275,11 @@ def _unit_lines(cfg: SpinSystemConfig, n_points: int, dwell: float) -> np.ndarra
 def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, ...]:
     """Window vectors, line response, noise factor and amplitude solve of
     one grid, read-only and kept for the last few grids (see `Detector`)."""
+    # a bin 1/(n·dwell) wider than a peak window (J/2) leaves at most one
+    # bin in it, which the four-bin rule of `_line_windows` rejects; it is
+    # rejected first, as below dwell ~3e-309 the axis leaves the float range
+    if n_points * dwell * cfg.j_coupling < 2.0:
+        raise ReadoutError(_TOO_COARSE)
     freqs = _frequency_axis(n_points, dwell)
     masks = np.array(_line_windows(freqs, cfg), dtype=float)
     # a window sum over the shifted spectrum is a dot product with the
@@ -307,38 +314,6 @@ def _spectra_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np
     return freqs, line_spectra
 
 
-# bounded: a scan over probe tips evicts its own stale settings
-@functools.lru_cache(maxsize=16)
-def _probe_setting(
-    cfg: SpinSystemConfig, n_points: int, dwell: float, tip_angle_deg: float
-) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, float]]:
-    """The probe map, the receiver constant K of `calibrate` and the
-    reconstruction `_probe_solve` of one probe setting, built once in
-    closed form. The probe map is the (channel, line, population) view
-    of the real relations `_probe_response_matrix(tip)`, which are what the
-    pulse's `_amplitude_map` gives up to rounding. A thermal reference with
-    no signal, or one whose K leaves the float range, raises."""
-    relations = _probe_response_matrix(tip_angle_deg)
-    relations.flags.writeable = False
-    probe_map = relations.reshape(2, 2, 4)
-    ref = enhanced_deviations(cfg, 1.0, 1.0)
-    y = ((probe_map @ ref) @ _grid_map(cfg, n_points, dwell)[1].T).real
-    m = relations @ ref
-    # a reference near the float range (polarization_unit 1e153 at the
-    # default gamma_ratio) overflows these products, and K is not finite;
-    # one whose square is subnormal (polarization_unit below ~2e-154 at the
-    # defaults) has lost digits, and K with them
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom, fit = float(m @ m), float(y.ravel() @ m)
-    if denom < np.finfo(float).tiny:
-        raise ReadoutError("thermal reference produced no signal")
-    k = fit / denom
-    if not math.isfinite(k):
-        raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
-    # the probed states' scale is the thermal reference's, whatever u is
-    return probe_map, k, _probe_solve(relations, k, float(np.abs(ref).max()))
-
-
 @dataclass(frozen=True)
 class Detector:
     """Line integrals and spectra of one acquisition setting as a
@@ -351,10 +326,17 @@ class Detector:
     is Re(response)⁻¹; `noise_factor` is the lower Cholesky factor L of
     C = Re(G Gᴴ), so the line integrals of white noise of amplitude σ are
     σ L z for standard normal z. These come from the cache of the grid
-    (`_grid_map`); `probe_map`, `receiver_constant` and `probe_solve` from
-    that of the probe setting (`_probe_setting`), so a setting whose
-    thermal reference has no signal builds no detector. The noise level
-    comes from `settings`.
+    (`_grid_map`), shared by every detector on it.
+
+    The probe setting is built here, in closed form, from the grid's
+    response and the tip's relations R (`_probe_response_matrix`):
+    `probe_map` is the (channel, line, population) view of R, which is
+    what the pulse's `_amplitude_map` gives up to rounding;
+    `receiver_constant` is the K of `calibrate`, fitted to a noise-free
+    probe of the thermal reference; `probe_solve` and `roundoff` are the
+    solve matrix S and the round-off level of `_probe_solve`. A thermal
+    reference with no signal, or one whose K leaves the float range,
+    builds no detector. The noise level comes from `settings`.
     """
 
     cfg: SpinSystemConfig
@@ -366,16 +348,35 @@ class Detector:
     amplitude_solve: np.ndarray = field(init=False, repr=False, compare=False)
     probe_map: np.ndarray = field(init=False, repr=False, compare=False)
     receiver_constant: float = field(init=False, repr=False, compare=False)
-    probe_solve: tuple = field(init=False, repr=False, compare=False)
+    probe_solve: np.ndarray = field(init=False, repr=False, compare=False)
+    roundoff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.settings
-        maps = (
-            *_grid_map(self.cfg, s.n_points, s.dwell),
-            *_probe_setting(self.cfg, s.n_points, s.dwell, s.probe_tip_deg),
-        )
+        grid = _grid_map(self.cfg, s.n_points, s.dwell)
+        relations = _probe_response_matrix(s.probe_tip_deg)
+        relations.flags.writeable = False
+        probe_map = relations.reshape(2, 2, 4)
+        ref = enhanced_deviations(self.cfg, 1.0, 1.0)
+        y = ((probe_map @ ref) @ grid[1].T).real
+        m = relations @ ref
+        # a reference near the float range (polarization_unit 1e153 at the
+        # default gamma_ratio) overflows these products, and K is not finite;
+        # one whose square is subnormal (polarization_unit below ~2e-154 at the
+        # defaults) has lost digits, and K with them
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom, fit = float(m @ m), float(y.ravel() @ m)
+        if denom < np.finfo(float).tiny:
+            raise ReadoutError("thermal reference produced no signal")
+        k = fit / denom
+        if not math.isfinite(k):
+            raise ReadoutError(
+                "receiver constant overflows; lower polarization_unit or gamma_ratio"
+            )
+        # the probed states' scale is the thermal reference's, whatever u is
+        maps = (*grid, probe_map, k, *_probe_solve(relations, k, float(np.abs(ref).max())))
         names = ("windows", "response", "noise_factor", "amplitude_solve", "probe_map",
-                 "receiver_constant", "probe_solve")
+                 "receiver_constant", "probe_solve", "roundoff")
         for name, value in zip(names, maps, strict=True):
             object.__setattr__(self, name, value)
 
@@ -451,7 +452,7 @@ class Detector:
 
     def reconstruct(self, y) -> tuple[np.ndarray, dict]:
         """`_reconstruct` of the (..., 4) probe integrals y at this setting."""
-        return _reconstruct(y, self.probe_solve)
+        return _reconstruct(y, self.probe_solve, self.roundoff)
 
 
 def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
@@ -482,8 +483,9 @@ def calibrate(
     Returns K such that measured integrals equal K times the probe
     response applied to the deviation diagonal. Must be produced with the
     same acquisition settings later used for reconstruction. The probe is
-    noise-free, so K is that of the cached probe setting (spin system,
-    grid, tip), shared by every detector on it.
+    noise-free, so K is fixed by the spin system, the grid and the tip,
+    whatever the noise level: it is the `receiver_constant` of the
+    `Detector` of that setting.
     """
     return Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg)).receiver_constant
 
@@ -525,8 +527,8 @@ def reconstruct_diagonal(
     """
     y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
     check_probe_tip(tip_angle_deg)
-    solve = _probe_solve(_probe_response_matrix(tip_angle_deg), calibration)
-    diag, errors = _reconstruct(y, solve)
+    solve, roundoff = _probe_solve(_probe_response_matrix(tip_angle_deg), calibration)
+    diag, errors = _reconstruct(y, solve, roundoff)
     if errors:
         raise errors[()]
     return diag
@@ -539,11 +541,10 @@ _PINV_Q = np.outer(_G, [1, -1, 1, -1])
 _G.flags.writeable = False
 
 
-def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[np.ndarray, ...]:
+def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[np.ndarray, float]:
     """The reconstruction of the probe relations R of one tip
-    (`_probe_response_matrix`) at one receiver constant k = K, as read-only
-    arrays: the 4×4 solve matrix S, the unit left-null vector v of the
-    calibrated probe response K·R, and the round-off level of the integrals
+    (`_probe_response_matrix`) at one receiver constant k = K: the
+    read-only 4×4 solve matrix S and the round-off level of the integrals
     of states whose largest entry is `scale` (1 for the unit-trace states
     `reconstruct_diagonal` serves).
 
@@ -554,9 +555,9 @@ def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[n
     R⁺ = [e⊗(1,1,0,0) + f⊗(0,0,1,1)]/(2p) + g⊗(1,-1,1,-1)/(4q) for the
     deviation patterns e, f, g of the module docstring, with p = a + b =
     sin(tip)/2 and q = a - b = sin(2 tip)/4 for R's entries a = R[0,0] and
-    b = R[0,1]. The left null space is spanned by v = (1,-1,-1,1)/2 at
-    every tip, so the norm of the residual y - K·R S y is
-    |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2."""
+    b = R[0,1]. The left null space of K·R is spanned by the unit vector
+    v = g = (1,-1,-1,1)/2 at every tip, so the norm of the residual
+    y - K·R S y is |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2 (`_reconstruct`)."""
     if k == 0 or not np.isfinite(k):
         raise ValueError("the receiver constant must be finite and non-zero")
     a, b = relations[0, :2].tolist()
@@ -565,19 +566,19 @@ def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[n
     # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd; R
     # holds ±a and ±b
     row_scale = abs(k) * max(abs(a), abs(b))
-    return solve, _G, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale * scale
+    return solve, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale * scale
 
 
-def _reconstruct(y: np.ndarray, probe_solve) -> tuple[np.ndarray, dict]:
+def _reconstruct(y: np.ndarray, solve: np.ndarray, roundoff: float) -> tuple[np.ndarray, dict]:
     """`reconstruct_diagonal` of the (..., 4) integrals y (H partner 0, 1, then
-    C) through a `_probe_solve`: the (..., 4) diagonals and, by index, the
-    `ReadoutError` of each row that fails the residual gate, or whose
-    integrals left the float range (a NaN or ±inf fits no diagonal)."""
-    solve, null, roundoff = probe_solve
+    C) through the solve matrix and round-off level of a `_probe_solve`: the
+    (..., 4) diagonals and, by index, the `ReadoutError` of each row that
+    fails the residual gate |g·y| (the tip-free left-null vector g), or
+    whose integrals left the float range (a NaN or ±inf fits no diagonal)."""
     # a row past the float range turns to NaN here, and is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         ymax = np.abs(y).max(axis=-1)
-        residual = np.abs(y[..., None, :] @ null[:, None])[..., 0, 0]
+        residual = np.abs(y[..., None, :] @ _G[:, None])[..., 0, 0]
         signal = ymax > roundoff
         diag = np.where(signal[..., None], (solve @ y[..., None])[..., 0], 0.0)
     finite = np.isfinite(ymax)

@@ -44,7 +44,6 @@ Z_C = np.array([1.0, -1.0, 1.0, -1.0])
 class PulseTarget(enum.Enum):
     H = "H"
     C = "C"
-    BOTH = "both"
 
 
 class PermutationId(enum.Enum):
@@ -89,7 +88,7 @@ def check_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One ideal RF rotation: target spin(s), tip angle and phase in degrees.
+    """One ideal RF rotation: target spin, tip angle and phase in degrees.
 
     Phase 0 rotates about x, phase 90 about y.
     """
@@ -141,14 +140,12 @@ def _rotation_2x2(tip_angle_deg: float, phase_deg: float) -> np.ndarray:
 
 
 def pulse_unitary(p: PulseSpec) -> Unitary:
-    """Rotation on the targeted spin(s), identity on the rest."""
+    """Rotation on the targeted spin, identity on the other."""
     r = _rotation_2x2(p.tip_angle, p.phase)
     eye = np.eye(2)
     if p.target is PulseTarget.H:
         return Unitary(np.kron(r, eye))
-    if p.target is PulseTarget.C:
-        return Unitary(np.kron(eye, r))
-    return Unitary(np.kron(r, r))
+    return Unitary(np.kron(eye, r))
 
 
 def cycle_source_indices(perm_id: PermutationId, ground: int) -> tuple[int, ...]:

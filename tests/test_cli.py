@@ -263,6 +263,26 @@ class TestGrover:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "command", [["grover", "--target", "10"], ["effpure"], ["probe"]],
+        ids=["grover", "effpure", "probe"],
+    )
+    @pytest.mark.parametrize("dwell", [5e-324, 1e-310, 1e-300])
+    def test_tiny_dwell_is_a_readout_failure(self, tmp_path, capsys, command, dwell):
+        # a dwell whose frequency axis leaves the float range is refused as
+        # too coarse a grid, with no numpy warning on the way
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dwell_s": dwell}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "readout failed: spectral resolution too coarse for peak windows\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command", [["grover", "--all"], ["effpure"], ["probe"]], ids=["grover", "effpure", "probe"]
     )
     @pytest.mark.parametrize(

@@ -513,7 +513,7 @@ class TestRunObjects:
 def clear_preparation_caches():
     """Empty every cache a preparation reads."""
     for cache in (
-        readout._grid_map, readout._probe_setting,
+        readout._grid_map,
         experiments._seed_free, experiments._unjittered_states, experiments._thermal_reference,
         _prepare,
     ):
@@ -623,7 +623,7 @@ class TestPreparationCache:
         assert len(built) == 2
 
     def test_cold_preparation_applies_no_pulse_and_no_lstsq(self, monkeypatch):
-        # a new seed on a warm grid map and probe setting: the probes, their
+        # a new seed on a warm grid map and detector: the probes, their
         # reconstruction and the labeling are all cached maps and one batch
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
         _prepare(NOISY_PARAMS, CFG, schedule, NOISY_DETECTION)
@@ -641,15 +641,15 @@ class TestPreparationCache:
                 monkeypatch.setattr(module, "apply_unitary", apply)
         for name in ("lstsq", "cond", "pinv"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        # the calibration's thermal reference
-        reference = counting("enhanced_deviations", readout.enhanced_deviations)
-        monkeypatch.setattr(readout, "enhanced_deviations", reference)
+        # the calibration's thermal reference and probe relations
+        for name in ("enhanced_deviations", "_probe_response_matrix"):
+            monkeypatch.setattr(readout, name, counting(name, getattr(readout, name)))
         # no state is built: the sampled states travel as deviation diagonals
         init = quantum.DensityMatrix.__post_init__
         monkeypatch.setattr(
             quantum.DensityMatrix, "__post_init__", counting("DensityMatrix", init)
         )
-        caches = (readout._grid_map, readout._probe_setting)
+        caches = (readout._grid_map, experiments._seed_free)
         misses = [cache.cache_info().misses for cache in caches]
         params = SpinoeParams(reproducibility_jitter=0.05, seed=NOISY_PARAMS.seed + 1)
         prep = _prepare(params, CFG, schedule, NOISY_DETECTION)
@@ -668,7 +668,7 @@ class TestPreparationCache:
         # and samples no state
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)
         _prepare(SpinoeParams(), CFG, schedule, DetectionSettings())
-        readout._probe_setting.cache_clear()
+        experiments._seed_free.cache_clear()
         calls = []
 
         def count(module, name):
@@ -697,6 +697,36 @@ class TestPreparationCache:
             assert (a.ground, a.q1, a.q2, a.residual) == (b.ground, b.q1, b.q2, b.residual)
         assert prep.enhancement == cold.enhancement
         assert prep.noise_integrals is cold.noise_integrals is None
+
+    def test_detector_is_built_once_per_setting(self, monkeypatch):
+        # a new seed on a warm `_seed_free` builds no detector; a new
+        # setting builds one, which reads its grid map and its tip's
+        # relations once each
+        schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)
+        _prepare(SpinoeParams(), CFG, schedule, DetectionSettings())
+        built, init = [], readout.Detector.__post_init__
+
+        def counting_init(self):
+            built.append(self.settings)
+            init(self)
+
+        def count(name):
+            fn = getattr(readout, name)
+
+            def wrapper(*args):
+                built.append(name)
+                return fn(*args)
+            monkeypatch.setattr(readout, name, wrapper)
+
+        monkeypatch.setattr(readout.Detector, "__post_init__", counting_init)
+        count("_grid_map")
+        count("_probe_response_matrix")
+        _prepare(SpinoeParams(seed=1), CFG, schedule, DetectionSettings())
+        assert built == []
+        experiments._seed_free.cache_clear()
+        fresh = DetectionSettings(probe_tip_deg=11.3)
+        _prepare(SpinoeParams(seed=1), CFG, schedule, fresh)
+        assert built == [fresh, "_grid_map", "_probe_response_matrix"]
 
     def test_shared_arrays_are_read_only(self):
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import importlib
 import inspect
+import itertools
+import math
 import pkgutil
 import re
 import warnings
@@ -16,7 +18,7 @@ from numpy.testing import assert_allclose
 
 import spinoeqc
 from spinoeqc import readout
-from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, populations
+from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from spinoeqc.readout import (
     MAX_FID_SAMPLES,
     PROBE_TIP_MAX,
@@ -51,9 +53,13 @@ MODULES = [
 IZIZ_DIAG = np.array([0.25, -0.25, -0.25, 0.25])
 
 
+def simultaneous_pulse(tip, phase=90.0):
+    """The same rotation on both spins, as the H and C pulses composed."""
+    return compose(*(pulse_unitary(PulseSpec(target, tip, phase)) for target in PulseTarget))
+
+
 def probed(rho, tip=15.0):
-    u = pulse_unitary(PulseSpec(PulseTarget.BOTH, tip, phase=90.0))
-    return apply_unitary(rho, u)
+    return apply_unitary(rho, simultaneous_pulse(tip))
 
 
 def coherences(rho_after_pulse: DensityMatrix, channel: Channel) -> np.ndarray:
@@ -477,6 +483,32 @@ def relative_gap(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def reference_probe_setting(cfg, n_points, dwell, tip):
+    """The probe map, K, solve matrix S and round-off level of one setting,
+    operation for operation as a per-tip cache built them before the
+    detector built its own: the reference of `Detector.__post_init__`."""
+    relations = readout._probe_response_matrix(tip)
+    probe_map = relations.reshape(2, 2, 4)
+    ref = enhanced_deviations(cfg, 1.0, 1.0)
+    y = ((probe_map @ ref) @ readout._grid_map(cfg, n_points, dwell)[1].T).real
+    m = relations @ ref
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom, fit = float(m @ m), float(y.ravel() @ m)
+    if denom < np.finfo(float).tiny:
+        raise ReadoutError("thermal reference produced no signal")
+    k = fit / denom
+    if not np.isfinite(k):
+        raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
+    e, f, g = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+    pinv_p = np.outer(e, [1, 1, 0, 0]) + np.outer(f, [0, 0, 1, 1])
+    pinv_q = np.outer(g, [1, -1, 1, -1])
+    a, b = relations[0, :2].tolist()
+    solve = pinv_p / (2 * (a + b) * k) + pinv_q / (4 * (a - b) * k)
+    row_scale = abs(k) * max(abs(a), abs(b))
+    level = 16.0 * np.finfo(float).eps * row_scale * float(np.abs(ref).max())
+    return probe_map, k, solve, level
+
+
 class TestDetector:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -583,9 +615,9 @@ class TestDetector:
         "cache,key",
         [
             (readout._spectra_map, lambda i: (CFG, 1024 + i, 1e-3)),
-            (readout._probe_setting, lambda i: (CFG, 4096, 1e-3, 1.0 + i / 8)),
+            (readout._grid_map, lambda i: (CFG, 1024 + i, 1e-3)),
         ],
-        ids=["spectra", "probe-setting"],
+        ids=["spectra", "grid"],
     )
     def test_caches_are_bounded(self, cache, key):
         maxsize = cache.cache_info().maxsize
@@ -595,38 +627,97 @@ class TestDetector:
         assert cache.cache_info().currsize == maxsize
 
     def test_settings_that_differ_in_noise_alone_share_one_calibration(self):
-        # K comes from a noise-free probe, so the noise level is no part of its key
-        readout._probe_setting.cache_clear()
-        k = [Detector(CFG, DetectionSettings(noise_amp=a)).receiver_constant for a in (0.0, 0.1)]
-        info = readout._probe_setting.cache_info()
+        # K comes from a noise-free probe, so the noise level is no part of it
+        readout._grid_map.cache_clear()
+        quiet, noisy = (Detector(CFG, DetectionSettings(noise_amp=a)) for a in (0.0, 0.1))
+        info = readout._grid_map.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
-        assert k[0] == k[1] == calibrate(CFG, 15.0)
+        assert quiet.receiver_constant == noisy.receiver_constant == calibrate(CFG, 15.0)
+        assert np.array_equal(quiet.probe_map, noisy.probe_map)
+        assert np.array_equal(quiet.probe_solve, noisy.probe_solve)
+        assert quiet.roundoff == noisy.roundoff
 
     def test_one_probe_setting_takes_one_entry_however_it_is_named(self):
-        readout._probe_setting.cache_clear()
+        readout._grid_map.cache_clear()
         k = {
             calibrate(CFG, 15.0),
             calibrate(CFG, 15.0, n_samples=4096),
             calibrate(CFG, 15.0, 4096, 1e-3),
             Detector(CFG, DetectionSettings(noise_amp=0.1)).receiver_constant,
         }
-        info = readout._probe_setting.cache_info()
+        info = readout._grid_map.cache_info()
         assert (info.currsize, info.misses, len(k)) == (1, 1, 1)
 
     def test_detector_holds_its_probe_setting(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.1))
-        probe_map, k, solve = readout._probe_setting(CFG, 4096, 1e-3, 12.0)
-        assert det.probe_map is probe_map and det.probe_solve is solve
-        assert det.receiver_constant == k
-        for array in (probe_map, *solve[:2], det.amplitude_solve):
+        relations = readout._probe_response_matrix(12.0)
+        k = det.receiver_constant
+        assert k == calibrate(CFG, 12.0)
+        assert np.array_equal(det.probe_map, relations.reshape(2, 2, 4))
+        scale = float(np.abs(enhanced_deviations(CFG, 1.0, 1.0)).max())
+        solve, roundoff = readout._probe_solve(relations, k, scale)
+        assert np.array_equal(det.probe_solve, solve) and det.roundoff == roundoff
+        for array in (det.probe_map, det.probe_solve, readout._G, det.amplitude_solve):
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "unit", [1.0, 1e-100, 3.7e50, 0.0, 1e-154, 1e153], ids=lambda u: f"u={u:g}"
+    )
+    def test_probe_setting_is_the_reference_arithmetic(self, unit):
+        # bit for bit, and the two range rules with their texts, on both
+        # gamma ratios, two grids and tips across the range
+        for gamma, n_points, tip in itertools.product(
+            (4.0, 3.976), (1024, 4096), (0.01, 1.7, 7.3, 15.0, 25.0)
+        ):
+            cfg = SpinSystemConfig(gamma_ratio=gamma, polarization_unit=unit)
+            try:
+                want = reference_probe_setting(cfg, n_points, 1e-3, tip)
+            except ReadoutError as exc:
+                with pytest.raises(ReadoutError, match=f"^{re.escape(str(exc))}$"):
+                    Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
+                continue
+            det = Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
+            got = (det.probe_map, det.receiver_constant, det.probe_solve, det.roundoff)
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(0.25, 20.0),
+        j=st.floats(50.0, 500.0),
+        t2=st.floats(0.05, 5.0),
+        log_unit=st.floats(-100.0, 100.0),
+        n_points=st.sampled_from([1024, 2048, 4096]),
+        bin_frac=st.floats(0.05, 0.6),
+        tip=st.floats(0.01, PROBE_TIP_MAX),
+    )
+    def test_calibration_is_a_grid_constant(
+        self, gamma, j, t2, log_unit, n_points, bin_frac, tip
+    ):
+        # The thermal reference's line amplitudes m are α_c (1, 1) per
+        # channel, exactly for its stored entries (d2 = -d1, d3 = -d0), so
+        # the fit K = Σ y·m / Σ m·m is Σ Re(response) / 2 in exact
+        # arithmetic, at every tip and scale. To first order in the unit
+        # round-off r = eps/2, with N = Σ|Re(response)|, rounding moves K
+        # by at most: the amplitudes' two 4-term products, 2 · 4r · N ·
+        # 0.604 (the largest (|α_H| + |α_C|) max|α_c| / (2 Σ α_c²)); the
+        # 2-term response products, 2r · N/2; the dots y·m and m·m, 4r · N/2
+        # each; the division, r · N/2; and the 3 additions of the sum here,
+        # 3r · N/2: 11.9r < 6 eps in all. A polarization_unit from 1e-100 to
+        # 1e100 keeps every product a normal float, where these bounds hold.
+        cfg = SpinSystemConfig(gamma, j, t2, 10.0**log_unit)
+        det = Detector(cfg, DetectionSettings(n_points, bin_frac / j, tip))
+        real = det.response.real
+        bound = 6 * np.finfo(float).eps * np.abs(real).sum()
+        assert abs(det.receiver_constant - real.sum() / 2) <= bound
 
     def test_new_tip_builds_no_pulse_and_no_decomposition(self, monkeypatch):
         # the probe setting of a tip not seen before, on a cached grid, is
         # built from the closed-form relations alone
-        readout._probe_setting.cache_clear()
         Detector(CFG, DetectionSettings())
+        misses = readout._grid_map.cache_info().misses
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a new probe setting built a pulse or decomposed a matrix")
@@ -635,9 +726,21 @@ class TestDetector:
             for name in ("pulse_unitary", "apply_unitary", "pinv", "svd"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
-        Detector(CFG, DetectionSettings(probe_tip_deg=7.3))
-        info = readout._probe_setting.cache_info()
-        assert (info.currsize, info.misses) == (2, 2)
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=7.3))
+        assert readout._grid_map.cache_info().misses == misses
+        assert np.array_equal(det.probe_map, readout._probe_response_matrix(7.3).reshape(2, 2, 4))
+
+    @pytest.mark.parametrize("dwell", [5e-324, 1e-310, 2.8e-309, 1e-300])
+    def test_grid_with_bins_wider_than_a_window_is_too_coarse(self, dwell):
+        # refused before its frequency axis, which leaves the float range
+        # below dwell ~3e-309, so numpy warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for detection in (DetectionSettings(dwell=dwell), DetectionSettings(256, dwell)):
+                with pytest.raises(ReadoutError, match="^spectral resolution too coarse"):
+                    Detector(CFG, detection)
+            with pytest.raises(ReadoutError, match="^spectral resolution too coarse"):
+                calibrate(CFG, 15.0, dt=dwell)
 
     def test_reference_without_signal_is_a_readout_error(self):
         cfg = SpinSystemConfig(polarization_unit=0.0)
@@ -887,20 +990,24 @@ class TestReconstruction:
     @given(
         tip=st.floats(1e-3, PROBE_TIP_MAX),
         calibration=st.floats(1e-3, 1e4) | st.floats(-1e4, -1e-3),
-        y=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+        # relative bounds need normal floats: a subnormal integral rounds
+        # to its absolute spacing, and is round-off to the reconstruction
+        y=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=4, max_size=4),
     )
     def test_cached_solve_is_the_least_squares_solve(self, tip, calibration, y):
         # the reconstruction as it was: lstsq of the relations plus the
-        # traceless row, and the norm of its residual
+        # traceless row, and the norm of its residual (math.hypot, whose
+        # norm of integrals below 1e-154 does not underflow)
         y = np.array(y)
         a = calibration * readout._probe_response_matrix(tip)
         design = np.vstack([a, np.full(4, np.abs(a).max())])
         want, *_ = np.linalg.lstsq(design, np.concatenate([y, [0.0]]), rcond=None)
-        solve, null, _ = readout._probe_solve(readout._probe_response_matrix(tip), calibration)
-        scale = np.linalg.norm(y) * np.linalg.norm(solve, 2)
+        solve, _ = readout._probe_solve(readout._probe_response_matrix(tip), calibration)
+        null = readout._G
+        scale = math.hypot(*y) * np.linalg.norm(solve, 2)
         assert np.abs(solve @ y - want).max() <= 1e-13 * scale
-        residual = np.linalg.norm(a @ want - y)
-        assert abs(abs(null @ y) - residual) <= 1e-13 * np.linalg.norm(y)
+        residual = math.hypot(*(a @ want - y))
+        assert abs(abs(null @ y) - residual) <= 1e-13 * math.hypot(*y)
         assert np.linalg.norm(null) == pytest.approx(1.0, abs=1e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -909,13 +1016,21 @@ class TestReconstruction:
         y=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
     )
     def test_null_vector_is_one_pattern_at_every_tip(self, tip, y):
-        # the residual gate reads |y_H0 - y_H1 - y_C0 + y_C1|/2 at every tip
+        # the residual gate reads |y_H0 - y_H1 - y_C0 + y_C1|/2 at every tip:
+        # one pattern, the left null vector of the detector's calibrated map
         y = np.array(y)
-        _, null, _ = Detector(CFG, DetectionSettings(probe_tip_deg=tip)).probe_solve
-        pattern = np.array([1.0, -1.0, -1.0, 1.0]) / 2
-        assert np.array_equal(null, pattern) or np.array_equal(null, -pattern)
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
+        null, pattern = readout._G, np.array([1.0, -1.0, -1.0, 1.0]) / 2
+        assert np.array_equal(null, pattern)
+        response = det.receiver_constant * det.probe_map.reshape(4, 4)
+        assert np.abs(null @ response).max() <= 4 * np.finfo(float).eps * np.abs(response).max()
         want = abs(y[0] - y[1] - y[2] + y[3]) / 2
         assert abs(abs(null @ y) - want) <= 4 * np.finfo(float).eps * np.abs(y).sum()
+        # and the detector's gate is that residual against 5% of the largest
+        ymax = np.abs(y).max()
+        assume(abs(want - 0.05 * ymax) > 1e-9 * ymax)
+        _, errors = det.reconstruct(y)
+        assert bool(errors) == (ymax > det.roundoff and want > 0.05 * ymax)
 
     @pytest.mark.parametrize("tip", [0.0, 90.0, 180.0, -15.0, np.nan])
     def test_reconstruction_takes_a_tip_in_range(self, tip):

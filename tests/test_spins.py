@@ -130,7 +130,7 @@ class TestPulses:
         assert_allclose(strip_phase(u, expected), expected, atol=1e-12)
 
     def test_90_y_both_equalizes_z_populations(self):
-        u = pulse_unitary(PulseSpec(PulseTarget.BOTH, 90.0, phase=90.0))
+        u = compose(*(pulse_unitary(PulseSpec(t, 90.0, phase=90.0)) for t in PulseTarget))
         out = apply_unitary(thermal_state(SpinSystemConfig()), u)
         assert_allclose(populations(out), [0.25] * 4, atol=1e-12)
 
@@ -138,19 +138,24 @@ class TestPulses:
         u = pulse_unitary(PulseSpec(PulseTarget.C, 1e-7, phase=0.0)).matrix
         assert np.abs(u - np.eye(4)).max() < 1e-6
 
-    @pytest.mark.parametrize("target", [PulseTarget.H, PulseTarget.C, PulseTarget.BOTH])
+    # the simultaneous pulse on both spins is the H and C pulses composed
+    @pytest.mark.parametrize(
+        "targets",
+        [(PulseTarget.H,), (PulseTarget.C,), (PulseTarget.H, PulseTarget.C)],
+        ids=lambda targets: str(targets[0]) if len(targets) == 1 else "both",
+    )
     @pytest.mark.parametrize("tip,phase", [(37.0, 0.0), (90.0, 90.0), (123.0, 45.0)])
-    def test_matches_matrix_exponential_oracle(self, target, tip, phase):
+    def test_matches_matrix_exponential_oracle(self, targets, tip, phase):
         theta = np.radians(tip)
         phi = np.radians(phase)
         gen1 = theta / 2 * (np.cos(phi) * SX + np.sin(phi) * SY)
         r = expm_oracle(gen1)
         expected = {
-            PulseTarget.H: np.kron(r, np.eye(2)),
-            PulseTarget.C: np.kron(np.eye(2), r),
-            PulseTarget.BOTH: np.kron(r, r),
-        }[target]
-        got = pulse_unitary(PulseSpec(target, tip, phase)).matrix
+            (PulseTarget.H,): np.kron(r, np.eye(2)),
+            (PulseTarget.C,): np.kron(np.eye(2), r),
+            (PulseTarget.H, PulseTarget.C): np.kron(r, r),
+        }[targets]
+        got = compose(*(pulse_unitary(PulseSpec(t, tip, phase)) for t in targets)).matrix
         assert_allclose(got, expected, atol=1e-12)
 
 
