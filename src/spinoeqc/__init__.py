@@ -10,9 +10,9 @@ from .quantum import (
     populations,
 )
 from .spins import (
+    Channel,
     PermutationId,
     PulseSpec,
-    PulseTarget,
     SpinSystemConfig,
     enhanced_deviations,
     enhanced_state,
@@ -40,7 +40,6 @@ from .labeling import (
     solve_weights,
 )
 from .readout import (
-    Channel,
     DetectionSettings,
     Detector,
     PeakTable,

@@ -13,8 +13,10 @@ line integrals (or spectra) give those of the effective pure state
 directly. A case is one product of the experiments' stacked
 `readout_map`s (cached per ground and computation) with the prepared
 deviation diagonals; its `records` and their spectra are built only when
-read. A state travels as its deviation diagonal throughout: the readout
-of I/4 is zero, so the trace part carries nothing.
+read, and so is its weighted sum, one `Detector.spectra` of the weighted
+amplitudes and noise rows that reads no record. A state travels as its
+deviation diagonal throughout: the readout of I/4 is zero, so the trace
+part carries nothing.
 
 Prepare once, compute many. What does not depend on the computation is a
 `Preparation`. `prepare_batch` prepares many seeds as one array program,
@@ -32,8 +34,8 @@ probe the sample jitter (two, only for fresh samples and only with
 `reproducibility_jitter` > 0) and the probe noise (two per channel), then
 the readout noise of every experiment. Readout i is detection i of the
 seed, so its spectra draw their noise vectors from the seed's children
-2i and 2i + 1 (`Detector.noise_spectra`, built once per preparation on
-the first spectrum read); a probe's vectors are never read.
+2i and 2i + 1 (`Detector.noise_spectra`, their transforms, built once per
+preparation on the first spectrum read); a probe's are never drawn.
 
 The enhancement scores the labeled state against labeled thermal input.
 With both enhancements equal to 1 at every time, the three thermal inputs
@@ -70,7 +72,7 @@ from .spinoe import (
     SpinoeParams, check_seed, make_schedule, sample_initial_states,
 )
 from .spins import (
-    PermutationId, PulseSpec, PulseTarget, SpinSystemConfig, enhanced_deviations,
+    Channel, PermutationId, PulseSpec, SpinSystemConfig, enhanced_deviations,
     permutation_pulse_sequence, pulse_unitary,
 )
 
@@ -151,15 +153,23 @@ class EffectivePureRun:
                     self.receiver_amplitudes)
         return [ExperimentRecord(*part, prep, i) for i, part in enumerate(parts)]
 
+    @functools.cached_property
+    def sum_spectra(self) -> tuple[Spectrum, Spectrum]:
+        """The H and C spectra of the weighted sum of the experiments, built
+        on first read: detection is linear, so they are the spectra of the
+        weighted amplitudes plus the weighted rows of the preparation's
+        `noise_spectra`."""
+        w, prep = self.result.weights, self.preparation
+        noise = None if prep.noise_spectra is None else np.tensordot(w, prep.noise_spectra, 1)
+        return prep.detector.spectra(np.tensordot(w, self.receiver_amplitudes, 1), noise)
+
     @property
     def sum_readout_h(self) -> Spectrum:
-        """Weighted sum of the H readout spectra, built on each access."""
-        return _weighted_spectrum([r.readout_h for r in self.records], self.result.weights)
+        return self.sum_spectra[0]
 
     @property
     def sum_readout_c(self) -> Spectrum:
-        """Weighted sum of the C readout spectra, built on each access."""
-        return _weighted_spectrum([r.readout_c for r in self.records], self.result.weights)
+        return self.sum_spectra[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,17 +206,12 @@ def relabel_unitary(ground: int) -> Unitary:
     """Bit-flip pulses mapping |ground> to |00> (and back, it is an involution)."""
     steps = []
     if ground & 2:
-        steps.append(pulse_unitary(PulseSpec(PulseTarget.H, 180.0, phase=0.0)))
+        steps.append(pulse_unitary(PulseSpec(Channel.H, 180.0, phase=0.0)))
     if ground & 1:
-        steps.append(pulse_unitary(PulseSpec(PulseTarget.C, 180.0, phase=0.0)))
+        steps.append(pulse_unitary(PulseSpec(Channel.C, 180.0, phase=0.0)))
     if not steps:
         return Unitary(np.eye(4))
     return compose(*steps)
-
-
-def _weighted_spectrum(spectra: list[Spectrum], weights: np.ndarray) -> Spectrum:
-    values = sum(w * s.values for w, s in zip(weights, spectra))
-    return Spectrum(channel=spectra[0].channel, freqs=spectra[0].freqs, values=values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,7 +50,10 @@ and builds no state: the line amplitudes are the probe map, or the
 `readout_map` of a computation, applied to d, both in closed form: the
 probe map is R, and after a readout's unitary U the coherence (r, c) of
 U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ. `Detector.spectra` weights
-the unit line spectra by them. Neither map sees I/4, so only `probe`
+the unit line spectra by them, and it is the one route to spectra: by
+linearity a weighted sum of detections is the spectra of the weighted
+amplitudes and noise rows. The channels, H then C, are `spins.Channel`,
+the enum that also targets pulses. Neither map sees I/4, so only `probe`
 takes a density matrix: it rejects coherences and probes the
 populations, whose I/4 part gives round-off.
 
@@ -62,16 +65,15 @@ a seed draws its full vectors from the child seeds
 `SeedSequence(seed, spawn_key=(2i + c,))` of its channels c (H = 0,
 C = 1), conditioned on its drawn integrals, so an exported spectrum
 integrates to the integrals the pipeline used. `Detector.noise_spectra`
-builds them for a (detection, channel, line) array of integrals, only
-when a spectrum is read, and their owner keeps them: a `Preparation` for
-its readouts, the `probe` command for its lone detection
-(`Detector.draw`, index 0, its integrals from the first four normals of
-the seed).
+draws them for a (detection, channel, line) array of integrals, only when
+a spectrum is read, and returns just their transforms, which their owner
+keeps: a `Preparation` for its readouts, the `probe` command for its lone
+detection (`Detector.draw`, index 0, its integrals from the first four
+normals of the seed).
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import numbers
@@ -81,9 +83,8 @@ import numpy as np
 
 from .quantum import DensityMatrix, Unitary, populations
 from .spinoe import check_seed
-from .spins import (
-    PulseSpec, PulseTarget, SpinSystemConfig, check_finite, enhanced_deviations, pulse_unitary,
-)
+from .spins import (Z_C, Z_H, Channel, PulseSpec, SpinSystemConfig, check_finite,
+                    enhanced_deviations, pulse_unitary)
 
 PROBE_TIP_MAX = 25.0
 MIN_FID_SAMPLES = 256
@@ -98,11 +99,6 @@ ROUNDOFF_MULTIPLE = 16.0
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 _PAST_FLOAT_RANGE = "probe integrals are not finite; the probed state leaves the float range"
 _TOO_COARSE = "spectral resolution too coarse for peak windows"
-
-
-class Channel(enum.Enum):
-    H = "H"
-    C = "C"
 
 
 # channel -> ((row, col) of the +J/2 and -J/2 coherences in |HC> indexing)
@@ -236,7 +232,7 @@ def readout_map(step: Unitary) -> np.ndarray:
     rounding (`_amplitude_map`). A single-spin pulse mixes no partners, so
     90° gives a clean one-line signature for pure-like states.
     """
-    pulses = [pulse_unitary(PulseSpec(PulseTarget(ch.value), 90.0, phase=90.0)) for ch in Channel]
+    pulses = [pulse_unitary(PulseSpec(ch, 90.0, phase=90.0)) for ch in Channel]
     return _amplitude_map([pulse.matrix @ step.matrix for pulse in pulses])
 
 
@@ -275,13 +271,21 @@ def _unit_lines(cfg: SpinSystemConfig, n_points: int, dwell: float) -> np.ndarra
 def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, ...]:
     """Window vectors, line response, noise factor and amplitude solve of
     one grid, read-only and kept for the last few grids (see `Detector`)."""
-    # a bin 1/(n·dwell) wider than a peak window (J/2) leaves at most one
-    # bin in it, which the four-bin rule of `_line_windows` rejects; it is
-    # rejected first, as below dwell ~3e-309 the axis leaves the float range
-    if n_points * dwell * cfg.j_coupling < 2.0:
+    # a bin 1/(n·dwell) wider than half a peak window (J/4) leaves at most
+    # two bins in it, which the four-bin rule of `_line_windows` rejects; it
+    # is rejected first, with no arithmetic on the grid
+    if n_points * dwell * cfg.j_coupling < 4.0:
         raise ReadoutError(_TOO_COARSE)
+    # the axis reaches (n//2)·(1/(n·dwell)), as numpy rounds it: past the
+    # float range (below dwell ~2.8e-309) it would hold infs
+    if n_points // 2 * (1.0 / (n_points * float(dwell))) > np.finfo(float).max:
+        raise ReadoutError("frequency axis leaves the float range; increase dwell_s")
     freqs = _frequency_axis(n_points, dwell)
     masks = np.array(_line_windows(freqs, cfg), dtype=float)
+    # the lines' phase rate 2π·(J/2), as `_unit_lines` rounds it: past the
+    # float range (above J ~5.7e307) they would be NaN
+    if math.pi * float(cfg.j_coupling) > np.finfo(float).max:
+        raise ReadoutError("line phase rate leaves the float range; lower j_hz")
     # a window sum over the shifted spectrum is a dot product with the
     # transform of the unshifted mask; the first FID point is halved
     windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
@@ -401,10 +405,11 @@ class Detector:
             return None
         return self.noise_integrals(np.random.default_rng(seed).standard_normal((1, 2, 2)))
 
-    def noise_vectors(self, seed: int, integrals: np.ndarray) -> np.ndarray:
-        """The read-only (detection, channel, sample) receiver noise vectors
-        of detections 0, 1, … of `seed`, given their (detection, channel,
-        line) noise `integrals`.
+    def noise_spectra(self, seed: int, integrals: np.ndarray) -> np.ndarray:
+        """The read-only (detection, channel, sample) spectra of the receiver
+        noise of detections 0, 1, … of `seed`, given their (detection,
+        channel, line) noise `integrals`: the transforms of its noise
+        vectors, first point halved as for the unit lines.
 
         Detection i draws the white noise m of channel c from the child seed
         `SeedSequence(seed, spawn_key=(2i + c,))` and conditions it on its
@@ -418,13 +423,7 @@ class Detector:
             m = rng.normal(0.0, amp, n) + 1j * rng.normal(0.0, amp, n)
             excess = np.linalg.solve(cov, (self.windows @ m).real - integrals[i, c])
             vectors[i, c] = m - excess @ self.windows.conj()
-        vectors.flags.writeable = False
-        return vectors
-
-    def noise_spectra(self, seed: int, integrals: np.ndarray) -> np.ndarray:
-        """What the `noise_vectors` add to the spectra, read-only: their
-        transforms, first point halved as for the unit lines."""
-        values = _transform(self.noise_vectors(seed, integrals))
+        values = _transform(vectors)
         values.flags.writeable = False
         return values
 
@@ -535,7 +534,7 @@ def reconstruct_diagonal(
 
 
 # the deviation patterns e, f, g and the two tip-free parts of R⁺ (`_probe_solve`)
-_E, _F, _G = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+_E, _F, _G = Z_H / 2, Z_C / 2, Z_H * Z_C / 2
 _PINV_P = np.outer(_E, [1, 1, 0, 0]) + np.outer(_F, [0, 0, 1, 1])
 _PINV_Q = np.outer(_G, [1, -1, 1, -1])
 _G.flags.writeable = False

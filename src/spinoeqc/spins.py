@@ -2,7 +2,11 @@
 
 Conventions fixed here and relied on everywhere else:
 
-* Basis |H C> with index = 2*H + C; |0> is spin up.
+* Basis |H C> with index = 2*H + C; |0> is spin up. `Channel` names the
+  two nuclei, H first: an NMR channel both pulses its nucleus and
+  receives its signal. Z_H and Z_C are the diagonals of their Pauli Z in
+  this basis, and Z_H/2, Z_C/2 and Z_H Z_C/2 the orthonormal traceless
+  deviation patterns the readout works in.
 * The rotating frame puts both chemical-shift offsets at zero, so free
   evolution is J-coupling only.
 * Thermal and enhancement-scaled states are diagonal:
@@ -41,7 +45,7 @@ Z_H = np.array([1.0, 1.0, -1.0, -1.0])
 Z_C = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-class PulseTarget(enum.Enum):
+class Channel(enum.Enum):
     H = "H"
     C = "C"
 
@@ -88,12 +92,12 @@ def check_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One ideal RF rotation: target spin, tip angle and phase in degrees.
+    """One ideal RF rotation: target channel, tip angle and phase in degrees.
 
     Phase 0 rotates about x, phase 90 about y.
     """
 
-    target: PulseTarget
+    target: Channel
     tip_angle: float
     phase: float = 0.0
 
@@ -143,7 +147,7 @@ def pulse_unitary(p: PulseSpec) -> Unitary:
     """Rotation on the targeted spin, identity on the other."""
     r = _rotation_2x2(p.tip_angle, p.phase)
     eye = np.eye(2)
-    if p.target is PulseTarget.H:
+    if p.target is Channel.H:
         return Unitary(np.kron(r, eye))
     return Unitary(np.kron(eye, r))
 

@@ -283,6 +283,36 @@ class TestGrover:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "command", [["grover", "--target", "01"], ["effpure"], ["probe"]],
+        ids=["grover", "effpure", "probe"],
+    )
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ({"j_hz": 1e308, "dwell_s": 2e-314, "n_points": 1048576},
+             "spectral resolution too coarse for peak windows"),
+            ({"j_hz": 1e305, "dwell_s": 1e-310, "n_points": 1048576},
+             "frequency axis leaves the float range; increase dwell_s"),
+            ({"j_hz": 1e308, "dwell_s": 5e-309}, "line phase rate leaves the float range; lower j_hz"),
+        ],
+        ids=["coarse", "axis", "phase"],
+    )
+    def test_grid_past_the_float_range_is_a_readout_failure(
+        self, tmp_path, capsys, command, values, message
+    ):
+        # refused before any arithmetic on the grid: no numpy warning, and
+        # the message names the key at fault
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 4
+        assert capsys.readouterr().err == f"readout failed: {message}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command", [["grover", "--all"], ["effpure"], ["probe"]], ids=["grover", "effpure", "probe"]
     )
     @pytest.mark.parametrize(

@@ -42,18 +42,20 @@ from spinoeqc.spinoe import DEFAULT_RECOVERY_S, ScheduleMode, SpinoeParams, make
 from spinoeqc.spins import (
     PermutationId,
     PulseSpec,
-    PulseTarget,
     SpinSystemConfig,
     permutation_pulse_sequence,
     pulse_unitary,
 )
-from test_readout import MODULES, coherences, conditioned_noise, fft_spectrum, relative_gap
+from test_readout import (
+    MODULES, assert_noise_spectra, coherences, conditioned_noise, fft_spectrum, reference_noise,
+    relative_gap,
+)
 
 CFG = SpinSystemConfig()
 ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
 
 
-def hadamard_pulse_sequence(target: PulseTarget) -> tuple[PulseSpec, PulseSpec]:
+def hadamard_pulse_sequence(target: Channel) -> tuple[PulseSpec, PulseSpec]:
     """90°(y) then 180°(x): equals the Hadamard up to a global phase."""
     return (PulseSpec(target, 90.0, phase=90.0), PulseSpec(target, 180.0, phase=0.0))
 
@@ -71,17 +73,19 @@ def step_unitary(perm, ground, case):
 def receiver_state(rho, step, channel):
     """Reference route of a readout: the step, then a 90° y-pulse on the
     observed spin, each through `apply_unitary`."""
-    pulse = pulse_unitary(PulseSpec(PulseTarget(channel.value), 90.0, phase=90.0))
+    pulse = pulse_unitary(PulseSpec(channel, 90.0, phase=90.0))
     return apply_unitary(apply_unitary(rho, step), pulse)
 
 
 def record_noise_vectors(rec):
-    """The (channel, sample) readout noise vectors of a record, None when
-    noise is off."""
+    """The (channel, sample) reference readout noise vectors of a record,
+    None when noise is off; the preparation's noise spectra are theirs."""
     prep = rec.preparation
     if prep.noise_integrals is None:
         return (None, None)
-    return prep.detector.noise_vectors(prep.seed, prep.noise_integrals)[rec.index]
+    vectors = reference_noise(prep.detector, prep.seed, prep.noise_integrals)
+    assert_noise_spectra(prep.noise_spectra, vectors)
+    return vectors[rec.index]
 
 
 def assert_readout_spectra_match_the_oracle(run, params, detection, case):
@@ -142,7 +146,7 @@ class TestGroverUnitaries:
             GroverCase("02")
 
     def test_hadamard_pulse_sequence_matches_gate(self):
-        seq = hadamard_pulse_sequence(PulseTarget.H)
+        seq = hadamard_pulse_sequence(Channel.H)
         u = compose(*[pulse_unitary(p) for p in seq]).matrix
         h = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))
         phase = h[0, 0] / u[0, 0]
@@ -375,6 +379,31 @@ class TestGroverPipeline:
             ref = integrate_peaks(spec, CFG).integrals
             assert np.abs(integrals - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_weighted_sums_are_one_pair_built_on_first_read(self, monkeypatch):
+        # by linearity the sums take one call of the one spectra route, and
+        # no record, so no record spectrum, is built for them
+        noisy_run(ScheduleMode.SINGLE_SAMPLE, "01")
+        calls, spectra, record_init = [], readout.Detector.spectra, ExperimentRecord.__init__
+
+        def counting_spectra(self, *args):
+            calls.append("spectra")
+            return spectra(self, *args)
+
+        def counting_record(self, *args, **kwargs):
+            calls.append("ExperimentRecord")
+            record_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(readout.Detector, "spectra", counting_spectra)
+        monkeypatch.setattr(ExperimentRecord, "__init__", counting_record)
+        run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "01")
+        assert calls == []
+        h, c = run.sum_readout_h, run.sum_readout_c
+        assert calls == ["spectra"]
+        assert run.sum_readout_h is h and run.sum_readout_c is c
+        assert run.sum_spectra[0] is h and run.sum_spectra[1] is c
+        assert calls == ["spectra"]
+        assert [spec.channel for spec in (h, c)] == list(Channel)
+
     def test_determinism(self):
         p = SpinoeParams(reproducibility_jitter=0.03, seed=11)
         a = run_grover_pipeline(p, CFG, GroverCase("10"), ScheduleMode.MULTI_SAMPLE)
@@ -556,15 +585,18 @@ class TestPreparationCache:
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.normal(0.0, NOISY_PARAMS.reproducibility_jitter)
             rng.standard_normal(4)
-        vectors = prep.detector.noise_vectors(prep.seed, prep.noise_integrals)
+        vectors = []
         for i, rec in enumerate(run.records):
             noise = prep.noise_integrals[rec.index]
             assert rec.index == i
             assert np.array_equal(noise, amp * rng.standard_normal((2, 2)) @ factor.T)
-            for channel, y in enumerate(noise):
-                child = np.random.SeedSequence(NOISY_PARAMS.seed, spawn_key=(2 * i + channel,))
-                want = conditioned_noise(prep.detector, child, y)
-                assert np.array_equal(vectors[i, channel], want)
+            children = (
+                np.random.SeedSequence(NOISY_PARAMS.seed, spawn_key=(2 * i + channel,))
+                for channel in (0, 1)
+            )
+            vectors.append([conditioned_noise(prep.detector, child, y)
+                            for child, y in zip(children, noise, strict=True)])
+        assert_noise_spectra(prep.noise_spectra, np.array(vectors))
 
     def test_noise_is_drawn_once_per_preparation(self, monkeypatch):
         integrals, drawn = readout.Detector.noise_integrals, []
@@ -587,13 +619,13 @@ class TestPreparationCache:
             noise[0, 0, 0] = 1.0
 
     def test_noise_vector_is_built_only_for_a_spectrum(self, monkeypatch):
-        noise_vectors, built = readout.Detector.noise_vectors, []
+        noise_spectra, built = readout.Detector.noise_spectra, []
 
-        def counting_vectors(self, seed, integrals):
+        def counting_spectra(self, seed, integrals):
             built.append(integrals.shape)
-            return noise_vectors(self, seed, integrals)
+            return noise_spectra(self, seed, integrals)
 
-        monkeypatch.setattr(readout.Detector, "noise_vectors", counting_vectors)
+        monkeypatch.setattr(readout.Detector, "noise_spectra", counting_spectra)
         runs = {target: noisy_run(ScheduleMode.SINGLE_SAMPLE, target) for target in GROVER_TARGETS}
         run = runs["10"]
         for case in runs.values():
@@ -811,6 +843,34 @@ class TestPrepareBatch:
                             schedule, detection)
             assert_same_preparation(got, want)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+        data=st.data(),
+        mode=st.sampled_from(list(ScheduleMode)),
+        jitter=st.sampled_from([0.0, 0.05]),
+        noise_amp=st.sampled_from([0.0, 0.01, 0.2]),
+    )
+    def test_each_seed_is_its_batch_of_one(self, seeds, data, mode, jitter, noise_amp):
+        # whatever else a batch holds, duplicates included, and in whatever
+        # order: every seed's outcome is bit for bit that of its batch of one
+        params = SpinoeParams(reproducibility_jitter=jitter)
+        schedule, detection = make_schedule(mode), DetectionSettings(noise_amp=noise_amp)
+        alone = {seed: prepare_batch(params, CFG, schedule, detection, [seed])[0] for seed in seeds}
+        for order in (seeds, data.draw(st.permutations(seeds))):
+            batch = prepare_batch(params, CFG, schedule, detection, order)
+            for seed, got in zip(order, batch, strict=True):
+                want = alone[seed]
+                assert type(got) is type(want)
+                if isinstance(want, Exception):
+                    assert str(got) == str(want)
+                    continue
+                for name in ("deviations", "probed", "noise_integrals"):
+                    x, y = getattr(got, name), getattr(want, name)
+                    assert (x is None and y is None) or np.array_equal(x, y)
+                assert np.array_equal(got.result.weights, want.result.weights)
+                assert (got.result.ground, got.enhancement) == (want.result.ground, want.enhancement)
+
     def test_failed_seed_keeps_its_own_status(self):
         # at noise_amp 0.2 seeds 1 and 3 fail the residual gate, 0, 4, 7 and 8 pass
         detection = DetectionSettings(noise_amp=0.2)
@@ -888,12 +948,8 @@ class TestPrepareBatch:
         assert generators[0].bit_generator.seed_seq.n_children_spawned == 0
         monkeypatch.undo()
         prep = run.preparation
-        vectors = prep.detector.noise_vectors(prep.seed, prep.noise_integrals)
-        for i, rec in enumerate(run.records):
-            for channel, y in enumerate(prep.noise_integrals[i]):
-                child = np.random.SeedSequence(NOISY_PARAMS.seed, spawn_key=(2 * i + channel,))
-                want = conditioned_noise(prep.detector, child, y)
-                assert np.array_equal(vectors[i, channel], want)
+        vectors = reference_noise(prep.detector, NOISY_PARAMS.seed, prep.noise_integrals)
+        assert_noise_spectra(prep.noise_spectra, vectors)
 
     def test_warm_case_builds_no_record_until_read(self, monkeypatch):
         noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")

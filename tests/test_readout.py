@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -37,7 +37,6 @@ from spinoeqc.readout import (
 )
 from spinoeqc.spins import (
     PulseSpec,
-    PulseTarget,
     SpinSystemConfig,
     enhanced_deviations,
     enhanced_state,
@@ -55,7 +54,7 @@ IZIZ_DIAG = np.array([0.25, -0.25, -0.25, 0.25])
 
 def simultaneous_pulse(tip, phase=90.0):
     """The same rotation on both spins, as the H and C pulses composed."""
-    return compose(*(pulse_unitary(PulseSpec(target, tip, phase)) for target in PulseTarget))
+    return compose(*(pulse_unitary(PulseSpec(channel, tip, phase)) for channel in Channel))
 
 
 def probed(rho, tip=15.0):
@@ -357,10 +356,11 @@ class TestProbe:
         assert noise.shape == (1, 2, 2)
         assert np.array_equal(noise, 0.1 * z @ det.noise_factor.T)
         # a lone detection is detection 0 of its seed: children 0 and 1
-        vectors = det.noise_vectors(8, noise)
-        for c, y in enumerate(noise[0]):
-            child = np.random.SeedSequence(8, spawn_key=(c,))
-            assert np.array_equal(vectors[0, c], conditioned_noise(det, child, y))
+        vectors = [
+            conditioned_noise(det, np.random.SeedSequence(8, spawn_key=(c,)), y)
+            for c, y in enumerate(noise[0])
+        ]
+        assert_noise_spectra(det.noise_spectra(8, noise), np.array([vectors]))
         with pytest.raises(ValueError):
             noise[0, 0, 0] = 1.0
 
@@ -374,9 +374,10 @@ class TestProbe:
         children = rng.bit_generator.seed_seq.spawn(2)
         noise = det.draw(seed)
         assert np.array_equal(noise[0], det.noise_integrals(z))
-        vectors = det.noise_vectors(seed, noise)[0]
-        for got, child, y in zip(vectors, children, noise[0], strict=True):
-            assert np.array_equal(got, conditioned_noise(det, child, y))
+        vectors = [
+            conditioned_noise(det, child, y) for child, y in zip(children, noise[0], strict=True)
+        ]
+        assert_noise_spectra(det.noise_spectra(seed, noise), np.array([vectors]))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -428,8 +429,8 @@ def readout_spectra(rho, cfg, tip_angle_deg=90.0, n_samples=4096, dt=1e-3, noise
     """FFT reference of the per-channel readout: a y-pulse of any tip on one
     spin at a time, that spin observed, with the H and C noise vectors added."""
     spectra = []
-    for channel, target, channel_noise in zip(Channel, (PulseTarget.H, PulseTarget.C), noise):
-        state = apply_unitary(rho, pulse_unitary(PulseSpec(target, tip_angle_deg, phase=90.0)))
+    for channel, channel_noise in zip(Channel, noise):
+        state = apply_unitary(rho, pulse_unitary(PulseSpec(channel, tip_angle_deg, phase=90.0)))
         spectra.append(fft_spectrum(state, cfg, channel, n_samples, dt, channel_noise))
     return tuple(spectra)
 
@@ -444,10 +445,30 @@ def conditioned_noise(det, child, y):
     return m - np.linalg.solve(cov, (det.windows @ m).real - y) @ det.windows.conj()
 
 
+def reference_noise(det, seed, integrals):
+    """Reference (detection, channel, sample) noise vectors of detections 0,
+    1, … of `seed`: channel c of detection i drawn from the child seed
+    `SeedSequence(seed, spawn_key=(2i + c,))`, conditioned on its (channel,
+    line) integrals. The library keeps only their transforms, which
+    `assert_noise_spectra` holds to these bit for bit."""
+    return np.array([
+        [conditioned_noise(det, np.random.SeedSequence(seed, spawn_key=(2 * i + c,)), y)
+         for c, y in enumerate(row)]
+        for i, row in enumerate(integrals)
+    ])
+
+
+def assert_noise_spectra(spectra, vectors):
+    """`Detector.noise_spectra` are the transforms of the reference vectors,
+    bit for bit, and read-only."""
+    assert np.array_equal(spectra, readout._transform(vectors))
+    assert not spectra.flags.writeable
+
+
 class Found(NamedTuple):
     """One detection of both channels: the (channel, partner) integrals, the
-    H and C spectra, and the drawn (channel, line) noise integrals and
-    (channel, sample) noise vectors, both None with noise off."""
+    H and C spectra, and the drawn (channel, line) noise integrals and the
+    (channel, sample) reference noise vectors, both None with noise off."""
 
     integrals: np.ndarray
     spectra: tuple
@@ -457,15 +478,16 @@ class Found(NamedTuple):
 
 def detect(det, amplitudes, seed=None) -> Found:
     """Detection of (channel, line) amplitudes against the noise of
-    `det.draw(seed)`, through the detector's one spectra route."""
+    `det.draw(seed)`, through the detector's one spectra route, whose noise
+    spectra are those of the reference vectors."""
     noise = None if seed is None else det.draw(seed)
     if noise is None:
         return Found(det.line_integrals(amplitudes, None), det.spectra(amplitudes), None, None)
+    spectra, vectors = det.noise_spectra(seed, noise), reference_noise(det, seed, noise)
+    assert_noise_spectra(spectra, vectors)
     return Found(
-        det.line_integrals(amplitudes, noise[0]),
-        det.spectra(amplitudes, det.noise_spectra(seed, noise)[0]),
-        noise[0],
-        det.noise_vectors(seed, noise)[0],
+        det.line_integrals(amplitudes, noise[0]), det.spectra(amplitudes, spectra[0]), noise[0],
+        vectors[0],
     )
 
 
@@ -524,6 +546,9 @@ class TestDetector:
         noise_amp=st.sampled_from([0.0, 0.01, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # no signal and no noise: every wanted integral is zero
+    @example(amplitudes=[0j] * 4, n_points=256, dwell=0.001953125, j=14.0, t2=1.0,
+             noise_amp=0.0, seed=0)
     def test_integrals_equal_the_fft_path(
         self, amplitudes, n_points, dwell, j, t2, noise_amp, seed
     ):
@@ -540,7 +565,10 @@ class TestDetector:
         lines = zip(Channel, found.integrals, found.spectra, noise_vectors(found), strict=True)
         for i, (channel, integrals, spec, noise) in enumerate(lines):
             ref = fft_peaks(rho, cfg, channel, n_points, dwell, noise)
-            assert relative_gap(integrals, ref.integrals) <= 1e-9
+            if np.abs(ref.integrals).max() > 0:
+                assert relative_gap(integrals, ref.integrals) <= 1e-9
+            else:
+                assert np.abs(integrals).max() == 0
             # the map's spectrum is the oracle's, to round-off
             want = fft_spectrum(rho, cfg, channel, n_points, dwell, noise)
             assert spec.channel is channel
@@ -584,14 +612,14 @@ class TestDetector:
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
         d = enhanced_deviations(CFG, -11.0, 18.0)
         noise = det.draw(6)
-        vectors, transforms = det.noise_vectors(6, noise), det.noise_spectra(6, noise)
-        assert vectors.shape == transforms.shape == (1, 2, 4096)
-        assert np.array_equal(transforms, readout._transform(vectors))
+        transforms = det.noise_spectra(6, noise)
+        assert transforms.shape == (1, 2, 4096)
+        assert_noise_spectra(transforms, reference_noise(det, 6, noise))
         spectra = det.spectra(det.probe_map @ d, transforms[0])
         assert det.probe_integrals(d).shape == (2, 2)
         assert [spec.channel for spec in spectra] == list(Channel)
         values = [spec.values[None] for spec in spectra]
-        for array in (noise[0], vectors[0], transforms[0], *values):
+        for array in (noise[0], transforms[0], *values):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 
@@ -610,6 +638,47 @@ class TestDetector:
         for array in (freqs, line_spectra):
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        weights=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=4),
+        amplitudes=st.lists(
+            st.complex_numbers(max_magnitude=1e3, allow_subnormal=False), min_size=16, max_size=16
+        ),
+        noise_amp=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectra_are_linear(self, weights, amplitudes, noise_amp, seed):
+        # spectra(Σ wᵢ aᵢ, Σ wᵢ nᵢ) = Σ wᵢ spectra(aᵢ, nᵢ) for (channel, line)
+        # amplitudes aᵢ and (channel, sample) noise rows nᵢ, the route of a
+        # run's weighted sums
+        det = Detector(CFG, DetectionSettings(n_points=256))
+        w = np.array(weights)
+        m = w.size
+        a = np.reshape(amplitudes[:4 * m], (m, 2, 2))
+        rng = np.random.default_rng(seed)
+        n = noise_amp * (rng.standard_normal((m, 2, 256)) + 1j * rng.standard_normal((m, 2, 256)))
+        rows = [None] * m if noise_amp == 0 else list(n)
+        got = det.spectra(np.tensordot(w, a, 1), None if noise_amp == 0 else np.tensordot(w, n, 1))
+        parts = [det.spectra(a_i, n_i) for a_i, n_i in zip(a, rows)]
+        # Each term wᵢ·aᵢₗ·Lₗ of an entry (L a unit line spectrum) is rounded
+        # by at most m + 2√2 + 2 < m + 5 units u = eps/2 on either side: the
+        # sum's product and m - 1 additions, the complex product with L
+        # (√2·2u), its one addition and the noise's; or the complex product,
+        # the two additions, the product with wᵢ and the m - 1 additions of
+        # the sum here. A noise term takes fewer. So the sides differ by at
+        # most (m + 5) eps S, first order, for S = Σ |wᵢ| (|aᵢ| |L| + |nᵢ|);
+        # one eps more covers the higher orders, and 2(m + 6) half-subnormals
+        # the underflow of products of tiny inputs.
+        line_spectra = readout._spectra_map(CFG, 256, 1e-3)[1]
+        scale = sum(abs(w_i) * (np.abs(a_i) @ np.abs(line_spectra) + np.abs(n_i))
+                    for w_i, a_i, n_i in zip(w, a, n))
+        bound = (m + 6) * np.finfo(float).eps * scale + 2 * (m + 6) * 2.0**-1075
+        for c, spec in enumerate(got):
+            want = sum(w_i * part[c].values for w_i, part in zip(w, parts))
+            assert spec.channel is parts[0][c].channel is list(Channel)[c]
+            assert np.array_equal(spec.freqs, parts[0][c].freqs)
+            assert (np.abs(spec.values - want) <= bound[c]).all()
 
     @pytest.mark.parametrize(
         "cache,key",
@@ -741,6 +810,70 @@ class TestDetector:
                     Detector(CFG, detection)
             with pytest.raises(ReadoutError, match="^spectral resolution too coarse"):
                 calibrate(CFG, 15.0, dt=dwell)
+
+    @pytest.mark.parametrize(
+        "j,dwell,n_points,message",
+        [
+            # the windows of this one hold one bin each
+            (1e308, 2e-314, 2**20, "spectral resolution too coarse for peak windows"),
+            (1e308, 1e-312, 2**20, "frequency axis leaves the float range; increase dwell_s"),
+            (1.7e308, 1e-310, 4096, "frequency axis leaves the float range; increase dwell_s"),
+            (1e305, 1e-310, 2**20, "frequency axis leaves the float range; increase dwell_s"),
+            (1e304, 2e-309, 2**20, "frequency axis leaves the float range; increase dwell_s"),
+            (1e308, 5e-309, 4096, "line phase rate leaves the float range; lower j_hz"),
+        ],
+    )
+    def test_grid_past_the_float_range_is_refused_first(self, j, dwell, n_points, message):
+        # these grids built maps of inf and NaN, with numpy warnings, and
+        # most ended in a receiver constant error that blamed other keys
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReadoutError, match=f"^{re.escape(message)}$"):
+                Detector(SpinSystemConfig(j_coupling=j), DetectionSettings(n_points, dwell))
+
+    @pytest.mark.parametrize("n_points", [256, 257, 4096, 4097])
+    def test_axis_rule_is_numpy_rounding(self, n_points):
+        # the axis rule refuses a dwell exactly when numpy's axis would
+        # leave the float range, to the last bit, on both sides of the edge
+        cfg = SpinSystemConfig(j_coupling=3e307)
+        dwells = [(n_points // 2) / n_points / np.finfo(float).max]
+        for _ in range(4):
+            dwells = [np.nextafter(dwells[0], 0.0), *dwells, np.nextafter(dwells[-1], 1.0)]
+        outcomes = set()
+        for dwell in map(float, dwells):
+            with np.errstate(over="ignore"):
+                finite = bool(np.isfinite(np.fft.fftfreq(n_points, dwell)).all())
+            # the grids the rule admits here overflow later (the grid scale
+            # has no rule yet), so only the rule's own refusal is read
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    Detector(cfg, DetectionSettings(n_points, dwell))
+                    refused = False
+                except ReadoutError as exc:
+                    refused = str(exc).startswith("frequency axis")
+            assert refused is not finite
+            outcomes.add(finite)
+        assert outcomes == {True, False}
+
+    def test_phase_rule_is_numpy_rounding(self):
+        # likewise the phase rule and the rate 2π·(J/2) of the unit lines
+        js = [np.finfo(float).max / np.pi]
+        for _ in range(4):
+            js = [np.nextafter(js[0], 0.0), *js, np.nextafter(js[-1], np.inf)]
+        outcomes = set()
+        for j in map(float, js):
+            finite = math.isfinite((2j * np.pi * (j / 2.0)).imag)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    Detector(SpinSystemConfig(j_coupling=j), DetectionSettings(4096, 5e-309))
+                    refused = False
+                except ReadoutError as exc:
+                    refused = str(exc).startswith("line phase rate")
+            assert refused is not finite
+            outcomes.add(finite)
+        assert outcomes == {True, False}
 
     def test_reference_without_signal_is_a_readout_error(self):
         cfg = SpinSystemConfig(polarization_unit=0.0)
@@ -897,8 +1030,15 @@ class TestDetector:
         rng = np.random.default_rng(2028)
         h = det.windows.sum(axis=0) / np.linalg.norm(det.windows[0])
         h = h + (rng.normal(size=256) + 1j * rng.normal(size=256)) / 16
-        values = [(h @ det.noise_vectors(seed, det.draw(seed))[0, 0]).real
-                  for seed in range(n_draws)]
+
+        def h_vector(seed):
+            # the library's H noise vector, read back from its spectrum by
+            # the inverse of `_transform`, exact to round-off
+            x = np.fft.ifft(np.fft.ifftshift(det.noise_spectra(seed, det.draw(seed))[0, 0]))
+            x[0] *= 2.0
+            return x
+
+        values = [(h @ h_vector(seed)).real for seed in range(n_draws)]
         want = amp**2 * np.vdot(h, h).real
         assert abs(np.var(values) / want - 1) <= 5 * np.sqrt(2 / n_draws)
 

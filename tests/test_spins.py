@@ -1,12 +1,18 @@
+import enum
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spinoeqc
+from spinoeqc import readout, spins
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from spinoeqc.spins import (
+    Channel,
     PermutationId,
     PulseSpec,
-    PulseTarget,
     SpinSystemConfig,
     cycle_source_indices,
     enhanced_deviations,
@@ -32,17 +38,17 @@ def j_evolution(cfg: SpinSystemConfig, duration: float) -> Unitary:
     return Unitary(np.diag(np.exp(phases)))
 
 
-def cnot_unitary(control: PulseTarget, target: PulseTarget) -> Unitary:
+def cnot_unitary(control: Channel, target: Channel) -> Unitary:
     """Controlled-NOT between the two spins (control fires on |1>)."""
-    if {control, target} != {PulseTarget.H, PulseTarget.C}:
+    if {control, target} != {Channel.H, Channel.C}:
         raise ValueError("control and target must be H and C in some order")
     m = np.zeros((4, 4))
     for h in (0, 1):
         for c in (0, 1):
             hh, cc = h, c
-            if control is PulseTarget.H and h == 1:
+            if control is Channel.H and h == 1:
                 cc ^= 1
-            if control is PulseTarget.C and c == 1:
+            if control is Channel.C and c == 1:
                 hh ^= 1
             m[2 * hh + cc, 2 * h + c] = 1.0
     return Unitary(m)
@@ -72,9 +78,9 @@ class TestConfig:
 
     def test_pulse_tip_bounds(self):
         with pytest.raises(ValueError):
-            PulseSpec(PulseTarget.H, 0.0)
+            PulseSpec(Channel.H, 0.0)
         with pytest.raises(ValueError):
-            PulseSpec(PulseTarget.H, 181.0)
+            PulseSpec(Channel.H, 181.0)
 
 
 class TestInitialStates:
@@ -125,23 +131,23 @@ class TestInitialStates:
 
 class TestPulses:
     def test_180_x_on_h_is_bit_flip(self):
-        u = pulse_unitary(PulseSpec(PulseTarget.H, 180.0, phase=0.0)).matrix
+        u = pulse_unitary(PulseSpec(Channel.H, 180.0, phase=0.0)).matrix
         expected = np.kron(SX, np.eye(2))
         assert_allclose(strip_phase(u, expected), expected, atol=1e-12)
 
     def test_90_y_both_equalizes_z_populations(self):
-        u = compose(*(pulse_unitary(PulseSpec(t, 90.0, phase=90.0)) for t in PulseTarget))
+        u = compose(*(pulse_unitary(PulseSpec(t, 90.0, phase=90.0)) for t in Channel))
         out = apply_unitary(thermal_state(SpinSystemConfig()), u)
         assert_allclose(populations(out), [0.25] * 4, atol=1e-12)
 
     def test_tiny_tip_approaches_identity(self):
-        u = pulse_unitary(PulseSpec(PulseTarget.C, 1e-7, phase=0.0)).matrix
+        u = pulse_unitary(PulseSpec(Channel.C, 1e-7, phase=0.0)).matrix
         assert np.abs(u - np.eye(4)).max() < 1e-6
 
     # the simultaneous pulse on both spins is the H and C pulses composed
     @pytest.mark.parametrize(
         "targets",
-        [(PulseTarget.H,), (PulseTarget.C,), (PulseTarget.H, PulseTarget.C)],
+        [(Channel.H,), (Channel.C,), (Channel.H, Channel.C)],
         ids=lambda targets: str(targets[0]) if len(targets) == 1 else "both",
     )
     @pytest.mark.parametrize("tip,phase", [(37.0, 0.0), (90.0, 90.0), (123.0, 45.0)])
@@ -151,9 +157,9 @@ class TestPulses:
         gen1 = theta / 2 * (np.cos(phi) * SX + np.sin(phi) * SY)
         r = expm_oracle(gen1)
         expected = {
-            (PulseTarget.H,): np.kron(r, np.eye(2)),
-            (PulseTarget.C,): np.kron(np.eye(2), r),
-            (PulseTarget.H, PulseTarget.C): np.kron(r, r),
+            (Channel.H,): np.kron(r, np.eye(2)),
+            (Channel.C,): np.kron(np.eye(2), r),
+            (Channel.H, Channel.C): np.kron(r, r),
         }[targets]
         got = compose(*(pulse_unitary(PulseSpec(t, tip, phase)) for t in targets)).matrix
         assert_allclose(got, expected, atol=1e-12)
@@ -219,8 +225,8 @@ class TestPermutations:
 
     def test_cycle_at_ground_00_is_a_cnot_pair(self):
         gate_pair = compose(
-            cnot_unitary(control=PulseTarget.C, target=PulseTarget.H),
-            cnot_unitary(control=PulseTarget.H, target=PulseTarget.C),
+            cnot_unitary(control=Channel.C, target=Channel.H),
+            cnot_unitary(control=Channel.H, target=Channel.C),
         )
         perm = permutation_pulse_sequence(PermutationId.CYCLE, 0)
         assert_allclose(gate_pair.matrix, perm.matrix)
@@ -232,7 +238,7 @@ class TestPermutations:
 
 class TestCnot:
     def test_truth_table_control_h(self):
-        u = cnot_unitary(control=PulseTarget.H, target=PulseTarget.C)
+        u = cnot_unitary(control=Channel.H, target=Channel.C)
         for h in (0, 1):
             for c in (0, 1):
                 out = apply_unitary(DensityMatrix.basis_state(2 * h + c), u)
@@ -240,4 +246,20 @@ class TestCnot:
 
     def test_same_spin_rejected(self):
         with pytest.raises(ValueError):
-            cnot_unitary(control=PulseTarget.H, target=PulseTarget.H)
+            cnot_unitary(control=Channel.H, target=Channel.H)
+
+
+def test_one_enum_names_the_nuclei():
+    # an NMR channel both pulses its nucleus and receives its signal, so one
+    # enum, H first, serves pulses and spectra behind every import path
+    modules = [importlib.import_module(f"spinoeqc.{info.name}")
+               for info in pkgutil.iter_modules(spinoeqc.__path__)]
+    nuclei = {
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, enum.Enum)
+        and {"H", "C"} <= {member.name for member in obj}
+    }
+    assert nuclei == {Channel}
+    assert list(Channel) == [Channel.H, Channel.C]
+    assert spinoeqc.Channel is readout.Channel is spins.Channel
+    assert not hasattr(spinoeqc, "PulseTarget") and not hasattr(spins, "PulseTarget")

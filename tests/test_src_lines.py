@@ -46,4 +46,9 @@ def test_tree_counts_sum_the_modules(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("not python\n")
     assert src_lines.count_tree(tmp_path) == (26, 12)
     assert src_lines.main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out == f"{tmp_path}: 26 lines, 12 code lines\n"
+    # each module in path order, then the tree
+    assert capsys.readouterr().out == (
+        "b.py: 2 lines, 1 code lines\n"
+        "pkg/a.py: 24 lines, 11 code lines\n"
+        f"{tmp_path}: 26 lines, 12 code lines\n"
+    )

@@ -2,7 +2,8 @@
 
 Code lines are the lines that hold part of a statement, so docstrings,
 comments and blank lines do not count, and a statement spread over
-several lines counts each of them.
+several lines counts each of them. Each module's counts are printed, in
+path order, before the tree's.
 
     python tools/src_lines.py [DIR]   # DIR defaults to the repo's src/
 """
@@ -40,15 +41,22 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - _docstring_lines(ast.parse(source)))
 
 
+def count_modules(root: Path) -> list[tuple[Path, int, int]]:
+    """(path, total lines, code lines) of each .py file under `root`, in path order."""
+    return [(path, *count(path.read_text(encoding="utf-8"))) for path in sorted(root.rglob("*.py"))]
+
+
 def count_tree(root: Path) -> tuple[int, int]:
     """(total lines, code lines) summed over the .py files under `root`."""
-    counts = [count(path.read_text(encoding="utf-8")) for path in sorted(root.rglob("*.py"))]
-    return sum(total for total, _ in counts), sum(code for _, code in counts)
+    modules = count_modules(root)
+    return sum(total for _, total, _ in modules), sum(code for _, _, code in modules)
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]) if args else Path(__file__).resolve().parent.parent / "src"
+    for path, total, code in count_modules(root):
+        print(f"{path.relative_to(root).as_posix()}: {total} lines, {code} code lines")
     total, code = count_tree(root)
     print(f"{root}: {total} lines, {code} code lines")
     return 0
