@@ -10,11 +10,15 @@ read out. The probed diagonals feed the weight solver; the weighted sum
 of per-experiment results is the effective pure state, and because
 detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
-directly. A case is one product of the experiments' stacked
-`readout_map`s (cached per ground and computation) with the prepared
-deviation diagonals; its `records` and their spectra are built only when
-read, and so is its weighted sum, one `Detector.spectra` of the weighted
-amplitudes and noise rows that reads no record. A state travels as its
+directly. The experiments' `readout_map`s are cached as one stack per
+ground, a row per computation: none, then each search target. An
+effective-pure run is one product of its row with the prepared deviation
+diagonals; a preparation computes all four search targets once, on its
+first search case, as one product of the other rows and one weighted sum
+and solve, so a later case reads its target's row and decodes it. A run's
+`records` and their spectra are built only when read, and so is its
+weighted sum, one `Detector.spectra` of the weighted amplitudes and noise
+rows that reads no record. A state travels as its
 deviation diagonal throughout: the readout of I/4 is zero, so the trace
 part carries nothing.
 
@@ -204,14 +208,10 @@ def grover_circuit(case: GroverCase) -> Unitary:
 
 def relabel_unitary(ground: int) -> Unitary:
     """Bit-flip pulses mapping |ground> to |00> (and back, it is an involution)."""
-    steps = []
-    if ground & 2:
-        steps.append(pulse_unitary(PulseSpec(Channel.H, 180.0, phase=0.0)))
-    if ground & 1:
-        steps.append(pulse_unitary(PulseSpec(Channel.C, 180.0, phase=0.0)))
-    if not steps:
-        return Unitary(np.eye(4))
-    return compose(*steps)
+    # a state's index is 2·H + C: the H bit is 2 and the C bit 1
+    flips = [pulse_unitary(PulseSpec(channel, 180.0, phase=0.0))
+             for channel, bit in zip(Channel, (2, 1)) if ground & bit]
+    return compose(*flips) if flips else Unitary(np.eye(4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +239,24 @@ class Preparation:
         if self.noise_integrals is None:
             return None
         return self.detector.noise_spectra(self.seed, self.noise_integrals)
+
+    @functools.cached_property
+    def searches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The search cases of every target in `GROVER_TARGETS` order, built
+        on the first search case and shared by every run on this preparation:
+        the read-only (target, experiment, channel, line) receiver amplitudes
+        and the (target, channel, partner) weighted line integrals and line
+        amplitudes behind them."""
+        amplitudes = _receiver_amplitudes(self, slice(1, None))
+        lines = self.detector.line_integrals(amplitudes, self.noise_integrals)
+        # the weighted sum of the records' integrals, in experiment order
+        integrals = np.add.reduce(self.result.weights[:, None, None] * lines, axis=1)
+        # each line leaks into its partner's window; Re(response)⁻¹ takes the
+        # integrals back to the line amplitudes, which are real after a readout
+        line_amplitudes = integrals @ self.detector.amplitude_solve.T
+        for array in (integrals, line_amplitudes):
+            array.flags.writeable = False
+        return amplitudes, integrals, line_amplitudes
 
 
 def prepare_batch(
@@ -327,24 +345,28 @@ def _prepare(
     return prep
 
 
-# bounded by the key space: 4 grounds x 5 computations
-@functools.lru_cache(maxsize=20)
-def _readout_maps(ground: int, case: GroverCase | None) -> np.ndarray:
-    """The read-only stack of the `readout_map`s of DEFAULT_PERM_ORDER, each
-    followed, for a search case, by the relabeling of `ground` and the circuit."""
+# bounded by the key space: 4 grounds
+@functools.lru_cache(maxsize=4)
+def _readout_maps(ground: int) -> np.ndarray:
+    """The read-only (computation, experiment, channel, line, population)
+    stack of the `readout_map`s of DEFAULT_PERM_ORDER: in row 0 the
+    permutations alone (an effective-pure run), then in rows 1-4 each
+    followed by the relabeling of `ground` and the circuit of a target, in
+    `GROVER_TARGETS` order."""
     steps = [permutation_pulse_sequence(perm, ground) for perm in DEFAULT_PERM_ORDER]
-    if case is not None:
-        computation = compose(relabel_unitary(ground), grover_circuit(case))
-        steps = [compose(step, computation) for step in steps]
-    maps = np.array([readout_map(step) for step in steps])
+    computations = [compose(relabel_unitary(ground), grover_circuit(GroverCase(target)))
+                    for target in GROVER_TARGETS]
+    rows = [steps, *([compose(step, c) for step in steps] for c in computations)]
+    maps = np.array([[readout_map(step) for step in row] for row in rows])
     maps.flags.writeable = False
     return maps
 
 
-def _receiver_amplitudes(prep: Preparation, case: GroverCase | None) -> np.ndarray:
-    """The read-only (experiment, channel, line) amplitudes at the receivers
-    after each permutation and the computation (none for `case` None)."""
-    stacked = _readout_maps(prep.result.ground, case)
+def _receiver_amplitudes(prep: Preparation, computations) -> np.ndarray:
+    """The read-only (..., experiment, channel, line) amplitudes at the
+    receivers after each permutation and the `computations` (an index of
+    `_readout_maps`' first axis)."""
+    stacked = _readout_maps(prep.result.ground)[computations]
     amplitudes = (stacked @ prep.deviations[:, None, :, None])[..., 0]
     amplitudes.flags.writeable = False
     return amplitudes
@@ -372,7 +394,7 @@ def run_effective_pure_pipeline(
     prep = _prepare(p, cfg, schedule, detection)
     return EffectivePureRun(
         prep.result, prep.thermal_result, prep.enhancement, schedule, prep,
-        _receiver_amplitudes(prep, None),
+        _receiver_amplitudes(prep, 0),
     )
 
 
@@ -428,15 +450,7 @@ def run_grover_pipeline(
     """
     schedule = make_schedule(mode, r1, recovery, sample_age)
     prep = _prepare(p, cfg, schedule, detection)
-    amplitudes = _receiver_amplitudes(prep, case)
-    weights = prep.result.weights[:, None, None]
-    # the weighted sum of the records' integrals, in experiment order
-    integrals = sum(weights * prep.detector.line_integrals(amplitudes, prep.noise_integrals))
-    # each line leaks into its partner's window; Re(response)⁻¹ takes the
-    # integrals back to the line amplitudes, which are real after a readout
-    line_amplitudes = integrals @ prep.detector.amplitude_solve.T
-    for array in (integrals, line_amplitudes):
-        array.flags.writeable = False
+    amplitudes, integrals, line_amplitudes = (array[case.index] for array in prep.searches)
     # an inverted preparation (q2 < 0) flips every line; its sign is known
     # from the weight solve, so fold it into the decode
     sign = 1.0 if prep.result.q2 >= 0 else -1.0

@@ -99,6 +99,8 @@ ROUNDOFF_MULTIPLE = 16.0
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 _PAST_FLOAT_RANGE = "probe integrals are not finite; the probed state leaves the float range"
 _TOO_COARSE = "spectral resolution too coarse for peak windows"
+_INSEPARABLE = ("peak windows cannot separate the doublet lines; "
+                "increase t2 or shorten the dwell time")
 
 
 # channel -> ((row, col) of the +J/2 and -J/2 coherences in |HC> indexing)
@@ -229,20 +231,14 @@ def readout_map(step: Unitary) -> np.ndarray:
     its I/4 part, and a diagonal state is fixed by its deviation diagonal
     d, so the (A_plus, A_minus) of a channel after `step` and the 90°
     y-pulse on the observed spin are `map[channel] @ d`, exact up to
-    rounding (`_amplitude_map`). A single-spin pulse mixes no partners, so
-    90° gives a clean one-line signature for pure-like states.
+    rounding: each row is U[r] * conj(U[c]) for its coherence (r, c) and
+    the unitary U at the receiver. A single-spin pulse mixes no partners,
+    so 90° gives a clean one-line signature for pure-like states. The map
+    stays complex, as round-off imaginary parts reach the integrals through
+    the imaginary part of the line response.
     """
     pulses = [pulse_unitary(PulseSpec(ch, 90.0, phase=90.0)) for ch in Channel]
-    return _amplitude_map([pulse.matrix @ step.matrix for pulse in pulses])
-
-
-def _amplitude_map(unitaries) -> np.ndarray:
-    """The read-only (channel, line, population) map from the diagonal of a
-    diagonal state to the line amplitudes after the unitary U of each
-    receiver, H then C: each row is U[r] * conj(U[c]) for its coherence
-    (r, c). Only the readout maps are built this way (the probe map is the
-    real relations R), and they stay complex, as round-off imaginary parts
-    reach the integrals through the imaginary part of the line response."""
+    unitaries = [pulse.matrix @ step.matrix for pulse in pulses]
     amplitudes = np.array([
         [u[r] * u[c].conj() for r, c in _COHERENCE_INDEX[channel]]
         for channel, u in zip(Channel, unitaries)
@@ -286,6 +282,11 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     # float range (above J ~5.7e307) they would be NaN
     if math.pi * float(cfg.j_coupling) > np.finfo(float).max:
         raise ReadoutError("line phase rate leaves the float range; lower j_hz")
+    # the lines' decay exponent at the last sample, (n-1)·dwell/T2, as
+    # `_unit_lines` rounds it: past the float range (t2 below ~2.3e-308 on
+    # the default grid) the lines decay within the first sample, one flat line
+    if (n_points - 1) * float(dwell) / float(cfg.t2) > np.finfo(float).max:
+        raise ReadoutError(_INSEPARABLE)
     # a window sum over the shifted spectrum is a dot product with the
     # transform of the unshifted mask; the first FID point is halved
     windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
@@ -295,9 +296,7 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     try:
         amplitude_solve = np.linalg.inv(response.real)
     except np.linalg.LinAlgError:  # e.g. a decay within one dwell: one flat line
-        raise ReadoutError(
-            "peak windows cannot separate the doublet lines; increase t2 or shorten the dwell time"
-        ) from None
+        raise ReadoutError(_INSEPARABLE) from None
     # a map is shared by every detector on its grid
     for array in (windows, response, noise_factor, amplitude_solve):
         array.flags.writeable = False
@@ -335,7 +334,7 @@ class Detector:
     The probe setting is built here, in closed form, from the grid's
     response and the tip's relations R (`_probe_response_matrix`):
     `probe_map` is the (channel, line, population) view of R, which is
-    what the pulse's `_amplitude_map` gives up to rounding;
+    what `readout_map`'s rows give for the probe pulse up to rounding;
     `receiver_constant` is the K of `calibrate`, fitted to a noise-free
     probe of the thermal reference; `probe_solve` and `roundoff` are the
     solve matrix S and the round-off level of `_probe_solve`. A thermal

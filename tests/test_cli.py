@@ -313,6 +313,28 @@ class TestGrover:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "command", [["grover", "--target", "01"], ["effpure"], ["probe"]],
+        ids=["grover", "effpure", "probe"],
+    )
+    @pytest.mark.parametrize("t2", [5e-324, 1e-310, 2.2e-308, 2.3e-308])
+    def test_decay_past_the_float_range_is_a_readout_failure(self, tmp_path, capsys, command, t2):
+        # a decay exponent (n_points - 1)·dwell/t2 past the float range
+        # (below 2.3e-308 here) is refused as the one flat line it leaves,
+        # with no numpy warning on the way; just inside it the line is as flat
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"t2_s": t2}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "readout failed: peak windows cannot separate the doublet lines; "
+            "increase t2 or shorten the dwell time\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command", [["grover", "--all"], ["effpure"], ["probe"]], ids=["grover", "effpure", "probe"]
     )
     @pytest.mark.parametrize(

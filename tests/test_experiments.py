@@ -38,7 +38,9 @@ from spinoeqc.readout import (
     ReadoutError,
     integrate_peaks,
 )
-from spinoeqc.spinoe import DEFAULT_RECOVERY_S, ScheduleMode, SpinoeParams, make_schedule
+from spinoeqc.spinoe import (
+    DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ScheduleMode, SpinoeParams, make_schedule,
+)
 from spinoeqc.spins import (
     PermutationId,
     PulseSpec,
@@ -448,12 +450,13 @@ MAP_KEYS = [
     for ground in range(4)
     for case in [None, *ALL_CASES]
 ]
-CASE_KEYS = [(ground, case) for ground in range(4) for case in [None, *ALL_CASES]]
 
 
 def record_map(perm, ground, case):
-    """The readout map of `perm`'s experiment in the stack of (ground, case)."""
-    return _readout_maps(ground, case)[DEFAULT_PERM_ORDER.index(perm)]
+    """The readout map of `perm`'s experiment in the stack of `ground`, in
+    the row of `case` (row 0 for no computation, then GROVER_TARGETS)."""
+    row = 0 if case is None else 1 + GROVER_TARGETS.index(case.target)
+    return _readout_maps(ground)[row, DEFAULT_PERM_ORDER.index(perm)]
 
 
 class TestReadoutMap:
@@ -484,11 +487,15 @@ class TestReadoutMap:
     def test_map_cache_is_bounded_by_its_keys(self):
         _readout_maps.cache_clear()
         for _ in range(2):
-            for key in CASE_KEYS:
-                _readout_maps(*key)
+            for ground in range(4):
+                assert _readout_maps(ground).shape == (1 + len(GROVER_TARGETS), 3, 2, 2, 4)
         info = _readout_maps.cache_info()
-        assert info.maxsize is not None and info.currsize <= 20
-        assert (info.misses, info.hits) == (len(CASE_KEYS), len(CASE_KEYS))
+        assert info.maxsize is not None and info.currsize <= 4
+        assert (info.misses, info.hits) == (4, 4)
+        # every record's map is a row of the four cached stacks
+        for key in MAP_KEYS:
+            record_map(*key)
+        assert _readout_maps.cache_info().misses == 4
 
     def test_warm_case_builds_no_state(self, monkeypatch):
         noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
@@ -516,6 +523,98 @@ class TestReadoutMap:
         monkeypatch.undo()
         case = GroverCase("10")
         assert_readout_spectra_match_the_oracle(run, NOISY_PARAMS, NOISY_DETECTION, case)
+
+
+# per seed (mod 4) initial enhancements whose labelings reach every ground
+GROUND_EPS = [(-11.0, 18.0), (30.0, -5.0), (-40.0, -25.0), (8.0, 9.0)]
+# a target's three readout maps per (ground, target), built as a pipeline
+# built them before the maps of all targets were stacked
+CASE_MAPS = {}
+
+
+def per_case_search(prep, case):
+    """One search case computed for its target alone: the target's three
+    readout maps applied to the deviations, the builtin sum of the weighted
+    line integrals, the amplitude solve, then the q2 sign and the decode
+    (its answer, or its DecodeError's class and text)."""
+    ground, det = prep.result.ground, prep.detector
+    key = (ground, case.target)
+    if key not in CASE_MAPS:
+        CASE_MAPS[key] = np.array([readout.readout_map(step_unitary(perm, ground, case))
+                                   for perm in DEFAULT_PERM_ORDER])
+    maps = CASE_MAPS[key]
+    amplitudes = (maps @ prep.deviations[:, None, :, None])[..., 0]
+    weights = prep.result.weights[:, None, None]
+    integrals = sum(weights * det.line_integrals(amplitudes, prep.noise_integrals))
+    line_amplitudes = integrals @ det.amplitude_solve.T
+    sign = 1.0 if prep.result.q2 >= 0 else -1.0
+    try:
+        decoded = decode_answer(sign * line_amplitudes)
+    except DecodeError as exc:
+        decoded = (DecodeError, str(exc))
+    return amplitudes, integrals, line_amplitudes, decoded
+
+
+def search_outcome(params, case, mode, detection):
+    """The preparation of a search case, and the arrays and decode of its
+    `run_grover_pipeline` as `per_case_search` gives them."""
+    schedule = make_schedule(mode, start_delay=DEFAULT_SAMPLE_AGE_S)
+    prep = _prepare(params, CFG, schedule, detection)
+    try:
+        run = run_grover_pipeline(params, CFG, case, mode, detection=detection)
+    except DecodeError as exc:
+        return prep, (DecodeError, str(exc))
+    assert run.preparation is prep
+    return prep, (run.receiver_amplitudes, run.peak_integrals, run.line_amplitudes, run.decoded)
+
+
+class TestSearchTargets:
+    @pytest.mark.parametrize("jitter", [0.0, 0.05], ids=["exact", "jitter"])
+    @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["clean", "noisy"])
+    def test_each_target_equals_the_per_case_formula(self, noise, mode, jitter):
+        detection, grounds = DetectionSettings(noise_amp=noise), set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(50):
+                eps_h, eps_c = GROUND_EPS[seed % 4]
+                p = SpinoeParams(eps_h, eps_c, reproducibility_jitter=jitter, seed=seed)
+                for case in ALL_CASES:
+                    prep, got = search_outcome(p, case, mode, detection)
+                    want = per_case_search(prep, case)
+                    if isinstance(got[0], type):
+                        assert got == want[3]
+                        continue
+                    for x, y in zip(got[:3], want[:3], strict=True):
+                        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                    assert got[3] == want[3]
+                grounds.add(prep.result.ground)
+        assert grounds == {0, 1, 2, 3}
+
+    def test_the_four_targets_are_computed_once(self, monkeypatch):
+        _prepare.cache_clear()
+        first = noisy_run(ScheduleMode.MULTI_SAMPLE, "01")
+        products = []
+        product = experiments._receiver_amplitudes
+
+        def counting_product(*args):
+            products.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(experiments, "_receiver_amplitudes", counting_product)
+        runs = {target: noisy_run(ScheduleMode.MULTI_SAMPLE, target) for target in GROVER_TARGETS}
+        assert products == []
+        assert _prepare.cache_info().hits == len(GROVER_TARGETS)
+        prep = first.preparation
+        for k, target in enumerate(GROVER_TARGETS):
+            run = runs[target]
+            assert run.preparation is prep
+            parts = (run.receiver_amplitudes, run.peak_integrals, run.line_amplitudes)
+            for part, shared in zip(parts, prep.searches, strict=True):
+                assert not shared.flags.writeable and not part.flags.writeable
+                assert np.shares_memory(part, shared)
+                assert part.tobytes() == shared[k].tobytes()
+        assert np.shares_memory(first.peak_integrals, runs["01"].peak_integrals)
 
 
 class TestRunObjects:
