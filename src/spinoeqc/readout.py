@@ -37,12 +37,19 @@ integrals pick up a large flat offset).
 
 Detection as a linear map. FID synthesis, the transform and the window
 sums are all linear in the line amplitudes (A_plus, A_minus) and in the
-receiver noise, so detection needs no FID. A line integral is Re(g · x)
-for the sampled FID x and a window vector g that carries the spectral
-window, the first-point halving and the bin width; a spectrum is the two
-unit line spectra (the transform of a unit ±J/2 line under the T2 decay)
-weighted by the amplitudes. A `Detector` reads the cached map of its
-grid, per (spin system, n_points, dwell), and builds its probe setting
+receiver noise, so detection needs no FID. A spectrum is the two unit
+line spectra (the transform of a unit ±J/2 line under the T2 decay)
+weighted by the amplitudes, and a line integral is the bin width df
+times the window sum of its real part, so the 2×2 line response is the
+window sums of the unit line spectra. In the time domain a line integral
+is Re(g · x) for the sampled FID x and a window vector g that carries the
+window, the first-point halving and df; g is never built, as the
+covariance of the line integrals of white noise and the conditioning of
+a noise vector on them have closed forms in the windows' bin counts (see
+`_grid_map` and `Detector.noise_spectra`). A `Detector` reads the one
+cached map of its grid, per (spin system, n_points, dwell): the axis,
+the unit line spectra, the window masks, the response, the noise factor
+and the amplitude solve. It builds its probe setting
 (probe map, receiver constant, solve) from it and the tip in closed form,
 with no cache of its own. It takes the deviation diagonal d
 of a diagonal state, its populations less I/4 (`enhanced_deviations`),
@@ -88,7 +95,9 @@ from .spins import (Z_C, Z_H, Channel, PulseSpec, SpinSystemConfig, check_finite
 
 PROBE_TIP_MAX = 25.0
 MIN_FID_SAMPLES = 256
-# 2**20 samples already take ~1 GiB at peak for one search with noise on
+# 2**20 samples already take ~0.5 GiB at peak for one search with noise on
+# (493 MiB `ru_maxrss` for a `run_grover_pipeline` at noise_amp 0.01 that
+# reads every record and sum spectrum)
 MAX_FID_SAMPLES = 2**20
 RECONSTRUCTION_RESIDUAL_FRAC = 0.05
 # probe integrals up to this many machine epsilons of the largest
@@ -265,8 +274,16 @@ def _unit_lines(cfg: SpinSystemConfig, n_points: int, dwell: float) -> np.ndarra
 
 @functools.lru_cache(maxsize=8)
 def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, ...]:
-    """Window vectors, line response, noise factor and amplitude solve of
-    one grid, read-only and kept for the last few grids (see `Detector`)."""
+    """Frequency axis, unit line spectra, window masks, line response,
+    noise factor and amplitude solve of one grid, read-only and kept for
+    the last few grids (see `Detector`).
+
+    The response is df times the window sums of the unit line spectra.
+    The windows are disjoint, so the covariance Re(G Gᴴ) of the line
+    integrals of unit white noise is df² (n·diag|W| - 0.75·|W||W|ᵀ) for
+    the bin counts |W| (Parseval, less the halved first point's share),
+    and the noise factor L is df times the Cholesky factor of the 2×2 in
+    counts: the covariance itself, ~df², is never formed."""
     # a bin 1/(n·dwell) wider than half a peak window (J/4) leaves at most
     # two bins in it, which the four-bin rule of `_line_windows` rejects; it
     # is rejected first, with no arithmetic on the grid
@@ -277,7 +294,7 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     if n_points // 2 * (1.0 / (n_points * float(dwell))) > np.finfo(float).max:
         raise ReadoutError("frequency axis leaves the float range; increase dwell_s")
     freqs = _frequency_axis(n_points, dwell)
-    masks = np.array(_line_windows(freqs, cfg), dtype=float)
+    masks = np.array(_line_windows(freqs, cfg))
     # the lines' phase rate 2π·(J/2), as `_unit_lines` rounds it: past the
     # float range (above J ~5.7e307) they would be NaN
     if math.pi * float(cfg.j_coupling) > np.finfo(float).max:
@@ -287,34 +304,21 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     # the default grid) the lines decay within the first sample, one flat line
     if (n_points - 1) * float(dwell) / float(cfg.t2) > np.finfo(float).max:
         raise ReadoutError(_INSEPARABLE)
-    # a window sum over the shifted spectrum is a dot product with the
-    # transform of the unshifted mask; the first FID point is halved
-    windows = (freqs[1] - freqs[0]) * np.fft.fft(np.fft.ifftshift(masks, axes=1), axis=1)
-    windows[:, 0] *= 0.5
-    response = windows @ _unit_lines(cfg, n_points, dwell).T
-    noise_factor = np.linalg.cholesky((windows @ windows.conj().T).real)
+    line_spectra = _transform(_unit_lines(cfg, n_points, dwell))
+    df = freqs[1] - freqs[0]
+    response = df * (masks @ line_spectra.T)
+    counts = masks.sum(axis=1)
+    gram = n_points * np.diag(counts) - 0.75 * np.outer(counts, counts)
+    noise_factor = df * np.linalg.cholesky(gram)
     try:
         amplitude_solve = np.linalg.inv(response.real)
     except np.linalg.LinAlgError:  # e.g. a decay within one dwell: one flat line
         raise ReadoutError(_INSEPARABLE) from None
     # a map is shared by every detector on its grid
-    for array in (windows, response, noise_factor, amplitude_solve):
+    grid = (freqs, line_spectra, masks, response, noise_factor, amplitude_solve)
+    for array in grid:
         array.flags.writeable = False
-    return windows, response, noise_factor, amplitude_solve
-
-
-# bounded: spectra are read for the grids a caller exports, a few at most
-@functools.lru_cache(maxsize=4)
-def _spectra_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, ...]:
-    """The frequency axis and the two unit line spectra (the spectra of unit
-    +J/2 and -J/2 amplitudes) of one grid, read-only. Built on the first
-    spectrum read on the grid, apart from `_grid_map`, so detection that
-    reads only line integrals never transforms."""
-    freqs = _frequency_axis(n_points, dwell)
-    line_spectra = _transform(_unit_lines(cfg, n_points, dwell))
-    for array in (freqs, line_spectra):
-        array.flags.writeable = False
-    return freqs, line_spectra
+    return grid
 
 
 @dataclass(frozen=True)
@@ -322,14 +326,17 @@ class Detector:
     """Line integrals and spectra of one acquisition setting as a
     precomputed linear map.
 
-    `windows` holds g_+ and g_- (partner 0 and partner 1 lines) such that a
-    line integral of the FID x equals Re(g · x); `response` holds the
-    complex line integrals of unit +J/2 and -J/2 amplitudes, so noise-free
-    integrals are Re(response @ (A_plus, A_minus)), and `amplitude_solve`
-    is Re(response)⁻¹; `noise_factor` is the lower Cholesky factor L of
-    C = Re(G Gᴴ), so the line integrals of white noise of amplitude σ are
-    σ L z for standard normal z. These come from the cache of the grid
-    (`_grid_map`), shared by every detector on it.
+    `response` holds the complex line integrals of unit +J/2 and -J/2
+    amplitudes (partner 0 and partner 1 lines), the window sums of the
+    grid's unit line spectra times the bin width, so noise-free integrals
+    are Re(response @ (A_plus, A_minus)), and `amplitude_solve` is
+    Re(response)⁻¹; `noise_factor` is the lower Cholesky factor L of the
+    covariance C = Re(G Gᴴ) of the line integrals of unit white noise, for
+    the window vectors G of the module docstring, so those of white noise
+    of amplitude σ are σ L z for standard normal z. These come from the
+    one cached map of the grid (`_grid_map`), shared by every detector on
+    it, which also holds the frequency axis, the unit line spectra and the
+    window masks that `spectra` and `noise_spectra` read.
 
     The probe setting is built here, in closed form, from the grid's
     response and the tip's relations R (`_probe_response_matrix`):
@@ -345,7 +352,6 @@ class Detector:
     cfg: SpinSystemConfig
     settings: DetectionSettings
     # the maps follow from (cfg, settings), which alone compare and hash
-    windows: np.ndarray = field(init=False, repr=False, compare=False)
     response: np.ndarray = field(init=False, repr=False, compare=False)
     noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
     amplitude_solve: np.ndarray = field(init=False, repr=False, compare=False)
@@ -361,7 +367,7 @@ class Detector:
         relations.flags.writeable = False
         probe_map = relations.reshape(2, 2, 4)
         ref = enhanced_deviations(self.cfg, 1.0, 1.0)
-        y = ((probe_map @ ref) @ grid[1].T).real
+        y = ((probe_map @ ref) @ grid[3].T).real
         m = relations @ ref
         # a reference near the float range (polarization_unit 1e153 at the
         # default gamma_ratio) overflows these products, and K is not finite;
@@ -377,8 +383,8 @@ class Detector:
                 "receiver constant overflows; lower polarization_unit or gamma_ratio"
             )
         # the probed states' scale is the thermal reference's, whatever u is
-        maps = (*grid, probe_map, k, *_probe_solve(relations, k, float(np.abs(ref).max())))
-        names = ("windows", "response", "noise_factor", "amplitude_solve", "probe_map",
+        maps = (*grid[3:], probe_map, k, *_probe_solve(relations, k, float(np.abs(ref).max())))
+        names = ("response", "noise_factor", "amplitude_solve", "probe_map",
                  "receiver_constant", "probe_solve", "roundoff")
         for name, value in zip(names, maps, strict=True):
             object.__setattr__(self, name, value)
@@ -412,17 +418,27 @@ class Detector:
 
         Detection i draws the white noise m of channel c from the child seed
         `SeedSequence(seed, spawn_key=(2i + c,))` and conditions it on its
-        line integrals y: n = m - Σₖ conj(gₖ) [C⁻¹ (Re(G m) - y)]ₖ. Its law is
-        still that of white noise, and Re(G n) = y."""
+        line integrals y: n = m - Σₖ conj(gₖ) eₖ for the window vectors g and
+        the excess e = C⁻¹ (Re(G m) - y) of m's integrals. Its law is still
+        that of white noise, and Re(G n) = y. No g is built: for the
+        transform M of m, the window masks Wₖ and their bin counts |Wₖ|,
+        Re(G m) = df Σ_W Re(M) and the transform of conj(gₖ) is
+        df (n·Wₖ - 0.75 |Wₖ|), so the spectrum of n is
+        M - Σₖ eₖ df (n·Wₖ - 0.75 |Wₖ|)."""
         n, amp = self.settings.n_points, self.settings.noise_amp
-        cov = self.noise_factor @ self.noise_factor.T
-        vectors = np.empty((*integrals.shape[:2], n), dtype=complex)
+        freqs, _, masks = _grid_map(self.cfg, n, self.settings.dwell)[:3]
+        white = np.empty((*integrals.shape[:2], n), dtype=complex)
         for i, c in np.ndindex(integrals.shape[:2]):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2 * i + c,)))
-            m = rng.normal(0.0, amp, n) + 1j * rng.normal(0.0, amp, n)
-            excess = np.linalg.solve(cov, (self.windows @ m).real - integrals[i, c])
-            vectors[i, c] = m - excess @ self.windows.conj()
-        values = _transform(vectors)
+            white[i, c] = rng.normal(0.0, amp, n) + 1j * rng.normal(0.0, amp, n)
+        values = _transform(white)
+        df = freqs[1] - freqs[0]
+        # C⁻¹ as two solves with L: C, ~df², leaves the float range on fine grids
+        excess = (df * (values.real @ masks.T) - integrals)[..., None]
+        factor = self.noise_factor
+        excess = np.linalg.solve(factor.T, np.linalg.solve(factor, excess))[..., 0]
+        counts = masks.sum(axis=1)
+        values -= excess @ (df * (n * masks - 0.75 * counts[:, None]))
         values.flags.writeable = False
         return values
 
@@ -430,7 +446,7 @@ class Detector:
         """The H and C spectra of (channel, line) amplitudes: the grid's unit
         line spectra weighted by them, plus a (channel, sample) row of
         `noise_spectra` when one is given."""
-        freqs, line_spectra = _spectra_map(self.cfg, self.settings.n_points, self.settings.dwell)
+        freqs, line_spectra = _grid_map(self.cfg, self.settings.n_points, self.settings.dwell)[:2]
         values = amplitudes @ line_spectra
         if noise is not None:
             values += noise

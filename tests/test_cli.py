@@ -334,6 +334,29 @@ class TestGrover:
         )
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("noise_amp", [0.0, 0.01], ids=["quiet", "noisy"])
+    @pytest.mark.parametrize(
+        "command", [["grover", "--target", "01"], ["effpure"], ["probe", "--state", "enhanced"]],
+        ids=["grover", "effpure", "probe"],
+    )
+    def test_grid_near_the_float_range_runs_clean(self, tmp_path, capsys, command, noise_amp):
+        # J = 1e300 Hz on a 6e-301 s dwell: the bin width df is ~4e296 and
+        # the noise factor ~8e299, so the line integrals' covariance (~df²)
+        # leaves the float range; the grid map and the noise conditioning
+        # never form it
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"j_hz": 1e300, "dwell_s": 6e-301, "noise_amp": noise_amp}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        if command[0] == "grover":
+            assert stdout.startswith("target 01: decoded 01 (ok)")
+            assert read_report(out / "grover_01_report.json")["decoded"] == "01"
+
     @pytest.mark.parametrize(
         "command", [["grover", "--all"], ["effpure"], ["probe"]], ids=["grover", "effpure", "probe"]
     )
