@@ -717,6 +717,18 @@ class TestDetector:
             assert np.array_equal(spec.freqs, parts[0][c].freqs)
             assert (np.abs(spec.values - want) <= bound[c]).all()
 
+    @pytest.mark.parametrize(
+        "cache,key",
+        [(readout._grid_map, lambda i: (CFG, 1024 + i, 1e-3))],
+        ids=["grid"],
+    )
+    def test_caches_are_bounded(self, cache, key):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(2 * maxsize):
+            cache(*key(i))
+        assert cache.cache_info().currsize == maxsize
+
     def test_settings_that_differ_in_noise_alone_share_one_calibration(self):
         # K comes from a noise-free probe, so the noise level is no part of it
         readout._grid_map.cache_clear()
