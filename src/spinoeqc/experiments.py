@@ -288,7 +288,8 @@ def prepare_batch(
         integrals = detector.noise_integrals(both.reshape(n, 2 * n_exp, 2, 2))
         y, readout_integrals = clean + integrals[:, :n_exp], integrals[:, n_exp:]
     else:
-        y, readout_integrals = np.broadcast_to(clean, (n, n_exp, 2, 2)), None
+        # one row per seed; unjittered, every seed has the shared integrals
+        y, readout_integrals = clean if jitter else clean[None].repeat(n, axis=0), None
     probed, errors = detector.reconstruct(y.reshape(n, n_exp, 4))
     probed.flags.writeable = False
     outcomes = {}

@@ -17,7 +17,10 @@ closed form, the cross product c = r0 × r1 over its first entry c_0, the
 determinant of the 2x2 system M that w_2 and w_3 solve once w_1 = 1. A
 system is singular when |c_0| <= SINGULARITY_RTOL·||M||_F^2, to first
 order s_min < SINGULARITY_RTOL·s_max of M: both sides scale alike with the
-diagonals, so the polarization scale does not decide it. The result has the
+diagonals, so the polarization scale does not decide it. It is singular
+too when a weight c_i / c_0 is not finite, as when the diagonals of the
+experiments lie so many decades apart that the quotient leaves the float
+range: such weights would turn the weighted sum to NaN. The result has the
 form q1*I + q2*|ground><ground| where q2 = ground population minus the
 common non-ground population; q2 is the signal-bearing coefficient, and
 ratios of q2 (at a common weight normalization) measure how much
@@ -93,7 +96,7 @@ class EffectivePureResult:
 
     def normalized_q2(self) -> float:
         """q2 rescaled so the weights sum to 3 (one unit per experiment)."""
-        total = float(self.weights.sum())
+        total = float(np.add.reduce(self.weights))
         if total == 0.0:
             raise SingularLabelingSystem("weights sum to zero; cannot normalize")
         return self.q2 * 3.0 / total
@@ -112,7 +115,7 @@ def _as_diags(diags, batched: bool = False) -> np.ndarray:
     ds = np.asarray(diags, dtype=float)
     if ds.shape[batched:] != (3, 4):
         raise ValueError("expected three population vectors of length 4")
-    if not np.isfinite(ds).all():
+    if not np.logical_and.reduce(np.isfinite(ds), axis=None):
         raise ValueError("diagonals must be finite")
     return ds
 
@@ -152,14 +155,16 @@ def _labeled(diags, weights=None) -> tuple[np.ndarray, ...]:
         # c = r0 × r1 written out (np.cross costs more than the arithmetic):
         # c_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], shifts 1 and 2 of r0 times
         # shifts 2 and 1 of r1 in one product
-        # a zero, overflowing or NaN c_0 fails the bound and is zeroed below
+        # a zero, overflowing or NaN c_0 fails the bound, a weight c / c_0
+        # past the float range is not finite, and both are zeroed below
         with np.errstate(all="ignore"):
             products = shifted[..., 1:, 0, :] * shifted[..., :0:-1, 1, :]
             c = products[..., 0, :] - products[..., 1, :]
             m = a[..., 1:]
             bound = SINGULARITY_RTOL * np.add.reduce(m * m, axis=(-2, -1))
-            singular = ~(np.abs(c[..., 0]) > bound)
             w = c / c[..., :1]
+            finite = np.logical_and.reduce(np.isfinite(w), axis=-1)
+            singular = ~((np.abs(c[..., 0]) > bound) & finite)
         np.copyto(w, 0.0, where=singular[..., None])
     else:
         a, singular = None, np.zeros(permuted.shape[:-2], dtype=bool)
@@ -190,7 +195,8 @@ def _result(labeled, k, ground: int) -> EffectivePureResult:
 def _unequalized(diagonal, residual):
     """Whether each (..., state) diagonal, of non-ground spread `residual`,
     is not equalized."""
-    return residual > EQUALIZATION_TOL * np.abs(diagonal).max(axis=-1, initial=1e-300)
+    return residual > EQUALIZATION_TOL * np.maximum.reduce(
+        np.abs(diagonal), axis=-1, initial=1e-300)
 
 
 def _warn_unequalized(spread: float, stacklevel: int) -> None:

@@ -29,7 +29,11 @@ g = (1,-1,-1,1)/2 to p·(1,1,0,0), p·(0,0,1,1) and q·(1,-1,1,-1), with
 p = sin(tip)/2 and q = sin(2 tip)/4, so one probe gives the deviation
 diagonal as S y = R⁺y/K for its four integrals y and receiver constant K,
 in closed form, and their inconsistency as |v·y| for the one left-null
-vector v = (1,-1,-1,1)/2 of the relations, the same at every tip.
+vector v = (1,-1,-1,1)/2 of the relations, the same at every tip. So a
+new tip costs a few scalars: R's entries are ±a and ±b for two floats
+a = p·cos²(tip/2) and b = p·sin²(tip/2) from `math`, K is fitted to the
+thermal reference in Python floats from the grid's 2×2 response, and S is
+two tip-free 4×4 patterns over (a + b)K and (a - b)K (see `Detector`).
 
 Processing fixes: the first FID point is halved before the transform (the
 standard baseline correction for one-sided decays; without it window
@@ -84,14 +88,14 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quantum import DensityMatrix, Unitary, populations
 from .spinoe import check_seed
-from .spins import (Z_C, Z_H, Channel, PulseSpec, SpinSystemConfig, check_finite,
-                    enhanced_deviations, pulse_unitary)
+from .spins import Z_C, Z_H, Channel, PulseSpec, SpinSystemConfig, check_finite, pulse_unitary
 
 PROBE_TIP_MAX = 25.0
 MIN_FID_SAMPLES = 256
@@ -104,6 +108,7 @@ RECONSTRUCTION_RESIDUAL_FRAC = 0.05
 # calibrated response to the state's scale are round-off; the I/4 of a
 # unit-trace state probes at 0.06-0.13 of them for tips of 0.01-25°
 ROUNDOFF_MULTIPLE = 16.0
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 _PAST_FLOAT_RANGE = "probe integrals are not finite; the probed state leaves the float range"
@@ -338,15 +343,22 @@ class Detector:
     it, which also holds the frequency axis, the unit line spectra and the
     window masks that `spectra` and `noise_spectra` read.
 
-    The probe setting is built here, in closed form, from the grid's
-    response and the tip's relations R (`_probe_response_matrix`):
-    `probe_map` is the (channel, line, population) view of R, which is
-    what `readout_map`'s rows give for the probe pulse up to rounding;
-    `receiver_constant` is the K of `calibrate`, fitted to a noise-free
-    probe of the thermal reference; `probe_solve` and `roundoff` are the
-    solve matrix S and the round-off level of `_probe_solve`. A thermal
-    reference with no signal, or one whose K leaves the float range,
-    builds no detector. The noise level comes from `settings`.
+    The probe setting is built here, in closed form and in Python float
+    arithmetic, from the grid's 2×2 Re(response) and the two entries a and
+    b of the tip's relations R (`_probe_response_matrix`): `probe_map` is
+    the (channel, line, population) view of R, which is what
+    `readout_map`'s rows give for the probe pulse up to rounding;
+    `receiver_constant` is the K of `calibrate`, the least-squares fit
+    K = Σ y·m / Σ m·m to a noise-free probe of the thermal reference d,
+    with amplitudes m = R·d and integrals y = Re(response)·m per channel,
+    all scalars: d's four entries are read as floats, and no state is
+    built. In exact arithmetic K is Σ Re(response) / 2, a grid constant.
+    A float overflows to inf and underflows to 0 with no warning, so the
+    build enters no numpy error state: a thermal reference with no signal
+    (Σ m·m below the smallest normal float), or one whose K leaves the
+    float range, builds no detector. `probe_solve` and `roundoff` are the
+    solve matrix S and the round-off level of `_probe_solve`. The noise
+    level comes from `settings`.
     """
 
     cfg: SpinSystemConfig
@@ -361,21 +373,28 @@ class Detector:
     roundoff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = self.settings
-        grid = _grid_map(self.cfg, s.n_points, s.dwell)
+        s, cfg = self.settings, self.cfg
+        grid = _grid_map(cfg, s.n_points, s.dwell)
         relations = _probe_response_matrix(s.probe_tip_deg)
         relations.flags.writeable = False
-        probe_map = relations.reshape(2, 2, 4)
-        ref = enhanced_deviations(self.cfg, 1.0, 1.0)
-        y = ((probe_map @ ref) @ grid[3].T).real
-        m = relations @ ref
-        # a reference near the float range (polarization_unit 1e153 at the
-        # default gamma_ratio) overflows these products, and K is not finite;
-        # one whose square is subnormal (polarization_unit below ~2e-154 at the
-        # defaults) has lost digits, and K with them
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom, fit = float(m @ m), float(y.ravel() @ m)
-        if denom < np.finfo(float).tiny:
+        a, b = relations.item(0), relations.item(1)
+        # the thermal reference (d0, d1, -d1, -d0), as `enhanced_deviations`
+        # rounds it, and its probe amplitudes m = R·d per channel, H then C:
+        # ±a and ±b times ±d0 and ±d1, summed in row order
+        half = 0.5 * cfg.polarization_unit
+        d0, d1 = half * (cfg.gamma_ratio + 1.0), half * (cfg.gamma_ratio - 1.0)
+        ad0, ad1, bd0, bd1 = a * d0, a * d1, b * d0, b * d1
+        h0, h1 = ad0 + bd1 + ad1 + bd0, bd0 + ad1 + bd1 + ad0
+        c0, c1 = ad0 - ad1 - bd1 + bd0, bd0 - bd1 - ad1 + ad0
+        (r00, r01), (r10, r11) = grid[3].real.tolist()
+        fit = ((r00 * h0 + r01 * h1) * h0 + (r10 * h0 + r11 * h1) * h1
+               + (r00 * c0 + r01 * c1) * c0 + (r10 * c0 + r11 * c1) * c1)
+        denom = h0 * h0 + h1 * h1 + c0 * c0 + c1 * c1
+        # Python floats overflow to inf and underflow silently: a reference
+        # near the float range (polarization_unit 1e153 at the default
+        # gamma_ratio) leaves K not finite, and one whose square is subnormal
+        # (polarization_unit below ~2e-154 at the defaults) has lost digits
+        if denom < _TINY:
             raise ReadoutError("thermal reference produced no signal")
         k = fit / denom
         if not math.isfinite(k):
@@ -383,7 +402,8 @@ class Detector:
                 "receiver constant overflows; lower polarization_unit or gamma_ratio"
             )
         # the probed states' scale is the thermal reference's, whatever u is
-        maps = (*grid[3:], probe_map, k, *_probe_solve(relations, k, float(np.abs(ref).max())))
+        maps = (*grid[3:], relations.reshape(2, 2, 4), k,
+                *_probe_solve(relations, k, max(abs(d0), abs(d1))))
         names = ("response", "noise_factor", "amplitude_solve", "probe_map",
                  "receiver_constant", "probe_solve", "roundoff")
         for name, value in zip(names, maps, strict=True):
@@ -469,23 +489,22 @@ class Detector:
         return _reconstruct(y, self.probe_solve, self.roundoff)
 
 
+# R's entries as indices into (a, b, -a, -b), rows H partner 0, 1, then C
+_RELATION_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 2, 1, 3], [1, 3, 0, 2]])
+
+
 def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
     """Exact linear map from deviation diagonal to the four line amplitudes.
 
-    Rows: H partner 0, H partner 1, C partner 0, C partner 1.
+    Rows: H partner 0, H partner 1, C partner 0, C partner 1. Its entries
+    are ±a and ±b, two floats: a = R[0,0] = sin(tip)/2 · cos²(tip/2) and
+    b = R[0,1] = sin(tip)/2 · sin²(tip/2).
     """
-    theta = np.radians(tip_angle_deg)
-    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    theta = math.radians(tip_angle_deg)
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
     sc = s * c
     a, b = sc * c * c, sc * s * s
-    return np.array(
-        [
-            [a, b, -a, -b],
-            [b, a, -b, -a],
-            [a, -a, b, -b],
-            [b, -b, a, -a],
-        ]
-    )
+    return np.array((a, b, -a, -b)).take(_RELATION_ENTRIES)
 
 
 def calibrate(
@@ -569,18 +588,20 @@ def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[n
     R⁺ = [e⊗(1,1,0,0) + f⊗(0,0,1,1)]/(2p) + g⊗(1,-1,1,-1)/(4q) for the
     deviation patterns e, f, g of the module docstring, with p = a + b =
     sin(tip)/2 and q = a - b = sin(2 tip)/4 for R's entries a = R[0,0] and
-    b = R[0,1]. The left null space of K·R is spanned by the unit vector
-    v = g = (1,-1,-1,1)/2 at every tip, so the norm of the residual
-    y - K·R S y is |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2 (`_reconstruct`)."""
-    if k == 0 or not np.isfinite(k):
+    b = R[0,1], read as floats. The left null space of K·R is spanned by
+    the unit vector v = g = (1,-1,-1,1)/2 at every tip, so the norm of the
+    residual y - K·R S y is |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2
+    (`_reconstruct`). The round-off level is ROUNDOFF_MULTIPLE machine
+    epsilons of |K| max(|a|, |b|) times `scale`, all floats."""
+    if k == 0 or not math.isfinite(k):
         raise ValueError("the receiver constant must be finite and non-zero")
-    a, b = relations[0, :2].tolist()
+    a, b = relations.item(0), relations.item(1)
     solve = _PINV_P / (2 * (a + b) * k) + _PINV_Q / (4 * (a - b) * k)
     solve.flags.writeable = False
     # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd; R
     # holds ±a and ±b
     row_scale = abs(k) * max(abs(a), abs(b))
-    return solve, ROUNDOFF_MULTIPLE * np.finfo(float).eps * row_scale * scale
+    return solve, ROUNDOFF_MULTIPLE * _EPS * row_scale * scale
 
 
 def _reconstruct(y: np.ndarray, solve: np.ndarray, roundoff: float) -> tuple[np.ndarray, dict]:
@@ -591,14 +612,14 @@ def _reconstruct(y: np.ndarray, solve: np.ndarray, roundoff: float) -> tuple[np.
     whose integrals left the float range (a NaN or ±inf fits no diagonal)."""
     # a row past the float range turns to NaN here, and is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        ymax = np.abs(y).max(axis=-1)
+        ymax = np.maximum.reduce(np.abs(y), axis=-1)
         residual = np.abs(y[..., None, :] @ _G[:, None])[..., 0, 0]
         signal = ymax > roundoff
         diag = np.where(signal[..., None], (solve @ y[..., None])[..., 0], 0.0)
     finite = np.isfinite(ymax)
     rejected = ~finite | signal & (residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax)
     message = "inconsistent peak data (residual {:.3e} vs max integral {:.3e})"
-    rows = map(tuple, np.argwhere(rejected) if rejected.any() else ())
+    rows = map(tuple, np.argwhere(rejected) if np.logical_or.reduce(rejected, axis=None) else ())
     return diag, {
         i: ReadoutError(message.format(residual[i], ymax[i]) if finite[i] else _PAST_FLOAT_RANGE)
         for i in rows

@@ -119,8 +119,11 @@ def sample_initial_states(p: SpinoeParams, cfg: SpinSystemConfig, times, draws) 
     """Initial states for experiments whose probes fire at `times`, as
     read-only (..., time, 4) deviation diagonals (`enhanced_deviations`):
     each enhancement at its time scaled by 1 + its (..., time, nucleus)
-    jitter draw. Zero draws give a pure function of (p, cfg, times)."""
-    eps = np.array([enhancement_at(p, t) for t in times]) * (1.0 + draws)
+    jitter draw. Zero draws give a pure function of (p, cfg, times). A
+    jittered enhancement past the float range is ±inf, with no warning, as
+    are such deviations: the probe refuses them by name."""
+    with np.errstate(over="ignore"):
+        eps = np.array([enhancement_at(p, t) for t in times]) * (1.0 + draws)
     return enhanced_deviations(cfg, eps[..., :1], eps[..., 1:])
 
 

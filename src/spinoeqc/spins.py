@@ -111,10 +111,13 @@ def enhanced_deviations(cfg: SpinSystemConfig, eps_h: float, eps_c: float) -> np
     enhancement factors: its populations less the I/4 part. Cross-relaxation
     transfer is incoherent, so enhanced states carry no coherences and this
     diagonal is all NMR sees of them. eps_h = eps_c = 1 reproduces thermal
-    equilibrium; eps = 0 the fully mixed state, the zero diagonal.
+    equilibrium; eps = 0 the fully mixed state, the zero diagonal. An
+    entry past the float range is ±inf (NaN where u = 0 meets one), with no
+    warning: the probe refuses such a state by name.
     """
     u = cfg.polarization_unit
-    d = 0.5 * u * (eps_h * cfg.gamma_ratio * Z_H + eps_c * Z_C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 0.5 * u * (eps_h * cfg.gamma_ratio * Z_H + eps_c * Z_C)
     d.flags.writeable = False
     return d
 

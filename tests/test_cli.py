@@ -169,6 +169,36 @@ class TestEffpure:
         assert "every candidate ground yields q2 = 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_weights_past_the_float_range_fail_the_solver(self, tmp_path, capsys, mode):
+        # the first experiment's diagonal lies ~1e280 from the others', so
+        # c / c_0 overflows: every ground's weights are not finite, count as
+        # singular and are zeroed, and no NaN enhancement is reported
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(NON_FINITE_WEIGHTS))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), "effpure", "--mode", mode])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "weight solver failed: every candidate ground yields q2 = 0\n"
+        )
+        assert list(out.iterdir()) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), "grover", "--target", "01"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("target 01: decoded 01 (ok)")
+
+
+# a configuration whose labeling weights leave the float range
+NON_FINITE_WEIGHTS = {
+    "t2_s": 3.27e48, "polarization_unit": 1.86e139, "eps0_h": 3.44e145, "t1_xe_s": 2.89e-80,
+    "r1_s": 7.32e-196, "n_points": 4096, "noise_amp": 8.46e-112,
+}
+
+
 class TestGrover:
     def test_single_target(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path), "grover", "--target", "01"])
@@ -260,6 +290,42 @@ class TestGrover:
         message = "probe integrals are not finite; the probed state leaves the float range"
         experiment = "" if command[0] == "probe" else r"experiment 1 \(probe at \d+\.0 s\): "
         assert re.fullmatch(f"readout failed: {experiment}{message}\n", capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", [["grover", "--target", "01"], ["effpure"], ["probe", "--state", "enhanced"]],
+        ids=["grover", "effpure", "probe"],
+    )
+    @pytest.mark.parametrize(
+        "values,named",
+        [
+            ({"gamma_ratio": 1.25e264, "polarization_unit": -7.7e118}, False),
+            ({"eps0_h": 1e308}, True),
+            ({"polarization_unit": 5.9e66, "eps0_h": -2.6e283}, True),
+        ],
+        ids=["reference", "state", "scaled-state"],
+    )
+    def test_deviations_past_the_float_range_reach_their_refusal_quietly(
+        self, tmp_path, capsys, command, values, named
+    ):
+        # a thermal reference or a state whose deviations leave the float
+        # range becomes ±inf with no numpy warning, and the calibration or
+        # the probe refuses it in its own words
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 4
+        if not named:
+            message = "receiver constant overflows; lower polarization_unit or gamma_ratio"
+        else:
+            experiment = {"grover": "experiment 1 (probe at 600.0 s): ",
+                          "effpure": "experiment 1 (probe at 0.0 s): "}.get(command[0], "")
+            message = (f"{experiment}probe integrals are not finite; "
+                       "the probed state leaves the float range")
+        assert capsys.readouterr() == ("", f"readout failed: {message}\n")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -359,8 +359,10 @@ def labeled_by_gathers(diags, weights=None):
         with np.errstate(all="ignore"):
             c = nxt[..., 0, :] * prv[..., 1, :] - prv[..., 0, :] * nxt[..., 1, :]
             m = a[..., 1:]
-            singular = ~(np.abs(c[..., 0]) > SINGULARITY_RTOL * (m * m).sum(axis=(-2, -1)))
             w = c / c[..., :1]
+            # a weight that is not finite makes the system singular too
+            singular = ~(np.abs(c[..., 0]) > SINGULARITY_RTOL * (m * m).sum(axis=(-2, -1)))
+            singular |= ~np.isfinite(w).all(axis=-1)
         w[singular] = 0.0
     else:
         a, singular = None, np.zeros(permuted.shape[:-2], dtype=bool)
@@ -455,6 +457,20 @@ class TestBatchedLabeling:
         # c_0 zero, overflowing or NaN: the bound fails and the weights are 0
         with np.errstate(all="ignore"):
             assert labeled_by_gathers(diags)[-1].any()
+        assert_labeled_like_the_gathers(diags)
+
+    def test_weights_past_the_float_range_are_singular(self):
+        # experiment 1 lies 1e310 above the others: c_0 (experiments 2 and 3)
+        # passes its bound, but c / c_0 overflows on grounds 1-3, which are
+        # singular with zero weights; ground 0's weights are finite
+        diags = [[3e300, -1e300, -1e300, -1e300], [1e-10, 2e-10, -5e-10, 2e-10],
+                 [4e-10, -1e-10, -2e-10, -1e-10]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = labeled_results(diags)
+            assert label(diags).ground == 0
+        assert [isinstance(r, SingularLabelingSystem) for r in results] == [False, True, True, True]
+        assert np.isfinite(results[0].weights).all() and results[0].q2 == 4e300
         assert_labeled_like_the_gathers(diags)
 
     def test_label_warns_only_about_the_ground_it_returns(self):

@@ -6,6 +6,7 @@ import itertools
 import math
 import pkgutil
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -527,28 +528,104 @@ def relative_gap(got, want):
 
 def reference_probe_setting(cfg, n_points, dwell, tip):
     """The probe map, K, solve matrix S and round-off level of one setting,
-    operation for operation as a per-tip cache built them before the
-    detector built its own: the reference of `Detector.__post_init__`."""
+    in the Python float arithmetic of `Detector.__post_init__`, written as
+    the general products: m = R·d over R's rows for the thermal reference d,
+    y = Re(response)·m per channel and K = Σ y·m / Σ m·m, each sum in index
+    order. Its reference of `Detector.__post_init__`, bit for bit."""
+    relations = readout._probe_response_matrix(tip)
+    ref = enhanced_deviations(cfg, 1.0, 1.0).tolist()
+    response = readout._grid_map(cfg, n_points, dwell)[3].real.tolist()
+    m = [r[0] * ref[0] + r[1] * ref[1] + r[2] * ref[2] + r[3] * ref[3]
+         for r in relations.tolist()]
+    y = [row[0] * m[c] + row[1] * m[c + 1] for c in (0, 2) for row in response]
+    fit = y[0] * m[0] + y[1] * m[1] + y[2] * m[2] + y[3] * m[3]
+    denom = m[0] * m[0] + m[1] * m[1] + m[2] * m[2] + m[3] * m[3]
+    if denom < sys.float_info.min:
+        raise ReadoutError("thermal reference produced no signal")
+    k = fit / denom
+    if not math.isfinite(k):
+        raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
+    a, b = relations[0, :2].tolist()
+    solve = PINV_P / (2 * (a + b) * k) + PINV_Q / (4 * (a - b) * k)
+    row_scale = abs(k) * max(abs(a), abs(b))
+    level = 16.0 * sys.float_info.epsilon * row_scale * max(map(abs, ref))
+    return relations.reshape(2, 2, 4), k, solve, level
+
+
+def numpy_probe_setting(cfg, n_points, dwell, tip):
+    """`reference_probe_setting` in the numpy arithmetic the detector used
+    before its float build: the reference state, m, y and both sums as array
+    products. It rounds differently (K by about an ulp at the defaults), and
+    it warns past the float range unless numpy's warnings are off."""
     relations = readout._probe_response_matrix(tip)
     probe_map = relations.reshape(2, 2, 4)
     ref = enhanced_deviations(cfg, 1.0, 1.0)
     y = ((probe_map @ ref) @ readout._grid_map(cfg, n_points, dwell)[3].T).real
     m = relations @ ref
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom, fit = float(m @ m), float(y.ravel() @ m)
+    denom, fit = float(m @ m), float(y.ravel() @ m)
     if denom < np.finfo(float).tiny:
         raise ReadoutError("thermal reference produced no signal")
     k = fit / denom
     if not np.isfinite(k):
         raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
-    e, f, g = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
-    pinv_p = np.outer(e, [1, 1, 0, 0]) + np.outer(f, [0, 0, 1, 1])
-    pinv_q = np.outer(g, [1, -1, 1, -1])
     a, b = relations[0, :2].tolist()
-    solve = pinv_p / (2 * (a + b) * k) + pinv_q / (4 * (a - b) * k)
+    solve = PINV_P / (2 * (a + b) * k) + PINV_Q / (4 * (a - b) * k)
     row_scale = abs(k) * max(abs(a), abs(b))
     level = 16.0 * np.finfo(float).eps * row_scale * float(np.abs(ref).max())
     return probe_map, k, solve, level
+
+
+# the deviation patterns e, f, g and the two tip-free parts of R⁺
+E_PATTERN, F_PATTERN, G_PATTERN = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+PINV_P = np.outer(E_PATTERN, [1, 1, 0, 0]) + np.outer(F_PATTERN, [0, 0, 1, 1])
+PINV_Q = np.outer(G_PATTERN, [1, -1, 1, -1])
+
+
+def settings_of_both_arithmetics(cfg, n_points, dwell, tip):
+    """(float setting, numpy setting), each a setting or the ReadoutError
+    text that refused it; numpy's warnings are off for its route."""
+    sides = []
+    for route in (reference_probe_setting, numpy_probe_setting):
+        try:
+            with np.errstate(all="ignore"):
+                sides.append(route(cfg, n_points, dwell, tip))
+        except ReadoutError as exc:
+            sides.append(str(exc))
+    return sides
+
+
+def assert_arithmetics_agree(cfg, n_points, dwell, tip):
+    """Both arithmetics refuse alike, with the same text, or build settings
+    that agree within the round-off bounds derived below; returns the
+    refusal text, or the two receiver constants, float route first."""
+    new, old = settings_of_both_arithmetics(cfg, n_points, dwell, tip)
+    if isinstance(new, str) or isinstance(old, str):
+        assert new == old
+        return new
+    (map_new, k1, s1, l1), (map_old, k2, s2, l2) = new, old
+    assert np.array_equal(map_new, map_old)
+    r = np.finfo(float).eps / 2
+    # Both routes share a, b and the exact P and Q, and differ in K alone.
+    # S = P/(2(a+b)K) + Q/(4(a-b)K): per route each term is x/K or y/K, for
+    # x = P/(2 fl(a+b)) and y = Q/(4 fl(a-b)), times (1 + η) with
+    # |η| <= 2r/(1 - r) (the product with K and the division), and the sum
+    # rounds once more: 3r to first order, 4r with the higher orders. So
+    # the routes' S differ by at most
+    # |x + y| |K1 - K2| / |K1 K2| + 4r (|x| + |y|) (1/|K1| + 1/|K2|);
+    # K1 - K2 is exact (Sterbenz), and 1 + 4r covers the rounding of the
+    # bound's own arithmetic.
+    a, b = map_new[0, 0, :2].tolist()
+    x, y = PINV_P / (2 * (a + b)), PINV_Q / (4 * (a - b))
+    bound = (np.abs(x + y) * (abs(k1 - k2) / abs(k1 * k2))
+             + 4 * r * (np.abs(x) + np.abs(y)) * (1 / abs(k1) + 1 / abs(k2)))
+    assert (np.abs(s1 - s2) <= bound * (1 + 4 * r)).all()
+    # the level is c·|K| for c = 16 eps max(a, b) scale, rounded twice per
+    # route (r each, and once more for c here): |L1 - L2| <= c |K1 - K2| +
+    # 3r c (|K1| + |K2|), with the same 1 + 4r
+    scale = max(map(abs, enhanced_deviations(cfg, 1.0, 1.0).tolist()))
+    c = 16 * np.finfo(float).eps * max(a, b) * scale
+    assert abs(l1 - l2) <= (c * abs(k1 - k2) + 3 * r * c * (abs(k1) + abs(k2))) * (1 + 4 * r)
+    return k1, k2
 
 
 class TestDetector:
@@ -786,6 +863,63 @@ class TestDetector:
                 assert np.array_equal(a, b)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(0.25, 20.0),
+        j=st.floats(50.0, 500.0),
+        t2=st.floats(0.05, 5.0),
+        log_unit=st.floats(-170.0, 170.0),
+        n_points=st.sampled_from([1024, 2048, 4096]),
+        bin_frac=st.floats(0.05, 0.6),
+        tip=st.floats(0.01, PROBE_TIP_MAX),
+    )
+    def test_float_build_is_the_numpy_arithmetic_up_to_round_off(
+        self, gamma, j, t2, log_unit, n_points, bin_frac, tip
+    ):
+        # the two arithmetics refuse the same settings with the same text;
+        # where both build one, S and the round-off level agree within the
+        # bounds of `assert_arithmetics_agree`, and in the normal range
+        # (polarization_unit 1e-100 to 1e100) both K lie within the bound
+        # of `test_calibration_is_a_grid_constant`
+        cfg = SpinSystemConfig(gamma, j, t2, 10.0**log_unit)
+        dwell = bin_frac / j
+        outcome = assert_arithmetics_agree(cfg, n_points, dwell, tip)
+        if isinstance(outcome, str) or abs(log_unit) > 100:
+            return
+        real = readout._grid_map(cfg, n_points, dwell)[3].real
+        bound = 6 * np.finfo(float).eps * np.abs(real).sum()
+        for k in outcome:
+            assert abs(k - real.sum() / 2) <= bound
+
+    @pytest.mark.parametrize(
+        "values,refusal",
+        [
+            ({"polarization_unit": 0.0}, "thermal reference produced no signal"),
+            ({"polarization_unit": 1e-154}, "thermal reference produced no signal"),
+            ({"polarization_unit": 2e-154}, None),
+            ({"polarization_unit": 1e152}, None),
+            ({"polarization_unit": 1e153}, "receiver constant overflows"),
+            ({"gamma_ratio": 1e154}, "receiver constant overflows"),
+        ],
+        ids=["u=0", "u=1e-154", "u=2e-154", "u=1e152", "u=1e153", "gamma=1e154"],
+    )
+    def test_both_arithmetics_refuse_alike_at_the_range_edges(self, values, refusal):
+        # the README's thresholds hold at the default setting, and at tips
+        # and grids across the range both routes and the detector agree
+        cfg = SpinSystemConfig(**values)
+        outcome = assert_arithmetics_agree(cfg, 4096, 1e-3, 15.0)
+        assert outcome.startswith(refusal) if refusal else not isinstance(outcome, str)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n_points, tip in itertools.product((1024, 4096), (0.01, 1.7, 15.0, 25.0)):
+                outcome = assert_arithmetics_agree(cfg, n_points, 1e-3, tip)
+                if isinstance(outcome, str):
+                    with pytest.raises(ReadoutError, match=f"^{re.escape(outcome)}$"):
+                        Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
+                else:
+                    det = Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
+                    assert det.receiver_constant == outcome[0]
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         gamma=st.floats(0.25, 20.0),
@@ -818,15 +952,18 @@ class TestDetector:
 
     def test_new_tip_builds_no_pulse_and_no_decomposition(self, monkeypatch):
         # the probe setting of a tip not seen before, on a cached grid, is
-        # built from the closed-form relations alone
+        # built from the closed-form relations alone, its calibration in
+        # Python floats: no reference state, no numpy error state and no
+        # float-type query
         Detector(CFG, DetectionSettings())
         misses = readout._grid_map.cache_info().misses
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a new probe setting built a pulse or decomposed a matrix")
 
-        for module in (*MODULES, np.linalg):
-            for name in ("pulse_unitary", "apply_unitary", "pinv", "svd"):
+        for module in (*MODULES, np.linalg, np):
+            for name in ("pulse_unitary", "apply_unitary", "pinv", "svd", "enhanced_deviations",
+                         "errstate", "finfo"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=7.3))
