@@ -531,7 +531,7 @@ def reference_probe_setting(cfg, n_points, dwell, tip):
     in the Python float arithmetic of `Detector.__post_init__`, written as
     the general products: m = R·d over R's rows for the thermal reference d,
     y = Re(response)·m per channel and K = Σ y·m / Σ m·m, each sum in index
-    order. Its reference of `Detector.__post_init__`, bit for bit."""
+    order: the reference of `Detector.__post_init__`, bit for bit."""
     relations = readout._probe_response_matrix(tip)
     ref = enhanced_deviations(cfg, 1.0, 1.0).tolist()
     response = readout._grid_map(cfg, n_points, dwell)[3].real.tolist()
@@ -581,9 +581,11 @@ PINV_P = np.outer(E_PATTERN, [1, 1, 0, 0]) + np.outer(F_PATTERN, [0, 0, 1, 1])
 PINV_Q = np.outer(G_PATTERN, [1, -1, 1, -1])
 
 
-def settings_of_both_arithmetics(cfg, n_points, dwell, tip):
-    """(float setting, numpy setting), each a setting or the ReadoutError
-    text that refused it; numpy's warnings are off for its route."""
+def assert_arithmetics_agree(cfg, n_points, dwell, tip):
+    """Both arithmetics refuse alike, with the same text, or build settings
+    that agree within the round-off bounds derived below; returns the
+    refusal text, or the two receiver constants, float route first. The
+    numpy route runs with numpy's warnings off."""
     sides = []
     for route in (reference_probe_setting, numpy_probe_setting):
         try:
@@ -591,14 +593,7 @@ def settings_of_both_arithmetics(cfg, n_points, dwell, tip):
                 sides.append(route(cfg, n_points, dwell, tip))
         except ReadoutError as exc:
             sides.append(str(exc))
-    return sides
-
-
-def assert_arithmetics_agree(cfg, n_points, dwell, tip):
-    """Both arithmetics refuse alike, with the same text, or build settings
-    that agree within the round-off bounds derived below; returns the
-    refusal text, or the two receiver constants, float route first."""
-    new, old = settings_of_both_arithmetics(cfg, n_points, dwell, tip)
+    new, old = sides
     if isinstance(new, str) or isinstance(old, str):
         assert new == old
         return new
@@ -959,7 +954,8 @@ class TestDetector:
         misses = readout._grid_map.cache_info().misses
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a new probe setting built a pulse or decomposed a matrix")
+            raise AssertionError("a new probe setting built a pulse or a state, decomposed a "
+                                 "matrix or entered numpy's float handling")
 
         for module in (*MODULES, np.linalg, np):
             for name in ("pulse_unitary", "apply_unitary", "pinv", "svd", "enhanced_deviations",
