@@ -25,6 +25,8 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import pickle
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -238,27 +240,77 @@ def cmd_enhance_trace(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _dump_spectra(out: Path, stem: str, spectra, svg: bool) -> None:
-    """Write the (H, C) pair `spectra` as CSV, and as SVG if asked."""
-    for spec, ch in zip(spectra, "hc"):
-        spectrum_to_csv(spec, out / f"{stem}_{ch}.csv")
-        if svg:
-            line_chart(
-                out / f"{stem}_{ch}.svg",
-                spec.freqs,
-                {"real": list(spec.values.real)},
-                title=f"{stem} {ch.upper()} channel",
-                x_label="frequency (Hz)",
-                y_label="signal",
-            )
+def _write_spectra(out: Path, jobs, svg: bool) -> None:
+    """Write each (stem, spectra) job, `spectra` a callable that gives its
+    (H, C) pair, as `<stem>_h.csv` and `<stem>_c.csv`, and as SVG if asked.
+
+    Formatting the numbers is most of a command's time, so with two
+    spectra or more and two CPUs or more for this process, a forked child
+    writes the second half of them while this process writes the first;
+    the files are those one process writes. The child is always reaped
+    before this returns. It leaves through `os._exit`, so it never flushes
+    the output buffers it copied nor runs exit hooks. An exception in its
+    share (an `OSError` names its file) is pickled back through a pipe and
+    raised here, after this process's share, whose own error comes first.
+    Python 3.12 and later warn (DeprecationWarning) at a fork in a process
+    with several threads, which numpy's BLAS threads may be; the warning
+    is not silenced."""
+    units = [(f"{stem}_{ch}", spectra, k) for stem, spectra in jobs for k, ch in enumerate("hc")]
+
+    def write(share) -> None:
+        for name, spectra, k in share:
+            spec = spectra()[k]
+            spectrum_to_csv(spec, out / f"{name}.csv")
+            if svg:
+                line_chart(
+                    out / f"{name}.svg",
+                    spec.freqs,
+                    {"real": list(spec.values.real)},
+                    title=f"{name[:-2]} {name[-1].upper()} channel",
+                    x_label="frequency (Hz)",
+                    y_label="signal",
+                )
+
+    # this process writes units[:cut], and a child, if there is one, the rest
+    cut = len(units) - len(units) // 2 if len(os.sched_getaffinity(0)) > 1 else len(units)
+    pid, relayed, status = None, b"", 0
+    if cut < len(units):
+        readable, writable = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(readable)
+                write(units[cut:])
+                code = 0
+            except Exception as exc:
+                with open(writable, "wb") as pipe:
+                    pipe.write(pickle.dumps(exc))
+            finally:
+                os._exit(code)
+        os.close(writable)
+    try:
+        write(units[:cut])
+    finally:
+        if pid is not None:
+            with open(readable, "rb") as pipe:
+                relayed = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if relayed:
+        raise pickle.loads(relayed)
+    if status:
+        raise OSError(
+            f"the process writing the spectra from {units[cut][0]} on exited with status {status}"
+        )
 
 
 def _write_run(out: Path, stem: str, sum_stem: str, run, report: dict, svg: bool) -> None:
     """A labeled run's report, each experiment's spectra and the weighted sum's."""
     _write_report(out / f"{stem}_report.json", report)
-    for i, rec in enumerate(run.records, start=1):
-        _dump_spectra(out, f"{stem}_exp{i}", (rec.readout_h, rec.readout_c), svg)
-    _dump_spectra(out, f"{stem}_{sum_stem}", (run.sum_readout_h, run.sum_readout_c), svg)
+    run.preparation.noise_spectra  # built once, before the fork, for both writers
+    jobs = [(f"{stem}_exp{i}", lambda rec=rec: rec.spectra)
+            for i, rec in enumerate(run.records, start=1)]
+    _write_spectra(out, [*jobs, (f"{stem}_{sum_stem}", lambda: run.sum_spectra)], svg)
 
 
 def cmd_effpure(cfg: RunConfig, args) -> int:
@@ -316,7 +368,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
         raise errors[()]
     noise_spectra = None if noise is None else detector.noise_spectra(cfg.seed, noise)[0]
     spectra = detector.spectra(detector.probe_map @ d, noise_spectra)
-    _dump_spectra(out, f"probe_{args.state}", spectra, args.svg)
+    _write_spectra(out, [(f"probe_{args.state}", lambda: spectra)], args.svg)
     report = {
         "run_id": run_id(cfg.echo(), args.state),
         "config": cfg.echo(),
@@ -325,7 +377,8 @@ def cmd_probe(cfg: RunConfig, args) -> int:
         "reconstructed_deviation_diagonal": [float(x) for x in diag],
     }
     _write_report(out / f"probe_{args.state}_report.json", report)
-    print(f"reconstructed deviation diagonal: {[round(float(x), 6) for x in diag]}")
+    shown = [float(f"{x:.6g}") for x in diag]  # six significant digits
+    print(f"reconstructed deviation diagonal: {shown}")
     return EXIT_OK
 
 

@@ -3,7 +3,10 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -28,6 +31,23 @@ def read_report(path):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def writers(monkeypatch, cpus: int) -> list[int]:
+    """Let the CLI see `cpus` CPUs, so it writes spectra with one process
+    or two whatever the host has; the list returned collects the pid of
+    each child it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 class TestEnhanceTrace:
@@ -454,15 +474,29 @@ class TestGrover:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: cannot create output directory {path}: ")
 
-    @pytest.mark.parametrize("name", ["grover_10_report.json", "grover_10_exp1_h.csv"],
-                             ids=["report", "csv"])
-    def test_output_file_that_cannot_be_written_is_usage_error(self, tmp_path, capsys, name):
-        path = tmp_path / name
-        path.mkdir()
-        rc = cli.main(["--out", str(tmp_path), "grover", "--target", "10"])
-        assert rc == 64
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage error: cannot write {path}: ")
+    @pytest.mark.parametrize("name,svg", [
+        pytest.param("grover_10_report.json", False, id="report"),
+        pytest.param("grover_10_exp1_h.csv", False, id="csv"),
+        pytest.param("grover_10_sum_c.csv", False, id="child-csv"),
+        pytest.param("grover_10_exp3_c.svg", True, id="child-svg"),
+    ])
+    def test_output_file_that_cannot_be_written_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, name, svg
+    ):
+        # exp1 is in the parent's share of the spectra, exp3 and the sum in
+        # the child's; either writer fails as one writer alone does
+        errs = []
+        for cpus in (2, 1):
+            out = tmp_path / str(cpus)
+            (out / name).mkdir(parents=True)
+            forks = writers(monkeypatch, cpus)
+            rc = cli.main(["--out", str(out), *["--svg"] * svg, "grover", "--target", "10"])
+            assert rc == 64
+            assert len(forks) == (cpus == 2 and name != "grover_10_report.json")
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: cannot write {out / name}: ")
+            errs.append(err.replace(str(out), "<out>"))
+        assert errs[0] == errs[1]
 
     def test_decode_mismatch_exit_code(self, tmp_path, monkeypatch):
         real = cli.run_grover_pipeline
@@ -502,6 +536,28 @@ class TestProbeCommand:
         assert rc == 0
         report = read_report(tmp_path / "o" / "probe_enhanced_report.json")
         assert report["reconstructed_deviation_diagonal"] == [0.0, 0.0, 0.0, 0.0]
+
+
+    @pytest.mark.parametrize("state,shown", [
+        ("thermal", "[2.5, 1.5, -1.5, -2.5]"), ("enhanced", "[-13.0, -31.0, 31.0, 13.0]"),
+    ])
+    def test_printed_diagonal(self, tmp_path, capsys, state, shown):
+        assert cli.main(["--out", str(tmp_path), "probe", "--state", state]) == 0
+        assert capsys.readouterr().out == f"reconstructed deviation diagonal: {shown}\n"
+
+    def test_printed_diagonal_keeps_six_significant_digits(self, tmp_path, capsys):
+        # six decimal places would print every round-off digit of a large state
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "t2_s": 3.27e48, "polarization_unit": 1.86e139, "eps0_h": 3.44e145,
+            "t1_xe_s": 2.89e-80, "r1_s": 7.32e-196, "n_points": 4096, "noise_amp": 8.46e-112,
+        }))
+        argv = ["--config", str(config), "--out", str(tmp_path / "o"), "probe", "--state", "enhanced"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "reconstructed deviation diagonal: "
+            "[1.27968e+285, 1.27968e+285, -1.27968e+285, -1.27968e+285]\n"
+        )
 
 
 class TestConfigHandling:
@@ -781,3 +837,86 @@ class TestDeterminism:
             argv = [*common, "--out", str(tmp_path / "one"), "grover", "--target", target]
             assert cli.main(argv) == 0
         assert_same_files_outside_timestamp(tmp_path / "all", tmp_path / "one")
+
+
+class TestTwoWriters:
+    """With two CPUs a forked child writes the second half of a run's
+    spectra; the files, the output and the failures are those of one
+    writer, and no child outlives the command."""
+
+    GROVER_10 = ["grover", "--target", "10"]
+
+    @pytest.mark.parametrize("config", [{}, {"noise_amp": 0.01, "seed": 3, "jitter": 0.05}],
+                             ids=["default", "noisy"])
+    @pytest.mark.parametrize("command", [
+        ["grover", "--all"], ["effpure", "--mode", "multi"], ["probe", "--state", "enhanced"],
+    ], ids=["grover", "effpure", "probe"])
+    def test_one_writer_writes_what_two_write(self, tmp_path, monkeypatch, command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        for cpus in (2, 1):
+            forks = writers(monkeypatch, cpus)
+            argv = ["--config", str(path), "--out", str(tmp_path / str(cpus)), "--svg", *command]
+            assert cli.main(argv) == 0
+            assert len(forks) == (cpus == 2) * (4 if command[0] == "grover" else 1)
+        assert_same_files_outside_timestamp(tmp_path / "2", tmp_path / "1")
+
+    def test_no_child_is_left(self, tmp_path, monkeypatch):
+        forks = writers(monkeypatch, 2)
+        assert cli.main(["--out", str(tmp_path / "ok"), *self.GROVER_10]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        (tmp_path / "bad" / "grover_10_sum_h.csv").mkdir(parents=True)
+        assert cli.main(["--out", str(tmp_path / "bad"), *self.GROVER_10]) == 64
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == 2
+
+    def test_an_error_in_the_child_is_raised_as_one_writer_raises_it(self, tmp_path, monkeypatch):
+        write = cli.spectrum_to_csv
+
+        def failing(spec, path):
+            if path.name == "grover_10_sum_h.csv":
+                raise ValueError(f"cannot format {path.name}")
+            write(spec, path)
+
+        monkeypatch.setattr(cli, "spectrum_to_csv", failing)
+        for cpus in (2, 1):
+            writers(monkeypatch, cpus)
+            with pytest.raises(ValueError, match="cannot format grover_10_sum_h.csv"):
+                cli.main(["--out", str(tmp_path / str(cpus)), *self.GROVER_10])
+
+    def test_a_child_that_dies_is_a_failed_write(self, tmp_path, monkeypatch, capsys):
+        write = cli.spectrum_to_csv
+
+        def dying(spec, path):
+            if path.name == "grover_10_sum_h.csv":
+                os._exit(3)
+            write(spec, path)
+
+        monkeypatch.setattr(cli, "spectrum_to_csv", dying)
+        writers(monkeypatch, 2)
+        assert cli.main(["--out", str(tmp_path), *self.GROVER_10]) == 64
+        assert capsys.readouterr().err == (
+            "usage error: cannot write an output file: the process writing the spectra "
+            "from grover_10_exp3_h on exited with status 3\n"
+        )
+
+    def test_each_line_is_printed_once(self, tmp_path):
+        # stdout to a pipe is block-buffered (PYTHONUNBUFFERED unset), so each
+        # fork copies the lines printed before it; the child must never flush
+        # them. The script runs the module as `python -m spinoeqc.cli` does,
+        # seeing two CPUs
+        script = ("import os, runpy; os.sched_getaffinity = lambda pid: {0, 1}; "
+                  "runpy.run_module('spinoeqc.cli', run_name='__main__', alter_sys=True)")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, "--out", str(tmp_path), "grover", "--all"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert sorted(line.split(":")[0] for line in lines) == [
+            "target 00", "target 01", "target 10", "target 11",
+        ]
