@@ -11,6 +11,15 @@ file values. Outputs are pure functions of (config, flags, seed): repeat
 runs are byte-identical except for the single timestamp field in each
 JSON report.
 
+Spectra are written by two processes when this one may run on two CPUs
+or more: per run, a forked child writes the second half of the spectra
+while the command writes the first (`_write_spectra`). The files are
+those one writer makes, a file that cannot be written exits 64 naming it
+whichever process met it, and the child is reaped before the command
+goes on. On Python 3.12 and later the fork may warn (DeprecationWarning)
+when numpy's BLAS threads make the process multi-threaded. `probe`
+prints its diagonal to six significant digits.
+
 Exit codes: 0 ok, 2 weight-solver failure, 3 decoded answer mismatch,
 4 readout failure (inconsistent probe peaks), 64 usage error (bad flags
 or configuration, an --out path that cannot be made a directory, or an
@@ -255,18 +264,18 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
     Python 3.12 and later warn (DeprecationWarning) at a fork in a process
     with several threads, which numpy's BLAS threads may be; the warning
     is not silenced."""
-    units = [(f"{stem}_{ch}", spectra, k) for stem, spectra in jobs for k, ch in enumerate("hc")]
+    units = [(stem, k, spectra) for stem, spectra in jobs for k in range(2)]
 
     def write(share) -> None:
-        for name, spectra, k in share:
-            spec = spectra()[k]
-            spectrum_to_csv(spec, out / f"{name}.csv")
+        for stem, k, spectra in share:
+            spec, ch = spectra()[k], "hc"[k]
+            spectrum_to_csv(spec, out / f"{stem}_{ch}.csv")
             if svg:
                 line_chart(
-                    out / f"{name}.svg",
+                    out / f"{stem}_{ch}.svg",
                     spec.freqs,
                     {"real": list(spec.values.real)},
-                    title=f"{name[:-2]} {name[-1].upper()} channel",
+                    title=f"{stem} {ch.upper()} channel",
                     x_label="frequency (Hz)",
                     y_label="signal",
                 )
@@ -276,11 +285,14 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
     pid, relayed, status = None, b"", 0
     if cut < len(units):
         readable, writable = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # e.g. at the process limit: this process writes all
+            os.close(readable)
+            cut = len(units)
         if pid == 0:
             code = 1
             try:
-                os.close(readable)
                 write(units[cut:])
                 code = 0
             except Exception as exc:
@@ -299,8 +311,9 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
     if relayed:
         raise pickle.loads(relayed)
     if status:
+        stem, k, _ = units[cut]
         raise OSError(
-            f"the process writing the spectra from {units[cut][0]} on exited with status {status}"
+            f"the process writing the spectra from {stem}_{'hc'[k]} on exited with status {status}"
         )
 
 

@@ -861,6 +861,18 @@ class TestTwoWriters:
             assert len(forks) == (cpus == 2) * (4 if command[0] == "grover" else 1)
         assert_same_files_outside_timestamp(tmp_path / "2", tmp_path / "1")
 
+    def test_a_failed_fork_leaves_one_writer(self, tmp_path, monkeypatch):
+        writers(monkeypatch, 1)
+        assert cli.main(["--out", str(tmp_path / "1"), "--svg", *self.GROVER_10]) == 0
+        writers(monkeypatch, 2)
+
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert cli.main(["--out", str(tmp_path / "2"), "--svg", *self.GROVER_10]) == 0
+        assert_same_files_outside_timestamp(tmp_path / "2", tmp_path / "1")
+
     def test_no_child_is_left(self, tmp_path, monkeypatch):
         forks = writers(monkeypatch, 2)
         assert cli.main(["--out", str(tmp_path / "ok"), *self.GROVER_10]) == 0
