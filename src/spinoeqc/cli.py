@@ -281,7 +281,7 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
                 )
 
     # this process writes units[:cut], and a child, if there is one, the rest
-    cut = len(units) - len(units) // 2 if len(os.sched_getaffinity(0)) > 1 else len(units)
+    cut = (len(units) + 1) // 2 if len(os.sched_getaffinity(0)) > 1 else len(units)
     pid, relayed, status = None, b"", 0
     if cut < len(units):
         readable, writable = os.pipe()
