@@ -13,9 +13,10 @@ line integrals (or spectra) give those of the effective pure state
 directly. The experiments' `readout_map`s are cached as one stack per
 ground, a row per computation: none, then each search target. An
 effective-pure run is one product of its row with the prepared deviation
-diagonals; a preparation computes all four search targets once, on its
-first search case, as one product of the other rows and one weighted sum
-and solve, so a later case reads its target's row and decodes it. A run's
+diagonals; a preparation computes and decodes all four search targets
+once, on its first search case, as one product of the other rows, one
+weighted sum and solve and four decodes, so every case reads its target's
+row and its answer (or its decode error's text). A run's
 `records` and their spectra are built only when read, and so is its
 weighted sum, one `Detector.spectra` of the weighted amplitudes and noise
 rows that reads no record. A state travels as its
@@ -241,22 +242,31 @@ class Preparation:
         return self.detector.noise_spectra(self.seed, self.noise_integrals)
 
     @functools.cached_property
-    def searches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def searches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
         """The search cases of every target in `GROVER_TARGETS` order, built
         on the first search case and shared by every run on this preparation:
-        the read-only (target, experiment, channel, line) receiver amplitudes
-        and the (target, channel, partner) weighted line integrals and line
-        amplitudes behind them."""
+        the read-only (target, experiment, channel, line) receiver amplitudes,
+        the (target, channel, partner) weighted line integrals and line
+        amplitudes behind them, and per target its decode (`_decide`) as an
+        (answer, None) or (None, DecodeError text) pair."""
         amplitudes = _receiver_amplitudes(self, slice(1, None))
-        lines = self.detector.line_integrals(amplitudes, self.noise_integrals)
-        # the weighted sum of the records' integrals, in experiment order
-        integrals = np.add.reduce(self.result.weights[:, None, None] * lines, axis=1)
-        # each line leaks into its partner's window; Re(response)⁻¹ takes the
-        # integrals back to the line amplitudes, which are real after a readout
-        line_amplitudes = integrals @ self.detector.amplitude_solve.T
+        # a grid near the float range may overflow here; the decode then
+        # refuses the lines as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            lines = self.detector.line_integrals(amplitudes, self.noise_integrals)
+            # the weighted sum of the records' integrals, in experiment order
+            integrals = np.add.reduce(self.result.weights[:, None, None] * lines, axis=1)
+            # each line leaks into its partner's window; Re(response)⁻¹ takes
+            # the integrals back to the line amplitudes, real after a readout
+            line_amplitudes = integrals @ self.detector.amplitude_solve.T
         for array in (integrals, line_amplitudes):
             array.flags.writeable = False
-        return amplitudes, integrals, line_amplitudes
+        # an inverted preparation (q2 < 0) flips every line; its sign is
+        # known from the weight solve, so it is folded into the decode
+        sign = 1.0 if self.result.q2 >= 0 else -1.0
+        decisions = tuple(_decide(h0, h1, c0, c1)
+                          for (h0, h1), (c0, c1) in (sign * line_amplitudes).tolist())
+        return amplitudes, integrals, line_amplitudes, decisions
 
 
 def prepare_batch(
@@ -401,37 +411,42 @@ def run_effective_pure_pipeline(
 
 def decode_answer(lines) -> str:
     """Answer bits from the doublet sign pattern of both channels, given as
-    (channel, partner) line values, H then C.
+    (channel, partner) line values, H then C: `_decide` of them, raising
+    its DecodeError."""
+    if np.shape(lines) != (2, 2):
+        raise ValueError("the decode takes the (channel, partner) lines of both channels")
+    (h0, h1), (c0, c1) = np.asarray(lines, dtype=float).tolist()
+    answer, error = _decide(h0, h1, c0, c1)
+    if error is not None:
+        raise DecodeError(error)
+    return answer
+
+
+def _decide(h0: float, h1: float, c0: float, c1: float) -> tuple[str | None, str | None]:
+    """The decode rule on the H lines (h0, h1) and C lines (c0, c1), Python
+    floats: the answer and None, or None and the DecodeError text.
 
     Each channel shows one dominant line for a pure-like state: its sign
     gives the observed spin's bit (positive means |0>) and its position
     gives the partner's bit. The two channels must agree; anything below
-    the dominance threshold, inconsistent or not finite raises DecodeError.
+    the dominance threshold, inconsistent or not finite decodes nothing.
     """
-    if np.shape(lines) != (2, 2):
-        raise ValueError("the decode takes the (channel, partner) lines of both channels")
-    (h0, h1), (c0, c1) = np.asarray(lines, dtype=float).tolist()
     # a NaN passes the dominance test (every comparison is false), and an
     # inf beats any partner
     if not all(map(math.isfinite, (h0, h1, c0, c1))):
-        raise DecodeError("readout lines are not finite")
+        return None, "readout lines are not finite"
     if not (h0 or h1 or c0 or c1):
-        raise DecodeError("no readout signal")
-
-    def dominant(a: float, b: float) -> tuple[int, float]:
-        if abs(a) < DECODE_DOMINANCE * abs(b) and abs(b) < DECODE_DOMINANCE * abs(a):
-            raise DecodeError("doublet lines have comparable magnitude")
-        return (0, a) if abs(a) > abs(b) else (1, b)
-
-    c_from_h, h_line = dominant(h0, h1)
-    h_from_c, c_line = dominant(c0, c1)
+        return None, "no readout signal"
+    if any(abs(a) < DECODE_DOMINANCE * abs(b) and abs(b) < DECODE_DOMINANCE * abs(a)
+           for a, b in ((h0, h1), (c0, c1))):
+        return None, "doublet lines have comparable magnitude"
+    c_from_h, h_line = (0, h0) if abs(h0) > abs(h1) else (1, h1)
+    h_from_c, c_line = (0, c0) if abs(c0) > abs(c1) else (1, c1)
     h_bit = 0 if h_line > 0 else 1
     c_bit = 0 if c_line > 0 else 1
     if h_bit != h_from_c or c_bit != c_from_h:
-        raise DecodeError(
-            f"channels disagree: H says ({h_bit},{c_from_h}), C says ({h_from_c},{c_bit})"
-        )
-    return f"{h_bit}{c_bit}"
+        return None, f"channels disagree: H says ({h_bit},{c_from_h}), C says ({h_from_c},{c_bit})"
+    return f"{h_bit}{c_bit}", None
 
 
 def run_grover_pipeline(
@@ -445,20 +460,23 @@ def run_grover_pipeline(
     The default schedule starts on an aged sample (sample_age after
     mixing): search runs late in a sample's life show the moderate
     enhancements characteristic of this experiment series. The answer is
-    decoded from the line amplitudes behind the weighted readout integrals,
-    and the enhancement compares the labeled input state against the
+    the preparation's decode of its target (`Preparation.searches`), made
+    once from the line amplitudes behind the weighted readout integrals;
+    a target that decodes nothing raises a new DecodeError with its text.
+    The enhancement compares the labeled input state against the
     closed-form labeling of thermal input.
     """
     schedule = make_schedule(mode, r1, recovery, sample_age)
     prep = _prepare(p, cfg, schedule, detection)
-    amplitudes, integrals, line_amplitudes = (array[case.index] for array in prep.searches)
-    # an inverted preparation (q2 < 0) flips every line; its sign is known
-    # from the weight solve, so fold it into the decode
-    sign = 1.0 if prep.result.q2 >= 0 else -1.0
+    amplitudes, integrals, line_amplitudes, decisions = prep.searches
+    k = case.index
+    answer, error = decisions[k]
+    if error is not None:
+        raise DecodeError(error)
     return GroverRun(
-        prep.result, prep.thermal_result, prep.enhancement, schedule, prep, amplitudes,
-        case=case, decoded=decode_answer(sign * line_amplitudes), peak_integrals=integrals,
-        line_amplitudes=line_amplitudes,
+        prep.result, prep.thermal_result, prep.enhancement, schedule, prep, amplitudes[k],
+        case=case, decoded=answer, peak_integrals=integrals[k],
+        line_amplitudes=line_amplitudes[k],
     )
 
 

@@ -311,10 +311,19 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
         raise ReadoutError(_INSEPARABLE)
     line_spectra = _transform(_unit_lines(cfg, n_points, dwell))
     df = freqs[1] - freqs[0]
-    response = df * (masks @ line_spectra.T)
+    sums = masks @ line_spectra.T
     counts = masks.sum(axis=1)
     gram = n_points * np.diag(counts) - 0.75 * np.outer(counts, counts)
-    noise_factor = df * np.linalg.cholesky(gram)
+    cholesky = np.linalg.cholesky(gram)
+    # the window sums and the Cholesky factor in counts are at most ~n², and
+    # df times their largest part, as numpy rounds each product, must be a
+    # float: it is ~1/dwell, past the float range for some subnormal dwells
+    # (below ~4.8e-309) that the axis rule admits
+    largest = max(np.abs(sums.real).max(), np.abs(sums.imag).max(), np.abs(cholesky).max())
+    if float(df) * float(largest) > np.finfo(float).max:
+        raise ReadoutError("window integrals leave the float range; increase dwell_s")
+    response = df * sums
+    noise_factor = df * cholesky
     try:
         amplitude_solve = np.linalg.inv(response.real)
     except np.linalg.LinAlgError:  # e.g. a decay within one dwell: one flat line

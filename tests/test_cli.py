@@ -380,14 +380,19 @@ class TestGrover:
             ({"j_hz": 1e305, "dwell_s": 1e-310, "n_points": 1048576},
              "frequency axis leaves the float range; increase dwell_s"),
             ({"j_hz": 1e308, "dwell_s": 5e-309}, "line phase rate leaves the float range; lower j_hz"),
+            # a subnormal dwell the axis admits, whose bin width times the
+            # window sums overflows; once refused as a receiver constant
+            # overflow that named keys it did not set
+            ({"j_hz": 1e307, "dwell_s": 3e-309, "n_points": 256},
+             "window integrals leave the float range; increase dwell_s"),
         ],
-        ids=["coarse", "axis", "phase"],
+        ids=["coarse", "axis", "phase", "window"],
     )
     def test_grid_past_the_float_range_is_a_readout_failure(
         self, tmp_path, capsys, command, values, message
     ):
-        # refused before any arithmetic on the grid: no numpy warning, and
-        # the message names the key at fault
+        # refused before the arithmetic on the grid that would overflow: no
+        # numpy warning, and the message names the key at fault
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(values))
         out = tmp_path / "o"
@@ -418,6 +423,25 @@ class TestGrover:
             "readout failed: peak windows cannot separate the doublet lines; "
             "increase t2 or shorten the dwell time\n"
         )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", [["grover", "--target", "01"], ["grover", "--all"]], ids=["target", "all"]
+    )
+    def test_search_lines_past_the_float_range_are_a_decode_failure(
+        self, tmp_path, capsys, command
+    ):
+        # this grid's map is finite (its noise factor is ~8e306), but the
+        # weighted sum of the search cases' line integrals overflows; the
+        # decode refuses the lines, with no numpy warning on the way
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"j_hz": 1e307, "dwell_s": 6e-308}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["--config", str(config), "--out", str(out), *command])
+        assert rc == 3
+        assert capsys.readouterr() == ("", "decode failed: readout lines are not finite\n")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("noise_amp", [0.0, 0.01], ids=["quiet", "noisy"])

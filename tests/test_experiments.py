@@ -1,4 +1,6 @@
 import re
+import traceback
+import types
 import warnings
 
 import numpy as np
@@ -214,6 +216,110 @@ class TestDecode:
     def test_lines_of_another_shape_are_rejected(self, values):
         with pytest.raises(ValueError, match="the decode takes the"):
             decode_answer(values)
+
+
+class TableDetector:
+    """A detector stand-in whose line integrals of every experiment sum,
+    under unit weights, to the given (target, channel, partner) lines, and
+    whose amplitude solve is the identity."""
+
+    amplitude_solve = np.eye(2)
+
+    def __init__(self, table):
+        # -0.0 adds nothing to any float, -0.0 included
+        self.lines = np.full((len(GROVER_TARGETS), 3, 2, 2), -0.0)
+        self.lines[:, 0] = table
+
+    def line_integrals(self, amplitudes, noise):
+        return self.lines
+
+
+def table_searches(table, q2):
+    """The search pass of a preparation whose weighted line integrals are
+    `table`, with the sign of `q2`."""
+    result = types.SimpleNamespace(weights=np.ones(3), q2=q2, ground=0)
+    zeros = np.zeros((3, 4))
+    return Preparation(TableDetector(table), 0, zeros, zeros, result, None, 1.0, None).searches
+
+
+def decoded_or_text(values):
+    """`decode_answer` of `values` as an (answer, None) or (None, text) pair."""
+    try:
+        return decode_answer(values), None
+    except DecodeError as exc:
+        return None, str(exc)
+
+
+DECODE_TABLE = {
+    "nan": (np.nan, 0.0, 10.0, 0.0),
+    "inf": (np.inf, 0.0, np.inf, 0.0),
+    "-inf": (-np.inf, 1.0, 0.0, -np.inf),
+    "zeros": (0.0, 0.0, 0.0, 0.0),
+    "-0.0": (-0.0, -0.0, -0.0, -0.0),
+    "-0.0-partners": (-0.0, 10.0, -10.0, -0.0),
+    "dominance-partner-0": (3.0, 1.0, 3.0, 1.0),
+    "dominance-partner-1": (1.0, 3.0, -3.0, 1.0),
+    "below-dominance": (2.9999999999999996, 1.0, 3.0, 1.0),
+    "equal-magnitudes": (5.0, -5.0, 5.0, 0.0),
+    "h-disagrees": (10.0, 0.0, 0.0, 10.0),
+    "c-disagrees": (10.0, 0.0, -10.0, 0.0),
+}
+
+
+class TestDecideOncePerPreparation:
+    @pytest.mark.parametrize("q2", [2.5, -2.5], ids=["upright", "inverted"])
+    def test_outcomes_match_decode_answer(self, q2):
+        sign = 1.0 if q2 >= 0 else -1.0
+        rows = list(DECODE_TABLE.values())
+        for start in range(0, len(rows), len(GROVER_TARGETS)):
+            table = np.array(rows[start:start + len(GROVER_TARGETS)]).reshape(-1, 2, 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, _, line_amplitudes, outcomes = table_searches(table, q2)
+            assert isinstance(outcomes, tuple) and len(outcomes) == len(GROVER_TARGETS)
+            for k, outcome in enumerate(outcomes):
+                assert outcome == decoded_or_text(sign * line_amplitudes[k])
+                assert outcome == decoded_or_text(sign * table[k])
+
+    def test_the_table_covers_every_outcome(self):
+        outcomes = {decoded_or_text(lines(*row)) for row in DECODE_TABLE.values()}
+        assert {text.split(":")[0] for _, text in outcomes if text} == {
+            "readout lines are not finite", "no readout signal",
+            "doublet lines have comparable magnitude", "channels disagree",
+        }
+        assert {answer for answer, _ in outcomes if answer} == {"00", "01"}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 1e-300, 1e300]),
+            min_size=16, max_size=16,
+        ),
+        st.sampled_from([1.0, 0.0, -1.0]),
+    )
+    def test_outcomes_match_decode_answer_on_any_lines(self, values, q2):
+        table = np.array(values).reshape(len(GROVER_TARGETS), 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, line_amplitudes, outcomes = table_searches(table, q2)
+        sign = 1.0 if q2 >= 0 else -1.0
+        for k, outcome in enumerate(outcomes):
+            assert outcome == decoded_or_text(sign * line_amplitudes[k])
+
+    def test_a_failing_target_raises_a_new_error_on_every_call(self):
+        cfg = SpinSystemConfig(j_coupling=1e307)
+        detection = DetectionSettings(dwell=6e-308)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(DecodeError) as info:
+                run_grover_pipeline(SpinoeParams(), cfg, GroverCase("01"), detection=detection)
+            errors.append(info.value)
+        first, second = errors
+        assert first is not second
+        assert str(first) == str(second) == "readout lines are not finite"
+        depth = [len(traceback.extract_tb(error.__traceback__)) for error in errors]
+        assert depth[0] == depth[1]
 
 
 class TestEffectivePurePipeline:
@@ -593,7 +699,16 @@ class TestSearchTargets:
 
     def test_the_four_targets_are_computed_once(self, monkeypatch):
         _prepare.cache_clear()
+        decisions = []
+        decide = experiments._decide
+
+        def counting_decide(*args):
+            decisions.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(experiments, "_decide", counting_decide)
         first = noisy_run(ScheduleMode.MULTI_SAMPLE, "01")
+        assert len(decisions) == len(GROVER_TARGETS)
         products = []
         product = experiments._receiver_amplitudes
 
@@ -604,13 +719,18 @@ class TestSearchTargets:
         monkeypatch.setattr(experiments, "_receiver_amplitudes", counting_product)
         runs = {target: noisy_run(ScheduleMode.MULTI_SAMPLE, target) for target in GROVER_TARGETS}
         assert products == []
+        # a warm case decodes nothing
+        assert len(decisions) == len(GROVER_TARGETS)
         assert _prepare.cache_info().hits == len(GROVER_TARGETS)
         prep = first.preparation
+        *arrays, outcomes = prep.searches
+        assert outcomes == tuple((target, None) for target in GROVER_TARGETS)
         for k, target in enumerate(GROVER_TARGETS):
             run = runs[target]
             assert run.preparation is prep
+            assert run.decoded == outcomes[k][0]
             parts = (run.receiver_amplitudes, run.peak_integrals, run.line_amplitudes)
-            for part, shared in zip(parts, prep.searches, strict=True):
+            for part, shared in zip(parts, arrays, strict=True):
                 assert not shared.flags.writeable and not part.flags.writeable
                 assert np.shares_memory(part, shared)
                 assert part.tobytes() == shared[k].tobytes()

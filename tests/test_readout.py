@@ -988,6 +988,10 @@ class TestDetector:
             (1e305, 1e-310, 2**20, "frequency axis leaves the float range; increase dwell_s"),
             (1e304, 2e-309, 2**20, "frequency axis leaves the float range; increase dwell_s"),
             (1e308, 5e-309, 4096, "line phase rate leaves the float range; lower j_hz"),
+            # subnormal dwells the axis admits, whose df times the window
+            # sums (~1/dwell) overflows
+            (1e307, 3e-309, 256, "window integrals leave the float range; increase dwell_s"),
+            (1e307, 4.7e-309, 256, "window integrals leave the float range; increase dwell_s"),
         ],
     )
     def test_grid_past_the_float_range_is_refused_first(self, j, dwell, n_points, message):
