@@ -13,12 +13,13 @@ JSON report.
 
 Spectra are written by two processes when this one may run on two CPUs
 or more: per run, a forked child writes the second half of the spectra
-while the command writes the first (`_write_spectra`). The files are
-those one writer makes, a file that cannot be written exits 64 naming it
-whichever process met it, and the child is reaped before the command
-goes on. On Python 3.12 and later the fork may warn (DeprecationWarning)
-when numpy's BLAS threads make the process multi-threaded. `probe`
-prints its diagonal to six significant digits.
+while the command writes the first (`_write_spectra`). The child only
+saves time: one that fails for any reason has its share written again by
+the command, so the files and the failures are those of one writer, and
+the child is reaped before the command goes on. On Python 3.12 and later
+the fork may warn (DeprecationWarning) when numpy's BLAS threads make the
+process multi-threaded. `probe` prints its diagonal to six significant
+digits.
 
 Exit codes: 0 ok, 2 weight-solver failure, 3 decoded answer mismatch,
 4 readout failure (inconsistent probe peaks), 64 usage error (bad flags
@@ -35,7 +36,6 @@ import inspect
 import json
 import math
 import os
-import pickle
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -255,15 +255,16 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
 
     Formatting the numbers is most of a command's time, so with two
     spectra or more and two CPUs or more for this process, a forked child
-    writes the second half of them while this process writes the first;
-    the files are those one process writes. The child is always reaped
-    before this returns. It leaves through `os._exit`, so it never flushes
-    the output buffers it copied nor runs exit hooks. An exception in its
-    share (an `OSError` names its file) is pickled back through a pipe and
-    raised here, after this process's share, whose own error comes first.
-    Python 3.12 and later warn (DeprecationWarning) at a fork in a process
-    with several threads, which numpy's BLAS threads may be; the warning
-    is not silenced."""
+    writes the second half of them while this process writes the first.
+    The child only saves time: if none could be forked, or it exits
+    non-zero for any reason (an exception, a file it cannot write, a
+    signal), this process writes its share again once it has reaped it, so
+    every failure is one writer's, with its own type and file name. This
+    process's own error comes first, and the child is always reaped before
+    this returns. It leaves through `os._exit`, so it never flushes the
+    output buffers it copied nor runs exit hooks. Python 3.12 and later
+    warn (DeprecationWarning) at a fork in a process with several threads,
+    which numpy's BLAS threads may be; the warning is not silenced."""
     units = [(stem, k, spectra) for stem, spectra in jobs for k in range(2)]
 
     def write(share) -> None:
@@ -274,7 +275,7 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
                 line_chart(
                     out / f"{stem}_{ch}.svg",
                     spec.freqs,
-                    {"real": list(spec.values.real)},
+                    {"real": spec.values.real},
                     title=f"{stem} {ch.upper()} channel",
                     x_label="frequency (Hz)",
                     y_label="signal",
@@ -282,39 +283,25 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
 
     # this process writes units[:cut], and a child, if there is one, the rest
     cut = (len(units) + 1) // 2 if len(os.sched_getaffinity(0)) > 1 else len(units)
-    pid, relayed, status = None, b"", 0
+    pid = status = None
     if cut < len(units):
-        readable, writable = os.pipe()
         try:
             pid = os.fork()
-        except OSError:  # e.g. at the process limit: this process writes all
-            os.close(readable)
-            cut = len(units)
-        if pid == 0:
-            code = 1
+        except OSError:  # e.g. at the process limit: no child
+            pass
+        if pid == 0:  # the child: status 0 only if all of its share is written
             try:
                 write(units[cut:])
-                code = 0
-            except Exception as exc:
-                with open(writable, "wb") as pipe:
-                    pipe.write(pickle.dumps(exc))
+                os._exit(0)
             finally:
-                os._exit(code)
-        os.close(writable)
+                os._exit(1)
     try:
         write(units[:cut])
     finally:
-        if pid is not None:
-            with open(readable, "rb") as pipe:
-                relayed = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if relayed:
-        raise pickle.loads(relayed)
-    if status:
-        stem, k, _ = units[cut]
-        raise OSError(
-            f"the process writing the spectra from {stem}_{'hc'[k]} on exited with status {status}"
-        )
+        if pid:
+            status = os.waitpid(pid, 0)[1]
+    if status != 0:  # no child, or one that failed
+        write(units[cut:])
 
 
 def _write_run(out: Path, stem: str, sum_stem: str, run, report: dict, svg: bool) -> None:

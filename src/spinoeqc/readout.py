@@ -323,6 +323,11 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     if float(df) * float(largest) > np.finfo(float).max:
         raise ReadoutError("window integrals leave the float range; increase dwell_s")
     response = df * sums
+    # a detector's receiver constant is Σ Re(response)/2 in exact arithmetic,
+    # whatever the reference: past the float range (some subnormal dwells
+    # below ~4.8e-309 with a huge J) only the grid can bring it back
+    if not math.isfinite(sum(r / 2 for r in response.real.ravel().tolist())):
+        raise ReadoutError("receiver constant leaves the float range; increase dwell_s")
     noise_factor = df * cholesky
     try:
         amplitude_solve = np.linalg.inv(response.real)

@@ -6,14 +6,30 @@ across runs for identical data, which matters more here than looks.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 WIDTH, HEIGHT = 720, 420  # pixels
+# a title, an axis label or a tick label; the last field is extra attributes
+_LABEL = ('<text x="{}" y="{}" text-anchor="{}" font-family="monospace" '
+          'font-size="{}"{}>{}</text>')
 
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
+
+
+def _axis(v0: float, v1: float, start: float, length: float):
+    """The map taking v0 to `start` and v1 to `start + length`, on a float
+    or elementwise on an array, in the same operation order. A span past
+    the float range is taken at half scale, where it is a float; halving a
+    normal float is exact, so the map is that of the full scale."""
+    h = 1.0 if abs(v1 - v0) < math.inf else 0.5
+    v0, span = v0 * h, v1 * h - v0 * h
+    return lambda v: start + (v * h - v0) / span * length
 
 
 def line_chart(
@@ -38,15 +54,14 @@ def line_chart(
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
+    # 5% of the y span each way; 0.1·(d/2) is 0.05·d for a span d past the
+    # float range, and a padded end past it stops at the largest float
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
-    # on a float or elementwise on an array, in the same operation order
-    def px(v):
-        return margin + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(v):
-        return margin + (y_hi - v) / (y_hi - y_lo) * plot_h
+    if pad == math.inf:
+        pad = 0.1 * (y_hi / 2 - y_lo / 2)
+    top = sys.float_info.max
+    y_lo, y_hi = max(y_lo - pad, -top), min(y_hi + pad, top)
+    px, py = _axis(x_lo, x_hi, margin, plot_w), _axis(y_hi, y_lo, margin, plot_h)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
@@ -72,39 +87,17 @@ def line_chart(
             f'<text x="{margin + 8}" y="{margin + 16 + 14 * i}" fill="{color}" '
             f'font-family="monospace" font-size="12">{name}</text>'
         )
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="monospace" font-size="12">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{HEIGHT / 2:.0f}" text-anchor="middle" '
-            f'font-family="monospace" font-size="12" '
-            f'transform="rotate(-90 16 {HEIGHT / 2:.0f})">{y_label}</text>'
-        )
-    # axis extremes as tick labels
-    parts.append(
-        f'<text x="{margin}" y="{HEIGHT - margin + 16}" text-anchor="middle" '
-        f'font-family="monospace" font-size="10">{_fmt(x_lo)}</text>'
-    )
-    parts.append(
-        f'<text x="{margin + plot_w}" y="{HEIGHT - margin + 16}" text-anchor="middle" '
-        f'font-family="monospace" font-size="10">{_fmt(x_hi)}</text>'
-    )
-    parts.append(
-        f'<text x="{margin - 6}" y="{margin + plot_h}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{_fmt(y_lo)}</text>'
-    )
-    parts.append(
-        f'<text x="{margin - 6}" y="{margin + 10}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{_fmt(y_hi)}</text>'
-    )
+    mid_x, mid_y = f"{WIDTH / 2:.0f}", f"{HEIGHT / 2:.0f}"
+    parts += [_LABEL.format(*label) for label in (
+        (mid_x, 24, "middle", 14, "", title),
+        (mid_x, HEIGHT - 12, "middle", 12, "", x_label),
+        (16, mid_y, "middle", 12, f' transform="rotate(-90 16 {mid_y})"', y_label),
+        # axis extremes as tick labels
+        (margin, HEIGHT - margin + 16, "middle", 10, "", _fmt(x_lo)),
+        (margin + plot_w, HEIGHT - margin + 16, "middle", 10, "", _fmt(x_hi)),
+        (margin - 6, margin + plot_h, "end", 10, "", _fmt(y_lo)),
+        (margin - 6, margin + 10, "end", 10, "", _fmt(y_hi)),
+    ) if label[-1]]
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -96,6 +97,23 @@ class TestEnhanceTrace:
         assert rc == 0
         svg = (tmp_path / "enhancement_trace.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("config,command", [
+        ({"eps0_h": -1.7e308, "eps0_c": 1.7e308},
+         ["enhance-trace", "--duration", "20", "--step", "10"]),
+        # a grid that builds, whose frequency axis spans more than a float
+        ({"j_hz": 1e307, "dwell_s": 2.9e-309}, ["probe"]),
+    ], ids=["trace", "probe"])
+    def test_svg_spans_past_the_float_range_are_drawn(self, tmp_path, capsys, config, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--config", str(path), "--out", str(out), "--svg", *command]) == 0
+        assert capsys.readouterr().err == ""
+        charts = [p.read_text() for p in out.glob("*.svg")]
+        assert charts and not any("nan" in chart or "inf" in chart for chart in charts)
 
     def test_bad_step_is_usage_error(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path), "enhance-trace", "--step", "0"])
@@ -385,8 +403,12 @@ class TestGrover:
             # overflow that named keys it did not set
             ({"j_hz": 1e307, "dwell_s": 3e-309, "n_points": 256},
              "window integrals leave the float range; increase dwell_s"),
+            # finite window integrals whose half sum, the receiver constant,
+            # overflows; once refused as one that named polarization_unit
+            ({"j_hz": 1e307, "dwell_s": 4.5e-309},
+             "receiver constant leaves the float range; increase dwell_s"),
         ],
-        ids=["coarse", "axis", "phase", "window"],
+        ids=["coarse", "axis", "phase", "window", "receiver"],
     )
     def test_grid_past_the_float_range_is_a_readout_failure(
         self, tmp_path, capsys, command, values, message
@@ -922,21 +944,31 @@ class TestTwoWriters:
             with pytest.raises(ValueError, match="cannot format grover_10_sum_h.csv"):
                 cli.main(["--out", str(tmp_path / str(cpus)), *self.GROVER_10])
 
-    def test_a_child_that_dies_is_a_failed_write(self, tmp_path, monkeypatch, capsys):
-        write = cli.spectrum_to_csv
+    @pytest.mark.parametrize("death", [
+        pytest.param(lambda: os._exit(3), id="exit-3"),
+        pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), id="sigkill"),
+    ])
+    def test_a_child_that_dies_leaves_one_writer(self, tmp_path, monkeypatch, capsys, death):
+        # the child dies at its second spectrum; this process, which never
+        # runs `death`, writes the child's share again
+        writers(monkeypatch, 1)
+        assert cli.main(["--out", str(tmp_path / "1"), "--svg", *self.GROVER_10]) == 0
+        parent, write = os.getpid(), cli.spectrum_to_csv
 
         def dying(spec, path):
-            if path.name == "grover_10_sum_h.csv":
-                os._exit(3)
+            if path.name == "grover_10_exp3_c.csv" and os.getpid() != parent:
+                death()
             write(spec, path)
 
         monkeypatch.setattr(cli, "spectrum_to_csv", dying)
-        writers(monkeypatch, 2)
-        assert cli.main(["--out", str(tmp_path), *self.GROVER_10]) == 64
-        assert capsys.readouterr().err == (
-            "usage error: cannot write an output file: the process writing the spectra "
-            "from grover_10_exp3_h on exited with status 3\n"
-        )
+        forks = writers(monkeypatch, 2)
+        capsys.readouterr()
+        assert cli.main(["--out", str(tmp_path / "2"), "--svg", *self.GROVER_10]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert_same_files_outside_timestamp(tmp_path / "2", tmp_path / "1")
 
     def test_each_line_is_printed_once(self, tmp_path):
         # stdout to a pipe is block-buffered (PYTHONUNBUFFERED unset), so each

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import importlib
@@ -992,6 +993,9 @@ class TestDetector:
             # sums (~1/dwell) overflows
             (1e307, 3e-309, 256, "window integrals leave the float range; increase dwell_s"),
             (1e307, 4.7e-309, 256, "window integrals leave the float range; increase dwell_s"),
+            # finite window integrals (the largest ~1.7e308) whose half sum,
+            # the receiver constant of every reference, overflows
+            (1e307, 4.5e-309, 4096, "receiver constant leaves the float range; increase dwell_s"),
         ],
     )
     def test_grid_past_the_float_range_is_refused_first(self, j, dwell, n_points, message):
@@ -1001,6 +1005,27 @@ class TestDetector:
             warnings.simplefilter("error")
             with pytest.raises(ReadoutError, match=f"^{re.escape(message)}$"):
                 Detector(SpinSystemConfig(j_coupling=j), DetectionSettings(n_points, dwell))
+
+    @pytest.mark.parametrize("n_points", [256, 4096])
+    def test_subnormal_dwells_never_blame_the_reference(self, n_points):
+        # across the subnormal dwells the axis admits at a huge J, a grid
+        # builds a detector at the default reference or is refused in words
+        # that name the grid, never polarization_unit
+        cfg = SpinSystemConfig(j_coupling=1e307)
+        outcomes = collections.Counter()
+        for dwell in np.linspace(2.8e-309, 4.9e-309, 211).tolist():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    Detector(cfg, DetectionSettings(n_points, dwell))
+                    outcomes["built"] += 1
+                except ReadoutError as exc:
+                    outcomes[str(exc)] += 1
+        assert set(outcomes) == {
+            "built",
+            "window integrals leave the float range; increase dwell_s",
+            "receiver constant leaves the float range; increase dwell_s",
+        }
 
     @pytest.mark.parametrize("n_points", [256, 257, 4096, 4097])
     def test_axis_rule_is_numpy_rounding(self, n_points):
