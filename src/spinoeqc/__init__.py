@@ -32,6 +32,7 @@ from .labeling import (
     EffectivePureResult,
     LabelingPlan,
     SingularLabelingSystem,
+    UnequalizedLabeling,
     assemble_effective_pure,
     choose_ground,
     enhancement_factor,

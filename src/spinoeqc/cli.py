@@ -11,17 +11,24 @@ file values. Outputs are pure functions of (config, flags, seed): repeat
 runs are byte-identical except for the single timestamp field in each
 JSON report.
 
-Spectra are written by two processes when this one may run on two CPUs
-or more: per run, a forked child writes the second half of the spectra
-while the command writes the first (`_write_spectra`). The child only
-saves time: one that fails for any reason has its share written again by
-the command, so the files and the failures are those of one writer, and
-the child is reaped before the command goes on. On Python 3.12 and later
-the fork may warn (DeprecationWarning) when numpy's BLAS threads make the
-process multi-threaded. `probe` prints its diagonal to six significant
-digits.
+A command writes all of its spectra in one call (`_write_spectra`):
+`grover --all` writes its four cases' spectra together after their
+reports, and a case that raises leaves those of the cases before it
+written. Spectra whose values are equal as bytes, or negated with every
+value finite, form a family that is formatted once; the others take its
+text, or that text with every real and imag sign flipped. Spectra are
+written by two processes when this one may run on two CPUs or more: a
+forked child writes the second half of the families while the command
+writes the first, one fork per command. The child only saves time: one
+that fails for any reason has its share written again by the command, so
+the files and the failures are those of one writer, and the child is
+reaped before the command goes on. On Python 3.12 and later the fork may
+warn (DeprecationWarning) when numpy's BLAS threads make the process
+multi-threaded. `probe` prints its diagonal to six significant digits.
 
-Exit codes: 0 ok, 2 weight-solver failure, 3 decoded answer mismatch,
+Exit codes: 0 ok, 2 weight-solver failure (a singular system, or a
+labeling that leaves the non-ground populations unequal: the library's
+`UnequalizedLabeling` warning is an error here), 3 decoded answer mismatch,
 4 readout failure (inconsistent probe peaks), 64 usage error (bad flags
 or configuration, an --out path that cannot be made a directory, or an
 output file that cannot be written).
@@ -32,14 +39,18 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .experiments import (
     GROVER_TARGETS,
@@ -51,8 +62,10 @@ from .experiments import (
     run_grover_pipeline,
     run_id,
 )
-from .labeling import SingularLabelingSystem
-from .readout import DetectionSettings, Detector, ReadoutError, spectrum_to_csv
+from .labeling import SingularLabelingSystem, UnequalizedLabeling
+from .readout import (
+    DetectionSettings, Detector, ReadoutError, negated_csv, spectrum_csv, write_csv,
+)
 from .spinoe import (
     DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ExperimentSchedule, ScheduleMode,
     SpinoeParams, enhancement_at, make_schedule,
@@ -249,68 +262,116 @@ def cmd_enhance_trace(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _write_spectra(out: Path, jobs, svg: bool) -> None:
-    """Write each (stem, spectra) job, `spectra` a callable that gives its
-    (H, C) pair, as `<stem>_h.csv` and `<stem>_c.csv`, and as SVG if asked.
+def _family(values: np.ndarray) -> bytes:
+    """A digest shared by spectra whose values are equal as bytes, or each
+    other's negation with every value finite: that of the values, or of
+    their negation where the first real part's sign bit is set. The digest
+    only groups spectra (a text is reused after a comparison of the
+    bytes), so SHA-1 serves: it hashes a 64 KiB spectrum in about half the
+    time of BLAKE2b on x86-64 with the SHA extensions."""
+    if values.view(np.int64)[0] < 0 and np.isfinite(values).all():
+        values = -values
+    return hashlib.sha1(values, usedforsecurity=False).digest()
 
-    Formatting the numbers is most of a command's time, so with two
-    spectra or more and two CPUs or more for this process, a forked child
-    writes the second half of them while this process writes the first.
-    The child only saves time: if none could be forked, or it exits
-    non-zero for any reason (an exception, a file it cannot write, a
-    signal), this process writes its share again once it has reaped it, so
-    every failure is one writer's, with its own type and file name. This
-    process's own error comes first, and the child is always reaped before
-    this returns. It leaves through `os._exit`, so it never flushes the
-    output buffers it copied nor runs exit hooks. Python 3.12 and later
-    warn (DeprecationWarning) at a fork in a process with several threads,
-    which numpy's BLAS threads may be; the warning is not silenced."""
-    units = [(stem, k, spectra) for stem, spectra in jobs for k in range(2)]
+
+def _families(jobs) -> list[list[tuple]]:
+    """The (stem, channel index, spectra) units of the jobs, grouped by
+    `_family` in the order of their first units; each pair is built to
+    take its digests and dropped."""
+    families: dict[bytes, list] = {}
+    for stem, spectra in jobs:
+        for k, spec in enumerate(spectra()):
+            families.setdefault(_family(spec.values), []).append((stem, k, spectra))
+    return list(families.values())
+
+
+def _csv_text(spec, base, text: str) -> str:
+    """`spectrum_csv(spec)`, reusing `text`, that of `base`, where the bytes
+    say it may: the same text for equal values, `negated_csv` of it for
+    finite negated ones. The digest that grouped them is only a hint."""
+    if spec.freqs.tobytes() == base.freqs.tobytes():
+        values = spec.values.tobytes()
+        if values == base.values.tobytes():
+            return text
+        if values == (-base.values).tobytes() and np.isfinite(base.values).all():
+            return negated_csv(text)
+    return spectrum_csv(spec)
+
+
+def _write_spectra(out: Path, jobs, svg: bool) -> None:
+    """Write each (stem, spectra) job, `spectra` a callable that builds its
+    (H, C) pair anew, as `<stem>_h.csv` and `<stem>_c.csv`, and as SVG if
+    asked. A command calls this once, with all of its spectra.
+
+    Formatting the numbers is most of a command's time, so each family of
+    spectra whose values are equal, or negated with every value finite, is
+    formatted once: its first spectrum by `spectrum_csv`, an equal one
+    takes that text and a negated one its `negated_csv`, each after a
+    comparison as bytes. No text or spectrum outlives its family's writing.
+    With two families or more and two CPUs or more for this process, a
+    forked child writes the second half of the families while this
+    process writes the first. The child only saves time: if none could be
+    forked, or it exits non-zero for any reason (an exception, a file it
+    cannot write, a signal), this process writes its share again once it
+    has reaped it, so every failure is one writer's, with its own type and
+    file name. This process's own error comes first, and the child is
+    always reaped before this returns. It leaves through `os._exit`, so it
+    never flushes the output buffers it copied nor runs exit hooks. Python
+    3.12 and later warn (DeprecationWarning) at a fork in a process with
+    several threads, which numpy's BLAS threads may be; the warning is not
+    silenced."""
+    families = _families(jobs)
+
+    def write_unit(stem: str, k: int, spec, text: str) -> None:
+        ch = "hc"[k]
+        write_csv(text, out / f"{stem}_{ch}.csv")
+        if svg:
+            line_chart(
+                out / f"{stem}_{ch}.svg",
+                spec.freqs,
+                {"real": spec.values.real},
+                title=f"{stem} {ch.upper()} channel",
+                x_label="frequency (Hz)",
+                y_label="signal",
+            )
 
     def write(share) -> None:
-        for stem, k, spectra in share:
-            spec, ch = spectra()[k], "hc"[k]
-            spectrum_to_csv(spec, out / f"{stem}_{ch}.csv")
-            if svg:
-                line_chart(
-                    out / f"{stem}_{ch}.svg",
-                    spec.freqs,
-                    {"real": spec.values.real},
-                    title=f"{stem} {ch.upper()} channel",
-                    x_label="frequency (Hz)",
-                    y_label="signal",
-                )
+        for (stem, k, spectra), *members in share:
+            base = spectra()[k]
+            text = spectrum_csv(base)
+            write_unit(stem, k, base, text)
+            for stem, k, spectra in members:
+                spec = spectra()[k]
+                write_unit(stem, k, spec, _csv_text(spec, base, text))
 
-    # this process writes units[:cut], and a child, if there is one, the rest
-    cut = (len(units) + 1) // 2 if len(os.sched_getaffinity(0)) > 1 else len(units)
+    # this process writes families[:cut], and a child, if there is one, the rest
+    cut = (len(families) + 1) // 2 if len(os.sched_getaffinity(0)) > 1 else len(families)
     pid = status = None
-    if cut < len(units):
+    if cut < len(families):
         try:
             pid = os.fork()
         except OSError:  # e.g. at the process limit: no child
             pass
         if pid == 0:  # the child: status 0 only if all of its share is written
             try:
-                write(units[cut:])
+                write(families[cut:])
                 os._exit(0)
             finally:
                 os._exit(1)
     try:
-        write(units[:cut])
+        write(families[:cut])
     finally:
         if pid:
             status = os.waitpid(pid, 0)[1]
     if status != 0:  # no child, or one that failed
-        write(units[cut:])
+        write(families[cut:])
 
 
-def _write_run(out: Path, stem: str, sum_stem: str, run, report: dict, svg: bool) -> None:
-    """A labeled run's report, each experiment's spectra and the weighted sum's."""
-    _write_report(out / f"{stem}_report.json", report)
-    run.preparation.noise_spectra  # built once, before the fork, for both writers
-    jobs = [(f"{stem}_exp{i}", lambda rec=rec: rec.spectra)
-            for i, rec in enumerate(run.records, start=1)]
-    _write_spectra(out, [*jobs, (f"{stem}_{sum_stem}", lambda: run.sum_spectra)], svg)
+def _spectra_jobs(stem: str, sum_stem: str, run) -> list:
+    """A labeled run's spectra jobs: each experiment's and the weighted
+    sum's, every pair built anew when called and kept by no one."""
+    jobs = [(f"{stem}_exp{i}", rec.build_spectra) for i, rec in enumerate(run.records, start=1)]
+    return [*jobs, (f"{stem}_{sum_stem}", run.build_sum_spectra)]
 
 
 def cmd_effpure(cfg: RunConfig, args) -> int:
@@ -319,8 +380,8 @@ def cmd_effpure(cfg: RunConfig, args) -> int:
         cfg.spinoe(), cfg.spin_system(), cfg.schedule_mode(), r1=cfg.r1_s,
         recovery=cfg.recovery_s, detection=cfg.detection(),
     )
-    report = effective_pure_report(run, cfg.echo())
-    _write_run(out, "effpure", "weighted_sum", run, report, args.svg)
+    _write_report(out / "effpure_report.json", effective_pure_report(run, cfg.echo()))
+    _write_spectra(out, _spectra_jobs("effpure", "weighted_sum", run), args.svg)
     print(
         f"effective pure state: ground |{run.result.ground:02b}>, "
         f"q2 = {run.result.q2:.4f}, enhancement = {run.enhancement:.4f}"
@@ -339,20 +400,26 @@ def cmd_grover(cfg: RunConfig, args) -> int:
         except ValueError as exc:
             raise UsageError(f"invalid target {args.target!r}: {exc}") from exc
     out = _out_dir(args)
-    mismatch = False
-    for case in cases:
-        target = case.target
-        run = run_grover_pipeline(
-            cfg.spinoe(), cfg.spin_system(), case, cfg.schedule_mode(), r1=cfg.r1_s,
-            recovery=cfg.recovery_s, sample_age=cfg.sample_age_s, detection=cfg.detection(),
-        )
-        _write_run(out, f"grover_{target}", "sum", run, grover_report(run, cfg.echo()), args.svg)
-        ok = run.decoded == target
-        mismatch |= not ok
-        print(
-            f"target {target}: decoded {run.decoded} "
-            f"({'ok' if ok else 'MISMATCH'}), enhancement = {run.enhancement:.3f}"
-        )
+    jobs, mismatch = [], False
+    # every case's spectra in one write; a case that raises leaves those of
+    # the cases before it written, as a write per case would
+    try:
+        for case in cases:
+            target = case.target
+            run = run_grover_pipeline(
+                cfg.spinoe(), cfg.spin_system(), case, cfg.schedule_mode(), r1=cfg.r1_s,
+                recovery=cfg.recovery_s, sample_age=cfg.sample_age_s, detection=cfg.detection(),
+            )
+            _write_report(out / f"grover_{target}_report.json", grover_report(run, cfg.echo()))
+            jobs += _spectra_jobs(f"grover_{target}", "sum", run)
+            ok = run.decoded == target
+            mismatch |= not ok
+            print(
+                f"target {target}: decoded {run.decoded} "
+                f"({'ok' if ok else 'MISMATCH'}), enhancement = {run.enhancement:.3f}"
+            )
+    finally:
+        _write_spectra(out, jobs, args.svg)
     return EXIT_DECODE if mismatch else EXIT_OK
 
 
@@ -419,14 +486,17 @@ def main(argv=None) -> int:
             "probe": cmd_probe,
         }[args.command]
         try:
-            return handler(cfg, args)
+            # an unequalized labeling fails the command as a singular one does
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UnequalizedLabeling)
+                return handler(cfg, args)
         except OSError as exc:
             # the handlers read no file, so this is an output write
             raise UsageError(f"cannot write {exc.filename or 'an output file'}: {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SingularLabelingSystem as exc:
+    except (SingularLabelingSystem, UnequalizedLabeling) as exc:
         print(f"weight solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except DecodeError as exc:

@@ -19,7 +19,9 @@ weighted sum and solve and four decodes, so every case reads its target's
 row and its answer (or its decode error's text). A run's
 `records` and their spectra are built only when read, and so is its
 weighted sum, one `Detector.spectra` of the weighted amplitudes and noise
-rows that reads no record. A state travels as its
+rows that reads no record; `build_spectra` and `build_sum_spectra` build
+them anew and keep nothing, for a caller that holds no spectrum past its
+use (the CLI's writer). A state travels as its
 deviation diagonal throughout: the readout of I/4 is zero, so the trace
 part carries nothing.
 
@@ -121,12 +123,16 @@ class ExperimentRecord:
     preparation: Preparation = field(repr=False)
     index: int = field(repr=False)
 
-    @functools.cached_property
-    def spectra(self) -> tuple[Spectrum, Spectrum]:
+    def build_spectra(self) -> tuple[Spectrum, Spectrum]:
         """The H and C readout spectra, with this experiment's row of the
-        preparation's `noise_spectra`."""
+        preparation's `noise_spectra`, built anew on each call."""
         prep, noise = self.preparation, self.preparation.noise_spectra
         return prep.detector.spectra(self.amplitudes, None if noise is None else noise[self.index])
+
+    @functools.cached_property
+    def spectra(self) -> tuple[Spectrum, Spectrum]:
+        """`build_spectra`, kept from the first read."""
+        return self.build_spectra()
 
     @property
     def readout_h(self) -> Spectrum:
@@ -158,15 +164,19 @@ class EffectivePureRun:
                     self.receiver_amplitudes)
         return [ExperimentRecord(*part, prep, i) for i, part in enumerate(parts)]
 
-    @functools.cached_property
-    def sum_spectra(self) -> tuple[Spectrum, Spectrum]:
+    def build_sum_spectra(self) -> tuple[Spectrum, Spectrum]:
         """The H and C spectra of the weighted sum of the experiments, built
-        on first read: detection is linear, so they are the spectra of the
-        weighted amplitudes plus the weighted rows of the preparation's
+        anew on each call: detection is linear, so they are the spectra of
+        the weighted amplitudes plus the weighted rows of the preparation's
         `noise_spectra`."""
         w, prep = self.result.weights, self.preparation
         noise = None if prep.noise_spectra is None else np.tensordot(w, prep.noise_spectra, 1)
         return prep.detector.spectra(np.tensordot(w, self.receiver_amplitudes, 1), noise)
+
+    @functools.cached_property
+    def sum_spectra(self) -> tuple[Spectrum, Spectrum]:
+        """`build_sum_spectra`, kept from the first read."""
+        return self.build_sum_spectra()
 
     @property
     def sum_readout_h(self) -> Spectrum:

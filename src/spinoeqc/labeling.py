@@ -58,6 +58,11 @@ class SingularLabelingSystem(ValueError):
     """The weight system has no usable solution (degenerate inputs)."""
 
 
+class UnequalizedLabeling(UserWarning):
+    """The weighted sum leaves the non-ground populations unequal: their
+    spread exceeds EQUALIZATION_TOL of the largest population."""
+
+
 @dataclass(frozen=True)
 class LabelingPlan:
     """Ground-state choice; the permutation order is the method's."""
@@ -202,7 +207,8 @@ def _unequalized(diagonal, residual):
 def _warn_unequalized(spread: float, stacklevel: int) -> None:
     """Warn, `stacklevel` frames up, of a non-ground spread not equalized."""
     warnings.warn(
-        f"non-ground populations not equalized (spread {spread:.3e})", stacklevel=stacklevel
+        f"non-ground populations not equalized (spread {spread:.3e})", UnequalizedLabeling,
+        stacklevel=stacklevel,
     )
 
 

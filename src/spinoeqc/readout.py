@@ -647,13 +647,36 @@ def _frequency_cells(freqs: bytes) -> tuple[str, ...]:
     return tuple(f"{f!r}," for f in np.frombuffer(freqs).tolist())
 
 
-def spectrum_to_csv(spec: Spectrum, path) -> None:
-    """Write a spectrum as CSV with columns freq_hz, real, imag.
+_CSV_HEADER = "freq_hz,real,imag\r\n"
 
-    The layout is that of `csv.writer`: CRLF line ends and no quoting (a
-    float's repr needs none)."""
+
+def spectrum_csv(spec: Spectrum) -> str:
+    """The CSV text of a spectrum, the one formatting rule of every exported
+    spectrum: columns freq_hz, real, imag, each number its repr, in the
+    layout of `csv.writer` (CRLF line ends and no quoting, which a float's
+    repr needs none of)."""
     cells = _frequency_cells(spec.freqs.tobytes())
     columns = (cells, spec.values.real.tolist(), spec.values.imag.tolist())
     rows = [f"{f}{real!r},{imag!r}" for f, real, imag in zip(*columns)]
+    return _CSV_HEADER + "\r\n".join([*rows, ""])
+
+
+def negated_csv(text: str) -> str:
+    """`spectrum_csv` of a spectrum with every value negated, from the text
+    of the spectrum: each real and imag cell follows a comma, and the repr
+    of a finite float negates by its sign alone (",x" to ",-x", ",-x" to
+    ",x"). The header and freq_hz column are kept. Not for a spectrum with
+    a NaN, whose repr carries no sign."""
+    body = text[len(_CSV_HEADER):].replace(",", ",-").replace(",--", ",")
+    return _CSV_HEADER + body
+
+
+def write_csv(text: str, path) -> None:
+    """Write CSV text as it is (its CRLF line ends untranslated)."""
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(["freq_hz,real,imag", *rows, ""]))
+        fh.write(text)
+
+
+def spectrum_to_csv(spec: Spectrum, path) -> None:
+    """Write a spectrum as its `spectrum_csv` text."""
+    write_csv(spectrum_csv(spec), path)

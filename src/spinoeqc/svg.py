@@ -22,6 +22,18 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """The range [lo, hi], a flat one [v, v] widened to [v, v + 1], or,
+    where |v| is so large that adding 1 leaves it unchanged, to v and the
+    next float up (down, at the largest float)."""
+    if hi != lo:
+        return lo, hi
+    if lo + 1.0 != lo:
+        return lo, lo + 1.0
+    up = math.nextafter(lo, math.inf)
+    return (lo, up) if up < math.inf else (math.nextafter(lo, 0.0), lo)
+
+
 def _axis(v0: float, v1: float, start: float, length: float):
     """The map taking v0 to `start` and v1 to `start + length`, on a float
     or elementwise on an array, in the same operation order. A span past
@@ -50,10 +62,8 @@ def line_chart(
     ys_all = np.concatenate(list(columns.values()))
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _widened(x_lo, x_hi)
+    y_lo, y_hi = _widened(y_lo, y_hi)
     # 5% of the y span each way; 0.1·(d/2) is 0.05·d for a span d past the
     # float range, and a padded end past it stops at the largest float
     pad = 0.05 * (y_hi - y_lo)

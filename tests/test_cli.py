@@ -17,11 +17,13 @@ import pytest
 
 import spinoeqc.cli as cli
 from spinoeqc import readout
-from spinoeqc.experiments import _prepare, run_effective_pure_pipeline, run_grover_pipeline
+from spinoeqc.experiments import (
+    DecodeError, _prepare, run_effective_pure_pipeline, run_grover_pipeline,
+)
 from spinoeqc.readout import DetectionSettings, _grid_map
-from spinoeqc.labeling import SingularLabelingSystem
+from spinoeqc.labeling import SingularLabelingSystem, UnequalizedLabeling
 from spinoeqc.spinoe import ScheduleMode, SpinoeParams
-from spinoeqc.spins import SpinSystemConfig
+from spinoeqc.spins import Channel, SpinSystemConfig
 
 
 def read_report(path):
@@ -114,6 +116,20 @@ class TestEnhanceTrace:
         assert capsys.readouterr().err == ""
         charts = [p.read_text() for p in out.glob("*.svg")]
         assert charts and not any("nan" in chart or "inf" in chart for chart in charts)
+
+    def test_flat_trace_past_2_53_is_drawn(self, tmp_path, capsys):
+        # one row at enhancements so large that widening the flat y range by
+        # 1 leaves it flat
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"eps0_h": 1e20, "eps0_c": 1e20}))
+        argv = ["--config", str(path), "--out", str(tmp_path / "o"), "--svg", "enhance-trace",
+                "--duration", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        chart = (tmp_path / "o" / "enhancement_trace.svg").read_text()
+        assert "nan" not in chart and "inf" not in chart
 
     def test_bad_step_is_usage_error(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path), "enhance-trace", "--step", "0"])
@@ -886,7 +902,7 @@ class TestDeterminism:
 
 
 class TestTwoWriters:
-    """With two CPUs a forked child writes the second half of a run's
+    """With two CPUs a forked child writes the second half of a command's
     spectra; the files, the output and the failures are those of one
     writer, and no child outlives the command."""
 
@@ -904,7 +920,7 @@ class TestTwoWriters:
             forks = writers(monkeypatch, cpus)
             argv = ["--config", str(path), "--out", str(tmp_path / str(cpus)), "--svg", *command]
             assert cli.main(argv) == 0
-            assert len(forks) == (cpus == 2) * (4 if command[0] == "grover" else 1)
+            assert len(forks) == (cpus == 2)
         assert_same_files_outside_timestamp(tmp_path / "2", tmp_path / "1")
 
     def test_a_failed_fork_leaves_one_writer(self, tmp_path, monkeypatch):
@@ -931,14 +947,14 @@ class TestTwoWriters:
         assert len(forks) == 2
 
     def test_an_error_in_the_child_is_raised_as_one_writer_raises_it(self, tmp_path, monkeypatch):
-        write = cli.spectrum_to_csv
+        write = cli.write_csv
 
-        def failing(spec, path):
+        def failing(text, path):
             if path.name == "grover_10_sum_h.csv":
                 raise ValueError(f"cannot format {path.name}")
-            write(spec, path)
+            write(text, path)
 
-        monkeypatch.setattr(cli, "spectrum_to_csv", failing)
+        monkeypatch.setattr(cli, "write_csv", failing)
         for cpus in (2, 1):
             writers(monkeypatch, cpus)
             with pytest.raises(ValueError, match="cannot format grover_10_sum_h.csv"):
@@ -953,14 +969,14 @@ class TestTwoWriters:
         # runs `death`, writes the child's share again
         writers(monkeypatch, 1)
         assert cli.main(["--out", str(tmp_path / "1"), "--svg", *self.GROVER_10]) == 0
-        parent, write = os.getpid(), cli.spectrum_to_csv
+        parent, write = os.getpid(), cli.write_csv
 
-        def dying(spec, path):
+        def dying(text, path):
             if path.name == "grover_10_exp3_c.csv" and os.getpid() != parent:
                 death()
-            write(spec, path)
+            write(text, path)
 
-        monkeypatch.setattr(cli, "spectrum_to_csv", dying)
+        monkeypatch.setattr(cli, "write_csv", dying)
         forks = writers(monkeypatch, 2)
         capsys.readouterr()
         assert cli.main(["--out", str(tmp_path / "2"), "--svg", *self.GROVER_10]) == 0
@@ -988,3 +1004,134 @@ class TestTwoWriters:
         assert sorted(line.split(":")[0] for line in lines) == [
             "target 00", "target 01", "target 10", "target 11",
         ]
+
+
+class TestOneWrite:
+    """A command writes its spectra in one call: each family of spectra
+    equal, or negated and finite, as bytes is formatted once, and the
+    files are those of a write per case."""
+
+    NOISY = {"noise_amp": 0.01, "seed": 3}
+
+    @staticmethod
+    def formats(monkeypatch) -> list:
+        """The spectra `spectrum_csv` formats in this process, one writer."""
+        writers(monkeypatch, 1)
+        calls, spectrum_csv = [], cli.spectrum_csv
+
+        def counted(spec):
+            calls.append(spec.channel)
+            return spectrum_csv(spec)
+
+        monkeypatch.setattr(cli, "spectrum_csv", counted)
+        return calls
+
+    @pytest.mark.parametrize("config,command,texts", [
+        # four relabelings of one state: 32 spectra in 12 families equal up to sign
+        ({}, ["grover", "--all"], 12),
+        # noise rows break the sign symmetry, not the equality
+        (NOISY, ["grover", "--all"], 24),
+        ({}, ["effpure"], 8),
+        ({}, ["grover", "--target", "10"], 8),
+    ], ids=["grover-all", "grover-all-noisy", "effpure", "grover-10"])
+    def test_each_family_is_formatted_once_per_call(self, tmp_path, monkeypatch, config,
+                                                     command, texts):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        calls, counts = self.formats(monkeypatch), []
+        for run in ("a", "b"):
+            assert cli.main(["--config", str(path), "--out", str(tmp_path / run), *command]) == 0
+            counts.append(len(calls))
+            calls.clear()
+        # nothing formatted is kept from one call to the next
+        assert counts == [texts, texts]
+        assert_same_files_outside_timestamp(tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("config", [{}, NOISY], ids=["default", "noisy"])
+    def test_sharing_across_cases_changes_no_byte(self, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        common = ["--config", str(path)]
+        assert cli.main([*common, "--out", str(tmp_path / "all"), "grover", "--all"]) == 0
+        for target in ("00", "01", "10", "11"):
+            argv = [*common, "--out", str(tmp_path / "one"), "grover", "--target", target]
+            assert cli.main(argv) == 0
+        assert_same_files_outside_timestamp(tmp_path / "all", tmp_path / "one")
+
+    def test_a_case_that_raises_leaves_the_files_of_the_cases_before(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        for target in ("00", "01"):
+            argv = ["--out", str(tmp_path / "before"), "--svg", "grover", "--target", target]
+            assert cli.main(argv) == 0
+        real = cli.run_grover_pipeline
+
+        def failing_third(spin, system, case, *args, **kwargs):
+            if case.target == "10":
+                raise DecodeError("readout lines are not finite")
+            return real(spin, system, case, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_grover_pipeline", failing_third)
+        for cpus in (2, 1):
+            forks = writers(monkeypatch, cpus)
+            capsys.readouterr()
+            out = tmp_path / str(cpus)
+            assert cli.main(["--out", str(out), "--svg", "grover", "--all"]) == 3
+            assert len(forks) == (cpus == 2)
+            assert capsys.readouterr().err == "decode failed: readout lines are not finite\n"
+            assert_same_files_outside_timestamp(out, tmp_path / "before")
+
+    def test_only_byte_equal_values_share_a_text(self):
+        freqs = np.arange(4) * 0.5
+        base = readout.Spectrum(Channel.H, freqs, np.array([0.0, 1.5, -2.0, 1e-300j]))
+        text = cli.spectrum_csv(base)
+
+        def shared(values):
+            spec = readout.Spectrum(Channel.H, freqs, values)
+            got = cli._csv_text(spec, base, text)
+            assert got == cli.spectrum_csv(spec)
+            return got is text
+
+        assert shared(base.values.copy())
+        assert not shared(-base.values)
+        # -0.0 == 0.0, but their reprs differ
+        assert not shared(np.array([-0.0, 1.5, -2.0, 1e-300j]))
+        assert cli._family(-base.values) == cli._family(base.values)
+        # a NaN's repr carries no sign: a negated spectrum with one is formatted directly
+        nan = readout.Spectrum(Channel.H, freqs, np.array([np.nan, 1.5, -np.inf, 0.0]))
+        negated = readout.Spectrum(Channel.H, freqs, -nan.values)
+        assert cli._family(negated.values) != cli._family(nan.values)
+        assert cli._csv_text(negated, nan, cli.spectrum_csv(nan)) == cli.spectrum_csv(negated)
+
+
+class TestUnequalizedLabeling:
+    # a labeling whose weighted sum leaves the non-ground populations
+    # unequal; `grover` reaches it on a sample that is not aged
+    CONFIG = {"gamma_ratio": 1.27e-91, "polarization_unit": 1.0e86, "eps0_h": -8.6e157,
+              "t1_xe_s": 1.8e-27, "recovery_s": 2.6e88, "tip_deg": 12.57}
+
+    @pytest.mark.parametrize("extra,command", [
+        ({}, ["effpure"]),
+        ({"sample_age_s": 0.0}, ["grover", "--target", "01"]),
+        ({"sample_age_s": 0.0}, ["grover", "--all"]),
+    ], ids=["effpure", "grover-01", "grover-all"])
+    def test_is_a_solver_failure(self, tmp_path, capsys, extra, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CONFIG, **extra}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--config", str(path), "--out", str(out), *command]) == 2
+        assert capsys.readouterr().err == (
+            "weight solver failed: non-ground populations not equalized (spread 3.531e+136)\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_the_library_warns(self):
+        cfg = cli.RunConfig(**{**cli._DEFAULTS, **self.CONFIG})
+        with pytest.warns(UnequalizedLabeling, match="not equalized"):
+            run_effective_pure_pipeline(
+                cfg.spinoe(), cfg.spin_system(), cfg.schedule_mode(), r1=cfg.r1_s,
+                recovery=cfg.recovery_s, detection=cfg.detection(),
+            )
+        assert issubclass(UnequalizedLabeling, UserWarning)

@@ -32,9 +32,11 @@ from spinoeqc.readout import (
     Spectrum,
     calibrate,
     integrate_peaks,
+    negated_csv,
     probe,
     readout_map,
     reconstruct_diagonal,
+    spectrum_csv,
     spectrum_to_csv,
 )
 from spinoeqc.spins import (
@@ -1444,3 +1446,25 @@ class TestCsvExport:
             for f, v in zip(spec.freqs, spec.values):
                 writer.writerow([repr(float(f)), repr(float(v.real)), repr(float(v.imag))])
         assert path.read_bytes() == ref.read_bytes()
+
+    # edge values of the repr: signed zeros, subnormals, the float range's
+    # ends, integers past 2**53 and values whose repr takes an exponent
+    EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min, sys.float_info.max,
+             -sys.float_info.max, 2.0**53 + 2.0, -(2.0**60), 1e16, 1e-5, 123456789012345678.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.tuples(*[st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False,
+                                                                 allow_infinity=False))] * 2),
+        min_size=1, max_size=12,
+    ))
+    def test_negated_text_is_the_text_of_the_negated_values(self, cells):
+        values = np.array([complex(re, im) for re, im in cells])
+        freqs = np.arange(values.size) * 0.5 - 2.0
+        spec, negated = (Spectrum(Channel.C, freqs, v) for v in (values, -values))
+        assert negated_csv(spectrum_csv(spec)) == spectrum_csv(negated)
+
+    def test_spectrum_to_csv_writes_the_spectrum_text(self, tmp_path):
+        spec = probe(thermal_state(CFG), CFG, 15.0)[1]
+        spectrum_to_csv(spec, tmp_path / "spectrum.csv")
+        assert (tmp_path / "spectrum.csv").read_bytes() == spectrum_csv(spec).encode()

@@ -60,6 +60,17 @@ def test_flat_ranges_are_widened_by_one(tmp_path):
     assert points(text) == [(60.0, 346.364), (60.0, 346.364)]
 
 
+@pytest.mark.parametrize("value", [1e20, 2.0**54, -(2.0**60), FMAX, -FMAX],
+                         ids=["1e20", "2**54", "-2**60", "max", "-max"])
+def test_flat_ranges_past_2_53_are_widened(tmp_path, value):
+    # adding 1 leaves such a value unchanged; the range takes its neighbour
+    text = chart(tmp_path, [value, value], {"flat": [value, value]})
+    x_lo, x_hi, y_lo, y_hi = map(float, labels(text)[1:])
+    assert x_lo < x_hi and y_lo < y_hi
+    assert "nan" not in text and "inf" not in text
+    assert all(60 <= px <= WIDTH - 60 and 60 <= py <= HEIGHT - 60 for px, py in points(text))
+
+
 @pytest.mark.parametrize(
     "x,ys",
     [
