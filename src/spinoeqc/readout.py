@@ -653,8 +653,8 @@ _CSV_HEADER = "freq_hz,real,imag\r\n"
 def spectrum_csv(spec: Spectrum) -> str:
     """The CSV text of a spectrum, the one formatting rule of every exported
     spectrum: columns freq_hz, real, imag, each number its repr, in the
-    layout of `csv.writer` (CRLF line ends and no quoting, which a float's
-    repr needs none of)."""
+    layout of `csv.writer` (CRLF line ends, and no quoting: a float's repr
+    needs none)."""
     cells = _frequency_cells(spec.freqs.tobytes())
     columns = (cells, spec.values.real.tolist(), spec.values.imag.tolist())
     rows = [f"{f}{real!r},{imag!r}" for f, real, imag in zip(*columns)]
