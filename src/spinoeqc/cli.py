@@ -11,20 +11,21 @@ file values. Outputs are pure functions of (config, flags, seed): repeat
 runs are byte-identical except for the single timestamp field in each
 JSON report.
 
-A command writes all of its spectra in one call (`_write_spectra`):
-`grover --all` writes its four cases' spectra together after their
-reports, and a case that raises leaves those of the cases before it
-written. Spectra whose values are equal as bytes, or negated with every
-value finite, form a family that is formatted once; the others take its
-text, or that text with every real and imag sign flipped. Spectra are
-written by two processes when this one may run on two CPUs or more: a
-forked child writes the second half of the families while the command
-writes the first, one fork per command. The child only saves time: one
-that fails for any reason has its share written again by the command, so
-the files and the failures are those of one writer, and the child is
-reaped before the command goes on. On Python 3.12 and later the fork may
-warn (DeprecationWarning) when numpy's BLAS threads make the process
-multi-threaded. `probe` prints its diagonal to six significant digits.
+A command writes all of its spectra in one call (`_write_spectra`), each
+(H, C) pair built once: `grover --all` writes its four cases' spectra
+together after their reports, and a case that raises leaves those of the
+cases before it written. A spectrum is keyed by the bytes of its values,
+negated where the first real part's sign bit is set and every value is
+finite; spectra with one key form a family that is formatted once, and
+its members take that text, or that text with every real and imag sign
+flipped. Spectra are written by two processes when this one may run on
+two CPUs or more: a forked child writes the second half of the families
+while the command writes the first, one fork per command. The child only
+saves time: one that fails for any reason has its share written again by
+the command, so the files and the failures are those of one writer, and
+the child is reaped before the command goes on. On Python 3.12 and later
+the fork may warn (DeprecationWarning) when numpy's BLAS threads make the
+process multi-threaded. `probe` prints its diagonal to six significant digits.
 
 Exit codes: 0 ok, 2 weight-solver failure (a singular system, or a
 labeling that leaves the non-ground populations unequal: the library's
@@ -39,7 +40,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import inspect
 import json
 import math
@@ -64,13 +64,13 @@ from .experiments import (
 )
 from .labeling import SingularLabelingSystem, UnequalizedLabeling
 from .readout import (
-    DetectionSettings, Detector, ReadoutError, negated_csv, spectrum_csv, write_csv,
+    DetectionSettings, Detector, ReadoutError, Spectrum, negated_csv, spectrum_csv, write_csv,
 )
 from .spinoe import (
     DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ExperimentSchedule, ScheduleMode,
     SpinoeParams, enhancement_at, make_schedule,
 )
-from .spins import SpinSystemConfig, enhanced_deviations
+from .spins import Channel, SpinSystemConfig, enhanced_deviations
 from .svg import line_chart
 
 EXIT_OK = 0
@@ -262,52 +262,37 @@ def cmd_enhance_trace(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _family(values: np.ndarray) -> bytes:
-    """A digest shared by spectra whose values are equal as bytes, or each
-    other's negation with every value finite: that of the values, or of
-    their negation where the first real part's sign bit is set. The digest
-    only groups spectra (a text is reused after a comparison of the
-    bytes), so SHA-1 serves: it hashes a 64 KiB spectrum in about half the
-    time of BLAKE2b on x86-64 with the SHA extensions."""
-    if values.view(np.int64)[0] < 0 and np.isfinite(values).all():
-        values = -values
-    return hashlib.sha1(values, usedforsecurity=False).digest()
+def _families(pairs) -> tuple[np.ndarray | None, list[tuple[bytes, list[tuple]]]]:
+    """The spectra of the (stem, (H, C)) pairs in families, in the order of
+    their first members, and the frequency axis that they all share (a
+    command's spectra are all built by its one detector). Each pair is
+    built as the iteration reaches it and dropped once keyed. A spectrum's
+    key is the bytes of its values, negated where the first real part's
+    sign bit is set and every value is finite, so a family holds exactly
+    the spectra whose values equal its key or, every value finite, its
+    negation. A family is its key and its (stem, channel letter, negated)
+    members; the first member is its base."""
+    freqs, families = None, {}
+    for stem, pair in pairs:
+        for ch, spec in zip("hc", pair):
+            freqs, values = spec.freqs, spec.values
+            negated = bool(values.view(np.int64)[0] < 0) and bool(np.isfinite(values).all())
+            key = (-values if negated else values).tobytes()
+            families.setdefault(key, []).append((stem, ch, negated))
+    return freqs, list(families.items())
 
 
-def _families(jobs) -> list[list[tuple]]:
-    """The (stem, channel index, spectra) units of the jobs, grouped by
-    `_family` in the order of their first units; each pair is built to
-    take its digests and dropped."""
-    families: dict[bytes, list] = {}
-    for stem, spectra in jobs:
-        for k, spec in enumerate(spectra()):
-            families.setdefault(_family(spec.values), []).append((stem, k, spectra))
-    return list(families.values())
-
-
-def _csv_text(spec, base, text: str) -> str:
-    """`spectrum_csv(spec)`, reusing `text`, that of `base`, where the bytes
-    say it may: the same text for equal values, `negated_csv` of it for
-    finite negated ones. The digest that grouped them is only a hint."""
-    if spec.freqs.tobytes() == base.freqs.tobytes():
-        values = spec.values.tobytes()
-        if values == base.values.tobytes():
-            return text
-        if values == (-base.values).tobytes() and np.isfinite(base.values).all():
-            return negated_csv(text)
-    return spectrum_csv(spec)
-
-
-def _write_spectra(out: Path, jobs, svg: bool) -> None:
-    """Write each (stem, spectra) job, `spectra` a callable that builds its
-    (H, C) pair anew, as `<stem>_h.csv` and `<stem>_c.csv`, and as SVG if
-    asked. A command calls this once, with all of its spectra.
+def _write_spectra(out: Path, pairs, svg: bool) -> None:
+    """Write each (stem, (H, C)) pair of `pairs`, an iterable that may build
+    each pair as it is reached, as `<stem>_h.csv` and `<stem>_c.csv`, and
+    as SVG if asked. A command calls this once, with all of its spectra.
 
     Formatting the numbers is most of a command's time, so each family of
-    spectra whose values are equal, or negated with every value finite, is
-    formatted once: its first spectrum by `spectrum_csv`, an equal one
-    takes that text and a negated one its `negated_csv`, each after a
-    comparison as bytes. No text or spectrum outlives its family's writing.
+    spectra (`_families`) is formatted once: its base by `spectrum_csv`;
+    a member of the base's sign takes that text, and one of the other sign
+    its `negated_csv`, which is exact as both are finite. A family keeps
+    only its key, the base's values up to sign, and no spectrum or text
+    outlives its writing.
     With two families or more and two CPUs or more for this process, a
     forked child writes the second half of the families while this
     process writes the first. The child only saves time: if none could be
@@ -320,29 +305,26 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
     3.12 and later warn (DeprecationWarning) at a fork in a process with
     several threads, which numpy's BLAS threads may be; the warning is not
     silenced."""
-    families = _families(jobs)
-
-    def write_unit(stem: str, k: int, spec, text: str) -> None:
-        ch = "hc"[k]
-        write_csv(text, out / f"{stem}_{ch}.csv")
-        if svg:
-            line_chart(
-                out / f"{stem}_{ch}.svg",
-                spec.freqs,
-                {"real": spec.values.real},
-                title=f"{stem} {ch.upper()} channel",
-                x_label="frequency (Hz)",
-                y_label="signal",
-            )
+    freqs, families = _families(pairs)
 
     def write(share) -> None:
-        for (stem, k, spectra), *members in share:
-            base = spectra()[k]
+        for key, members in share:
+            values = np.frombuffer(key, dtype=complex)
+            _, ch, base_negated = members[0]
+            base = Spectrum(Channel(ch.upper()), freqs, -values if base_negated else values)
             text = spectrum_csv(base)
-            write_unit(stem, k, base, text)
-            for stem, k, spectra in members:
-                spec = spectra()[k]
-                write_unit(stem, k, spec, _csv_text(spec, base, text))
+            for stem, ch, negated in members:
+                write_csv(text if negated == base_negated else negated_csv(text),
+                          out / f"{stem}_{ch}.csv")
+                if svg:
+                    line_chart(
+                        out / f"{stem}_{ch}.svg",
+                        freqs,
+                        {"real": -values.real if negated else values.real},
+                        title=f"{stem} {ch.upper()} channel",
+                        x_label="frequency (Hz)",
+                        y_label="signal",
+                    )
 
     # this process writes families[:cut], and a child, if there is one, the rest
     cut = (len(families) + 1) // 2 if len(os.sched_getaffinity(0)) > 1 else len(families)
@@ -367,11 +349,12 @@ def _write_spectra(out: Path, jobs, svg: bool) -> None:
         write(families[cut:])
 
 
-def _spectra_jobs(stem: str, sum_stem: str, run) -> list:
-    """A labeled run's spectra jobs: each experiment's and the weighted
-    sum's, every pair built anew when called and kept by no one."""
-    jobs = [(f"{stem}_exp{i}", rec.build_spectra) for i, rec in enumerate(run.records, start=1)]
-    return [*jobs, (f"{stem}_{sum_stem}", run.build_sum_spectra)]
+def _spectra(stem: str, sum_stem: str, run):
+    """A labeled run's (stem, (H, C)) pairs, each experiment's and the
+    weighted sum's, each built when the iteration reaches it."""
+    for i, rec in enumerate(run.records, start=1):
+        yield f"{stem}_exp{i}", rec.build_spectra()
+    yield f"{stem}_{sum_stem}", run.build_sum_spectra()
 
 
 def cmd_effpure(cfg: RunConfig, args) -> int:
@@ -381,7 +364,7 @@ def cmd_effpure(cfg: RunConfig, args) -> int:
         recovery=cfg.recovery_s, detection=cfg.detection(),
     )
     _write_report(out / "effpure_report.json", effective_pure_report(run, cfg.echo()))
-    _write_spectra(out, _spectra_jobs("effpure", "weighted_sum", run), args.svg)
+    _write_spectra(out, _spectra("effpure", "weighted_sum", run), args.svg)
     print(
         f"effective pure state: ground |{run.result.ground:02b}>, "
         f"q2 = {run.result.q2:.4f}, enhancement = {run.enhancement:.4f}"
@@ -400,7 +383,7 @@ def cmd_grover(cfg: RunConfig, args) -> int:
         except ValueError as exc:
             raise UsageError(f"invalid target {args.target!r}: {exc}") from exc
     out = _out_dir(args)
-    jobs, mismatch = [], False
+    runs, mismatch = [], False
     # every case's spectra in one write; a case that raises leaves those of
     # the cases before it written, as a write per case would
     try:
@@ -411,7 +394,7 @@ def cmd_grover(cfg: RunConfig, args) -> int:
                 recovery=cfg.recovery_s, sample_age=cfg.sample_age_s, detection=cfg.detection(),
             )
             _write_report(out / f"grover_{target}_report.json", grover_report(run, cfg.echo()))
-            jobs += _spectra_jobs(f"grover_{target}", "sum", run)
+            runs.append(run)
             ok = run.decoded == target
             mismatch |= not ok
             print(
@@ -419,7 +402,8 @@ def cmd_grover(cfg: RunConfig, args) -> int:
                 f"({'ok' if ok else 'MISMATCH'}), enhancement = {run.enhancement:.3f}"
             )
     finally:
-        _write_spectra(out, jobs, args.svg)
+        pairs = (pair for run in runs for pair in _spectra(f"grover_{run.case.target}", "sum", run))
+        _write_spectra(out, pairs, args.svg)
     return EXIT_DECODE if mismatch else EXIT_OK
 
 
@@ -435,7 +419,7 @@ def cmd_probe(cfg: RunConfig, args) -> int:
         raise errors[()]
     noise_spectra = None if noise is None else detector.noise_spectra(cfg.seed, noise)[0]
     spectra = detector.spectra(detector.probe_map @ d, noise_spectra)
-    _write_spectra(out, [(f"probe_{args.state}", lambda: spectra)], args.svg)
+    _write_spectra(out, [(f"probe_{args.state}", spectra)], args.svg)
     report = {
         "run_id": run_id(cfg.echo(), args.state),
         "config": cfg.echo(),

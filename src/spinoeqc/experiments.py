@@ -34,7 +34,9 @@ state, and the detector and those states' noise-free probe integrals per
 (params apart from the seed, spin system, schedule, detection settings).
 A pipeline call prepares a batch of one, kept for the last (SpinoeParams,
 SpinSystemConfig, ExperimentSchedule, DetectionSettings) seen. Shared
-arrays are read-only; a failed preparation is not kept.
+arrays are read-only; a failed preparation is not kept, nor one whose
+labeling leaves the non-ground populations unequal, so that each pipeline
+call on it labels again and warns `UnequalizedLabeling` once.
 
 The seed names every random draw. Its normals, in stream order, are per
 probe the sample jitter (two, only for fresh samples and only with
@@ -359,7 +361,9 @@ def _prepare(
     detection: DetectionSettings,
 ) -> Preparation:
     """`prepare_batch` of the params' seed alone, raising its error; kept
-    for the next call with equal arguments (see the module docstring)."""
+    for the next call with equal arguments (see the module docstring). The
+    pipelines drop one whose labeling is not equalized, so that every
+    pipeline call on it warns `UnequalizedLabeling` once."""
     (prep,) = prepare_batch(p, cfg, schedule, detection, (p.seed,))
     if isinstance(prep, Exception):
         raise prep
@@ -413,6 +417,8 @@ def run_effective_pure_pipeline(
     """
     schedule = make_schedule(mode, r1, recovery)
     prep = _prepare(p, cfg, schedule, detection)
+    if not prep.result.equalized:  # its next call labels and warns again
+        _prepare.cache_clear()
     return EffectivePureRun(
         prep.result, prep.thermal_result, prep.enhancement, schedule, prep,
         _receiver_amplitudes(prep, 0),
@@ -478,6 +484,8 @@ def run_grover_pipeline(
     """
     schedule = make_schedule(mode, r1, recovery, sample_age)
     prep = _prepare(p, cfg, schedule, detection)
+    if not prep.result.equalized:  # its next call labels and warns again
+        _prepare.cache_clear()
     amplitudes, integrals, line_amplitudes, decisions = prep.searches
     k = case.index
     answer, error = decisions[k]

@@ -32,6 +32,7 @@ they flag pathological schedules rather than being hidden.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -98,6 +99,12 @@ class EffectivePureResult:
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+
+    @functools.cached_property
+    def equalized(self) -> bool:
+        """Whether the non-ground populations are equal within EQUALIZATION_TOL
+        of the largest population (`UnequalizedLabeling` warns otherwise)."""
+        return not _unequalized(self.diagonal, self.residual)
 
     def normalized_q2(self) -> float:
         """q2 rescaled so the weights sum to 3 (one unit per experiment)."""
@@ -227,7 +234,7 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
     result = _result(_labeled(_as_diags(diags), weights), plan.ground, plan.ground)
-    if _unequalized(result.diagonal, result.residual):
+    if not result.equalized:
         _warn_unequalized(result.residual, stacklevel=3)
     return result
 

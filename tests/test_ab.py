@@ -103,6 +103,30 @@ def test_statistics_follow_each_metrics_better():
     assert "ratio 1.0980  better 5/5" in lines[1]
 
 
+def test_scaled_and_raw_figures_that_move_apart_are_flagged():
+    # scaled ops/s falls 10% while raw ops/s rises 6%; both latencies fall
+    pairs = [{"seed": seed,
+              "base": fake_run(100.0 + i, 10.0 + i, rss=40.0),
+              "change": {**fake_run(90.0 + i, 9.0 + i, rss=40.0),
+                         "env": {"raw_ops_per_s": 0.8 * 1.06 * (100.0 + i),
+                                 "raw_op_ms_p50": 1.25 * (9.5 + i)}}}
+             for i, seed in enumerate(ab.SEEDS[:5])]
+    stats = ab.statistics_of(METRICS, pairs)
+    ops = stats["ops_per_s"]
+    assert ops["scaled"]["ratio"] < 1 < ops["raw"]["ratio"]
+    assert ops["directions_disagree"] is True
+    assert stats["op_ms_p50"]["directions_disagree"] is False
+    # a metric with no raw figure has no direction to compare
+    assert "directions_disagree" not in stats["peak_rss_mib"]
+    lines = ab.report("cli-export", stats, 5, []).splitlines()
+    assert [line.split()[:2] for line in lines if "SCALED-RAW-DISAGREE" in line] == [
+        ["ops_per_s", "raw"]]
+    # a ratio of exactly 1 takes no side
+    flat = {"ratio": 1.0}
+    assert not ab.disagree(flat, {"ratio": 1.2}) and not ab.disagree({"ratio": None}, flat)
+    assert ab.disagree({"ratio": 1.01}, {"ratio": 0.99})
+
+
 def test_a_metric_is_unresolved_when_the_base_spreads_past_its_bound():
     metric = {"name": "ops_per_s", "unit": "op/s", "better": "higher", "bound": 0.2}
     tight = ab.compare(metric, [100, 101, 102, 103], [90, 91, 92, 93])

@@ -18,7 +18,7 @@ import pytest
 import spinoeqc.cli as cli
 from spinoeqc import readout
 from spinoeqc.experiments import (
-    DecodeError, _prepare, run_effective_pure_pipeline, run_grover_pipeline,
+    DecodeError, GroverCase, _prepare, run_effective_pure_pipeline, run_grover_pipeline,
 )
 from spinoeqc.readout import DetectionSettings, _grid_map
 from spinoeqc.labeling import SingularLabelingSystem, UnequalizedLabeling
@@ -1026,25 +1026,34 @@ class TestOneWrite:
         monkeypatch.setattr(cli, "spectrum_csv", counted)
         return calls
 
-    @pytest.mark.parametrize("config,command,texts", [
+    @pytest.mark.parametrize("config,command,texts,builds", [
         # four relabelings of one state: 32 spectra in 12 families equal up to sign
-        ({}, ["grover", "--all"], 12),
+        ({}, ["grover", "--all"], 12, 16),
         # noise rows break the sign symmetry, not the equality
-        (NOISY, ["grover", "--all"], 24),
-        ({}, ["effpure"], 8),
-        ({}, ["grover", "--target", "10"], 8),
+        (NOISY, ["grover", "--all"], 24, 16),
+        ({}, ["effpure"], 8, 4),
+        ({}, ["grover", "--target", "10"], 8, 4),
     ], ids=["grover-all", "grover-all-noisy", "effpure", "grover-10"])
     def test_each_family_is_formatted_once_per_call(self, tmp_path, monkeypatch, config,
-                                                     command, texts):
+                                                     command, texts, builds):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         calls, counts = self.formats(monkeypatch), []
+        built, spectra = [], readout.Detector.spectra
+
+        def counting_spectra(detector, *args):
+            built.append(1)
+            return spectra(detector, *args)
+
+        monkeypatch.setattr(readout.Detector, "spectra", counting_spectra)
         for run in ("a", "b"):
             assert cli.main(["--config", str(path), "--out", str(tmp_path / run), *command]) == 0
-            counts.append(len(calls))
+            counts.append((len(calls), len(built)))
             calls.clear()
-        # nothing formatted is kept from one call to the next
-        assert counts == [texts, texts]
+            built.clear()
+        # nothing formatted is kept from one call to the next, and each
+        # (H, C) pair is built once per call
+        assert counts == [(texts, builds), (texts, builds)]
         assert_same_files_outside_timestamp(tmp_path / "a", tmp_path / "b")
 
     @pytest.mark.parametrize("config", [{}, NOISY], ids=["default", "noisy"])
@@ -1081,27 +1090,39 @@ class TestOneWrite:
             assert capsys.readouterr().err == "decode failed: readout lines are not finite\n"
             assert_same_files_outside_timestamp(out, tmp_path / "before")
 
-    def test_only_byte_equal_values_share_a_text(self):
+    def test_only_byte_equal_values_share_a_text(self, tmp_path, monkeypatch):
         freqs = np.arange(4) * 0.5
-        base = readout.Spectrum(Channel.H, freqs, np.array([0.0, 1.5, -2.0, 1e-300j]))
-        text = cli.spectrum_csv(base)
-
-        def shared(values):
-            spec = readout.Spectrum(Channel.H, freqs, values)
-            got = cli._csv_text(spec, base, text)
-            assert got == cli.spectrum_csv(spec)
-            return got is text
-
-        assert shared(base.values.copy())
-        assert not shared(-base.values)
-        # -0.0 == 0.0, but their reprs differ
-        assert not shared(np.array([-0.0, 1.5, -2.0, 1e-300j]))
-        assert cli._family(-base.values) == cli._family(base.values)
-        # a NaN's repr carries no sign: a negated spectrum with one is formatted directly
-        nan = readout.Spectrum(Channel.H, freqs, np.array([np.nan, 1.5, -np.inf, 0.0]))
-        negated = readout.Spectrum(Channel.H, freqs, -nan.values)
-        assert cli._family(negated.values) != cli._family(nan.values)
-        assert cli._csv_text(negated, nan, cli.spectrum_csv(nan)) == cli.spectrum_csv(negated)
+        base = np.array([0.0, 1.5, -2.0, 1e-300j])
+        nan = np.array([np.nan, 1.5, -np.inf, 0.0], dtype=complex)
+        # an equal copy and a negation share base's family; -0.0 == 0.0, but
+        # their reprs differ; a NaN's repr carries no sign, so a negated
+        # spectrum with one (or an inf) has a family of its own
+        values = {"a": (base, base.copy()), "b": (-base, np.array([-0.0, 1.5, -2.0, 1e-300j])),
+                  "c": (nan, -nan)}
+        pairs = [(stem, tuple(readout.Spectrum(ch, freqs, v) for ch, v in zip(Channel, pair)))
+                 for stem, pair in values.items()]
+        axis, families = cli._families(iter(pairs))
+        assert np.array_equal(axis, freqs)
+        assert [members for _, members in families] == [
+            [("a", "h", False), ("a", "c", False), ("b", "h", True)],
+            [("b", "c", True)], [("c", "h", False)], [("c", "c", False)],
+        ]
+        # a family's key is its base's values, negated where the base is
+        keys = [np.frombuffer(key, dtype=complex) for key, _ in families]
+        assert keys[0].tobytes() == base.tobytes()
+        assert keys[1].tobytes() == (-values["b"][1]).tobytes()
+        assert [keys[2].tobytes(), keys[3].tobytes()] == [nan.tobytes(), (-nan).tobytes()]
+        # one text per family, and every file that of formatting its spectrum
+        calls = self.formats(monkeypatch)
+        cli._write_spectra(tmp_path, iter(pairs), svg=False)
+        assert len(calls) == len(families)
+        for stem, pair in pairs:
+            for ch, spec in zip("hc", pair):
+                text = (tmp_path / f"{stem}_{ch}.csv").read_bytes().decode()
+                assert text == readout.spectrum_csv(spec), (stem, ch)
+        # the negation shares base's text through `negated_csv`
+        assert readout.spectrum_csv(pairs[1][1][0]) == cli.negated_csv(
+            readout.spectrum_csv(pairs[0][1][0]))
 
 
 class TestUnequalizedLabeling:
@@ -1110,12 +1131,13 @@ class TestUnequalizedLabeling:
     CONFIG = {"gamma_ratio": 1.27e-91, "polarization_unit": 1.0e86, "eps0_h": -8.6e157,
               "t1_xe_s": 1.8e-27, "recovery_s": 2.6e88, "tip_deg": 12.57}
 
-    @pytest.mark.parametrize("extra,command", [
+    COMMANDS = pytest.mark.parametrize("extra,command", [
         ({}, ["effpure"]),
         ({"sample_age_s": 0.0}, ["grover", "--target", "01"]),
         ({"sample_age_s": 0.0}, ["grover", "--all"]),
     ], ids=["effpure", "grover-01", "grover-all"])
-    def test_is_a_solver_failure(self, tmp_path, capsys, extra, command):
+
+    def assert_solver_failure(self, tmp_path, capsys, extra, command):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**self.CONFIG, **extra}))
         out = tmp_path / "o"
@@ -1126,6 +1148,39 @@ class TestUnequalizedLabeling:
             "weight solver failed: non-ground populations not equalized (spread 3.531e+136)\n"
         )
         assert list(out.iterdir()) == []
+
+    @COMMANDS
+    def test_is_a_solver_failure(self, tmp_path, capsys, extra, command):
+        self.assert_solver_failure(tmp_path, capsys, extra, command)
+
+    @COMMANDS
+    def test_a_preparation_the_library_made_first_fails_too(self, tmp_path, capsys, extra,
+                                                           command):
+        # the library labels the same configuration first in this process,
+        # its warning ignored; the CLI must not take that preparation silently
+        cfg = cli.RunConfig(**{**cli._DEFAULTS, **self.CONFIG, **extra})
+        common = dict(r1=cfg.r1_s, recovery=cfg.recovery_s, detection=cfg.detection())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnequalizedLabeling)
+            if command[0] == "effpure":
+                run_effective_pure_pipeline(cfg.spinoe(), cfg.spin_system(), cfg.schedule_mode(),
+                                            **common)
+            else:
+                with pytest.raises(DecodeError):
+                    run_grover_pipeline(cfg.spinoe(), cfg.spin_system(), GroverCase("01"),
+                                        cfg.schedule_mode(), sample_age=cfg.sample_age_s, **common)
+        self.assert_solver_failure(tmp_path, capsys, extra, command)
+
+    def test_every_library_call_warns_once(self):
+        cfg = cli.RunConfig(**{**cli._DEFAULTS, **self.CONFIG})
+        for _ in range(3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_effective_pure_pipeline(
+                    cfg.spinoe(), cfg.spin_system(), cfg.schedule_mode(), r1=cfg.r1_s,
+                    recovery=cfg.recovery_s, detection=cfg.detection(),
+                )
+            assert [w.category for w in caught] == [UnequalizedLabeling]
 
     def test_the_library_warns(self):
         cfg = cli.RunConfig(**{**cli._DEFAULTS, **self.CONFIG})

@@ -17,7 +17,11 @@ sides' median and interquartile range (IQR), scaled and raw (the `env`
 line's `raw_` figures), the change's median over the base's, and in how
 many pairs the change was better by the metric's `better`. A metric is
 unresolved when the base's IQR exceeds its bound (as a share of the base
-median): the runs spread too widely to tell a change of that size. The
+median): the runs spread too widely to tell a change of that size. Where
+its scaled and raw ratios lie on opposite sides of 1, the two figures
+disagree on the direction of the change, which neither can then carry:
+the metric records `directions_disagree` true and its raw line is flagged
+SCALED-RAW-DISAGREE. The
 results go to `BENCH_<short-sha>.json` at the repository root, with the
 commit, base, nproc, python, numpy, seeds and pair count; a later run of
 another workload on the same commit and base adds its entry to the file.
@@ -124,6 +128,13 @@ def run_pairs(runner: Callable[[str, int], dict], pairs: int, seeds=SEEDS) -> di
     return {"accepted": accepted, "refused": refused}
 
 
+def disagree(scaled: dict, raw: dict) -> bool:
+    """Whether the scaled and raw ratios lie on opposite sides of 1 (a
+    ratio of 1, or none, takes no side)."""
+    a, b = scaled["ratio"], raw["ratio"]
+    return a is not None and b is not None and (a - 1) * (b - 1) < 0
+
+
 def statistics_of(metrics: list, accepted: list) -> dict:
     """Per end-to-end metric, the scaled and raw statistics of the pairs."""
     out = {}
@@ -138,6 +149,7 @@ def statistics_of(metrics: list, accepted: list) -> dict:
             if raw and all(raw in p[side]["env"] for p in accepted for side in ("base", "change")):
                 entry["raw"] = compare(metric, [p["base"]["env"][raw] for p in accepted],
                                        [p["change"]["env"][raw] for p in accepted])
+                entry["directions_disagree"] = disagree(entry["scaled"], entry["raw"])
         out[name] = entry
     return out
 
@@ -165,6 +177,7 @@ def report(workload: str, stats: dict, pairs: int, refused: list) -> str:
                 continue
             flag = " UNRESOLVED" if s["unresolved"] else ""
             flag += " WORSE-THAN-BOUND" if s["worse_than_bound"] else ""
+            flag += " SCALED-RAW-DISAGREE" if kind == "raw" and entry["directions_disagree"] else ""
             ratio = "n/a" if s["ratio"] is None else f"{s['ratio']:.4f}"
             base, change = s["base"], s["change"]
             lines.append(
