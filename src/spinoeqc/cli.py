@@ -290,9 +290,9 @@ def _write_spectra(out: Path, pairs, svg: bool) -> None:
     Formatting the numbers is most of a command's time, so each family of
     spectra (`_families`) is formatted once: its base by `spectrum_csv`;
     a member of the base's sign takes that text, and one of the other sign
-    its `negated_csv`, which is exact as both are finite. A family keeps
-    only its key, the base's values up to sign, and no spectrum or text
-    outlives its writing.
+    its `negated_csv`, made once per family and exact as both are finite.
+    A family keeps only its key, the base's values up to sign, and no
+    spectrum or text outlives its writing.
     With two families or more and two CPUs or more for this process, a
     forked child writes the second half of the families while this
     process writes the first. The child only saves time: if none could be
@@ -312,10 +312,11 @@ def _write_spectra(out: Path, pairs, svg: bool) -> None:
             values = np.frombuffer(key, dtype=complex)
             _, ch, base_negated = members[0]
             base = Spectrum(Channel(ch.upper()), freqs, -values if base_negated else values)
-            text = spectrum_csv(base)
+            texts = {base_negated: spectrum_csv(base)}
             for stem, ch, negated in members:
-                write_csv(text if negated == base_negated else negated_csv(text),
-                          out / f"{stem}_{ch}.csv")
+                if negated not in texts:
+                    texts[negated] = negated_csv(texts[base_negated])
+                write_csv(texts[negated], out / f"{stem}_{ch}.csv")
                 if svg:
                     line_chart(
                         out / f"{stem}_{ch}.svg",

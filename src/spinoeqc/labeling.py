@@ -28,13 +28,23 @@ polarization enhancement survives into the effective pure state.
 
 Negative or zero weights are legal outputs: the algebra permits them and
 they flag pathological schedules rather than being hidden.
+
+The arithmetic runs in Python floats, one row of 12 populations (three
+diagonals) and one ground at a time, for a batch of any size: on 12
+numbers a numpy call costs more in its wrapper than in its arithmetic.
+`_as_diags` checks a whole batch once and hands over its floats. The
+floats are those that the same formulas give over arrays: sums run left
+to right from 0.0, as numpy's reductions do, max and min propagate NaN as
+`np.maximum` and `np.minimum` do, a zero c_0 is singular without a
+division, and an overflow goes to inf without a warning.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
@@ -83,7 +93,9 @@ class EffectivePureResult:
     diagonal is the (not unit trace) weighted population sum, q1 the
     common non-ground population, q2 = ground population - q1, and
     residual the max-minus-min spread of the non-ground populations
-    (how well the equalization actually closed).
+    (how well the equalization actually closed). equalized is whether
+    that spread is within EQUALIZATION_TOL of the largest population
+    (`UnequalizedLabeling` warns otherwise).
     """
 
     diagonal: np.ndarray = field(repr=False)
@@ -92,23 +104,20 @@ class EffectivePureResult:
     q1: float
     q2: float
     residual: float
+    equalized: bool
 
     def __post_init__(self):
-        # read-only: one result is shared by every run on a preparation
+        # built from the labeling's floats, read-only: one result is shared
+        # by every run on a preparation
         for name in ("diagonal", "weights"):
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    @functools.cached_property
-    def equalized(self) -> bool:
-        """Whether the non-ground populations are equal within EQUALIZATION_TOL
-        of the largest population (`UnequalizedLabeling` warns otherwise)."""
-        return not _unequalized(self.diagonal, self.residual)
-
     def normalized_q2(self) -> float:
         """q2 rescaled so the weights sum to 3 (one unit per experiment)."""
-        total = float(np.add.reduce(self.weights))
+        w0, w1, w2 = self.weights.tolist()
+        total = w0 + w1 + w2
         if total == 0.0:
             raise SingularLabelingSystem("weights sum to zero; cannot normalize")
         return self.q2 * 3.0 / total
@@ -132,83 +141,93 @@ def _as_diags(diags, batched: bool = False) -> np.ndarray:
     return ds
 
 
-# per ground: the source index of every population under each permutation
-# of DEFAULT_PERM_ORDER, and its non-ground states
-_SOURCES = np.array([[cycle_source_indices(p, g) for p in DEFAULT_PERM_ORDER] for g in range(4)])
-_NONGROUND = np.array([[i for i in range(4) if i != g] for g in range(4)])
-# the diagonals are gathered flat, as (..., experiment * 4 + state): per
-# ground the (experiment, state) populations it weights
-_PERMUTED = 4 * np.arange(3)[:, None] + _SOURCES
-# per ground the flat source of each (non-ground state, experiment); an
-# equalization row a is plus - minus of neighbouring non-ground states, and
-# _PLUS/_MINUS gather it at experiment shifts 0, 1 and 2 (a, and each
-# weight's cyclic neighbours a[i+1] and a[i+2]): (ground, shift, row, experiment)
-_TERMS = np.take_along_axis(_PERMUTED, _NONGROUND[:, None, :], axis=2).swapaxes(1, 2)
-_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-_PLUS, _MINUS = (terms[:, :, _SHIFTS].swapaxes(1, 2) for terms in (_TERMS[:, :2], _TERMS[:, 1:]))
-# per ground the flat (ground, state) index of its states, ground first
-_ORDER = 4 * np.arange(4)[:, None] + np.concatenate((np.arange(4)[:, None], _NONGROUND), axis=1)
+# per ground, the flat index (experiment * 4 + state) of the population
+# that each experiment's permutation moves into the ground and then into
+# each non-ground state, in increasing state order
+_GATHERS = tuple(
+    itemgetter(*(
+        4 * e + cycle_source_indices(perm, g)[s]
+        for e, perm in enumerate(DEFAULT_PERM_ORDER)
+        for s in (g, *(i for i in range(4) if i != g))
+    ))
+    for g in range(4)
+)
 
 
-def _labeled(diags, weights=None) -> tuple[np.ndarray, ...]:
-    """Permute the (..., experiment, state) diagonals once per ground, solve
-    the weights of all four grounds in closed form (see the module
-    docstring) unless they are given, and score each weighted sum. Returns
-    one row per ground after the leading axes: weighted diagonals, weights,
-    q1, q2, residuals, equalization rows r0 and r1 (None when the weights
-    are given) and singular flags (see `_result`)."""
-    ds = np.asarray(diags, dtype=float)
-    flat = ds.reshape(ds.shape[:-2] + (12,))
-    permuted = flat.take(_PERMUTED, axis=-1)  # (..., ground, experiment, state)
+def _maximum(a: float, b: float) -> float:
+    """`np.maximum` of two floats: NaN if either is, else the larger, b of two equal."""
+    return a if a > b or a != a else b
+
+
+def _minimum(a: float, b: float) -> float:
+    """`np.minimum` of two floats: NaN if either is, else the smaller, b of two equal."""
+    return a if a < b or a != a else b
+
+
+def _labeled(x, ground: int, weights=None) -> tuple:
+    """Label a row `x`, the 12 floats of three diagonals flat as experiment *
+    4 + state, on `ground`: permute the populations, solve the weights in
+    closed form (see the module docstring) unless they are given as three
+    floats, and score the weighted sum. Returns the weighted diagonal, the
+    weights, q1, q2, the residual, the equalization rows r0 and r1 (None
+    when the weights are given) and whether the system is singular (see
+    `_result`). The floats are numpy's: sums run left to right from 0.0,
+    and max and min propagate NaN."""
+    # per experiment, its ground population g and non-ground ones i, j, k
+    g0, i0, j0, k0, g1, i1, j1, k1, g2, i2, j2, k2 = _GATHERS[ground](x)
+    rows = None
+    singular = False
     if weights is None:
-        shifted = flat.take(_PLUS, axis=-1) - flat.take(_MINUS, axis=-1)
-        # r0 and r1 equalize neighbouring non-ground sums; M is a[..., 1:]
-        a = shifted[..., 0, :, :]
-        # c = r0 × r1 written out (np.cross costs more than the arithmetic):
-        # c_i = r0[i+1] r1[i+2] - r0[i+2] r1[i+1], shifts 1 and 2 of r0 times
-        # shifts 2 and 1 of r1 in one product
-        # a zero, overflowing or NaN c_0 fails the bound, a weight c / c_0
-        # past the float range is not finite, and both are zeroed below
-        with np.errstate(all="ignore"):
-            products = shifted[..., 1:, 0, :] * shifted[..., :0:-1, 1, :]
-            c = products[..., 0, :] - products[..., 1, :]
-            m = a[..., 1:]
-            bound = SINGULARITY_RTOL * np.add.reduce(m * m, axis=(-2, -1))
-            w = c / c[..., :1]
-            finite = np.logical_and.reduce(np.isfinite(w), axis=-1)
-            singular = ~((np.abs(c[..., 0]) > bound) & finite)
-        np.copyto(w, 0.0, where=singular[..., None])
+        # r0 and r1 equalize neighbouring non-ground sums; M is their last
+        # two columns, and c = r0 × r1
+        r00, r01, r02 = i0 - j0, i1 - j1, i2 - j2
+        r10, r11, r12 = j0 - k0, j1 - k1, j2 - k2
+        rows = [[r00, r01, r02], [r10, r11, r12]]
+        c0 = r01 * r12 - r02 * r11
+        c1 = r02 * r10 - r00 * r12
+        c2 = r00 * r11 - r01 * r10
+        bound = SINGULARITY_RTOL * (0.0 + r01 * r01 + r02 * r02 + r11 * r11 + r12 * r12)
+        # a zero, overflowing or NaN c_0 fails the bound, so nothing divides
+        # by zero, and a weight c / c_0 past the float range is not finite
+        w0 = w1 = w2 = 0.0
+        singular = True
+        if abs(c0) > bound:
+            w = (c0 / c0, c1 / c0, c2 / c0)
+            if math.isfinite(w[0]) and math.isfinite(w[1]) and math.isfinite(w[2]):
+                (w0, w1, w2), singular = w, False
     else:
-        a, singular = None, np.zeros(permuted.shape[:-2], dtype=bool)
-        w = np.broadcast_to(np.asarray(weights, dtype=float), singular.shape + (3,))
-    # ufunc reductions: each ndarray method adds a Python call
-    diagonal = np.add.reduce(w[..., None] * permuted, axis=-2)
-    ordered = diagonal.reshape(diagonal.shape[:-2] + (16,)).take(_ORDER, axis=-1)
-    ng = ordered[..., 1:]
-    q1 = np.add.reduce(ng, axis=-1) / 3
-    q2 = ordered[..., 0] - q1
-    residual = np.maximum.reduce(ng, axis=-1) - np.minimum.reduce(ng, axis=-1)
-    return diagonal, w, q1, q2, residual, a, singular
+        w0, w1, w2 = weights
+    on_ground = 0.0 + w0 * g0 + w1 * g1 + w2 * g2
+    a = 0.0 + w0 * i0 + w1 * i1 + w2 * i2
+    b = 0.0 + w0 * j0 + w1 * j1 + w2 * j2
+    c = 0.0 + w0 * k0 + w1 * k1 + w2 * k2
+    q1 = (0.0 + a + b + c) / 3
+    residual = _maximum(_maximum(a, b), c) - _minimum(_minimum(a, b), c)
+    diagonal = [a, b, c]
+    diagonal.insert(ground, on_ground)
+    return diagonal, [w0, w1, w2], q1, on_ground - q1, residual, rows, singular
 
 
-def _result(labeled, k, ground: int) -> EffectivePureResult:
-    """The result at index k, for `ground`, of a `_labeled` batch. Raises
+def _result(labeled, ground: int) -> EffectivePureResult:
+    """The result of a `_labeled` row for `ground`. Raises
     SingularLabelingSystem, with the 3x3 system (the equalization rows, then
-    w_1 = 1), when that row's is singular."""
-    diagonal, w, q1, q2, residual, a, singular = labeled
-    if singular[k]:
-        system = [*a[k].tolist(), [1.0, 0.0, 0.0]]
+    w_1 = 1), when it is singular."""
+    diagonal, w, q1, q2, residual, rows, singular = labeled
+    if singular:
+        system = [*rows, [1.0, 0.0, 0.0]]
         raise SingularLabelingSystem(f"weight system is singular for ground {ground}: a={system}")
     return EffectivePureResult(
-        diagonal[k], w[k], ground, float(q1[k]), float(q2[k]), float(residual[k])
+        diagonal, w, ground, q1, q2, residual, not _unequalized(diagonal, residual)
     )
 
 
-def _unequalized(diagonal, residual):
-    """Whether each (..., state) diagonal, of non-ground spread `residual`,
-    is not equalized."""
-    return residual > EQUALIZATION_TOL * np.maximum.reduce(
-        np.abs(diagonal), axis=-1, initial=1e-300)
+def _unequalized(diagonal, residual: float) -> bool:
+    """Whether a diagonal, of non-ground spread `residual`, is not equalized
+    (a NaN population leaves it equalized, as the largest is NaN)."""
+    largest = 1e-300
+    for d in diagonal:
+        largest = _maximum(largest, abs(d))
+    return residual > EQUALIZATION_TOL * largest
 
 
 def _warn_unequalized(spread: float, stacklevel: int) -> None:
@@ -227,13 +246,14 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     inputs cannot be equalized (e.g. all-zero diagonals or linearly
     dependent columns), with the offending system in the message.
     """
-    result = _result(_labeled(_as_diags(diags)), plan.ground, plan.ground)
+    result = _result(_labeled(_as_diags(diags).ravel().tolist(), plan.ground), plan.ground)
     return result.weights, result.residual
 
 
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
-    result = _result(_labeled(_as_diags(diags), weights), plan.ground, plan.ground)
+    w = np.broadcast_to(np.asarray(weights, dtype=float), (3,)).tolist()
+    result = _result(_labeled(_as_diags(diags).ravel().tolist(), plan.ground, w), plan.ground)
     if not result.equalized:
         _warn_unequalized(result.residual, stacklevel=3)
     return result
@@ -243,9 +263,9 @@ def label(diags) -> EffectivePureResult:
     """Label the diagonals on the ground giving the largest |q2| at fixed
     experiment count, and return that ground's result.
 
-    Every candidate ground is scored by solving its weight system (all
-    four at once, in closed form) and rescaling the weights to sum to 3,
-    which models constant per-experiment noise. Exact sign-mirror ties are structural
+    Every candidate ground is scored by solving its weight system (in
+    closed form) and rescaling the weights to sum to 3, which models
+    constant per-experiment noise. Exact sign-mirror ties are structural
     for enhancement-scaled diagonals, so ties in |q2| prefer positive q2
     (an upright pseudo-pure state), then the lowest index. Only the
     returned result is built and checked for equalization.
@@ -256,29 +276,40 @@ def label(diags) -> EffectivePureResult:
     return outcome
 
 
+def _pick(grounds) -> tuple[int, float]:
+    """The ground that `label` picks from the `_labeled` rows of the four
+    grounds, and the largest |q2| at weights summing to 3."""
+    scores = []
+    for labeled in grounds:
+        # `normalized_q2`, or 0 for a singular system (its weights are 0)
+        w0, w1, w2 = labeled[1]
+        total = w0 + w1 + w2
+        scores.append(labeled[3] * 3.0 / (total if total != 0.0 else math.inf))
+    magnitudes = [abs(score) for score in scores]
+    top = _maximum(_maximum(_maximum(magnitudes[0], magnitudes[1]), magnitudes[2]), magnitudes[3])
+    floor = top * (1 - GROUND_TIE_RTOL)
+    tied = [g for g, magnitude in enumerate(magnitudes) if magnitude >= floor]
+    # the first tied ground with positive q2, else the first tied one (none
+    # is tied to a NaN top, which picks ground 0)
+    return next((g for g in tied if scores[g] > 0), tied[0] if tied else 0), top
+
+
 def label_batch(diags, stacklevel: int = 3) -> list[EffectivePureResult | SingularLabelingSystem]:
     """`label`, or the SingularLabelingSystem it raises, of every (experiment,
-    state) row of `diags` as one batch; warnings point `stacklevel` frames up."""
-    labeled = _labeled(_as_diags(diags, batched=True))
-    diagonal, w, _, q2, residual, _, _ = labeled
-    # `normalized_q2` of every ground that has one (a singular system's weights are 0)
-    total = np.add.reduce(w, axis=-1)
-    scores = q2 * 3.0 / np.where(total != 0.0, total, np.inf)
-    magnitude = np.abs(scores)
-    best_abs = np.maximum.reduce(magnitude, axis=-1)
-    tied = magnitude >= best_abs[:, None] * (1 - GROUND_TIE_RTOL)
-    # the first tied ground with positive q2, else the first tied one
-    best = np.where(tied, scores <= 0, 2).argmin(axis=-1)
-    picks = list(zip(best.tolist(), best_abs.tolist()))
-    unequalized, spreads = _unequalized(diagonal, residual).tolist(), residual.tolist()
-    for k, (ground, top) in enumerate(picks):
-        if top != 0.0 and unequalized[k][ground]:
-            _warn_unequalized(spreads[k][ground], stacklevel)
-    return [
-        _result(labeled, (k, ground), ground) if top != 0.0
-        else SingularLabelingSystem("every candidate ground yields q2 = 0")
-        for k, (ground, top) in enumerate(picks)
-    ]
+    state) row of `diags`, checked as one batch and labeled row by row;
+    warnings point `stacklevel` frames up."""
+    outcomes = []
+    for x in _as_diags(diags, batched=True).reshape(-1, 12).tolist():
+        grounds = [_labeled(x, g) for g in range(4)]
+        ground, top = _pick(grounds)
+        if top == 0.0:
+            outcomes.append(SingularLabelingSystem("every candidate ground yields q2 = 0"))
+            continue
+        result = _result(grounds[ground], ground)
+        if not result.equalized:
+            _warn_unequalized(result.residual, stacklevel)
+        outcomes.append(result)
+    return outcomes
 
 
 def choose_ground(diags) -> int:

@@ -139,6 +139,30 @@ def test_a_metric_is_unresolved_when_the_base_spreads_past_its_bound():
     assert slow["worse_than_bound"] and slow["ratio"] == 0.75
 
 
+def test_a_gain_is_shown_in_9_of_10_pairs_by_more_than_the_base_iqr():
+    higher = {"name": "ops_per_s", "unit": "op/s", "better": "higher", "bound": 0.2}
+    lower = {"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}
+    base = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5
+    ahead = [x + 10.0 for x in base]
+    shown = ab.compare(higher, base, ahead)
+    assert shown["better_pairs"] == 10 and shown["gain_shown"]
+    # one pair lost of ten still shows it; two lost do not
+    assert ab.compare(higher, base, [90.0] + ahead[1:])["gain_shown"]
+    assert not ab.compare(higher, base, [90.0, 90.0] + ahead[2:])["gain_shown"]
+    # a tie counts for neither side: one tie and one loss are two of ten not better
+    tie_and_loss = ab.compare(higher, base, [base[0], 90.0] + ahead[2:])
+    assert tie_and_loss["better_pairs"] == 8 and not tie_and_loss["gain_shown"]
+    # better in every pair, but the medians lie within the base's IQR
+    near = ab.compare(higher, base, [x + 4.0 for x in base])
+    assert near["better_pairs"] == 10 and not near["gain_shown"]
+    # `better` sets the direction: a rise is no gain on a latency
+    assert not ab.compare(lower, base, ahead)["gain_shown"]
+    assert ab.compare(lower, ahead, base)["gain_shown"]
+    stats = {"ops_per_s": {"scaled": shown}, "op_ms_p50": {"scaled": near}}
+    lines = ab.report("prep-scan", stats, 10, []).splitlines()
+    assert "better 10/10  gain shown" in lines[1] and "gain not shown" in lines[2]
+
+
 def test_bench_file_holds_the_header_and_one_entry_per_workload(tmp_path):
     path = tmp_path / "BENCH_abc1234.json"
     header = {"commit": "abc1234" + "0" * 33, "base": "f" * 40, "dirty": False, "nproc": 2,

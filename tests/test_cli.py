@@ -1026,34 +1026,43 @@ class TestOneWrite:
         monkeypatch.setattr(cli, "spectrum_csv", counted)
         return calls
 
-    @pytest.mark.parametrize("config,command,texts,builds", [
-        # four relabelings of one state: 32 spectra in 12 families equal up to sign
-        ({}, ["grover", "--all"], 12, 16),
-        # noise rows break the sign symmetry, not the equality
-        (NOISY, ["grover", "--all"], 24, 16),
-        ({}, ["effpure"], 8, 4),
-        ({}, ["grover", "--target", "10"], 8, 4),
+    @pytest.mark.parametrize("config,command,texts,negations,builds", [
+        # four relabelings of one state: 32 spectra in 12 families equal up
+        # to sign, each with members of both signs
+        ({}, ["grover", "--all"], 12, 12, 16),
+        # noise rows break the sign symmetry, not the equality: no negations
+        (NOISY, ["grover", "--all"], 24, 0, 16),
+        ({}, ["effpure"], 8, 0, 4),
+        ({}, ["grover", "--target", "10"], 8, 0, 4),
     ], ids=["grover-all", "grover-all-noisy", "effpure", "grover-10"])
     def test_each_family_is_formatted_once_per_call(self, tmp_path, monkeypatch, config,
-                                                     command, texts, builds):
+                                                     command, texts, negations, builds):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         calls, counts = self.formats(monkeypatch), []
         built, spectra = [], readout.Detector.spectra
+        negated, negated_csv = [], cli.negated_csv
 
         def counting_spectra(detector, *args):
             built.append(1)
             return spectra(detector, *args)
 
+        def counting_negated_csv(text):
+            negated.append(1)
+            return negated_csv(text)
+
         monkeypatch.setattr(readout.Detector, "spectra", counting_spectra)
+        monkeypatch.setattr(cli, "negated_csv", counting_negated_csv)
         for run in ("a", "b"):
             assert cli.main(["--config", str(path), "--out", str(tmp_path / run), *command]) == 0
-            counts.append((len(calls), len(built)))
+            counts.append((len(calls), len(negated), len(built)))
             calls.clear()
+            negated.clear()
             built.clear()
-        # nothing formatted is kept from one call to the next, and each
-        # (H, C) pair is built once per call
-        assert counts == [(texts, builds), (texts, builds)]
+        # nothing formatted is kept from one call to the next, a family's
+        # negated text is made at most once, and each (H, C) pair is built
+        # once per call
+        assert counts == [(texts, negations, builds), (texts, negations, builds)]
         assert_same_files_outside_timestamp(tmp_path / "a", tmp_path / "b")
 
     @pytest.mark.parametrize("config", [{}, NOISY], ids=["default", "noisy"])

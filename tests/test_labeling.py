@@ -15,6 +15,7 @@ from spinoeqc.labeling import (
     LabelingPlan,
     SINGULARITY_RTOL,
     SingularLabelingSystem,
+    UnequalizedLabeling,
     assemble_effective_pure,
     choose_ground,
     _labeled,
@@ -279,11 +280,11 @@ class TestPlanValidation:
 def labeled_results(diags):
     """Per ground the result of `_labeled`, or the SingularLabelingSystem
     that `_result` raises for it."""
-    batch = _labeled(diags)
+    row = np.asarray(diags, dtype=float).ravel().tolist()
     results = []
     for ground in range(4):
         try:
-            results.append(_result(batch, ground, ground))
+            results.append(_result(_labeled(row, ground), ground))
         except SingularLabelingSystem as exc:
             results.append(exc)
     return results
@@ -333,7 +334,7 @@ DIAGONALS = st.one_of(
 )
 
 
-# the tables of the gather form of `_labeled` below
+# the tables of the gather form of `_labeled`'s arithmetic below
 GATHER_SOURCES = np.array(
     [[cycle_source_indices(p, g) for p in DEFAULT_PERM_ORDER] for g in range(4)]
 )
@@ -347,7 +348,8 @@ GATHER_ORDER = np.concatenate((GATHER_ROWS, GATHER_NONGROUND), axis=1)
 
 
 def labeled_by_gathers(diags, weights=None):
-    """Reference `_labeled`: the same arithmetic, with every permutation a
+    """Reference `_labeled`, over arrays of (experiment, state) rows and
+    all four grounds at once: the same arithmetic, with every permutation a
     two-array gather over (experiment, state) and the cross product's
     cyclic neighbours gathered from the equalization rows."""
     ds = np.asarray(diags, dtype=float)
@@ -376,16 +378,34 @@ def labeled_by_gathers(diags, weights=None):
     return diagonal, w, q1, q2, residual, a, singular
 
 
+def labeled_by_rows(diags, weights=None):
+    """`_labeled` of every row of `diags` on every ground, its seven outputs
+    stacked as the reference's arrays (None where the weights are given)."""
+    ds = np.asarray(diags, dtype=float)
+    w = None if weights is None else np.asarray(weights, dtype=float).tolist()
+    labeled = [_labeled(row, g, w) for row in ds.reshape(-1, 12).tolist() for g in range(4)]
+    stacked = []
+    for values in zip(*labeled, strict=True):
+        if values[0] is None:
+            stacked.append(None)
+        else:
+            a = np.array(values)
+            stacked.append(a.reshape(ds.shape[:-2] + (4,) + a.shape[1:]))
+    return tuple(stacked)
+
+
 def assert_labeled_like_the_gathers(diags, weights=None):
     """All seven outputs of `_labeled` equal the reference's bit for bit (NaN
-    equal to NaN)."""
+    equal to NaN whatever its sign, and a zero's sign kept)."""
     with np.errstate(all="ignore"):
-        got, want = _labeled(diags, weights), labeled_by_gathers(diags, weights)
+        got, want = labeled_by_rows(diags, weights), labeled_by_gathers(diags, weights)
     for name, x, y in zip(LABELED_OUTPUTS, got, want, strict=True):
         if y is None:
             assert x is None, name
         else:
             assert x.shape == y.shape and np.array_equal(x, y, equal_nan=True), name
+            numbers = ~np.isnan(y)
+            assert np.array_equal(np.signbit(x[numbers]), np.signbit(y[numbers])), name
 
 
 LABELED_OUTPUTS = ("diagonal", "weights", "q1", "q2", "residual", "rows", "singular")
@@ -430,6 +450,31 @@ class TestBatchedLabeling:
                 assert got.ground == want.ground and got.q2 == want.q2
                 assert np.array_equal(got.weights, want.weights)
         assert sum("not equalized" in str(w.message) for w in caught) == unequalized
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stack=st.lists(DIAGONALS, min_size=1, max_size=6))
+    def test_a_batch_labels_each_row_as_label_does_alone(self, stack):
+        def outcome(call):
+            """What `call` returns or raises, and its equalization warnings."""
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out = call()
+                except SingularLabelingSystem as exc:
+                    out = exc
+            return out, sum(issubclass(w.category, UnequalizedLabeling) for w in caught)
+
+        batch, warned = outcome(lambda: label_batch(stack))
+        alone = [outcome(lambda diags=diags: label(diags)) for diags in stack]
+        assert warned == sum(n for _, n in alone)
+        for got, (want, _) in zip(batch, alone, strict=True):
+            if isinstance(want, SingularLabelingSystem):
+                assert isinstance(got, SingularLabelingSystem) and str(got) == str(want)
+                continue
+            assert got.ground == want.ground
+            assert np.float64(got.q2).tobytes() == np.float64(want.q2).tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.diagonal.tobytes() == want.diagonal.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(diags=DIAGONALS)

@@ -203,6 +203,40 @@ class TestSpectrum:
             512 * np.sum(np.abs(x_conv) ** 2), rel=1e-12
         )
 
+    # a step's tolerance about a first step s is 1e-12 + 1e-9 * |s|
+    @pytest.mark.parametrize("freqs,uniform", [
+        (np.arange(4096) * 0.25 - 512.0, True),
+        ([0.0, 1.0, 2.0 + 0.9 * 1.001e-9, 3.0], True),
+        ([0.0, 1.0, 2.0 + 1.1 * 1.001e-9, 3.0], False),
+        ([0.0, 1.0, 2.0 - 1.1 * 1.001e-9, 3.0], False),
+        ([0.0, 1e-15, 2e-15 + 0.9e-12], True),
+        ([0.0, 1e-15, 2e-15 + 1.1e-12], False),
+        ([0.0, 1.0, np.nan], False),
+        ([np.nan, 1.0, 2.0], False),
+        ([-np.inf, 0.0, 1.0], False),
+        ([0.0, np.nan], False),
+        ([0.0, 1.0, np.inf], False),
+        ([0.0, 1.0, -np.inf], False),
+        ([-np.inf, 0.0, np.inf], True),
+        ([np.inf, 0.0, -np.inf], True),
+        ([0.0, np.inf], True),
+        ([5.0], True),
+        ([0.0, 3.0], True),
+    ], ids=["uniform", "inside", "outside", "outside-below", "inside-atol", "outside-atol",
+            "nan-step", "nan-first-step", "inf-first-step", "nan-one-step", "inf-step", "-inf-step",
+            "all-inf-steps", "all--inf-steps", "one-inf-step", "one-point", "two-points"])
+    def test_axis_check_accepts_what_allclose_accepts(self, freqs, uniform):
+        f = np.array(freqs, dtype=float)
+        if f.size > 1:
+            steps = np.diff(f)
+            assert np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12) == uniform
+        values = np.zeros(f.size, dtype=complex)
+        if uniform:
+            Spectrum(Channel.H, f, values)
+        else:
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                Spectrum(Channel.H, f, values)
+
 
 class TestIntegratePeaks:
     def test_probed_thermal_equal_positive_doublets(self):

@@ -15,7 +15,10 @@ status is 1.
 Per end-to-end metric of `BENCHMARK.json` it prints and records both
 sides' median and interquartile range (IQR), scaled and raw (the `env`
 line's `raw_` figures), the change's median over the base's, and in how
-many pairs the change was better by the metric's `better`. A metric is
+many pairs the change was better by the metric's `better`, and whether
+it shows a gain (`gain_shown`, the claim rule: better in at least 9 of 10
+pairs, ties counting for neither, and the medians apart by more than the
+base's IQR in the `better` direction). A metric is
 unresolved when the base's IQR exceeds its bound (as a share of the base
 median): the runs spread too widely to tell a change of that size. Where
 its scaled and raw ratios lie on opposite sides of 1, the two figures
@@ -73,6 +76,14 @@ def is_better(change: float, base: float, better: str) -> bool:
     return change > base if better == "higher" else change < base
 
 
+def gain_shown(better_pairs: int, pairs: int, b: dict, c: dict, better: str) -> bool:
+    """The claim rule: the change is better in at least 9 of 10 pairs (a tie
+    counts for neither side), and its median beats the base's, in the
+    metric's `better` direction, by more than the base's IQR."""
+    lead = c["median"] - b["median"] if better == "higher" else b["median"] - c["median"]
+    return 10 * better_pairs >= 9 * pairs and lead > b["iqr"]
+
+
 def compare(metric: dict, base: list, change: list) -> dict:
     """Statistics of one metric over the paired `base` and `change` values."""
     b, c = summary(base), summary(change)
@@ -84,9 +95,11 @@ def compare(metric: dict, base: list, change: list) -> dict:
         worse = ratio < 1 - metric["bound"]
     else:
         worse = ratio > 1 + metric["bound"]
+    better_pairs = sum(is_better(x, y, metric["better"]) for x, y in zip(change, base))
     return {
         "base": b, "change": c, "ratio": ratio,
-        "better_pairs": sum(is_better(x, y, metric["better"]) for x, y in zip(change, base)),
+        "better_pairs": better_pairs,
+        "gain_shown": gain_shown(better_pairs, len(base), b, c, metric["better"]),
         "unresolved": spread is None or spread > metric["bound"],
         "worse_than_bound": worse,
     }
@@ -183,7 +196,8 @@ def report(workload: str, stats: dict, pairs: int, refused: list) -> str:
             lines.append(
                 f"  {name:13s} {kind:6s} base {base['median']:.6g} (IQR {base['iqr']:.3g})"
                 f"  change {change['median']:.6g} (IQR {change['iqr']:.3g})"
-                f"  ratio {ratio}  better {s['better_pairs']}/{pairs}{flag}"
+                f"  ratio {ratio}  better {s['better_pairs']}/{pairs}"
+                f"  gain {'shown' if s['gain_shown'] else 'not shown'}{flag}"
             )
     for r in refused:
         lines.append(f"  refused seed {r['seed']}: {r['reasons']}")
