@@ -26,12 +26,14 @@ deviation diagonal throughout: the readout of I/4 is zero, so the trace
 part carries nothing.
 
 Prepare once, compute many. What does not depend on the computation is a
-`Preparation`. `prepare_batch` prepares many seeds as one array program,
-with a status per seed (its preparation or its error). What all seeds of
-a setting share is cached: the unjittered states per (eps0_h, eps0_c,
-t1_xe, spin system, probe times), so a new detection setting samples no
-state, and the detector and those states' noise-free probe integrals per
-(params apart from the seed, spin system, schedule, detection settings).
+`Preparation`. `prepare_batch` prepares seed after seed, each in Python
+floats from its drawn normals through the probe noise, the reconstruction
+with its gate and the labeling to its arrays, with a status per seed (its
+preparation or its error). What all seeds of a setting share is cached:
+the unjittered states per (eps0_h, eps0_c, t1_xe, spin system, probe
+times), so a new detection setting samples no state, and the detector and
+those states' noise-free probe integrals per (params apart from the seed,
+spin system, schedule, detection settings).
 A pipeline call prepares a batch of one, kept for the last (SpinoeParams,
 SpinSystemConfig, ExperimentSchedule, DetectionSettings) seen. Shared
 arrays are read-only; a failed preparation is not kept, nor one whose
@@ -72,7 +74,7 @@ import numpy as np
 
 from .labeling import (
     DEFAULT_PERM_ORDER, EffectivePureResult, SingularLabelingSystem, enhancement_factor, label,
-    label_batch,
+    label_row,
 )
 from .quantum import Unitary, compose
 from .readout import DetectionSettings, Detector, ReadoutError, Spectrum, readout_map
@@ -286,47 +288,63 @@ def prepare_batch(
     detection: DetectionSettings, seeds,
 ) -> list[Preparation | ReadoutError | SingularLabelingSystem]:
     """Per seed the preparation of `p` with it, or the ReadoutError or
-    SingularLabelingSystem it raises; errors all seeds share are raised."""
+    SingularLabelingSystem it raises; errors all seeds share are raised.
+    Each seed is prepared on its own, in Python floats from its normals to
+    its labeling; its `probed` and `noise_integrals` arrays are built once,
+    at the end."""
     seeds = [check_seed(seed) for seed in seeds]
     detector, states, clean = _seed_free(p.eps0_h, p.eps0_c, p.t1_xe, cfg, schedule, detection)
-    n, n_exp = len(seeds), len(states)
+    n_exp = len(states)
     jitter = 2 if schedule.fresh_sample and p.reproducibility_jitter > 0 else 0
     noise = 4 if detection.noise_amp > 0 else 0
-    probe_draws = n_exp * (jitter + noise)
-    # a seed's draws in stream order: per probe its jitter and its noise,
-    # then the readout noise of every experiment
-    normals = np.empty((n, probe_draws + n_exp * noise))
-    if normals.size:
-        for row, seed in zip(normals, seeds):
-            np.random.default_rng(seed).standard_normal(out=row)
-    draws = normals[:, :probe_draws].reshape(n, n_exp, jitter + noise)
-    if jitter:
-        jitters = p.reproducibility_jitter * draws[..., :jitter]
-        states = sample_initial_states(p, cfg, schedule.probe_times, jitters)
-        clean = detector.probe_integrals(states)
-    if noise:
-        readout_normals = normals[:, probe_draws:].reshape(n, n_exp, noise)
-        both = np.concatenate((draws[..., jitter:], readout_normals), axis=1)
-        integrals = detector.noise_integrals(both.reshape(n, 2 * n_exp, 2, 2))
-        y, readout_integrals = clean + integrals[:, :n_exp], integrals[:, n_exp:]
-    else:
-        # one row per seed; unjittered, every seed has the shared integrals
-        y, readout_integrals = clean if jitter else clean[None].repeat(n, axis=0), None
-    probed, errors = detector.reconstruct(y.reshape(n, n_exp, 4))
-    probed.flags.writeable = False
-    outcomes = {}
-    for (k, i), exc in errors.items():  # in row order: a seed's first probe first
-        message = f"experiment {i + 1} (probe at {schedule.probe_times[i]:.1f} s): {exc}"
-        outcomes.setdefault(k, ReadoutError(message))
-    passed = [k for k in range(n) if k not in outcomes]
+    per_probe = jitter + noise
+    probe_draws = n_exp * per_probe
     thermal = _thermal_reference(cfg)
-    for k, result in zip(passed, label_batch(probed[passed] if len(passed) < n else probed)):
-        noise_k = None if readout_integrals is None else readout_integrals[k]
-        outcomes[k] = result if isinstance(result, SingularLabelingSystem) else Preparation(
-            detector, seeds[k], states[k] if jitter else states, probed[k], result, thermal,
-            enhancement_factor(result, thermal), noise_k,
-        )
-    return [outcomes[k] for k in range(n)]
+    outcomes = []
+    for seed in seeds:
+        # a seed's draws in stream order: per probe its jitter and its noise,
+        # then the readout noise of every experiment
+        z = []
+        if probe_draws:
+            z = np.random.default_rng(seed).standard_normal(probe_draws + n_exp * noise).tolist()
+        deviations, y = states, clean
+        if jitter:
+            jitters = [z[i:i + jitter] for i in range(0, probe_draws, per_probe)]
+            deviations = sample_initial_states(
+                p, cfg, schedule.probe_times, p.reproducibility_jitter * np.array(jitters)
+            )
+            y = detector.probe_integrals(deviations).ravel().tolist()
+        if noise:
+            # the probes' noise, then the readouts', drawn in one pass; with
+            # no jitter the draws are just those, in that order
+            if jitter:
+                z = [x for i in range(jitter, probe_draws, per_probe)
+                     for x in z[i:i + noise]] + z[probe_draws:]
+            lines = detector.line_noise(z)
+            y = [a + b for a, b in zip(y, lines)]
+        diagonals = []
+        try:
+            for i in range(n_exp):
+                diagonals += detector.reconstruct(y[4 * i:4 * i + 4])
+        except ReadoutError as exc:
+            message = f"experiment {i + 1} (probe at {schedule.probe_times[i]:.1f} s): {exc}"
+            outcomes.append(ReadoutError(message))
+            continue
+        result = label_row(diagonals)
+        if isinstance(result, SingularLabelingSystem):
+            outcomes.append(result)
+            continue
+        probed = np.array(diagonals).reshape(n_exp, 4)
+        probed.flags.writeable = False
+        readout_integrals = None
+        if noise:
+            readout_integrals = np.array(lines[4 * n_exp:]).reshape(n_exp, 2, 2)
+            readout_integrals.flags.writeable = False
+        outcomes.append(Preparation(
+            detector, seed, deviations, probed, result, thermal,
+            enhancement_factor(result, thermal), readout_integrals,
+        ))
+    return outcomes
 
 
 # bounded: the preparation settings of the last few batches
@@ -334,15 +352,13 @@ def prepare_batch(
 def _seed_free(
     eps0_h: float, eps0_c: float, t1_xe: float, cfg: SpinSystemConfig,
     schedule: ExperimentSchedule, detection: DetectionSettings,
-) -> tuple[Detector, np.ndarray, np.ndarray]:
-    """What every seed of a preparation setting shares: the detector, and
-    the unjittered states (`_unjittered_states`) and their noise-free probe
-    integrals, read-only."""
+) -> tuple[Detector, np.ndarray, tuple]:
+    """What every seed of a preparation setting shares: the detector, the
+    read-only unjittered states (`_unjittered_states`) and their noise-free
+    probe integrals, flat as floats (experiment * 4 + channel * 2 + line)."""
     detector = Detector(cfg, detection)
     states = _unjittered_states(eps0_h, eps0_c, t1_xe, cfg, schedule.probe_times)
-    clean = detector.probe_integrals(states)
-    clean.flags.writeable = False
-    return detector, states, clean
+    return detector, states, tuple(detector.probe_integrals(states).ravel().tolist())
 
 
 # bounded: the trajectories and probe times of the last few batches; a new

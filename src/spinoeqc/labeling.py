@@ -32,7 +32,9 @@ they flag pathological schedules rather than being hidden.
 The arithmetic runs in Python floats, one row of 12 populations (three
 diagonals) and one ground at a time, for a batch of any size: on 12
 numbers a numpy call costs more in its wrapper than in its arithmetic.
-`_as_diags` checks a whole batch once and hands over its floats. The
+`label_row` labels one row of floats, as a preparation hands it over;
+`_finite` is the one rule that the entries are finite, which `_as_diags`
+applies to every row of an array input before any row is labeled. The
 floats are those that the same formulas give over arrays: sums run left
 to right from 0.0, as numpy's reductions do, max and min propagate NaN as
 `np.maximum` and `np.minimum` do, a zero c_0 is singular without a
@@ -130,15 +132,22 @@ def permute_populations(diag, perm_id: PermutationId, ground: int) -> np.ndarray
     return d[list(src)]
 
 
-def _as_diags(diags, batched: bool = False) -> np.ndarray:
-    """Three finite diagonals of length 4 (per row when `batched`), checked:
-    the one validation point of the labeling's inputs."""
+def _finite(x: list) -> list:
+    """The floats `x`, if every one is finite: the one finiteness rule of
+    the labeling's inputs."""
+    if not all(map(math.isfinite, x)):
+        raise ValueError("diagonals must be finite")
+    return x
+
+
+def _as_diags(diags, batched: bool = False) -> list[list[float]]:
+    """Three diagonals of length 4 (per row when `batched`), checked whole
+    before any is labeled, as rows of 12 `_finite` floats (experiment * 4 +
+    state): the one validation point of the labeling's array inputs."""
     ds = np.asarray(diags, dtype=float)
     if ds.shape[batched:] != (3, 4):
         raise ValueError("expected three population vectors of length 4")
-    if not np.logical_and.reduce(np.isfinite(ds), axis=None):
-        raise ValueError("diagonals must be finite")
-    return ds
+    return [_finite(x) for x in ds.reshape(-1, 12).tolist()]
 
 
 # per ground, the flat index (experiment * 4 + state) of the population
@@ -246,14 +255,14 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     inputs cannot be equalized (e.g. all-zero diagonals or linearly
     dependent columns), with the offending system in the message.
     """
-    result = _result(_labeled(_as_diags(diags).ravel().tolist(), plan.ground), plan.ground)
+    result = _result(_labeled(_as_diags(diags)[0], plan.ground), plan.ground)
     return result.weights, result.residual
 
 
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
     w = np.broadcast_to(np.asarray(weights, dtype=float), (3,)).tolist()
-    result = _result(_labeled(_as_diags(diags).ravel().tolist(), plan.ground, w), plan.ground)
+    result = _result(_labeled(_as_diags(diags)[0], plan.ground, w), plan.ground)
     if not result.equalized:
         _warn_unequalized(result.residual, stacklevel=3)
     return result
@@ -270,7 +279,7 @@ def label(diags) -> EffectivePureResult:
     (an upright pseudo-pure state), then the lowest index. Only the
     returned result is built and checked for equalization.
     """
-    (outcome,) = label_batch([diags], stacklevel=4)
+    outcome = label_row(_as_diags(diags)[0], stacklevel=4)
     if isinstance(outcome, SingularLabelingSystem):
         raise outcome
     return outcome
@@ -294,22 +303,25 @@ def _pick(grounds) -> tuple[int, float]:
     return next((g for g in tied if scores[g] > 0), tied[0] if tied else 0), top
 
 
-def label_batch(diags, stacklevel: int = 3) -> list[EffectivePureResult | SingularLabelingSystem]:
-    """`label`, or the SingularLabelingSystem it raises, of every (experiment,
-    state) row of `diags`, checked as one batch and labeled row by row;
+def label_row(x, stacklevel: int = 3) -> EffectivePureResult | SingularLabelingSystem:
+    """`label`, or the SingularLabelingSystem it raises, of the 12 floats x
+    of three diagonals (experiment * 4 + state), checked `_finite`;
     warnings point `stacklevel` frames up."""
-    outcomes = []
-    for x in _as_diags(diags, batched=True).reshape(-1, 12).tolist():
-        grounds = [_labeled(x, g) for g in range(4)]
-        ground, top = _pick(grounds)
-        if top == 0.0:
-            outcomes.append(SingularLabelingSystem("every candidate ground yields q2 = 0"))
-            continue
-        result = _result(grounds[ground], ground)
-        if not result.equalized:
-            _warn_unequalized(result.residual, stacklevel)
-        outcomes.append(result)
-    return outcomes
+    _finite(x)
+    grounds = [_labeled(x, g) for g in range(4)]
+    ground, top = _pick(grounds)
+    if top == 0.0:
+        return SingularLabelingSystem("every candidate ground yields q2 = 0")
+    result = _result(grounds[ground], ground)
+    if not result.equalized:
+        _warn_unequalized(result.residual, stacklevel)
+    return result
+
+
+def label_batch(diags, stacklevel: int = 3) -> list[EffectivePureResult | SingularLabelingSystem]:
+    """`label_row` of every (experiment, state) row of `diags`, checked as
+    one batch; warnings point `stacklevel` frames up."""
+    return [label_row(x, stacklevel + 1) for x in _as_diags(diags, batched=True)]
 
 
 def choose_ground(diags) -> int:

@@ -71,7 +71,7 @@ populations, whose I/4 part gives round-off.
 Receiver noise. The pipeline reads a noise vector n only through its two
 line integrals Re(g · n), Gaussian with covariance σ² Re(G Gᴴ) for white
 noise of amplitude σ, so it draws just those, 2 normals per channel
-(`Detector.noise_integrals`). One rule names every draw: detection i of
+(`Detector.line_noise`). One rule names every draw: detection i of
 a seed draws its full vectors from the child seeds
 `SeedSequence(seed, spawn_key=(2i + c,))` of its channels c (H = 0,
 C = 1), conditioned on its drawn integrals, so an exported spectrum
@@ -384,6 +384,12 @@ class Detector:
     float range, builds no detector. `probe_solve` and `roundoff` are the
     solve matrix S and the round-off level of `_probe_solve`. The noise
     level comes from `settings`.
+
+    One probe's arithmetic runs in Python floats, from the entries of S
+    and L that the detector keeps: `line_noise` turns normals
+    into noise integrals and `reconstruct` turns four integrals into a
+    diagonal through `_reconstruct`, its round-off rule and its gate; on
+    four numbers a numpy call costs more than its arithmetic.
     """
 
     cfg: SpinSystemConfig
@@ -396,6 +402,10 @@ class Detector:
     receiver_constant: float = field(init=False, repr=False, compare=False)
     probe_solve: np.ndarray = field(init=False, repr=False, compare=False)
     roundoff: float = field(init=False, repr=False, compare=False)
+    # the floats of one probe's arithmetic: the rows of S, and L's entries
+    # L[0,0], L[1,0] and L[1,1] (L[0,1] is 0)
+    _solve: tuple = field(init=False, repr=False, compare=False)
+    _factor: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, cfg = self.settings, self.cfg
@@ -427,17 +437,33 @@ class Detector:
                 "receiver constant overflows; lower polarization_unit or gamma_ratio"
             )
         # the probed states' scale is the thermal reference's, whatever u is
-        maps = (*grid[3:], relations.reshape(2, 2, 4), k,
-                *_probe_solve(relations, k, max(abs(d0), abs(d1))))
+        solve, roundoff = _probe_solve(relations, k, max(abs(d0), abs(d1)))
+        (l00, _), (l10, l11) = grid[4].tolist()
+        maps = (*grid[3:], relations.reshape(2, 2, 4), k, solve, roundoff,
+                tuple(map(tuple, solve.tolist())), (l00, l10, l11))
         names = ("response", "noise_factor", "amplitude_solve", "probe_map",
-                 "receiver_constant", "probe_solve", "roundoff")
+                 "receiver_constant", "probe_solve", "roundoff", "_solve", "_factor")
         for name, value in zip(names, maps, strict=True):
             object.__setattr__(self, name, value)
 
-    def noise_integrals(self, normals: np.ndarray) -> np.ndarray:
-        """noise_amp · z Lᵀ for standard normals z (..., channel, 2), H first: the
-        read-only (..., channel, line) integrals of white noise, their exact law."""
-        integrals = self.settings.noise_amp * normals @ self.noise_factor.T
+    def line_noise(self, z) -> list[float]:
+        """noise_amp · z Lᵀ of standard normals z, Python floats: per pair
+        (z0, z1) of z, the line integrals (partner 0, then 1) of white noise
+        in one channel, (a z0 L[0,0], a z0 L[1,0] + a z1 L[1,1]) for a =
+        noise_amp, their exact law."""
+        amp, (l00, l10, l11) = self.settings.noise_amp, self._factor
+        pairs = iter(z)
+        lines = []
+        for z0, z1 in zip(pairs, pairs):
+            a0 = amp * z0
+            lines += (a0 * l00, a0 * l10 + amp * z1 * l11)
+        return lines
+
+    def noise_integrals(self, normals) -> np.ndarray:
+        """`line_noise` of standard normals z (..., channel, 2), H first: the
+        read-only (..., channel, line) integrals of white noise."""
+        z = np.asarray(normals, dtype=float)
+        integrals = np.array(self.line_noise(z.ravel().tolist()), dtype=float).reshape(z.shape)
         integrals.flags.writeable = False
         return integrals
 
@@ -509,9 +535,10 @@ class Detector:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.line_integrals((self.probe_map @ d[..., None, :, None])[..., 0], None)
 
-    def reconstruct(self, y) -> tuple[np.ndarray, dict]:
-        """`_reconstruct` of the (..., 4) probe integrals y at this setting."""
-        return _reconstruct(y, self.probe_solve, self.roundoff)
+    def reconstruct(self, y) -> list[float]:
+        """`_reconstruct` of one probe's four integrals y (H partner 0, 1,
+        then C; Python floats) at this setting."""
+        return _reconstruct(y, self._solve, self.roundoff)
 
 
 # R's entries as indices into (a, b, -a, -b), rows H partner 0, 1, then C
@@ -576,20 +603,18 @@ def reconstruct_diagonal(
 
     The least-squares solution of the four probe-response relations plus
     the traceless constraint, through `_probe_solve` (built per call; a
-    `Detector` holds the one of its setting). The four relations are rank
+    `Detector` holds the one of its setting) and `_reconstruct`, the one
+    reconstruction routine, in Python floats. The four relations are rank
     3 with one internal redundancy, so inconsistent peak data shows up as a
     residual; residuals above 5% of the largest integral are rejected, as
     are integrals that are not finite. Integrals within the round-off of a
     unit-trace state give the zero diagonal. The tip must pass
     `check_probe_tip`, the rule of `DetectionSettings`.
     """
-    y = np.concatenate([peaks_h.integrals, peaks_c.integrals])
+    y = [*peaks_h.integrals.tolist(), *peaks_c.integrals.tolist()]
     check_probe_tip(tip_angle_deg)
     solve, roundoff = _probe_solve(_probe_response_matrix(tip_angle_deg), calibration)
-    diag, errors = _reconstruct(y, solve, roundoff)
-    if errors:
-        raise errors[()]
-    return diag
+    return np.array(_reconstruct(y, solve.tolist(), roundoff))
 
 
 # the deviation patterns e, f, g and the two tip-free parts of R⁺ (`_probe_solve`)
@@ -615,9 +640,10 @@ def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[n
     sin(tip)/2 and q = a - b = sin(2 tip)/4 for R's entries a = R[0,0] and
     b = R[0,1], read as floats. The left null space of K·R is spanned by
     the unit vector v = g = (1,-1,-1,1)/2 at every tip, so the norm of the
-    residual y - K·R S y is |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2
-    (`_reconstruct`). The round-off level is ROUNDOFF_MULTIPLE machine
-    epsilons of |K| max(|a|, |b|) times `scale`, all floats."""
+    residual y - K·R S y is |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2. The
+    round-off level is ROUNDOFF_MULTIPLE machine epsilons of |K| max(|a|,
+    |b|) times `scale`, all floats. `_reconstruct` applies S and the gate
+    on v·y to one probe's integrals, entry by entry in Python floats."""
     if k == 0 or not math.isfinite(k):
         raise ValueError("the receiver constant must be finite and non-zero")
     a, b = relations.item(0), relations.item(1)
@@ -629,26 +655,28 @@ def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[n
     return solve, ROUNDOFF_MULTIPLE * _EPS * row_scale * scale
 
 
-def _reconstruct(y: np.ndarray, solve: np.ndarray, roundoff: float) -> tuple[np.ndarray, dict]:
-    """`reconstruct_diagonal` of the (..., 4) integrals y (H partner 0, 1, then
-    C) through the solve matrix and round-off level of a `_probe_solve`: the
-    (..., 4) diagonals and, by index, the `ReadoutError` of each row that
-    fails the residual gate |g·y| (the tip-free left-null vector g), or
-    whose integrals left the float range (a NaN or ±inf fits no diagonal)."""
-    # a row past the float range turns to NaN here, and is rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        ymax = np.maximum.reduce(np.abs(y), axis=-1)
-        residual = np.abs(y[..., None, :] @ _G[:, None])[..., 0, 0]
-        signal = ymax > roundoff
-        diag = np.where(signal[..., None], (solve @ y[..., None])[..., 0], 0.0)
-    finite = np.isfinite(ymax)
-    rejected = ~finite | signal & (residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax)
-    message = "inconsistent peak data (residual {:.3e} vs max integral {:.3e})"
-    rows = map(tuple, np.argwhere(rejected) if np.logical_or.reduce(rejected, axis=None) else ())
-    return diag, {
-        i: ReadoutError(message.format(residual[i], ymax[i]) if finite[i] else _PAST_FLOAT_RANGE)
-        for i in rows
-    }
+def _reconstruct(y, solve, roundoff: float) -> list[float]:
+    """`reconstruct_diagonal` of the four integrals y (H partner 0, 1, then
+    C) through the rows of the solve matrix S and the round-off level of a
+    `_probe_solve`, all Python floats: the diagonal S y as four floats, each
+    a sum of the products of a row of S with y.
+    Raises the ReadoutError of integrals that fail the residual gate |g·y|,
+    formed from the products of g's ±0.5 with y (the tip-free left-null
+    vector g), or that left the float range (a NaN or ±inf fits no
+    diagonal). A float overflows to inf with no warning, so no numpy error
+    state is entered."""
+    if not all(map(math.isfinite, y)):
+        raise ReadoutError(_PAST_FLOAT_RANGE)
+    y0, y1, y2, y3 = y
+    ymax = max(abs(y0), abs(y1), abs(y2), abs(y3))
+    if not ymax > roundoff:
+        return [0.0, 0.0, 0.0, 0.0]
+    residual = abs(0.5 * y0 - 0.5 * y1 - 0.5 * y2 + 0.5 * y3)
+    if residual > RECONSTRUCTION_RESIDUAL_FRAC * ymax:
+        raise ReadoutError(
+            f"inconsistent peak data (residual {residual:.3e} vs max integral {ymax:.3e})"
+        )
+    return [s0 * y0 + s1 * y1 + s2 * y2 + s3 * y3 for s0, s1, s2, s3 in solve]
 
 
 @functools.lru_cache(maxsize=4)

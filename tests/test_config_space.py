@@ -14,13 +14,15 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinoeqc import cli
 from spinoeqc.experiments import GROVER_TARGETS, GroverCase, _prepare, run_grover_pipeline
 from spinoeqc.labeling import SingularLabelingSystem
-from spinoeqc.readout import ReadoutError
+from spinoeqc.readout import Detector, ReadoutError
+from spinoeqc.spins import enhanced_deviations
 
 DOCUMENTED_EXITS = {
     cli.EXIT_OK, cli.EXIT_SOLVER, cli.EXIT_DECODE, cli.EXIT_READOUT, cli.EXIT_USAGE
@@ -108,3 +110,24 @@ def test_a_search_with_signal_decodes_every_target(config):
             recovery=cfg.recovery_s, sample_age=cfg.sample_age_s, detection=detection,
         )
         assert run.decoded == target
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=CONFIGURATIONS)
+def test_probe_round_trip_returns_the_state(config):
+    # over generated (spin system, grid, tip), the probe of a configuration's
+    # enhanced state reconstructs it within 1% of its largest entry; a state
+    # whose integrals are all within the round-off level is the zero diagonal
+    cfg = cli.RunConfig(**config)
+    system = cfg.spin_system()
+    try:
+        detector = Detector(system, cfg.detection())
+    except ReadoutError:
+        assume(False)  # a grid the window rules refuse, or no thermal signal
+    d = enhanced_deviations(system, cfg.eps0_h, cfg.eps0_c)
+    y = detector.probe_integrals(d).ravel().tolist()
+    got = np.array(detector.reconstruct(y))
+    if max(map(abs, y)) <= detector.roundoff:
+        assert np.array_equal(got, np.zeros(4))
+    else:
+        assert np.abs(got - d).max() <= 0.01 * np.abs(d).max()

@@ -1,4 +1,6 @@
+import math
 import re
+import statistics
 import traceback
 import types
 import warnings
@@ -51,8 +53,8 @@ from spinoeqc.spins import (
     pulse_unitary,
 )
 from test_readout import (
-    MODULES, assert_noise_spectra, coherences, conditioned_noise, fft_spectrum, reference_noise,
-    relative_gap,
+    MODULES, assert_line_noise, assert_noise_spectra, coherences, conditioned_noise, fft_spectrum,
+    reference_noise, relative_gap,
 )
 
 CFG = SpinSystemConfig()
@@ -808,7 +810,7 @@ class TestPreparationCache:
         for i, rec in enumerate(run.records):
             noise = prep.noise_integrals[rec.index]
             assert rec.index == i
-            assert np.array_equal(noise, amp * rng.standard_normal((2, 2)) @ factor.T)
+            assert_line_noise(noise, amp, rng.standard_normal((2, 2)), factor)
             children = (
                 np.random.SeedSequence(NOISY_PARAMS.seed, spawn_key=(2 * i + channel,))
                 for channel in (0, 1)
@@ -818,16 +820,17 @@ class TestPreparationCache:
         assert_noise_spectra(prep.noise_spectra, np.array(vectors))
 
     def test_noise_is_drawn_once_per_preparation(self, monkeypatch):
-        integrals, drawn = readout.Detector.noise_integrals, []
+        line_noise, drawn = readout.Detector.line_noise, []
 
-        def counting_integrals(self, normals):
-            drawn.append(normals.shape)
-            return integrals(self, normals)
+        def counting_noise(self, normals):
+            drawn.append(list(normals))
+            return line_noise(self, normals)
 
-        monkeypatch.setattr(readout.Detector, "noise_integrals", counting_integrals)
+        monkeypatch.setattr(readout.Detector, "line_noise", counting_noise)
         runs = [noisy_run(ScheduleMode.SINGLE_SAMPLE, t) for t in GROVER_TARGETS]
-        # one batch per preparation: the three probes' noise, then the readouts'
-        assert drawn == [(1, 6, 2, 2)]
+        # one draw per preparation, in stream order: the three probes' noise,
+        # then the readouts' (an aged single sample draws no jitter)
+        assert drawn == [np.random.default_rng(NOISY_PARAMS.seed).standard_normal(24).tolist()]
         noise = runs[0].preparation.noise_integrals
         assert noise.shape == (3, 2, 2)
         for run in runs:
@@ -1135,13 +1138,15 @@ class TestPrepareBatch:
 
     @pytest.mark.parametrize("jitter,noise_amp", [(0.0, 0.0), (0.05, 0.01)])
     def test_no_seeds_prepare_nothing(self, monkeypatch, jitter, noise_amp):
-        # an empty batch reconstructs and labels no row
-        rows = []
-        for module, name in ((experiments, "label_batch"), (Detector, "reconstruct")):
+        # an empty batch seeds no generator, draws no noise, and reconstructs
+        # and labels no row
+        calls = []
+        for module, name in ((experiments, "label_row"), (Detector, "reconstruct"),
+                             (Detector, "line_noise"), (np.random, "default_rng")):
             fn = getattr(module, name)
 
-            def counting(*args, fn=fn):
-                rows.append(len(args[-1]))
+            def counting(*args, fn=fn, name=name):
+                calls.append(name)
                 return fn(*args)
             monkeypatch.setattr(module, name, counting)
         schedule = make_schedule(ScheduleMode.MULTI_SAMPLE)
@@ -1150,7 +1155,52 @@ class TestPrepareBatch:
             warnings.simplefilter("error")
             assert prepare_batch(SpinoeParams(reproducibility_jitter=jitter), CFG, schedule,
                                  detection, []) == []
-        assert rows == [0, 0]
+        assert calls == []
+
+    @pytest.mark.parametrize("noise_amp", [0.01, 0.1])
+    def test_probed_diagonals_follow_the_noise_law(self, noise_amp):
+        # fresh samples with no jitter: every probe sees the same clean
+        # integrals y plus white-noise integrals n ~ N(0, σ² I₂ ⊗ L Lᵀ), so a
+        # probed diagonal S (y + n) has covariance S (σ² I₂ ⊗ L Lᵀ) Sᵀ, and
+        # the residual g·(y + n) is g·n (g·y is round-off), normal with
+        # variance σ_r² = gᵀ (σ² I₂ ⊗ L Lᵀ) g. Every bound below is the law's
+        # sampling interval; the gate refuses no seed, so nothing truncates it
+        n_seeds = 1000
+        detection = DetectionSettings(noise_amp=noise_amp)
+        schedule = make_schedule(ScheduleMode.MULTI_SAMPLE)
+        batch = prepare_batch(SpinoeParams(), CFG, schedule, detection, range(n_seeds))
+        assert not any(isinstance(prep, Exception) for prep in batch)
+        det = batch[0].detector
+        law = noise_amp**2 * np.kron(np.eye(2), det.noise_factor @ det.noise_factor.T)
+        # the probed diagonals of every experiment, less each one's mean
+        probed = np.array([prep.probed for prep in batch])
+        deviations = (probed - probed.mean(axis=0)).reshape(-1, 4)
+        dof = deviations.shape[0] - probed.shape[1]
+        want = det.probe_solve @ law @ det.probe_solve.T
+        got = deviations.T @ deviations / dof
+        # the standard error of a Gaussian sample covariance entry
+        stderr = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / dof)
+        assert (np.abs(got - want) <= 5 * stderr).all()
+        # the residuals, replayed from each seed's stream: per probe its four
+        # noise normals; each replayed probe reconstructs as the pipeline did
+        clean = det.probe_integrals(batch[0].deviations).reshape(-1, 4).tolist()
+        g = readout._G
+        residuals = []
+        for seed, prep in enumerate(batch):
+            normals = np.random.default_rng(seed).standard_normal(24)[:12].tolist()
+            lines = det.line_noise(normals)
+            for i, row in enumerate(clean):
+                y = [a + b for a, b in zip(row, lines[4 * i:4 * i + 4])]
+                assert det.reconstruct(y) == prep.probed[i].tolist()
+                residuals.append(g @ y)
+        z = np.array(residuals) / math.sqrt(g @ law @ g)
+        assert abs(z.mean()) <= 4 / math.sqrt(z.size)
+        # (N - 1) s² is χ² with N - 1 degrees: its central 99.99% interval,
+        # by the Wilson-Hilferty cube of a normal quantile (~1e-3 at this N)
+        k, q = z.size - 1, statistics.NormalDist().inv_cdf(1 - 1e-4 / 2)
+        c = 2 / (9 * k)
+        lo, hi = (k * (1 - c + sign * q * math.sqrt(c)) ** 3 for sign in (-1, 1))
+        assert lo <= k * z.var(ddof=1) <= hi
 
     def test_seeds_follow_the_params_rule(self):
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)

@@ -23,6 +23,7 @@ from spinoeqc.labeling import (
     enhancement_factor,
     label,
     label_batch,
+    label_row,
     permute_populations,
     solve_weights,
 )
@@ -167,6 +168,7 @@ def test_non_finite_diagonals_are_rejected_everywhere(bad, entry):
     calls = (
         lambda: label(diags),
         lambda: label_batch([DECAYING, diags]),
+        lambda: label_row(diags.ravel().tolist()),
         lambda: solve_weights(diags, LabelingPlan(ground=1)),
         lambda: assemble_effective_pure(diags, LabelingPlan(ground=1), [1.0, 1.0, 1.0]),
         lambda: choose_ground(diags),

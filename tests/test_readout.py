@@ -1,6 +1,8 @@
 import collections
 import csv
 import dataclasses
+import fractions
+import functools
 import importlib
 import inspect
 import itertools
@@ -392,7 +394,8 @@ class TestProbe:
         noise = det.draw(8)
         z = np.random.default_rng(8).standard_normal(4).reshape(1, 2, 2)
         assert noise.shape == (1, 2, 2)
-        assert np.array_equal(noise, 0.1 * z @ det.noise_factor.T)
+        assert np.array_equal(noise, det.noise_integrals(z))
+        assert_line_noise(noise, 0.1, z, det.noise_factor)
         # a lone detection is detection 0 of its seed: children 0 and 1
         vectors = [
             conditioned_noise(det, np.random.SeedSequence(8, spawn_key=(c,)), y)
@@ -510,6 +513,16 @@ def reference_noise(det, seed, integrals):
          for c, y in enumerate(row)]
         for i, row in enumerate(integrals)
     ])
+
+
+def assert_line_noise(noise, amp, z, factor):
+    """`noise` is amp · z Lᵀ of the normals z and noise factor L, to the
+    round-off of one product: the detector sums Python float products, and
+    BLAS's matmul may fuse a multiply-add, so each entry may round apart by
+    up to 2 eps of the magnitudes of its products."""
+    a = amp * np.asarray(z)
+    bound = 2 * np.finfo(float).eps * (np.abs(a) @ np.abs(factor).T)
+    assert (np.abs(noise - a @ factor.T) <= bound).all()
 
 
 def assert_noise_spectra(spectra, vectors):
@@ -1187,14 +1200,13 @@ class TestDetector:
 
     def test_batched_probe_is_the_probe_reconstructed(self):
         # a pipeline's probes: noise-free integrals plus the integrals of the
-        # normals a draw takes, then the batched reconstruction
+        # normals a draw takes, then the reconstruction of each probe
         det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.05))
         d = populations(enhanced_state(CFG, -11.0, 18.0))
         seeds = (5, 6, 7)
         normals = np.array([np.random.default_rng(seed).standard_normal((2, 2)) for seed in seeds])
         noise = det.noise_integrals(normals)
-        got, errors = det.reconstruct((det.probe_integrals(d) + noise).reshape(3, 4))
-        assert errors == {}
+        got = [det.reconstruct(y) for y in (det.probe_integrals(d) + noise).reshape(3, 4).tolist()]
         for row, seed in zip(got, seeds):
             found = detect(det, det.probe_map @ d, seed)
             want = reconstruct_diagonal(*map(PeakTable, found.integrals), 12.0,
@@ -1277,7 +1289,134 @@ class TestDetector:
         assert abs(np.var(values) / want - 1) <= 5 * np.sqrt(2 / n_draws)
 
 
+EPS = np.finfo(float).eps
+
+
+@functools.cache
+def tip_detector(tip: float) -> Detector:
+    """The noise-free detector of a tip on the default grid."""
+    return Detector(CFG, DetectionSettings(probe_tip_deg=tip))
+
+
+def matrix_reconstruct(det, y) -> tuple[np.ndarray, str | None]:
+    """The reconstruction as one matrix route, over arrays: S @ y, the
+    NaN-propagating max |y| and |g·y|, then the round-off rule and the 5%
+    gate. The diagonal and the ReadoutError text, or None."""
+    y = np.array(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ymax = np.abs(y).max()
+        residual = abs(y @ readout._G)
+        diag = det.probe_solve @ y if ymax > det.roundoff else np.zeros(4)
+    if not np.isfinite(ymax):
+        return diag, readout._PAST_FLOAT_RANGE
+    if ymax > det.roundoff and residual > readout.RECONSTRUCTION_RESIDUAL_FRAC * ymax:
+        return diag, f"inconsistent peak data (residual {residual:.3e} vs max integral {ymax:.3e})"
+    return diag, None
+
+
+def float_reconstruct(det, y) -> tuple[list | None, str | None]:
+    """`Detector.reconstruct` of four floats, as (diagonal, None) or (None,
+    the text of its ReadoutError)."""
+    try:
+        return det.reconstruct([float(v) for v in y]), None
+    except ReadoutError as exc:
+        return None, str(exc)
+
+
+def near_gate(det, y) -> bool:
+    """Whether y passes the round-off rule with |g·y| within a few ulps of
+    5% of max |y|, where two routes' round-off may decide the gate apart."""
+    a = np.abs(np.array(y, dtype=float))
+    if not np.isfinite(a).all() or not a.max() > det.roundoff:
+        return False
+    threshold = readout.RECONSTRUCTION_RESIDUAL_FRAC * a.max()
+    residual = abs(0.5 * y[0] - 0.5 * y[1] - 0.5 * y[2] + 0.5 * y[3])
+    # 8 eps of the largest sum of the products |0.5 y_j|, 2 max |y|
+    return abs(residual - threshold) <= 16 * EPS * a.max()
+
+
+@st.composite
+def probe_rows(draw):
+    """A detector and four probe integrals: generated rows at scales
+    1e-300..1e300 (mostly inconsistent), consistent rows K·R·d at those
+    scales, rows at the round-off level, rows with a NaN or ±inf entry, and
+    consistent rows near the float range at the tip whose S is largest, so
+    that S y overflows."""
+    kind = draw(st.sampled_from(["scaled", "consistent", "roundoff", "nonfinite", "overflowing"]))
+    det = tip_detector(0.01 if kind == "overflowing" else draw(st.sampled_from([0.01, 15.0, 25.0])))
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    if kind == "roundoff":
+        return det, (2.0 * det.roundoff * x).tolist()
+    if kind != "scaled":
+        x = det.receiver_constant * det.probe_map.reshape(4, 4) @ x
+        assume(np.abs(x).max() > 0)
+        x /= np.abs(x).max()
+    if kind == "overflowing":  # the diagonal is ~20 times the integrals at this tip
+        scale = draw(st.floats(0.2, 1.7)) * 1e308
+    else:
+        scale = 10.0 ** draw(st.integers(-300, 300))
+    y = (x * scale).tolist()
+    if kind == "nonfinite":
+        for i in draw(st.sets(st.integers(0, 3), min_size=1)):
+            y[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return det, y
+
+
 class TestReconstruction:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(row=probe_rows())
+    def test_float_routine_is_the_matrix_route(self, row):
+        # the per-probe float arithmetic against the matrix route: the same
+        # gate decision and error text, and the diagonal within 4 eps of the
+        # magnitudes Σ|S_ij y_j| of its products (BLAS orders and fuses the
+        # products its own way); overflowing entries are past the float range
+        # in both. Rows within a few ulps of the 5% boundary may be decided
+        # apart; they are left to the test below.
+        det, y = row
+        assume(not near_gate(det, y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_error = float_reconstruct(det, y)
+        want, want_error = matrix_reconstruct(det, y)
+        assert got_error == want_error
+        if got_error is None:
+            got = np.array(got)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = 4 * EPS * np.abs(det.probe_solve * np.array(y)).sum(axis=1)
+                gap = np.abs(got - want)
+            past = ~np.isfinite(got) & ~np.isfinite(want)
+            assert ((got == want) | past | (gap <= bound)).all()
+
+    def test_routes_part_only_within_ulps_of_the_gate(self):
+        # rows stepped ulp by ulp across the 5% boundary: y0 = 1 is the
+        # largest integral, and y3 puts g·y = (y0 - y1 - y2 + y3)/2 at 5%.
+        # Both routes decide each row as exact arithmetic on its floats does,
+        # except rows whose exact residual lies within a few ulps of the
+        # threshold: there each route's own round-off may tip the gate
+        det = tip_detector(15.0)
+        frac, exact = readout.RECONSTRUCTION_RESIDUAL_FRAC, fractions.Fraction
+        rng = np.random.default_rng(35)
+        sides, within = set(), 0
+        for y1, y2 in rng.uniform(0.0, 0.5, (40, 2)).tolist():
+            y3 = 2 * frac - (1.0 - y1 - y2)
+            for _ in range(32):
+                y3 = math.nextafter(y3, -math.inf)
+            for _ in range(65):
+                y = [1.0, y1, y2, y3]
+                residual = abs(sum(exact(v) * sign for v, sign in zip(y, (1, -1, -1, 1)))) / 2
+                threshold = exact(frac * 1.0)
+                rejected = residual > threshold
+                routes = [float_reconstruct(det, y)[1] is not None,
+                          matrix_reconstruct(det, y)[1] is not None]
+                if abs(residual - threshold) > 4 * EPS * sum(map(abs, y)) / 2:
+                    assert routes == [rejected, rejected], y
+                    sides.add(rejected)
+                else:
+                    within += 1
+                y3 = math.nextafter(y3, math.inf)
+        # rows on both sides of the band are decided, and rows inside it exist
+        assert sides == {False, True} and within > 0
+
     def test_calibration_identity_on_thermal(self):
         k = calibrate(CFG, 15.0)
         spec_h, spec_c = probe(thermal_state(CFG), CFG, 15.0)
@@ -1349,9 +1488,11 @@ class TestReconstruction:
         message = "probe integrals are not finite; the probed state leaves the float range"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, errors = det.reconstruct(rows)
-            assert sorted(errors) == [(1,), (2,), (3,)]
-            assert {str(error) for error in errors.values()} == {message}
+            first, *rest = rows.tolist()
+            det.reconstruct(first)
+            for y in rest:
+                with pytest.raises(ReadoutError, match=f"^{message}$"):
+                    det.reconstruct(y)
             with pytest.raises(ReadoutError, match=f"^{message}$"):
                 reconstruct_diagonal(
                     PeakTable([bad, 0.0]), PeakTable([0.0, 0.0]), 15.0, det.receiver_constant
@@ -1403,8 +1544,12 @@ class TestReconstruction:
         # and the detector's gate is that residual against 5% of the largest
         ymax = np.abs(y).max()
         assume(abs(want - 0.05 * ymax) > 1e-9 * ymax)
-        _, errors = det.reconstruct(y)
-        assert bool(errors) == (ymax > det.roundoff and want > 0.05 * ymax)
+        try:
+            det.reconstruct(y.tolist())
+            rejected = False
+        except ReadoutError:
+            rejected = True
+        assert rejected == (ymax > det.roundoff and want > 0.05 * ymax)
 
     @pytest.mark.parametrize("tip", [0.0, 90.0, 180.0, -15.0, np.nan])
     def test_reconstruction_takes_a_tip_in_range(self, tip):
