@@ -13,17 +13,20 @@ line integrals (or spectra) give those of the effective pure state
 directly. The experiments' `readout_map`s are cached as one stack per
 ground, a row per computation: none, then each search target. An
 effective-pure run is one product of its row with the prepared deviation
-diagonals; a preparation computes and decodes all four search targets
-once, on its first search case, as one product of the other rows, one
-weighted sum and solve and four decodes, so every case reads its target's
-row and its answer (or its decode error's text). A run's
-`records` and their spectra are built only when read, and so is its
+diagonals. The search targets' rows are one product too, made once per
+(setting, ground) into a table with the noise-free line integrals behind
+them, or once per preparation for a jittered seed, whose states are its
+own; a preparation then computes and decodes all four search targets
+once, on its first search case, in Python floats: its weighted sum of
+noisy integrals, the amplitude solve and four decodes, so every case
+reads its target's row and its answer (or its decode error's text). A
+run's `records` and their spectra are built only when read, and so is its
 weighted sum, one `Detector.spectra` of the weighted amplitudes and noise
 rows that reads no record; `build_spectra` and `build_sum_spectra` build
 them anew and keep nothing, for a caller that holds no spectrum past its
-use (the CLI's writer). A state travels as its
-deviation diagonal throughout: the readout of I/4 is zero, so the trace
-part carries nothing.
+use (the CLI's writer). A state travels as its deviation diagonal
+throughout: the readout of I/4 is zero, so the trace part carries
+nothing.
 
 Prepare once, compute many. What does not depend on the computation is a
 `Preparation`. `prepare_batch` prepares seed after seed, each in Python
@@ -31,9 +34,10 @@ floats from its drawn normals through the probe noise, the reconstruction
 with its gate and the labeling to its arrays, with a status per seed (its
 preparation or its error). What all seeds of a setting share is cached:
 the unjittered states per (eps0_h, eps0_c, t1_xe, spin system, probe
-times), so a new detection setting samples no state, and the detector and
-those states' noise-free probe integrals per (params apart from the seed,
-spin system, schedule, detection settings).
+times), so a new detection setting samples no state, and the detector,
+those states' noise-free probe integrals and their search tables per
+ground per (params apart from the seed, spin system, schedule, detection
+settings).
 A pipeline call prepares a batch of one, kept for the last (SpinoeParams,
 SpinSystemConfig, ExperimentSchedule, DetectionSettings) seen. Shared
 arrays are read-only; a failed preparation is not kept, nor one whose
@@ -69,6 +73,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -234,8 +239,10 @@ class Preparation:
     """What a labeled run does apart from its computation: per experiment
     (a read-only row each) the sampled deviation diagonals
     (`sample_initial_states`), probed diagonals and (channel, line) readout
-    noise integrals (None with noise off), and the labeling with its
-    enhancement. Readout i is detection i of `seed`."""
+    noise integrals (None with noise off), the labeling with its
+    enhancement, and `search_table`, the `_search_table` of its deviations
+    per ground: the setting's, kept by `_seed_free`, unless the seed's
+    states are jittered. Readout i is detection i of `seed`."""
 
     detector: Detector
     seed: int
@@ -245,6 +252,7 @@ class Preparation:
     thermal_result: EffectivePureResult
     enhancement: float
     noise_integrals: np.ndarray | None = field(repr=False)
+    search_table: Callable[[int], tuple] = field(repr=False)
 
     @functools.cached_property
     def noise_spectra(self) -> np.ndarray | None:
@@ -259,28 +267,46 @@ class Preparation:
     def searches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
         """The search cases of every target in `GROVER_TARGETS` order, built
         on the first search case and shared by every run on this preparation:
-        the read-only (target, experiment, channel, line) receiver amplitudes,
-        the (target, channel, partner) weighted line integrals and line
-        amplitudes behind them, and per target its decode (`_decide`) as an
-        (answer, None) or (None, DecodeError text) pair."""
-        amplitudes = _receiver_amplitudes(self, slice(1, None))
-        # a grid near the float range may overflow here; the decode then
-        # refuses the lines as not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            lines = self.detector.line_integrals(amplitudes, self.noise_integrals)
-            # the weighted sum of the records' integrals, in experiment order
-            integrals = np.add.reduce(self.result.weights[:, None, None] * lines, axis=1)
-            # each line leaks into its partner's window; Re(response)⁻¹ takes
-            # the integrals back to the line amplitudes, real after a readout
-            line_amplitudes = integrals @ self.detector.amplitude_solve.T
-        for array in (integrals, line_amplitudes):
-            array.flags.writeable = False
+        the read-only (target, experiment, channel, line) receiver amplitudes
+        of its ground's `search_table`, the read-only (target, channel,
+        partner) weighted line integrals and line amplitudes behind them, and
+        per target its decode (`_decide`) as an (answer, None) or (None,
+        DecodeError text) pair.
+
+        The table holds what every seed on these deviations shares; this
+        pass adds the seed's readout noise nᵢ and weights wᵢ in Python
+        floats: per line Σᵢ wᵢ (xᵢ + nᵢ) over the experiments in their order,
+        for the table's noise-free integrals xᵢ, then the line amplitudes,
+        `amplitude_solve` times those sums. Floats overflow to inf with no
+        warning, and the decode refuses such lines as not finite."""
+        amplitudes, clean, ((a00, a01), (a10, a11)) = self.search_table(self.result.ground)
+        w0, w1, w2 = self.result.weights.tolist()
+        noise = _NO_NOISE if self.noise_integrals is None else self.noise_integrals.ravel().tolist()
+        n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11 = noise
         # an inverted preparation (q2 < 0) flips every line; its sign is
         # known from the weight solve, so it is folded into the decode
         sign = 1.0 if self.result.q2 >= 0 else -1.0
-        decisions = tuple(_decide(h0, h1, c0, c1)
-                          for (h0, h1), (c0, c1) in (sign * line_amplitudes).tolist())
-        return amplitudes, integrals, line_amplitudes, decisions
+        integrals, line_amplitudes, decisions = [], [], []
+        for x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11 in clean:
+            h0 = w0 * (x0 + n0) + w1 * (x4 + n4) + w2 * (x8 + n8)
+            h1 = w0 * (x1 + n1) + w1 * (x5 + n5) + w2 * (x9 + n9)
+            c0 = w0 * (x2 + n2) + w1 * (x6 + n6) + w2 * (x10 + n10)
+            c1 = w0 * (x3 + n3) + w1 * (x7 + n7) + w2 * (x11 + n11)
+            # each line leaks into its partner's window; Re(response)⁻¹
+            # takes the integrals back to the line amplitudes
+            u0, u1 = a00 * h0 + a01 * h1, a10 * h0 + a11 * h1
+            v0, v1 = a00 * c0 + a01 * c1, a10 * c0 + a11 * c1
+            integrals += (h0, h1, c0, c1)
+            line_amplitudes += (u0, u1, v0, v1)
+            decisions.append(_decide(sign * u0, sign * u1, sign * v0, sign * v1))
+        rows = np.array(integrals + line_amplitudes).reshape(2, len(GROVER_TARGETS), 2, 2)
+        rows.flags.writeable = False
+        return amplitudes, rows[0], rows[1], tuple(decisions)
+
+
+# the readout noise of a noise-free preparation: -0.0 adds nothing to any
+# float, -0.0 included
+_NO_NOISE = (-0.0,) * 12
 
 
 def prepare_batch(
@@ -293,7 +319,9 @@ def prepare_batch(
     its labeling; its `probed` and `noise_integrals` arrays are built once,
     at the end."""
     seeds = [check_seed(seed) for seed in seeds]
-    detector, states, clean = _seed_free(p.eps0_h, p.eps0_c, p.t1_xe, cfg, schedule, detection)
+    detector, states, clean, tables = _seed_free(
+        p.eps0_h, p.eps0_c, p.t1_xe, cfg, schedule, detection
+    )
     n_exp = len(states)
     jitter = 2 if schedule.fresh_sample and p.reproducibility_jitter > 0 else 0
     noise = 4 if detection.noise_amp > 0 else 0
@@ -307,13 +335,15 @@ def prepare_batch(
         z = []
         if probe_draws:
             z = np.random.default_rng(seed).standard_normal(probe_draws + n_exp * noise).tolist()
-        deviations, y = states, clean
+        deviations, y, search_table = states, clean, tables
         if jitter:
             jitters = [z[i:i + jitter] for i in range(0, probe_draws, per_probe)]
             deviations = sample_initial_states(
                 p, cfg, schedule.probe_times, p.reproducibility_jitter * np.array(jitters)
             )
             y = detector.probe_integrals(deviations).ravel().tolist()
+            # its own states: its tables are its own, built by the same routine
+            search_table = functools.partial(_search_table, detector, deviations)
         if noise:
             # the probes' noise, then the readouts', drawn in one pass; with
             # no jitter the draws are just those, in that order
@@ -342,7 +372,7 @@ def prepare_batch(
             readout_integrals.flags.writeable = False
         outcomes.append(Preparation(
             detector, seed, deviations, probed, result, thermal,
-            enhancement_factor(result, thermal), readout_integrals,
+            enhancement_factor(result, thermal), readout_integrals, search_table,
         ))
     return outcomes
 
@@ -352,13 +382,17 @@ def prepare_batch(
 def _seed_free(
     eps0_h: float, eps0_c: float, t1_xe: float, cfg: SpinSystemConfig,
     schedule: ExperimentSchedule, detection: DetectionSettings,
-) -> tuple[Detector, np.ndarray, tuple]:
+) -> tuple[Detector, np.ndarray, tuple, Callable[[int], tuple]]:
     """What every seed of a preparation setting shares: the detector, the
-    read-only unjittered states (`_unjittered_states`) and their noise-free
-    probe integrals, flat as floats (experiment * 4 + channel * 2 + line)."""
+    read-only unjittered states (`_unjittered_states`), their noise-free
+    probe integrals, flat as floats (experiment * 4 + channel * 2 + line),
+    and their `_search_table` per ground, each built on first use."""
     detector = Detector(cfg, detection)
     states = _unjittered_states(eps0_h, eps0_c, t1_xe, cfg, schedule.probe_times)
-    return detector, states, tuple(detector.probe_integrals(states).ravel().tolist())
+    clean = tuple(detector.probe_integrals(states).ravel().tolist())
+    # bounded by the key space: 4 grounds
+    tables = functools.lru_cache(maxsize=4)(functools.partial(_search_table, detector, states))
+    return detector, states, clean, tables
 
 
 # bounded: the trajectories and probe times of the last few batches; a new
@@ -403,14 +437,32 @@ def _readout_maps(ground: int) -> np.ndarray:
     return maps
 
 
-def _receiver_amplitudes(prep: Preparation, computations) -> np.ndarray:
+def _receiver_amplitudes(deviations: np.ndarray, ground: int, computations) -> np.ndarray:
     """The read-only (..., experiment, channel, line) amplitudes at the
-    receivers after each permutation and the `computations` (an index of
-    `_readout_maps`' first axis)."""
-    stacked = _readout_maps(prep.result.ground)[computations]
-    amplitudes = (stacked @ prep.deviations[:, None, :, None])[..., 0]
+    receivers after each permutation of `ground` and the `computations` (an
+    index of `_readout_maps`' first axis), on the (experiment, population)
+    `deviations`."""
+    stacked = _readout_maps(ground)[computations]
+    amplitudes = (stacked @ deviations[:, None, :, None])[..., 0]
     amplitudes.flags.writeable = False
     return amplitudes
+
+
+def _search_table(detector: Detector, deviations: np.ndarray, ground: int) -> tuple:
+    """What the search pass (`Preparation.searches`) of every seed on these
+    `deviations` and `ground` shares: the read-only (target, experiment,
+    channel, line) receiver amplitudes of the search targets, their
+    noise-free line integrals (`Detector.line_integrals`) as floats, per
+    target 12 flat as experiment * 4 + channel * 2 + line, and the rows of
+    the detector's `amplitude_solve` as floats. This is the only numpy
+    arithmetic of a search."""
+    amplitudes = _receiver_amplitudes(deviations, ground, slice(1, None))
+    # a grid near the float range may overflow here; the decode then
+    # refuses the lines as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = detector.line_integrals(amplitudes, None)
+    return (amplitudes, tuple(map(tuple, clean.reshape(len(GROVER_TARGETS), -1).tolist())),
+            tuple(map(tuple, detector.amplitude_solve.tolist())))
 
 
 @functools.lru_cache(maxsize=1)
@@ -437,7 +489,7 @@ def run_effective_pure_pipeline(
         _prepare.cache_clear()
     return EffectivePureRun(
         prep.result, prep.thermal_result, prep.enhancement, schedule, prep,
-        _receiver_amplitudes(prep, 0),
+        _receiver_amplitudes(prep.deviations, prep.result.ground, 0),
     )
 
 

@@ -1,7 +1,9 @@
 """The valid configuration space, noise off, searched by derandomized
 hypothesis runs: every configuration in the README's valid ranges either
 runs or fails with a documented exit code, and a search whose preparation
-succeeds with q2 ≠ 0 decodes every target.
+succeeds with q2 ≠ 0 decodes every target. The readout identity of the
+search pass is checked over the same space with noise and jitter on and
+off.
 
 The acquisition grid is bounded (`n_points` ≤ 8192, `dwell_s` ≤ 2 ms) and
 `j_hz` kept within [10, 500] Hz to keep the suite fast and most grids
@@ -19,7 +21,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinoeqc import cli
-from spinoeqc.experiments import GROVER_TARGETS, GroverCase, _prepare, run_grover_pipeline
+from spinoeqc.experiments import (
+    GROVER_TARGETS, DecodeError, GroverCase, _prepare, run_grover_pipeline,
+)
 from spinoeqc.labeling import SingularLabelingSystem
 from spinoeqc.readout import Detector, ReadoutError
 from spinoeqc.spins import enhanced_deviations
@@ -131,3 +135,40 @@ def test_probe_round_trip_returns_the_state(config):
         assert np.array_equal(got, np.zeros(4))
     else:
         assert np.abs(got - d).max() <= 0.01 * np.abs(d).max()
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    config=CONFIGURATIONS, noise_amp=st.sampled_from([0.0, 0.01, 0.1]), jittered=st.booleans(),
+)
+def test_search_integrals_are_the_response_of_their_line_amplitudes(config, noise_amp, jittered):
+    # the identity behind the search pass: a target's weighted readout
+    # integrals are Re(R) times its line amplitudes, A = Re(R)⁻¹ times those
+    # integrals. Forming A·I, then Re(R)·(A·I), and A's own inverse residual
+    # Re(R)·A − I each err by a few eps of the products' magnitudes, so the
+    # bound is 8 eps of the largest entry of |Re(R)| |A| |I| per channel
+    # (cond(Re R) reaches ~1e9 on grids whose lines overlap)
+    cfg = cli.RunConfig(**{**config, "jitter": config["jitter"] if jittered else 0.0},
+                        noise_amp=noise_amp)
+    try:
+        prep = _prepare(cfg.spinoe(), cfg.spin_system(), cfg.schedule(), cfg.detection())
+    except (ReadoutError, SingularLabelingSystem):
+        assume(False)
+    for target in GROVER_TARGETS:
+        try:
+            run = run_grover_pipeline(
+                cfg.spinoe(), cfg.spin_system(), GroverCase(target), cfg.schedule_mode(),
+                r1=cfg.r1_s, recovery=cfg.recovery_s, sample_age=cfg.sample_age_s,
+                detection=cfg.detection(),
+            )
+        except DecodeError:
+            continue  # q2 = 0, or lines that the noise leaves comparable
+        assert run.preparation is prep
+        response, solve = prep.detector.response.real, prep.detector.amplitude_solve
+        integrals, amplitudes = run.peak_integrals, run.line_amplitudes
+        gap = np.abs(amplitudes @ response.T - integrals).max(axis=-1)
+        scale = (np.abs(integrals) @ np.abs(solve).T @ np.abs(response).T).max(axis=-1)
+        assert np.all(gap <= 8 * EPS * scale), (target, gap, scale)

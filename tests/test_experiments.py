@@ -1,3 +1,5 @@
+import fractions
+import functools
 import math
 import re
 import statistics
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinoeqc.experiments import (
+    DECODE_DOMINANCE,
     GROVER_TARGETS,
     DecodeError,
     DetectionSettings,
@@ -32,7 +35,7 @@ from spinoeqc.experiments import (
     run_grover_pipeline,
     run_id,
 )
-from spinoeqc.labeling import DEFAULT_PERM_ORDER
+from spinoeqc.labeling import DEFAULT_PERM_ORDER, SingularLabelingSystem
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 import spinoeqc
 from spinoeqc import experiments, quantum, readout, spinoe
@@ -58,6 +61,7 @@ from test_readout import (
 )
 
 CFG = SpinSystemConfig()
+EPS = np.finfo(float).eps
 ALL_CASES = [GroverCase(t) for t in ("00", "01", "10", "11")]
 
 
@@ -223,25 +227,27 @@ class TestDecode:
 class TableDetector:
     """A detector stand-in whose line integrals of every experiment sum,
     under unit weights, to the given (target, channel, partner) lines, and
-    whose amplitude solve is the identity."""
+    whose amplitude solve is `solve` (the identity by default)."""
 
-    amplitude_solve = np.eye(2)
-
-    def __init__(self, table):
+    def __init__(self, table, solve=np.eye(2)):
         # -0.0 adds nothing to any float, -0.0 included
         self.lines = np.full((len(GROVER_TARGETS), 3, 2, 2), -0.0)
         self.lines[:, 0] = table
+        self.amplitude_solve = solve
 
     def line_integrals(self, amplitudes, noise):
         return self.lines
 
 
-def table_searches(table, q2):
+def table_searches(table, q2, solve=np.eye(2)):
     """The search pass of a preparation whose weighted line integrals are
-    `table`, with the sign of `q2`."""
+    `table`, with the sign of `q2` and the amplitude solve `solve`; its
+    search table is its own, as a jittered seed's is."""
     result = types.SimpleNamespace(weights=np.ones(3), q2=q2, ground=0)
-    zeros = np.zeros((3, 4))
-    return Preparation(TableDetector(table), 0, zeros, zeros, result, None, 1.0, None).searches
+    detector, zeros = TableDetector(table, solve), np.zeros((3, 4))
+    search_table = functools.partial(experiments._search_table, detector, zeros)
+    prep = Preparation(detector, 0, zeros, zeros, result, None, 1.0, None, search_table)
+    return prep.searches
 
 
 def decoded_or_text(values):
@@ -277,7 +283,10 @@ class TestDecideOncePerPreparation:
             table = np.array(rows[start:start + len(GROVER_TARGETS)]).reshape(-1, 2, 2)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, _, line_amplitudes, outcomes = table_searches(table, q2)
+                _, integrals, line_amplitudes, outcomes = table_searches(table, q2)
+            # the noise-free pass adds -0.0, which leaves every float, -0.0
+            # and NaN included, as it is
+            assert integrals.tobytes() == table.tobytes()
             assert isinstance(outcomes, tuple) and len(outcomes) == len(GROVER_TARGETS)
             for k, outcome in enumerate(outcomes):
                 assert outcome == decoded_or_text(sign * line_amplitudes[k])
@@ -676,6 +685,26 @@ def search_outcome(params, case, mode, detection):
     return prep, (run.receiver_amplitudes, run.peak_integrals, run.line_amplitudes, run.decoded)
 
 
+def assert_line_amplitudes_agree(got, want):
+    """The float pass's (channel, partner) line amplitudes `got` within 4
+    ulp of each channel's largest entry of the array route's `want`: the
+    integrals are the same floats, but numpy's small matmul orders (and may
+    fuse) the products of the amplitude solve its own way."""
+    bound = 4 * np.spacing(np.abs(want).max(axis=-1, keepdims=True))
+    assert got.shape == want.shape and np.all(np.abs(got - want) <= bound), (got, want)
+
+
+def near_dominance(lines):
+    """Whether a channel of the (channel, partner) `lines` lies within a few
+    ulps of the `DECODE_DOMINANCE` boundary, where moves of 4 ulp may tip
+    its decode."""
+    for a, b in np.abs(lines).tolist():
+        gap = min(abs(a - DECODE_DOMINANCE * b), abs(b - DECODE_DOMINANCE * a))
+        if gap <= 16 * np.spacing(DECODE_DOMINANCE * max(a, b)):
+            return True
+    return False
+
+
 class TestSearchTargets:
     @pytest.mark.parametrize("jitter", [0.0, 0.05], ids=["exact", "jitter"])
     @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
@@ -693,37 +722,122 @@ class TestSearchTargets:
                     if isinstance(got[0], type):
                         assert got == want[3]
                         continue
-                    for x, y in zip(got[:3], want[:3], strict=True):
+                    for x, y in zip(got[:2], want[:2], strict=True):
                         assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                    assert_line_amplitudes_agree(got[2], want[2])
                     assert got[3] == want[3]
                 grounds.add(prep.result.ground)
         assert grounds == {0, 1, 2, 3}
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1), mode=st.sampled_from(list(ScheduleMode)),
+        eps=st.sampled_from(GROUND_EPS), noise=st.sampled_from([0.0, 0.01, 0.1]),
+        jitter=st.sampled_from([0.0, 0.05]),
+    )
+    def test_float_pass_is_the_array_route(self, seed, mode, eps, noise, jitter):
+        # the search pass in floats against `per_case_search`, target by
+        # target: the same receiver amplitudes and integrals, bit for bit,
+        # line amplitudes within 4 ulp, and the same decode unless its lines
+        # lie within a few ulps of the dominance boundary
+        p = SpinoeParams(*eps, reproducibility_jitter=jitter, seed=seed)
+        schedule = make_schedule(mode, start_delay=DEFAULT_SAMPLE_AGE_S)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                prep = _prepare(p, CFG, schedule, DetectionSettings(noise_amp=noise))
+            except (ReadoutError, SingularLabelingSystem):
+                assume(False)
+            amplitudes, integrals, line_amplitudes, decisions = prep.searches
+        for k, case in enumerate(ALL_CASES):
+            want = per_case_search(prep, case)
+            assert amplitudes[k].tobytes() == want[0].tobytes()
+            assert integrals[k].tobytes() == want[1].tobytes()
+            assert_line_amplitudes_agree(line_amplitudes[k], want[2])
+            answer, text = decisions[k]
+            got = answer if text is None else (DecodeError, text)
+            assert got == want[3] or near_dominance(want[2]), (case, got, want[3])
+
+    def test_routes_part_only_within_ulps_of_dominance(self):
+        # H integrals stepped ulp by ulp across the boundary |u0| = 3 |u1| of
+        # their line amplitudes u = A·(h0, h1), for the default grid's solve
+        # A; the C lines decode as |00>, and every line carries q2's sign.
+        # Both routes decide each row as exact arithmetic on its floats does,
+        # except rows whose exact margin lies within a few ulps of the
+        # products: there each route's round-off (and the decode's own
+        # product 3·|u1|) may tip the decode
+        solve = Detector(CFG, DetectionSettings()).amplitude_solve
+        exact = fractions.Fraction
+        (a00, a01), (a10, a11) = [[exact(a) for a in row] for row in solve.tolist()]
+        rng = np.random.default_rng(36)
+        sides, within = set(), 0
+        for h1, q2 in zip(rng.uniform(0.05, 0.3, 40).tolist(), [1.0, -1.0] * 20):
+            h0 = (3 * solve[1, 1] - solve[0, 1]) * h1 / (solve[0, 0] - 3 * solve[1, 0])
+            for _ in range(32):
+                h0 = math.nextafter(h0, -math.inf)
+            for _ in range(65):
+                table = np.tile([[q2 * h0, q2 * h1], [q2, 0.0]], (len(GROVER_TARGETS), 1, 1))
+                u0 = (a00 * exact(h0), a01 * exact(h1))
+                u1 = (a10 * exact(h0), a11 * exact(h1))
+                margin = abs(sum(u0)) - DECODE_DOMINANCE * abs(sum(u1))
+                products = sum(map(abs, u0)) + DECODE_DOMINANCE * sum(map(abs, u1))
+                dominant = margin >= 0
+                routes = [table_searches(table, q2, solve)[3][0],
+                          decoded_or_text(q2 * (table[0] @ solve.T))]
+                if abs(margin) > 4 * EPS * products:
+                    want = ("00", None) if dominant else (
+                        None, "doublet lines have comparable magnitude")
+                    assert routes == [want, want], (h0, h1)
+                    sides.add(dominant)
+                else:
+                    within += 1
+                h0 = math.nextafter(h0, math.inf)
+        # rows on both sides of the band are decided, and rows inside it exist
+        assert sides == {False, True} and within > 0
+
     def test_the_four_targets_are_computed_once(self, monkeypatch):
-        _prepare.cache_clear()
-        decisions = []
-        decide = experiments._decide
+        # a preparation decodes its four targets once, on its first search
+        # case. The search table behind them (the receiver-amplitude product)
+        # is built once per (setting, ground) with no jitter, so a second
+        # seed of the same setting builds none, and once per preparation
+        # with jitter, which never reads the setting's tables; the setting's
+        # tables are bounded by the 4 grounds
+        clear_preparation_caches()
+        decisions, products = [], []
+        decide, product = experiments._decide, experiments._receiver_amplitudes
 
         def counting_decide(*args):
             decisions.append(args)
             return decide(*args)
 
-        monkeypatch.setattr(experiments, "_decide", counting_decide)
-        first = noisy_run(ScheduleMode.MULTI_SAMPLE, "01")
-        assert len(decisions) == len(GROVER_TARGETS)
-        products = []
-        product = experiments._receiver_amplitudes
-
         def counting_product(*args):
             products.append(args)
             return product(*args)
 
+        monkeypatch.setattr(experiments, "_decide", counting_decide)
         monkeypatch.setattr(experiments, "_receiver_amplitudes", counting_product)
-        runs = {target: noisy_run(ScheduleMode.MULTI_SAMPLE, target) for target in GROVER_TARGETS}
-        assert products == []
-        # a warm case decodes nothing
-        assert len(decisions) == len(GROVER_TARGETS)
-        assert _prepare.cache_info().hits == len(GROVER_TARGETS)
+        mode, grounds = ScheduleMode.MULTI_SAMPLE, set()
+        for seed in range(8):
+            params = SpinoeParams(-11.0, 18.0, seed=seed)
+            first = noisy_run(mode, "01", params)
+            assert len(decisions) == len(GROVER_TARGETS) * (seed + 1)
+            grounds.add(first.result.ground)
+            assert len(products) == len(grounds)
+            runs = {target: noisy_run(mode, target, params) for target in GROVER_TARGETS}
+            # a warm case decodes nothing and builds nothing
+            assert len(decisions) == len(GROVER_TARGETS) * (seed + 1)
+            assert len(products) == len(grounds)
+        assert len(grounds) == 2  # a sign-mirror tie, broken by the noise
+        tables = first.preparation.search_table
+        assert tables.cache_info().maxsize == 4
+        assert tables.cache_info().currsize == tables.cache_info().misses == len(grounds)
+        shared = tables.cache_info()
+        for seed in range(3):
+            params = SpinoeParams(-11.0, 18.0, reproducibility_jitter=0.05, seed=seed)
+            noisy_run(mode, "01", params)
+            assert len(products) == len(grounds) + seed + 1
+        assert tables.cache_info() == shared
+        assert experiments._seed_free.cache_info().misses == 1  # one setting throughout
         prep = first.preparation
         *arrays, outcomes = prep.searches
         assert outcomes == tuple((target, None) for target in GROVER_TARGETS)
