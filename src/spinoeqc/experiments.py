@@ -73,7 +73,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -240,9 +239,10 @@ class Preparation:
     (a read-only row each) the sampled deviation diagonals
     (`sample_initial_states`), probed diagonals and (channel, line) readout
     noise integrals (None with noise off), the labeling with its
-    enhancement, and `search_table`, the `_search_table` of its deviations
-    per ground: the setting's, kept by `_seed_free`, unless the seed's
-    states are jittered. Readout i is detection i of `seed`."""
+    enhancement, and `search_tables`, the `_search_table` of its deviations
+    per ground, each built on first use: the setting's, kept by
+    `_seed_free`, unless the seed's states are jittered. Readout i is
+    detection i of `seed`."""
 
     detector: Detector
     seed: int
@@ -252,7 +252,7 @@ class Preparation:
     thermal_result: EffectivePureResult
     enhancement: float
     noise_integrals: np.ndarray | None = field(repr=False)
-    search_table: Callable[[int], tuple] = field(repr=False)
+    search_tables: dict = field(repr=False)
 
     @functools.cached_property
     def noise_spectra(self) -> np.ndarray | None:
@@ -268,7 +268,7 @@ class Preparation:
         """The search cases of every target in `GROVER_TARGETS` order, built
         on the first search case and shared by every run on this preparation:
         the read-only (target, experiment, channel, line) receiver amplitudes
-        of its ground's `search_table`, the read-only (target, channel,
+        of its ground's search table, the read-only (target, channel,
         partner) weighted line integrals and line amplitudes behind them, and
         per target its decode (`_decide`) as an (answer, None) or (None,
         DecodeError text) pair.
@@ -279,7 +279,10 @@ class Preparation:
         for the table's noise-free integrals xᵢ, then the line amplitudes,
         `amplitude_solve` times those sums. Floats overflow to inf with no
         warning, and the decode refuses such lines as not finite."""
-        amplitudes, clean, ((a00, a01), (a10, a11)) = self.search_table(self.result.ground)
+        ground, tables = self.result.ground, self.search_tables
+        if ground not in tables:
+            tables[ground] = _search_table(self.detector, self.deviations, ground)
+        amplitudes, clean, ((a00, a01), (a10, a11)) = tables[ground]
         w0, w1, w2 = self.result.weights.tolist()
         noise = _NO_NOISE if self.noise_integrals is None else self.noise_integrals.ravel().tolist()
         n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11 = noise
@@ -335,15 +338,14 @@ def prepare_batch(
         z = []
         if probe_draws:
             z = np.random.default_rng(seed).standard_normal(probe_draws + n_exp * noise).tolist()
-        deviations, y, search_table = states, clean, tables
+        deviations, y, search_tables = states, clean, tables
         if jitter:
             jitters = [z[i:i + jitter] for i in range(0, probe_draws, per_probe)]
             deviations = sample_initial_states(
                 p, cfg, schedule.probe_times, p.reproducibility_jitter * np.array(jitters)
             )
             y = detector.probe_integrals(deviations).ravel().tolist()
-            # its own states: its tables are its own, built by the same routine
-            search_table = functools.partial(_search_table, detector, deviations)
+            search_tables = {}  # its own states, so its own tables
         if noise:
             # the probes' noise, then the readouts', drawn in one pass; with
             # no jitter the draws are just those, in that order
@@ -372,7 +374,7 @@ def prepare_batch(
             readout_integrals.flags.writeable = False
         outcomes.append(Preparation(
             detector, seed, deviations, probed, result, thermal,
-            enhancement_factor(result, thermal), readout_integrals, search_table,
+            enhancement_factor(result, thermal), readout_integrals, search_tables,
         ))
     return outcomes
 
@@ -382,17 +384,15 @@ def prepare_batch(
 def _seed_free(
     eps0_h: float, eps0_c: float, t1_xe: float, cfg: SpinSystemConfig,
     schedule: ExperimentSchedule, detection: DetectionSettings,
-) -> tuple[Detector, np.ndarray, tuple, Callable[[int], tuple]]:
+) -> tuple[Detector, np.ndarray, tuple, dict]:
     """What every seed of a preparation setting shares: the detector, the
     read-only unjittered states (`_unjittered_states`), their noise-free
     probe integrals, flat as floats (experiment * 4 + channel * 2 + line),
-    and their `_search_table` per ground, each built on first use."""
+    and the dict of their `_search_table` per ground that
+    `Preparation.searches` fills (at most the 4 grounds)."""
     detector = Detector(cfg, detection)
     states = _unjittered_states(eps0_h, eps0_c, t1_xe, cfg, schedule.probe_times)
-    clean = tuple(detector.probe_integrals(states).ravel().tolist())
-    # bounded by the key space: 4 grounds
-    tables = functools.lru_cache(maxsize=4)(functools.partial(_search_table, detector, states))
-    return detector, states, clean, tables
+    return detector, states, tuple(detector.probe_integrals(states).ravel().tolist()), {}
 
 
 # bounded: the trajectories and probe times of the last few batches; a new

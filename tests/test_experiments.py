@@ -1,5 +1,4 @@
 import fractions
-import functools
 import math
 import re
 import statistics
@@ -245,9 +244,7 @@ def table_searches(table, q2, solve=np.eye(2)):
     search table is its own, as a jittered seed's is."""
     result = types.SimpleNamespace(weights=np.ones(3), q2=q2, ground=0)
     detector, zeros = TableDetector(table, solve), np.zeros((3, 4))
-    search_table = functools.partial(experiments._search_table, detector, zeros)
-    prep = Preparation(detector, 0, zeros, zeros, result, None, 1.0, None, search_table)
-    return prep.searches
+    return Preparation(detector, 0, zeros, zeros, result, None, 1.0, None, {}).searches
 
 
 def decoded_or_text(values):
@@ -758,6 +755,14 @@ class TestSearchTargets:
             got = answer if text is None else (DecodeError, text)
             assert got == want[3] or near_dominance(want[2]), (case, got, want[3])
 
+    def test_the_solve_is_applied_row_by_row(self):
+        # a grid's Re(response) is symmetric to ~1e-13, so no real detector
+        # tells its amplitude solve from the transpose; a skewed solve does
+        solve = np.array([[2.0, 0.5], [-0.25, 1.5]])
+        table = np.random.default_rng(36).normal(size=(len(GROVER_TARGETS), 2, 2))
+        _, _, line_amplitudes, _ = table_searches(table, 1.0, solve)
+        assert_line_amplitudes_agree(line_amplitudes, table @ solve.T)
+
     def test_routes_part_only_within_ulps_of_dominance(self):
         # H integrals stepped ulp by ulp across the boundary |u0| = 3 |u1| of
         # their line amplitudes u = A·(h0, h1), for the default grid's solve
@@ -828,16 +833,18 @@ class TestSearchTargets:
             assert len(decisions) == len(GROVER_TARGETS) * (seed + 1)
             assert len(products) == len(grounds)
         assert len(grounds) == 2  # a sign-mirror tie, broken by the noise
-        tables = first.preparation.search_table
-        assert tables.cache_info().maxsize == 4
-        assert tables.cache_info().currsize == tables.cache_info().misses == len(grounds)
-        shared = tables.cache_info()
+        # one setting throughout, whose tables are keyed by ground alone
+        assert experiments._seed_free.cache_info()[2:] == (4, 1)  # maxsize, currsize
+        tables = first.preparation.search_tables
+        assert set(tables) == grounds
+        shared = dict(tables)
         for seed in range(3):
             params = SpinoeParams(-11.0, 18.0, reproducibility_jitter=0.05, seed=seed)
-            noisy_run(mode, "01", params)
+            jittered = noisy_run(mode, "01", params)
             assert len(products) == len(grounds) + seed + 1
-        assert tables.cache_info() == shared
-        assert experiments._seed_free.cache_info().misses == 1  # one setting throughout
+            assert jittered.preparation.search_tables is not tables
+        assert tables.keys() == shared.keys()
+        assert all(tables[ground] is shared[ground] for ground in shared)
         prep = first.preparation
         *arrays, outcomes = prep.searches
         assert outcomes == tuple((target, None) for target in GROVER_TARGETS)
