@@ -414,10 +414,14 @@ def cmd_probe(cfg: RunConfig, args) -> int:
     eps = (1.0, 1.0) if args.state == "thermal" else (cfg.eps0_h, cfg.eps0_c)
     detector = Detector(system, cfg.detection())
     d, noise = enhanced_deviations(system, *eps), detector.draw(cfg.seed)
-    y = detector.probe_integrals(d)
-    diag = detector.reconstruct((y if noise is None else y + noise[0]).ravel().tolist())
+    entries = d.tolist()
+    y = detector.probe_lines(entries)
+    if noise is not None:
+        y = [a + b for a, b in zip(y, noise.ravel().tolist())]
+    diag = detector.reconstruct(y)
     noise_spectra = None if noise is None else detector.noise_spectra(cfg.seed, noise)[0]
-    spectra = detector.spectra(detector.probe_map @ d, noise_spectra)
+    amplitudes = np.array(detector.probe_amplitudes(entries)).reshape(2, 2)
+    spectra = detector.spectra(amplitudes, noise_spectra)
     _write_spectra(out, [(f"probe_{args.state}", spectra)], args.svg)
     report = {
         "run_id": run_id(cfg.echo(), args.state),

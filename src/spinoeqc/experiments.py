@@ -344,7 +344,7 @@ def prepare_batch(
             deviations = sample_initial_states(
                 p, cfg, schedule.probe_times, p.reproducibility_jitter * np.array(jitters)
             )
-            y = detector.probe_integrals(deviations).ravel().tolist()
+            y = detector.probe_lines(deviations.ravel().tolist())
             search_tables = {}  # its own states, so its own tables
         if noise:
             # the probes' noise, then the readouts', drawn in one pass; with
@@ -392,7 +392,7 @@ def _seed_free(
     `Preparation.searches` fills (at most the 4 grounds)."""
     detector = Detector(cfg, detection)
     states = _unjittered_states(eps0_h, eps0_c, t1_xe, cfg, schedule.probe_times)
-    return detector, states, tuple(detector.probe_integrals(states).ravel().tolist()), {}
+    return detector, states, tuple(detector.probe_lines(states.ravel().tolist())), {}
 
 
 # bounded: the trajectories and probe times of the last few batches; a new
@@ -517,15 +517,17 @@ def _decide(h0: float, h1: float, c0: float, c1: float) -> tuple[str | None, str
     """
     # a NaN passes the dominance test (every comparison is false), and an
     # inf beats any partner
-    if not all(map(math.isfinite, (h0, h1, c0, c1))):
+    isfinite = math.isfinite
+    if not (isfinite(h0) and isfinite(h1) and isfinite(c0) and isfinite(c1)):
         return None, "readout lines are not finite"
     if not (h0 or h1 or c0 or c1):
         return None, "no readout signal"
-    if any(abs(a) < DECODE_DOMINANCE * abs(b) and abs(b) < DECODE_DOMINANCE * abs(a)
-           for a, b in ((h0, h1), (c0, c1))):
+    ah0, ah1, ac0, ac1 = abs(h0), abs(h1), abs(c0), abs(c1)
+    if ((ah0 < DECODE_DOMINANCE * ah1 and ah1 < DECODE_DOMINANCE * ah0)
+            or (ac0 < DECODE_DOMINANCE * ac1 and ac1 < DECODE_DOMINANCE * ac0)):
         return None, "doublet lines have comparable magnitude"
-    c_from_h, h_line = (0, h0) if abs(h0) > abs(h1) else (1, h1)
-    h_from_c, c_line = (0, c0) if abs(c0) > abs(c1) else (1, c1)
+    c_from_h, h_line = (0, h0) if ah0 > ah1 else (1, h1)
+    h_from_c, c_line = (0, c0) if ac0 > ac1 else (1, c1)
     h_bit = 0 if h_line > 0 else 1
     c_bit = 0 if c_line > 0 else 1
     if h_bit != h_from_c or c_bit != c_from_h:

@@ -33,8 +33,9 @@ The arithmetic runs in Python floats, one row of 12 populations (three
 diagonals) and one ground at a time, for a batch of any size: on 12
 numbers a numpy call costs more in its wrapper than in its arithmetic.
 `label_row` labels one row of floats, as a preparation hands it over;
-`_finite` is the one rule that the entries are finite, which `_as_diags`
-applies to every row of an array input before any row is labeled. The
+`_finite` is the one rule that the entries are finite, applied once per
+row: by `label_row` to its row, and by `_as_diags` to every row of an
+array input before any row is labeled. The
 floats are those that the same formulas give over arrays: sums run left
 to right from 0.0, as numpy's reductions do, max and min propagate NaN as
 `np.maximum` and `np.minimum` do, a zero c_0 is singular without a
@@ -279,7 +280,7 @@ def label(diags) -> EffectivePureResult:
     (an upright pseudo-pure state), then the lowest index. Only the
     returned result is built and checked for equalization.
     """
-    outcome = label_row(_as_diags(diags)[0], stacklevel=4)
+    outcome = _label(_as_diags(diags)[0], stacklevel=4)
     if isinstance(outcome, SingularLabelingSystem):
         raise outcome
     return outcome
@@ -307,7 +308,11 @@ def label_row(x, stacklevel: int = 3) -> EffectivePureResult | SingularLabelingS
     """`label`, or the SingularLabelingSystem it raises, of the 12 floats x
     of three diagonals (experiment * 4 + state), checked `_finite`;
     warnings point `stacklevel` frames up."""
-    _finite(x)
+    return _label(_finite(x), stacklevel + 1)
+
+
+def _label(x, stacklevel: int) -> EffectivePureResult | SingularLabelingSystem:
+    """`label_row` of a row already checked `_finite`."""
     grounds = [_labeled(x, g) for g in range(4)]
     ground, top = _pick(grounds)
     if top == 0.0:
@@ -321,7 +326,7 @@ def label_row(x, stacklevel: int = 3) -> EffectivePureResult | SingularLabelingS
 def label_batch(diags, stacklevel: int = 3) -> list[EffectivePureResult | SingularLabelingSystem]:
     """`label_row` of every (experiment, state) row of `diags`, checked as
     one batch; warnings point `stacklevel` frames up."""
-    return [label_row(x, stacklevel + 1) for x in _as_diags(diags, batched=True)]
+    return [_label(x, stacklevel + 1) for x in _as_diags(diags, batched=True)]
 
 
 def choose_ground(diags) -> int:

@@ -53,11 +53,13 @@ a noise vector on them have closed forms in the windows' bin counts (see
 `_grid_map` and `Detector.noise_spectra`). A `Detector` reads the one
 cached map of its grid, per (spin system, n_points, dwell): the axis,
 the unit line spectra, the window masks, the response, the noise factor
-and the amplitude solve. It builds its probe setting
-(probe map, receiver constant, solve) from it and the tip in closed form,
-with no cache of its own. It takes the deviation diagonal d
-of a diagonal state, its populations less I/4 (`enhanced_deviations`),
-and builds no state: the line amplitudes are the probe map, or the
+and the amplitude solve. It builds its probe setting (the entries of the
+probe map, the receiver constant and the solve) from it and the tip in
+closed form, in Python floats, with no cache of its own; the probe map
+and solve arrays are built from those floats on first read. It takes the
+deviation diagonal d of a diagonal state, its populations less I/4
+(`enhanced_deviations`), and builds no state: the line amplitudes are
+the probe map (`Detector.probe_amplitudes`, in floats), or the
 `readout_map` of a computation, applied to d, both in closed form: the
 probe map is R, and after a readout's unitary U the coherence (r, c) of
 U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ. `Detector.spectra` weights
@@ -370,26 +372,31 @@ class Detector:
 
     The probe setting is built here, in closed form and in Python float
     arithmetic, from the grid's 2×2 Re(response) and the two entries a and
-    b of the tip's relations R (`_probe_response_matrix`): `probe_map` is
+    b of the tip's relations R (`_tip_entries`), and kept as floats:
+    `probe_lines` gives the noise-free integrals y = Re(response)·m per
+    channel of the amplitudes m = R·d (`probe_amplitudes`) of flat
+    deviation diagonals d, with R's ±a and ±b; `receiver_constant` is the
+    K of `calibrate`, the least-squares fit K = Σ y·m / Σ m·m to that probe
+    of the thermal reference d, whose four entries are read as floats, so
+    no state is built. In exact arithmetic K is Σ Re(response) / 2, a grid
+    constant. A float overflows to inf and underflows to 0 with no warning,
+    so the build enters no numpy error state: a thermal reference with no
+    signal (Σ m·m below the smallest normal float), or one whose K leaves
+    the float range, builds no detector, nor does a K and a tip whose solve
+    leaves it. `roundoff` is the round-off level of `_probe_solve`, and the
+    rows of its solve matrix S are kept as floats. The arrays `probe_map`,
     the (channel, line, population) view of R, which is what
-    `readout_map`'s rows give for the probe pulse up to rounding;
-    `receiver_constant` is the K of `calibrate`, the least-squares fit
-    K = Σ y·m / Σ m·m to a noise-free probe of the thermal reference d,
-    with amplitudes m = R·d and integrals y = Re(response)·m per channel,
-    all scalars: d's four entries are read as floats, and no state is
-    built. In exact arithmetic K is Σ Re(response) / 2, a grid constant.
-    A float overflows to inf and underflows to 0 with no warning, so the
-    build enters no numpy error state: a thermal reference with no signal
-    (Σ m·m below the smallest normal float), or one whose K leaves the
-    float range, builds no detector. `probe_solve` and `roundoff` are the
-    solve matrix S and the round-off level of `_probe_solve`. The noise
-    level comes from `settings`.
+    `readout_map`'s rows give for the probe pulse up to rounding, and
+    `probe_solve`, S, are built from those floats on first read, for the
+    callers that want arrays; no preparation reads them. The noise level
+    comes from `settings`.
 
-    One probe's arithmetic runs in Python floats, from the entries of S
-    and L that the detector keeps: `line_noise` turns normals
-    into noise integrals and `reconstruct` turns four integrals into a
-    diagonal through `_reconstruct`, its round-off rule and its gate; on
-    four numbers a numpy call costs more than its arithmetic.
+    One probe's arithmetic runs in Python floats, from the entries of R,
+    Re(response), S and L that the detector keeps: `probe_lines` turns
+    diagonals into integrals, `line_noise` turns normals into noise
+    integrals and `reconstruct` turns four integrals into a diagonal
+    through `_reconstruct`, its round-off rule and its gate; on four
+    numbers a numpy call costs more than its arithmetic.
     """
 
     cfg: SpinSystemConfig
@@ -398,33 +405,33 @@ class Detector:
     response: np.ndarray = field(init=False, repr=False, compare=False)
     noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
     amplitude_solve: np.ndarray = field(init=False, repr=False, compare=False)
-    probe_map: np.ndarray = field(init=False, repr=False, compare=False)
     receiver_constant: float = field(init=False, repr=False, compare=False)
-    probe_solve: np.ndarray = field(init=False, repr=False, compare=False)
     roundoff: float = field(init=False, repr=False, compare=False)
-    # the floats of one probe's arithmetic: the rows of S, and L's entries
-    # L[0,0], L[1,0] and L[1,1] (L[0,1] is 0)
+    # the floats of one probe's arithmetic: R's entries a and b, Re(response)
+    # row by row, the rows of S, and L's entries L[0,0], L[1,0] and L[1,1]
+    # (L[0,1] is 0)
+    _tip: tuple = field(init=False, repr=False, compare=False)
+    _lines: tuple = field(init=False, repr=False, compare=False)
     _solve: tuple = field(init=False, repr=False, compare=False)
     _factor: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, cfg = self.settings, self.cfg
         grid = _grid_map(cfg, s.n_points, s.dwell)
-        relations = _probe_response_matrix(s.probe_tip_deg)
-        relations.flags.writeable = False
-        a, b = relations.item(0), relations.item(1)
+        a, b = _tip_entries(s.probe_tip_deg)
+        (r00, r01), (r10, r11) = grid[3].real.tolist()
+        # a frozen dataclass's fields, set past its __setattr__
+        fields = vars(self)
+        fields.update(_tip=(a, b), _lines=(r00, r01, r10, r11))
         # the thermal reference (d0, d1, -d1, -d0), as `enhanced_deviations`
-        # rounds it, and its probe amplitudes m = R·d per channel, H then C:
-        # ±a and ±b times ±d0 and ±d1, summed in row order
+        # rounds it, its probe amplitudes m and its integrals y
         half = 0.5 * cfg.polarization_unit
         d0, d1 = half * (cfg.gamma_ratio + 1.0), half * (cfg.gamma_ratio - 1.0)
-        ad0, ad1, bd0, bd1 = a * d0, a * d1, b * d0, b * d1
-        h0, h1 = ad0 + bd1 + ad1 + bd0, bd0 + ad1 + bd1 + ad0
-        c0, c1 = ad0 - ad1 - bd1 + bd0, bd0 - bd1 - ad1 + ad0
-        (r00, r01), (r10, r11) = grid[3].real.tolist()
-        fit = ((r00 * h0 + r01 * h1) * h0 + (r10 * h0 + r11 * h1) * h1
-               + (r00 * c0 + r01 * c1) * c0 + (r10 * c0 + r11 * c1) * c1)
-        denom = h0 * h0 + h1 * h1 + c0 * c0 + c1 * c1
+        m = self.probe_amplitudes((d0, d1, -d1, -d0))
+        m0, m1, m2, m3 = m
+        y0, y1, y2, y3 = self._response_lines(m)
+        fit = y0 * m0 + y1 * m1 + y2 * m2 + y3 * m3
+        denom = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
         # Python floats overflow to inf and underflow silently: a reference
         # near the float range (polarization_unit 1e153 at the default
         # gamma_ratio) leaves K not finite, and one whose square is subnormal
@@ -437,14 +444,29 @@ class Detector:
                 "receiver constant overflows; lower polarization_unit or gamma_ratio"
             )
         # the probed states' scale is the thermal reference's, whatever u is
-        solve, roundoff = _probe_solve(relations, k, max(abs(d0), abs(d1)))
+        solve, roundoff = _probe_solve(a, b, k, max(abs(d0), abs(d1)))
         (l00, _), (l10, l11) = grid[4].tolist()
-        maps = (*grid[3:], relations.reshape(2, 2, 4), k, solve, roundoff,
-                tuple(map(tuple, solve.tolist())), (l00, l10, l11))
-        names = ("response", "noise_factor", "amplitude_solve", "probe_map",
-                 "receiver_constant", "probe_solve", "roundoff", "_solve", "_factor")
-        for name, value in zip(names, maps, strict=True):
-            object.__setattr__(self, name, value)
+        response, noise_factor, amplitude_solve = grid[3:]
+        fields.update(
+            response=response, noise_factor=noise_factor, amplitude_solve=amplitude_solve,
+            receiver_constant=k, roundoff=roundoff, _solve=solve, _factor=(l00, l10, l11),
+        )
+
+    @functools.cached_property
+    def probe_map(self) -> np.ndarray:
+        """R as a read-only (channel, line, population) array, built from
+        its entries ±a and ±b on first read."""
+        a, b = self._tip
+        relations = np.array((a, b, -a, -b)).take(_RELATION_ENTRIES).reshape(2, 2, 4)
+        relations.flags.writeable = False
+        return relations
+
+    @functools.cached_property
+    def probe_solve(self) -> np.ndarray:
+        """The read-only 4×4 solve matrix S, built from its rows on first read."""
+        solve = np.array(self._solve)
+        solve.flags.writeable = False
+        return solve
 
     def line_noise(self, z) -> list[float]:
         """noise_amp · z Lᵀ of standard normals z, Python floats: per pair
@@ -524,16 +546,45 @@ class Detector:
         h, c = (Spectrum(channel, freqs, v) for channel, v in zip(Channel, values))
         return h, c
 
+    def probe_amplitudes(self, d) -> list[float]:
+        """The probe's line amplitudes m = R·d of flat deviation diagonals d
+        (four floats per experiment), flat as floats (experiment * 4 +
+        channel * 2 + line): per row of R its ±a and ±b times d's entries,
+        summed in index order."""
+        a, b = self._tip
+        entries = iter(d)
+        m = []
+        for d0, d1, d2, d3 in zip(entries, entries, entries, entries):
+            ad0, ad1, ad2, ad3 = a * d0, a * d1, a * d2, a * d3
+            bd0, bd1, bd2, bd3 = b * d0, b * d1, b * d2, b * d3
+            m += (ad0 + bd1 - ad2 - bd3, bd0 + ad1 - bd2 - ad3,
+                  ad0 - ad1 + bd2 - bd3, bd0 - bd1 + ad2 - ad3)
+        return m
+
+    def probe_lines(self, d) -> list[float]:
+        """The noise-free probe integrals of flat deviation diagonals d
+        (four floats per experiment), flat as floats like their
+        `probe_amplitudes`: simultaneous small-tip y-pulses at the settings'
+        tip. A float overflows to inf, and inf - inf is NaN, with no
+        warning; integrals past the float range are left to `reconstruct`."""
+        return self._response_lines(self.probe_amplitudes(d))
+
+    def _response_lines(self, m) -> list[float]:
+        """Re(response)·m per channel of flat line amplitudes m, as floats."""
+        r00, r01, r10, r11 = self._lines
+        pairs = iter(m)
+        y = []
+        for m0, m1 in zip(pairs, pairs):
+            y += (r00 * m0 + r01 * m1, r10 * m0 + r11 * m1)
+        return y
+
     def probe_integrals(self, d) -> np.ndarray:
-        """The noise-free (..., channel, partner) probe integrals of the
-        (..., 4) deviation diagonals d: simultaneous small-tip y-pulses at
-        the settings' tip, whose line amplitudes are `probe_map` applied to
-        d. Integrals past the float range are left to `reconstruct`."""
-        d = np.asarray(d)
+        """`probe_lines` of the (..., 4) deviation diagonals d as a
+        (..., channel, partner) array."""
+        d = np.asarray(d, dtype=float)
         if d.shape[-1:] != (4,):
             raise ValueError("the probe takes the deviation diagonal of a two-spin state")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.line_integrals((self.probe_map @ d[..., None, :, None])[..., 0], None)
+        return np.array(self.probe_lines(d.ravel().tolist())).reshape(*d.shape[:-1], 2, 2)
 
     def reconstruct(self, y) -> list[float]:
         """`_reconstruct` of one probe's four integrals y (H partner 0, 1,
@@ -545,18 +596,16 @@ class Detector:
 _RELATION_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 2, 1, 3], [1, 3, 0, 2]])
 
 
-def _probe_response_matrix(tip_angle_deg: float) -> np.ndarray:
-    """Exact linear map from deviation diagonal to the four line amplitudes.
-
-    Rows: H partner 0, H partner 1, C partner 0, C partner 1. Its entries
-    are ±a and ±b, two floats: a = R[0,0] = sin(tip)/2 · cos²(tip/2) and
-    b = R[0,1] = sin(tip)/2 · sin²(tip/2).
-    """
+def _tip_entries(tip_angle_deg: float) -> tuple[float, float]:
+    """The two entries of the probe relations R of a tip, the exact linear
+    map from deviation diagonal to the four line amplitudes (rows H partner
+    0, H partner 1, C partner 0, C partner 1), whose entries are ±a and ±b:
+    a = R[0,0] = sin(tip)/2 · cos²(tip/2) and b = R[0,1] = sin(tip)/2 ·
+    sin²(tip/2)."""
     theta = math.radians(tip_angle_deg)
     s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
     sc = s * c
-    a, b = sc * c * c, sc * s * s
-    return np.array((a, b, -a, -b)).take(_RELATION_ENTRIES)
+    return sc * c * c, sc * s * s
 
 
 def calibrate(
@@ -593,7 +642,8 @@ def probe(
     if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
         raise ValueError("the probe takes a diagonal two-spin state")
     detector = Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg))
-    return detector.spectra(detector.probe_map @ populations(rho))
+    amplitudes = detector.probe_amplitudes(populations(rho).tolist())
+    return detector.spectra(np.array(amplitudes).reshape(2, 2))
 
 
 def reconstruct_diagonal(
@@ -613,23 +663,26 @@ def reconstruct_diagonal(
     """
     y = [*peaks_h.integrals.tolist(), *peaks_c.integrals.tolist()]
     check_probe_tip(tip_angle_deg)
-    solve, roundoff = _probe_solve(_probe_response_matrix(tip_angle_deg), calibration)
-    return np.array(_reconstruct(y, solve.tolist(), roundoff))
+    solve, roundoff = _probe_solve(*_tip_entries(tip_angle_deg), calibration)
+    return np.array(_reconstruct(y, solve, roundoff))
 
 
-# the deviation patterns e, f, g and the two tip-free parts of R⁺ (`_probe_solve`)
+# the deviation patterns e, f, g, and the entries of the two tip-free parts
+# of R⁺ (`_probe_solve`) as float pairs, row by row
 _E, _F, _G = Z_H / 2, Z_C / 2, Z_H * Z_C / 2
-_PINV_P = np.outer(_E, [1, 1, 0, 0]) + np.outer(_F, [0, 0, 1, 1])
-_PINV_Q = np.outer(_G, [1, -1, 1, -1])
 _G.flags.writeable = False
+_PINV = tuple(zip(
+    (np.outer(_E, [1, 1, 0, 0]) + np.outer(_F, [0, 0, 1, 1])).ravel().tolist(),
+    np.outer(_G, [1, -1, 1, -1]).ravel().tolist(),
+))
 
 
-def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[np.ndarray, float]:
-    """The reconstruction of the probe relations R of one tip
-    (`_probe_response_matrix`) at one receiver constant k = K: the
-    read-only 4×4 solve matrix S and the round-off level of the integrals
-    of states whose largest entry is `scale` (1 for the unit-trace states
-    `reconstruct_diagonal` serves).
+def _probe_solve(a: float, b: float, k: float, scale: float = 1.0) -> tuple[tuple, float]:
+    """The reconstruction of the probe relations R of one tip, given by
+    their entries a and b (`_tip_entries`), at one receiver constant k = K:
+    the rows of the 4×4 solve matrix S as floats and the round-off level of
+    the integrals of states whose largest entry is `scale` (1 for the
+    unit-trace states `reconstruct_diagonal` serves).
 
     S is the pseudo-inverse of the relations stacked on the traceless row,
     restricted to the integrals, so S y is the least-squares diagonal of the
@@ -638,17 +691,23 @@ def _probe_solve(relations: np.ndarray, k: float, scale: float = 1.0) -> tuple[n
     R⁺ = [e⊗(1,1,0,0) + f⊗(0,0,1,1)]/(2p) + g⊗(1,-1,1,-1)/(4q) for the
     deviation patterns e, f, g of the module docstring, with p = a + b =
     sin(tip)/2 and q = a - b = sin(2 tip)/4 for R's entries a = R[0,0] and
-    b = R[0,1], read as floats. The left null space of K·R is spanned by
-    the unit vector v = g = (1,-1,-1,1)/2 at every tip, so the norm of the
+    b = R[0,1]: each entry is the first part's over 2pK plus the second's
+    over 4qK, the floats that elementwise array division and addition give.
+    The left null space of K·R is spanned by the unit vector
+    v = g = (1,-1,-1,1)/2 at every tip, so the norm of the
     residual y - K·R S y is |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2. The
     round-off level is ROUNDOFF_MULTIPLE machine epsilons of |K| max(|a|,
     |b|) times `scale`, all floats. `_reconstruct` applies S and the gate
     on v·y to one probe's integrals, entry by entry in Python floats."""
     if k == 0 or not math.isfinite(k):
         raise ValueError("the receiver constant must be finite and non-zero")
-    a, b = relations.item(0), relations.item(1)
-    solve = _PINV_P / (2 * (a + b) * k) + _PINV_Q / (4 * (a - b) * k)
-    solve.flags.writeable = False
+    pk, qk = 2 * (a + b) * k, 4 * (a - b) * k
+    # S's largest entries are ±(0.5/pk + 0.5/qk): a tip and a K whose
+    # product underflows would divide by zero, and a subnormal one overflows
+    if not (pk and qk and math.isfinite(0.5 / pk + 0.5 / qk)):
+        raise ReadoutError("probe solve leaves the float range; raise tip_deg or decrease dwell_s")
+    entries = iter([x / pk + y / qk for x, y in _PINV])
+    solve = tuple(zip(entries, entries, entries, entries))
     # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd; R
     # holds ±a and ±b
     row_scale = abs(k) * max(abs(a), abs(b))

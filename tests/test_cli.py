@@ -18,11 +18,12 @@ import pytest
 import spinoeqc.cli as cli
 from spinoeqc import readout
 from spinoeqc.experiments import (
-    DecodeError, GroverCase, _prepare, run_effective_pure_pipeline, run_grover_pipeline,
+    DecodeError, GroverCase, _prepare, prepare_batch, run_effective_pure_pipeline,
+    run_grover_pipeline,
 )
 from spinoeqc.readout import DetectionSettings, _grid_map
 from spinoeqc.labeling import SingularLabelingSystem, UnequalizedLabeling
-from spinoeqc.spinoe import ScheduleMode, SpinoeParams
+from spinoeqc.spinoe import ScheduleMode, SpinoeParams, make_schedule
 from spinoeqc.spins import Channel, SpinSystemConfig
 
 
@@ -423,8 +424,14 @@ class TestGrover:
             # overflows; once refused as one that named polarization_unit
             ({"j_hz": 1e307, "dwell_s": 4.5e-309},
              "receiver constant leaves the float range; increase dwell_s"),
+            # a receiver constant (~1/(2 dwell)) and a tip whose product
+            # underflows: the probe solve once divided by zero with a numpy
+            # warning, and the probe read a NaN diagonal
+            ({"j_hz": 5e-201, "dwell_s": 1e200, "t2_s": 1e205, "polarization_unit": 1e150,
+              "tip_deg": 1e-140},
+             "probe solve leaves the float range; raise tip_deg or decrease dwell_s"),
         ],
-        ids=["coarse", "axis", "phase", "window", "receiver"],
+        ids=["coarse", "axis", "phase", "window", "receiver", "solve"],
     )
     def test_grid_past_the_float_range_is_a_readout_failure(
         self, tmp_path, capsys, command, values, message
@@ -1153,10 +1160,26 @@ class TestUnequalizedLabeling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["--config", str(path), "--out", str(out), *command]) == 2
+        # at this extreme configuration the spread is cancellation round-off,
+        # so its text is the library's own labeling of the same preparation
+        spread = self.library_spread(extra, command)
         assert capsys.readouterr().err == (
-            "weight solver failed: non-ground populations not equalized (spread 3.531e+136)\n"
+            f"weight solver failed: non-ground populations not equalized (spread {spread:.3e})\n"
         )
         assert list(out.iterdir()) == []
+
+    def library_spread(self, extra, command):
+        """The non-ground spread of `prepare_batch`'s labeling of the
+        configuration, on the command's schedule, its warning ignored."""
+        cfg = cli.RunConfig(**{**cli._DEFAULTS, **self.CONFIG, **extra})
+        start = cfg.sample_age_s if command[0] == "grover" else 0.0
+        schedule = make_schedule(cfg.schedule_mode(), cfg.r1_s, cfg.recovery_s, start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnequalizedLabeling)
+            (prep,) = prepare_batch(cfg.spinoe(), cfg.spin_system(), schedule, cfg.detection(),
+                                    [cfg.seed])
+        assert not prep.result.equalized
+        return prep.result.residual
 
     @COMMANDS
     def test_is_a_solver_failure(self, tmp_path, capsys, extra, command):

@@ -56,7 +56,7 @@ from spinoeqc.spins import (
 )
 from test_readout import (
     MODULES, assert_line_noise, assert_noise_spectra, coherences, conditioned_noise, fft_spectrum,
-    reference_noise, relative_gap,
+    probe_response_matrix, reference_noise, relative_gap,
 )
 
 CFG = SpinSystemConfig()
@@ -1016,9 +1016,9 @@ class TestPreparationCache:
                 monkeypatch.setattr(module, "apply_unitary", apply)
         for name in ("lstsq", "cond", "pinv"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        # the probe relations, and any deviation diagonal built by name
-        monkeypatch.setattr(readout, "_probe_response_matrix", counting(
-            "_probe_response_matrix", readout._probe_response_matrix))
+        # the probe relations' entries, and any deviation diagonal built by name
+        monkeypatch.setattr(readout, "_tip_entries", counting(
+            "_tip_entries", readout._tip_entries))
         for module in MODULES:
             if hasattr(module, "enhanced_deviations"):
                 monkeypatch.setattr(module, "enhanced_deviations", counting(
@@ -1043,8 +1043,11 @@ class TestPreparationCache:
 
     def test_fresh_tip_preparation_samples_no_state(self, monkeypatch):
         # with the params, spin system and schedule cached, a new tip builds
-        # its probe relations once, and samples no state: its calibration
-        # reads the thermal reference's entries as floats, with no diagonal
+        # its detector once, reads its relations' entries once, and samples
+        # no state: its calibration reads the thermal reference's entries as
+        # floats, with no diagonal, and its probes run in floats, with no
+        # probe array and no numpy error state; `probe_map` and
+        # `probe_solve` are built when read
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)
         _prepare(SpinoeParams(), CFG, schedule, DetectionSettings())
         experiments._seed_free.cache_clear()
@@ -1059,16 +1062,26 @@ class TestPreparationCache:
             monkeypatch.setattr(module, name, wrapper)
 
         count(experiments, "sample_initial_states")
-        count(readout, "_probe_response_matrix")
+        count(readout, "_tip_entries")
+        count(readout.Detector, "__post_init__")
+        count(readout.Detector, "probe_integrals")
+        count(readout.Detector, "line_integrals")
+        count(np, "errstate")
         for module in MODULES:
             if hasattr(module, "enhanced_deviations"):
                 count(module, "enhanced_deviations")
         fresh = DetectionSettings(probe_tip_deg=13.579)
         prep = _prepare(SpinoeParams(), CFG, schedule, fresh)
-        assert calls == ["_probe_response_matrix"]
+        assert calls == ["__post_init__", "_tip_entries"]
+        det = prep.detector
+        assert not {"probe_map", "probe_solve"} & vars(det).keys()
+        assert np.array_equal(det.probe_map, probe_response_matrix(13.579).reshape(2, 2, 4))
+        assert det.probe_map is det.probe_map and det.probe_solve is det.probe_solve
+        assert calls == ["__post_init__", "_tip_entries"]
         monkeypatch.undo()
         clear_preparation_caches()
         cold = _prepare(SpinoeParams(), CFG, schedule, fresh)
+        assert np.array_equal(det.probe_solve, cold.detector.probe_solve)
         for name in ("deviations", "probed"):
             assert np.array_equal(getattr(prep, name), getattr(cold, name))
         for result in ("result", "thermal_result"):
@@ -1081,7 +1094,7 @@ class TestPreparationCache:
     def test_detector_is_built_once_per_setting(self, monkeypatch):
         # a new seed on a warm `_seed_free` builds no detector; a new
         # setting builds one, which reads its grid map and its tip's
-        # relations once each
+        # relations' entries once each, and builds no probe array
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)
         _prepare(SpinoeParams(), CFG, schedule, DetectionSettings())
         built, init = [], readout.Detector.__post_init__
@@ -1100,13 +1113,14 @@ class TestPreparationCache:
 
         monkeypatch.setattr(readout.Detector, "__post_init__", counting_init)
         count("_grid_map")
-        count("_probe_response_matrix")
+        count("_tip_entries")
         _prepare(SpinoeParams(seed=1), CFG, schedule, DetectionSettings())
         assert built == []
         experiments._seed_free.cache_clear()
         fresh = DetectionSettings(probe_tip_deg=11.3)
-        _prepare(SpinoeParams(seed=1), CFG, schedule, fresh)
-        assert built == [fresh, "_grid_map", "_probe_response_matrix"]
+        prep = _prepare(SpinoeParams(seed=1), CFG, schedule, fresh)
+        assert built == [fresh, "_grid_map", "_tip_entries"]
+        assert not {"probe_map", "probe_solve"} & vars(prep.detector).keys()
 
     def test_shared_arrays_are_read_only(self):
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")

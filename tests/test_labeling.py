@@ -27,6 +27,7 @@ from spinoeqc.labeling import (
     permute_populations,
     solve_weights,
 )
+from spinoeqc import labeling
 from spinoeqc.spins import PermutationId, cycle_source_indices
 
 THERMAL = np.array([2.5, 1.5, -1.5, -2.5])
@@ -178,6 +179,30 @@ def test_non_finite_diagonals_are_rejected_everywhere(bad, entry):
         for call in calls:
             with pytest.raises(ValueError, match="diagonals must be finite"):
                 call()
+
+
+def test_each_row_is_checked_finite_once(monkeypatch):
+    # `_finite`, the one rule, runs once per row on every path: `label` and
+    # a batch check their rows whole before any is labeled, `label_row` the
+    # row it is handed
+    checked = []
+
+    def counting(x):
+        checked.append(len(x))
+        return finite(x)
+
+    finite = labeling._finite
+    monkeypatch.setattr(labeling, "_finite", counting)
+    diags = [THERMAL, THERMAL * 1.5, THERMAL * 2.0]
+    row = np.array(diags).ravel().tolist()
+    result = label(diags)
+    assert checked == [12]
+    label_batch([diags, diags, diags])
+    assert checked == [12] * 4
+    label_row(row)
+    assert checked == [12] * 5
+    assemble_effective_pure(diags, LabelingPlan(ground=result.ground), result.weights)
+    assert checked == [12] * 6
 
 
 class TestAssemble:

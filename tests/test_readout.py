@@ -576,13 +576,55 @@ def relative_gap(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+# R's entries as indices into (a, b, -a, -b), rows H partner 0, 1, then C
+RELATION_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 2, 1, 3], [1, 3, 0, 2]])
+
+
+def probe_response_matrix(tip):
+    """The probe relations R of a tip as the 4×4 array the detector built
+    before its float build: a = sin(tip)/2 · cos²(tip/2) and b = sin(tip)/2
+    · sin²(tip/2) from `math`, placed as ±a and ±b."""
+    theta = math.radians(tip)
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    sc = s * c
+    a, b = sc * c * c, sc * s * s
+    return np.array((a, b, -a, -b)).take(RELATION_ENTRIES)
+
+
+def array_probe_solve(relations, k, scale=1.0):
+    """The solve matrix S of the relations R at receiver constant k, and the
+    round-off level, as array arithmetic: the tip-free parts P and Q of R⁺
+    over 2(a + b)k and 4(a - b)k."""
+    a, b = relations[0, :2].tolist()
+    solve = PINV_P / (2 * (a + b) * k) + PINV_Q / (4 * (a - b) * k)
+    row_scale = abs(k) * max(abs(a), abs(b))
+    return solve, 16.0 * sys.float_info.epsilon * row_scale * scale
+
+
+def matmul_probe_amplitudes(tip, d):
+    """The (..., channel, line) probe amplitudes of (..., 4) diagonals d as
+    the detector computed them before its float build: `probe_map @ d`."""
+    probe_map = probe_response_matrix(tip).reshape(2, 2, 4)
+    return (probe_map @ np.asarray(d, dtype=float)[..., None, :, None])[..., 0]
+
+
+def matmul_probe_integrals(det, d):
+    """The (..., channel, partner) probe integrals of (..., 4) diagonals d
+    as the detector computed them before its float build: the
+    `matmul_probe_amplitudes`, then `@ response.T` and the real part,
+    numpy's warnings off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes = matmul_probe_amplitudes(det.settings.probe_tip_deg, d)
+        return (amplitudes @ det.response.T).real
+
+
 def reference_probe_setting(cfg, n_points, dwell, tip):
     """The probe map, K, solve matrix S and round-off level of one setting,
     in the Python float arithmetic of `Detector.__post_init__`, written as
     the general products: m = R·d over R's rows for the thermal reference d,
     y = Re(response)·m per channel and K = Σ y·m / Σ m·m, each sum in index
     order: the reference of `Detector.__post_init__`, bit for bit."""
-    relations = readout._probe_response_matrix(tip)
+    relations = probe_response_matrix(tip)
     ref = enhanced_deviations(cfg, 1.0, 1.0).tolist()
     response = readout._grid_map(cfg, n_points, dwell)[3].real.tolist()
     m = [r[0] * ref[0] + r[1] * ref[1] + r[2] * ref[2] + r[3] * ref[3]
@@ -595,10 +637,7 @@ def reference_probe_setting(cfg, n_points, dwell, tip):
     k = fit / denom
     if not math.isfinite(k):
         raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
-    a, b = relations[0, :2].tolist()
-    solve = PINV_P / (2 * (a + b) * k) + PINV_Q / (4 * (a - b) * k)
-    row_scale = abs(k) * max(abs(a), abs(b))
-    level = 16.0 * sys.float_info.epsilon * row_scale * max(map(abs, ref))
+    solve, level = array_probe_solve(relations, k, max(map(abs, ref)))
     return relations.reshape(2, 2, 4), k, solve, level
 
 
@@ -607,7 +646,7 @@ def numpy_probe_setting(cfg, n_points, dwell, tip):
     before its float build: the reference state, m, y and both sums as array
     products. It rounds differently (K by about an ulp at the defaults), and
     it warns past the float range unless numpy's warnings are off."""
-    relations = readout._probe_response_matrix(tip)
+    relations = probe_response_matrix(tip)
     probe_map = relations.reshape(2, 2, 4)
     ref = enhanced_deviations(cfg, 1.0, 1.0)
     y = ((probe_map @ ref) @ readout._grid_map(cfg, n_points, dwell)[3].T).real
@@ -618,10 +657,7 @@ def numpy_probe_setting(cfg, n_points, dwell, tip):
     k = fit / denom
     if not np.isfinite(k):
         raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
-    a, b = relations[0, :2].tolist()
-    solve = PINV_P / (2 * (a + b) * k) + PINV_Q / (4 * (a - b) * k)
-    row_scale = abs(k) * max(abs(a), abs(b))
-    level = 16.0 * np.finfo(float).eps * row_scale * float(np.abs(ref).max())
+    solve, level = array_probe_solve(relations, k, float(np.abs(ref).max()))
     return probe_map, k, solve, level
 
 
@@ -875,12 +911,12 @@ class TestDetector:
 
     def test_detector_holds_its_probe_setting(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.1))
-        relations = readout._probe_response_matrix(12.0)
+        relations = probe_response_matrix(12.0)
         k = det.receiver_constant
         assert k == calibrate(CFG, 12.0)
         assert np.array_equal(det.probe_map, relations.reshape(2, 2, 4))
         scale = float(np.abs(enhanced_deviations(CFG, 1.0, 1.0)).max())
-        solve, roundoff = readout._probe_solve(relations, k, scale)
+        solve, roundoff = array_probe_solve(relations, k, scale)
         assert np.array_equal(det.probe_solve, solve) and det.roundoff == roundoff
         for array in (det.probe_map, det.probe_solve, readout._G, det.amplitude_solve):
             with pytest.raises(ValueError):
@@ -1014,7 +1050,7 @@ class TestDetector:
                     monkeypatch.setattr(module, name, forbidden)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=7.3))
         assert readout._grid_map.cache_info().misses == misses
-        assert np.array_equal(det.probe_map, readout._probe_response_matrix(7.3).reshape(2, 2, 4))
+        assert np.array_equal(det.probe_map, probe_response_matrix(7.3).reshape(2, 2, 4))
 
     @pytest.mark.parametrize("dwell", [5e-324, 1e-310, 2.8e-309, 1e-300])
     def test_grid_with_bins_wider_than_a_window_is_too_coarse(self, dwell):
@@ -1514,10 +1550,11 @@ class TestReconstruction:
         # traceless row, and the norm of its residual (math.hypot, whose
         # norm of integrals below 1e-154 does not underflow)
         y = np.array(y)
-        a = calibration * readout._probe_response_matrix(tip)
+        a = calibration * probe_response_matrix(tip)
         design = np.vstack([a, np.full(4, np.abs(a).max())])
         want, *_ = np.linalg.lstsq(design, np.concatenate([y, [0.0]]), rcond=None)
-        solve, _ = readout._probe_solve(readout._probe_response_matrix(tip), calibration)
+        rows, _ = readout._probe_solve(*readout._tip_entries(tip), calibration)
+        solve = np.array(rows)
         null = readout._G
         scale = math.hypot(*y) * np.linalg.norm(solve, 2)
         assert np.abs(solve @ y - want).max() <= 1e-13 * scale
@@ -1567,6 +1604,27 @@ class TestReconstruction:
         peaks = PeakTable([1.0, 1.0])
         with pytest.raises(ValueError, match="finite and non-zero"):
             reconstruct_diagonal(peaks, peaks, 15.0, calibration)
+
+    def test_solve_past_the_float_range_is_refused(self):
+        # S's largest entries are ±(0.5/p + 0.5/q) for p = 2(a + b)K and
+        # q = 4(a - b)K: a p that underflows to 0 once divided by zero, and a
+        # subnormal one overflows; both built a solve of infs and NaNs with a
+        # numpy warning, and the detector of such a setting probed NaN
+        message = "^probe solve leaves the float range; raise tip_deg or decrease dwell_s$"
+        peaks = PeakTable([1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for calibration in (5e-324, 1e-310, -1e-310):
+                with pytest.raises(ReadoutError, match=message):
+                    reconstruct_diagonal(peaks, peaks, 15.0, calibration)
+            cfg = SpinSystemConfig(4.0, 5e-201, 1e205, 1e150)
+            with pytest.raises(ReadoutError, match=message):
+                Detector(cfg, DetectionSettings(dwell=1e200, probe_tip_deg=1e-140))
+            # a larger tip on the same grid has a finite solve
+            det = Detector(cfg, DetectionSettings(dwell=1e200, probe_tip_deg=1e-100))
+            assert np.isfinite(det.probe_solve).all()
+            # a small calibration whose solve is finite at 15°
+            assert np.isfinite(reconstruct_diagonal(peaks, peaks, 15.0, 1e-307)).all()
 
     def test_inconsistent_peaks_flagged(self):
         k = calibrate(CFG, 15.0)
