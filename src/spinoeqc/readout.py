@@ -114,6 +114,7 @@ _EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 _PAST_FLOAT_RANGE = "probe integrals are not finite; the probed state leaves the float range"
+_SOLVE_PAST_FLOAT_RANGE = "probe solve leaves the float range; raise tip_deg or decrease dwell_s"
 _TOO_COARSE = "spectral resolution too coarse for peak windows"
 _INSEPARABLE = ("peak windows cannot separate the doublet lines; "
                 "increase t2 or shorten the dwell time")
@@ -443,6 +444,10 @@ class Detector:
             raise ReadoutError(
                 "receiver constant overflows; lower polarization_unit or gamma_ratio"
             )
+        # a fit that underflows (a response of ~1/dwell_s times a small tip's
+        # integrals) leaves K = 0 and S = R⁺/K past the float range
+        if k == 0:
+            raise ReadoutError(_SOLVE_PAST_FLOAT_RANGE)
         # the probed states' scale is the thermal reference's, whatever u is
         solve, roundoff = _probe_solve(a, b, k, max(abs(d0), abs(d1)))
         (l00, _), (l10, l11) = grid[4].tolist()
@@ -705,7 +710,7 @@ def _probe_solve(a: float, b: float, k: float, scale: float = 1.0) -> tuple[tupl
     # S's largest entries are ±(0.5/pk + 0.5/qk): a tip and a K whose
     # product underflows would divide by zero, and a subnormal one overflows
     if not (pk and qk and math.isfinite(0.5 / pk + 0.5 / qk)):
-        raise ReadoutError("probe solve leaves the float range; raise tip_deg or decrease dwell_s")
+        raise ReadoutError(_SOLVE_PAST_FLOAT_RANGE)
     entries = iter([x / pk + y / qk for x, y in _PINV])
     solve = tuple(zip(entries, entries, entries, entries))
     # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd; R

@@ -430,8 +430,13 @@ class TestGrover:
             ({"j_hz": 5e-201, "dwell_s": 1e200, "t2_s": 1e205, "polarization_unit": 1e150,
               "tip_deg": 1e-140},
              "probe solve leaves the float range; raise tip_deg or decrease dwell_s"),
+            # a fit of the receiver constant that underflows to 0, once a
+            # ValueError traceback
+            ({"j_hz": 5e-301, "dwell_s": 1e300, "t2_s": 1e305, "polarization_unit": 1e100,
+              "tip_deg": 1e-200},
+             "probe solve leaves the float range; raise tip_deg or decrease dwell_s"),
         ],
-        ids=["coarse", "axis", "phase", "window", "receiver", "solve"],
+        ids=["coarse", "axis", "phase", "window", "receiver", "solve", "solve-k0"],
     )
     def test_grid_past_the_float_range_is_a_readout_failure(
         self, tmp_path, capsys, command, values, message
