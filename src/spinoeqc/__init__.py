@@ -51,12 +51,10 @@ from .readout import (
     probe,
     readout_map,
     reconstruct_diagonal,
-    spectrum_to_csv,
 )
 from .experiments import (
     DecodeError,
     GroverCase,
-    decode_answer,
     grover_circuit,
     grover_diffusion,
     grover_oracle,

@@ -20,13 +20,13 @@ own; a preparation then computes and decodes all four search targets
 once, on its first search case, in Python floats: its weighted sum of
 noisy integrals, the amplitude solve and four decodes, so every case
 reads its target's row and its answer (or its decode error's text). A
-run's `records` and their spectra are built only when read, and so is its
-weighted sum, one `Detector.spectra` of the weighted amplitudes and noise
-rows that reads no record; `build_spectra` and `build_sum_spectra` build
-them anew and keep nothing, for a caller that holds no spectrum past its
-use (the CLI's writer). A state travels as its deviation diagonal
-throughout: the readout of I/4 is zero, so the trace part carries
-nothing.
+run's `records` and their spectra are built only when read.
+`build_spectra` builds a record's spectra anew, and `build_sum_spectra`
+those of the weighted sum, one `Detector.spectra` of the weighted
+amplitudes and noise rows that reads no record; both keep nothing, for a
+caller that holds no spectrum past its use (the CLI's writer). A state
+travels as its deviation diagonal throughout: the readout of I/4 is zero,
+so the trace part carries nothing.
 
 Prepare once, compute many. What does not depend on the computation is a
 `Preparation`. `prepare_batch` prepares seed after seed, each in Python
@@ -180,19 +180,6 @@ class EffectivePureRun:
         w, prep = self.result.weights, self.preparation
         noise = None if prep.noise_spectra is None else np.tensordot(w, prep.noise_spectra, 1)
         return prep.detector.spectra(np.tensordot(w, self.receiver_amplitudes, 1), noise)
-
-    @functools.cached_property
-    def sum_spectra(self) -> tuple[Spectrum, Spectrum]:
-        """`build_sum_spectra`, kept from the first read."""
-        return self.build_sum_spectra()
-
-    @property
-    def sum_readout_h(self) -> Spectrum:
-        return self.sum_spectra[0]
-
-    @property
-    def sum_readout_c(self) -> Spectrum:
-        return self.sum_spectra[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,19 +478,6 @@ def run_effective_pure_pipeline(
         prep.result, prep.thermal_result, prep.enhancement, schedule, prep,
         _receiver_amplitudes(prep.deviations, prep.result.ground, 0),
     )
-
-
-def decode_answer(lines) -> str:
-    """Answer bits from the doublet sign pattern of both channels, given as
-    (channel, partner) line values, H then C: `_decide` of them, raising
-    its DecodeError."""
-    if np.shape(lines) != (2, 2):
-        raise ValueError("the decode takes the (channel, partner) lines of both channels")
-    (h0, h1), (c0, c1) = np.asarray(lines, dtype=float).tolist()
-    answer, error = _decide(h0, h1, c0, c1)
-    if error is not None:
-        raise DecodeError(error)
-    return answer
 
 
 def _decide(h0: float, h1: float, c0: float, c1: float) -> tuple[str | None, str | None]:

@@ -30,16 +30,15 @@ Negative or zero weights are legal outputs: the algebra permits them and
 they flag pathological schedules rather than being hidden.
 
 The arithmetic runs in Python floats, one row of 12 populations (three
-diagonals) and one ground at a time, for a batch of any size: on 12
-numbers a numpy call costs more in its wrapper than in its arithmetic.
-`label_row` labels one row of floats, as a preparation hands it over;
-`_finite` is the one rule that the entries are finite, applied once per
-row: by `label_row` to its row, and by `_as_diags` to every row of an
-array input before any row is labeled. The
-floats are those that the same formulas give over arrays: sums run left
-to right from 0.0, as numpy's reductions do, max and min propagate NaN as
-`np.maximum` and `np.minimum` do, a zero c_0 is singular without a
-division, and an overflow goes to inf without a warning.
+diagonals) and one ground at a time: on 12 numbers a numpy call costs
+more in its wrapper than in its arithmetic. `label_row` labels one row of
+floats, as a preparation hands it over; `_finite` is the one rule that
+the entries are finite, applied once per row: by `label_row` to its row,
+and by `_as_diags` to the row of an array input. The floats are those
+that the same formulas give over arrays: sums run left to right from
+0.0, as numpy's reductions do, max and min propagate NaN as `np.maximum`
+and `np.minimum` do, a zero c_0 is singular without a division, and an
+overflow goes to inf without a warning.
 """
 
 from __future__ import annotations
@@ -141,14 +140,14 @@ def _finite(x: list) -> list:
     return x
 
 
-def _as_diags(diags, batched: bool = False) -> list[list[float]]:
-    """Three diagonals of length 4 (per row when `batched`), checked whole
-    before any is labeled, as rows of 12 `_finite` floats (experiment * 4 +
-    state): the one validation point of the labeling's array inputs."""
+def _as_diags(diags) -> list[float]:
+    """Three diagonals of length 4 as a row of 12 `_finite` floats
+    (experiment * 4 + state): the one validation point of the labeling's
+    array inputs."""
     ds = np.asarray(diags, dtype=float)
-    if ds.shape[batched:] != (3, 4):
+    if ds.shape != (3, 4):
         raise ValueError("expected three population vectors of length 4")
-    return [_finite(x) for x in ds.reshape(-1, 12).tolist()]
+    return _finite(ds.ravel().tolist())
 
 
 # per ground, the flat index (experiment * 4 + state) of the population
@@ -256,14 +255,14 @@ def solve_weights(diags, plan: LabelingPlan) -> tuple[np.ndarray, float]:
     inputs cannot be equalized (e.g. all-zero diagonals or linearly
     dependent columns), with the offending system in the message.
     """
-    result = _result(_labeled(_as_diags(diags)[0], plan.ground), plan.ground)
+    result = _result(_labeled(_as_diags(diags), plan.ground), plan.ground)
     return result.weights, result.residual
 
 
 def assemble_effective_pure(diags, plan: LabelingPlan, weights) -> EffectivePureResult:
     """Weighted sum of the permuted diagonals, scored as q1*I + q2*|g><g|."""
     w = np.broadcast_to(np.asarray(weights, dtype=float), (3,)).tolist()
-    result = _result(_labeled(_as_diags(diags)[0], plan.ground, w), plan.ground)
+    result = _result(_labeled(_as_diags(diags), plan.ground, w), plan.ground)
     if not result.equalized:
         _warn_unequalized(result.residual, stacklevel=3)
     return result
@@ -280,7 +279,7 @@ def label(diags) -> EffectivePureResult:
     (an upright pseudo-pure state), then the lowest index. Only the
     returned result is built and checked for equalization.
     """
-    outcome = _label(_as_diags(diags)[0], stacklevel=4)
+    outcome = _label(_as_diags(diags))
     if isinstance(outcome, SingularLabelingSystem):
         raise outcome
     return outcome
@@ -304,29 +303,24 @@ def _pick(grounds) -> tuple[int, float]:
     return next((g for g in tied if scores[g] > 0), tied[0] if tied else 0), top
 
 
-def label_row(x, stacklevel: int = 3) -> EffectivePureResult | SingularLabelingSystem:
+def label_row(x) -> EffectivePureResult | SingularLabelingSystem:
     """`label`, or the SingularLabelingSystem it raises, of the 12 floats x
     of three diagonals (experiment * 4 + state), checked `_finite`;
-    warnings point `stacklevel` frames up."""
-    return _label(_finite(x), stacklevel + 1)
+    warnings point at its caller."""
+    return _label(_finite(x))
 
 
-def _label(x, stacklevel: int) -> EffectivePureResult | SingularLabelingSystem:
-    """`label_row` of a row already checked `_finite`."""
+def _label(x) -> EffectivePureResult | SingularLabelingSystem:
+    """`label_row` of a row already checked `_finite`; warnings point at the
+    caller of `label` or `label_row`."""
     grounds = [_labeled(x, g) for g in range(4)]
     ground, top = _pick(grounds)
     if top == 0.0:
         return SingularLabelingSystem("every candidate ground yields q2 = 0")
     result = _result(grounds[ground], ground)
     if not result.equalized:
-        _warn_unequalized(result.residual, stacklevel)
+        _warn_unequalized(result.residual, stacklevel=4)
     return result
-
-
-def label_batch(diags, stacklevel: int = 3) -> list[EffectivePureResult | SingularLabelingSystem]:
-    """`label_row` of every (experiment, state) row of `diags`, checked as
-    one batch; warnings point `stacklevel` frames up."""
-    return [_label(x, stacklevel + 1) for x in _as_diags(diags, batched=True)]
 
 
 def choose_ground(diags) -> int:

@@ -55,8 +55,7 @@ cached map of its grid, per (spin system, n_points, dwell): the axis,
 the unit line spectra, the window masks, the response, the noise factor
 and the amplitude solve. It builds its probe setting (the entries of the
 probe map, the receiver constant and the solve) from it and the tip in
-closed form, in Python floats, with no cache of its own; the probe map
-and solve arrays are built from those floats on first read. It takes the
+closed form, in Python floats, with no cache of its own. It takes the
 deviation diagonal d of a diagonal state, its populations less I/4
 (`enhanced_deviations`), and builds no state: the line amplitudes are
 the probe map (`Detector.probe_amplitudes`, in floats), or the
@@ -385,12 +384,8 @@ class Detector:
     signal (Σ m·m below the smallest normal float), or one whose K leaves
     the float range, builds no detector, nor does a K and a tip whose solve
     leaves it. `roundoff` is the round-off level of `_probe_solve`, and the
-    rows of its solve matrix S are kept as floats. The arrays `probe_map`,
-    the (channel, line, population) view of R, which is what
-    `readout_map`'s rows give for the probe pulse up to rounding, and
-    `probe_solve`, S, are built from those floats on first read, for the
-    callers that want arrays; no preparation reads them. The noise level
-    comes from `settings`.
+    rows of its solve matrix S are kept as floats. The noise level comes
+    from `settings`.
 
     One probe's arithmetic runs in Python floats, from the entries of R,
     Re(response), S and L that the detector keeps: `probe_lines` turns
@@ -456,22 +451,6 @@ class Detector:
             response=response, noise_factor=noise_factor, amplitude_solve=amplitude_solve,
             receiver_constant=k, roundoff=roundoff, _solve=solve, _factor=(l00, l10, l11),
         )
-
-    @functools.cached_property
-    def probe_map(self) -> np.ndarray:
-        """R as a read-only (channel, line, population) array, built from
-        its entries ±a and ±b on first read."""
-        a, b = self._tip
-        relations = np.array((a, b, -a, -b)).take(_RELATION_ENTRIES).reshape(2, 2, 4)
-        relations.flags.writeable = False
-        return relations
-
-    @functools.cached_property
-    def probe_solve(self) -> np.ndarray:
-        """The read-only 4×4 solve matrix S, built from its rows on first read."""
-        solve = np.array(self._solve)
-        solve.flags.writeable = False
-        return solve
 
     def line_noise(self, z) -> list[float]:
         """noise_amp · z Lᵀ of standard normals z, Python floats: per pair
@@ -583,22 +562,10 @@ class Detector:
             y += (r00 * m0 + r01 * m1, r10 * m0 + r11 * m1)
         return y
 
-    def probe_integrals(self, d) -> np.ndarray:
-        """`probe_lines` of the (..., 4) deviation diagonals d as a
-        (..., channel, partner) array."""
-        d = np.asarray(d, dtype=float)
-        if d.shape[-1:] != (4,):
-            raise ValueError("the probe takes the deviation diagonal of a two-spin state")
-        return np.array(self.probe_lines(d.ravel().tolist())).reshape(*d.shape[:-1], 2, 2)
-
     def reconstruct(self, y) -> list[float]:
         """`_reconstruct` of one probe's four integrals y (H partner 0, 1,
         then C; Python floats) at this setting."""
         return _reconstruct(y, self._solve, self.roundoff)
-
-
-# R's entries as indices into (a, b, -a, -b), rows H partner 0, 1, then C
-_RELATION_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 2, 1, 3], [1, 3, 0, 2]])
 
 
 def _tip_entries(tip_angle_deg: float) -> tuple[float, float]:
@@ -778,8 +745,3 @@ def write_csv(text: str, path) -> None:
     """Write CSV text as it is (its CRLF line ends untranslated)."""
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-def spectrum_to_csv(spec: Spectrum, path) -> None:
-    """Write a spectrum as its `spectrum_csv` text."""
-    write_csv(spectrum_csv(spec), path)

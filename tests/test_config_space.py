@@ -28,14 +28,17 @@ from hypothesis import strategies as st
 
 from spinoeqc import cli
 from spinoeqc.experiments import (
-    GROVER_TARGETS, DecodeError, GroverCase, _prepare, run_grover_pipeline,
+    GROVER_TARGETS, DecodeError, GroverCase, Preparation, _prepare, prepare_batch,
+    run_grover_pipeline,
 )
-from spinoeqc.labeling import SingularLabelingSystem
+from spinoeqc.labeling import (
+    EQUALIZATION_TOL, SingularLabelingSystem, UnequalizedLabeling, label_row,
+)
 from spinoeqc.readout import PROBE_TIP_MAX, Detector, ReadoutError
 from spinoeqc.spins import enhanced_deviations
 from test_readout import (
-    matmul_probe_amplitudes, matmul_probe_integrals, probe_response_matrix,
-    reference_probe_setting,
+    matmul_probe_amplitudes, matmul_probe_integrals, probe_integrals, probe_map,
+    probe_response_matrix, probe_solve, reference_probe_setting,
 )
 
 DOCUMENTED_EXITS = {
@@ -139,12 +142,39 @@ def test_probe_round_trip_returns_the_state(config):
     except ReadoutError:
         assume(False)  # a grid the window rules refuse, or no thermal signal
     d = enhanced_deviations(system, cfg.eps0_h, cfg.eps0_c)
-    y = detector.probe_integrals(d).ravel().tolist()
+    y = probe_integrals(detector, d).ravel().tolist()
     got = np.array(detector.reconstruct(y))
     if max(map(abs, y)) <= detector.roundoff:
         assert np.array_equal(got, np.zeros(4))
     else:
         assert np.abs(got - d).max() <= 0.01 * np.abs(d).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=CONFIGURATIONS, noise_amp=st.sampled_from([0.0, 0.01, 0.1]))
+def test_a_labeling_equalizes_or_warns(config, noise_amp):
+    # over generated configurations, the diagonals a preparation labels:
+    # every non-singular `label_row` result has its non-ground populations
+    # equal within EQUALIZATION_TOL of the largest population, or warns
+    # `UnequalizedLabeling`, once, and only then
+    cfg = cli.RunConfig(**config, noise_amp=noise_amp)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnequalizedLabeling)
+            (prep,) = prepare_batch(
+                cfg.spinoe(), cfg.spin_system(), cfg.schedule(), cfg.detection(), [cfg.seed]
+            )
+    except ReadoutError:
+        assume(False)  # a grid the window rules refuse, or no thermal signal
+    assume(isinstance(prep, Preparation))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = label_row(prep.probed.ravel().tolist())
+    warned = [w for w in caught if issubclass(w.category, UnequalizedLabeling)]
+    assert len(warned) == len(caught) == (not result.equalized)
+    others = np.delete(result.diagonal, result.ground)
+    spread = others.max() - others.min()
+    assert spread <= EQUALIZATION_TOL * np.abs(result.diagonal).max() or warned
 
 
 EPS = np.finfo(float).eps
@@ -212,7 +242,7 @@ def test_float_probe_setting_is_the_array_route(config, tip, pattern, log_scale)
                 Detector(system, cfg.detection())
             return
         det = Detector(system, cfg.detection())
-        got = (det.probe_map, det.receiver_constant, det.probe_solve, det.roundoff)
+        got = (probe_map(det), det.receiver_constant, probe_solve(det), det.roundoff)
         for a, b in zip(got, want, strict=True):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         state = enhanced_deviations(system, cfg.eps0_h, cfg.eps0_c).tolist()
@@ -241,7 +271,7 @@ def assert_probe_integrals_agree(det, tip, d):
     entries are finite; past the float range it turns whole rows to NaN
     through 0·inf in the imaginary part."""
     eps, tiny = Fraction(EPS), Fraction(2.0**-1074)
-    got = det.probe_integrals(d).ravel().tolist()
+    got = probe_integrals(det, d).ravel().tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         real = (matmul_probe_amplitudes(tip, d) @ det.response.real.T).ravel().tolist()
     complex_route = matmul_probe_integrals(det, d)

@@ -22,7 +22,6 @@ from spinoeqc.experiments import (
     Preparation,
     _prepare,
     _readout_maps,
-    decode_answer,
     effective_pure_report,
     grover_circuit,
     grover_diffusion,
@@ -56,8 +55,21 @@ from spinoeqc.spins import (
 )
 from test_readout import (
     MODULES, assert_line_noise, assert_noise_spectra, coherences, conditioned_noise, fft_spectrum,
-    probe_response_matrix, reference_noise, relative_gap,
+    probe_integrals, probe_map, probe_response_matrix, probe_solve, reference_noise, relative_gap,
 )
+
+
+def decode_answer(lines) -> str:
+    """The answer that `_decide`, the pipelines' decode rule, reads from
+    (channel, partner) lines, H then C, raising its DecodeError."""
+    if np.shape(lines) != (2, 2):
+        raise ValueError("the decode takes the (channel, partner) lines of both channels")
+    (h0, h1), (c0, c1) = np.asarray(lines, dtype=float).tolist()
+    answer, error = experiments._decide(h0, h1, c0, c1)
+    if error is not None:
+        raise DecodeError(error)
+    return answer
+
 
 CFG = SpinSystemConfig()
 EPS = np.finfo(float).eps
@@ -362,8 +374,7 @@ class TestEffectivePurePipeline:
     def test_weighted_sum_spectrum_shows_pure_signature(self):
         run = run_effective_pure_pipeline(SpinoeParams(), CFG, ScheduleMode.SINGLE_SAMPLE)
         # ground |10>: dominant negative H line at partner 0, positive C line
-        ph = integrate_peaks(run.sum_readout_h, CFG)
-        pc = integrate_peaks(run.sum_readout_c, CFG)
+        ph, pc = (integrate_peaks(spec, CFG) for spec in run.build_sum_spectra())
         assert ph.integral(0) < 0
         assert pc.integral(1) > 0
         assert abs(ph.integral(1)) < 1e-2 * abs(ph.integral(0))
@@ -491,13 +502,14 @@ class TestGroverPipeline:
         assert_readout_spectra_match_the_oracle(run, params, detection, GroverCase("01"))
         # the decode read the weighted sum of line integrals; the exported
         # weighted spectrum carries the same integrals
-        for integrals, spec in zip(run.peak_integrals, (run.sum_readout_h, run.sum_readout_c)):
+        for integrals, spec in zip(run.peak_integrals, run.build_sum_spectra()):
             ref = integrate_peaks(spec, CFG).integrals
             assert np.abs(integrals - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_weighted_sums_are_one_pair_built_on_first_read(self, monkeypatch):
         # by linearity the sums take one call of the one spectra route, and
-        # no record, so no record spectrum, is built for them
+        # no record, so no record spectrum, is built for them; the run keeps
+        # nothing, so each build is a call of its own
         noisy_run(ScheduleMode.SINGLE_SAMPLE, "01")
         calls, spectra, record_init = [], readout.Detector.spectra, ExperimentRecord.__init__
 
@@ -513,11 +525,11 @@ class TestGroverPipeline:
         monkeypatch.setattr(ExperimentRecord, "__init__", counting_record)
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "01")
         assert calls == []
-        h, c = run.sum_readout_h, run.sum_readout_c
+        h, c = run.build_sum_spectra()
         assert calls == ["spectra"]
-        assert run.sum_readout_h is h and run.sum_readout_c is c
-        assert run.sum_spectra[0] is h and run.sum_spectra[1] is c
-        assert calls == ["spectra"]
+        again = run.build_sum_spectra()
+        assert calls == ["spectra", "spectra"]
+        assert [spec.values.tobytes() for spec in again] == [h.values.tobytes(), c.values.tobytes()]
         assert [spec.channel for spec in (h, c)] == list(Channel)
 
     def test_determinism(self):
@@ -526,7 +538,7 @@ class TestGroverPipeline:
         b = run_grover_pipeline(p, CFG, GroverCase("10"), ScheduleMode.MULTI_SAMPLE)
         assert a.decoded == b.decoded
         assert a.enhancement == b.enhancement
-        assert np.array_equal(a.sum_readout_h.values, b.sum_readout_h.values)
+        assert np.array_equal(a.build_sum_spectra()[0].values, b.build_sum_spectra()[0].values)
 
 
 NOISY_PARAMS = SpinoeParams(reproducibility_jitter=0.05, seed=3)
@@ -632,7 +644,7 @@ class TestReadoutMap:
         # reading the spectra builds no state either
         for rec in run.records:
             rec.readout_h, rec.readout_c
-        run.sum_readout_h, run.sum_readout_c
+        run.build_sum_spectra()
         assert built == []
         monkeypatch.undo()
         case = GroverCase("10")
@@ -987,7 +999,7 @@ class TestPreparationCache:
         for case in runs.values():
             for rec in case.records:
                 rec.readout_h, rec.readout_c
-            case.sum_readout_h, case.sum_readout_c
+            case.build_sum_spectra()
             assert case.preparation.noise_spectra is transforms
         assert built == [(3, 2, 2)]
         _prepare.cache_clear()
@@ -1046,8 +1058,7 @@ class TestPreparationCache:
         # its detector once, reads its relations' entries once, and samples
         # no state: its calibration reads the thermal reference's entries as
         # floats, with no diagonal, and its probes run in floats, with no
-        # probe array and no numpy error state; `probe_map` and
-        # `probe_solve` are built when read
+        # probe array and no numpy error state
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE)
         _prepare(SpinoeParams(), CFG, schedule, DetectionSettings())
         experiments._seed_free.cache_clear()
@@ -1064,7 +1075,6 @@ class TestPreparationCache:
         count(experiments, "sample_initial_states")
         count(readout, "_tip_entries")
         count(readout.Detector, "__post_init__")
-        count(readout.Detector, "probe_integrals")
         count(readout.Detector, "line_integrals")
         count(np, "errstate")
         for module in MODULES:
@@ -1074,14 +1084,11 @@ class TestPreparationCache:
         prep = _prepare(SpinoeParams(), CFG, schedule, fresh)
         assert calls == ["__post_init__", "_tip_entries"]
         det = prep.detector
-        assert not {"probe_map", "probe_solve"} & vars(det).keys()
-        assert np.array_equal(det.probe_map, probe_response_matrix(13.579).reshape(2, 2, 4))
-        assert det.probe_map is det.probe_map and det.probe_solve is det.probe_solve
-        assert calls == ["__post_init__", "_tip_entries"]
+        assert np.array_equal(probe_map(det), probe_response_matrix(13.579).reshape(2, 2, 4))
         monkeypatch.undo()
         clear_preparation_caches()
         cold = _prepare(SpinoeParams(), CFG, schedule, fresh)
-        assert np.array_equal(det.probe_solve, cold.detector.probe_solve)
+        assert np.array_equal(probe_solve(det), probe_solve(cold.detector))
         for name in ("deviations", "probed"):
             assert np.array_equal(getattr(prep, name), getattr(cold, name))
         for result in ("result", "thermal_result"):
@@ -1120,7 +1127,6 @@ class TestPreparationCache:
         fresh = DetectionSettings(probe_tip_deg=11.3)
         prep = _prepare(SpinoeParams(seed=1), CFG, schedule, fresh)
         assert built == [fresh, "_grid_map", "_tip_entries"]
-        assert not {"probe_map", "probe_solve"} & vars(prep.detector).keys()
 
     def test_shared_arrays_are_read_only(self):
         run = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
@@ -1311,14 +1317,14 @@ class TestPrepareBatch:
         probed = np.array([prep.probed for prep in batch])
         deviations = (probed - probed.mean(axis=0)).reshape(-1, 4)
         dof = deviations.shape[0] - probed.shape[1]
-        want = det.probe_solve @ law @ det.probe_solve.T
+        want = probe_solve(det) @ law @ probe_solve(det).T
         got = deviations.T @ deviations / dof
         # the standard error of a Gaussian sample covariance entry
         stderr = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / dof)
         assert (np.abs(got - want) <= 5 * stderr).all()
         # the residuals, replayed from each seed's stream: per probe its four
         # noise normals; each replayed probe reconstructs as the pipeline did
-        clean = det.probe_integrals(batch[0].deviations).reshape(-1, 4).tolist()
+        clean = probe_integrals(det, batch[0].deviations).reshape(-1, 4).tolist()
         g = readout._G
         residuals = []
         for seed, prep in enumerate(batch):

@@ -22,7 +22,6 @@ from spinoeqc.labeling import (
     _result,
     enhancement_factor,
     label,
-    label_batch,
     label_row,
     permute_populations,
     solve_weights,
@@ -158,6 +157,12 @@ class TestSolveWeights:
             solve_weights([THERMAL] * 2, LabelingPlan(ground=0))
 
 
+def label_batch(diags) -> list:
+    """`label_row` of each (experiment, state) row of `diags`: what a
+    preparation labels, row by row."""
+    return [label_row(x) for x in np.asarray(diags, dtype=float).reshape(-1, 12).tolist()]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 3)])
 def test_non_finite_diagonals_are_rejected_everywhere(bad, entry):
@@ -182,9 +187,9 @@ def test_non_finite_diagonals_are_rejected_everywhere(bad, entry):
 
 
 def test_each_row_is_checked_finite_once(monkeypatch):
-    # `_finite`, the one rule, runs once per row on every path: `label` and
-    # a batch check their rows whole before any is labeled, `label_row` the
-    # row it is handed
+    # `_finite`, the one rule, runs once per row on every path: `label`
+    # checks its row whole before it is labeled, `label_row` the row it is
+    # handed
     checked = []
 
     def counting(x):
@@ -232,6 +237,14 @@ class TestAssemble:
             assemble_effective_pure(DECAYING, LabelingPlan(ground=0), [1.0, 1.0, 1.0])
         # the warning points at the caller
         assert caught[0].filename == __file__
+
+    def test_label_warnings_point_at_the_caller(self):
+        # a near-singular system whose returned ground is not equalized
+        diags = [[-1.0 + 2e-9, 1.0, -3.0, 1.0], [1.0, 1.0, -3.0, -1.0], [-3.0, 5.0, -1.0, 5.0]]
+        for call in (lambda: label(diags), lambda: label_row(np.ravel(diags).tolist())):
+            with pytest.warns(UnequalizedLabeling, match="not equalized") as caught:
+                assert call().ground == 2
+            assert caught[0].filename == __file__
 
     def test_identical_inputs_reduce_to_plain_averaging(self):
         rng = np.random.default_rng(4)

@@ -39,7 +39,7 @@ from spinoeqc.readout import (
     readout_map,
     reconstruct_diagonal,
     spectrum_csv,
-    spectrum_to_csv,
+    write_csv,
 )
 from spinoeqc.spins import (
     PulseSpec,
@@ -370,7 +370,7 @@ class TestProbe:
     def test_noise_reproducible_under_seed(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.1))
         thermal = populations(thermal_state(CFG))
-        a, b = (detect(det, det.probe_map @ thermal, 3).spectra[0] for _ in range(2))
+        a, b = (detect(det, probe_map(det) @ thermal, 3).spectra[0] for _ in range(2))
         assert np.array_equal(a.values, b.values)
         clean = probe(thermal_state(CFG), CFG, 15.0)[0]
         assert not np.array_equal(a.values, clean.values)
@@ -589,6 +589,27 @@ def probe_response_matrix(tip):
     sc = s * c
     a, b = sc * c * c, sc * s * s
     return np.array((a, b, -a, -b)).take(RELATION_ENTRIES)
+
+
+def probe_map(det):
+    """The probe relations R of a detector as a (channel, line, population)
+    array, built from its float entries ±a and ±b."""
+    a, b = det._tip
+    return np.array((a, b, -a, -b)).take(RELATION_ENTRIES).reshape(2, 2, 4)
+
+
+def probe_solve(det):
+    """The 4×4 solve matrix S of a detector, from its float rows."""
+    return np.array(det._solve)
+
+
+def probe_integrals(det, d):
+    """`Detector.probe_lines` of the (..., 4) deviation diagonals d as a
+    (..., channel, partner) array."""
+    d = np.asarray(d, dtype=float)
+    if d.shape[-1:] != (4,):
+        raise ValueError("the probe takes the deviation diagonal of a two-spin state")
+    return np.array(det.probe_lines(d.ravel().tolist())).reshape(*d.shape[:-1], 2, 2)
 
 
 def array_probe_solve(relations, k, scale=1.0):
@@ -811,8 +832,8 @@ class TestDetector:
         transforms = det.noise_spectra(6, noise)
         assert transforms.shape == (1, 2, 4096)
         assert_noise_spectra(transforms, reference_noise(det, 6, noise))
-        spectra = det.spectra(det.probe_map @ d, transforms[0])
-        assert det.probe_integrals(d).shape == (2, 2)
+        spectra = det.spectra(probe_map(det) @ d, transforms[0])
+        assert probe_integrals(det, d).shape == (2, 2)
         assert [spec.channel for spec in spectra] == list(Channel)
         values = [spec.values[None] for spec in spectra]
         for array in (noise[0], transforms[0], *values):
@@ -823,7 +844,7 @@ class TestDetector:
         # the detector's grid map holds the axis and the unit line spectra,
         # so reading spectra on it builds nothing
         det = Detector(CFG, DetectionSettings())
-        amplitudes = det.probe_map @ populations(thermal_state(CFG))
+        amplitudes = probe_map(det) @ populations(thermal_state(CFG))
         misses = readout._grid_map.cache_info().misses
         spec_h, spec_c = det.spectra(amplitudes)
         assert readout._grid_map.cache_info().misses == misses
@@ -894,8 +915,8 @@ class TestDetector:
         info = readout._grid_map.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         assert quiet.receiver_constant == noisy.receiver_constant == calibrate(CFG, 15.0)
-        assert np.array_equal(quiet.probe_map, noisy.probe_map)
-        assert np.array_equal(quiet.probe_solve, noisy.probe_solve)
+        assert np.array_equal(probe_map(quiet), probe_map(noisy))
+        assert np.array_equal(probe_solve(quiet), probe_solve(noisy))
         assert quiet.roundoff == noisy.roundoff
 
     def test_one_probe_setting_takes_one_entry_however_it_is_named(self):
@@ -914,11 +935,11 @@ class TestDetector:
         relations = probe_response_matrix(12.0)
         k = det.receiver_constant
         assert k == calibrate(CFG, 12.0)
-        assert np.array_equal(det.probe_map, relations.reshape(2, 2, 4))
+        assert np.array_equal(probe_map(det), relations.reshape(2, 2, 4))
         scale = float(np.abs(enhanced_deviations(CFG, 1.0, 1.0)).max())
         solve, roundoff = array_probe_solve(relations, k, scale)
-        assert np.array_equal(det.probe_solve, solve) and det.roundoff == roundoff
-        for array in (det.probe_map, det.probe_solve, readout._G, det.amplitude_solve):
+        assert np.array_equal(probe_solve(det), solve) and det.roundoff == roundoff
+        for array in (readout._G, det.amplitude_solve):
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
 
@@ -939,7 +960,7 @@ class TestDetector:
                     Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
                 continue
             det = Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
-            got = (det.probe_map, det.receiver_constant, det.probe_solve, det.roundoff)
+            got = (probe_map(det), det.receiver_constant, probe_solve(det), det.roundoff)
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -1050,7 +1071,7 @@ class TestDetector:
                     monkeypatch.setattr(module, name, forbidden)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=7.3))
         assert readout._grid_map.cache_info().misses == misses
-        assert np.array_equal(det.probe_map, probe_response_matrix(7.3).reshape(2, 2, 4))
+        assert np.array_equal(probe_map(det), probe_response_matrix(7.3).reshape(2, 2, 4))
 
     @pytest.mark.parametrize("dwell", [5e-324, 1e-310, 2.8e-309, 1e-300])
     def test_grid_with_bins_wider_than_a_window_is_too_coarse(self, dwell):
@@ -1185,7 +1206,7 @@ class TestDetector:
     def test_probe_and_readout_match_their_spectra(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=15.0, noise_amp=0.05))
         rho = enhanced_state(CFG, -11.0, 18.0)
-        probe_found = detect(det, det.probe_map @ populations(rho), 4)
+        probe_found = detect(det, probe_map(det) @ populations(rho), 4)
         identity = readout_map(Unitary(np.eye(4)))
         readout_found = detect(det, identity @ populations(rho), 5)
         pairs = [
@@ -1204,12 +1225,12 @@ class TestDetector:
 
     def test_probe_takes_a_diagonal_state(self):
         det = Detector(CFG, DetectionSettings(noise_amp=0.1))
-        det.probe_integrals(populations(thermal_state(CFG)))
+        probe_integrals(det, populations(thermal_state(CFG)))
         # a (4, 4) array is a batch of four diagonals
-        assert det.probe_integrals(np.eye(4) / 4).shape == (4, 2, 2)
+        assert probe_integrals(det, np.eye(4) / 4).shape == (4, 2, 2)
         for d in (np.full(2, 0.5), np.ones((4, 3)), np.float64(1.0)):
             with pytest.raises(ValueError, match="the probe takes the deviation diagonal"):
-                det.probe_integrals(d)
+                probe_integrals(det, d)
         # a density matrix reaches detection only through `probe`, which
         # rejects coherences
         for rho in (coherent_state([0.1, 0, 0, 0]), DensityMatrix(np.eye(2) / 2)):
@@ -1226,7 +1247,7 @@ class TestDetector:
         assume(np.abs(d).max() >= 0.05)
         rho = DensityMatrix.from_diagonal(0.25 + d)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
-        got = det.probe_integrals(populations(rho))
+        got = probe_integrals(det, populations(rho))
         # the eager route: the pulse through `apply_unitary`, then the coherences
         want = np.array([
             (det.response @ coherences(probed(rho, tip), channel)).real
@@ -1242,9 +1263,9 @@ class TestDetector:
         seeds = (5, 6, 7)
         normals = np.array([np.random.default_rng(seed).standard_normal((2, 2)) for seed in seeds])
         noise = det.noise_integrals(normals)
-        got = [det.reconstruct(y) for y in (det.probe_integrals(d) + noise).reshape(3, 4).tolist()]
+        got = [det.reconstruct(y) for y in (probe_integrals(det, d) + noise).reshape(3, 4).tolist()]
         for row, seed in zip(got, seeds):
-            found = detect(det, det.probe_map @ d, seed)
+            found = detect(det, probe_map(det) @ d, seed)
             want = reconstruct_diagonal(*map(PeakTable, found.integrals), 12.0,
                                         det.receiver_constant)
             assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
@@ -1342,7 +1363,7 @@ def matrix_reconstruct(det, y) -> tuple[np.ndarray, str | None]:
     with np.errstate(over="ignore", invalid="ignore"):
         ymax = np.abs(y).max()
         residual = abs(y @ readout._G)
-        diag = det.probe_solve @ y if ymax > det.roundoff else np.zeros(4)
+        diag = probe_solve(det) @ y if ymax > det.roundoff else np.zeros(4)
     if not np.isfinite(ymax):
         return diag, readout._PAST_FLOAT_RANGE
     if ymax > det.roundoff and residual > readout.RECONSTRUCTION_RESIDUAL_FRAC * ymax:
@@ -1384,7 +1405,7 @@ def probe_rows(draw):
     if kind == "roundoff":
         return det, (2.0 * det.roundoff * x).tolist()
     if kind != "scaled":
-        x = det.receiver_constant * det.probe_map.reshape(4, 4) @ x
+        x = det.receiver_constant * probe_map(det).reshape(4, 4) @ x
         assume(np.abs(x).max() > 0)
         x /= np.abs(x).max()
     if kind == "overflowing":  # the diagonal is ~20 times the integrals at this tip
@@ -1406,8 +1427,11 @@ class TestReconstruction:
         # gate decision and error text, and the diagonal within 4 eps of the
         # magnitudes Σ|S_ij y_j| of its products (BLAS orders and fuses the
         # products its own way); overflowing entries are past the float range
-        # in both. Rows within a few ulps of the 5% boundary may be decided
-        # apart; they are left to the test below.
+        # in both. BLAS may sum a row pairwise, whose partial sums can
+        # overflow where the left-to-right sum does not: a finite float entry
+        # whose matrix entry is not finite is held to the exact sum of its
+        # products instead. Rows within a few ulps of the 5% boundary may be
+        # decided apart; they are left to the test below.
         det, y = row
         assume(not near_gate(det, y))
         with warnings.catch_warnings():
@@ -1418,10 +1442,16 @@ class TestReconstruction:
         if got_error is None:
             got = np.array(got)
             with np.errstate(over="ignore", invalid="ignore"):
-                bound = 4 * EPS * np.abs(det.probe_solve * np.array(y)).sum(axis=1)
+                bound = 4 * EPS * np.abs(probe_solve(det) * np.array(y)).sum(axis=1)
                 gap = np.abs(got - want)
             past = ~np.isfinite(got) & ~np.isfinite(want)
-            assert ((got == want) | past | (gap <= bound)).all()
+            overflowed = np.isfinite(got) & ~np.isfinite(want)
+            for i in np.flatnonzero(overflowed):
+                products = [fractions.Fraction(s) * fractions.Fraction(v)
+                            for s, v in zip(det._solve[i], y)]
+                exact_gap = abs(fractions.Fraction(got[i]) - sum(products))
+                assert exact_gap <= 4 * fractions.Fraction(EPS) * sum(map(abs, products))
+            assert ((got == want) | past | overflowed | (gap <= bound)).all()
 
     def test_routes_part_only_within_ulps_of_the_gate(self):
         # rows stepped ulp by ulp across the 5% boundary: y0 = 1 is the
@@ -1499,7 +1529,7 @@ class TestReconstruction:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
         mixed = probed(DensityMatrix(np.eye(4) / 4), tip)
         pulsed = [PeakTable((det.response @ coherences(mixed, ch)).real) for ch in Channel]
-        mapped = [PeakTable(y) for y in det.probe_integrals(np.full(4, 0.25))]
+        mapped = [PeakTable(y) for y in probe_integrals(det, np.full(4, 0.25))]
         assert np.abs(np.concatenate([p.integrals for p in pulsed])).max() > 0
         for peaks_h, peaks_c in (pulsed, mapped):
             diag = reconstruct_diagonal(peaks_h, peaks_c, tip, k)
@@ -1516,7 +1546,7 @@ class TestReconstruction:
         # a NaN integral once read as no signal, the zero diagonal, and an
         # inf one passed the residual gate with an inf or NaN diagonal
         det = Detector(CFG, DetectionSettings())
-        clean = det.probe_integrals(enhanced_deviations(CFG, -11.0, 18.0)).reshape(4)
+        clean = probe_integrals(det, enhanced_deviations(CFG, -11.0, 18.0)).reshape(4)
         rows = np.array([clean, clean, clean, clean])
         rows[1, 0], rows[2, 3], rows[3] = bad, bad, bad
         # the reconstruction names the range, not the peaks, and numpy
@@ -1534,7 +1564,7 @@ class TestReconstruction:
                     PeakTable([bad, 0.0]), PeakTable([0.0, 0.0]), 15.0, det.receiver_constant
                 )
             # a state past the float range probes to such integrals
-            huge = det.probe_integrals(enhanced_deviations(CFG, 1e307, 1e307))
+            huge = probe_integrals(det, enhanced_deviations(CFG, 1e307, 1e307))
             assert not np.isfinite(huge).all()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -1574,7 +1604,7 @@ class TestReconstruction:
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
         null, pattern = readout._G, np.array([1.0, -1.0, -1.0, 1.0]) / 2
         assert np.array_equal(null, pattern)
-        response = det.receiver_constant * det.probe_map.reshape(4, 4)
+        response = det.receiver_constant * probe_map(det).reshape(4, 4)
         assert np.abs(null @ response).max() <= 4 * np.finfo(float).eps * np.abs(response).max()
         want = abs(y[0] - y[1] - y[2] + y[3]) / 2
         assert abs(abs(null @ y) - want) <= 4 * np.finfo(float).eps * np.abs(y).sum()
@@ -1622,7 +1652,7 @@ class TestReconstruction:
                 Detector(cfg, DetectionSettings(dwell=1e200, probe_tip_deg=1e-140))
             # a larger tip on the same grid has a finite solve
             det = Detector(cfg, DetectionSettings(dwell=1e200, probe_tip_deg=1e-100))
-            assert np.isfinite(det.probe_solve).all()
+            assert np.isfinite(probe_solve(det)).all()
             # a small calibration whose solve is finite at 15°
             assert np.isfinite(reconstruct_diagonal(peaks, peaks, 15.0, 1e-307)).all()
 
@@ -1661,7 +1691,7 @@ class TestCsvExport:
     def test_spectrum_csv_round_trip(self, tmp_path):
         spec = probe(thermal_state(CFG), CFG, 15.0)[0]
         path = tmp_path / "spectrum.csv"
-        spectrum_to_csv(spec, path)
+        write_csv(spectrum_csv(spec), path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["freq_hz", "real", "imag"]
@@ -1676,7 +1706,7 @@ class TestCsvExport:
             Channel.H, np.arange(4) - 2.0, np.array([-0.0, 1e-300 - 2.5j, np.nan, 1 / 3 + 1e17j])
         )
         path, ref = tmp_path / "spectrum.csv", tmp_path / "ref.csv"
-        spectrum_to_csv(spec, path)
+        write_csv(spectrum_csv(spec), path)
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["freq_hz", "real", "imag"])
@@ -1701,7 +1731,7 @@ class TestCsvExport:
         spec, negated = (Spectrum(Channel.C, freqs, v) for v in (values, -values))
         assert negated_csv(spectrum_csv(spec)) == spectrum_csv(negated)
 
-    def test_spectrum_to_csv_writes_the_spectrum_text(self, tmp_path):
+    def test_write_csv_writes_the_spectrum_text(self, tmp_path):
         spec = probe(thermal_state(CFG), CFG, 15.0)[1]
-        spectrum_to_csv(spec, tmp_path / "spectrum.csv")
+        write_csv(spectrum_csv(spec), tmp_path / "spectrum.csv")
         assert (tmp_path / "spectrum.csv").read_bytes() == spectrum_csv(spec).encode()
