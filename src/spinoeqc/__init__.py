@@ -1,65 +1,15 @@
 """Two-spin NMR quantum-processor simulator with hyperpolarization-
 enhanced initial states: weighted temporal labeling, spectral readout and
-a one-query two-qubit search, end to end."""
+a one-query two-qubit search, end to end.
 
-from .quantum import (
-    DensityMatrix,
-    Unitary,
-    apply_unitary,
-    compose,
-    populations,
-)
-from .spins import (
-    Channel,
-    PermutationId,
-    PulseSpec,
-    SpinSystemConfig,
-    enhanced_deviations,
-    enhanced_state,
-    permutation_pulse_sequence,
-    pulse_unitary,
-    thermal_state,
-)
-from .spinoe import (
-    ExperimentSchedule,
-    ScheduleMode,
-    SpinoeParams,
-    enhancement_at,
-    make_schedule,
-    sample_initial_states,
-)
-from .labeling import (
-    EffectivePureResult,
-    LabelingPlan,
-    SingularLabelingSystem,
-    UnequalizedLabeling,
-    assemble_effective_pure,
-    choose_ground,
-    enhancement_factor,
-    label,
-    permute_populations,
-    solve_weights,
-)
-from .readout import (
-    DetectionSettings,
-    Detector,
-    PeakTable,
-    ReadoutError,
-    Spectrum,
-    calibrate,
-    integrate_peaks,
-    probe,
-    readout_map,
-    reconstruct_diagonal,
-)
-from .experiments import (
-    DecodeError,
-    GroverCase,
-    grover_circuit,
-    grover_diffusion,
-    grover_oracle,
-    run_effective_pure_pipeline,
-    run_grover_pipeline,
-)
+The package exports what a pipeline caller needs: the settings and case it
+passes, the two pipelines and the errors it catches. Every other name is
+imported from its own module (`spinoeqc.readout.probe`, ...)."""
+
+from .experiments import DecodeError, GroverCase, run_effective_pure_pipeline, run_grover_pipeline
+from .labeling import SingularLabelingSystem, UnequalizedLabeling
+from .readout import DetectionSettings, ReadoutError
+from .spinoe import ScheduleMode, SpinoeParams
+from .spins import SpinSystemConfig
 
 __version__ = "0.1.0"

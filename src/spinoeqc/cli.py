@@ -38,7 +38,6 @@ output file that cannot be written).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import inspect
 import json
@@ -244,11 +243,11 @@ def cmd_enhance_trace(cfg: RunConfig, args) -> int:
     if args.svg:
         rows = list(rows)  # the chart needs every point; the CSV alone is streamed
     csv_path = out / "enhancement_trace.csv"
+    # the rule of `spectrum_csv`: a header, each cell its repr, CRLF line ends
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "eps_h", "eps_c"])
+        fh.write("t_s,eps_h,eps_c\r\n")
         for t, eh, ec in rows:
-            writer.writerow([repr(float(t)), repr(float(eh)), repr(float(ec))])
+            fh.write(f"{float(t)!r},{float(eh)!r},{float(ec)!r}\r\n")
     if args.svg:
         line_chart(
             out / "enhancement_trace.svg",

@@ -447,7 +447,7 @@ def _search_table(detector: Detector, deviations: np.ndarray, ground: int) -> tu
     # a grid near the float range may overflow here; the decode then
     # refuses the lines as not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        clean = detector.line_integrals(amplitudes, None)
+        clean = detector.line_integrals(amplitudes)
     return (amplitudes, tuple(map(tuple, clean.reshape(len(GROVER_TARGETS), -1).tolist())),
             tuple(map(tuple, detector.amplitude_solve.tolist())))
 

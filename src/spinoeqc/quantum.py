@@ -59,9 +59,9 @@ class DensityMatrix:
         return cls(np.diag(np.asarray(diag, dtype=complex)))
 
     @classmethod
-    def basis_state(cls, index: int, dim: int = 4) -> "DensityMatrix":
-        """|index><index| as a density matrix."""
-        m = np.zeros((dim, dim), dtype=complex)
+    def basis_state(cls, index: int) -> "DensityMatrix":
+        """|index><index| of the two-spin basis as a 4×4 density matrix."""
+        m = np.zeros((4, 4), dtype=complex)
         m[index, index] = 1.0
         return cls(m)
 

@@ -465,27 +465,23 @@ class Detector:
             lines += (a0 * l00, a0 * l10 + amp * z1 * l11)
         return lines
 
-    def noise_integrals(self, normals) -> np.ndarray:
-        """`line_noise` of standard normals z (..., channel, 2), H first: the
-        read-only (..., channel, line) integrals of white noise."""
-        z = np.asarray(normals, dtype=float)
-        integrals = np.array(self.line_noise(z.ravel().tolist()), dtype=float).reshape(z.shape)
-        integrals.flags.writeable = False
-        return integrals
-
-    def line_integrals(self, amplitudes: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-        """Re(A Rᵀ) of (..., channel, line) amplitudes A, plus noise integrals."""
-        y = (amplitudes @ self.response.T).real
-        return y if noise is None else y + noise
+    def line_integrals(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The noise-free line integrals Re(A Rᵀ) of (..., channel, line)
+        amplitudes A, for the complex line response R."""
+        return (amplitudes @ self.response.T).real
 
     def draw(self, seed: int) -> np.ndarray | None:
         """The read-only (1, channel, line) noise integrals of a lone
         detection at the settings' level (None with noise off): detection 0
-        of `seed`, from the first four normals of `default_rng(seed)`."""
+        of `seed`, the `line_noise` of the first four normals of
+        `default_rng(seed)`, H first."""
         check_seed(seed)
         if self.settings.noise_amp <= 0:
             return None
-        return self.noise_integrals(np.random.default_rng(seed).standard_normal((1, 2, 2)))
+        z = np.random.default_rng(seed).standard_normal(4).tolist()
+        integrals = np.array(self.line_noise(z)).reshape(1, 2, 2)
+        integrals.flags.writeable = False
+        return integrals
 
     def noise_spectra(self, seed: int, integrals: np.ndarray) -> np.ndarray:
         """The read-only (detection, channel, sample) spectra of the receiver
@@ -580,28 +576,26 @@ def _tip_entries(tip_angle_deg: float) -> tuple[float, float]:
     return sc * c * c, sc * s * s
 
 
-def calibrate(
-    cfg: SpinSystemConfig, tip_angle_deg: float, n_samples: int = DetectionSettings.n_points,
-    dt: float = DetectionSettings.dwell,
-) -> float:
-    """Receiver constant from a thermal reference probe.
+def calibrate(cfg: SpinSystemConfig, tip_angle_deg: float) -> float:
+    """Receiver constant from a thermal reference probe on the
+    `DetectionSettings` default grid.
 
     Returns K such that measured integrals equal K times the probe
     response applied to the deviation diagonal. Must be produced with the
     same acquisition settings later used for reconstruction. The probe is
     noise-free, so K is fixed by the spin system, the grid and the tip,
     whatever the noise level: it is the `receiver_constant` of the
-    `Detector` of that setting.
+    `Detector` of that setting; another grid's K is its `Detector`'s.
     """
-    return Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg)).receiver_constant
+    return Detector(cfg, DetectionSettings(probe_tip_deg=tip_angle_deg)).receiver_constant
 
 
 def probe(
-    rho: DensityMatrix, cfg: SpinSystemConfig, tip_angle_deg: float,
-    n_samples: int = DetectionSettings.n_points, dt: float = DetectionSettings.dwell,
+    rho: DensityMatrix, cfg: SpinSystemConfig, tip_angle_deg: float
 ) -> tuple[Spectrum, Spectrum]:
-    """Probing experiment on a diagonal state: simultaneous small-tip
-    y-pulses, both noise-free spectra, H then C.
+    """Probing experiment on a diagonal state on the `DetectionSettings`
+    default grid: simultaneous small-tip y-pulses, both noise-free
+    spectra, H then C.
 
     Small tips leave the state essentially intact while the doublet
     integrals expose the deviation populations; the tip rule and the
@@ -609,11 +603,12 @@ def probe(
     populations go to the probe map as they are: R's rows sum to zero, so
     their I/4 part probes to round-off. A noisy probe adds a row of
     `Detector.noise_spectra` of a `Detector.draw`, as the `probe` command
-    does.
+    does; another grid's spectra are its `Detector`'s `spectra` of its
+    `probe_amplitudes`.
     """
     if rho.dim != 4 or rho.matrix[_OFF_DIAGONAL].any():
         raise ValueError("the probe takes a diagonal two-spin state")
-    detector = Detector(cfg, DetectionSettings(n_samples, dt, tip_angle_deg))
+    detector = Detector(cfg, DetectionSettings(probe_tip_deg=tip_angle_deg))
     amplitudes = detector.probe_amplitudes(populations(rho).tolist())
     return detector.spectra(np.array(amplitudes).reshape(2, 2))
 

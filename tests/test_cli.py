@@ -23,7 +23,7 @@ from spinoeqc.experiments import (
 )
 from spinoeqc.readout import DetectionSettings, _grid_map
 from spinoeqc.labeling import SingularLabelingSystem, UnequalizedLabeling
-from spinoeqc.spinoe import ScheduleMode, SpinoeParams, make_schedule
+from spinoeqc.spinoe import ScheduleMode, SpinoeParams, enhancement_at, make_schedule
 from spinoeqc.spins import Channel, SpinSystemConfig
 
 
@@ -67,6 +67,22 @@ class TestEnhanceTrace:
         rc = cli.main(["--out", str(tmp_path), "enhance-trace", "--duration", "0", "--step", "10"])
         assert rc == 0
         assert len(read_csv(tmp_path / "enhancement_trace.csv")) == 2
+
+    @pytest.mark.parametrize("duration,step", [("0", "10"), ("1", "0.3"), ("50", "25")])
+    def test_rows_are_those_csv_writer_writes(self, tmp_path, duration, step):
+        # each cell the repr of its float, as `csv.writer` wrote them
+        argv = ["--out", str(tmp_path), "enhance-trace", "--duration", duration, "--step", step]
+        assert cli.main(argv) == 0
+        p = SpinoeParams()
+        times = [i * float(step) for i in range(int(float(duration) / float(step)) + 1)]
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t_s", "eps_h", "eps_c"])
+            for t in times:
+                writer.writerow([repr(float(x)) for x in (t, *enhancement_at(p, t))])
+        got = (tmp_path / "enhancement_trace.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert len(times) == {"0": 1, "1": 4, "50": 3}[duration]
 
     def test_monotone_approach_to_thermal(self, tmp_path):
         rc = cli.main(

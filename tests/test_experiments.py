@@ -246,7 +246,7 @@ class TableDetector:
         self.lines[:, 0] = table
         self.amplitude_solve = solve
 
-    def line_integrals(self, amplitudes, noise):
+    def line_integrals(self, amplitudes):
         return self.lines
 
 
@@ -600,7 +600,7 @@ class TestReadoutMap:
                 (det.response @ coherences(receiver_state(rho, step, ch), ch)).real
                 for ch in Channel
             ])
-            got = det.line_integrals(record_map(perm, ground, case) @ d, None)
+            got = det.line_integrals(record_map(perm, ground, case) @ d)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_readout_amplitudes_are_real(self):
@@ -671,7 +671,10 @@ def per_case_search(prep, case):
     maps = CASE_MAPS[key]
     amplitudes = (maps @ prep.deviations[:, None, :, None])[..., 0]
     weights = prep.result.weights[:, None, None]
-    integrals = sum(weights * det.line_integrals(amplitudes, prep.noise_integrals))
+    integrals = det.line_integrals(amplitudes)
+    if prep.noise_integrals is not None:
+        integrals = integrals + prep.noise_integrals
+    integrals = sum(weights * integrals)
     line_amplitudes = integrals @ det.amplitude_solve.T
     sign = 1.0 if prep.result.q2 >= 0 else -1.0
     try:

@@ -1,19 +1,27 @@
-"""Every module of the package uses each name it imports, every name it
-defines is used, and no random draw goes around the seed.
+"""The package exports the pipelines' API alone, every module of it uses
+each name it imports, every name it defines is used, every parameter has
+a caller that sets it, and no random draw goes around the seed.
 
-No linter ships with the test dependencies, so these are the unused-import
-check (an imported name must appear as a name somewhere in its module;
-`__init__.py` imports to re-export and is exempt), the unused-name checks
-(a `_name`, at module level or in a class body, and a public module-level
-name or public method must be read somewhere in `src/` outside its own
-definition, so library code that only tests use cannot hide there; a
-re-export in `__init__.py` is no read, and a public name passes too if
-the acceptance test reads it or it is a documented entry point) and the
-seeding check: every draw is named by a seed and a detection index, so no
-function takes a generator, and nothing spawns child seeds or reads a
-generator's seed sequence."""
+No linter ships with the test dependencies, so these are the export check
+(the package's own names are the settings, case, pipelines and errors a
+pipeline caller needs; every other name is imported from its module), the
+unused-import check (an imported name must appear as a name somewhere in
+its module; `__init__.py` imports to re-export and is exempt), the
+unused-name checks (a `_name`, at module level or in a class body, and a
+public module-level name or public method must be read somewhere in
+`src/` outside its own definition, so library code that only tests use
+cannot hide there; a re-export in `__init__.py` is no read, and a public
+name passes too if the acceptance test reads it or it is a documented
+entry point), the parameter check (a defaulted parameter must be set by
+some call in `src/` or in the acceptance test, and no parameter may be
+passed only the literal None) and the seeding check: every draw is named
+by a seed and a detection index, so no function takes a generator, and
+nothing spawns child seeds or reads a generator's seed sequence."""
 
 import ast
+import importlib
+import re
+import types
 from pathlib import Path
 
 import pytest
@@ -22,6 +30,62 @@ import spinoeqc
 
 PACKAGE = sorted(Path(spinoeqc.__file__).parent.glob("*.py"))
 MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parent.parent
+
+# what a pipeline caller needs: the settings and case it passes, the two
+# pipelines and the errors it catches
+PIPELINE_API = {
+    "SpinSystemConfig", "SpinoeParams", "ScheduleMode", "DetectionSettings", "GroverCase",
+    "run_effective_pure_pipeline", "run_grover_pipeline",
+    "ReadoutError", "DecodeError", "SingularLabelingSystem", "UnequalizedLabeling",
+}
+# the names the package re-exported besides, each imported from its module
+MODULE_ONLY = {
+    "quantum": "DensityMatrix Unitary apply_unitary compose populations",
+    "spins": (
+        "Channel PermutationId PulseSpec enhanced_deviations enhanced_state "
+        "permutation_pulse_sequence pulse_unitary thermal_state"
+    ),
+    "spinoe": "ExperimentSchedule enhancement_at make_schedule sample_initial_states",
+    "labeling": (
+        "EffectivePureResult LabelingPlan assemble_effective_pure choose_ground "
+        "enhancement_factor label permute_populations solve_weights"
+    ),
+    "readout": (
+        "Detector PeakTable Spectrum calibrate integrate_peaks probe readout_map "
+        "reconstruct_diagonal"
+    ),
+    "experiments": "grover_circuit grover_diffusion grover_oracle",
+}
+
+
+def test_package_exports_the_pipelines_api():
+    names = {
+        name for name, value in vars(spinoeqc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == PIPELINE_API
+    assert spinoeqc.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_ONLY))
+def test_other_names_import_from_their_module(module):
+    for name in MODULE_ONLY[module].split():
+        assert hasattr(importlib.import_module(f"spinoeqc.{module}"), name)
+        assert not hasattr(spinoeqc, name)
+
+
+def test_package_readers_resolve():
+    # the benchmark's `sq.` reads and the README's library sketch
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    bench = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sq"
+    }
+    sketch = re.search(r"from spinoeqc import \(([^)]*)\)", (ROOT / "README.md").read_text())
+    readme = {name.strip() for name in sketch[1].split(",") if name.strip()}
+    assert len(bench) == 7 and len(readme) == 6
+    assert bench | readme <= PIPELINE_API
 
 
 def unused_imports(source: str) -> list[str]:
@@ -233,6 +297,185 @@ def test_package_uses_every_public_name():
     sources = {path.name: path.read_text() for path in MODULES}
     admitted = imported_or_attribute_names(ACCEPTANCE.read_text()) | ENTRY_POINTS.keys()
     assert unused_names(sources, admitted) == []
+
+
+def _functions(body: list[ast.stmt], owners: tuple = (), in_class: bool = False) -> list[tuple]:
+    """Every function of a module `body`, nested ones too, as (qualified
+    name, definition, whether a call binds its first parameter: a method
+    that is no staticmethod)."""
+    found = []
+    for statement in body:
+        if isinstance(statement, ast.ClassDef):
+            found += _functions(statement.body, (*owners, statement.name), True)
+        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(ast.unparse(d) == "staticmethod" for d in statement.decorator_list)
+            name = ".".join((*owners, statement.name))
+            found.append((name, statement, in_class and not static))
+            found += _functions(statement.body, (*owners, statement.name))
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                nested = [s for s in getattr(statement, field, []) if isinstance(s, ast.AST)]
+                found += _functions(nested, owners, in_class)
+    return found
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _arguments(call: ast.Call, positional: list[str]) -> dict[str, ast.expr] | None:
+    """The parameters `call` sets, each with its argument (for a `*`
+    argument, the starred expression), or None when it spreads `**`,
+    which may set any of them."""
+    if any(keyword.arg is None for keyword in call.keywords):
+        return None
+    bound = {keyword.arg: keyword.value for keyword in call.keywords}
+    for index, argument in enumerate(call.args):
+        if isinstance(argument, ast.Starred):
+            bound.update(dict.fromkeys(positional[index:], argument))
+            break
+        if index < len(positional):
+            bound[positional[index]] = argument
+    return bound
+
+
+def _is_none(node: ast.expr | None) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def unset_parameters(sources: dict[str, str], callers: dict[str, str] | None = None,
+                     allowed=frozenset()) -> list[str]:
+    """The parameters of the functions and methods of the modules `sources`
+    (name -> source) that their callers leave to one value, in module and
+    line order, each as `module.function(parameter)` with its line.
+
+    A function is matched to every call of its name (`f(...)` or
+    `x.f(...)`) outside its own body, in `sources` or in the modules
+    `callers`; a call binds a method's first parameter unless it is a
+    staticmethod. A function that no call names, such as one reached
+    through a table, is skipped, as are the parameters in `allowed`.
+    Rule A: a defaulted parameter that no call sets, by keyword, by
+    position or through `*` or `**`, is unset. Rule B: a parameter that
+    every call in `sources` passes as the literal None, explicitly or
+    through a default of None, is only ever None."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    # every call, with whether it is in `sources`
+    owned = [(tree, True) for tree in trees.values()]
+    owned += [(ast.parse(source), False) for source in (callers or {}).values()]
+    calls = [(own, node) for tree, own in owned for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = []
+    for module, tree in trees.items():
+        for name, function, bound_first in _functions(tree.body):
+            inside = {id(node) for node in ast.walk(function)}
+            named = [(own, call) for own, call in calls
+                     if _callee(call) == function.name and id(call) not in inside]
+            if not named:
+                continue
+            a = function.args
+            positional = [arg.arg for arg in (*a.posonlyargs, *a.args)][bound_first:]
+            defaults = dict(zip(reversed([arg.arg for arg in (*a.posonlyargs, *a.args)]),
+                                reversed(a.defaults)))
+            defaults.update({arg.arg: d for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d})
+            bindings = [(own, _arguments(call, positional)) for own, call in named]
+            for parameter in (*positional, *(arg.arg for arg in a.kwonlyargs)):
+                key = f"{module}.{name}({parameter})"
+                if key in allowed:
+                    continue
+                if parameter in defaults and not any(
+                    bound is None or parameter in bound for _, bound in bindings
+                ):
+                    found.append(f"{key} (line {function.lineno}): no call sets it")
+                # what each call in `sources` binds to it: its argument, else
+                # its default; None (no expression) where `**` may bind any
+                values = [
+                    None if bound is None else bound.get(parameter, defaults.get(parameter))
+                    for own, bound in bindings if own
+                ]
+                if values and all(map(_is_none, values)):
+                    found.append(f"{key} (line {function.lineno}): only ever None")
+    return found
+
+
+# The parameters that no src/ call and no acceptance test sets but that stay
+# as entry points, each mapped to its reason
+PARAMETER_ENTRY_POINTS = {
+    "cli.main(argv)": "the command line's entry point: the tests and the benchmark, "
+                      "outside src/, pass their argument lists; the console passes none",
+}
+
+
+def test_the_check_finds_an_unset_parameter():
+    sources = {
+        "a": (
+            "def never(x, n=1):\n"
+            "    return never(x, n=2)\n"
+            "def keyword(x, n=1):\n"
+            "    return x\n"
+            "def position(x, n=1, *, m=2):\n"
+            "    return x\n"
+            "def spread(x, n=1, *, m=2):\n"
+            "    return x\n"
+            "def starred(x, n=1):\n"
+            "    return x\n"
+            "def accepted(x, n=1):\n"
+            "    return x\n"
+            "def tabled(x, n=1):\n"
+            "    return x\n"
+            "def entry(x, argv=None):\n"
+            "    return x\n"
+            "class K:\n"
+            "    def noise(self, y, z):\n"
+            "        return y\n"
+            "    @classmethod\n"
+            "    def make(cls, i, d=4):\n"
+            "        return cls()\n"
+            "    @staticmethod\n"
+            "    def pure(i, d=4):\n"
+            "        return i\n"
+        ),
+        "b": (
+            "from .a import *\n"
+            "TABLE = {'t': tabled}\n"
+            "never(0)\n"
+            "keyword(0, n=3)\n"
+            "position(0, 3, m=4)\n"
+            "spread(0, **{'n': 3, 'm': 4})\n"
+            "starred(*[0, 3])\n"
+            "accepted(0)\n"
+            "entry(0)\n"
+            "K().noise(1, None)\n"
+            "K().noise(2, z=None)\n"
+            "K.make(0)\n"
+            "K.pure(0, 4)\n"
+        ),
+    }
+    acceptance = {"test_acceptance": "from spinoeqc.a import accepted\naccepted(0, 5)\n"}
+    # `never` setting its own default is no caller; `tabled` is never called
+    # by name; a classmethod's call binds `cls`, a staticmethod's does not
+    assert unset_parameters(sources, acceptance, {"a.entry(argv)"}) == [
+        "a.never(n) (line 1): no call sets it",
+        "a.K.noise(z) (line 18): only ever None",
+        "a.K.make(d) (line 21): no call sets it",
+    ]
+    # without the acceptance module `accepted(n)` is unset, and without the
+    # allow-list `entry(argv)` breaks both rules
+    assert unset_parameters(sources) == [
+        "a.never(n) (line 1): no call sets it",
+        "a.accepted(n) (line 11): no call sets it",
+        "a.entry(argv) (line 15): no call sets it",
+        "a.entry(argv) (line 15): only ever None",
+        "a.K.noise(z) (line 18): only ever None",
+        "a.K.make(d) (line 21): no call sets it",
+    ]
+
+
+def test_package_sets_every_parameter():
+    assert all(reason.strip() for reason in PARAMETER_ENTRY_POINTS.values())
+    sources = {path.stem: path.read_text() for path in MODULES}
+    callers = {ACCEPTANCE.stem: ACCEPTANCE.read_text()}
+    assert unset_parameters(sources, callers, PARAMETER_ENTRY_POINTS.keys()) == []
 
 
 def generator_routes(source: str) -> list[str]:

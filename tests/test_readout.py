@@ -1,6 +1,5 @@
 import collections
 import csv
-import dataclasses
 import fractions
 import functools
 import importlib
@@ -272,7 +271,7 @@ class TestIntegratePeaks:
         with pytest.raises(ReadoutError, match="spectral width"):
             integrate_peaks(spectrum(fid), CFG)
         with pytest.raises(ReadoutError, match="spectral width"):
-            probe(thermal_state(CFG), CFG, 15.0, n_samples=1024, dt=4e-3)
+            Detector(CFG, DetectionSettings(n_points=1024, dwell=4e-3))
 
     def test_too_few_bins_rejected(self):
         cfg = SpinSystemConfig(j_coupling=0.5)
@@ -394,7 +393,7 @@ class TestProbe:
         noise = det.draw(8)
         z = np.random.default_rng(8).standard_normal(4).reshape(1, 2, 2)
         assert noise.shape == (1, 2, 2)
-        assert np.array_equal(noise, det.noise_integrals(z))
+        assert np.array_equal(noise, noise_integrals(det, z))
         assert_line_noise(noise, 0.1, z, det.noise_factor)
         # a lone detection is detection 0 of its seed: children 0 and 1
         vectors = [
@@ -414,7 +413,7 @@ class TestProbe:
         z = rng.standard_normal((2, 2))
         children = rng.bit_generator.seed_seq.spawn(2)
         noise = det.draw(seed)
-        assert np.array_equal(noise[0], det.noise_integrals(z))
+        assert np.array_equal(noise[0], noise_integrals(det, z))
         vectors = [
             conditioned_noise(det, child, y) for child, y in zip(children, noise[0], strict=True)
         ]
@@ -440,10 +439,18 @@ class TestProbe:
 
     @pytest.mark.parametrize("function", [calibrate, probe])
     def test_grid_defaults_are_the_detection_settings(self, function):
-        defaults = {f.name: f.default for f in dataclasses.fields(DetectionSettings)}
-        parameters = inspect.signature(function).parameters
-        assert parameters["n_samples"].default == defaults["n_points"]
-        assert parameters["dt"].default == defaults["dwell"]
+        # neither takes a grid: each probes on the default grid of
+        # DetectionSettings, as the detector of its tip does
+        assert list(inspect.signature(function).parameters)[-1] == "tip_angle_deg"
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0))
+        if function is calibrate:
+            assert calibrate(CFG, 12.0) == det.receiver_constant
+        else:
+            d = populations(thermal_state(CFG)).tolist()
+            want = det.spectra(np.array(det.probe_amplitudes(d)).reshape(2, 2))
+            for got, spec in zip(probe(thermal_state(CFG), CFG, 12.0), want, strict=True):
+                assert np.array_equal(got.freqs, spec.freqs)
+                assert np.array_equal(got.values, spec.values)
 
 
 def coherent_state(amplitudes) -> DensityMatrix:
@@ -553,11 +560,11 @@ def detect(det, amplitudes, seed=None) -> Found:
     spectra are those of the reference vectors."""
     noise = None if seed is None else det.draw(seed)
     if noise is None:
-        return Found(det.line_integrals(amplitudes, None), det.spectra(amplitudes), None, None)
+        return Found(det.line_integrals(amplitudes), det.spectra(amplitudes), None, None)
     spectra, vectors = det.noise_spectra(seed, noise), reference_noise(det, seed, noise)
     assert_noise_spectra(spectra, vectors)
     return Found(
-        det.line_integrals(amplitudes, noise[0]), det.spectra(amplitudes, spectra[0]), noise[0],
+        det.line_integrals(amplitudes) + noise[0], det.spectra(amplitudes, spectra[0]), noise[0],
         vectors[0],
     )
 
@@ -610,6 +617,13 @@ def probe_integrals(det, d):
     if d.shape[-1:] != (4,):
         raise ValueError("the probe takes the deviation diagonal of a two-spin state")
     return np.array(det.probe_lines(d.ravel().tolist())).reshape(*d.shape[:-1], 2, 2)
+
+
+def noise_integrals(det, normals):
+    """`Detector.line_noise` of standard normals z (..., channel, 2), H
+    first, as the (..., channel, line) integrals of white noise."""
+    z = np.asarray(normals, dtype=float)
+    return np.array(det.line_noise(z.ravel().tolist())).reshape(z.shape)
 
 
 def array_probe_solve(relations, k, scale=1.0):
@@ -923,8 +937,8 @@ class TestDetector:
         readout._grid_map.cache_clear()
         k = {
             calibrate(CFG, 15.0),
-            calibrate(CFG, 15.0, n_samples=4096),
-            calibrate(CFG, 15.0, 4096, 1e-3),
+            Detector(CFG, DetectionSettings(n_points=4096)).receiver_constant,
+            Detector(CFG, DetectionSettings(4096, 1e-3, 15.0)).receiver_constant,
             Detector(CFG, DetectionSettings(noise_amp=0.1)).receiver_constant,
         }
         info = readout._grid_map.cache_info()
@@ -1082,8 +1096,6 @@ class TestDetector:
             for detection in (DetectionSettings(dwell=dwell), DetectionSettings(256, dwell)):
                 with pytest.raises(ReadoutError, match="^spectral resolution too coarse"):
                     Detector(CFG, detection)
-            with pytest.raises(ReadoutError, match="^spectral resolution too coarse"):
-                calibrate(CFG, 15.0, dt=dwell)
 
     @pytest.mark.parametrize(
         "j,dwell,n_points,message",
@@ -1262,7 +1274,7 @@ class TestDetector:
         d = populations(enhanced_state(CFG, -11.0, 18.0))
         seeds = (5, 6, 7)
         normals = np.array([np.random.default_rng(seed).standard_normal((2, 2)) for seed in seeds])
-        noise = det.noise_integrals(normals)
+        noise = noise_integrals(det, normals)
         got = [det.reconstruct(y) for y in (probe_integrals(det, d) + noise).reshape(3, 4).tolist()]
         for row, seed in zip(got, seeds):
             found = detect(det, probe_map(det) @ d, seed)
@@ -1305,7 +1317,7 @@ class TestDetector:
         # row i of a seed's noise is detection i of that seed, whatever the
         # batch holds besides, and it adds its own integrals to the lines
         det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=0.1))
-        drawn = det.noise_integrals(np.reshape(normals, (8, 2, 2)))
+        drawn = noise_integrals(det, np.reshape(normals, (8, 2, 2)))
         y, other = drawn[:n], drawn[4:4 + n]
         rows = det.noise_spectra(seed, y)
         assert rows.shape == (n, 2, 256)
@@ -1422,6 +1434,11 @@ def probe_rows(draw):
 class TestReconstruction:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(row=probe_rows())
+    # a consistent row near the float range whose last entry the float route
+    # sums to a finite 1.19e308 and the matrix route overflows: the exact-sum
+    # rule below runs whatever examples the strategy draws
+    @example(row=(tip_detector(0.01), [-3.37360363030355e+307, 6.839182553343926e+306,
+                                       -3.75e+307, 3.0752188563794326e+306]))
     def test_float_routine_is_the_matrix_route(self, row):
         # the per-probe float arithmetic against the matrix route: the same
         # gate decision and error text, and the diagonal within 4 eps of the

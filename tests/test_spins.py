@@ -261,5 +261,5 @@ def test_one_enum_names_the_nuclei():
     }
     assert nuclei == {Channel}
     assert list(Channel) == [Channel.H, Channel.C]
-    assert spinoeqc.Channel is readout.Channel is spins.Channel
+    assert readout.Channel is spins.Channel
     assert not hasattr(spinoeqc, "PulseTarget") and not hasattr(spins, "PulseTarget")
