@@ -11,12 +11,14 @@ of per-experiment results is the effective pure state, and because
 detection is linear in the state, the same weights applied to the readout
 line integrals (or spectra) give those of the effective pure state
 directly. The experiments' `readout_map`s are cached as one stack per
-ground, a row per computation: none, then each search target. An
-effective-pure run is one product of its row with the prepared deviation
-diagonals. The search targets' rows are one product too, made once per
-(setting, ground) into a table with the noise-free line integrals behind
-them, or once per preparation for a jittered seed, whose states are its
-own; a preparation then computes and decodes all four search targets
+ground, a row per computation: none, then each search target. Their
+receiver amplitudes on the prepared deviation diagonals are one product
+of the whole stack, made once per (trajectory, ground), or once per
+preparation for a jittered seed, whose states are its own. An
+effective-pure run reads row 0. The search targets read rows 1-4, kept
+once per (setting, ground) in a table with the noise-free line integrals
+behind them and the amplitude solve; a preparation then computes and
+decodes all four search targets
 once, on its first search case, in Python floats: its weighted sum of
 noisy integrals, the amplitude solve and four decodes, so every case
 reads its target's row and its answer (or its decode error's text). A
@@ -32,12 +34,14 @@ Prepare once, compute many. What does not depend on the computation is a
 `Preparation`. `prepare_batch` prepares seed after seed, each in Python
 floats from its drawn normals through the probe noise, the reconstruction
 with its gate and the labeling to its arrays, with a status per seed (its
-preparation or its error). What all seeds of a setting share is cached:
-the unjittered states per (eps0_h, eps0_c, t1_xe, spin system, probe
-times), so a new detection setting samples no state, and the detector,
-those states' noise-free probe integrals and their search tables per
-ground per (params apart from the seed, spin system, schedule, detection
-settings).
+preparation or its error). What all seeds of a setting share is cached.
+Per trajectory (eps0_h, eps0_c, t1_xe, spin system, probe times) that is
+the unjittered states, their flat float row and their receiver amplitudes
+per ground, so a new detection setting samples no state and computes no
+amplitude. Per (params apart from the seed, spin system, schedule,
+detection settings) it is the detector, those states' noise-free probe
+integrals and their search tables per ground, so a new setting pays for
+its tip and grid alone.
 A pipeline call prepares a batch of one, kept for the last (SpinoeParams,
 SpinSystemConfig, ExperimentSchedule, DetectionSettings) seen. Shared
 arrays are read-only; a failed preparation is not kept, nor one whose
@@ -226,10 +230,11 @@ class Preparation:
     (a read-only row each) the sampled deviation diagonals
     (`sample_initial_states`), probed diagonals and (channel, line) readout
     noise integrals (None with noise off), the labeling with its
-    enhancement, and `search_tables`, the `_search_table` of its deviations
-    per ground, each built on first use: the setting's, kept by
-    `_seed_free`, unless the seed's states are jittered. Readout i is
-    detection i of `seed`."""
+    enhancement, `amplitude_stacks`, the `_receiver_amplitudes` of its
+    deviations per ground, and `search_tables`, their `_search_table` per
+    ground, each built on first use: the trajectory's (`_trajectory`) and
+    the setting's (`_seed_free`), unless the seed's states are jittered.
+    Readout i is detection i of `seed`."""
 
     detector: Detector
     seed: int
@@ -239,7 +244,18 @@ class Preparation:
     thermal_result: EffectivePureResult
     enhancement: float
     noise_integrals: np.ndarray | None = field(repr=False)
+    amplitude_stacks: dict = field(repr=False)
     search_tables: dict = field(repr=False)
+
+    @property
+    def amplitude_stack(self) -> np.ndarray:
+        """The read-only (computation, experiment, channel, line) receiver
+        amplitudes of its deviations on its ground, from `amplitude_stacks`:
+        row 0 for an effective-pure run, then the search targets."""
+        ground, stacks = self.result.ground, self.amplitude_stacks
+        if ground not in stacks:
+            stacks[ground] = _receiver_amplitudes(self.deviations, ground)
+        return stacks[ground]
 
     @functools.cached_property
     def noise_spectra(self) -> np.ndarray | None:
@@ -255,7 +271,7 @@ class Preparation:
         """The search cases of every target in `GROVER_TARGETS` order, built
         on the first search case and shared by every run on this preparation:
         the read-only (target, experiment, channel, line) receiver amplitudes
-        of its ground's search table, the read-only (target, channel,
+        (rows 1-4 of its `amplitude_stack`), the read-only (target, channel,
         partner) weighted line integrals and line amplitudes behind them, and
         per target its decode (`_decide`) as an (answer, None) or (None,
         DecodeError text) pair.
@@ -267,9 +283,10 @@ class Preparation:
         `amplitude_solve` times those sums. Floats overflow to inf with no
         warning, and the decode refuses such lines as not finite."""
         ground, tables = self.result.ground, self.search_tables
+        amplitudes = self.amplitude_stack[1:]
         if ground not in tables:
-            tables[ground] = _search_table(self.detector, self.deviations, ground)
-        amplitudes, clean, ((a00, a01), (a10, a11)) = tables[ground]
+            tables[ground] = _search_table(self.detector, amplitudes)
+        clean, ((a00, a01), (a10, a11)) = tables[ground]
         w0, w1, w2 = self.result.weights.tolist()
         noise = _NO_NOISE if self.noise_integrals is None else self.noise_integrals.ravel().tolist()
         n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11 = noise
@@ -309,7 +326,7 @@ def prepare_batch(
     its labeling; its `probed` and `noise_integrals` arrays are built once,
     at the end."""
     seeds = [check_seed(seed) for seed in seeds]
-    detector, states, clean, tables = _seed_free(
+    detector, states, stacks, clean, tables = _seed_free(
         p.eps0_h, p.eps0_c, p.t1_xe, cfg, schedule, detection
     )
     n_exp = len(states)
@@ -325,14 +342,14 @@ def prepare_batch(
         z = []
         if probe_draws:
             z = np.random.default_rng(seed).standard_normal(probe_draws + n_exp * noise).tolist()
-        deviations, y, search_tables = states, clean, tables
+        deviations, y, amplitude_stacks, search_tables = states, clean, stacks, tables
         if jitter:
             jitters = [z[i:i + jitter] for i in range(0, probe_draws, per_probe)]
             deviations = sample_initial_states(
                 p, cfg, schedule.probe_times, p.reproducibility_jitter * np.array(jitters)
             )
             y = detector.probe_lines(deviations.ravel().tolist())
-            search_tables = {}  # its own states, so its own tables
+            amplitude_stacks, search_tables = {}, {}  # its own states: its own of both
         if noise:
             # the probes' noise, then the readouts', drawn in one pass; with
             # no jitter the draws are just those, in that order
@@ -361,7 +378,7 @@ def prepare_batch(
             readout_integrals.flags.writeable = False
         outcomes.append(Preparation(
             detector, seed, deviations, probed, result, thermal,
-            enhancement_factor(result, thermal), readout_integrals, search_tables,
+            enhancement_factor(result, thermal), readout_integrals, amplitude_stacks, search_tables,
         ))
     return outcomes
 
@@ -371,25 +388,32 @@ def prepare_batch(
 def _seed_free(
     eps0_h: float, eps0_c: float, t1_xe: float, cfg: SpinSystemConfig,
     schedule: ExperimentSchedule, detection: DetectionSettings,
-) -> tuple[Detector, np.ndarray, tuple, dict]:
+) -> tuple[Detector, np.ndarray, dict, tuple, dict]:
     """What every seed of a preparation setting shares: the detector, the
-    read-only unjittered states (`_unjittered_states`), their noise-free
-    probe integrals, flat as floats (experiment * 4 + channel * 2 + line),
+    trajectory's read-only unjittered states and its dict of their
+    amplitude stacks (`_trajectory`), their noise-free probe integrals from
+    its float row, flat as floats (experiment * 4 + channel * 2 + line),
     and the dict of their `_search_table` per ground that
     `Preparation.searches` fills (at most the 4 grounds)."""
     detector = Detector(cfg, detection)
-    states = _unjittered_states(eps0_h, eps0_c, t1_xe, cfg, schedule.probe_times)
-    return detector, states, tuple(detector.probe_lines(states.ravel().tolist())), {}
+    states, row, stacks = _trajectory(eps0_h, eps0_c, t1_xe, cfg, schedule.probe_times)
+    return detector, states, stacks, tuple(detector.probe_lines(row)), {}
 
 
 # bounded: the trajectories and probe times of the last few batches; a new
 # detection setting alone (a scan over tips or grids) hits
 @functools.lru_cache(maxsize=4)
-def _unjittered_states(
+def _trajectory(
     eps0_h: float, eps0_c: float, t1_xe: float, cfg: SpinSystemConfig, probe_times: tuple,
-) -> np.ndarray:
-    """The read-only unjittered states of the probes at `probe_times`."""
-    return sample_initial_states(SpinoeParams(eps0_h, eps0_c, t1_xe), cfg, probe_times, np.zeros(2))
+) -> tuple[np.ndarray, list, dict]:
+    """What every setting on one trajectory shares: the read-only
+    unjittered states of the probes at `probe_times`, the same flat as
+    floats (experiment * 4 + population), and the dict of their
+    `_receiver_amplitudes` per ground that `Preparation.amplitude_stack`
+    fills (at most the 4 grounds)."""
+    p = SpinoeParams(eps0_h, eps0_c, t1_xe)
+    states = sample_initial_states(p, cfg, probe_times, np.zeros(2))
+    return states, states.ravel().tolist(), {}
 
 
 @functools.lru_cache(maxsize=1)
@@ -424,31 +448,29 @@ def _readout_maps(ground: int) -> np.ndarray:
     return maps
 
 
-def _receiver_amplitudes(deviations: np.ndarray, ground: int, computations) -> np.ndarray:
-    """The read-only (..., experiment, channel, line) amplitudes at the
-    receivers after each permutation of `ground` and the `computations` (an
-    index of `_readout_maps`' first axis), on the (experiment, population)
-    `deviations`."""
-    stacked = _readout_maps(ground)[computations]
-    amplitudes = (stacked @ deviations[:, None, :, None])[..., 0]
+def _receiver_amplitudes(deviations: np.ndarray, ground: int) -> np.ndarray:
+    """The read-only (computation, experiment, channel, line) amplitudes at
+    the receivers after each permutation of `ground` and each computation
+    of `_readout_maps`, on the (experiment, population) `deviations`: one
+    product of the whole stack."""
+    amplitudes = (_readout_maps(ground) @ deviations[:, None, :, None])[..., 0]
     amplitudes.flags.writeable = False
     return amplitudes
 
 
-def _search_table(detector: Detector, deviations: np.ndarray, ground: int) -> tuple:
-    """What the search pass (`Preparation.searches`) of every seed on these
-    `deviations` and `ground` shares: the read-only (target, experiment,
-    channel, line) receiver amplitudes of the search targets, their
-    noise-free line integrals (`Detector.line_integrals`) as floats, per
-    target 12 flat as experiment * 4 + channel * 2 + line, and the rows of
-    the detector's `amplitude_solve` as floats. This is the only numpy
-    arithmetic of a search."""
-    amplitudes = _receiver_amplitudes(deviations, ground, slice(1, None))
+def _search_table(detector: Detector, amplitudes: np.ndarray) -> tuple:
+    """What the search pass (`Preparation.searches`) of every seed of one
+    setting on one ground shares: the noise-free line integrals
+    (`Detector.line_integrals`) of the (target, experiment, channel, line)
+    receiver `amplitudes` of the search targets (rows 1-4 of an amplitude
+    stack) as floats, per target 12 flat as experiment * 4 + channel * 2 +
+    line, and the rows of the detector's `amplitude_solve` as floats. This
+    is the only numpy arithmetic of a search."""
     # a grid near the float range may overflow here; the decode then
     # refuses the lines as not finite
     with np.errstate(over="ignore", invalid="ignore"):
         clean = detector.line_integrals(amplitudes)
-    return (amplitudes, tuple(map(tuple, clean.reshape(len(GROVER_TARGETS), -1).tolist())),
+    return (tuple(map(tuple, clean.reshape(len(GROVER_TARGETS), -1).tolist())),
             tuple(map(tuple, detector.amplitude_solve.tolist())))
 
 
@@ -476,7 +498,7 @@ def run_effective_pure_pipeline(
         _prepare.cache_clear()
     return EffectivePureRun(
         prep.result, prep.thermal_result, prep.enhancement, schedule, prep,
-        _receiver_amplitudes(prep.deviations, prep.result.ground, 0),
+        prep.amplitude_stack[0],
     )
 
 

@@ -163,16 +163,6 @@ _GATHERS = tuple(
 )
 
 
-def _maximum(a: float, b: float) -> float:
-    """`np.maximum` of two floats: NaN if either is, else the larger, b of two equal."""
-    return a if a > b or a != a else b
-
-
-def _minimum(a: float, b: float) -> float:
-    """`np.minimum` of two floats: NaN if either is, else the smaller, b of two equal."""
-    return a if a < b or a != a else b
-
-
 def _labeled(x, ground: int, weights=None) -> tuple:
     """Label a row `x`, the 12 floats of three diagonals flat as experiment *
     4 + state, on `ground`: permute the populations, solve the weights in
@@ -211,7 +201,11 @@ def _labeled(x, ground: int, weights=None) -> tuple:
     b = 0.0 + w0 * j0 + w1 * j1 + w2 * j2
     c = 0.0 + w0 * k0 + w1 * k1 + w2 * k2
     q1 = (0.0 + a + b + c) / 3
-    residual = _maximum(_maximum(a, b), c) - _minimum(_minimum(a, b), c)
+    # the spread as `np.maximum` and `np.minimum` give it: NaN if either
+    # operand is, else the larger (smaller), the second of two equal
+    hi = a if a > b or a != a else b
+    lo = a if a < b or a != a else b
+    residual = (hi if hi > c or hi != hi else c) - (lo if lo < c or lo != lo else c)
     diagonal = [a, b, c]
     diagonal.insert(ground, on_ground)
     return diagonal, [w0, w1, w2], q1, on_ground - q1, residual, rows, singular
@@ -235,7 +229,7 @@ def _unequalized(diagonal, residual: float) -> bool:
     (a NaN population leaves it equalized, as the largest is NaN)."""
     largest = 1e-300
     for d in diagonal:
-        largest = _maximum(largest, abs(d))
+        largest = largest if largest > abs(d) or largest != largest else abs(d)
     return residual > EQUALIZATION_TOL * largest
 
 
@@ -289,18 +283,24 @@ def _pick(grounds) -> tuple[int, float]:
     """The ground that `label` picks from the `_labeled` rows of the four
     grounds, and the largest |q2| at weights summing to 3."""
     scores = []
-    for labeled in grounds:
+    for _, (w0, w1, w2), _, q2, _, _, _ in grounds:
         # `normalized_q2`, or 0 for a singular system (its weights are 0)
-        w0, w1, w2 = labeled[1]
         total = w0 + w1 + w2
-        scores.append(labeled[3] * 3.0 / (total if total != 0.0 else math.inf))
-    magnitudes = [abs(score) for score in scores]
-    top = _maximum(_maximum(_maximum(magnitudes[0], magnitudes[1]), magnitudes[2]), magnitudes[3])
+        scores.append(q2 * 3.0 / (total if total != 0.0 else math.inf))
+    s0, s1, s2, s3 = scores
+    m0, m1, m2, m3 = abs(s0), abs(s1), abs(s2), abs(s3)
+    # the largest magnitude, NaN if any is (as `np.maximum`)
+    top = m0 if m0 > m1 or m0 != m0 else m1
+    top = top if top > m2 or top != top else m2
+    top = top if top > m3 or top != top else m3
     floor = top * (1 - GROUND_TIE_RTOL)
-    tied = [g for g, magnitude in enumerate(magnitudes) if magnitude >= floor]
-    # the first tied ground with positive q2, else the first tied one (none
-    # is tied to a NaN top, which picks ground 0)
-    return next((g for g in tied if scores[g] > 0), tied[0] if tied else 0), top
+    # the first tied ground with positive q2, else the first tied one, else
+    # ground 0 (none is tied to a NaN top). floor > 0 unless every score is
+    # 0, and then ground 0 is picked either way, so a score of at least
+    # floor is a tied positive one
+    return (0 if s0 >= floor else 1 if s1 >= floor else 2 if s2 >= floor else
+            3 if s3 >= floor else 0 if m0 >= floor else 1 if m1 >= floor else
+            2 if m2 >= floor else 3 if m3 >= floor else 0), top
 
 
 def label_row(x) -> EffectivePureResult | SingularLabelingSystem:

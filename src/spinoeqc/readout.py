@@ -33,7 +33,8 @@ vector v = (1,-1,-1,1)/2 of the relations, the same at every tip. So a
 new tip costs a few scalars: R's entries are ±a and ±b for two floats
 a = p·cos²(tip/2) and b = p·sin²(tip/2) from `math`, K is fitted to the
 thermal reference in Python floats from the grid's 2×2 response, and S is
-two tip-free 4×4 patterns over (a + b)K and (a - b)K (see `Detector`).
+two tip-free 4×4 patterns over (a + b)K and (a - b)K, whose 16 entries are
+± two floats (see `Detector` and `_probe_solve`).
 
 Processing fixes: the first FID point is halved before the transform (the
 standard baseline correction for one-sided decays; without it window
@@ -96,7 +97,7 @@ import numpy as np
 
 from .quantum import DensityMatrix, Unitary, populations
 from .spinoe import check_seed
-from .spins import Z_C, Z_H, Channel, PulseSpec, SpinSystemConfig, check_finite, pulse_unitary
+from .spins import Channel, PulseSpec, SpinSystemConfig, check_finite, pulse_unitary
 
 PROBE_TIP_MAX = 25.0
 MIN_FID_SAMPLES = 256
@@ -291,10 +292,12 @@ def _unit_lines(cfg: SpinSystemConfig, n_points: int, dwell: float) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.ndarray, ...]:
+def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple:
     """Frequency axis, unit line spectra, window masks, line response,
-    noise factor and amplitude solve of one grid, read-only and kept for
-    the last few grids (see `Detector`).
+    noise factor and amplitude solve of one grid, read-only, then the
+    floats of one probe's arithmetic: Re(response) row by row and the
+    noise factor's entries L[0,0], L[1,0] and L[1,1] (L[0,1] is 0); kept
+    for the last few grids (see `Detector`).
 
     The response is df times the window sums of the unit line spectra.
     The windows are disjoint, so the covariance Re(G Gᴴ) of the line
@@ -336,10 +339,11 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     if float(df) * float(largest) > np.finfo(float).max:
         raise ReadoutError("window integrals leave the float range; increase dwell_s")
     response = df * sums
+    (r00, r01), (r10, r11) = response.real.tolist()
     # a detector's receiver constant is Σ Re(response)/2 in exact arithmetic,
     # whatever the reference: past the float range (some subnormal dwells
     # below ~4.8e-309 with a huge J) only the grid can bring it back
-    if not math.isfinite(sum(r / 2 for r in response.real.ravel().tolist())):
+    if not math.isfinite(r00 / 2 + r01 / 2 + r10 / 2 + r11 / 2):
         raise ReadoutError("receiver constant leaves the float range; increase dwell_s")
     noise_factor = df * cholesky
     try:
@@ -347,10 +351,10 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple[np.nd
     except np.linalg.LinAlgError:  # e.g. a decay within one dwell: one flat line
         raise ReadoutError(_INSEPARABLE) from None
     # a map is shared by every detector on its grid
-    grid = (freqs, line_spectra, masks, response, noise_factor, amplitude_solve)
-    for array in grid:
+    arrays = (freqs, line_spectra, masks, response, noise_factor, amplitude_solve)
+    for array in arrays:
         array.flags.writeable = False
-    return grid
+    return (*arrays, (r00, r01, r10, r11), tuple(noise_factor[np.tril_indices(2)].tolist()))
 
 
 @dataclass(frozen=True)
@@ -368,7 +372,8 @@ class Detector:
     of amplitude σ are σ L z for standard normal z. These come from the
     one cached map of the grid (`_grid_map`), shared by every detector on
     it, which also holds the frequency axis, the unit line spectra and the
-    window masks that `spectra` and `noise_spectra` read.
+    window masks that `spectra` and `noise_spectra` read, and the entries
+    of Re(response) and L as floats, so a new setting converts no array.
 
     The probe setting is built here, in closed form and in Python float
     arithmetic, from the grid's 2×2 Re(response) and the two entries a and
@@ -384,15 +389,15 @@ class Detector:
     signal (Σ m·m below the smallest normal float), or one whose K leaves
     the float range, builds no detector, nor does a K and a tip whose solve
     leaves it. `roundoff` is the round-off level of `_probe_solve`, and the
-    rows of its solve matrix S are kept as floats. The noise level comes
-    from `settings`.
+    rows of its solve matrix S, each entry ± one of two floats, are kept
+    as floats. The noise level comes from `settings`.
 
-    One probe's arithmetic runs in Python floats, from the entries of R,
-    Re(response), S and L that the detector keeps: `probe_lines` turns
-    diagonals into integrals, `line_noise` turns normals into noise
-    integrals and `reconstruct` turns four integrals into a diagonal
-    through `_reconstruct`, its round-off rule and its gate; on four
-    numbers a numpy call costs more than its arithmetic.
+    One probe's arithmetic runs in Python floats, from the entries of R
+    and S and the grid's Re(response) and L that the detector keeps:
+    `probe_lines` turns diagonals into integrals, `line_noise` turns
+    normals into noise integrals and `reconstruct` turns four integrals
+    into a diagonal through `_reconstruct`, its round-off rule and its
+    gate; on four numbers a numpy call costs more than its arithmetic.
     """
 
     cfg: SpinSystemConfig
@@ -414,11 +419,12 @@ class Detector:
     def __post_init__(self):
         s, cfg = self.settings, self.cfg
         grid = _grid_map(cfg, s.n_points, s.dwell)
+        response, noise_factor, amplitude_solve, lines, factor = grid[3:]
         a, b = _tip_entries(s.probe_tip_deg)
-        (r00, r01), (r10, r11) = grid[3].real.tolist()
         # a frozen dataclass's fields, set past its __setattr__
         fields = vars(self)
-        fields.update(_tip=(a, b), _lines=(r00, r01, r10, r11))
+        fields.update(response=response, noise_factor=noise_factor, amplitude_solve=amplitude_solve,
+                      _tip=(a, b), _lines=lines, _factor=factor)
         # the thermal reference (d0, d1, -d1, -d0), as `enhanced_deviations`
         # rounds it, its probe amplitudes m and its integrals y
         half = 0.5 * cfg.polarization_unit
@@ -445,12 +451,7 @@ class Detector:
             raise ReadoutError(_SOLVE_PAST_FLOAT_RANGE)
         # the probed states' scale is the thermal reference's, whatever u is
         solve, roundoff = _probe_solve(a, b, k, max(abs(d0), abs(d1)))
-        (l00, _), (l10, l11) = grid[4].tolist()
-        response, noise_factor, amplitude_solve = grid[3:]
-        fields.update(
-            response=response, noise_factor=noise_factor, amplitude_solve=amplitude_solve,
-            receiver_constant=k, roundoff=roundoff, _solve=solve, _factor=(l00, l10, l11),
-        )
+        fields.update(receiver_constant=k, roundoff=roundoff, _solve=solve)
 
     def line_noise(self, z) -> list[float]:
         """noise_amp · z Lᵀ of standard normals z, Python floats: per pair
@@ -634,16 +635,6 @@ def reconstruct_diagonal(
     return np.array(_reconstruct(y, solve, roundoff))
 
 
-# the deviation patterns e, f, g, and the entries of the two tip-free parts
-# of R⁺ (`_probe_solve`) as float pairs, row by row
-_E, _F, _G = Z_H / 2, Z_C / 2, Z_H * Z_C / 2
-_G.flags.writeable = False
-_PINV = tuple(zip(
-    (np.outer(_E, [1, 1, 0, 0]) + np.outer(_F, [0, 0, 1, 1])).ravel().tolist(),
-    np.outer(_G, [1, -1, 1, -1]).ravel().tolist(),
-))
-
-
 def _probe_solve(a: float, b: float, k: float, scale: float = 1.0) -> tuple[tuple, float]:
     """The reconstruction of the probe relations R of one tip, given by
     their entries a and b (`_tip_entries`), at one receiver constant k = K:
@@ -658,8 +649,11 @@ def _probe_solve(a: float, b: float, k: float, scale: float = 1.0) -> tuple[tupl
     R⁺ = [e⊗(1,1,0,0) + f⊗(0,0,1,1)]/(2p) + g⊗(1,-1,1,-1)/(4q) for the
     deviation patterns e, f, g of the module docstring, with p = a + b =
     sin(tip)/2 and q = a - b = sin(2 tip)/4 for R's entries a = R[0,0] and
-    b = R[0,1]: each entry is the first part's over 2pK plus the second's
-    over 4qK, the floats that elementwise array division and addition give.
+    b = R[0,1]. Every entry of the two tip-free parts is ±1/2, so each entry
+    of S is ±0.5/pk ± 0.5/qk for pk = 2pK and qk = 4qK: one of the two
+    magnitudes s = 0.5/pk + 0.5/qk and t = 0.5/pk - 0.5/qk, or its
+    negation. Negating an operand negates a quotient and a sum exactly, so
+    these are the floats that elementwise array division and addition give.
     The left null space of K·R is spanned by the unit vector
     v = g = (1,-1,-1,1)/2 at every tip, so the norm of the
     residual y - K·R S y is |v·y| = |y_H0 - y_H1 - y_C0 + y_C1|/2. The
@@ -669,12 +663,12 @@ def _probe_solve(a: float, b: float, k: float, scale: float = 1.0) -> tuple[tupl
     if k == 0 or not math.isfinite(k):
         raise ValueError("the receiver constant must be finite and non-zero")
     pk, qk = 2 * (a + b) * k, 4 * (a - b) * k
-    # S's largest entries are ±(0.5/pk + 0.5/qk): a tip and a K whose
-    # product underflows would divide by zero, and a subnormal one overflows
-    if not (pk and qk and math.isfinite(0.5 / pk + 0.5 / qk)):
+    # S's largest entries are ±s: a tip and a K whose product underflows
+    # would divide by zero, and a subnormal one overflows
+    if not (pk and qk and math.isfinite(s := 0.5 / pk + 0.5 / qk)):
         raise ReadoutError(_SOLVE_PAST_FLOAT_RANGE)
-    entries = iter([x / pk + y / qk for x, y in _PINV])
-    solve = tuple(zip(entries, entries, entries, entries))
+    t = 0.5 / pk - 0.5 / qk
+    solve = ((s, t, s, t), (t, s, -s, -t), (-s, -t, t, s), (-t, -s, -t, -s))
     # |K| max|R| is max|K·R| bit for bit: rounding is monotone and odd; R
     # holds ±a and ±b
     row_scale = abs(k) * max(abs(a), abs(b))

@@ -99,8 +99,9 @@ class ExperimentSchedule:
         ):
             raise ValueError("single-sample times must be strictly increasing")
 
-    @property
+    @functools.cached_property
     def probe_times(self) -> tuple[float, ...]:
+        """The probes' times, computed on first read and kept."""
         return tuple(t - self.probe_lead for t in self.times)
 
 

@@ -97,9 +97,11 @@ def test_statistics_follow_each_metrics_better():
     assert "raw" not in rss
     lines = ab.report("prep-scan", stats, 5, []).splitlines()
     assert lines[0] == "prep-scan: 5 pairs accepted, 0 refused"
-    assert [line.split()[:2] for line in lines[1:]] == [
+    # each metric's line is followed by its per-pair line
+    assert [line.split()[:2] for line in lines[1::2]] == [
         ["ops_per_s", "scaled"], ["ops_per_s", "raw"], ["op_ms_p50", "scaled"],
         ["op_ms_p50", "raw"], ["peak_rss_mib", "scaled"]]
+    assert [line.split()[1:3] for line in lines[2::2]] == [["per", "pair"]] * 5
     assert "ratio 1.0980  better 5/5" in lines[1]
 
 
@@ -160,7 +162,34 @@ def test_a_gain_is_shown_in_9_of_10_pairs_by_more_than_the_base_iqr():
     assert ab.compare(lower, ahead, base)["gain_shown"]
     stats = {"ops_per_s": {"scaled": shown}, "op_ms_p50": {"scaled": near}}
     lines = ab.report("prep-scan", stats, 10, []).splitlines()
-    assert "better 10/10  gain shown" in lines[1] and "gain not shown" in lines[2]
+    assert "better 10/10  gain shown" in lines[1] and "gain not shown" in lines[3]
+
+
+def test_every_pairs_ratio_is_recorded_and_printed_in_pair_order(tmp_path):
+    # pair i: the base runs 100 + i op/s and the change 110 + i
+    runs = ab.run_pairs(FakeRunner(), 4)
+    stats = ab.statistics_of(METRICS, runs["accepted"])
+    ops = stats["ops_per_s"]
+    assert ops["scaled"]["pair_ratios"] == [(110.0 + i) / (100.0 + i) for i in range(4)]
+    raw = ops["raw"]
+    assert raw["pair_ratios"] == [c / b for c, b in zip(raw["change"]["values"],
+                                                         raw["base"]["values"])]
+    latency = stats["op_ms_p50"]["scaled"]["pair_ratios"]
+    assert latency == [(1000.0 / (110.0 + i)) / (1000.0 / (100.0 + i)) for i in range(4)]
+    lines = ab.report("prep-scan", stats, 4, []).splitlines()
+    assert lines[2].split() == ["scaled", "per", "pair", "1.1000", "1.0990", "1.0980", "1.0971"]
+    assert lines[4].split()[:3] == ["raw", "per", "pair"]
+    # a zero base has no ratio
+    metric = METRICS[0]
+    assert ab.compare(metric, [0.0, 2.0], [1.0, 3.0])["pair_ratios"] == [None, 1.5]
+    stats = {"ops_per_s": {"scaled": ab.compare(metric, [0.0, 2.0], [1.0, 3.0])}}
+    assert ab.report("prep-scan", stats, 2, []).splitlines()[2].split()[3:] == ["n/a", "1.5000"]
+    # and the BENCH file keeps them
+    path = tmp_path / "BENCH_abc1234.json"
+    header = {"commit": "abc1234" + "0" * 33, "base": "f" * 40}
+    ab.record(path, header, "prep-scan", {"metrics": {"ops_per_s": ops}})
+    kept = json.loads(path.read_text())["workloads"]["prep-scan"]["metrics"]["ops_per_s"]
+    assert kept["scaled"]["pair_ratios"] == ops["scaled"]["pair_ratios"]
 
 
 def test_bench_file_holds_the_header_and_one_entry_per_workload(tmp_path):

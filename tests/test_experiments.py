@@ -54,8 +54,9 @@ from spinoeqc.spins import (
     pulse_unitary,
 )
 from test_readout import (
-    MODULES, assert_line_noise, assert_noise_spectra, coherences, conditioned_noise, fft_spectrum,
-    probe_integrals, probe_map, probe_response_matrix, probe_solve, reference_noise, relative_gap,
+    G_PATTERN, MODULES, assert_line_noise, assert_noise_spectra, coherences, conditioned_noise,
+    fft_spectrum, probe_integrals, probe_map, probe_response_matrix, probe_solve, reference_noise,
+    relative_gap,
 )
 
 
@@ -256,7 +257,7 @@ def table_searches(table, q2, solve=np.eye(2)):
     search table is its own, as a jittered seed's is."""
     result = types.SimpleNamespace(weights=np.ones(3), q2=q2, ground=0)
     detector, zeros = TableDetector(table, solve), np.zeros((3, 4))
-    return Preparation(detector, 0, zeros, zeros, result, None, 1.0, None, {}).searches
+    return Preparation(detector, 0, zeros, zeros, result, None, 1.0, None, {}, {}).searches
 
 
 def decoded_or_text(values):
@@ -817,11 +818,11 @@ class TestSearchTargets:
 
     def test_the_four_targets_are_computed_once(self, monkeypatch):
         # a preparation decodes its four targets once, on its first search
-        # case. The search table behind them (the receiver-amplitude product)
-        # is built once per (setting, ground) with no jitter, so a second
-        # seed of the same setting builds none, and once per preparation
-        # with jitter, which never reads the setting's tables; the setting's
-        # tables are bounded by the 4 grounds
+        # case. The receiver-amplitude product behind them is computed once
+        # per (trajectory, ground) with no jitter, so a second seed of the
+        # same setting computes none, and once per preparation with jitter,
+        # which never reads or fills the trajectory's stacks nor the
+        # setting's tables; both are bounded by the 4 grounds
         clear_preparation_caches()
         decisions, products = [], []
         decide, product = experiments._decide, experiments._receiver_amplitudes
@@ -850,16 +851,18 @@ class TestSearchTargets:
         assert len(grounds) == 2  # a sign-mirror tie, broken by the noise
         # one setting throughout, whose tables are keyed by ground alone
         assert experiments._seed_free.cache_info()[2:] == (4, 1)  # maxsize, currsize
-        tables = first.preparation.search_tables
-        assert set(tables) == grounds
-        shared = dict(tables)
+        tables, stacks = first.preparation.search_tables, first.preparation.amplitude_stacks
+        assert set(tables) == set(stacks) == grounds
+        shared, shared_stacks = dict(tables), dict(stacks)
         for seed in range(3):
             params = SpinoeParams(-11.0, 18.0, reproducibility_jitter=0.05, seed=seed)
             jittered = noisy_run(mode, "01", params)
             assert len(products) == len(grounds) + seed + 1
             assert jittered.preparation.search_tables is not tables
-        assert tables.keys() == shared.keys()
+            assert jittered.preparation.amplitude_stacks is not stacks
+        assert tables.keys() == shared.keys() and stacks.keys() == shared_stacks.keys()
         assert all(tables[ground] is shared[ground] for ground in shared)
+        assert all(stacks[ground] is shared_stacks[ground] for ground in shared)
         prep = first.preparation
         *arrays, outcomes = prep.searches
         assert outcomes == tuple((target, None) for target in GROVER_TARGETS)
@@ -896,11 +899,70 @@ class TestRunObjects:
         assert a != b and len({a, b}) == 2
 
 
+class TestSharedAmplitudes:
+    def test_receiver_amplitudes_are_computed_once_per_trajectory(self, monkeypatch):
+        # one product per (trajectory, ground): a warm effective-pure call,
+        # a new tip or grid on a warm trajectory and a search on it compute
+        # none; a jittered seed computes its own stack once, for its
+        # effective-pure run and its search alike, and leaves the
+        # trajectory's stacks as they are
+        clear_preparation_caches()
+        products, product = [], experiments._receiver_amplitudes
+
+        def counting_product(*args):
+            products.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(experiments, "_receiver_amplitudes", counting_product)
+        params = SpinoeParams()
+        for mode in ScheduleMode:
+            count = len(products)
+            run = run_effective_pure_pipeline(params, CFG, mode)
+            assert len(products) == count + 1
+            stacks = run.preparation.amplitude_stacks
+            ground = run.result.ground
+            assert list(stacks) == [ground]
+            stack, before = stacks[ground], dict(stacks)
+            assert stack.shape == (1 + len(GROVER_TARGETS), 3, 2, 2)
+            assert not stack.flags.writeable and np.shares_memory(run.receiver_amplitudes, stack)
+            assert run_effective_pure_pipeline(params, CFG, mode).preparation is run.preparation
+            for detection in (DetectionSettings(probe_tip_deg=11.0),
+                              DetectionSettings(n_points=2048, probe_tip_deg=17.5),
+                              DetectionSettings(n_points=8192)):
+                other = run_effective_pure_pipeline(params, CFG, mode, detection=detection)
+                assert other.preparation.amplitude_stacks is stacks
+                assert other.result.ground == ground
+                assert np.shares_memory(other.receiver_amplitudes, stack)
+            search = run_grover_pipeline(params, CFG, GroverCase("10"), mode, sample_age=0.0)
+            assert search.preparation.amplitude_stacks is stacks
+            assert np.shares_memory(search.receiver_amplitudes, stack)
+            assert len(products) == count + 1
+            if mode is ScheduleMode.MULTI_SAMPLE:  # jitter reaches fresh samples alone
+                for seed in range(2):
+                    jittered = SpinoeParams(reproducibility_jitter=0.05, seed=seed)
+                    own = run_effective_pure_pipeline(jittered, CFG, mode)
+                    assert own.preparation.amplitude_stacks is not stacks
+                    run_grover_pipeline(jittered, CFG, GroverCase("01"), mode, sample_age=0.0)
+                    assert len(products) == count + 2 + seed
+            assert stacks == before and stacks[ground] is stack
+
+    def test_the_stack_rows_are_the_products_of_each_row(self):
+        # one product of the whole stack gives each row's product bit for bit
+        rng = np.random.default_rng(5)
+        for ground in range(4):
+            deviations = rng.normal(size=(3, 4))
+            stack = experiments._receiver_amplitudes(deviations, ground)
+            maps = _readout_maps(ground)
+            for rows in (0, slice(1, None)):
+                want = (maps[rows] @ deviations[:, None, :, None])[..., 0]
+                assert stack[rows].tobytes() == want.tobytes()
+
+
 def clear_preparation_caches():
     """Empty every cache a preparation reads."""
     for cache in (
         readout._grid_map,
-        experiments._seed_free, experiments._unjittered_states, experiments._thermal_reference,
+        experiments._seed_free, experiments._trajectory, experiments._thermal_reference,
         _prepare,
     ):
         cache.cache_clear()
@@ -1328,7 +1390,7 @@ class TestPrepareBatch:
         # the residuals, replayed from each seed's stream: per probe its four
         # noise normals; each replayed probe reconstructs as the pipeline did
         clean = probe_integrals(det, batch[0].deviations).reshape(-1, 4).tolist()
-        g = readout._G
+        g = G_PATTERN
         residuals = []
         for seed, prep in enumerate(batch):
             normals = np.random.default_rng(seed).standard_normal(24)[:12].tolist()

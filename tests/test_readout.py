@@ -9,6 +9,7 @@ import math
 import pkgutil
 import re
 import sys
+import types
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import spinoeqc
-from spinoeqc import readout
+from spinoeqc import experiments, readout
 from spinoeqc.quantum import DensityMatrix, Unitary, apply_unitary, compose, populations
 from spinoeqc.readout import (
     MAX_FID_SAMPLES,
@@ -700,6 +701,23 @@ def numpy_probe_setting(cfg, n_points, dwell, tip):
 E_PATTERN, F_PATTERN, G_PATTERN = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
 PINV_P = np.outer(E_PATTERN, [1, 1, 0, 0]) + np.outer(F_PATTERN, [0, 0, 1, 1])
 PINV_Q = np.outer(G_PATTERN, [1, -1, 1, -1])
+# their entries as float pairs, row by row
+PINV_PAIRS = tuple(zip(PINV_P.ravel().tolist(), PINV_Q.ravel().tolist()))
+
+
+def pattern_probe_solve(a, b, k, scale=1.0):
+    """`readout._probe_solve` as the 16-entry pattern formula: each entry of
+    S the tip-free parts' entries over pk = 2(a + b)k and qk = 4(a - b)k,
+    summed, in Python floats, with the same refusals and round-off level."""
+    if k == 0 or not math.isfinite(k):
+        raise ValueError("the receiver constant must be finite and non-zero")
+    pk, qk = 2 * (a + b) * k, 4 * (a - b) * k
+    if not (pk and qk and math.isfinite(0.5 / pk + 0.5 / qk)):
+        raise ReadoutError(readout._SOLVE_PAST_FLOAT_RANGE)
+    entries = iter([x / pk + y / qk for x, y in PINV_PAIRS])
+    solve = tuple(zip(entries, entries, entries, entries))
+    row_scale = abs(k) * max(abs(a), abs(b))
+    return solve, readout.ROUNDOFF_MULTIPLE * sys.float_info.epsilon * row_scale * scale
 
 
 def assert_arithmetics_agree(cfg, n_points, dwell, tip):
@@ -812,11 +830,17 @@ class TestDetector:
         base = Detector(CFG, DetectionSettings())
         grid = readout._grid_map(CFG, 4096, 1e-3)
         maps = (base.response, base.noise_factor, base.amplitude_solve)
-        assert all(a is b for a, b in zip(maps, grid[3:], strict=True))
+        assert all(a is b for a, b in zip(maps, grid[3:6], strict=True))
+        # and its floats: Re(response) row by row, and L[0,0], L[1,0], L[1,1]
+        lines, factor = grid[6:]
+        assert base._lines is lines and base._factor is factor
+        assert lines == tuple(grid[3].real.ravel().tolist())
+        assert factor == tuple(grid[4].ravel().tolist()[i] for i in (0, 2, 3))
         for settings_ in (DetectionSettings(probe_tip_deg=10.0), DetectionSettings(noise_amp=0.1)):
             det = Detector(CFG, settings_)
             assert det.response is base.response and det.noise_factor is base.noise_factor
             assert det.amplitude_solve is base.amplitude_solve
+            assert det._lines is lines and det._factor is factor
         for other in (
             Detector(CFG, DetectionSettings(n_points=2048)),
             Detector(CFG, DetectionSettings(dwell=5e-4)),
@@ -824,7 +848,7 @@ class TestDetector:
         ):
             assert other.response is not base.response
             assert not np.array_equal(other.response, base.response)
-        for array in grid:
+        for array in grid[:6]:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1.0
 
@@ -953,9 +977,8 @@ class TestDetector:
         scale = float(np.abs(enhanced_deviations(CFG, 1.0, 1.0)).max())
         solve, roundoff = array_probe_solve(relations, k, scale)
         assert np.array_equal(probe_solve(det), solve) and det.roundoff == roundoff
-        for array in (readout._G, det.amplitude_solve):
-            with pytest.raises(ValueError):
-                array.flat[0] = 1.0
+        with pytest.raises(ValueError):
+            det.amplitude_solve.flat[0] = 1.0
 
     @pytest.mark.parametrize(
         "unit", [1.0, 1e-100, 3.7e50, 0.0, 1e-154, 1e153], ids=lambda u: f"u={u:g}"
@@ -1207,6 +1230,17 @@ class TestDetector:
         assert len({id(obj) for _, obj in caches}) >= 8
         for name, cache in caches:
             assert cache.cache_info().maxsize is not None, name
+        # the trajectories' cache, 4 deep, keeps at most one amplitude stack
+        # per ground: 4 × 4 in all
+        assert dict(caches)["spinoeqc.experiments._trajectory"].cache_info().maxsize == 4
+        states, _, stacks = experiments._trajectory(-11.0, 18.0, 900.0, CFG, (0.0, 120.0, 240.0))
+        for ground in (*range(4), *range(4)):
+            prep = types.SimpleNamespace(
+                result=types.SimpleNamespace(ground=ground), amplitude_stacks=stacks,
+                deviations=states,
+            )
+            experiments.Preparation.amplitude_stack.fget(prep)
+        assert sorted(stacks) == [0, 1, 2, 3]
 
     def test_grid_map_cache_is_bounded(self):
         maxsize = readout._grid_map.cache_info().maxsize
@@ -1374,7 +1408,7 @@ def matrix_reconstruct(det, y) -> tuple[np.ndarray, str | None]:
     y = np.array(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         ymax = np.abs(y).max()
-        residual = abs(y @ readout._G)
+        residual = abs(y @ G_PATTERN)
         diag = probe_solve(det) @ y if ymax > det.roundoff else np.zeros(4)
     if not np.isfinite(ymax):
         return diag, readout._PAST_FLOAT_RANGE
@@ -1602,7 +1636,7 @@ class TestReconstruction:
         want, *_ = np.linalg.lstsq(design, np.concatenate([y, [0.0]]), rcond=None)
         rows, _ = readout._probe_solve(*readout._tip_entries(tip), calibration)
         solve = np.array(rows)
-        null = readout._G
+        null = G_PATTERN
         scale = math.hypot(*y) * np.linalg.norm(solve, 2)
         assert np.abs(solve @ y - want).max() <= 1e-13 * scale
         residual = math.hypot(*(a @ want - y))
@@ -1619,7 +1653,7 @@ class TestReconstruction:
         # one pattern, the left null vector of the detector's calibrated map
         y = np.array(y)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
-        null, pattern = readout._G, np.array([1.0, -1.0, -1.0, 1.0]) / 2
+        null, pattern = G_PATTERN, np.array([1.0, -1.0, -1.0, 1.0]) / 2
         assert np.array_equal(null, pattern)
         response = det.receiver_constant * probe_map(det).reshape(4, 4)
         assert np.abs(null @ response).max() <= 4 * np.finfo(float).eps * np.abs(response).max()
@@ -1651,6 +1685,47 @@ class TestReconstruction:
         peaks = PeakTable([1.0, 1.0])
         with pytest.raises(ValueError, match="finite and non-zero"):
             reconstruct_diagonal(peaks, peaks, 15.0, calibration)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        tip=st.floats(-6.0, math.log10(PROBE_TIP_MAX)).map(lambda e: 10.0**e),
+        magnitude=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        negative=st.booleans(),
+        scale=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    )
+    # the smallest |K| with a finite solve at three tips, and the float below it
+    @example(tip=1e-6, magnitude=2.39038764745035e-301, negative=False, scale=1.0)
+    @example(tip=1e-6, magnitude=2.3903876474503495e-301, negative=False, scale=1.0)
+    @example(tip=15.0, magnitude=1.630896617293188e-308, negative=True, scale=1.0)
+    @example(tip=15.0, magnitude=1.6308966172931877e-308, negative=True, scale=1.0)
+    @example(tip=25.0, magnitude=1.0212001151036227e-308, negative=False, scale=0.5)
+    @example(tip=25.0, magnitude=1.021200115103622e-308, negative=False, scale=0.5)
+    def test_two_magnitudes_are_the_pattern_formula(self, tip, magnitude, negative, scale):
+        # S from s and t is the 16-entry pattern formula bit for bit: its
+        # rows, its round-off level and its refusal
+        a, b = readout._tip_entries(tip)
+        k = -magnitude if negative else magnitude
+        try:
+            want = pattern_probe_solve(a, b, k, scale)
+        except ReadoutError as exc:
+            with pytest.raises(ReadoutError, match=f"^{re.escape(str(exc))}$"):
+                readout._probe_solve(a, b, k, scale)
+            return
+        rows, level = readout._probe_solve(a, b, k, scale)
+        assert np.array(rows).tobytes() == np.array(want[0]).tobytes()
+        assert np.float64(level).tobytes() == np.float64(want[1]).tobytes()
+
+    @pytest.mark.parametrize("tip,smallest", [
+        (1e-6, 2.39038764745035e-301), (15.0, 1.630896617293188e-308),
+        (25.0, 1.0212001151036227e-308),
+    ])
+    def test_the_pattern_examples_straddle_the_refusal(self, tip, smallest):
+        # the property's examples: a finite solve, and one float lower a refusal
+        a, b = readout._tip_entries(tip)
+        rows, _ = pattern_probe_solve(a, b, smallest)
+        assert np.isfinite(rows).all()
+        with pytest.raises(ReadoutError, match="^probe solve leaves the float range"):
+            pattern_probe_solve(a, b, math.nextafter(smallest, 0.0))
 
     def test_solve_past_the_float_range_is_refused(self):
         # S's largest entries are ±(0.5/p + 0.5/q) for p = 2(a + b)K and

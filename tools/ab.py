@@ -14,7 +14,9 @@ status is 1.
 
 Per end-to-end metric of `BENCHMARK.json` it prints and records both
 sides' median and interquartile range (IQR), scaled and raw (the `env`
-line's `raw_` figures), the change's median over the base's, and in how
+line's `raw_` figures), the change's median over the base's, the change
+over the base in every pair, in pair order (`pair_ratios`, printed on the
+line below the metric's, so a claim shows its spread pair by pair), in how
 many pairs the change was better by the metric's `better`, and whether
 it shows a gain (`gain_shown`, the claim rule: better in at least 9 of 10
 pairs, ties counting for neither, and the medians apart by more than the
@@ -98,6 +100,7 @@ def compare(metric: dict, base: list, change: list) -> dict:
     better_pairs = sum(is_better(x, y, metric["better"]) for x, y in zip(change, base))
     return {
         "base": b, "change": c, "ratio": ratio,
+        "pair_ratios": [x / y if y else None for x, y in zip(change, base)],
         "better_pairs": better_pairs,
         "gain_shown": gain_shown(better_pairs, len(base), b, c, metric["better"]),
         "unresolved": spread is None or spread > metric["bound"],
@@ -199,6 +202,8 @@ def report(workload: str, stats: dict, pairs: int, refused: list) -> str:
                 f"  ratio {ratio}  better {s['better_pairs']}/{pairs}"
                 f"  gain {'shown' if s['gain_shown'] else 'not shown'}{flag}"
             )
+            ratios = ("n/a" if r is None else f"{r:.4f}" for r in s["pair_ratios"])
+            lines.append(f"  {'':13s} {kind:6s} per pair {' '.join(ratios)}")
     for r in refused:
         lines.append(f"  refused seed {r['seed']}: {r['reasons']}")
     return "\n".join(lines)
