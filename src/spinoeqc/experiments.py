@@ -18,11 +18,12 @@ preparation for a jittered seed, whose states are its own. An
 effective-pure run reads row 0. The search targets read rows 1-4, kept
 once per (setting, ground) in a table with the noise-free line integrals
 behind them and the amplitude solve; a preparation then computes and
-decodes all four search targets
-once, on its first search case, in Python floats: its weighted sum of
-noisy integrals, the amplitude solve and four decodes, so every case
-reads its target's row and its answer (or its decode error's text). A
-run's `records` and their spectra are built only when read.
+decodes all four search targets once, on its first search case, in
+Python floats: its weighted sum of noisy integrals, the amplitude solve
+and four decodes, and builds each target's run or keeps its decode
+error's text. It builds its effective-pure run once too. A run reads its
+labeling, enhancement and schedule from its preparation, and its
+`records` and their spectra are built only when read.
 `build_spectra` builds a record's spectra anew, and `build_sum_spectra`
 those of the weighted sum, one `Detector.spectra` of the weighted
 amplitudes and noise rows that reads no record; both keep nothing, for a
@@ -42,11 +43,19 @@ amplitude. Per (params apart from the seed, spin system, schedule,
 detection settings) it is the detector, those states' noise-free probe
 integrals and their search tables per ground, so a new setting pays for
 its tip and grid alone.
-A pipeline call prepares a batch of one, kept for the last (SpinoeParams,
-SpinSystemConfig, ExperimentSchedule, DetectionSettings) seen. Shared
-arrays are read-only; a failed preparation is not kept, nor one whose
-labeling leaves the non-ground populations unequal, so that each pipeline
-call on it labels again and warns `UnequalizedLabeling` once.
+A pipeline call prepares a batch of one, kept for the next call with
+equal SpinoeParams, SpinSystemConfig and DetectionSettings and the same
+ExperimentSchedule object, so equal calls on it construct nothing and
+return the same run. The match is one tuple comparison, which compares
+identical objects by identity alone, and hashes nothing. The schedule is
+matched by identity because a run reports its preparation's schedule:
+both pipelines call `make_schedule`, a cache typed on its four
+arguments, with all four, so a schedule equal in value but not in type
+(an int r1 after a float one) is another object, prepares anew and
+reports its own types. Shared arrays and runs are read-only; a failed
+preparation is not kept, nor one whose labeling leaves the non-ground
+populations unequal, so that each pipeline call on it labels again and
+warns `UnequalizedLabeling` once.
 
 The seed names every random draw. Its normals, in stream order, are per
 probe the sample jitter (two, only for fresh samples and only with
@@ -76,7 +85,8 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -121,6 +131,10 @@ class GroverCase:
         return int(self.target, 2)
 
 
+# one case per target, in `GROVER_TARGETS` order
+_CASES = tuple(map(GroverCase, GROVER_TARGETS))
+
+
 @dataclass(eq=False)
 class ExperimentRecord:
     """One probe + compute run of a pipeline: experiment `index` of
@@ -155,18 +169,28 @@ class ExperimentRecord:
         return self.spectra[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EffectivePureRun:
-    """Everything produced by one effective-pure-state preparation; its
-    `records` are built on first read, from `preparation` and the read-only
-    (experiment, channel, line) `receiver_amplitudes`."""
+    """The effective-pure run on `preparation`: its labeling, enhancement
+    and schedule are the preparation's, and its `records` are built on
+    first read, from the preparation and the read-only (experiment,
+    channel, line) `receiver_amplitudes`. A preparation builds its run
+    once (`Preparation.effective_pure_run`)."""
 
-    result: EffectivePureResult
-    thermal_result: EffectivePureResult
-    enhancement: float
-    schedule: ExperimentSchedule
     preparation: Preparation = field(repr=False)
     receiver_amplitudes: np.ndarray = field(repr=False)
+
+    # read-only, its preparation's
+    result = property(attrgetter("preparation.result"))
+    thermal_result = property(attrgetter("preparation.thermal_result"))
+    enhancement = property(attrgetter("preparation.enhancement"))
+    schedule = property(attrgetter("preparation.schedule"))
+
+    def __repr__(self) -> str:
+        # what it reads from its preparation, then its own fields that show
+        names = ("result", "thermal_result", "enhancement", "schedule",
+                 *(f.name for f in fields(self) if f.repr))
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
     @functools.cached_property
     def records(self) -> list[ExperimentRecord]:
@@ -186,9 +210,11 @@ class EffectivePureRun:
         return prep.detector.spectra(np.tensordot(w, self.receiver_amplitudes, 1), noise)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GroverRun(EffectivePureRun):
-    """One search case: the labeled run plus its decoded answer."""
+    """One search case on `preparation`: the labeled run plus its case and
+    decoded answer, built by the preparation's search pass
+    (`Preparation.searches`) for every target that decodes."""
 
     case: GroverCase
     decoded: str
@@ -226,24 +252,28 @@ def relabel_unitary(ground: int) -> Unitary:
 
 @dataclass(frozen=True, eq=False)
 class Preparation:
-    """What a labeled run does apart from its computation: per experiment
-    (a read-only row each) the sampled deviation diagonals
-    (`sample_initial_states`), probed diagonals and (channel, line) readout
-    noise integrals (None with noise off), the labeling with its
+    """What a labeled run does apart from its computation: the `schedule`
+    it ran on, per experiment (a read-only row each) the sampled deviation
+    diagonals (`sample_initial_states`) and probed diagonals, its readout
+    noise integrals as floats (`readout_noise`, flat as experiment * 4 +
+    channel * 2 + line, None with noise off), the labeling with its
     enhancement, `amplitude_stacks`, the `_receiver_amplitudes` of its
     deviations per ground, and `search_tables`, their `_search_table` per
     ground, each built on first use: the trajectory's (`_trajectory`) and
     the setting's (`_seed_free`), unless the seed's states are jittered.
-    Readout i is detection i of `seed`."""
+    Readout i is detection i of `seed`. It holds its runs, each built once,
+    on first read: `effective_pure_run` and the search cases of
+    `searches`."""
 
     detector: Detector
     seed: int
+    schedule: ExperimentSchedule
     deviations: np.ndarray = field(repr=False)
     probed: np.ndarray = field(repr=False)
     result: EffectivePureResult
     thermal_result: EffectivePureResult
     enhancement: float
-    noise_integrals: np.ndarray | None = field(repr=False)
+    readout_noise: tuple | None = field(repr=False)
     amplitude_stacks: dict = field(repr=False)
     search_tables: dict = field(repr=False)
 
@@ -258,6 +288,16 @@ class Preparation:
         return stacks[ground]
 
     @functools.cached_property
+    def noise_integrals(self) -> np.ndarray | None:
+        """The read-only (experiment, channel, line) array of `readout_noise`
+        (None with noise off), built on first read."""
+        if self.readout_noise is None:
+            return None
+        integrals = np.array(self.readout_noise).reshape(-1, 2, 2)
+        integrals.flags.writeable = False
+        return integrals
+
+    @functools.cached_property
     def noise_spectra(self) -> np.ndarray | None:
         """The read-only (experiment, channel, sample) `Detector.noise_spectra`
         of the readouts (None with noise off), built on the first spectrum
@@ -267,14 +307,18 @@ class Preparation:
         return self.detector.noise_spectra(self.seed, self.noise_integrals)
 
     @functools.cached_property
-    def searches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """The search cases of every target in `GROVER_TARGETS` order, built
-        on the first search case and shared by every run on this preparation:
-        the read-only (target, experiment, channel, line) receiver amplitudes
-        (rows 1-4 of its `amplitude_stack`), the read-only (target, channel,
-        partner) weighted line integrals and line amplitudes behind them, and
-        per target its decode (`_decide`) as an (answer, None) or (None,
-        DecodeError text) pair.
+    def effective_pure_run(self) -> EffectivePureRun:
+        """Its effective-pure run, on row 0 of its `amplitude_stack`."""
+        return EffectivePureRun(self, self.amplitude_stack[0])
+
+    @functools.cached_property
+    def searches(self) -> dict[str, GroverRun | str]:
+        """The search case of every target in `GROVER_TARGETS`, by target,
+        built in one pass on the first search case: the target's GroverRun,
+        or the text of the DecodeError its decode (`_decide`) raises. A
+        run's receiver amplitudes are its row of rows 1-4 of the
+        `amplitude_stack`, and its (channel, partner) weighted line
+        integrals and line amplitudes are rows of one read-only array.
 
         The table holds what every seed on these deviations shares; this
         pass adds the seed's readout noise nᵢ and weights wᵢ in Python
@@ -288,7 +332,7 @@ class Preparation:
             tables[ground] = _search_table(self.detector, amplitudes)
         clean, ((a00, a01), (a10, a11)) = tables[ground]
         w0, w1, w2 = self.result.weights.tolist()
-        noise = _NO_NOISE if self.noise_integrals is None else self.noise_integrals.ravel().tolist()
+        noise = _NO_NOISE if self.readout_noise is None else self.readout_noise
         n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11 = noise
         # an inverted preparation (q2 < 0) flips every line; its sign is
         # known from the weight solve, so it is folded into the decode
@@ -308,7 +352,11 @@ class Preparation:
             decisions.append(_decide(sign * u0, sign * u1, sign * v0, sign * v1))
         rows = np.array(integrals + line_amplitudes).reshape(2, len(GROVER_TARGETS), 2, 2)
         rows.flags.writeable = False
-        return amplitudes, rows[0], rows[1], tuple(decisions)
+        return {
+            case.target: error if answer is None else GroverRun(
+                self, amplitudes[k], case, answer, rows[0, k], rows[1, k])
+            for k, (case, (answer, error)) in enumerate(zip(_CASES, decisions))
+        }
 
 
 # the readout noise of a noise-free preparation: -0.0 adds nothing to any
@@ -323,8 +371,8 @@ def prepare_batch(
     """Per seed the preparation of `p` with it, or the ReadoutError or
     SingularLabelingSystem it raises; errors all seeds share are raised.
     Each seed is prepared on its own, in Python floats from its normals to
-    its labeling; its `probed` and `noise_integrals` arrays are built once,
-    at the end."""
+    its labeling; its `probed` array is built once, at the end, and its
+    readout noise stays in floats."""
     seeds = [check_seed(seed) for seed in seeds]
     detector, states, stacks, clean, tables = _seed_free(
         p.eps0_h, p.eps0_c, p.t1_xe, cfg, schedule, detection
@@ -372,13 +420,10 @@ def prepare_batch(
             continue
         probed = np.array(diagonals).reshape(n_exp, 4)
         probed.flags.writeable = False
-        readout_integrals = None
-        if noise:
-            readout_integrals = np.array(lines[4 * n_exp:]).reshape(n_exp, 2, 2)
-            readout_integrals.flags.writeable = False
         outcomes.append(Preparation(
-            detector, seed, deviations, probed, result, thermal,
-            enhancement_factor(result, thermal), readout_integrals, amplitude_stacks, search_tables,
+            detector, seed, schedule, deviations, probed, result, thermal,
+            enhancement_factor(result, thermal), tuple(lines[4 * n_exp:]) if noise else None,
+            amplitude_stacks, search_tables,
         ))
     return outcomes
 
@@ -416,18 +461,30 @@ def _trajectory(
     return states, states.ravel().tolist(), {}
 
 
-@functools.lru_cache(maxsize=1)
+# the preparation that `_prepare` keeps, as one ((params, spin system,
+# detection settings), schedule, preparation) entry, or none
+_kept: list[tuple] = []
+
+
 def _prepare(
     p: SpinoeParams, cfg: SpinSystemConfig, schedule: ExperimentSchedule,
     detection: DetectionSettings,
 ) -> Preparation:
     """`prepare_batch` of the params' seed alone, raising its error; kept
-    for the next call with equal arguments (see the module docstring). The
-    pipelines drop one whose labeling is not equalized, so that every
-    pipeline call on it warns `UnequalizedLabeling` once."""
+    for the next call with equal params, spin system and detection settings
+    and the same schedule object (see the module docstring). A preparation
+    whose labeling is not equalized is not kept, so that every call on it
+    labels again and warns `UnequalizedLabeling` once."""
+    key = (p, cfg, detection)
+    for kept_key, kept_schedule, prep in _kept:
+        # a tuple compares its items by identity first: the same objects
+        # cost no __eq__ call
+        if kept_schedule is schedule and kept_key == key:
+            return prep
     (prep,) = prepare_batch(p, cfg, schedule, detection, (p.seed,))
     if isinstance(prep, Exception):
         raise prep
+    _kept[:] = [(key, schedule, prep)] if prep.result.equalized else []
     return prep
 
 
@@ -440,8 +497,7 @@ def _readout_maps(ground: int) -> np.ndarray:
     followed by the relabeling of `ground` and the circuit of a target, in
     `GROVER_TARGETS` order."""
     steps = [permutation_pulse_sequence(perm, ground) for perm in DEFAULT_PERM_ORDER]
-    computations = [compose(relabel_unitary(ground), grover_circuit(GroverCase(target)))
-                    for target in GROVER_TARGETS]
+    computations = [compose(relabel_unitary(ground), grover_circuit(case)) for case in _CASES]
     rows = [steps, *([compose(step, c) for step in steps] for c in computations)]
     maps = np.array([[readout_map(step) for step in row] for row in rows])
     maps.flags.writeable = False
@@ -490,16 +546,12 @@ def run_effective_pure_pipeline(
     Runs the three permutation experiments on the schedule implied by
     `mode`, solves the weights from the probed diagonals, assembles the
     effective pure state and reports its enhancement over the same
-    labeling applied to thermal-equilibrium input.
+    labeling applied to thermal-equilibrium input. The run is the
+    preparation's own (`Preparation.effective_pure_run`), so equal calls on
+    a kept preparation return the same run.
     """
-    schedule = make_schedule(mode, r1, recovery)
-    prep = _prepare(p, cfg, schedule, detection)
-    if not prep.result.equalized:  # its next call labels and warns again
-        _prepare.cache_clear()
-    return EffectivePureRun(
-        prep.result, prep.thermal_result, prep.enhancement, schedule, prep,
-        prep.amplitude_stack[0],
-    )
+    schedule = make_schedule(mode, r1, recovery, 0.0)
+    return _prepare(p, cfg, schedule, detection).effective_pure_run
 
 
 def _decide(h0: float, h1: float, c0: float, c1: float) -> tuple[str | None, str | None]:
@@ -541,27 +593,20 @@ def run_grover_pipeline(
 
     The default schedule starts on an aged sample (sample_age after
     mixing): search runs late in a sample's life show the moderate
-    enhancements characteristic of this experiment series. The answer is
-    the preparation's decode of its target (`Preparation.searches`), made
-    once from the line amplitudes behind the weighted readout integrals;
-    a target that decodes nothing raises a new DecodeError with its text.
-    The enhancement compares the labeled input state against the
-    closed-form labeling of thermal input.
+    enhancements characteristic of this experiment series. The run is the
+    one the preparation's search pass built for `case.target`
+    (`Preparation.searches`), its answer decoded once from the line
+    amplitudes behind the weighted readout integrals, so equal calls on a
+    kept preparation return the same run; a target that decodes nothing
+    raises a new DecodeError with the text the pass kept. The enhancement
+    compares the labeled input state against the closed-form labeling of
+    thermal input.
     """
     schedule = make_schedule(mode, r1, recovery, sample_age)
-    prep = _prepare(p, cfg, schedule, detection)
-    if not prep.result.equalized:  # its next call labels and warns again
-        _prepare.cache_clear()
-    amplitudes, integrals, line_amplitudes, decisions = prep.searches
-    k = case.index
-    answer, error = decisions[k]
-    if error is not None:
-        raise DecodeError(error)
-    return GroverRun(
-        prep.result, prep.thermal_result, prep.enhancement, schedule, prep, amplitudes[k],
-        case=case, decoded=answer, peak_integrals=integrals[k],
-        line_amplitudes=line_amplitudes[k],
-    )
+    run = _prepare(p, cfg, schedule, detection).searches[case.target]
+    if isinstance(run, str):
+        raise DecodeError(run)
+    return run
 
 
 def _record_payload(rec: ExperimentRecord) -> dict:

@@ -109,12 +109,13 @@ class EffectivePureResult:
     equalized: bool
 
     def __post_init__(self):
-        # built from the labeling's floats, read-only: one result is shared
-        # by every run on a preparation
-        for name in ("diagonal", "weights"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        # built from the labeling's floats as one read-only array, of which
+        # both are views: one result is shared by every run on a preparation
+        n = len(self.diagonal)
+        a = np.array([*self.diagonal, *self.weights], dtype=float)
+        a.flags.writeable = False
+        object.__setattr__(self, "diagonal", a[:n])
+        object.__setattr__(self, "weights", a[n:])
 
     def normalized_q2(self) -> float:
         """q2 rescaled so the weights sum to 3 (one unit per experiment)."""

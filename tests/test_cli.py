@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spinoeqc.cli as cli
-from spinoeqc import readout
+from spinoeqc import experiments, readout
 from spinoeqc.experiments import (
     DecodeError, GroverCase, _prepare, prepare_batch, run_effective_pure_pipeline,
     run_grover_pipeline,
@@ -918,15 +918,46 @@ class TestDeterminism:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"noise_amp": 0.01, "seed": 3}))
         common = ["--config", str(config)]
-        _prepare.cache_clear()
+        experiments._kept.clear()
         _grid_map.cache_clear()
         assert cli.main([*common, "--out", str(tmp_path / "all"), "grover", "--all"]) == 0
         for target in ("00", "01", "10", "11"):
-            _prepare.cache_clear()
+            experiments._kept.clear()
             _grid_map.cache_clear()
             argv = [*common, "--out", str(tmp_path / "one"), "grover", "--target", target]
             assert cli.main(argv) == 0
         assert_same_files_outside_timestamp(tmp_path / "all", tmp_path / "one")
+
+
+    @pytest.mark.parametrize(
+        "configs,command",
+        [
+            ([{"r1_s": 25.0}, {"r1_s": 25}, {"r1_s": 25.0}], ["effpure"]),
+            # on fresh samples an int r1 and sample age give int times
+            ([{"mode": "multi", "r1_s": 25, "sample_age_s": 600},
+              {"mode": "multi", "r1_s": 25, "sample_age_s": 600.0}], ["grover", "--target", "01"]),
+        ],
+        ids=["effpure-r1", "grover-sample-age"],
+    )
+    def test_reports_keep_the_callers_schedule(self, tmp_path, configs, command):
+        # configs in turn whose schedules are equal in value but not in
+        # type (25 after 25.0) share no preparation: each report's schedule
+        # block is that of the same command run on an empty memo
+        def schedule_text(config, out):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            assert cli.main(["--config", str(path), "--out", str(out), *command]) == 0
+            (report,) = out.glob("*_report.json")
+            return json.dumps(read_report(report)["schedule"])
+
+        experiments._kept.clear()
+        in_turn = [schedule_text(config, tmp_path / f"turn{i}") for i, config in enumerate(configs)]
+        alone = []
+        for i, config in enumerate(configs):
+            experiments._kept.clear()
+            alone.append(schedule_text(config, tmp_path / f"alone{i}"))
+        assert in_turn == alone
+        assert in_turn[0] != in_turn[1]  # the types show in the report
 
 
 class TestTwoWriters:

@@ -44,7 +44,8 @@ from spinoeqc.readout import (
     integrate_peaks,
 )
 from spinoeqc.spinoe import (
-    DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ScheduleMode, SpinoeParams, make_schedule,
+    DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S, ScheduleMode, SpinoeParams,
+    make_schedule,
 )
 from spinoeqc.spins import (
     PermutationId,
@@ -257,7 +258,20 @@ def table_searches(table, q2, solve=np.eye(2)):
     search table is its own, as a jittered seed's is."""
     result = types.SimpleNamespace(weights=np.ones(3), q2=q2, ground=0)
     detector, zeros = TableDetector(table, solve), np.zeros((3, 4))
-    return Preparation(detector, 0, zeros, zeros, result, None, 1.0, None, {}, {}).searches
+    return Preparation(detector, 0, None, zeros, zeros, result, None, 1.0, None, {}, {}).searches
+
+
+def outcome(search):
+    """A search pass entry, a run or a DecodeError text, as an (answer,
+    None) or (None, text) pair."""
+    return (None, search) if isinstance(search, str) else (search.decoded, None)
+
+
+def solved(lines, solve=np.eye(2)):
+    """The (channel, partner) `lines` times the amplitude solve, row by row
+    in Python floats as the search pass forms them."""
+    (a00, a01), (a10, a11) = solve.tolist()
+    return np.array([[a00 * x0 + a01 * x1, a10 * x0 + a11 * x1] for x0, x1 in lines.tolist()])
 
 
 def decoded_or_text(values):
@@ -293,14 +307,18 @@ class TestDecideOncePerPreparation:
             table = np.array(rows[start:start + len(GROVER_TARGETS)]).reshape(-1, 2, 2)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, integrals, line_amplitudes, outcomes = table_searches(table, q2)
-            # the noise-free pass adds -0.0, which leaves every float, -0.0
-            # and NaN included, as it is
-            assert integrals.tobytes() == table.tobytes()
-            assert isinstance(outcomes, tuple) and len(outcomes) == len(GROVER_TARGETS)
-            for k, outcome in enumerate(outcomes):
-                assert outcome == decoded_or_text(sign * line_amplitudes[k])
-                assert outcome == decoded_or_text(sign * table[k])
+                searches = table_searches(table, q2)
+            assert list(searches) == list(GROVER_TARGETS)
+            for k, target in enumerate(GROVER_TARGETS):
+                search = searches[target]
+                assert outcome(search) == decoded_or_text(sign * table[k])
+                if isinstance(search, str):
+                    continue
+                # the noise-free pass adds -0.0, which leaves every float,
+                # -0.0 included, as it is
+                assert search.peak_integrals.tobytes() == table[k].tobytes()
+                assert outcome(search) == decoded_or_text(sign * search.line_amplitudes)
+                assert search.case == GroverCase(target)
 
     def test_the_table_covers_every_outcome(self):
         outcomes = {decoded_or_text(lines(*row)) for row in DECODE_TABLE.values()}
@@ -323,10 +341,12 @@ class TestDecideOncePerPreparation:
         table = np.array(values).reshape(len(GROVER_TARGETS), 2, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, line_amplitudes, outcomes = table_searches(table, q2)
+            searches = table_searches(table, q2)
         sign = 1.0 if q2 >= 0 else -1.0
-        for k, outcome in enumerate(outcomes):
-            assert outcome == decoded_or_text(sign * line_amplitudes[k])
+        for k, target in enumerate(GROVER_TARGETS):
+            search = searches[target]
+            amplitudes = solved(table[k]) if isinstance(search, str) else search.line_amplitudes
+            assert outcome(search) == decoded_or_text(sign * amplitudes)
 
     def test_a_failing_target_raises_a_new_error_on_every_call(self):
         cfg = SpinSystemConfig(j_coupling=1e307)
@@ -685,11 +705,17 @@ def per_case_search(prep, case):
     return amplitudes, integrals, line_amplitudes, decoded
 
 
+def search_schedule(mode):
+    """The schedule of `run_grover_pipeline` at its defaults, the very
+    object it makes: `make_schedule` keeps one per call signature, and
+    `_prepare` keeps a preparation for that schedule object alone."""
+    return make_schedule(mode, DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S)
+
+
 def search_outcome(params, case, mode, detection):
     """The preparation of a search case, and the arrays and decode of its
     `run_grover_pipeline` as `per_case_search` gives them."""
-    schedule = make_schedule(mode, start_delay=DEFAULT_SAMPLE_AGE_S)
-    prep = _prepare(params, CFG, schedule, detection)
+    prep = _prepare(params, CFG, search_schedule(mode), detection)
     try:
         run = run_grover_pipeline(params, CFG, case, mode, detection=detection)
     except DecodeError as exc:
@@ -754,29 +780,36 @@ class TestSearchTargets:
         # line amplitudes within 4 ulp, and the same decode unless its lines
         # lie within a few ulps of the dominance boundary
         p = SpinoeParams(*eps, reproducibility_jitter=jitter, seed=seed)
-        schedule = make_schedule(mode, start_delay=DEFAULT_SAMPLE_AGE_S)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                prep = _prepare(p, CFG, schedule, DetectionSettings(noise_amp=noise))
+                prep = _prepare(p, CFG, search_schedule(mode), DetectionSettings(noise_amp=noise))
             except (ReadoutError, SingularLabelingSystem):
                 assume(False)
-            amplitudes, integrals, line_amplitudes, decisions = prep.searches
+            searches = prep.searches
         for k, case in enumerate(ALL_CASES):
             want = per_case_search(prep, case)
-            assert amplitudes[k].tobytes() == want[0].tobytes()
-            assert integrals[k].tobytes() == want[1].tobytes()
-            assert_line_amplitudes_agree(line_amplitudes[k], want[2])
-            answer, text = decisions[k]
-            got = answer if text is None else (DecodeError, text)
+            assert prep.amplitude_stack[1 + k].tobytes() == want[0].tobytes()
+            run = searches[case.target]
+            if isinstance(run, str):
+                got = (DecodeError, run)
+            else:
+                assert run.receiver_amplitudes.tobytes() == want[0].tobytes()
+                assert run.peak_integrals.tobytes() == want[1].tobytes()
+                assert_line_amplitudes_agree(run.line_amplitudes, want[2])
+                got = run.decoded
             assert got == want[3] or near_dominance(want[2]), (case, got, want[3])
 
     def test_the_solve_is_applied_row_by_row(self):
         # a grid's Re(response) is symmetric to ~1e-13, so no real detector
-        # tells its amplitude solve from the transpose; a skewed solve does
+        # tells its amplitude solve from the transpose; a skewed solve does.
+        # The table's line amplitudes decode (each channel's line 0 is at
+        # least 5 times its partner), so every target keeps a run
         solve = np.array([[2.0, 0.5], [-0.25, 1.5]])
-        table = np.random.default_rng(36).normal(size=(len(GROVER_TARGETS), 2, 2))
-        _, _, line_amplitudes, _ = table_searches(table, 1.0, solve)
+        scale = np.random.default_rng(36).uniform(0.5, 1.0, size=(len(GROVER_TARGETS), 2, 2))
+        table = (scale * [[10.0, 1.0], [10.0, -1.0]]) @ np.linalg.inv(solve).T
+        searches = table_searches(table, 1.0, solve)
+        line_amplitudes = np.array([searches[target].line_amplitudes for target in GROVER_TARGETS])
         assert_line_amplitudes_agree(line_amplitudes, table @ solve.T)
 
     def test_routes_part_only_within_ulps_of_dominance(self):
@@ -803,7 +836,7 @@ class TestSearchTargets:
                 margin = abs(sum(u0)) - DECODE_DOMINANCE * abs(sum(u1))
                 products = sum(map(abs, u0)) + DECODE_DOMINANCE * sum(map(abs, u1))
                 dominant = margin >= 0
-                routes = [table_searches(table, q2, solve)[3][0],
+                routes = [outcome(table_searches(table, q2, solve)["00"]),
                           decoded_or_text(q2 * (table[0] @ solve.T))]
                 if abs(margin) > 4 * EPS * products:
                     want = ("00", None) if dominant else (
@@ -864,18 +897,17 @@ class TestSearchTargets:
         assert all(tables[ground] is shared[ground] for ground in shared)
         assert all(stacks[ground] is shared_stacks[ground] for ground in shared)
         prep = first.preparation
-        *arrays, outcomes = prep.searches
-        assert outcomes == tuple((target, None) for target in GROVER_TARGETS)
+        assert prep.searches == runs and list(prep.searches) == list(GROVER_TARGETS)
+        stack, rows = prep.amplitude_stack, first.peak_integrals.base
         for k, target in enumerate(GROVER_TARGETS):
             run = runs[target]
             assert run.preparation is prep
-            assert run.decoded == outcomes[k][0]
+            assert run.decoded == target and run.case == GroverCase(target)
+            assert run.receiver_amplitudes.tobytes() == stack[1 + k].tobytes()
+            # the integrals and line amplitudes of all four are one array
             parts = (run.receiver_amplitudes, run.peak_integrals, run.line_amplitudes)
-            for part, shared in zip(parts, arrays, strict=True):
-                assert not shared.flags.writeable and not part.flags.writeable
-                assert np.shares_memory(part, shared)
-                assert part.tobytes() == shared[k].tobytes()
-        assert np.shares_memory(first.peak_integrals, runs["01"].peak_integrals)
+            for part, shared in zip(parts, (stack, rows, rows), strict=True):
+                assert not part.flags.writeable and np.shares_memory(part, shared)
 
 
 class TestRunObjects:
@@ -891,9 +923,9 @@ class TestRunObjects:
     )
     def test_hash_and_compare_by_identity(self, target, part):
         # two equal runs from separate preparations hold equal, distinct arrays
-        _prepare.cache_clear()
+        experiments._kept.clear()
         a = part(noisy_run(ScheduleMode.SINGLE_SAMPLE, target))
-        _prepare.cache_clear()
+        experiments._kept.clear()
         b = part(noisy_run(ScheduleMode.SINGLE_SAMPLE, target))
         assert a == a and hash(a) == hash(a)
         assert a != b and len({a, b}) == 2
@@ -959,36 +991,94 @@ class TestSharedAmplitudes:
 
 
 def clear_preparation_caches():
-    """Empty every cache a preparation reads."""
+    """Empty every cache a preparation reads, and forget the kept one."""
     for cache in (
         readout._grid_map,
         experiments._seed_free, experiments._trajectory, experiments._thermal_reference,
-        _prepare,
     ):
         cache.cache_clear()
+    experiments._kept.clear()
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The arguments of every `prepare_batch` call from here on: `_prepare`
+    makes one per preparation it does not keep (a miss), and none for a
+    kept one (a hit)."""
+    calls, prepare = [], experiments.prepare_batch
+
+    def counting_batch(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(experiments, "prepare_batch", counting_batch)
+    return calls
 
 
 class TestPreparationCache:
     @pytest.fixture(autouse=True)
     def empty_cache(self):
-        _prepare.cache_clear()
+        experiments._kept.clear()
 
     @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("target", [None, *GROVER_TARGETS], ids=lambda t: t or "effpure")
-    def test_warm_run_equals_cold_run(self, mode, target):
-        cold = noisy_run(mode, target)
+    def test_warm_run_equals_cold_run(self, mode, target, batches):
+        first = noisy_run(mode, target)
         warm = noisy_run(mode, target)
-        info = _prepare.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert len(batches) == 1  # one miss, then one hit
+        assert warm is first
+        experiments._kept.clear()
+        cold = noisy_run(mode, target)
+        assert len(batches) == 2 and cold is not warm
         assert_same_run(cold, warm)
 
     @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
-    def test_shared_preparation_is_order_independent(self, mode):
+    def test_shared_preparation_is_order_independent(self, mode, batches):
         noisy_run(mode, "11")
         after_11 = noisy_run(mode, "00")
-        assert _prepare.cache_info().hits == 1
-        _prepare.cache_clear()
+        assert len(batches) == 1  # the second call hits
+        experiments._kept.clear()
         assert_same_run(after_11, noisy_run(mode, "00"))
+
+    @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
+    def test_a_warm_case_builds_nothing(self, monkeypatch, batches, mode):
+        # the search pass builds every target's run; each later call on the
+        # kept preparation returns that very run, with no preparation and
+        # no run built, and every run reads its labeling, enhancement and
+        # schedule from its preparation
+        built, init = [], experiments.GroverRun.__init__
+
+        def counting_init(self, *args):
+            built.append(args[2].target)
+            init(self, *args)
+
+        monkeypatch.setattr(experiments.GroverRun, "__init__", counting_init)
+        first = {target: noisy_run(mode, target) for target in GROVER_TARGETS}
+        assert len(batches) == 1 and built == list(GROVER_TARGETS)
+        for target in GROVER_TARGETS:
+            assert noisy_run(mode, target) is first[target]
+        assert len(batches) == 1 and built == list(GROVER_TARGETS)
+        effpure = noisy_run(mode)  # a schedule with no sample age: its own preparation
+        assert noisy_run(mode) is effpure
+        assert len(batches) == 2 and len(built) == len(GROVER_TARGETS)
+        for run in (*first.values(), effpure):
+            prep = run.preparation
+            for name in ("result", "thermal_result", "enhancement", "schedule"):
+                assert getattr(run, name) is getattr(prep, name)
+        assert effpure is effpure.preparation.effective_pure_run
+
+    def test_an_undecodable_target_raises_a_new_error_on_a_kept_preparation(self, batches):
+        cfg = SpinSystemConfig(j_coupling=1e307)
+        detection = DetectionSettings(dwell=6e-308)
+        errors = []
+        for _ in range(2):
+            for target in GROVER_TARGETS:
+                with pytest.raises(DecodeError) as info:
+                    run_grover_pipeline(SpinoeParams(), cfg, GroverCase(target), detection=detection)
+                errors.append(info.value)
+        assert len(batches) == 1
+        assert len({id(error) for error in errors}) == len(errors)
+        assert {str(error) for error in errors} == {"readout lines are not finite"}
 
     def test_readout_noise_continues_the_probe_stream(self):
         # replay the seeded stream: per probe the two jitter draws, then two
@@ -1029,8 +1119,12 @@ class TestPreparationCache:
         # one draw per preparation, in stream order: the three probes' noise,
         # then the readouts' (an aged single sample draws no jitter)
         assert drawn == [np.random.default_rng(NOISY_PARAMS.seed).standard_normal(24).tolist()]
-        noise = runs[0].preparation.noise_integrals
+        # the search pass reads the floats; their array is built on first read
+        prep = runs[0].preparation
+        assert "noise_integrals" not in vars(prep)
+        noise = prep.noise_integrals
         assert noise.shape == (3, 2, 2)
+        assert type(prep.readout_noise) is tuple and list(prep.readout_noise) == noise.ravel().tolist()
         for run in runs:
             assert run.preparation.noise_integrals is noise
             for i, rec in enumerate(run.records):
@@ -1067,14 +1161,14 @@ class TestPreparationCache:
             case.build_sum_spectra()
             assert case.preparation.noise_spectra is transforms
         assert built == [(3, 2, 2)]
-        _prepare.cache_clear()
+        experiments._kept.clear()
         again = noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
         again.records[0].readout_h
         assert again.preparation.noise_spectra is not transforms
         assert np.array_equal(again.preparation.noise_spectra, transforms)
         assert len(built) == 2
 
-    def test_cold_preparation_applies_no_pulse_and_no_lstsq(self, monkeypatch):
+    def test_cold_preparation_applies_no_pulse_and_no_lstsq(self, monkeypatch, batches):
         # a new seed on a warm grid map and detector: the probes, their
         # reconstruction and the labeling are all cached maps and one batch
         schedule = make_schedule(ScheduleMode.SINGLE_SAMPLE, 25.0, DEFAULT_RECOVERY_S, 600.0)
@@ -1109,7 +1203,7 @@ class TestPreparationCache:
         misses = [cache.cache_info().misses for cache in caches]
         params = SpinoeParams(reproducibility_jitter=0.05, seed=NOISY_PARAMS.seed + 1)
         prep = _prepare(params, CFG, schedule, NOISY_DETECTION)
-        assert _prepare.cache_info().misses == 2
+        assert len(batches) == 2  # two misses
         assert calls == []
         assert [cache.cache_info().misses for cache in caches] == misses
         monkeypatch.undo()
@@ -1205,14 +1299,14 @@ class TestPreparationCache:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
-    def test_equal_arguments_hit(self):
+    def test_equal_arguments_hit(self, batches):
         noisy_run(ScheduleMode.SINGLE_SAMPLE, "10")
         noisy_run(
             ScheduleMode.SINGLE_SAMPLE, "01",
             params=SpinoeParams(reproducibility_jitter=0.05, seed=3),
             detection=DetectionSettings(noise_amp=0.01),
         )
-        assert _prepare.cache_info().hits == 1
+        assert len(batches) == 1  # the second call hits
 
     @pytest.mark.parametrize(
         "changed",
@@ -1224,19 +1318,18 @@ class TestPreparationCache:
         ],
         ids=["seed", "noise_amp", "n_points", "sample_age"],
     )
-    def test_changed_setting_misses(self, changed):
+    def test_changed_setting_misses(self, changed, batches):
         base = {"p": SpinoeParams(), "detection": NOISY_DETECTION}
         run_grover_pipeline(cfg=CFG, case=GroverCase("10"), **base)
         run_grover_pipeline(cfg=CFG, case=GroverCase("10"), **{**base, **changed})
-        info = _prepare.cache_info()
-        assert (info.misses, info.hits) == (2, 0)
+        assert len(batches) == 2  # two misses, no hit
 
-    def test_preparation_error_is_raised_on_every_call(self):
+    def test_preparation_error_is_raised_on_every_call(self, batches):
         detection = DetectionSettings(noise_amp=1.0)
         for _ in range(2):
             with pytest.raises(ReadoutError, match=r"^experiment 2 \(probe at 720\.0 s\): "):
                 run_grover_pipeline(SpinoeParams(), CFG, GroverCase("10"), detection=detection)
-        assert _prepare.cache_info().currsize == 0
+        assert len(batches) == 2 and experiments._kept == []
 
 
 def assert_same_preparation(a, b):
@@ -1271,7 +1364,7 @@ class TestPrepareBatch:
         seeds = np.random.default_rng(8).permutation(12).tolist()
         batch = prepare_batch(params, CFG, schedule, detection, seeds)
         for seed, got in zip(seeds, batch, strict=True):
-            _prepare.cache_clear()
+            experiments._kept.clear()
             want = _prepare(SpinoeParams(reproducibility_jitter=jitter, seed=seed), CFG,
                             schedule, detection)
             assert_same_preparation(got, want)
@@ -1311,7 +1404,7 @@ class TestPrepareBatch:
         seeds = [0, 4, 3, 1, 7, 8]
         batch = prepare_batch(SpinoeParams(), CFG, schedule, detection, seeds)
         for seed, got in zip(seeds, batch, strict=True):
-            _prepare.cache_clear()
+            experiments._kept.clear()
             if seed in (1, 3):
                 with pytest.raises(ReadoutError) as single:
                     run_grover_pipeline(SpinoeParams(seed=seed), CFG, GroverCase("10"),
@@ -1422,7 +1515,7 @@ class TestPrepareBatch:
             return generators[-1]
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
-        _prepare.cache_clear()
+        experiments._kept.clear()
         run = noisy_run(ScheduleMode.MULTI_SAMPLE, "01")
         assert len(generators) == 1
         assert generators[0].bit_generator.seed_seq.n_children_spawned == 0

@@ -226,6 +226,17 @@ class TestAssemble:
         assert_allclose(res.diagonal[[0, 1, 3]], [-31.0, -31.0, -31.0])
         assert res.q2 == pytest.approx(124.0)
 
+    def test_diagonal_and_weights_are_views_of_one_read_only_copy(self):
+        diagonal, weights = [1.5, -0.5, -0.5, -0.5], np.array([1.0, 2.0, 3.0])
+        res = EffectivePureResult(diagonal, weights, 0, -0.5, 2.0, 0.0, True)
+        assert res.diagonal.tolist() == diagonal and res.weights.tolist() == [1.0, 2.0, 3.0]
+        assert res.diagonal.base is res.weights.base
+        assert not np.shares_memory(res.weights, weights)
+        for array in (res.diagonal, res.weights):
+            assert array.dtype == float
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_all_zero_inputs_give_zero_q2(self):
         res = assemble_effective_pure(
             [np.zeros(4)] * 3, LabelingPlan(ground=0), [1.0, 1.0, 1.0]

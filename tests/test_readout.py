@@ -1227,9 +1227,15 @@ class TestDetector:
             for name, obj in vars(module).items()
             if hasattr(obj, "cache_info")
         ]
-        assert len({id(obj) for _, obj in caches}) >= 8
+        assert len({id(obj) for _, obj in caches}) >= 7
         for name, cache in caches:
             assert cache.cache_info().maxsize is not None, name
+        # the kept preparation is one entry: a second setting replaces the first
+        for seed in (1, 2):
+            experiments.run_effective_pure_pipeline(
+                spinoeqc.SpinoeParams(seed=seed), CFG, spinoeqc.ScheduleMode.SINGLE_SAMPLE)
+        ((key, _, prep),) = experiments._kept
+        assert key[0].seed == prep.seed == 2
         # the trajectories' cache, 4 deep, keeps at most one amplitude stack
         # per ground: 4 × 4 in all
         assert dict(caches)["spinoeqc.experiments._trajectory"].cache_info().maxsize == 4
