@@ -1,10 +1,12 @@
 import fractions
+import gc
 import math
 import re
 import statistics
 import traceback
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -882,6 +884,7 @@ class TestSearchTargets:
             assert len(decisions) == len(GROVER_TARGETS) * (seed + 1)
             assert len(products) == len(grounds)
         assert len(grounds) == 2  # a sign-mirror tie, broken by the noise
+        searches = first.preparation.searches  # read while it is kept
         # one setting throughout, whose tables are keyed by ground alone
         assert experiments._seed_free.cache_info()[2:] == (4, 1)  # maxsize, currsize
         tables, stacks = first.preparation.search_tables, first.preparation.amplitude_stacks
@@ -897,7 +900,7 @@ class TestSearchTargets:
         assert all(tables[ground] is shared[ground] for ground in shared)
         assert all(stacks[ground] is shared_stacks[ground] for ground in shared)
         prep = first.preparation
-        assert prep.searches == runs and list(prep.searches) == list(GROVER_TARGETS)
+        assert searches == runs and list(searches) == list(GROVER_TARGETS)
         stack, rows = prep.amplitude_stack, first.peak_integrals.base
         for k, target in enumerate(GROVER_TARGETS):
             run = runs[target]
@@ -1079,6 +1082,23 @@ class TestPreparationCache:
         assert len(batches) == 1
         assert len({id(error) for error in errors}) == len(errors)
         assert {str(error) for error in errors} == {"readout lines are not finite"}
+
+    @pytest.mark.parametrize("target", [None, "10"], ids=["effpure", "search"])
+    def test_a_replaced_preparation_is_freed_with_its_last_run(self, target):
+        # a preparation and its runs refer to each other; once replaced in
+        # the memo it lets its runs go, so reference counting frees it when
+        # its caller drops the last run, with no garbage collection
+        gc.disable()
+        try:
+            run = noisy_run(ScheduleMode.SINGLE_SAMPLE, target)
+            run.records
+            prep = weakref.ref(run.preparation)
+            noisy_run(ScheduleMode.SINGLE_SAMPLE, target, params=SpinoeParams(seed=99))
+            assert prep() is run.preparation
+            del run
+            assert prep() is None
+        finally:
+            gc.enable()
 
     def test_readout_noise_continues_the_probe_stream(self):
         # replay the seeded stream: per probe the two jitter draws, then two
