@@ -52,9 +52,7 @@ matched by identity because a run reports its preparation's schedule:
 both pipelines call `make_schedule`, a cache typed on its four
 arguments, with all four, so a schedule equal in value but not in type
 (an int r1 after a float one) is another object, prepares anew and
-reports its own types. A preparation replaced in the memo lets its runs
-go (they refer back to it), so it is freed as soon as no caller holds one
-of them. Shared arrays and runs are read-only; a failed
+reports its own types. Shared arrays and runs are read-only; a failed
 preparation is not kept, nor one whose labeling leaves the non-ground
 populations unequal, so that each pipeline call on it labels again and
 warns `UnequalizedLabeling` once.
@@ -486,11 +484,6 @@ def _prepare(
     (prep,) = prepare_batch(p, cfg, schedule, detection, (p.seed,))
     if isinstance(prep, Exception):
         raise prep
-    for _, _, replaced in _kept:
-        # its runs refer back to it: it lets them go, so that reference
-        # counting frees it as soon as no caller holds it or a run of it
-        vars(replaced).pop("effective_pure_run", None)
-        vars(replaced).pop("searches", None)
     _kept[:] = [(key, schedule, prep)] if prep.result.equalized else []
     return prep
 

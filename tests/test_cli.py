@@ -18,7 +18,7 @@ import pytest
 import spinoeqc.cli as cli
 from spinoeqc import experiments, readout
 from spinoeqc.experiments import (
-    DecodeError, GroverCase, _prepare, prepare_batch, run_effective_pure_pipeline,
+    DecodeError, GroverCase, prepare_batch, run_effective_pure_pipeline,
     run_grover_pipeline,
 )
 from spinoeqc.readout import DetectionSettings, _grid_map

@@ -1,12 +1,10 @@
 import fractions
-import gc
 import math
 import re
 import statistics
 import traceback
 import types
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -1082,23 +1080,6 @@ class TestPreparationCache:
         assert len(batches) == 1
         assert len({id(error) for error in errors}) == len(errors)
         assert {str(error) for error in errors} == {"readout lines are not finite"}
-
-    @pytest.mark.parametrize("target", [None, "10"], ids=["effpure", "search"])
-    def test_a_replaced_preparation_is_freed_with_its_last_run(self, target):
-        # a preparation and its runs refer to each other; once replaced in
-        # the memo it lets its runs go, so reference counting frees it when
-        # its caller drops the last run, with no garbage collection
-        gc.disable()
-        try:
-            run = noisy_run(ScheduleMode.SINGLE_SAMPLE, target)
-            run.records
-            prep = weakref.ref(run.preparation)
-            noisy_run(ScheduleMode.SINGLE_SAMPLE, target, params=SpinoeParams(seed=99))
-            assert prep() is run.preparation
-            del run
-            assert prep() is None
-        finally:
-            gc.enable()
 
     def test_readout_noise_continues_the_probe_stream(self):
         # replay the seeded stream: per probe the two jitter draws, then two
