@@ -49,10 +49,10 @@ ExperimentSchedule object, so equal calls on it construct nothing and
 return the same run. The match is one tuple comparison, which compares
 identical objects by identity alone, and hashes nothing. The schedule is
 matched by identity because a run reports its preparation's schedule:
-both pipelines call `make_schedule`, a cache typed on its four
-arguments, with all four, so a schedule equal in value but not in type
-(an int r1 after a float one) is another object, prepares anew and
-reports its own types. Shared arrays and runs are read-only; a failed
+`make_schedule` gives one object per argument values and types, however
+it is called, so a schedule equal in value but not in type (an int r1
+after a float one) is another object, prepares anew and reports its own
+types. Shared arrays and runs are read-only; a failed
 preparation is not kept, nor one whose labeling leaves the non-ground
 populations unequal, so that each pipeline call on it labels again and
 warns `UnequalizedLabeling` once.
@@ -330,7 +330,7 @@ class Preparation:
         amplitudes = self.amplitude_stack[1:]
         if ground not in tables:
             tables[ground] = _search_table(self.detector, amplitudes)
-        clean, ((a00, a01), (a10, a11)) = tables[ground]
+        clean, (a00, a01, a10, a11) = tables[ground]
         w0, w1, w2 = self.result.weights.tolist()
         noise = _NO_NOISE if self.readout_noise is None else self.readout_noise
         n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11 = noise
@@ -516,18 +516,17 @@ def _receiver_amplitudes(deviations: np.ndarray, ground: int) -> np.ndarray:
 
 def _search_table(detector: Detector, amplitudes: np.ndarray) -> tuple:
     """What the search pass (`Preparation.searches`) of every seed of one
-    setting on one ground shares: the noise-free line integrals
-    (`Detector.line_integrals`) of the (target, experiment, channel, line)
-    receiver `amplitudes` of the search targets (rows 1-4 of an amplitude
-    stack) as floats, per target 12 flat as experiment * 4 + channel * 2 +
-    line, and the rows of the detector's `amplitude_solve` as floats. This
-    is the only numpy arithmetic of a search."""
-    # a grid near the float range may overflow here; the decode then
-    # refuses the lines as not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        clean = detector.line_integrals(amplitudes)
-    return (tuple(map(tuple, clean.reshape(len(GROVER_TARGETS), -1).tolist())),
-            tuple(map(tuple, detector.amplitude_solve.tolist())))
+    setting on one ground shares: the noise-free line integrals of the
+    (target, experiment, channel, line) receiver `amplitudes` of the search
+    targets (rows 1-4 of an amplitude stack), per target 12 floats flat as
+    experiment * 4 + channel * 2 + line, and the detector's four-float
+    `amplitude_solve`. The integrals are the probe's float routine
+    (`Detector._response_lines`) on the amplitudes' real parts, whose
+    imaginary parts are round-off; a float overflows to inf with no
+    warning, and the decode refuses such lines as not finite."""
+    lines = iter(detector._response_lines(amplitudes.real.ravel().tolist()))
+    # one iterator zipped with itself groups a target's 12 floats
+    return tuple(zip(*[lines] * amplitudes[0].size)), detector.amplitude_solve
 
 
 @functools.lru_cache(maxsize=1)

@@ -53,17 +53,19 @@ covariance of the line integrals of white noise and the conditioning of
 a noise vector on them have closed forms in the windows' bin counts (see
 `_grid_map` and `Detector.noise_spectra`). A `Detector` reads the one
 cached map of its grid, per (spin system, n_points, dwell): the axis,
-the unit line spectra, the window masks, the response, the noise factor
-and the amplitude solve. It builds its probe setting (the entries of the
-probe map, the receiver constant and the solve) from it and the tip in
-closed form, in Python floats, with no cache of its own. It takes the
-deviation diagonal d of a diagonal state, its populations less I/4
-(`enhanced_deviations`), and builds no state: the line amplitudes are
-the probe map (`Detector.probe_amplitudes`, in floats), or the
-`readout_map` of a computation, applied to d, both in closed form: the
-probe map is R, and after a readout's unitary U the coherence (r, c) of
-U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ. `Detector.spectra` weights
-the unit line spectra by them, and it is the one route to spectra: by
+the unit line spectra, the window masks, the noise factor, and the
+response and amplitude solve as floats. It builds its probe setting (the
+entries of the probe map, the receiver constant and the solve) from it
+and the tip in closed form, in Python floats, with no cache of its own.
+It takes the deviation diagonal d of a diagonal state, its populations
+less I/4 (`enhanced_deviations`), and builds no state: the line
+amplitudes are the probe map (`Detector.probe_amplitudes`, in floats),
+or the `readout_map` of a computation, applied to d, both in closed
+form: the probe map is R, and after a readout's unitary U the coherence
+(r, c) of U diag(d) U† is Σⱼ U[r,j] conj(U[c,j]) dⱼ. Their line
+integrals have one route, `Detector._response_lines`, in floats, and
+`Detector.spectra` weights the unit line spectra by them, the one route
+to spectra: by
 linearity a weighted sum of detections is the spectra of the weighted
 amplitudes and noise rows. The channels, H then C, are `spins.Channel`,
 the enum that also targets pulses. Neither map sees I/4, so only `probe`
@@ -262,8 +264,9 @@ def readout_map(step: Unitary) -> np.ndarray:
     rounding: each row is U[r] * conj(U[c]) for its coherence (r, c) and
     the unitary U at the receiver. A single-spin pulse mixes no partners,
     so 90° gives a clean one-line signature for pure-like states. The map
-    stays complex, as round-off imaginary parts reach the integrals through
-    the imaginary part of the line response.
+    stays complex, as the spectra weight the unit line spectra by it; the
+    line integrals read its real part (`Detector._response_lines`), as its
+    imaginary parts are round-off.
     """
     pulses = [pulse_unitary(PulseSpec(ch, 90.0, phase=90.0)) for ch in Channel]
     unitaries = [pulse.matrix @ step.matrix for pulse in pulses]
@@ -293,11 +296,11 @@ def _unit_lines(cfg: SpinSystemConfig, n_points: int, dwell: float) -> np.ndarra
 
 @functools.lru_cache(maxsize=8)
 def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple:
-    """Frequency axis, unit line spectra, window masks, line response,
-    noise factor and amplitude solve of one grid, read-only, then the
-    floats of one probe's arithmetic: Re(response) row by row and the
-    noise factor's entries L[0,0], L[1,0] and L[1,1] (L[0,1] is 0); kept
-    for the last few grids (see `Detector`).
+    """Frequency axis, unit line spectra, window masks and noise factor of
+    one grid, read-only, then the floats of its detection arithmetic:
+    Re(response) row by row, the noise factor's entries L[0,0], L[1,0] and
+    L[1,1] (L[0,1] is 0) and the amplitude solve Re(response)⁻¹ row by row;
+    kept for the last few grids (see `Detector`).
 
     The response is df times the window sums of the unit line spectra.
     The windows are disjoint, so the covariance Re(G Gᴴ) of the line
@@ -338,23 +341,26 @@ def _grid_map(cfg: SpinSystemConfig, n_points: int, dwell: float) -> tuple:
     largest = max(np.abs(sums.real).max(), np.abs(sums.imag).max(), np.abs(cholesky).max())
     if float(df) * float(largest) > np.finfo(float).max:
         raise ReadoutError("window integrals leave the float range; increase dwell_s")
-    response = df * sums
-    (r00, r01), (r10, r11) = response.real.tolist()
+    response = (df * sums).real
+    (r00, r01), (r10, r11) = response.tolist()
     # a detector's receiver constant is Σ Re(response)/2 in exact arithmetic,
     # whatever the reference: past the float range (some subnormal dwells
     # below ~4.8e-309 with a huge J) only the grid can bring it back
     if not math.isfinite(r00 / 2 + r01 / 2 + r10 / 2 + r11 / 2):
         raise ReadoutError("receiver constant leaves the float range; increase dwell_s")
     noise_factor = df * cholesky
+    # LU, not the closed-form 2×2 inverse: at dwell_s 1e-160 (j_hz 2e159,
+    # t2_s 1e-157) r00·r11 overflows and the determinant reads NaN, while LU
+    # inverts the grid and every search target decodes on it
     try:
-        amplitude_solve = np.linalg.inv(response.real)
+        solve = tuple(np.linalg.inv(response).ravel().tolist())
     except np.linalg.LinAlgError:  # e.g. a decay within one dwell: one flat line
         raise ReadoutError(_INSEPARABLE) from None
     # a map is shared by every detector on its grid
-    arrays = (freqs, line_spectra, masks, response, noise_factor, amplitude_solve)
+    arrays = (freqs, line_spectra, masks, noise_factor)
     for array in arrays:
         array.flags.writeable = False
-    return (*arrays, (r00, r01, r10, r11), tuple(noise_factor[np.tril_indices(2)].tolist()))
+    return (*arrays, (r00, r01, r10, r11), tuple(noise_factor[np.tril_indices(2)].tolist()), solve)
 
 
 @dataclass(frozen=True)
@@ -362,18 +368,20 @@ class Detector:
     """Line integrals and spectra of one acquisition setting as a
     precomputed linear map.
 
-    `response` holds the complex line integrals of unit +J/2 and -J/2
+    The line response holds the line integrals of unit +J/2 and -J/2
     amplitudes (partner 0 and partner 1 lines), the window sums of the
-    grid's unit line spectra times the bin width, so noise-free integrals
-    are Re(response @ (A_plus, A_minus)), and `amplitude_solve` is
-    Re(response)⁻¹; `noise_factor` is the lower Cholesky factor L of the
+    grid's unit line spectra times the bin width. The line amplitudes at
+    a receiver are real up to round-off, so noise-free integrals are
+    Re(response)·(A_plus, A_minus), whose 2×2 the detector keeps as four
+    floats, and `amplitude_solve` is Re(response)⁻¹, row by row as four
+    floats; `noise_factor` is the lower Cholesky factor L of the
     covariance C = Re(G Gᴴ) of the line integrals of unit white noise, for
     the window vectors G of the module docstring, so those of white noise
     of amplitude σ are σ L z for standard normal z. These come from the
     one cached map of the grid (`_grid_map`), shared by every detector on
     it, which also holds the frequency axis, the unit line spectra and the
     window masks that `spectra` and `noise_spectra` read, and the entries
-    of Re(response) and L as floats, so a new setting converts no array.
+    of L as floats, so a new setting converts no array.
 
     The probe setting is built here, in closed form and in Python float
     arithmetic, from the grid's 2×2 Re(response) and the two entries a and
@@ -392,20 +400,21 @@ class Detector:
     rows of its solve matrix S, each entry ± one of two floats, are kept
     as floats. The noise level comes from `settings`.
 
-    One probe's arithmetic runs in Python floats, from the entries of R
-    and S and the grid's Re(response) and L that the detector keeps:
-    `probe_lines` turns diagonals into integrals, `line_noise` turns
-    normals into noise integrals and `reconstruct` turns four integrals
-    into a diagonal through `_reconstruct`, its round-off rule and its
-    gate; on four numbers a numpy call costs more than its arithmetic.
+    Detection runs in Python floats, from the entries of R and S and the
+    grid's Re(response) and L that the detector keeps: `probe_lines` turns
+    diagonals into integrals, `_response_lines` turns line amplitudes into
+    integrals (a probe's, and a search's noise-free ones), `line_noise`
+    turns normals into noise integrals and `reconstruct` turns four
+    integrals into a diagonal through `_reconstruct`, its round-off rule
+    and its gate; on four numbers a numpy call costs more than its
+    arithmetic.
     """
 
     cfg: SpinSystemConfig
     settings: DetectionSettings
     # the maps follow from (cfg, settings), which alone compare and hash
-    response: np.ndarray = field(init=False, repr=False, compare=False)
     noise_factor: np.ndarray = field(init=False, repr=False, compare=False)
-    amplitude_solve: np.ndarray = field(init=False, repr=False, compare=False)
+    amplitude_solve: tuple = field(init=False, repr=False, compare=False)
     receiver_constant: float = field(init=False, repr=False, compare=False)
     roundoff: float = field(init=False, repr=False, compare=False)
     # the floats of one probe's arithmetic: R's entries a and b, Re(response)
@@ -419,11 +428,11 @@ class Detector:
     def __post_init__(self):
         s, cfg = self.settings, self.cfg
         grid = _grid_map(cfg, s.n_points, s.dwell)
-        response, noise_factor, amplitude_solve, lines, factor = grid[3:]
+        noise_factor, lines, factor, amplitude_solve = grid[3:]
         a, b = _tip_entries(s.probe_tip_deg)
         # a frozen dataclass's fields, set past its __setattr__
         fields = vars(self)
-        fields.update(response=response, noise_factor=noise_factor, amplitude_solve=amplitude_solve,
+        fields.update(noise_factor=noise_factor, amplitude_solve=amplitude_solve,
                       _tip=(a, b), _lines=lines, _factor=factor)
         # the thermal reference (d0, d1, -d1, -d0), as `enhanced_deviations`
         # rounds it, its probe amplitudes m and its integrals y
@@ -465,11 +474,6 @@ class Detector:
             a0 = amp * z0
             lines += (a0 * l00, a0 * l10 + amp * z1 * l11)
         return lines
-
-    def line_integrals(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The noise-free line integrals Re(A Rᵀ) of (..., channel, line)
-        amplitudes A, for the complex line response R."""
-        return (amplitudes @ self.response.T).real
 
     def draw(self, seed: int) -> np.ndarray | None:
         """The read-only (1, channel, line) noise integrals of a lone
@@ -551,7 +555,9 @@ class Detector:
         return self._response_lines(self.probe_amplitudes(d))
 
     def _response_lines(self, m) -> list[float]:
-        """Re(response)·m per channel of flat line amplitudes m, as floats."""
+        """Re(response)·m per channel of flat line amplitudes m (channel * 2 +
+        line, any number of channels), as floats: a probe's integrals, and a
+        search's noise-free ones."""
         r00, r01, r10, r11 = self._lines
         pairs = iter(m)
         y = []

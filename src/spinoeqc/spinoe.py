@@ -128,8 +128,6 @@ def sample_initial_states(p: SpinoeParams, cfg: SpinSystemConfig, times, draws) 
     return enhanced_deviations(cfg, eps[..., :1], eps[..., 1:])
 
 
-# bounded: a pipeline call makes one; typed, so an int r1 keeps int times
-@functools.lru_cache(maxsize=16, typed=True)
 def make_schedule(
     mode: ScheduleMode, r1: float = DEFAULT_R1_S, recovery: float = DEFAULT_RECOVERY_S,
     start_delay: float = 0.0,
@@ -141,7 +139,16 @@ def make_schedule(
     the recovery gap on one decaying sample, the first at r1. start_delay
     shifts the whole schedule to model an aged sample. The recovery gap
     must be positive in either mode; any other mode raises ValueError.
+    One schedule object per argument values and types, however the
+    arguments are passed (by position, by keyword or left to default).
     """
+    return _schedule(mode, r1, recovery, start_delay)
+
+
+# bounded: a pipeline call makes one; typed, so an int r1 keeps int times;
+# called with all four arguments, so its key does not depend on the call form
+@functools.lru_cache(maxsize=16, typed=True)
+def _schedule(mode, r1, recovery, start_delay) -> ExperimentSchedule:
     if not isinstance(mode, ScheduleMode):
         raise ValueError(f"mode must be ScheduleMode.MULTI_SAMPLE or SINGLE_SAMPLE, not {mode!r}")
     if start_delay < 0:

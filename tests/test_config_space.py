@@ -37,7 +37,7 @@ from spinoeqc.labeling import (
 from spinoeqc.readout import PROBE_TIP_MAX, Detector, ReadoutError
 from spinoeqc.spins import enhanced_deviations
 from test_readout import (
-    matmul_probe_amplitudes, matmul_probe_integrals, probe_integrals, probe_map,
+    detector_response, matmul_probe_amplitudes, matmul_probe_integrals, probe_integrals, probe_map,
     probe_response_matrix, probe_solve, reference_probe_setting,
 )
 
@@ -207,7 +207,8 @@ def test_search_integrals_are_the_response_of_their_line_amplitudes(config, nois
         except DecodeError:
             continue  # q2 = 0, or lines that the noise leaves comparable
         assert run.preparation is prep
-        response, solve = prep.detector.response.real, prep.detector.amplitude_solve
+        det = prep.detector
+        response, solve = np.reshape(det._lines, (2, 2)), np.reshape(det.amplitude_solve, (2, 2))
         integrals, amplitudes = run.peak_integrals, run.line_amplitudes
         gap = np.abs(amplitudes @ response.T - integrals).max(axis=-1)
         scale = (np.abs(integrals) @ np.abs(solve).T @ np.abs(response).T).max(axis=-1)
@@ -273,12 +274,12 @@ def assert_probe_integrals_agree(det, tip, d):
     eps, tiny = Fraction(EPS), Fraction(2.0**-1074)
     got = probe_integrals(det, d).ravel().tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        real = (matmul_probe_amplitudes(tip, d) @ det.response.real.T).ravel().tolist()
+        real = (matmul_probe_amplitudes(tip, d) @ detector_response(det).real.T).ravel().tolist()
     complex_route = matmul_probe_integrals(det, d)
     if np.isfinite(complex_route).all():
         assert complex_route.ravel().tolist() == real
     relations = [[Fraction(x) for x in row] for row in probe_response_matrix(tip).tolist()]
-    response = [[Fraction(x) for x in row] for row in det.response.real.tolist()]
+    response = [[Fraction(x) for x in row] for row in detector_response(det).real.tolist()]
     d = [Fraction(x) for x in d]
     m = [sum(r * x for r, x in zip(row, d)) for row in relations]
     m_scale = [sum(abs(r * x) for r, x in zip(row, d)) for row in relations]

@@ -56,8 +56,8 @@ from spinoeqc.spins import (
 )
 from test_readout import (
     G_PATTERN, MODULES, assert_line_noise, assert_noise_spectra, coherences, conditioned_noise,
-    fft_spectrum, probe_integrals, probe_map, probe_response_matrix, probe_solve, reference_noise,
-    relative_gap,
+    detector_response, fft_spectrum, line_integrals, probe_integrals, probe_map,
+    probe_response_matrix, probe_solve, reference_noise, relative_gap,
 )
 
 
@@ -240,15 +240,17 @@ class TestDecode:
 class TableDetector:
     """A detector stand-in whose line integrals of every experiment sum,
     under unit weights, to the given (target, channel, partner) lines, and
-    whose amplitude solve is `solve` (the identity by default)."""
+    whose amplitude solve is the 2×2 `solve` (the identity by default), as
+    four floats."""
 
     def __init__(self, table, solve=np.eye(2)):
         # -0.0 adds nothing to any float, -0.0 included
-        self.lines = np.full((len(GROVER_TARGETS), 3, 2, 2), -0.0)
-        self.lines[:, 0] = table
-        self.amplitude_solve = solve
+        lines = np.full((len(GROVER_TARGETS), 3, 2, 2), -0.0)
+        lines[:, 0] = table
+        self.lines = lines.ravel().tolist()
+        self.amplitude_solve = tuple(np.ravel(solve).tolist())
 
-    def line_integrals(self, amplitudes):
+    def _response_lines(self, m):
         return self.lines
 
 
@@ -481,6 +483,25 @@ class TestGroverPipeline:
         assert run.decoded == case.target
         assert 2.0 <= run.enhancement <= 7.0
 
+    @pytest.mark.parametrize("noise_amp", [0.0, 0.01])
+    def test_every_target_decodes_at_the_float_range_edge(self, noise_amp):
+        # a grid near the top of the float range: Re(response) reads ~4.9e159
+        # on the diagonal, so its integrals reach ~1.5e161. The amplitude
+        # solve stays numpy's LU inverse: the closed-form 2×2 inverse divides
+        # by r00·r11 - r01·r10, whose product overflows to inf and whose
+        # difference reads NaN here, while LU inverts this grid
+        cfg = SpinSystemConfig(j_coupling=2e159, t2=1e-157)
+        detection = DetectionSettings(dwell=1e-160, noise_amp=noise_amp)
+        r00, r01, r10, r11 = Detector(cfg, detection)._lines
+        assert math.isnan(r00 * r11 - r01 * r10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for case in ALL_CASES:
+                run = run_grover_pipeline(SpinoeParams(seed=3), cfg, case, detection=detection)
+                assert run.decoded == case.target
+                assert np.isfinite(run.line_amplitudes).all()
+                assert np.isfinite(run.peak_integrals).all()
+
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.target)
     def test_overlapping_lines_decode_from_their_amplitudes(self, case):
         # at T2 = 0.8 ms each line leaks into its partner's window, so the
@@ -491,7 +512,7 @@ class TestGroverPipeline:
         with pytest.raises(DecodeError, match="comparable magnitude"):
             decode_answer(run.peak_integrals)
         det = Detector(cfg, DetectionSettings())
-        real = det.response.real
+        real = np.reshape(det._lines, (2, 2))
         assert np.abs(real[0, 1]) > 0.5 * np.abs(real[0, 0])
         assert_allclose(run.line_amplitudes @ real.T, run.peak_integrals, rtol=1e-12)
         for array in (run.peak_integrals, run.line_amplitudes):
@@ -618,10 +639,10 @@ class TestReadoutMap:
         for perm, ground, case in MAP_KEYS:
             step = step_unitary(perm, ground, case)
             want = np.array([
-                (det.response @ coherences(receiver_state(rho, step, ch), ch)).real
+                line_integrals(det, coherences(receiver_state(rho, step, ch), ch))
                 for ch in Channel
             ])
-            got = det.line_integrals(record_map(perm, ground, case) @ d)
+            got = search_lines(det, record_map(perm, ground, case) @ d)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_readout_amplitudes_are_real(self):
@@ -679,9 +700,41 @@ GROUND_EPS = [(-11.0, 18.0), (30.0, -5.0), (-40.0, -25.0), (8.0, 9.0)]
 CASE_MAPS = {}
 
 
+def search_lines(det, amplitudes):
+    """The noise-free (..., channel, line) line integrals of receiver
+    `amplitudes` through the detector's float route, `_response_lines` of
+    their real parts."""
+    flat = det._response_lines(amplitudes.real.ravel().tolist())
+    return np.array(flat).reshape(amplitudes.shape)
+
+
+def assert_near_the_complex_route(det, amplitudes, lines):
+    """The float route's `lines` of receiver `amplitudes` A against the
+    complex route Re(A Rᵀ) (`line_integrals`) for the complex response R.
+
+    Per entry the float route forms Re(R)·Re(A), two products and a sum:
+    γ₂ of S = Σⱼ |Re Rᵢⱼ| |Re Aⱼ|. The complex route's real part is
+    Σⱼ (Re Rᵢⱼ Re Aⱼ - Im Rᵢⱼ Im Aⱼ), two products, a difference and a sum
+    per term: γ₃ of S + T for T = Σⱼ |Im Rᵢⱼ| |Im Aⱼ|, and it keeps the
+    Im·Im part, at most T, that the float route drops. So the routes differ
+    by at most (γ₂ + γ₃) S + (1 + γ₃) T: 2.5 eps S + T to first order, and
+    3 eps S + (1 + 2 eps) T covers the higher orders and the rounding of
+    the bound's own sums; 8 half-subnormals cover the products that
+    underflow."""
+    response = detector_response(det)
+    re_a, im_a = np.abs(amplitudes.real), np.abs(amplitudes.imag)
+    s = re_a @ np.abs(response.real).T
+    t = im_a @ np.abs(response.imag).T
+    bound = 3 * EPS * s + (1 + 2 * EPS) * t + 8 * 2.0**-1075
+    gap = np.abs(lines - line_integrals(det, amplitudes))
+    assert lines.shape == amplitudes.shape and np.all(gap <= bound), (gap, bound)
+
+
 def per_case_search(prep, case):
     """One search case computed for its target alone: the target's three
-    readout maps applied to the deviations, the builtin sum of the weighted
+    readout maps applied to the deviations, their line integrals through
+    the detector's float route (`search_lines`, held to the complex route
+    by `assert_near_the_complex_route`), the builtin sum of the weighted
     line integrals, the amplitude solve, then the q2 sign and the decode
     (its answer, or its DecodeError's class and text)."""
     ground, det = prep.result.ground, prep.detector
@@ -692,11 +745,12 @@ def per_case_search(prep, case):
     maps = CASE_MAPS[key]
     amplitudes = (maps @ prep.deviations[:, None, :, None])[..., 0]
     weights = prep.result.weights[:, None, None]
-    integrals = det.line_integrals(amplitudes)
+    integrals = search_lines(det, amplitudes)
+    assert_near_the_complex_route(det, amplitudes, integrals)
     if prep.noise_integrals is not None:
         integrals = integrals + prep.noise_integrals
     integrals = sum(weights * integrals)
-    line_amplitudes = integrals @ det.amplitude_solve.T
+    line_amplitudes = integrals @ np.reshape(det.amplitude_solve, (2, 2)).T
     sign = 1.0 if prep.result.q2 >= 0 else -1.0
     try:
         decoded = decode_answer(sign * line_amplitudes)
@@ -707,8 +761,9 @@ def per_case_search(prep, case):
 
 def search_schedule(mode):
     """The schedule of `run_grover_pipeline` at its defaults, the very
-    object it makes: `make_schedule` keeps one per call signature, and
-    `_prepare` keeps a preparation for that schedule object alone."""
+    object it makes: `make_schedule` keeps one per argument values and
+    types, and `_prepare` keeps a preparation for that schedule object
+    alone."""
     return make_schedule(mode, DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S)
 
 
@@ -820,7 +875,7 @@ class TestSearchTargets:
         # except rows whose exact margin lies within a few ulps of the
         # products: there each route's round-off (and the decode's own
         # product 3·|u1|) may tip the decode
-        solve = Detector(CFG, DetectionSettings()).amplitude_solve
+        solve = np.reshape(Detector(CFG, DetectionSettings()).amplitude_solve, (2, 2))
         exact = fractions.Fraction
         (a00, a01), (a10, a11) = [[exact(a) for a in row] for row in solve.tolist()]
         rng = np.random.default_rng(36)
@@ -1020,6 +1075,28 @@ class TestPreparationCache:
     @pytest.fixture(autouse=True)
     def empty_cache(self):
         experiments._kept.clear()
+
+    @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
+    def test_a_schedule_is_one_object_however_it_is_called(self, mode, batches):
+        # `make_schedule` gives one object per argument values and types, by
+        # position, by keyword or left to default, so a preparation on a
+        # schedule built either way serves the pipelines; an int r1 is
+        # another type, so another object
+        search = make_schedule(mode, start_delay=DEFAULT_SAMPLE_AGE_S)
+        assert search is make_schedule(mode, DEFAULT_R1_S, DEFAULT_RECOVERY_S, DEFAULT_SAMPLE_AGE_S)
+        assert search is make_schedule(
+            mode, r1=DEFAULT_R1_S, recovery=DEFAULT_RECOVERY_S, start_delay=DEFAULT_SAMPLE_AGE_S)
+        labeled = make_schedule(mode)
+        assert labeled is make_schedule(mode, DEFAULT_R1_S, DEFAULT_RECOVERY_S, 0.0)
+        assert labeled is make_schedule(mode, recovery=DEFAULT_RECOVERY_S)
+        assert make_schedule(mode, 25) is not make_schedule(mode, 25.0)
+        assert make_schedule(mode, 25) is make_schedule(mode, r1=25)
+        prep = _prepare(NOISY_PARAMS, CFG, search, NOISY_DETECTION)
+        assert noisy_run(mode, "10").preparation is prep
+        assert len(batches) == 1
+        prep = _prepare(NOISY_PARAMS, CFG, labeled, NOISY_DETECTION)
+        assert noisy_run(mode).preparation is prep
+        assert len(batches) == 2
 
     @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("target", [None, *GROVER_TARGETS], ids=lambda t: t or "effpure")
@@ -1235,7 +1312,7 @@ class TestPreparationCache:
         count(experiments, "sample_initial_states")
         count(readout, "_tip_entries")
         count(readout.Detector, "__post_init__")
-        count(readout.Detector, "line_integrals")
+        count(experiments, "_search_table")
         count(np, "errstate")
         for module in MODULES:
             if hasattr(module, "enhanced_deviations"):
