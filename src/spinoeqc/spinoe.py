@@ -138,11 +138,17 @@ def make_schedule(
     r1 (probe at the sample's t = 0). SINGLE_SAMPLE spaces experiments by
     the recovery gap on one decaying sample, the first at r1. start_delay
     shifts the whole schedule to model an aged sample. The recovery gap
-    must be positive in either mode; any other mode raises ValueError.
+    must be positive in either mode; any other mode raises ValueError, and
+    an r1, recovery or start_delay that is not a number TypeError.
     One schedule object per argument values and types, however the
     arguments are passed (by position, by keyword or left to default).
     """
-    return _schedule(mode, r1, recovery, start_delay)
+    try:
+        return _schedule(mode, r1, recovery, start_delay)
+    except TypeError:
+        # an unhashable argument fails the cache's key before any check: the
+        # uncached body raises the mode's ValueError or the number's TypeError
+        return _schedule.__wrapped__(mode, r1, recovery, start_delay)
 
 
 # bounded: a pipeline call makes one; typed, so an int r1 keeps int times;

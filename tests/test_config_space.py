@@ -14,7 +14,6 @@ import contextlib
 import io
 import json
 import math
-import re
 import sys
 import tempfile
 import warnings
@@ -22,7 +21,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -36,10 +34,9 @@ from spinoeqc.labeling import (
 )
 from spinoeqc.readout import PROBE_TIP_MAX, Detector, ReadoutError
 from spinoeqc.spins import enhanced_deviations
-from test_readout import (
-    detector_response, matmul_probe_amplitudes, matmul_probe_integrals, probe_integrals, probe_map,
-    probe_response_matrix, probe_solve, reference_probe_setting,
-)
+
+from exact import ETA, assert_rounds_to, lift
+from test_readout import probe_integrals, probe_map
 
 DOCUMENTED_EXITS = {
     cli.EXIT_OK, cli.EXIT_SOLVER, cli.EXIT_DECODE, cli.EXIT_READOUT, cli.EXIT_USAGE
@@ -215,9 +212,6 @@ def test_search_integrals_are_the_response_of_their_line_amplitudes(config, nois
         assert np.all(gap <= 8 * EPS * scale), (target, gap, scale)
 
 
-MAX_FLOAT = Fraction(sys.float_info.max)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     config=CONFIGURATIONS,
@@ -225,71 +219,37 @@ MAX_FLOAT = Fraction(sys.float_info.max)
     pattern=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
     log_scale=st.floats(-300.0, 308.25),
 )
-def test_float_probe_setting_is_the_array_route(config, tip, pattern, log_scale):
-    # the detector's float build against the array route it replaced
-    # (`probe_response_matrix`, `array_probe_solve`, and `probe_map @ d`
-    # then `@ response.T`), over generated (spin system, grid, tip), with
-    # every warning an error: the probe setting is bit-identical, or both
-    # refuse it with one text; the probe integrals of the configuration's
-    # state and of a diagonal of any scale, and at the float range, agree
+def test_probe_lines_are_exact_within_round_off(config, tip, pattern, log_scale):
+    # the probe's float routines against exact arithmetic on the same floats
+    # over generated (spin system, grid, tip), warnings as errors: for the
+    # configuration's state, a diagonal of any scale and one at the float range
     cfg = cli.RunConfig(**{**config, "tip_deg": tip})
     system = cfg.spin_system()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            want = reference_probe_setting(system, cfg.n_points, cfg.dwell_s, tip)
-        except ReadoutError as exc:
-            with pytest.raises(ReadoutError, match=f"^{re.escape(str(exc))}$"):
-                Detector(system, cfg.detection())
-            return
-        det = Detector(system, cfg.detection())
-        got = (probe_map(det), det.receiver_constant, probe_solve(det), det.roundoff)
-        for a, b in zip(got, want, strict=True):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            det = Detector(system, cfg.detection())
+        except ReadoutError:
+            return  # a grid the window rules refuse, or no thermal signal
         state = enhanced_deviations(system, cfg.eps0_h, cfg.eps0_c).tolist()
         for scale in (10.0**log_scale, sys.float_info.max):
-            assert_probe_integrals_agree(det, tip, [x * scale for x in pattern])
-        assert_probe_integrals_agree(det, tip, state)
+            assert_probe_lines_are_exact(det, [x * scale for x in pattern])
+        assert_probe_lines_are_exact(det, state)
 
 
-def assert_probe_integrals_agree(det, tip, d):
-    """The float probe integrals of the diagonal d against the matmul
-    route, entry by entry, by their exact values e and forward scales
-    s = |Re(response)| |R| |d| (as fractions).
-
-    Each route forms the amplitudes as 4-term sums of products and the
-    integrals as 2-term sums, so either errs from e by at most γ₄ s + γ₂ s
-    (1 + γ₄) < 3 eps s, and the two differ by less than 6 eps s, plus
-    8 half-units of the smallest subnormal per product where the products
-    underflow. Where s (1 + 8 eps) stays below the largest float, no
-    product or partial sum can overflow, and both are finite. Where |e|
-    exceeds it by more than either route's error, both are past the float
-    range: NaN or ±inf, whichever their operations give. The matmul fuses
-    multiply-adds, so between these two its integral may stay finite, or
-    read inf, where the float route's products overflow (to inf, or to NaN
-    for products of opposite signs); nothing is asserted there. The
-    complex product of today's route equals the real one wherever all its
-    entries are finite; past the float range it turns whole rows to NaN
-    through 0·inf in the imaginary part."""
-    eps, tiny = Fraction(EPS), Fraction(2.0**-1074)
-    got = probe_integrals(det, d).ravel().tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        real = (matmul_probe_amplitudes(tip, d) @ detector_response(det).real.T).ravel().tolist()
-    complex_route = matmul_probe_integrals(det, d)
-    if np.isfinite(complex_route).all():
-        assert complex_route.ravel().tolist() == real
-    relations = [[Fraction(x) for x in row] for row in probe_response_matrix(tip).tolist()]
-    response = [[Fraction(x) for x in row] for row in detector_response(det).real.tolist()]
-    d = [Fraction(x) for x in d]
-    m = [sum(r * x for r, x in zip(row, d)) for row in relations]
-    m_scale = [sum(abs(r * x) for r, x in zip(row, d)) for row in relations]
-    for i, (g, w) in enumerate(zip(got, real)):
-        channel, (r0, r1) = 2 * (i // 2), response[i % 2]
-        exact = r0 * m[channel] + r1 * m[channel + 1]
-        s = abs(r0) * m_scale[channel] + abs(r1) * m_scale[channel + 1]
-        slack = 6 * eps * s + 8 * (abs(r0) + abs(r1) + 1) * tiny
-        if s * (1 + 8 * eps) < MAX_FLOAT:
-            assert math.isfinite(g) and math.isfinite(w), (i, g, w)
-            assert abs(Fraction(g) - Fraction(w)) <= slack, (i, g, w)
-        elif abs(exact) - slack > MAX_FLOAT:
-            assert not math.isfinite(g) and not math.isfinite(w), (i, g, w)
+def assert_probe_lines_are_exact(det, d):
+    """The probe amplitudes m = R·d of the diagonal d and the integrals
+    Re(response)·m of those floats against their exact values
+    (`assert_rounds_to`): an amplitude sums four products ±a·d_j or ±b·d_j
+    left to right (a product and three additions, k = 4), an integral two
+    products r·m (k = 2)."""
+    relations = [[abs(Fraction(r)) for r in row] for row in probe_map(det).reshape(4, 4).tolist()]
+    amplitudes = det.probe_amplitudes(d)
+    for got, want, row in zip(amplitudes, det.probe_amplitudes(lift(d)), relations, strict=True):
+        assert_rounds_to(got, want, sum(r * abs(Fraction(x)) for r, x in zip(row, d)), 4, 8 * ETA)
+    if all(map(math.isfinite, amplitudes)):
+        m, (r00, r01, r10, r11) = lift(amplitudes), lift(det._lines)
+        for i, (got, want) in enumerate(zip(det._response_lines(amplitudes),
+                                            det._response_lines(m), strict=True)):
+            c, (r0, r1) = i - i % 2, ((r00, r01), (r10, r11))[i % 2]
+            assert_rounds_to(got, want, abs(r0 * m[c]) + abs(r1 * m[c + 1]), 2, 4 * ETA)

@@ -1,9 +1,12 @@
+import hashlib
+import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -28,6 +31,8 @@ from spinoeqc.labeling import (
 )
 from spinoeqc import labeling
 from spinoeqc.spins import PermutationId, cycle_source_indices
+
+from exact import EDGE, ETA, MAX, U, Exact, assert_rounds_to, gamma, lift
 
 THERMAL = np.array([2.5, 1.5, -1.5, -2.5])
 ENHANCED = np.array([-13.0, -31.0, 31.0, 13.0])
@@ -385,81 +390,73 @@ DIAGONALS = st.one_of(
 )
 
 
-# the tables of the gather form of `_labeled`'s arithmetic below
-GATHER_SOURCES = np.array(
-    [[cycle_source_indices(p, g) for p in DEFAULT_PERM_ORDER] for g in range(4)]
-)
-GATHER_NONGROUND = np.array([[i for i in range(4) if i != g] for g in range(4)])
-GATHER_EXPERIMENTS = np.arange(3)
-GATHER_TERMS = np.take_along_axis(
-    GATHER_SOURCES, GATHER_NONGROUND[:, None, :], axis=2
-).swapaxes(1, 2)
-GATHER_ROWS = np.arange(4)[:, None]
-GATHER_ORDER = np.concatenate((GATHER_ROWS, GATHER_NONGROUND), axis=1)
+def assert_weights_are_exact(x, ground):
+    """`_labeled`'s rows, singular flag and solved weights for the finite
+    floats x on `ground` against exact arithmetic on x. A row entry rounds
+    once (u); c = r0 × r1 sums two products of them (k = 4), the singular
+    bound RTOL·Σ r² four squares (k = 7), each product 2 ETA if it
+    underflows. So |c₀| passes the bound as |C₀| passes B unless |C₀| − B
+    lies within their errors. Past it, c_i/c₀ of floats within e_i and e₀ of
+    C_i and C₀ lies within (e_i + |W_i| e₀)/(|C₀| − e₀) of W_i, and rounds
+    once more; a weight past the float range is singular alike unless a W_i
+    lies within its bound of EDGE. Where a product can reach the float
+    range, c or the bound may overflow (ROADMAP item 9): not asserted."""
+    _, w, _, _, _, rows, singular = _labeled(x, ground)
+    _, exact_w, _, _, _, exact_rows, exact_singular = _labeled(lift(x), ground)
+    for r, exact in zip([*rows[0], *rows[1]], [*exact_rows[0], *exact_rows[1]], strict=True):
+        assert not math.isfinite(r) or abs(Fraction(r) - exact) <= U * abs(exact)
+    (r00, r01, r02), (r10, r11, r12) = exact_rows
+    c_magnitudes = (abs(r01 * r12) + abs(r02 * r11), abs(r02 * r10) + abs(r00 * r12),
+                    abs(r00 * r11) + abs(r01 * r10))
+    squares = r01 * r01 + r02 * r02 + r11 * r11 + r12 * r12
+    if max(*c_magnitudes, squares) * (1 + gamma(7)) >= MAX:
+        return
+    c_errors = [gamma(4) * m + 4 * ETA for m in c_magnitudes]
+    c0, bound = r01 * r12 - r02 * r11, Fraction(SINGULARITY_RTOL) * squares
+    margin = abs(c0) - bound
+    if abs(margin) <= c_errors[0] + gamma(7) * bound + 10 * ETA:
+        return
+    if margin < 0:
+        assert singular and exact_singular and w == exact_w == [0.0, 0.0, 0.0]
+        return
+    errors = []
+    for exact, e in zip(exact_w, c_errors, strict=True):
+        quotient = (e + abs(exact) * c_errors[0]) / (abs(c0) - c_errors[0])
+        errors.append(quotient + U * (abs(exact) + quotient) + ETA)
+    if singular != exact_singular:
+        # or a float weight overflows where its exact value rounds finite
+        assert singular or any(abs(abs(v) - EDGE) <= e for v, e in zip(exact_w, errors))
+    elif not singular:
+        for got, exact, e in zip(w, exact_w, errors, strict=True):
+            assert abs(Fraction(got) - exact) <= e
 
 
-def labeled_by_gathers(diags, weights=None):
-    """Reference `_labeled`, over arrays of (experiment, state) rows and
-    all four grounds at once: the same arithmetic, with every permutation a
-    two-array gather over (experiment, state) and the cross product's
-    cyclic neighbours gathered from the equalization rows."""
-    ds = np.asarray(diags, dtype=float)
-    e = GATHER_EXPERIMENTS
-    permuted = ds[..., e[:, None], GATHER_SOURCES]
-    if weights is None:
-        a = ds[..., e, GATHER_TERMS[:, :2]] - ds[..., e, GATHER_TERMS[:, 1:]]
-        nxt, prv = a[..., [1, 2, 0]], a[..., [2, 0, 1]]
-        with np.errstate(all="ignore"):
-            c = nxt[..., 0, :] * prv[..., 1, :] - prv[..., 0, :] * nxt[..., 1, :]
-            m = a[..., 1:]
-            w = c / c[..., :1]
-            # a weight that is not finite makes the system singular too
-            singular = ~(np.abs(c[..., 0]) > SINGULARITY_RTOL * (m * m).sum(axis=(-2, -1)))
-            singular |= ~np.isfinite(w).all(axis=-1)
-        w[singular] = 0.0
-    else:
-        a, singular = None, np.zeros(permuted.shape[:-2], dtype=bool)
-        w = np.broadcast_to(np.asarray(weights, dtype=float), singular.shape + (3,))
-    diagonal = (w[..., None] * permuted).sum(axis=-2)
-    ordered = diagonal[..., GATHER_ROWS, GATHER_ORDER]
-    ng = ordered[..., 1:]
-    q1 = ng.sum(axis=-1) / 3
-    q2 = ordered[..., 0] - q1
-    residual = ng.max(axis=-1) - ng.min(axis=-1)
-    return diagonal, w, q1, q2, residual, a, singular
+def assert_sums_are_exact(x, ground, weights):
+    """`_labeled`'s sums and scores for the finite floats x on `ground` at
+    the float weights given against exact arithmetic on them. A population
+    sums three products w·x from 0.0 (k = 3), of magnitudes S = Σ|w x|; q1
+    sums three of them and divides by 3 (k = 6); q2 subtracts q1 from the
+    fourth (k = 7). The residual subtracts two populations within γ₃ max S,
+    of magnitude at most 2 max S: 2 max S (γ₃ + u(1 + γ₃)) ≤ 2 γ₄ max S.
+    Each product or quotient may add 2 ETA (`assert_rounds_to`)."""
+    diagonal, _, q1, q2, residual, _, _ = _labeled(x, ground, weights)
+    exact = _labeled(lift(x), ground, lift(weights))
+    # the same arithmetic on |x| and |w| sums the magnitudes of the products
+    magnitudes = _labeled(lift(map(abs, x)), ground, lift(map(abs, weights)))[0]
+    for got, want, magnitude in zip(diagonal, exact[0], magnitudes, strict=True):
+        assert_rounds_to(got, want, magnitude, 3, 6 * ETA)
+    others = magnitudes[:ground] + magnitudes[ground + 1:]
+    assert_rounds_to(q1, exact[2], sum(others) / 3, 6, 20 * ETA)
+    assert_rounds_to(q2, exact[3], magnitudes[ground] + sum(others) / 3, 7, 26 * ETA)
+    assert_rounds_to(residual, exact[4], 2 * max(others), 4, 12 * ETA)
 
 
-def labeled_by_rows(diags, weights=None):
-    """`_labeled` of every row of `diags` on every ground, its seven outputs
-    stacked as the reference's arrays (None where the weights are given)."""
-    ds = np.asarray(diags, dtype=float)
-    w = None if weights is None else np.asarray(weights, dtype=float).tolist()
-    labeled = [_labeled(row, g, w) for row in ds.reshape(-1, 12).tolist() for g in range(4)]
-    stacked = []
-    for values in zip(*labeled, strict=True):
-        if values[0] is None:
-            stacked.append(None)
-        else:
-            a = np.array(values)
-            stacked.append(a.reshape(ds.shape[:-2] + (4,) + a.shape[1:]))
-    return tuple(stacked)
-
-
-def assert_labeled_like_the_gathers(diags, weights=None):
-    """All seven outputs of `_labeled` equal the reference's bit for bit (NaN
-    equal to NaN whatever its sign, and a zero's sign kept)."""
-    with np.errstate(all="ignore"):
-        got, want = labeled_by_rows(diags, weights), labeled_by_gathers(diags, weights)
-    for name, x, y in zip(LABELED_OUTPUTS, got, want, strict=True):
-        if y is None:
-            assert x is None, name
-        else:
-            assert x.shape == y.shape and np.array_equal(x, y, equal_nan=True), name
-            numbers = ~np.isnan(y)
-            assert np.array_equal(np.signbit(x[numbers]), np.signbit(y[numbers])), name
-
-
-LABELED_OUTPUTS = ("diagonal", "weights", "q1", "q2", "residual", "rows", "singular")
+def test_exact_takes_floats_exactly_from_either_side():
+    # a plain Fraction meeting a float gives a float
+    x, third = 0.1, Fraction(1, 3)
+    for got, want in ((x + Exact(third), Fraction(x) + third),
+                      (Exact(third) * x, third * Fraction(x)), (x / Exact(third), Fraction(x) / third)):
+        assert type(got) is Exact and got == want
 
 
 def generated_rows(n, seed):
@@ -471,6 +468,30 @@ def generated_rows(n, seed):
     rows[::3] = rng.integers(-2, 3, (len(rows[::3]), 3, 4))
     rows[1::5] = enhanced_deviation(*rng.uniform(-20.0, 20.0, 2))
     return rows
+
+
+# the probed diagonals of the default single-sample effective-pure
+# preparation, as float.hex, and per ground its `_labeled` outputs: the
+# weighted diagonal, the weights, q1, q2 and the residual
+DEMONSTRATION_ROW = (
+    "-0x1.a000000000000p+3 -0x1.f000000000002p+4 0x1.f000000000002p+4 0x1.a000000000000p+3 "
+    "-0x1.621601e24421ep+3 -0x1.af17127dbb0acp+4 0x1.af17127dbb0acp+4 0x1.621601e24421bp+3 "
+    "-0x1.2be68445f078ap+3 -0x1.7648616219028p+4 0x1.764861621902ap+4 0x1.2be68445f0788p+3"
+)
+DEMONSTRATION_LABELED = (
+    "-0x1.3097cc5192ba2p+5 0x1.961fbb176e4d6p+3 0x1.961fbb176e4d6p+3 0x1.961fbb176e4dap+3 "
+    "0x1.0000000000000p+0 0x1.2432e0e81a563p+0 0x1.53ecd8e37cae3p+0 "
+    "0x1.961fbb176e4d8p+3 -0x1.961fbb176e4d8p+5 0x1.0000000000000p-47",
+    "0x1.f05d949afd5b6p+4 -0x1.74462f743e047p+6 0x1.f05d949afd5b3p+4 0x1.f05d949afd5b4p+4 "
+    "0x1.0000000000000p+0 0x1.22f3588cfa3cep+0 0x1.5824a2a92cea8p+0 "
+    "0x1.f05d949afd5b4p+4 -0x1.f05d949afd5b4p+6 0x1.8000000000000p-47",
+    "-0x1.f717ba912c4bcp+4 -0x1.f717ba912c4bcp+4 0x1.7951cbece138dp+6 -0x1.f717ba912c4bcp+4 "
+    "0x1.0000000000000p+0 0x1.2e53e1481d873p+0 0x1.58d7c3e396ebdp+0 "
+    "-0x1.f717ba912c4bcp+4 0x1.f717ba912c4bcp+6 0x0.0p+0",
+    "-0x1.98b6687dd702ep+3 -0x1.98b6687dd7030p+3 -0x1.98b6687dd7030p+3 0x1.3288ce5e61423p+5 "
+    "0x1.0000000000000p+0 0x1.298eadc7ad9bcp+0 0x1.543a359f0eae8p+0 "
+    "-0x1.98b6687dd7030p+3 0x1.98b6687dd702fp+5 0x1.0000000000000p-48",
+)
 
 
 class TestBatchedLabeling:
@@ -527,15 +548,30 @@ class TestBatchedLabeling:
             assert got.weights.tobytes() == want.weights.tobytes()
             assert got.diagonal.tobytes() == want.diagonal.tobytes()
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(diags=DIAGONALS)
-    def test_flat_gathers_keep_the_bits(self, diags):
-        assert_labeled_like_the_gathers(diags)
-        assert_labeled_like_the_gathers(diags, [1.0, 0.5, -0.25])
+    def test_flat_gathers_keep_the_bits(self):
+        # `DEMONSTRATION_ROW` labeled on every ground, as float.hex: a
+        # reordered sum moves them
+        row = [float.fromhex(h) for h in DEMONSTRATION_ROW.split()]
+        for ground, want in enumerate(DEMONSTRATION_LABELED):
+            diagonal, w, q1, q2, residual, _, singular = _labeled(row, ground)
+            assert not singular
+            assert [v.hex() for v in (*diagonal, *w, q1, q2, residual)] == want.split()
 
-    @pytest.mark.parametrize("n", [1, 7, 1000])
-    def test_flat_gathers_keep_the_bits_of_a_batch(self, n):
-        assert_labeled_like_the_gathers(generated_rows(n, seed=n))
+    @pytest.mark.parametrize("n,digest", [
+        (1, "a9972cca1a1889ade072ee13ed71e87881fe3c5ed2f0e34d9143ecc0168fc1c1"),
+        (7, "287c085d01226263b365a8727bf1524bd9df69a76ff9478e473b5b6b96cc3652"),
+        (1000, "1d8639ded8b85d212d6c42d38cad21f616360cfe531df25b72af4ea45dd8ae0f"),
+    ], ids=["1", "7", "1000"])
+    def test_flat_gathers_keep_the_bits_of_a_batch(self, n, digest):
+        # the reprs of `_labeled`'s outputs for n generated rows on every
+        # ground, hashed where they were checked bit for bit against the
+        # array arithmetic they replaced
+        sha = hashlib.sha256()
+        for row in generated_rows(n, seed=n).reshape(-1, 12).tolist():
+            for ground in range(4):
+                diagonal, w, q1, q2, residual, _, singular = _labeled(row, ground)
+                sha.update(repr([*diagonal, *w, q1, q2, residual, singular]).encode())
+        assert sha.hexdigest() == digest
 
     @pytest.mark.parametrize(
         "diags",
@@ -550,10 +586,35 @@ class TestBatchedLabeling:
         ids=["zero", "constant", "overflowing", "overflowing-rows", "nan", "inf"],
     )
     def test_flat_gathers_keep_the_bits_of_a_degenerate_c0(self, diags):
-        # c_0 zero, overflowing or NaN: the bound fails and the weights are 0
-        with np.errstate(all="ignore"):
-            assert labeled_by_gathers(diags)[-1].any()
-        assert_labeled_like_the_gathers(diags)
+        # c_0 zero, overflowing (its products pass the float range: ROADMAP
+        # item 9) or NaN: the bound fails on every ground and the weights
+        # are +0.0. Each weighted population is then +0.0, or NaN where a NaN
+        # or ±inf input enters it (state 0 here: 0·inf is NaN), which q2
+        # carries on every ground, q1 and the residual where 0 is no ground
+        row = np.array(diags, dtype=float).ravel().tolist()
+        nan_state = None if all(map(math.isfinite, row)) else 0
+        for ground in range(4):
+            diagonal, w, q1, q2, residual, rows, singular = _labeled(row, ground)
+            assert singular and len(rows) == 2
+            off_ground = nan_state not in (None, ground)
+            nans = [*(state == nan_state for state in range(4)), False, False, False,
+                    off_ground, nan_state is not None, off_ground]
+            for v, nan in zip((*diagonal, *w, q1, q2, residual), nans, strict=True):
+                assert math.isnan(v) if nan else v.hex() == "0x0.0p+0"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    # and generated rows, at scales from 1e-300 to 1e200; c_0's products
+    # underflow in the example: singular in floats, not exactly (margin ETA)
+    @given(diags=DIAGONALS | st.integers(0, 2**32 - 1).map(lambda seed: generated_rows(1, seed)))
+    @example(diags=(np.array(DECAYING) * 1e-170).tolist())
+    def test_labeled_is_exact_within_round_off(self, diags):
+        # the solved weights, then the sums and scores at those weights and
+        # at given ones, against exact arithmetic on the same floats
+        x = np.array(diags, dtype=float).ravel().tolist()
+        for ground in range(4):
+            assert_weights_are_exact(x, ground)
+            assert_sums_are_exact(x, ground, _labeled(x, ground)[1])
+            assert_sums_are_exact(x, ground, [1.0, 0.5, -0.25])
 
     def test_weights_past_the_float_range_are_singular(self):
         # experiment 1 lies 1e310 above the others: c_0 (experiments 2 and 3)
@@ -567,7 +628,9 @@ class TestBatchedLabeling:
             assert label(diags).ground == 0
         assert [isinstance(r, SingularLabelingSystem) for r in results] == [False, True, True, True]
         assert np.isfinite(results[0].weights).all() and results[0].q2 == 4e300
-        assert_labeled_like_the_gathers(diags)
+        # so are the exact weights, rounded to floats
+        row = np.array(diags).ravel().tolist()
+        assert [_labeled(lift(row), ground)[-1] for ground in range(4)] == [False, True, True, True]
 
     def test_label_warns_only_about_the_ground_it_returns(self):
         # ground 1's near-singular system leaves its sum unequalized, but

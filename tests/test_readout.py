@@ -1,6 +1,5 @@
 import collections
 import csv
-import fractions
 import functools
 import importlib
 import inspect
@@ -12,6 +11,7 @@ import sys
 import types
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,8 @@ from spinoeqc.spins import (
     pulse_unitary,
     thermal_state,
 )
+
+from exact import EDGE, ETA, MAX, U, Exact, assert_rounds_to, gamma, lift
 CFG = SpinSystemConfig()  # J = 215 Hz, T2 = 0.5 s
 MODULES = [
     importlib.import_module(f"spinoeqc.{info.name}")
@@ -605,26 +607,12 @@ def relative_gap(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-# R's entries as indices into (a, b, -a, -b), rows H partner 0, 1, then C
-RELATION_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 2, 1, 3], [1, 3, 0, 2]])
-
-
-def probe_response_matrix(tip):
-    """The probe relations R of a tip as the 4×4 array the detector built
-    before its float build: a = sin(tip)/2 · cos²(tip/2) and b = sin(tip)/2
-    · sin²(tip/2) from `math`, placed as ±a and ±b."""
-    theta = math.radians(tip)
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    sc = s * c
-    a, b = sc * c * c, sc * s * s
-    return np.array((a, b, -a, -b)).take(RELATION_ENTRIES)
-
-
 def probe_map(det):
     """The probe relations R of a detector as a (channel, line, population)
-    array, built from its float entries ±a and ±b."""
+    array of its float entries ±a and ±b: rows H partner 0, 1, then C."""
     a, b = det._tip
-    return np.array((a, b, -a, -b)).take(RELATION_ENTRIES).reshape(2, 2, 4)
+    relations = [[a, b, -a, -b], [b, a, -b, -a], [a, -a, b, -b], [b, -b, a, -a]]
+    return np.array(relations).reshape(2, 2, 4)
 
 
 def probe_solve(det):
@@ -648,139 +636,8 @@ def noise_integrals(det, normals):
     return np.array(det.line_noise(z.ravel().tolist())).reshape(z.shape)
 
 
-def array_probe_solve(relations, k, scale=1.0):
-    """The solve matrix S of the relations R at receiver constant k, and the
-    round-off level, as array arithmetic: the tip-free parts P and Q of R⁺
-    over 2(a + b)k and 4(a - b)k."""
-    a, b = relations[0, :2].tolist()
-    solve = PINV_P / (2 * (a + b) * k) + PINV_Q / (4 * (a - b) * k)
-    row_scale = abs(k) * max(abs(a), abs(b))
-    return solve, 16.0 * sys.float_info.epsilon * row_scale * scale
-
-
-def matmul_probe_amplitudes(tip, d):
-    """The (..., channel, line) probe amplitudes of (..., 4) diagonals d as
-    the detector computed them before its float build: `probe_map @ d`."""
-    probe_map = probe_response_matrix(tip).reshape(2, 2, 4)
-    return (probe_map @ np.asarray(d, dtype=float)[..., None, :, None])[..., 0]
-
-
-def matmul_probe_integrals(det, d):
-    """The (..., channel, partner) probe integrals of (..., 4) diagonals d
-    as the detector computed them before its float build: the
-    `matmul_probe_amplitudes`, then `@ response.T` and the real part,
-    numpy's warnings off."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        amplitudes = matmul_probe_amplitudes(det.settings.probe_tip_deg, d)
-        return (amplitudes @ detector_response(det).T).real
-
-
-def reference_probe_setting(cfg, n_points, dwell, tip):
-    """The probe map, K, solve matrix S and round-off level of one setting,
-    in the Python float arithmetic of `Detector.__post_init__`, written as
-    the general products: m = R·d over R's rows for the thermal reference d,
-    y = Re(response)·m per channel and K = Σ y·m / Σ m·m, each sum in index
-    order: the reference of `Detector.__post_init__`, bit for bit."""
-    relations = probe_response_matrix(tip)
-    ref = enhanced_deviations(cfg, 1.0, 1.0).tolist()
-    response = grid_response(cfg, n_points, dwell).real.tolist()
-    m = [r[0] * ref[0] + r[1] * ref[1] + r[2] * ref[2] + r[3] * ref[3]
-         for r in relations.tolist()]
-    y = [row[0] * m[c] + row[1] * m[c + 1] for c in (0, 2) for row in response]
-    fit = y[0] * m[0] + y[1] * m[1] + y[2] * m[2] + y[3] * m[3]
-    denom = m[0] * m[0] + m[1] * m[1] + m[2] * m[2] + m[3] * m[3]
-    if denom < sys.float_info.min:
-        raise ReadoutError("thermal reference produced no signal")
-    k = fit / denom
-    if not math.isfinite(k):
-        raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
-    solve, level = array_probe_solve(relations, k, max(map(abs, ref)))
-    return relations.reshape(2, 2, 4), k, solve, level
-
-
-def numpy_probe_setting(cfg, n_points, dwell, tip):
-    """`reference_probe_setting` in the numpy arithmetic the detector used
-    before its float build: the reference state, m, y and both sums as array
-    products. It rounds differently (K by about an ulp at the defaults), and
-    it warns past the float range unless numpy's warnings are off."""
-    relations = probe_response_matrix(tip)
-    probe_map = relations.reshape(2, 2, 4)
-    ref = enhanced_deviations(cfg, 1.0, 1.0)
-    y = ((probe_map @ ref) @ grid_response(cfg, n_points, dwell).T).real
-    m = relations @ ref
-    denom, fit = float(m @ m), float(y.ravel() @ m)
-    if denom < np.finfo(float).tiny:
-        raise ReadoutError("thermal reference produced no signal")
-    k = fit / denom
-    if not np.isfinite(k):
-        raise ReadoutError("receiver constant overflows; lower polarization_unit or gamma_ratio")
-    solve, level = array_probe_solve(relations, k, float(np.abs(ref).max()))
-    return probe_map, k, solve, level
-
-
-# the deviation patterns e, f, g and the two tip-free parts of R⁺
-E_PATTERN, F_PATTERN, G_PATTERN = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
-PINV_P = np.outer(E_PATTERN, [1, 1, 0, 0]) + np.outer(F_PATTERN, [0, 0, 1, 1])
-PINV_Q = np.outer(G_PATTERN, [1, -1, 1, -1])
-# their entries as float pairs, row by row
-PINV_PAIRS = tuple(zip(PINV_P.ravel().tolist(), PINV_Q.ravel().tolist()))
-
-
-def pattern_probe_solve(a, b, k, scale=1.0):
-    """`readout._probe_solve` as the 16-entry pattern formula: each entry of
-    S the tip-free parts' entries over pk = 2(a + b)k and qk = 4(a - b)k,
-    summed, in Python floats, with the same refusals and round-off level."""
-    if k == 0 or not math.isfinite(k):
-        raise ValueError("the receiver constant must be finite and non-zero")
-    pk, qk = 2 * (a + b) * k, 4 * (a - b) * k
-    if not (pk and qk and math.isfinite(0.5 / pk + 0.5 / qk)):
-        raise ReadoutError(readout._SOLVE_PAST_FLOAT_RANGE)
-    entries = iter([x / pk + y / qk for x, y in PINV_PAIRS])
-    solve = tuple(zip(entries, entries, entries, entries))
-    row_scale = abs(k) * max(abs(a), abs(b))
-    return solve, readout.ROUNDOFF_MULTIPLE * sys.float_info.epsilon * row_scale * scale
-
-
-def assert_arithmetics_agree(cfg, n_points, dwell, tip):
-    """Both arithmetics refuse alike, with the same text, or build settings
-    that agree within the round-off bounds derived below; returns the
-    refusal text, or the two receiver constants, float route first. The
-    numpy route runs with numpy's warnings off."""
-    sides = []
-    for route in (reference_probe_setting, numpy_probe_setting):
-        try:
-            with np.errstate(all="ignore"):
-                sides.append(route(cfg, n_points, dwell, tip))
-        except ReadoutError as exc:
-            sides.append(str(exc))
-    new, old = sides
-    if isinstance(new, str) or isinstance(old, str):
-        assert new == old
-        return new
-    (map_new, k1, s1, l1), (map_old, k2, s2, l2) = new, old
-    assert np.array_equal(map_new, map_old)
-    r = np.finfo(float).eps / 2
-    # Both routes share a, b and the exact P and Q, and differ in K alone.
-    # S = P/(2(a+b)K) + Q/(4(a-b)K): per route each term is x/K or y/K, for
-    # x = P/(2 fl(a+b)) and y = Q/(4 fl(a-b)), times (1 + η) with
-    # |η| <= 2r/(1 - r) (the product with K and the division), and the sum
-    # rounds once more: 3r to first order, 4r with the higher orders. So
-    # the routes' S differ by at most
-    # |x + y| |K1 - K2| / |K1 K2| + 4r (|x| + |y|) (1/|K1| + 1/|K2|);
-    # K1 - K2 is exact (Sterbenz), and 1 + 4r covers the rounding of the
-    # bound's own arithmetic.
-    a, b = map_new[0, 0, :2].tolist()
-    x, y = PINV_P / (2 * (a + b)), PINV_Q / (4 * (a - b))
-    bound = (np.abs(x + y) * (abs(k1 - k2) / abs(k1 * k2))
-             + 4 * r * (np.abs(x) + np.abs(y)) * (1 / abs(k1) + 1 / abs(k2)))
-    assert (np.abs(s1 - s2) <= bound * (1 + 4 * r)).all()
-    # the level is c·|K| for c = 16 eps max(a, b) scale, rounded twice per
-    # route (r each, and once more for c here): |L1 - L2| <= c |K1 - K2| +
-    # 3r c (|K1| + |K2|), with the same 1 + 4r
-    scale = max(map(abs, enhanced_deviations(cfg, 1.0, 1.0).tolist()))
-    c = 16 * np.finfo(float).eps * max(a, b) * scale
-    assert abs(l1 - l2) <= (c * abs(k1 - k2) + 3 * r * c * (abs(k1) + abs(k2))) * (1 + 4 * r)
-    return k1, k2
+# the tip-free left-null vector g of the calibrated probe map
+G_PATTERN = np.array([1.0, -1.0, -1.0, 1.0]) / 2
 
 
 class TestDetector:
@@ -993,94 +850,117 @@ class TestDetector:
 
     def test_detector_holds_its_probe_setting(self):
         det = Detector(CFG, DetectionSettings(probe_tip_deg=12.0, noise_amp=0.1))
-        relations = probe_response_matrix(12.0)
         k = det.receiver_constant
         assert k == calibrate(CFG, 12.0)
-        assert np.array_equal(probe_map(det), relations.reshape(2, 2, 4))
+        a, b = readout._tip_entries(12.0)
+        assert det._tip == (a, b)
         scale = float(np.abs(enhanced_deviations(CFG, 1.0, 1.0)).max())
-        solve, roundoff = array_probe_solve(relations, k, scale)
-        assert np.array_equal(probe_solve(det), solve) and det.roundoff == roundoff
+        assert (det._solve, det.roundoff) == readout._probe_solve(a, b, k, scale)
         with pytest.raises(TypeError):
             det.amplitude_solve[0] = 1.0
 
     @pytest.mark.parametrize(
-        "unit", [1.0, 1e-100, 3.7e50, 0.0, 1e-154, 1e153], ids=lambda u: f"u={u:g}"
+        "unit,setting",
+        [
+            # K, the round-off level and S's two magnitudes s and t, as
+            # float.hex, recorded where the build was checked bit for bit
+            # against the array arithmetic it replaced; K moves by an ulp
+            # with the scale of the reference
+            (1.0, "0x1.f23f584ac9d05p+8 0x1.3ce5b11f7693fp-41 0x1.81a2a6c5e0965p-8 "
+                  "0x1.ea46f13b38aecp-10"),
+            (1e-100, "0x1.f23f584ac9d07p+8 0x1.1540e42f905fbp-373 0x1.81a2a6c5e0964p-8 "
+                     "0x1.ea46f13b38aeap-10"),
+            (3.7e50, "0x1.f23f584ac9d04p+8 0x1.39630ed5ea2f0p+127 0x1.81a2a6c5e0966p-8 "
+                     "0x1.ea46f13b38aeap-10"),
+            (0.0, "thermal reference produced no signal"),
+            (1e-154, "thermal reference produced no signal"),
+            (1e153, "receiver constant overflows; lower polarization_unit or gamma_ratio"),
+        ],
+        ids=["u=1", "u=1e-100", "u=3.7e+50", "u=0", "u=1e-154", "u=1e+153"],
     )
-    def test_probe_setting_is_the_reference_arithmetic(self, unit):
-        # bit for bit, and the two range rules with their texts, on both
-        # gamma ratios, two grids and tips across the range
-        for gamma, n_points, tip in itertools.product(
-            (4.0, 3.976), (1024, 4096), (0.01, 1.7, 7.3, 15.0, 25.0)
-        ):
-            cfg = SpinSystemConfig(gamma_ratio=gamma, polarization_unit=unit)
-            try:
-                want = reference_probe_setting(cfg, n_points, 1e-3, tip)
-            except ReadoutError as exc:
-                with pytest.raises(ReadoutError, match=f"^{re.escape(str(exc))}$"):
-                    Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
-                continue
-            det = Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
-            got = (probe_map(det), det.receiver_constant, probe_solve(det), det.roundoff)
-            for a, b in zip(got, want, strict=True):
-                assert np.array_equal(a, b)
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        gamma=st.floats(0.25, 20.0),
-        j=st.floats(50.0, 500.0),
-        t2=st.floats(0.05, 5.0),
-        log_unit=st.floats(-170.0, 170.0),
-        n_points=st.sampled_from([1024, 2048, 4096]),
-        bin_frac=st.floats(0.05, 0.6),
-        tip=st.floats(0.01, PROBE_TIP_MAX),
-    )
-    def test_float_build_is_the_numpy_arithmetic_up_to_round_off(
-        self, gamma, j, t2, log_unit, n_points, bin_frac, tip
-    ):
-        # the two arithmetics refuse the same settings with the same text;
-        # where both build one, S and the round-off level agree within the
-        # bounds of `assert_arithmetics_agree`, and in the normal range
-        # (polarization_unit 1e-100 to 1e100) both K lie within the bound
-        # of `test_calibration_is_a_grid_constant`
-        cfg = SpinSystemConfig(gamma, j, t2, 10.0**log_unit)
-        dwell = bin_frac / j
-        outcome = assert_arithmetics_agree(cfg, n_points, dwell, tip)
-        if isinstance(outcome, str) or abs(log_unit) > 100:
+    def test_probe_setting_is_the_reference_arithmetic(self, unit, setting):
+        # the bits of the default setting's K, S and round-off level, or its
+        # refusal text: a reordered sum in the build moves them
+        det = outcome(Detector, SpinSystemConfig(polarization_unit=unit), DetectionSettings())
+        if not setting.startswith("0x"):
+            assert det == setting
             return
-        real = grid_response(cfg, n_points, dwell).real
-        bound = 6 * np.finfo(float).eps * np.abs(real).sum()
-        for k in outcome:
-            assert abs(k - real.sum() / 2) <= bound
+        k, level, s, t = map(float.fromhex, setting.split())
+        assert (det.receiver_constant, det.roundoff) == (k, level)
+        assert det._solve == ((s, t, s, t), (t, s, -s, -t), (-s, -t, t, s), (-t, -s, -t, -s))
 
     @pytest.mark.parametrize(
-        "values,refusal",
+        "values,outcomes",
         [
-            ({"polarization_unit": 0.0}, "thermal reference produced no signal"),
-            ({"polarization_unit": 1e-154}, "thermal reference produced no signal"),
-            ({"polarization_unit": 2e-154}, None),
-            ({"polarization_unit": 1e152}, None),
-            ({"polarization_unit": 1e153}, "receiver constant overflows"),
-            ({"gamma_ratio": 1e154}, "receiver constant overflows"),
+            ({"polarization_unit": 0.0}, "ssss ssss"),
+            ({"polarization_unit": 1e-154}, "ssss ssss"),
+            ({"polarization_unit": 2e-154}, "ssbb ssbb"),
+            ({"polarization_unit": 1e152}, "bbbb bbbb"),
+            ({"polarization_unit": 1e153}, "bboo bboo"),
+            ({"gamma_ratio": 1e154}, "bboo bboo"),
         ],
         ids=["u=0", "u=1e-154", "u=2e-154", "u=1e152", "u=1e153", "gamma=1e154"],
     )
-    def test_both_arithmetics_refuse_alike_at_the_range_edges(self, values, refusal):
-        # the README's thresholds hold at the default setting, and at tips
-        # and grids across the range both routes and the detector agree
-        cfg = SpinSystemConfig(**values)
-        outcome = assert_arithmetics_agree(cfg, 4096, 1e-3, 15.0)
-        assert outcome.startswith(refusal) if refusal else not isinstance(outcome, str)
+    def test_both_arithmetics_refuse_alike_at_the_range_edges(self, values, outcomes):
+        # the README's thresholds on grids of 1024 and 4096 points and at
+        # tips of 0.01, 1.7, 15 and 25°: the detector builds (b) or refuses
+        # with no signal (s) or an overflowing K (o), as the float build and
+        # the array arithmetic it replaced both did, and numpy warns nothing
+        texts = {"s": "thermal reference produced no signal",
+                 "o": "receiver constant overflows; lower polarization_unit or gamma_ratio"}
+        cases = itertools.product((1024, 4096), (0.01, 1.7, 15.0, 25.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for n_points, tip in itertools.product((1024, 4096), (0.01, 1.7, 15.0, 25.0)):
-                outcome = assert_arithmetics_agree(cfg, n_points, 1e-3, tip)
-                if isinstance(outcome, str):
-                    with pytest.raises(ReadoutError, match=f"^{re.escape(outcome)}$"):
-                        Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
-                else:
-                    det = Detector(cfg, DetectionSettings(n_points, probe_tip_deg=tip))
-                    assert det.receiver_constant == outcome[0]
+            for (n_points, tip), code in zip(cases, outcomes.replace(" ", ""), strict=True):
+                got = outcome(Detector, SpinSystemConfig(**values),
+                              DetectionSettings(n_points, probe_tip_deg=tip))
+                assert isinstance(got, Detector) if code == "b" else got == texts[code]
+
+    def test_float_routines_keep_their_bits(self):
+        # a probe's four integrals and their reconstruction at the default
+        # setting (the demonstration state's probe), and four noise
+        # integrals at noise_amp 0.05, as float.hex: a reordered sum moves them
+        det = Detector(CFG, DetectionSettings(noise_amp=0.05))
+        y = det.probe_lines(enhanced_deviations(CFG, -11.0, 18.0).tolist())
+        assert " ".join(v.hex() for v in y) == (
+            "-0x1.62a0f8f833b9ap+11 -0x1.62a0f8f833b96p+11 0x1.22269d282a522p+10 "
+            "0x1.22269d282a51ep+10")
+        assert " ".join(v.hex() for v in det.reconstruct(y)) == (
+            "-0x1.a000000000000p+3 -0x1.f000000000002p+4 0x1.f000000000002p+4 0x1.a000000000000p+3")
+        z = "-0x1.9a96c17a324a9p-1 -0x1.530930ee62e3ep+0 -0x1.fca504a3d846ap-3 0x1.ae89324d005b8p-2"
+        assert " ".join(v.hex() for v in det.line_noise(map(float.fromhex, z.split()))) == (
+            "-0x1.933d7a347bfdfp+3 -0x1.3a0514d45e900p+4 -0x1.f38a753d756f1p+1 0x1.bb171341b5633p+2")
+        exact = tip_detector(25.0).probe_lines(lift(self.FINITE_PAST_OVERFLOW))[3]
+        assert 0.98 * MAX < abs(exact) < MAX
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        noise_amp=st.sampled_from([1e-300, 1e-3, 1.0, 1e3]),
+        z=st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8),
+    )
+    def test_line_noise_is_exact_within_round_off(self, noise_amp, z):
+        # a pair (z0, z1) gives a0·L[0,0] for a0 = noise_amp·z0 (k = 2) and
+        # a0·L[1,0] + noise_amp·z1·L[1,1] (k = 3); a0's underflow (ETA) is
+        # multiplied by |L| on
+        det = Detector(CFG, DetectionSettings(n_points=256, noise_amp=noise_amp))
+        got, want = det.line_noise(z), det.line_noise(lift(z))
+        amp, l00, l10, l11 = map(Fraction, (noise_amp, *det._factor))
+        for i in range(0, 8, 2):
+            z0, z1 = amp * Fraction(z[i]), amp * Fraction(z[i + 1])
+            assert_rounds_to(got[i], want[i], abs(z0 * l00), 2, 2 * ETA * (abs(l00) + 1))
+            assert_rounds_to(got[i + 1], want[i + 1], abs(z0 * l10) + abs(z1 * l11), 3,
+                             2 * ETA * (abs(l10) + abs(l11) + 2))
+
+    # at 25° on the default grid, a diagonal whose integral 3 is 0.989 of the
+    # float maximum in exact arithmetic (`test_float_routines_keep_their_bits`);
+    # each of its products r·m rounds, and overflows, on its own
+    FINITE_PAST_OVERFLOW = [float.fromhex(h) for h in (
+        "-0x1.a75ac2d2fe258p+1023", "0x1.51374a53bc58bp+1020",
+        "0x1.893cdf13c3bcfp+1021", "0x1.18e97e5f87fd8p+1021")]
+
+    @pytest.mark.xfail(strict=True, reason="FOUND 104, ROADMAP item 9")
+    def test_an_integral_whose_exact_value_is_finite_reads_finite(self):
+        assert math.isfinite(tip_detector(25.0).probe_lines(self.FINITE_PAST_OVERFLOW)[3])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -1131,7 +1011,7 @@ class TestDetector:
                     monkeypatch.setattr(module, name, forbidden)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=7.3))
         assert readout._grid_map.cache_info().misses == misses
-        assert np.array_equal(probe_map(det), probe_response_matrix(7.3).reshape(2, 2, 4))
+        assert det._tip == readout._tip_entries(7.3)
 
     @pytest.mark.parametrize("dwell", [5e-324, 1e-310, 2.8e-309, 1e-300])
     def test_grid_with_bins_wider_than_a_window_is_too_coarse(self, dwell):
@@ -1421,8 +1301,6 @@ class TestDetector:
         assert abs(np.var(values) / want - 1) <= 5 * np.sqrt(2 / n_draws)
 
 
-EPS = np.finfo(float).eps
-
 
 @functools.cache
 def tip_detector(tip: float) -> Detector:
@@ -1430,41 +1308,24 @@ def tip_detector(tip: float) -> Detector:
     return Detector(CFG, DetectionSettings(probe_tip_deg=tip))
 
 
-def matrix_reconstruct(det, y) -> tuple[np.ndarray, str | None]:
-    """The reconstruction as one matrix route, over arrays: S @ y, the
-    NaN-propagating max |y| and |g·y|, then the round-off rule and the 5%
-    gate. The diagonal and the ReadoutError text, or None."""
-    y = np.array(y, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ymax = np.abs(y).max()
-        residual = abs(y @ G_PATTERN)
-        diag = probe_solve(det) @ y if ymax > det.roundoff else np.zeros(4)
-    if not np.isfinite(ymax):
-        return diag, readout._PAST_FLOAT_RANGE
-    if ymax > det.roundoff and residual > readout.RECONSTRUCTION_RESIDUAL_FRAC * ymax:
-        return diag, f"inconsistent peak data (residual {residual:.3e} vs max integral {ymax:.3e})"
-    return diag, None
-
-
-def float_reconstruct(det, y) -> tuple[list | None, str | None]:
-    """`Detector.reconstruct` of four floats, as (diagonal, None) or (None,
-    the text of its ReadoutError)."""
+def outcome(routine, *args):
+    """`routine(*args)`, or the text of the ReadoutError it raises."""
     try:
-        return det.reconstruct([float(v) for v in y]), None
+        return routine(*args)
     except ReadoutError as exc:
-        return None, str(exc)
+        return str(exc)
 
 
-def near_gate(det, y) -> bool:
-    """Whether y passes the round-off rule with |g·y| within a few ulps of
-    5% of max |y|, where two routes' round-off may decide the gate apart."""
-    a = np.abs(np.array(y, dtype=float))
-    if not np.isfinite(a).all() or not a.max() > det.roundoff:
-        return False
-    threshold = readout.RECONSTRUCTION_RESIDUAL_FRAC * a.max()
-    residual = abs(0.5 * y[0] - 0.5 * y[1] - 0.5 * y[2] + 0.5 * y[3])
-    # 8 eps of the largest sum of the products |0.5 y_j|, 2 max |y|
-    return abs(residual - threshold) <= 16 * EPS * a.max()
+def gate_margin(y):
+    """The exact margin 5% of max |y| less |g·y| of four finite integrals
+    y, and the bound within which the float gate may decide it either way:
+    the residual adds four products ±0.5·y_j, exact or 2 ETA off once
+    summed, in three additions (γ₃ Σ|y_j|/2 + 8 ETA); the threshold rounds
+    one product (u·5% max |y| + ETA)."""
+    y = lift(y)
+    threshold = readout.RECONSTRUCTION_RESIDUAL_FRAC * max(map(abs, y))
+    residual = abs(sum(g * v for g, v in zip(G_PATTERN.tolist(), y)))
+    return threshold - residual, gamma(3) * sum(map(abs, y)) / 2 + U * threshold + 9 * ETA
 
 
 @st.composite
@@ -1497,65 +1358,68 @@ def probe_rows(draw):
 class TestReconstruction:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(row=probe_rows())
-    # a consistent row near the float range whose last entry the float route
-    # sums to a finite 1.19e308 and the matrix route overflows: the exact-sum
-    # rule below runs whatever examples the strategy draws
+    # a consistent row near the float range whose last entry sums to a
+    # finite 1.19e308 from products whose magnitudes pass the float maximum,
+    # and one whose entry 1, 0.105 of the float maximum exactly, reads NaN
+    # (inf − inf: ROADMAP item 9)
     @example(row=(tip_detector(0.01), [-3.37360363030355e+307, 6.839182553343926e+306,
                                        -3.75e+307, 3.0752188563794326e+306]))
-    def test_float_routine_is_the_matrix_route(self, row):
-        # the per-probe float arithmetic against the matrix route: the same
-        # gate decision and error text, and the diagonal within 4 eps of the
-        # magnitudes Σ|S_ij y_j| of its products (BLAS orders and fuses the
-        # products its own way); overflowing entries are past the float range
-        # in both. BLAS may sum a row pairwise, whose partial sums can
-        # overflow where the left-to-right sum does not: a finite float entry
-        # whose matrix entry is not finite is held to the exact sum of its
-        # products instead. Rows within a few ulps of the 5% boundary may be
-        # decided apart; they are left to the test below.
+    @example(row=(tip_detector(0.01), [float.fromhex(h) for h in (
+        "0x1.85aa0f5d28a40p+1006", "-0x1.f9b387412eaf1p+1021", "-0x1.0f9fb05556d5dp+1021",
+        "-0x1.84ab2175521f9p+1022")]))
+    def test_reconstruction_is_exact_within_round_off(self, row):
+        # the float routine against exact arithmetic on the same floats: the
+        # same round-off decision (max |y| is exact in floats), the same gate
+        # decision and text unless the exact margin lies within its bound
+        # (`gate_margin`), and each entry of S y, four products summed left
+        # to right (k = 4), within its bound (`assert_rounds_to`). NaN and
+        # ±inf have no exact value: a row holding one is refused by name
         det, y = row
-        assume(not near_gate(det, y))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, got_error = float_reconstruct(det, y)
-        want, want_error = matrix_reconstruct(det, y)
-        assert got_error == want_error
-        if got_error is None:
-            got = np.array(got)
-            with np.errstate(over="ignore", invalid="ignore"):
-                bound = 4 * EPS * np.abs(probe_solve(det) * np.array(y)).sum(axis=1)
-                gap = np.abs(got - want)
-            past = ~np.isfinite(got) & ~np.isfinite(want)
-            overflowed = np.isfinite(got) & ~np.isfinite(want)
-            for i in np.flatnonzero(overflowed):
-                products = [fractions.Fraction(s) * fractions.Fraction(v)
-                            for s, v in zip(det._solve[i], y)]
-                exact_gap = abs(fractions.Fraction(got[i]) - sum(products))
-                assert exact_gap <= 4 * fractions.Fraction(EPS) * sum(map(abs, products))
-            assert ((got == want) | past | overflowed | (gap <= bound)).all()
+            got = outcome(readout._reconstruct, y, det._solve, det.roundoff)
+        if not all(map(math.isfinite, y)):
+            assert got == readout._PAST_FLOAT_RANGE
+            return
+        want = outcome(readout._reconstruct, lift(y), [lift(row) for row in det._solve],
+                       Exact(det.roundoff))
+        if max(map(abs, y)) <= det.roundoff:
+            assert got == want == [0.0] * 4
+            return
+        margin, bound = gate_margin(y)
+        assert isinstance(want, str) == (margin < 0)
+        if isinstance(got, str) != isinstance(want, str):
+            assert abs(margin) <= bound, (y, margin, bound)
+        elif isinstance(got, str):
+            # the text names the residual, then max |y|, which is exact
+            assert got.startswith("inconsistent peak data (residual ")
+            assert got.split(" vs ")[1] == want.split(" vs ")[1]
+        else:
+            for g, w, solve_row in zip(got, want, det._solve, strict=True):
+                magnitude = sum(abs(Fraction(s) * Fraction(v)) for s, v in zip(solve_row, y))
+                assert_rounds_to(g, w, magnitude, 4, 8 * ETA)
 
     def test_routes_part_only_within_ulps_of_the_gate(self):
         # rows stepped ulp by ulp across the 5% boundary: y0 = 1 is the
         # largest integral, and y3 puts g·y = (y0 - y1 - y2 + y3)/2 at 5%.
-        # Both routes decide each row as exact arithmetic on its floats does,
-        # except rows whose exact residual lies within a few ulps of the
-        # threshold: there each route's own round-off may tip the gate
+        # The float routine decides each row as exact arithmetic does, but
+        # where the exact margin lies within its bound (`gate_margin`)
         det = tip_detector(15.0)
-        frac, exact = readout.RECONSTRUCTION_RESIDUAL_FRAC, fractions.Fraction
         rng = np.random.default_rng(35)
         sides, within = set(), 0
         for y1, y2 in rng.uniform(0.0, 0.5, (40, 2)).tolist():
-            y3 = 2 * frac - (1.0 - y1 - y2)
+            y3 = 2 * readout.RECONSTRUCTION_RESIDUAL_FRAC - (1.0 - y1 - y2)
             for _ in range(32):
                 y3 = math.nextafter(y3, -math.inf)
             for _ in range(65):
                 y = [1.0, y1, y2, y3]
-                residual = abs(sum(exact(v) * sign for v, sign in zip(y, (1, -1, -1, 1)))) / 2
-                threshold = exact(frac * 1.0)
-                rejected = residual > threshold
-                routes = [float_reconstruct(det, y)[1] is not None,
-                          matrix_reconstruct(det, y)[1] is not None]
-                if abs(residual - threshold) > 4 * EPS * sum(map(abs, y)) / 2:
-                    assert routes == [rejected, rejected], y
+                # the exact routine rejects a row exactly when its margin is
+                # negative (`test_reconstruction_is_exact_within_round_off`)
+                margin, bound = gate_margin(y)
+                rejected = margin < 0
+                if abs(margin) > bound:
+                    got = outcome(readout._reconstruct, y, det._solve, det.roundoff)
+                    assert isinstance(got, str) == rejected, y
                     sides.add(rejected)
                 else:
                     within += 1
@@ -1660,7 +1524,8 @@ class TestReconstruction:
         # traceless row, and the norm of its residual (math.hypot, whose
         # norm of integrals below 1e-154 does not underflow)
         y = np.array(y)
-        a = calibration * probe_response_matrix(tip)
+        det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
+        a = calibration * probe_map(det).reshape(4, 4)
         design = np.vstack([a, np.full(4, np.abs(a).max())])
         want, *_ = np.linalg.lstsq(design, np.concatenate([y, [0.0]]), rcond=None)
         rows, _ = readout._probe_solve(*readout._tip_entries(tip), calibration)
@@ -1682,8 +1547,7 @@ class TestReconstruction:
         # one pattern, the left null vector of the detector's calibrated map
         y = np.array(y)
         det = Detector(CFG, DetectionSettings(probe_tip_deg=tip))
-        null, pattern = G_PATTERN, np.array([1.0, -1.0, -1.0, 1.0]) / 2
-        assert np.array_equal(null, pattern)
+        null = G_PATTERN
         response = det.receiver_constant * probe_map(det).reshape(4, 4)
         assert np.abs(null @ response).max() <= 4 * np.finfo(float).eps * np.abs(response).max()
         want = abs(y[0] - y[1] - y[2] + y[3]) / 2
@@ -1729,20 +1593,40 @@ class TestReconstruction:
     @example(tip=15.0, magnitude=1.6308966172931877e-308, negative=True, scale=1.0)
     @example(tip=25.0, magnitude=1.0212001151036227e-308, negative=False, scale=0.5)
     @example(tip=25.0, magnitude=1.021200115103622e-308, negative=False, scale=0.5)
-    def test_two_magnitudes_are_the_pattern_formula(self, tip, magnitude, negative, scale):
-        # S from s and t is the 16-entry pattern formula bit for bit: its
-        # rows, its round-off level and its refusal
-        a, b = readout._tip_entries(tip)
-        k = -magnitude if negative else magnitude
-        try:
-            want = pattern_probe_solve(a, b, k, scale)
-        except ReadoutError as exc:
-            with pytest.raises(ReadoutError, match=f"^{re.escape(str(exc))}$"):
-                readout._probe_solve(a, b, k, scale)
+    def test_probe_solve_is_exact_within_round_off(self, tip, magnitude, negative, scale):
+        # S's rows and the round-off level against exact arithmetic on the
+        # same a, b, K and scale, and the refusal of a solve past the float
+        # range decided alike unless the exact margin lies within its bound
+        args = (*readout._tip_entries(tip), -magnitude if negative else magnitude, scale)
+        got, want = outcome(readout._probe_solve, *args), outcome(readout._probe_solve, *lift(args))
+        # pk = 2(a + b)k: a + b rounds once, ×2 is exact, and the product
+        # with K rounds once or underflows, so |pk − PK| ≤ γ₂|PK| + ETA; qk =
+        # 4(a − b)k alike. 0.5/pk lies within 0.5·e/(|PK|(|PK| − e)) of
+        # 0.5/PK for the divisor's error e < |PK| (|pk| ≥ |PK| − e), and
+        # rounds once more (u of it, or ETA if it underflows)
+        a, b, k, _ = lift(args)
+        spread, s = 0, 0
+        for pk in (2 * (a + b) * k, 4 * (a - b) * k):
+            e = gamma(2) * abs(pk) + ETA
+            if abs(pk) <= e:
+                return  # pk may read 0: no bound on the quotient
+            quotient = Fraction(1, 2) * e / (abs(pk) * (abs(pk) - e))
+            spread += quotient + U * (abs(Fraction(1, 2) / pk) + quotient) + ETA
+            s += abs(Fraction(1, 2) / pk)
+        # each entry ±(0.5/pk ± 0.5/qk), one of ±s and ±t, adds the two
+        # quotients and rounds once more
+        if isinstance(got, str) or isinstance(want, str):
+            # refused exactly when s rounds past the float range
+            assert got == want or abs(s - EDGE) <= spread + U * (s + spread), (got, want)
             return
-        rows, level = readout._probe_solve(a, b, k, scale)
-        assert np.array(rows).tobytes() == np.array(want[0]).tobytes()
-        assert np.float64(level).tobytes() == np.float64(want[1]).tobytes()
+        (rows, level), (exact_rows, exact_level) = got, want
+        # the 16 entries, each once per distinct pair
+        for g, w in set(zip(sum(rows, ()), sum(exact_rows, ()))):
+            assert abs(Fraction(g) - w) <= spread + U * (abs(w) + spread)
+        # the level (16 eps) |K| max(a, b) scale rounds three products, and
+        # may overflow; the underflow of the first is scaled by 16 eps·scale
+        # and of the second by scale, (1 + γ₂) < 2 times
+        assert_rounds_to(level, exact_level, exact_level, 3, 2 * ETA * (2 * Fraction(scale) + 1))
 
     @pytest.mark.parametrize("tip,smallest", [
         (1e-6, 2.39038764745035e-301), (15.0, 1.630896617293188e-308),
@@ -1751,10 +1635,10 @@ class TestReconstruction:
     def test_the_pattern_examples_straddle_the_refusal(self, tip, smallest):
         # the property's examples: a finite solve, and one float lower a refusal
         a, b = readout._tip_entries(tip)
-        rows, _ = pattern_probe_solve(a, b, smallest)
+        rows, _ = readout._probe_solve(a, b, smallest)
         assert np.isfinite(rows).all()
         with pytest.raises(ReadoutError, match="^probe solve leaves the float range"):
-            pattern_probe_solve(a, b, math.nextafter(smallest, 0.0))
+            readout._probe_solve(a, b, math.nextafter(smallest, 0.0))
 
     def test_solve_past_the_float_range_is_refused(self):
         # S's largest entries are ±(0.5/p + 0.5/q) for p = 2(a + b)K and

@@ -163,6 +163,16 @@ class TestSchedules:
         with pytest.raises(ValueError, match=message):
             run_grover_pipeline(SpinoeParams(), CFG, GroverCase("01"), mode)
 
+    def test_an_unhashable_argument_gets_its_documented_error(self):
+        # the schedule cache's key failed first: TypeError: unhashable type
+        message = r"^mode must be ScheduleMode\.MULTI_SAMPLE or SINGLE_SAMPLE, not \['multi'\]$"
+        with pytest.raises(ValueError, match=message):
+            make_schedule(["multi"])
+        for name in ("r1", "recovery", "start_delay"):
+            for value in ([25.0], "25"):
+                with pytest.raises(TypeError, match="^(?!unhashable)"):
+                    make_schedule(ScheduleMode.SINGLE_SAMPLE, **{name: value})
+
     @pytest.mark.parametrize("mode", list(ScheduleMode), ids=lambda m: m.value)
     def test_bad_recovery_rejected(self, mode):
         with pytest.raises(ValueError, match="recovery"):
